@@ -15,7 +15,6 @@ from .core import (
     ClusteringResult,
     ClusterSummary,
     DriftConfig,
-    Record,
     euclidean,
     minmax_normalize,
 )
@@ -30,7 +29,7 @@ from .engine import (
     state_to_json,
     step,
 )
-from .incremental import closest_cluster, dist_clust, dist_clust_trace, update_centroid
+from .incremental import dist_clust, dist_clust_trace
 from .metrics import (
     MetricsReport,
     TcvMatch,
@@ -63,10 +62,10 @@ from .streams import (
 
 __all__ = [
     "__version__",
-    "Record", "Chunk", "ClusterSummary", "ClusteringResult", "DriftConfig",
+    "Chunk", "ClusterSummary", "ClusteringResult", "DriftConfig",
     "euclidean", "minmax_normalize",
     "KMeansParams", "kmeans", "get_max_dist", "summarize", "summarize_trace",
-    "closest_cluster", "update_centroid", "dist_clust", "dist_clust_trace",
+    "dist_clust", "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
     "EngineState", "ParallelState", "StepReport", "init", "step", "run",
     "state_to_json", "state_from_json",

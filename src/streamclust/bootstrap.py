@@ -92,7 +92,6 @@ def _lloyd(matrix: np.ndarray, params: KMeansParams):
         sse = float(
             (np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()
         )
-        assert not history or sse <= history[-1] + 1e-9, "SSE increased"
         history.append(sse)
     return centroids, labels, history
 
@@ -106,32 +105,32 @@ def kmeans(chunk: Chunk, params: KMeansParams) -> list[tuple[tuple[float, ...], 
     """
     if params.k > len(chunk):
         raise ValueError(f"k={params.k} exceeds chunk size {len(chunk)}")
-    matrix = np.array([r.values for r in chunk.records], dtype=float)
-    centroids, labels, _ = _lloyd(matrix, params)
+    centroids, labels, _ = _lloyd(chunk.values, params)
     return [
-        (tuple(centroids[c]), tuple(int(i) for i in np.flatnonzero(labels == c)))
+        (tuple(centroids[c].tolist()), tuple(np.flatnonzero(labels == c).tolist()))
         for c in range(params.k)
     ]
 
 
 def get_max_dist(centroid, members) -> float:
-    """Distance from the centroid to its farthest member; becomes the radius."""
-    members = list(members)
+    """Distance from the centroid to its farthest member row; becomes the radius."""
+    members = np.asarray(members, dtype=float).tolist()
     if not members:
         raise ValueError("cluster has no members")
-    return max(euclidean(centroid, r.values) for r in members)
+    return max(euclidean(centroid, row) for row in members)
 
 
 def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
     """summarize() plus the per-record (cluster, distance) assignments."""
     pairs = kmeans(chunk, params)
+    rows = chunk.rows()
     summaries = []
     assignments: list[Assignment] = [None] * len(chunk)
     for centroid, member_idx in pairs:
         if not member_idx:
             continue  # unrepairable empty cluster: drop it
         position = len(summaries)
-        dists = [euclidean(centroid, chunk.records[i].values) for i in member_idx]
+        dists = [euclidean(centroid, rows[i]) for i in member_idx]
         for i, d in zip(member_idx, dists):
             assignments[i] = (position, d)
         count = len(member_idx)

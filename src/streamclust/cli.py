@@ -38,6 +38,7 @@ from .streams import (
     NAMED_SPECS,
     StreamSpec,
     TimestepSpec,
+    chunk_dataset,
     chunk_indices,
     generate_synthetic,
     make_artificial_classes,
@@ -52,10 +53,9 @@ DEFAULT_D_THRESH_REAL = 0.4
 def _labels_k(chunk: Chunk) -> int:
     # The per-chunk "k from unique labels" policy lives here, outside the
     # engine, which never reads labels itself.
-    labels = {r.label for r in chunk.records}
-    if None in labels:
+    if chunk.labels is None:
         raise ValueError("k-from-labels policy needs a fully labeled stream")
-    return len(labels)
+    return len(set(chunk.labels.tolist()))
 
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
@@ -123,18 +123,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_chunk(args) -> int:
-    records, label_map = load_dataset(args.dataset)
+    values, labels, label_map = load_dataset(args.dataset)
     if args.normalize:
-        records = minmax_normalize(records)
-    parts = chunk_indices([r.label for r in records], args.chunks)
-    chunks = [
-        Chunk(i + 1, tuple(records[p] for p in part)) for i, part in enumerate(parts)
-    ]
+        values = minmax_normalize(values)
+    chunks = chunk_dataset(values, labels, args.chunks)
+    class_count = len(set(labels.tolist()))
     ac_sets = None
     if args.artificial_classes:
-        class_count = len({r.label for r in records})
-        ac_all = make_artificial_classes(records, class_count)
-        ac_sets = [[ac_all[p] for p in part] for part in parts]
+        ac_all = make_artificial_classes(values, class_count)
+        ac_sets = [ac_all[part] for part in chunk_indices(labels.tolist(), args.chunks)]
     out = Path(args.out) if args.out else Path(Path(args.dataset).stem + "_stream")
     manifest = write_stream(
         out,
@@ -144,8 +141,8 @@ def cmd_chunk(args) -> int:
         source={
             "kind": "dataset",
             "file": Path(args.dataset).name,
-            "records": len(records),
-            "classes": len({r.label for r in records}),
+            "records": len(values),
+            "classes": class_count,
             "label_map": label_map,
             "normalized": bool(args.normalize),
         },

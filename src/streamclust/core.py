@@ -1,7 +1,8 @@
 """Shared domain types and numeric primitives.
 
-Every type here is an immutable value object; the functions are pure. That
-makes results safe to hand between threads and trivially comparable in tests.
+Every type here is immutable and the functions are pure, which makes results
+safe to hand between threads. Summaries and results compare by value; a chunk
+holds read-only numpy arrays and compares by identity.
 """
 
 import math
@@ -10,50 +11,65 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Record:
-    """One observation: numeric attribute values plus an optional class label.
+@dataclass(frozen=True, eq=False)
+class Chunk:
+    """A timestamped batch of records, the unit of incremental processing.
 
-    Labels are opaque integers used only by stream construction and external
-    evaluation; no clustering code path ever reads them.
+    values holds one row per record: a read-only, C-contiguous float64
+    matrix of shape (records, dimensions). labels, when given, is a read-only
+    int64 vector with one class label per row. Labels are opaque integers used
+    only by stream construction and external evaluation; no clustering code
+    path ever reads them. Both are copied on construction, so a chunk never
+    changes. Equality is identity: compare the arrays to compare contents.
     """
 
-    values: tuple[float, ...]
-    label: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError("Record needs at least one attribute value")
-
-    @property
-    def dimensions(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A timestamped batch of records, the unit of incremental processing."""
-
     timestamp: int
-    records: tuple[Record, ...]
+    values: np.ndarray
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
         if self.timestamp < 1:
             raise ValueError(f"chunk timestamp must be >= 1, got {self.timestamp}")
-        if not self.records:
+        values = np.array(self.values, dtype=np.float64, order="C")
+        if values.ndim != 2:
+            raise ValueError(f"chunk values must be a 2-D matrix, got {values.ndim}-D")
+        if values.shape[0] == 0:
             raise ValueError("Chunk needs at least one record")
-        first = self.records[0].dimensions
-        if any(r.dimensions != first for r in self.records):
-            raise ValueError("all records in a chunk must share dimensionality")
+        if values.shape[1] == 0:
+            raise ValueError("a record needs at least one attribute value")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if self.labels is not None:
+            labels = np.array(self.labels, dtype=np.int64)
+            if labels.shape != (values.shape[0],):
+                raise ValueError(
+                    f"chunk needs one label per record: {values.shape[0]} records, "
+                    f"labels of shape {labels.shape}"
+                )
+            labels.flags.writeable = False
+            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.values.shape[0]
 
     @property
     def dimensions(self) -> int:
-        return self.records[0].dimensions
+        return self.values.shape[1]
+
+    def rows(self) -> list[tuple[float, ...]]:
+        """The records as tuples of Python floats, built afresh on each call.
+
+        Tuples, because math.dist converts any other sequence to a tuple on
+        every call; zipping the column lists builds them without an
+        intermediate list per row.
+        """
+        return list(zip(*self.values.T.tolist()))
+
+
+def first_nonfinite_row(matrix: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or an infinity, or None."""
+    finite = np.isfinite(matrix)
+    return None if finite.all() else int(finite.all(axis=1).argmin())
 
 
 @dataclass(frozen=True)
@@ -131,25 +147,22 @@ def euclidean(a, b) -> float:
     return math.dist(a, b)
 
 
-def minmax_normalize(dataset) -> list[Record]:
-    """Rescale every attribute column to [0, 1] using the column min/max.
+def minmax_normalize(values) -> np.ndarray:
+    """Rescale every attribute column of a (records, dimensions) matrix to [0, 1].
 
     Statistics come from the whole dataset, so call this before chunking.
-    Constant columns map to 0 rather than dividing by zero. Labels pass
-    through untouched.
+    Constant columns map to 0 rather than dividing by zero. NaN and infinite
+    values are rejected: one of them would turn its whole column into NaN.
     """
-    records = list(dataset)
-    if not records:
+    matrix = np.asarray(values, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-D (records, dimensions) matrix, got {matrix.ndim}-D")
+    if len(matrix) == 0:
         raise ValueError("cannot normalize an empty dataset")
-    dims = records[0].dimensions
-    if any(r.dimensions != dims for r in records):
-        raise ValueError("all records must share dimensionality")
-
-    matrix = np.array([r.values for r in records], dtype=float)
+    bad = first_nonfinite_row(matrix)
+    if bad is not None:
+        raise ValueError(f"record {bad + 1} holds a NaN or infinite value")
     lo = matrix.min(axis=0)
     span = matrix.max(axis=0) - lo
     keep = span > 0
-    scaled = np.where(keep, (matrix - lo) / np.where(keep, span, 1.0), 0.0)
-    return [
-        Record(tuple(row), rec.label) for row, rec in zip(scaled, records)
-    ]
+    return np.where(keep, (matrix - lo) / np.where(keep, span, 1.0), 0.0)

@@ -9,55 +9,20 @@ arrive, and the same input order always yields bit-identical output.
 
 import math
 
-from .core import Chunk, ClusteringResult, ClusterSummary, Record
+from .core import Chunk, ClusteringResult, ClusterSummary
 
 # (cluster index, distance at assignment time) per record, None for outliers.
 Assignment = tuple[int, float] | None
 
 
-def closest_cluster(record: Record, result: ClusteringResult) -> tuple[int, float]:
-    """Index and distance of the centroid nearest to the record.
-
-    Ties break toward the lowest cluster index.
-    """
-    if not result.clusters:
-        raise ValueError("result has no clusters")
-    values = record.values
-    best = 0
-    best_dist = math.dist(values, result.clusters[0].centroid)
-    for idx in range(1, len(result.clusters)):
-        d = math.dist(values, result.clusters[idx].centroid)
-        if d < best_dist:
-            best, best_dist = idx, d
-    return best, best_dist
-
-
 def _shift_centroid(centroid, values, updated_lifetime: int) -> tuple[float, ...]:
     # updated_lifetime is the count *after* absorbing the record; its
-    # reciprocal is the learning rate.
+    # reciprocal is the learning rate. (1 - 1/n) * c + (1/n) * v keeps the
+    # centroid an exact running mean.
     w = 1.0 / updated_lifetime
     keep = 1.0 - w
-    return tuple(keep * c + w * v for c, v in zip(centroid, values))
-
-
-def update_centroid(summary: ClusterSummary, record: Record) -> ClusterSummary:
-    """Absorb one record: bump both counters, shift the centroid by 1/count.
-
-    new centroid_i = (1 - 1/n) * centroid_i + (1/n) * value_i with n already
-    incremented, which keeps the centroid an exact running mean. The radius is
-    left alone.
-    """
-    if record.dimensions != len(summary.centroid):
-        raise ValueError(
-            f"record has {record.dimensions} dimensions, centroid has {len(summary.centroid)}"
-        )
-    lifetime = summary.lifetime_count + 1
-    return ClusterSummary(
-        _shift_centroid(summary.centroid, record.values, lifetime),
-        summary.radius,
-        lifetime,
-        summary.chunk_count + 1,
-    )
+    # a list comprehension, not a generator: same values, less call overhead
+    return tuple([keep * c + w * v for c, v in zip(centroid, values)])
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
@@ -74,8 +39,7 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     trace: list[Assignment] = []
 
     dist = math.dist
-    for record in chunk.records:
-        values = record.values
+    for values in chunk.rows():
         best = 0
         best_dist = dist(values, centroids[0])
         for idx in range(1, len(centroids)):
@@ -103,9 +67,10 @@ def dist_clust(chunk: Chunk, prev: ClusteringResult) -> ClusteringResult:
 
     Starts from prev's clusters with every per-chunk count and the outlier
     counter reset to zero (prev itself is never mutated, so its counts remain
-    available for drift comparison). Records are processed in chunk order:
-    nearest centroid wins, absorption requires distance <= that cluster's
-    radius, everything else is counted as an outlier and dropped.
+    available for drift comparison). The chunk's rows are processed in order:
+    the nearest centroid wins (ties go to the lowest cluster index),
+    absorption requires distance <= that cluster's radius, and everything
+    else is counted as an outlier and dropped.
     """
     result, _ = dist_clust_trace(chunk, prev)
     return result

@@ -58,19 +58,18 @@ def sse(assignments) -> float:
 
 def true_cluster_values(all_chunks: Sequence[Chunk]) -> list[tuple[int, tuple[float, ...]]]:
     """Per-class mean vectors over every chunk merged, sorted by class label."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for chunk in all_chunks:
-        for record in chunk.records:
-            if record.label is None:
-                raise ValueError("true cluster values need a labeled stream")
-            if record.label not in sums:
-                sums[record.label] = np.zeros(record.dimensions)
-                counts[record.label] = 0
-            sums[record.label] += record.values
-            counts[record.label] += 1
+    chunks = list(all_chunks)
+    if not chunks:
+        return []
+    if any(c.labels is None for c in chunks):
+        raise ValueError("true cluster values need a labeled stream")
+    matrix = np.concatenate([c.values for c in chunks])
+    labels = np.concatenate([c.labels for c in chunks])
+    # A row-major matrix reduces along axis 0 row by row, in record order.
+    # (np.unique would import numpy.ma, about 1 MB of resident memory.)
     return [
-        (label, tuple(sums[label] / counts[label])) for label in sorted(sums)
+        (label, tuple(matrix[labels == label].mean(axis=0).tolist()))
+        for label in sorted(set(labels.tolist()))
     ]
 
 
@@ -173,9 +172,9 @@ def step_metrics(
 ) -> TimestepMetrics:
     """Metrics for one processed chunk.
 
-    Labels default to the records' own; when label_sets gives per-record
-    artificial class rows, entropy is the unweighted mean over those columns.
-    Outliers carry no assignment and contribute to neither metric.
+    Labels default to the chunk's own; when label_sets gives a matrix of
+    per-record artificial class rows, entropy is the unweighted mean over its
+    columns. Outliers carry no assignment and contribute to neither metric.
     """
     absorbed = [
         (assignment, i)
@@ -186,13 +185,15 @@ def step_metrics(
     if not absorbed:
         entropy_value = 0.0
     elif label_sets is None:
-        entropy_value = entropy(
-            ((cluster, chunk.records[i].label) for (cluster, _), i in absorbed)
-        )
+        if chunk.labels is None:
+            raise ValueError("entropy needs labeled assignments")
+        labels = chunk.labels.tolist()
+        entropy_value = entropy(((cluster, labels[i]) for (cluster, _), i in absorbed))
     else:
-        columns = len(label_sets[0])
+        rows = np.asarray(label_sets).tolist()
+        columns = len(rows[0])
         entropy_value = sum(
-            entropy(((cluster, label_sets[i][col]) for (cluster, _), i in absorbed))
+            entropy(((cluster, rows[i][col]) for (cluster, _), i in absorbed))
             for col in range(columns)
         ) / columns
     return TimestepMetrics(

@@ -4,6 +4,11 @@ Floats are written with repr() so that parsing them back yields bit-identical
 values; regenerating a stream from the same seed produces byte-identical
 files. All writes go through a temp file and os.replace, so a failed write
 never leaves a half-written file behind.
+
+Chunk files are parsed in bulk and checked whole on the way in: every row
+has the manifest's column count, every attribute value is finite, labels are
+all present or all absent, and the manifest's dimensions and chunk_count
+match the files. A failed check raises ValueError naming the file and row.
 """
 
 import csv
@@ -13,7 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .core import Chunk, Record
+import numpy as np
+
+from .core import Chunk, first_nonfinite_row
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "streamclust-stream"
@@ -48,8 +55,9 @@ def write_stream(
 ) -> Path:
     """Write chunk files and a manifest; returns the manifest path.
 
-    ac_sets, when given, holds one row of artificial class labels per record
-    per chunk; they are stored as extra columns after the label column.
+    ac_sets, when given, holds one int matrix per chunk with a row of
+    artificial class labels per record; they are stored as extra columns
+    after the label column.
     """
     if origin not in ("synthetic", "real-world"):
         raise ValueError(f"origin must be 'synthetic' or 'real-world', got {origin!r}")
@@ -68,17 +76,16 @@ def write_stream(
 
     names = []
     for pos, chunk in enumerate(chunks):
-        rows = []
-        for j, record in enumerate(chunk.records):
-            row = [repr(v) for v in record.values]
-            row.append("" if record.label is None else str(record.label))
-            if ac_sets:
-                row.extend(str(v) for v in ac_sets[pos][j])
-            rows.append(row)
+        # repr() of Python floats (never of numpy scalars) round-trips exactly
+        rows = [",".join(map(repr, row)) for row in chunk.values.tolist()]
+        labels = [""] * len(chunk) if chunk.labels is None else map(str, chunk.labels.tolist())
+        rows = [f"{row},{label}" for row, label in zip(rows, labels)]
+        if ac_sets:
+            extra = [",".join(map(str, r)) for r in np.asarray(ac_sets[pos]).tolist()]
+            rows = [f"{row},{ac}" for row, ac in zip(rows, extra)]
         name = _chunk_file_name(chunk.timestamp)
         names.append(name)
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        atomic_write_text(directory / name, "\n".join(lines) + "\n")
+        atomic_write_text(directory / name, "\n".join([",".join(header), *rows]) + "\n")
 
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -101,12 +108,76 @@ def write_stream(
 class StreamData:
     chunks: tuple[Chunk, ...]
     manifest: dict
-    # Per chunk: per record: tuple of artificial class labels, or None.
-    ac_sets: tuple[tuple[tuple[int, ...], ...], ...] | None
+    # Per chunk: an int64 matrix with one row of artificial class labels per
+    # record, or None for streams without artificial classes.
+    ac_sets: tuple[np.ndarray, ...] | None
 
     @property
     def origin(self) -> str:
         return self.manifest.get("origin", "synthetic")
+
+
+def _row_error(path: Path, rows: list[str], dims: int, labeled: bool, exc: Exception) -> ValueError:
+    """Name the first row holding a field the bulk conversion rejected."""
+    for line, row in enumerate(rows, start=2):
+        fields = row.split(",")
+        try:
+            for v in fields[:dims]:
+                float(v)
+            if labeled:
+                int(fields[dims])
+            for v in fields[dims + 1 :]:
+                int(v)
+        except ValueError as err:
+            return ValueError(f"{path} row {line}: {err}")
+    return ValueError(f"{path}: {exc}")
+
+
+def _parse_chunk(path: Path, dims: int, ac_count: int):
+    """Read one chunk file into (values, labels or None, ac matrix or None).
+
+    The file is split once into a flat row-major field list; the label and
+    artificial-class columns are sliced out of it, and each part is converted
+    in one call. Row numbers in errors count the header as row 1.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"chunk file {path} is empty")
+    width = dims + 1 + ac_count
+    columns = lines[0].count(",") + 1
+    if columns != width:
+        raise ValueError(
+            f"{path} has {columns} columns, but the manifest's dimensions={dims} "
+            f"and artificial_class_sets={ac_count} need {width}"
+        )
+    rows = lines[1:]
+    # A "\n" field between rows marks their ends: every row has exactly
+    # width fields iff the markers sit at every (width + 1)-th position.
+    fields = ",\n,".join(rows).split(",")
+    markers = fields[width :: width + 1]
+    if len(fields) != len(rows) * (width + 1) - 1 or markers != ["\n"] * (len(rows) - 1):
+        line, row = next(
+            (line, row) for line, row in enumerate(rows, start=2) if row.count(",") != width - 1
+        )
+        raise ValueError(f"{path} row {line}: expected {width} fields, got {row.count(',') + 1}")
+    del fields[width :: width + 1]
+    label_fields = fields[dims::width]
+    labeled = any(label_fields)
+    ac_columns = [fields[dims + 1 + a :: width] for a in range(ac_count)]
+    for j in range(width - 1, dims - 1, -1):  # drop label and ac columns
+        del fields[j :: j + 1]
+    # numpy converts each str with Python's own float() / int(), so values
+    # parse exactly as float(field) does, just without a Python-level loop
+    try:
+        values = np.array(fields, dtype=np.float64).reshape(len(rows), dims)
+        labels = np.array(label_fields, dtype=np.int64) if labeled else None
+        ac = np.array(ac_columns, dtype=np.int64).T.copy() if ac_count else None
+    except (ValueError, OverflowError) as exc:
+        raise _row_error(path, rows, dims, labeled, exc) from None
+    bad = first_nonfinite_row(values)
+    if bad is not None:
+        raise ValueError(f"{path} row {bad + 2}: attribute values must be finite")
+    return values, labels, ac
 
 
 def load_stream(manifest_path) -> StreamData:
@@ -116,27 +187,32 @@ def load_stream(manifest_path) -> StreamData:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {manifest.get('version')!r}")
+    missing = [key for key in ("dimensions", "chunk_count", "chunks") if key not in manifest]
+    if missing:
+        raise ValueError(f"{manifest_path} lacks {', '.join(missing)}")
     dims = manifest["dimensions"]
     ac_count = manifest.get("artificial_class_sets", 0)
+    names = manifest["chunks"]
+    if not isinstance(dims, int) or dims < 1:
+        raise ValueError(f"{manifest_path}: dimensions must be a positive integer, got {dims!r}")
+    if not isinstance(ac_count, int) or ac_count < 0:
+        raise ValueError(
+            f"{manifest_path}: artificial_class_sets must be a count, got {ac_count!r}"
+        )
+    if not isinstance(names, list) or not names:
+        raise ValueError(f"{manifest_path}: chunks must be a non-empty list of file names")
+    if manifest["chunk_count"] != len(names):
+        raise ValueError(
+            f"{manifest_path}: chunk_count is {manifest['chunk_count']!r} "
+            f"but {len(names)} chunk files are listed"
+        )
 
     chunks = []
     ac_sets = []
-    for t, name in enumerate(manifest["chunks"], start=1):
-        path = manifest_path.parent / name
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or len(rows) < 2:
-            raise ValueError(f"chunk file {path} is empty")
-        records = []
-        ac_rows = []
-        for row in rows[1:]:
-            values = tuple(float(v) for v in row[:dims])
-            label = int(row[dims]) if row[dims] != "" else None
-            records.append(Record(values, label))
-            if ac_count:
-                ac_rows.append(tuple(int(v) for v in row[dims + 1 : dims + 1 + ac_count]))
-        chunks.append(Chunk(t, tuple(records)))
-        ac_sets.append(tuple(ac_rows))
+    for t, name in enumerate(names, start=1):
+        values, labels, ac = _parse_chunk(manifest_path.parent / name, dims, ac_count)
+        chunks.append(Chunk(t, values, labels))
+        ac_sets.append(ac)
     return StreamData(tuple(chunks), manifest, tuple(ac_sets) if ac_count else None)
 
 
@@ -148,12 +224,13 @@ def _looks_numeric(field: str) -> bool:
         return False
 
 
-def load_dataset(path, delimiter: str | None = None) -> tuple[list[Record], dict[str, int]]:
+def load_dataset(path, delimiter: str | None = None) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Read a delimiter-separated dataset whose last column is the class label.
 
     The delimiter is sniffed when not given, a header row is skipped when the
     first row is not fully numeric, and non-integer labels are mapped to
-    integers in first-appearance order. Returns (records, label mapping).
+    integers in first-appearance order. Attribute values must be finite.
+    Returns (float64 value matrix, int64 label vector, label mapping).
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -176,19 +253,24 @@ def load_dataset(path, delimiter: str | None = None) -> tuple[list[Record], dict
     width = len(rows[start])
     if width < 2:
         raise ValueError("dataset needs at least one attribute column plus a label")
-    records = []
+    values = []
+    labels = []
     label_map: dict[str, int] = {}
     for i, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
             raise ValueError(f"{path} row {i}: expected {width} fields, got {len(row)}")
         try:
-            values = tuple(float(v) for v in row[:-1])
+            values.append([float(v) for v in row[:-1]])
         except ValueError as exc:
             raise ValueError(f"{path} row {i}: non-numeric attribute ({exc})") from None
         raw = row[-1]
         try:
             label = int(float(raw))
-        except ValueError:
+        except (ValueError, OverflowError):
             label = label_map.setdefault(raw, len(label_map))
-        records.append(Record(values, label))
-    return records, label_map
+        labels.append(label)
+    matrix = np.array(values, dtype=np.float64)
+    bad = first_nonfinite_row(matrix)
+    if bad is not None:
+        raise ValueError(f"{path} row {start + 1 + bad}: attribute values must be finite")
+    return matrix, np.array(labels, dtype=np.int64), label_map

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Chunk, Record
+from .core import Chunk
 
 # Anchor layouts for blob centers. Clusters sit far enough apart that a blob
 # is never absorbed by a foreign cluster and k-means recovers blobs exactly.
@@ -154,13 +154,13 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
             labels = list(range(1, entry.cluster_count + 1))
             if entry.drift_kind is DriftKind.RELABEL:
                 relabel_at[t] = "sustained"
-        records = []
-        for anchor, label, size in zip(anchors, labels, entry.cluster_sizes):
+        blocks = []
+        for anchor, size in zip(anchors, entry.cluster_sizes):
             center = (anchor[0] + shift, anchor[1] + shift)
             points = rng.normal(loc=center, scale=spec.sigma, size=(size, 2))
             np.clip(points, 0.0, 1.0, out=points)
-            records.extend(Record((float(x), float(y)), label) for x, y in points)
-        chunks.append(Chunk(t, tuple(records)))
+            blocks.append(points)
+        chunks.append(Chunk(t, np.concatenate(blocks), np.repeat(labels, entry.cluster_sizes)))
 
     if relabel_at:
         chunks = apply_label_drift(chunks, relabel_at, seed=spec.seed + 1)
@@ -180,32 +180,33 @@ def apply_label_drift(chunks: Sequence[Chunk], drift_schedule, seed: int = 0) ->
     for t, kind in schedule.items():
         if kind not in ("temporary", "sustained"):
             raise ValueError(f"unknown drift kind {kind!r} at t={t}")
+    chunks = list(chunks)
+    if any(c.labels is None for c in chunks):
+        raise ValueError("label drift needs a labeled stream")
     rng = np.random.default_rng(seed & 0xFFFFFFFF)
-    out = list(chunks)
-    by_time = {c.timestamp: i for i, c in enumerate(out)}
-
-    def relabel(chunk: Chunk, mapping: dict[int, int]) -> Chunk:
-        return Chunk(
-            chunk.timestamp,
-            tuple(Record(r.values, mapping.get(r.label, r.label)) for r in chunk.records),
-        )
+    by_time = {c.timestamp: i for i, c in enumerate(chunks)}
+    # All labels in one vector: a sustained drift remaps the whole tail at once.
+    bounds = np.cumsum([0] + [len(c) for c in chunks])
+    labels = np.concatenate([c.labels for c in chunks])
 
     for t in sorted(schedule):
         if t not in by_time:
             raise ValueError(f"drift scheduled at t={t} but no such chunk")
-        chunk = out[by_time[t]]
-        present = sorted({r.label for r in chunk.records})
-        permuted = list(present)
+        i = by_time[t]
+        present = np.array(sorted(set(labels[bounds[i] : bounds[i + 1]].tolist())))
+        permuted = present
         if len(present) > 1:
-            while permuted == present:
-                permuted = list(rng.permutation(present))
-        mapping = dict(zip(present, (int(v) for v in permuted)))
-        if schedule[t] == "temporary":
-            out[by_time[t]] = relabel(chunk, mapping)
-        else:
-            for i in range(by_time[t], len(out)):
-                out[i] = relabel(out[i], mapping)
-    return out
+            while np.array_equal(permuted, present):
+                permuted = rng.permutation(present)
+        stop = bounds[i + 1] if schedule[t] == "temporary" else len(labels)
+        part = labels[bounds[i] : stop]
+        slot = np.minimum(np.searchsorted(present, part), len(present) - 1)
+        labels[bounds[i] : stop] = np.where(present[slot] == part, permuted[slot], part)
+
+    return [
+        Chunk(c.timestamp, c.values, labels[bounds[i] : bounds[i + 1]])
+        for i, c in enumerate(chunks)
+    ]
 
 
 def sdwcd_spec(seed: int = 0) -> StreamSpec:
@@ -299,41 +300,41 @@ def chunk_indices(labels: Sequence[int], chunk_count: int) -> list[list[int]]:
     return out
 
 
-def chunk_dataset(dataset: Sequence[Record], chunk_count: int) -> list[Chunk]:
-    """Split a labeled dataset into chunks that preserve class proportions."""
-    records = list(dataset)
-    if not records:
+def chunk_dataset(values, labels, chunk_count: int) -> list[Chunk]:
+    """Split a labeled (records, dimensions) matrix into chunks that preserve
+    class proportions; see chunk_indices for the split."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(values) == 0:
         raise ValueError("cannot chunk an empty dataset")
-    parts = chunk_indices([r.label for r in records], chunk_count)
-    return [
-        Chunk(i + 1, tuple(records[p] for p in part)) for i, part in enumerate(parts)
-    ]
+    parts = chunk_indices(labels.tolist(), chunk_count)
+    return [Chunk(i + 1, values[part], labels[part]) for i, part in enumerate(parts)]
 
 
-def make_artificial_classes(dataset: Sequence[Record], class_count: int) -> list[tuple[int, ...]]:
+def make_artificial_classes(values, class_count: int) -> np.ndarray:
     """Derive one artificial class column per attribute by binning its values.
 
     Each attribute's observed values are divided into class_count
     equal-frequency bins: cut points sit at the value ranks i*m/n, and a value
     lands in bin 1 plus the number of cuts at or below it. Bins are 1-based,
     total on the column (no value falls in a gap), and the column minimum is
-    always bin 1. Requires min-max normalized data.
+    always bin 1. Requires min-max normalized data; returns an int64 matrix
+    of the same shape as values.
     """
     if class_count < 1:
         raise ValueError("class_count must be >= 1")
-    records = list(dataset)
-    if not records:
+    matrix = np.asarray(values, dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) == 0:
         raise ValueError("cannot bin an empty dataset")
-    for record in records:
-        for v in record.values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(
-                    f"attribute value {v} outside [0, 1]; normalize the dataset first"
-                )
-    m = len(records)
-    bins_per_column = []
-    for column in zip(*(r.values for r in records)):
-        ordered = sorted(column)
+    outside = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if outside.any():
+        raise ValueError(
+            f"attribute value {matrix[outside][0]} outside [0, 1]; normalize the dataset first"
+        )
+    m = len(matrix)
+    bins = np.empty(matrix.shape, dtype=np.int64)
+    for a, column in enumerate(matrix.T):
+        ordered = np.sort(column)
         cuts: list[float] = []
         for i in range(1, class_count):
             idx = i * m // class_count
@@ -344,8 +345,5 @@ def make_artificial_classes(dataset: Sequence[Record], class_count: int) -> list
                 idx += 1
             if idx < m:
                 cuts.append(ordered[idx])
-        bins_per_column.append([1 + sum(v >= c for c in cuts) for v in column])
-    return [
-        tuple(bins_per_column[a][r] for a in range(len(bins_per_column)))
-        for r in range(m)
-    ]
+        bins[:, a] = 1 + np.searchsorted(cuts, column, side="right")
+    return bins

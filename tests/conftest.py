@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from streamclust import Chunk, Record
+from streamclust import Chunk
 
 # 8-record, 2-attribute toy dataset with two classes; values already in [0,1].
 TOY_ROWS = (
@@ -35,15 +36,23 @@ EXPECTED_BINS = (
 )
 
 
-@pytest.fixture
-def toy_records():
-    return [Record(values, label) for values, label in TOY_ROWS]
+TOY_VALUES = np.array([values for values, _ in TOY_ROWS])
+TOY_LABELS = np.array([label for _, label in TOY_ROWS])
 
 
 @pytest.fixture
-def toy_chunk(toy_records):
-    return Chunk(1, tuple(toy_records))
+def toy_chunk():
+    return Chunk(1, TOY_VALUES, TOY_LABELS)
 
 
 def labels_k(chunk: Chunk) -> int:
-    return len({r.label for r in chunk.records})
+    return len(set(chunk.labels.tolist()))
+
+
+def same_chunk(a: Chunk, b: Chunk) -> bool:
+    """Float-exact equality of timestamp, values and labels."""
+    if a.labels is None or b.labels is None:
+        labels_equal = a.labels is None and b.labels is None
+    else:
+        labels_equal = np.array_equal(a.labels, b.labels)
+    return a.timestamp == b.timestamp and np.array_equal(a.values, b.values) and labels_equal

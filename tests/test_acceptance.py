@@ -17,7 +17,6 @@ from streamclust import (
     DriftCause,
     DriftConfig,
     KMeansParams,
-    Record,
     detect,
     dist_clust_trace,
     engine,
@@ -35,10 +34,11 @@ from streamclust import chunk_dataset
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import (
-    BINNING_LABELS,
     BINNING_ROWS,
     EXPECTED_BINS,
+    TOY_LABELS,
     TOY_ROWS,
+    TOY_VALUES,
     labels_k,
 )
 
@@ -57,20 +57,20 @@ def test_criterion_01_running_mean_oracle():
         base_pts = np.vstack(
             [a + rng.normal(0, 0.05, size=(int(rng.integers(4, 10)), dims)) for a in anchors]
         )
-        base = Chunk(1, tuple(Record(tuple(r)) for r in base_pts))
+        base = Chunk(1, base_pts)
         prev, base_assign = summarize_trace(base, KMeansParams(k=k, seed=cases))
 
         buckets = [[] for _ in prev.clusters]
-        for record, (idx, _) in zip(base.records, base_assign):
-            buckets[idx].append(record.values)
+        for values, (idx, _) in zip(base.rows(), base_assign):
+            buckets[idx].append(values)
 
         pick = rng.integers(0, len(base_pts), size=int(rng.integers(5, 30)))
         absorb_pts = base_pts[pick] + rng.normal(0, 0.02, size=(len(pick), dims))
-        chunk = Chunk(2, tuple(Record(tuple(r)) for r in absorb_pts))
+        chunk = Chunk(2, absorb_pts)
         result, trace = dist_clust_trace(chunk, prev)
-        for record, assignment in zip(chunk.records, trace):
+        for values, assignment in zip(chunk.rows(), trace):
             if assignment is not None:
-                buckets[assignment[0]].append(record.values)
+                buckets[assignment[0]].append(values)
 
         for idx, cluster in enumerate(result.clusters):
             expected = np.array(buckets[idx]).mean(axis=0)
@@ -164,18 +164,11 @@ def test_criterion_06_thousand_chunk_scale():
 
 
 def test_criterion_07_golden_toy_tables():
-    records = [Record(v, label) for v, label in TOY_ROWS]
-    chunks = chunk_dataset(records, 2)
-    assert [r.values for r in chunks[0].records] == [
-        TOY_ROWS[i][0] for i in (0, 1, 4, 5)
-    ]
-    assert [r.values for r in chunks[1].records] == [
-        TOY_ROWS[i][0] for i in (2, 3, 6, 7)
-    ]
-    binned = make_artificial_classes(
-        [Record(v, label) for v, label in zip(BINNING_ROWS, BINNING_LABELS)], 3
-    )
-    assert binned == list(EXPECTED_BINS)
+    chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 2)
+    assert chunks[0].rows() == [TOY_ROWS[i][0] for i in (0, 1, 4, 5)]
+    assert chunks[1].rows() == [TOY_ROWS[i][0] for i in (2, 3, 6, 7)]
+    binned = make_artificial_classes(BINNING_ROWS, 3)
+    assert binned.tolist() == [list(row) for row in EXPECTED_BINS]
     _ok(7, "class-interleaved toy split and every artificial-class cell reproduced")
 
 

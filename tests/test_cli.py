@@ -73,10 +73,10 @@ def test_chunk_splits_toy_dataset(tmp_path, capsys):
     assert code == 0
     data = load_stream(capsys.readouterr().out.strip())
     assert data.origin == "real-world"
-    assert [r.values for r in data.chunks[0].records] == [
+    assert data.chunks[0].rows() == [
         TOY_ROWS[0][0], TOY_ROWS[1][0], TOY_ROWS[4][0], TOY_ROWS[5][0]
     ]
-    assert [r.values for r in data.chunks[1].records] == [
+    assert data.chunks[1].rows() == [
         TOY_ROWS[2][0], TOY_ROWS[3][0], TOY_ROWS[6][0], TOY_ROWS[7][0]
     ]
 
@@ -233,3 +233,59 @@ def test_eval_tolerates_truncated_run(tmp_path, capsys):
 def test_run_bad_manifest_is_an_error(tmp_path, capsys):
     missing = tmp_path / "nope" / "manifest.json"
     assert main(["run", str(missing), "--out", str(tmp_path / "r")]) == 1
+
+
+def _run_fails_with_one_line_error(tmp_path, capsys, manifest, *names):
+    code = main(["run", str(manifest), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for name in names:
+        assert name in err
+    return err
+
+
+def _sdwcd(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["gen", "sdwcd", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_run_truncated_row_is_an_error(tmp_path, capsys):
+    out = _sdwcd(tmp_path, capsys)
+    path = out / "chunk_00004.csv"
+    lines = path.read_text().splitlines()
+    lines[10] = lines[10].rsplit(",", 1)[0]  # drop the label field of row 11
+    path.write_text("\n".join(lines) + "\n")
+    _run_fails_with_one_line_error(
+        tmp_path, capsys, out / "manifest.json", "chunk_00004.csv", "row 11"
+    )
+
+
+def test_run_manifest_dimensions_mismatch_is_an_error(tmp_path, capsys):
+    out = _sdwcd(tmp_path, capsys)
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["dimensions"] = 3
+    manifest.write_text(json.dumps(doc))
+    _run_fails_with_one_line_error(tmp_path, capsys, manifest, "chunk_00001.csv", "dimensions=3")
+
+
+def test_run_nan_value_is_an_error(tmp_path, capsys):
+    out = _sdwcd(tmp_path, capsys)
+    path = out / "chunk_00002.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "nan," + lines[5].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    _run_fails_with_one_line_error(
+        tmp_path, capsys, out / "manifest.json", "chunk_00002.csv", "row 6", "finite"
+    )
+
+
+def test_chunk_nan_in_dataset_is_an_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("0.1,0.2,1\n0.3,inf,2\n0.5,0.6,1\n0.7,0.8,2\n")
+    assert main(["chunk", str(path), "--chunks", "2", "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err and "finite" in err

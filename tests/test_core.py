@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamclust import Chunk, ClusterSummary, DriftConfig, Record, euclidean, minmax_normalize
+from streamclust import Chunk, ClusterSummary, DriftConfig, euclidean, minmax_normalize
 
 
 def test_euclidean_identity():
@@ -34,61 +34,102 @@ def test_euclidean_symmetry_and_triangle_inequality():
 
 
 def test_minmax_linear_rescale():
-    records = [Record((2.0,)), Record((4.0,)), Record((6.0,))]
-    out = minmax_normalize(records)
-    assert [r.values[0] for r in out] == [0.0, 0.5, 1.0]
+    out = minmax_normalize([[2.0], [4.0], [6.0]])
+    assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_minmax_constant_column_maps_to_zero():
-    out = minmax_normalize([Record((5.0, 1.0)), Record((5.0, 3.0)), Record((5.0, 2.0))])
-    assert [r.values[0] for r in out] == [0.0, 0.0, 0.0]
-    assert [r.values[1] for r in out] == [0.0, 1.0, 0.5]
+    out = minmax_normalize([[5.0, 1.0], [5.0, 3.0], [5.0, 2.0]])
+    assert out[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert out[:, 1].tolist() == [0.0, 1.0, 0.5]
 
 
 def test_minmax_identity_on_already_normalized():
-    records = [Record((0.0, 1.0)), Record((1.0, 0.0))]
-    out = minmax_normalize(records)
-    assert [r.values for r in out] == [(0.0, 1.0), (1.0, 0.0)]
+    out = minmax_normalize([[0.0, 1.0], [1.0, 0.0]])
+    assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_minmax_idempotent():
     rng = np.random.default_rng(7)
-    records = [Record(tuple(row)) for row in rng.normal(3.0, 10.0, size=(40, 4))]
-    once = minmax_normalize(records)
+    once = minmax_normalize(rng.normal(3.0, 10.0, size=(40, 4)))
     twice = minmax_normalize(once)
-    assert [r.values for r in once] == [r.values for r in twice]
+    assert once.tolist() == twice.tolist()
 
 
 def test_minmax_preserves_labels_and_dimensions():
-    out = minmax_normalize([Record((1.0, 2.0), 5), Record((3.0, 0.0), 9)])
-    assert [r.label for r in out] == [5, 9]
-    assert all(r.dimensions == 2 for r in out)
+    # labels never pass through the normalizer; rows keep their order, so a
+    # label vector aligned with the input stays aligned with the output
+    values = np.array([[1.0, 2.0], [3.0, 0.0]])
+    out = minmax_normalize(values)
+    assert out.shape == values.shape
+    chunk = Chunk(1, out, [5, 9])
+    assert chunk.labels.tolist() == [5, 9]
+    assert chunk.dimensions == 2
+    assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_minmax_empty_dataset():
     with pytest.raises(ValueError):
-        minmax_normalize([])
+        minmax_normalize(np.empty((0, 2)))
 
 
 def test_minmax_ragged_dimensions():
     with pytest.raises(ValueError):
-        minmax_normalize([Record((1.0,)), Record((1.0, 2.0))])
+        minmax_normalize([[1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError):
+        minmax_normalize([1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_minmax_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="record 2"):
+        minmax_normalize([[0.1, 1.0], [bad, 2.0], [0.3, 3.0]])
 
 
 def test_record_requires_values():
+    # a record needs at least one attribute value
     with pytest.raises(ValueError):
-        Record(())
+        Chunk(1, np.empty((1, 0)))
 
 
 def test_chunk_validation():
     with pytest.raises(ValueError):
-        Chunk(0, (Record((1.0,)),))
+        Chunk(0, [[1.0]])
     with pytest.raises(ValueError):
-        Chunk(1, ())
+        Chunk(1, np.empty((0, 2)))
     with pytest.raises(ValueError):
-        Chunk(1, (Record((1.0,)), Record((1.0, 2.0))))
-    chunk = Chunk(3, (Record((0.5, 0.5)),))
+        Chunk(1, [[1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError):
+        Chunk(1, [0.5, 0.5])  # a vector, not a matrix
+    with pytest.raises(ValueError):
+        Chunk(1, [[0.5, 0.5], [0.1, 0.1]], [1])  # one label for two records
+    chunk = Chunk(3, [[0.5, 0.5]])
     assert len(chunk) == 1 and chunk.dimensions == 2
+    assert chunk.labels is None
+
+
+def test_chunk_rows_are_float_tuples_in_record_order():
+    chunk = Chunk(1, np.arange(6.0).reshape(3, 2))
+    rows = chunk.rows()
+    assert rows == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+    assert all(type(row) is tuple and type(row[0]) is float for row in rows)
+    assert Chunk(1, [[0.25]]).rows() == [(0.25,)]
+
+
+def test_chunk_is_columnar_and_read_only():
+    source = np.array([[0.5, 0.25], [0.1, 0.9]], dtype=np.float32)
+    labels = [3, 4]
+    chunk = Chunk(1, source, labels)
+    assert chunk.values.dtype == np.float64 and chunk.values.flags.c_contiguous
+    assert chunk.labels.dtype == np.int64
+    with pytest.raises(ValueError):
+        chunk.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        chunk.labels[0] = 1
+    source[0, 0] = 9.0  # the chunk holds its own copy
+    labels[0] = 9
+    assert chunk.values[0, 0] == 0.5 and chunk.labels[0] == 3
+    assert chunk != Chunk(1, source, labels)  # equality is identity
 
 
 def test_cluster_summary_validation():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from streamclust import Chunk, DriftConfig, Record, engine, generate_synthetic, sdwcd_spec
+from streamclust import Chunk, DriftConfig, engine, generate_synthetic, sdwcd_spec
 from conftest import labels_k
 
 # Hand-built two-cluster world: a wide bootstrap chunk fixes the radii, later
@@ -11,25 +11,27 @@ A, B, AWAY = (0.1, 0.1), (0.9, 0.9), (0.5, 0.5)
 
 
 def _spread(center, offsets, label):
-    return [Record((center[0] + dx, center[1] + dy), label) for dx, dy in offsets]
+    return [((center[0] + dx, center[1] + dy), label) for dx, dy in offsets]
+
+
+def _chunk(t, records):
+    return Chunk(t, [values for values, _ in records], [label for _, label in records])
 
 
 def _boot_chunk(t=1):
     wide = [(-0.02, 0.0), (0.02, 0.0), (0.0, -0.02), (0.0, 0.02)]
-    return Chunk(t, tuple(_spread(A, wide, 1) + _spread(B, wide, 2)))
+    return _chunk(t, _spread(A, wide, 1) + _spread(B, wide, 2))
 
 
 def _normal_chunk(t):
     tight = [(-0.01, 0.0), (0.01, 0.0), (0.0, -0.01), (0.0, 0.01)]
-    return Chunk(t, tuple(_spread(A, tight, 1) + _spread(B, tight, 2)))
+    return _chunk(t, _spread(A, tight, 1) + _spread(B, tight, 2))
 
 
 def _noisy_chunk(t):
     # normal structure plus four far-away records: outlier ratio 4/12 > 0.18
     tight = [(-0.01, 0.0), (0.01, 0.0), (0.0, -0.01), (0.0, 0.01)]
-    return Chunk(
-        t, tuple(_spread(A, tight, 1) + _spread(B, tight, 2) + _spread(AWAY, tight, 9))
-    )
+    return _chunk(t, _spread(A, tight, 1) + _spread(B, tight, 2) + _spread(AWAY, tight, 9))
 
 
 def _moved_chunk(t, center=AWAY, label=9, wide=False):
@@ -37,7 +39,7 @@ def _moved_chunk(t, center=AWAY, label=9, wide=False):
     rim = 0.02 if wide else 0.01
     offsets = [(-rim, 0.0), (rim, 0.0), (0.0, -rim), (0.0, rim),
                (-0.005, 0.005), (0.005, -0.005), (0.005, 0.005), (-0.005, -0.005)]
-    return Chunk(t, tuple(_spread(center, offsets, label)))
+    return _chunk(t, _spread(center, offsets, label))
 
 
 CFG = DriftConfig(k=2, o_thresh=0.18, d_thresh=0.6, seed=3)
@@ -70,7 +72,7 @@ def test_no_drift_benchmark_stream_stays_quiet():
 
 
 def test_init_singleton_clusters():
-    chunk = Chunk(1, (Record((0.1, 0.1)), Record((0.5, 0.5)), Record((0.9, 0.9))))
+    chunk = Chunk(1, [(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])
     state = engine.init(chunk, DriftConfig(k=3, seed=0))
     assert len(state.main.clusters) == 3
     assert all(c.radius == 0.0 for c in state.main.clusters)
@@ -161,7 +163,7 @@ def test_step_timestamp_continuity():
 def test_step_dimension_mismatch():
     state = engine.init(_boot_chunk(), CFG)
     with pytest.raises(ValueError):
-        engine.step(state, Chunk(2, (Record((0.1, 0.1, 0.1)),)))
+        engine.step(state, Chunk(2, [(0.1, 0.1, 0.1)]))
 
 
 def test_run_empty_stream():

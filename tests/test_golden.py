@@ -1,0 +1,114 @@
+"""Byte-level pins on what the commands write and print.
+
+The digests were taken from the version that still built one frozen object
+per record. The columnar data model must reproduce its stream files, reports,
+snapshots and eval tables exactly. Before hashing a metrics.jsonl, the
+wall-clock fields (duration_s, total_runtime_s) and the meta line's absolute
+manifest path are dropped; everything else is hashed as written.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from streamclust.cli import main
+
+WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
+
+GOLDEN = {
+    "sdwcd": {
+        "tree": "ee09cc5ed677c9846fe617f0afb8594b5abe246aab24482dc19ef6b565456c83",
+        "metrics": "8088a63ebe97e70c083b9edb62a3b73a7289eab4291eae72a65f000aefba87e6",
+        "counts": "680f7898f919f4be30eac893f0ea9c0e345de23075d841250d334c59cb676d7d",
+        "eval": "98d93ebbae987db33aa159200270334cc433a259e19cac9ff91075fb6ab1b73b",
+    },
+    "ncd100": {
+        "tree": "5b335d37da3d10af5649c868443b0ced96f5f62569cee10f815acbbf560c2ae4",
+        "metrics": "7873a82a3b3db82ae2b9dfd37427cd8829893d27cc23d68dbe5529c23810199a",
+        "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
+        "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
+    },
+    "snapshot": "48bcd3fc29ec5001cebfd9e09ededf5d3be0ef2e5871165674e57388d016cf7f",
+    "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
+    "chunked_tree": "fb982f22d8f182ab9662c9b84ea49bb5023013b6f788405aebc21735d5896323",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_digest(directory) -> str:
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def _strip(doc):
+    if isinstance(doc, dict):
+        return {k: _strip(v) for k, v in doc.items() if k not in WALL_CLOCK_FIELDS}
+    if isinstance(doc, list):
+        return [_strip(v) for v in doc]
+    return doc
+
+
+def _report_digest(path) -> str:
+    lines = []
+    for line in path.read_text().splitlines():
+        doc = _strip(json.loads(line))
+        if doc.get("type") == "meta":
+            doc.pop("manifest")
+        lines.append(json.dumps(doc))
+    return _sha("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("name", ["sdwcd", "ncd100"])
+def test_gen_run_eval_match_golden_digests(name, tmp_path, capsys):
+    stream = tmp_path / name
+    manifest = str(stream / "manifest.json")
+    run_out = tmp_path / "run"
+    assert main(["gen", name, "--seed", "7", "--out", str(stream)]) == 0
+    assert main(["run", manifest, "--seed", "7", "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", manifest, str(run_out / "metrics.jsonl")]) == 0
+    digests = {
+        "tree": _tree_digest(stream),
+        "metrics": _report_digest(run_out / "metrics.jsonl"),
+        "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
+        "eval": _sha(capsys.readouterr().out.encode()),
+    }
+    assert digests == GOLDEN[name]
+
+
+def test_snapshot_and_resume_match_golden_digests(tmp_path, capsys):
+    stream = tmp_path / "sdwcd"
+    manifest = str(stream / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["gen", "sdwcd", "--seed", "7", "--out", str(stream)]) == 0
+    assert main(["run", manifest, "--seed", "7", "--stop-after", "7",
+                 "--snapshot", str(snap), "--out", str(tmp_path / "part")]) == 0
+    assert main(["resume", manifest, "--snapshot", str(snap),
+                 "--out", str(tmp_path / "rest")]) == 0
+    capsys.readouterr()
+    assert _sha(snap.read_bytes()) == GOLDEN["snapshot"]
+    assert _report_digest(tmp_path / "rest" / "metrics.jsonl") == GOLDEN["resumed_metrics"]
+
+
+def test_chunked_dataset_matches_golden_digest(tmp_path, capsys):
+    # three classes of 4-attribute rows on different scales, so normalization
+    # and the artificial-class binning both do real work
+    rng = np.random.default_rng(5)
+    rows = []
+    for label, scale in ((3, 1.0), (8, 20.0), (5, 0.1)):
+        for values in rng.normal(scale, scale / 3, size=(25, 4)):
+            rows.append(",".join(f"{v:.5f}" for v in values) + f",{label}")
+    dataset = tmp_path / "data.csv"
+    dataset.write_text("w,x,y,z,class\n" + "\n".join(rows) + "\n")
+    stream = tmp_path / "stream"
+    assert main(["chunk", str(dataset), "--chunks", "5", "--artificial-classes",
+                 "--out", str(stream)]) == 0
+    capsys.readouterr()
+    assert _tree_digest(stream) == GOLDEN["chunked_tree"]

@@ -8,13 +8,10 @@ from streamclust import (
     ClusteringResult,
     ClusterSummary,
     KMeansParams,
-    Record,
-    closest_cluster,
     dist_clust,
     dist_clust_trace,
     summarize,
     summarize_trace,
-    update_centroid,
 )
 
 
@@ -24,14 +21,29 @@ def _result(centroids, radius=0.1, lifetime=5, timestamp=1):
     )
 
 
+def _closest(values, result):
+    # the nearest cluster as the absorb pass sees it: a radius no record can
+    # exceed turns the first assignment into a pure nearest-centroid query
+    wide = ClusteringResult(
+        tuple(ClusterSummary(c.centroid, math.inf, 1, 0) for c in result.clusters), 0, 1
+    )
+    _, trace = dist_clust_trace(Chunk(2, [values]), wide)
+    return trace[0]
+
+
+def _absorb_one(summary, values):
+    result, _ = dist_clust_trace(Chunk(2, [values]), ClusteringResult((summary,), 0, 1))
+    return result.clusters[0]
+
+
 def test_closest_cluster_coincident():
     result = _result([(0.0, 0.0), (1.0, 1.0)])
-    assert closest_cluster(Record((0.0, 0.0)), result) == (0, 0.0)
+    assert _closest((0.0, 0.0), result) == (0, 0.0)
 
 
 def test_closest_cluster_nearer_corner():
     result = _result([(0.0, 0.0), (1.0, 1.0)])
-    idx, dist = closest_cluster(Record((0.6, 0.6)), result)
+    idx, dist = _closest((0.6, 0.6), result)
     assert idx == 1
     assert dist == pytest.approx(math.sqrt(0.32))
 
@@ -41,48 +53,48 @@ def test_closest_cluster_matches_linear_scan():
     centroids = [tuple(c) for c in rng.uniform(0, 1, size=(10, 4))]
     result = _result(centroids)
     for _ in range(50):
-        record = Record(tuple(rng.uniform(0, 1, size=4)))
+        values = tuple(rng.uniform(0, 1, size=4).tolist())
         # linear-scan oracle
-        dists = [math.dist(record.values, c) for c in centroids]
+        dists = [math.dist(values, c) for c in centroids]
         best = dists.index(min(dists))
-        assert closest_cluster(record, result) == (best, dists[best])
+        assert _closest(values, result) == (best, dists[best])
 
 
 def test_closest_cluster_tie_breaks_low_index():
     result = _result([(0.5, 0.5), (0.5, 0.5)])
-    assert closest_cluster(Record((0.9, 0.9)), result)[0] == 0
+    assert _closest((0.9, 0.9), result)[0] == 0
 
 
 def test_update_centroid_mean_of_two_points():
     summary = ClusterSummary((0.5,), 0.2, 1, 1)
-    updated = update_centroid(summary, Record((0.7,)))
+    updated = _absorb_one(summary, (0.7,))
     assert updated.centroid == pytest.approx((0.6,))
     assert updated.lifetime_count == 2
-    assert updated.chunk_count == 2
+    assert updated.chunk_count == 1  # per-chunk counts restart with each chunk
     assert updated.radius == 0.2
 
 
 def test_update_centroid_fixed_point():
     summary = ClusterSummary((0.3, 0.4), 0.2, 7, 2)
-    updated = update_centroid(summary, Record((0.3, 0.4)))
+    updated = _absorb_one(summary, (0.3, 0.4))
     assert updated.centroid == summary.centroid
     assert updated.lifetime_count == 8
 
 
 def test_update_centroid_dimension_mismatch():
     with pytest.raises(ValueError):
-        update_centroid(ClusterSummary((0.5,), 0.1, 1, 0), Record((0.5, 0.5)))
+        _absorb_one(ClusterSummary((0.5,), 0.1, 1, 0), (0.5, 0.5))
 
 
 def test_update_centroid_equals_batch_mean():
     rng = np.random.default_rng(5)
     base = rng.uniform(0, 1, size=(3, 2))
-    chunk = Chunk(1, tuple(Record(tuple(r)) for r in base))
-    result = summarize(chunk, KMeansParams(k=1, seed=0))
+    result = summarize(Chunk(1, base), KMeansParams(k=1, seed=0))
     cluster = result.clusters[0]
     extra = rng.uniform(0, 1, size=(5, 2))
     for row in extra:
-        cluster = update_centroid(cluster, Record(tuple(row)))
+        cluster = ClusterSummary(cluster.centroid, math.inf, cluster.lifetime_count, 0)
+        cluster = _absorb_one(cluster, row)
     # batch-mean oracle over all eight contributing records
     expected = np.vstack([base, extra]).mean(axis=0)
     assert cluster.centroid == pytest.approx(tuple(expected), abs=1e-9)
@@ -95,10 +107,10 @@ def test_dist_clust_reabsorbs_interior_records():
     rng = np.random.default_rng(23)
     centers = np.array([(0.2, 0.2), (0.8, 0.8), (0.2, 0.8)])
     pts = np.vstack([c + rng.uniform(-0.05, 0.05, size=(10, 2)) for c in centers])
-    chunk = Chunk(1, tuple(Record(tuple(r)) for r in pts))
+    chunk = Chunk(1, pts)
     prev = summarize(chunk, KMeansParams(k=3, seed=0))
     interior = np.vstack([c + rng.uniform(-0.02, 0.02, size=(10, 2)) for c in centers])
-    again = Chunk(2, tuple(Record(tuple(r)) for r in interior))
+    again = Chunk(2, interior)
     result = dist_clust(again, prev)
     assert result.outliers == 0
     assert sum(c.chunk_count for c in result.clusters) == 30
@@ -109,16 +121,16 @@ def test_dist_clust_identical_chunk_nearly_self_absorbs():
     # re-feeding the bootstrap chunk is not exactly lossless: absorbing moves
     # the centroid, so records sitting at the radius can fall just outside it
     rng = np.random.default_rng(23)
-    chunk = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (30, 2))))
+    chunk = Chunk(1, rng.uniform(0, 1, (30, 2)))
     prev = summarize(chunk, KMeansParams(k=3, seed=0))
-    result = dist_clust(Chunk(2, chunk.records), prev)
+    result = dist_clust(Chunk(2, chunk.values), prev)
     assert result.outliers <= 3
     assert result.outliers + sum(c.chunk_count for c in result.clusters) == 30
 
 
 def test_dist_clust_total_outlier_chunk():
     prev = _result([(0.1, 0.1), (0.9, 0.9)], radius=0.05)
-    chunk = Chunk(2, tuple(Record((0.5, 0.5)) for _ in range(10)))
+    chunk = Chunk(2, np.full((10, 2), 0.5))
     result = dist_clust(chunk, prev)
     assert result.outliers == 10
     assert [c.centroid for c in result.clusters] == [c.centroid for c in prev.clusters]
@@ -128,28 +140,28 @@ def test_dist_clust_total_outlier_chunk():
 def test_dist_clust_boundary_distance_absorbs():
     # distance exactly equal to the radius still counts as inside
     prev = _result([(0.0, 0.0)], radius=0.5, lifetime=1)
-    result = dist_clust(Chunk(2, (Record((0.5, 0.0)),)), prev)
+    result = dist_clust(Chunk(2, [(0.5, 0.0)]), prev)
     assert result.outliers == 0
     assert result.clusters[0].chunk_count == 1
 
 
 def test_dist_clust_resets_chunk_counts_and_keeps_prev():
     rng = np.random.default_rng(3)
-    base = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (20, 2))))
+    base = Chunk(1, rng.uniform(0, 1, (20, 2)))
     prev = summarize(base, KMeansParams(k=2, seed=0))
     prev_deltas = [c.chunk_count for c in prev.clusters]
-    one = dist_clust(Chunk(2, base.records[:5]), prev)
+    one = dist_clust(Chunk(2, base.values[:5]), prev)
     assert [c.chunk_count for c in prev.clusters] == prev_deltas  # prev untouched
     assert sum(c.chunk_count for c in one.clusters) + one.outliers == 5
-    two = dist_clust(Chunk(3, base.records[:3]), one)
+    two = dist_clust(Chunk(3, base.values[:3]), one)
     assert sum(c.chunk_count for c in two.clusters) + two.outliers == 3
 
 
 def test_dist_clust_radius_and_lifetime_rules():
     rng = np.random.default_rng(9)
-    base = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (25, 2))))
+    base = Chunk(1, rng.uniform(0, 1, (25, 2)))
     prev = summarize(base, KMeansParams(k=2, seed=1))
-    follow = Chunk(2, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (25, 2))))
+    follow = Chunk(2, rng.uniform(0, 1, (25, 2)))
     result = dist_clust(follow, prev)
     for before, after in zip(prev.clusters, result.clusters):
         assert after.radius == before.radius  # radii never grow
@@ -160,10 +172,10 @@ def test_dist_clust_radius_and_lifetime_rules():
 def test_dist_clust_conservation_random():
     rng = np.random.default_rng(41)
     for trial in range(20):
-        base = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (30, 2))))
+        base = Chunk(1, rng.uniform(0, 1, (30, 2)))
         prev = summarize(base, KMeansParams(k=3, seed=trial))
         size = int(rng.integers(1, 60))
-        chunk = Chunk(2, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (size, 2))))
+        chunk = Chunk(2, rng.uniform(0, 1, (size, 2)))
         result = dist_clust(chunk, prev)
         assert result.outliers + sum(c.chunk_count for c in result.clusters) == size
 
@@ -171,17 +183,17 @@ def test_dist_clust_conservation_random():
 def test_dist_clust_running_mean_matches_retained_records():
     rng = np.random.default_rng(77)
     base_pts = rng.uniform(0, 1, size=(12, 2))
-    base = Chunk(1, tuple(Record(tuple(r)) for r in base_pts))
+    base = Chunk(1, base_pts)
     prev, base_assign = summarize_trace(base, KMeansParams(k=2, seed=0))
     buckets = {i: [] for i in range(len(prev.clusters))}
-    for record, (idx, _) in zip(base.records, base_assign):
-        buckets[idx].append(record.values)
+    for values, (idx, _) in zip(base.values.tolist(), base_assign):
+        buckets[idx].append(values)
     absorb_pts = base_pts[rng.integers(0, 12, size=40)] + rng.normal(0, 0.01, (40, 2))
-    chunk = Chunk(2, tuple(Record(tuple(r)) for r in absorb_pts))
+    chunk = Chunk(2, absorb_pts)
     result, trace = dist_clust_trace(chunk, prev)
-    for record, assignment in zip(chunk.records, trace):
+    for values, assignment in zip(chunk.values.tolist(), trace):
         if assignment is not None:
-            buckets[assignment[0]].append(record.values)
+            buckets[assignment[0]].append(values)
     # oracle retains every contributing record and takes the plain mean
     for idx, cluster in enumerate(result.clusters):
         expected = np.array(buckets[idx]).mean(axis=0)
@@ -190,13 +202,13 @@ def test_dist_clust_running_mean_matches_retained_records():
 
 def test_dist_clust_deterministic():
     rng = np.random.default_rng(55)
-    base = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (20, 2))))
+    base = Chunk(1, rng.uniform(0, 1, (20, 2)))
     prev = summarize(base, KMeansParams(k=2, seed=0))
-    chunk = Chunk(2, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (30, 2))))
+    chunk = Chunk(2, rng.uniform(0, 1, (30, 2)))
     assert dist_clust(chunk, prev) == dist_clust(chunk, prev)
 
 
 def test_dist_clust_dimension_mismatch():
     prev = _result([(0.5, 0.5)])
     with pytest.raises(ValueError):
-        dist_clust(Chunk(2, (Record((0.5, 0.5, 0.5)),)), prev)
+        dist_clust(Chunk(2, [(0.5, 0.5, 0.5)]), prev)

@@ -9,7 +9,6 @@ from streamclust import (
     ClusteringResult,
     ClusterSummary,
     DriftConfig,
-    Record,
     build_report,
     dist_clust_trace,
     engine,
@@ -68,11 +67,11 @@ def test_sse_squares_distances():
 
 def test_sse_online_equals_offline_replay():
     rng = np.random.default_rng(19)
-    base = Chunk(1, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (20, 2))))
+    base = Chunk(1, rng.uniform(0, 1, (20, 2)))
     from streamclust import KMeansParams
 
     prev = summarize(base, KMeansParams(k=2, seed=0))
-    chunk = Chunk(2, tuple(Record(tuple(r)) for r in rng.uniform(0, 1, (40, 2))))
+    chunk = Chunk(2, rng.uniform(0, 1, (40, 2)))
     _, trace = dist_clust_trace(chunk, prev)
     online = sse(a for a in trace if a is not None)
 
@@ -81,28 +80,28 @@ def test_sse_online_equals_offline_replay():
     lifetimes = [c.lifetime_count for c in prev.clusters]
     radii = [c.radius for c in prev.clusters]
     offline = 0.0
-    for record in chunk.records:
-        dists = [math.dist(record.values, c) for c in centroids]
+    for values in chunk.values.tolist():
+        dists = [math.dist(values, c) for c in centroids]
         best = dists.index(min(dists))
         if dists[best] <= radii[best]:
             offline += dists[best] ** 2
             lifetimes[best] += 1
             w = 1.0 / lifetimes[best]
             centroids[best] = [
-                (1 - w) * c + w * v for c, v in zip(centroids[best], record.values)
+                (1 - w) * c + w * v for c, v in zip(centroids[best], values)
             ]
     assert online == pytest.approx(offline, abs=1e-9)
 
 
 def test_true_cluster_values_single_class():
-    chunks = [Chunk(1, (Record((0.2, 0.4), 1), Record((0.4, 0.6), 1)))]
+    chunks = [Chunk(1, [(0.2, 0.4), (0.4, 0.6)], [1, 1])]
     assert true_cluster_values(chunks) == [(1, (0.30000000000000004, 0.5))]
 
 
 def test_true_cluster_values_symmetric_midpoint():
     chunks = [
-        Chunk(1, (Record((0.0, 0.0), 1), Record((0.5, 0.5), 2))),
-        Chunk(2, (Record((1.0, 1.0), 1), Record((0.7, 0.3), 2))),
+        Chunk(1, [(0.0, 0.0), (0.5, 0.5)], [1, 2]),
+        Chunk(2, [(1.0, 1.0), (0.7, 0.3)], [1, 2]),
     ]
     tcvs = dict(true_cluster_values(chunks))
     assert tcvs[1] == pytest.approx((0.5, 0.5))
@@ -111,7 +110,29 @@ def test_true_cluster_values_symmetric_midpoint():
 
 def test_true_cluster_values_requires_labels():
     with pytest.raises(ValueError):
-        true_cluster_values([Chunk(1, (Record((0.1,)),))])
+        true_cluster_values([Chunk(1, [(0.1,)])])
+
+
+def test_true_cluster_values_match_sequential_running_sums():
+    # oracle: the per-record accumulation in record order; the vectorized
+    # per-class mean must agree to the last bit, in 2 and in 16 dimensions
+    rng = np.random.default_rng(61)
+    for dims in (2, 16):
+        chunks = []
+        for t in range(1, 30):
+            size = int(rng.integers(1, 40))
+            chunks.append(Chunk(t, rng.normal(0.5, 0.2, size=(size, dims)),
+                                rng.integers(-2, 5, size=size)))
+        sums, counts = {}, {}
+        for chunk in chunks:
+            for values, label in zip(chunk.values, chunk.labels.tolist()):
+                if label not in sums:
+                    sums[label] = np.zeros(dims)
+                    counts[label] = 0
+                sums[label] += values
+                counts[label] += 1
+        expected = [(label, tuple(sums[label] / counts[label])) for label in sorted(sums)]
+        assert true_cluster_values(chunks) == expected
 
 
 def test_sdccl_class_means_sit_on_the_anchors():
@@ -201,10 +222,9 @@ def test_step_metrics_averages_artificial_label_sets():
     chunks = generate_synthetic(sdccl_spec(seed=7))[:1]
     cfg = DriftConfig(k=5, seed=7)
     state, reports = engine.run(chunks, cfg, labels_k)
-    records = chunks[0].records
     # two artificial label columns: one equal to the true labels (entropy 0),
     # one constant (entropy of a single shared label is also 0 per cluster)
-    sets = [(r.label, 1) for r in records]
+    sets = np.column_stack([chunks[0].labels, np.ones(len(chunks[0]), dtype=int)])
     metrics = step_metrics(chunks[0], reports[0], sets)
     assert metrics.entropy == pytest.approx(0.0)
     assert metrics.cluster_count == 5

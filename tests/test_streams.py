@@ -1,12 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from streamclust import (
     Chunk,
     DriftKind,
     MERGED_LABEL,
-    Record,
     StreamSpec,
     TimestepSpec,
     apply_label_drift,
@@ -18,11 +18,22 @@ from streamclust import (
     sdwcd_spec,
     wcd1000_spec,
 )
-from conftest import BINNING_LABELS, BINNING_ROWS, EXPECTED_BINS, TOY_ROWS
+from conftest import (
+    BINNING_ROWS,
+    EXPECTED_BINS,
+    TOY_LABELS,
+    TOY_ROWS,
+    TOY_VALUES,
+    same_chunk,
+)
 
 
 def _label_counts(chunk):
-    return Counter(r.label for r in chunk.records)
+    return Counter(chunk.labels.tolist())
+
+
+def _same_stream(a, b):
+    return len(a) == len(b) and all(same_chunk(x, y) for x, y in zip(a, b))
 
 
 def test_sdwcd_shape():
@@ -45,8 +56,8 @@ def test_sdwcd_shape():
 
 def test_sdwcd_sustained_phase_moves_the_clusters():
     chunks = generate_synthetic(sdwcd_spec(seed=7))
-    early = {tuple(round(v, 1) for v in r.values) for r in chunks[0].records}
-    late = {tuple(round(v, 1) for v in r.values) for r in chunks[5].records}
+    early = {tuple(round(v, 1) for v in row) for row in chunks[0].rows()}
+    late = {tuple(round(v, 1) for v in row) for row in chunks[5].rows()}
     assert not early & late  # drifted phase lives somewhere else entirely
 
 
@@ -78,16 +89,16 @@ def test_wcd1000_shape():
 def test_generation_is_reproducible():
     a = generate_synthetic(sdccl_spec(seed=12))
     b = generate_synthetic(sdccl_spec(seed=12))
-    assert a == b
+    assert _same_stream(a, b)
     c = generate_synthetic(sdccl_spec(seed=13))
-    assert a != c
+    assert not _same_stream(a, c)
 
 
 def test_generated_values_stay_in_unit_square():
     for spec in (sdwcd_spec(seed=3), sdccl_spec(seed=3)):
         for chunk in generate_synthetic(spec):
-            for record in chunk.records:
-                assert all(0.0 <= v <= 1.0 for v in record.values)
+            for row in chunk.rows():
+                assert all(0.0 <= v <= 1.0 for v in row)
 
 
 def test_spec_validation():
@@ -102,8 +113,7 @@ def test_spec_validation():
 
 
 def _two_label_chunk(t=1):
-    records = [Record((0.1, 0.1), 1)] * 3 + [Record((0.9, 0.9), 2)] * 3
-    return Chunk(t, tuple(records))
+    return Chunk(t, [(0.1, 0.1)] * 3 + [(0.9, 0.9)] * 3, [1, 1, 1, 2, 2, 2])
 
 
 def test_label_drift_two_labels_swap():
@@ -111,31 +121,55 @@ def test_label_drift_two_labels_swap():
     counts = _label_counts(out[0])
     assert counts == {1: 3, 2: 3}
     # with two labels the only non-identity permutation is the swap
-    for before, after in zip(_two_label_chunk().records, out[0].records):
-        assert after.label == (2 if before.label == 1 else 1)
+    for before, after in zip(_two_label_chunk().labels.tolist(), out[0].labels.tolist()):
+        assert after == (2 if before == 1 else 1)
 
 
 def test_label_drift_single_label_is_identity():
-    chunk = Chunk(1, tuple([Record((0.5, 0.5), 4)] * 5))
+    chunk = Chunk(1, [(0.5, 0.5)] * 5, [4] * 5)
     out = apply_label_drift([chunk], {1: "temporary"}, seed=0)
-    assert out[0] == chunk
+    assert same_chunk(out[0], chunk)
 
 
 def test_label_drift_temporary_affects_one_chunk():
     chunks = [_two_label_chunk(1), _two_label_chunk(2), _two_label_chunk(3)]
     out = apply_label_drift(chunks, {2: "temporary"}, seed=0)
-    assert out[0] == chunks[0]
-    assert out[1] != chunks[1]
-    assert out[2] == chunks[2]
+    assert same_chunk(out[0], chunks[0])
+    assert not same_chunk(out[1], chunks[1])
+    assert same_chunk(out[2], chunks[2])
 
 
 def test_label_drift_sustained_persists():
     chunks = [_two_label_chunk(t) for t in range(1, 5)]
     out = apply_label_drift(chunks, {2: "sustained"}, seed=0)
-    assert out[0] == chunks[0]
+    assert same_chunk(out[0], chunks[0])
     for later in out[1:]:
-        assert later != chunks[0]
-        assert [r.label for r in later.records] == [r.label for r in out[1].records]
+        assert later.labels.tolist() != chunks[0].labels.tolist()
+        assert later.labels.tolist() == out[1].labels.tolist()
+
+
+def test_label_drift_composes_like_relabeling_chunk_by_chunk():
+    # oracle: the per-chunk dict remap, applied to every later chunk in turn
+    rng = np.random.default_rng(12)
+    chunks = [
+        Chunk(t, np.zeros((12, 1)), rng.integers(0, 4, size=12)) for t in range(1, 9)
+    ]
+    schedule = {2: "sustained", 4: "temporary", 5: "sustained", 7: "sustained"}
+    out = apply_label_drift(chunks, schedule, seed=3)
+    expected = [c.labels.tolist() for c in chunks]
+    perm_rng = np.random.default_rng(3)
+    for t in sorted(schedule):
+        present = sorted(set(expected[t - 1]))
+        permuted = list(present)
+        if len(present) > 1:
+            while permuted == present:
+                permuted = list(perm_rng.permutation(present))
+        mapping = dict(zip(present, (int(v) for v in permuted)))
+        stop = t if schedule[t] == "temporary" else len(chunks)
+        for i in range(t - 1, stop):
+            expected[i] = [mapping.get(v, v) for v in expected[i]]
+    assert [c.labels.tolist() for c in out] == expected
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(out, chunks))
 
 
 def test_label_drift_validation():
@@ -143,32 +177,33 @@ def test_label_drift_validation():
         apply_label_drift([_two_label_chunk()], {1: "forever"})
     with pytest.raises(ValueError):
         apply_label_drift([_two_label_chunk()], {9: "temporary"})
+    with pytest.raises(ValueError):
+        apply_label_drift([Chunk(1, [(0.5, 0.5)])], {1: "temporary"})
 
 
 def test_chunk_dataset_toy_split():
-    records = [Record(v, label) for v, label in TOY_ROWS]
-    chunks = chunk_dataset(records, 2)
-    assert [r.values for r in chunks[0].records] == [
+    chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 2)
+    assert chunks[0].rows() == [
         TOY_ROWS[0][0], TOY_ROWS[1][0], TOY_ROWS[4][0], TOY_ROWS[5][0]
     ]
-    assert [r.values for r in chunks[1].records] == [
+    assert chunks[1].rows() == [
         TOY_ROWS[2][0], TOY_ROWS[3][0], TOY_ROWS[6][0], TOY_ROWS[7][0]
     ]
 
 
 def test_chunk_dataset_single_chunk_is_identity():
-    records = [Record(v, label) for v, label in TOY_ROWS]
-    chunks = chunk_dataset(records, 1)
+    chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 1)
     assert len(chunks) == 1
-    assert sorted(r.values for r in chunks[0].records) == sorted(v for v, _ in TOY_ROWS)
+    assert sorted(chunks[0].rows()) == sorted(v for v, _ in TOY_ROWS)
 
 
 def test_chunk_dataset_balances_classes():
-    records = []
+    rows, labels = [], []
     for label, size in ((1, 103), (2, 57), (3, 88)):
-        records.extend(Record((i / 1000, label / 10), label) for i in range(size))
-    chunks = chunk_dataset(records, 10)
-    assert sum(len(c) for c in chunks) == len(records)
+        rows.extend((i / 1000, label / 10) for i in range(size))
+        labels.extend([label] * size)
+    chunks = chunk_dataset(rows, labels, 10)
+    assert sum(len(c) for c in chunks) == len(rows)
     seen = Counter()
     for chunk in chunks:
         counts = _label_counts(chunk)
@@ -177,19 +212,17 @@ def test_chunk_dataset_balances_classes():
             assert abs(counts[label] - size / 10) <= 1
     assert seen == {1: 103, 2: 57, 3: 88}
     # partition: nothing duplicated or dropped
-    flat = [r for c in chunks for r in c.records]
-    assert Counter(r.values for r in flat) == Counter(r.values for r in records)
+    flat = [row for c in chunks for row in c.rows()]
+    assert Counter(flat) == Counter(rows)
 
 
 def test_chunk_dataset_class_too_small():
-    records = [Record((0.1,), 1), Record((0.2,), 1), Record((0.9,), 2)]
     with pytest.raises(ValueError):
-        chunk_dataset(records, 2)
+        chunk_dataset([(0.1,), (0.2,), (0.9,)], [1, 1, 2], 2)
 
 
 def test_artificial_classes_known_cells():
-    records = [Record(v, label) for v, label in zip(BINNING_ROWS, BINNING_LABELS)]
-    got = make_artificial_classes(records, 3)
+    got = make_artificial_classes(BINNING_ROWS, 3)
     # spot values called out by the worked example
     assert got[0][0] == 1  # 0.052 -> bin 1
     assert got[0][2] == 3  # 0.772 -> bin 3
@@ -197,16 +230,15 @@ def test_artificial_classes_known_cells():
 
 
 def test_artificial_classes_full_grid():
-    records = [Record(v, label) for v, label in zip(BINNING_ROWS, BINNING_LABELS)]
-    got = make_artificial_classes(records, 3)
-    assert got == list(EXPECTED_BINS)
+    got = make_artificial_classes(BINNING_ROWS, 3)
+    assert got.tolist() == [list(row) for row in EXPECTED_BINS]
 
 
 def test_artificial_classes_boundaries():
     # on an evenly spread column, 0 lands in bin 1 and 1 in bin n
-    records = [Record((i / 10,)) for i in range(11)]
+    values = [(i / 10,) for i in range(11)]
     for n in (1, 2, 3, 5):
-        bins = [row[0] for row in make_artificial_classes(records, n)]
+        bins = make_artificial_classes(values, n)[:, 0].tolist()
         assert bins[0] == 1
         assert bins[-1] == n
         assert bins == sorted(bins)  # monotone in the value
@@ -215,28 +247,28 @@ def test_artificial_classes_boundaries():
 
 def test_artificial_classes_balanced_on_distinct_values():
     rng = __import__("numpy").random.default_rng(6)
-    values = rng.uniform(0, 1, size=90)
-    records = [Record((float(v),)) for v in values]
+    values = rng.uniform(0, 1, size=(90, 1))
     for n in (2, 3, 5):
-        bins = [row[0] for row in make_artificial_classes(records, n)]
+        bins = make_artificial_classes(values, n)[:, 0].tolist()
         counts = Counter(bins)
         assert set(counts) == set(range(1, n + 1))
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
 def test_artificial_classes_ties_never_empty_bin_one():
-    records = [Record((0.0,))] * 5 + [Record((1.0,))]
-    bins = [row[0] for row in make_artificial_classes(records, 3)]
+    bins = make_artificial_classes([(0.0,)] * 5 + [(1.0,)], 3)[:, 0].tolist()
     assert bins[:5] == [1] * 5
     assert bins[5] > 1
 
 
 def test_artificial_classes_requires_normalized_values():
     with pytest.raises(ValueError):
-        make_artificial_classes([Record((1.2,))], 3)
+        make_artificial_classes([(1.2,)], 3)
     with pytest.raises(ValueError):
-        make_artificial_classes([Record((-0.1,))], 3)
+        make_artificial_classes([(-0.1,)], 3)
     with pytest.raises(ValueError):
-        make_artificial_classes([Record((0.5,))], 0)
+        make_artificial_classes([(float("nan"),)], 3)
     with pytest.raises(ValueError):
-        make_artificial_classes([], 3)
+        make_artificial_classes([(0.5,)], 0)
+    with pytest.raises(ValueError):
+        make_artificial_classes(np.empty((0, 1)), 3)
