@@ -6,11 +6,12 @@ farthest-point seeding: deterministic for a fixed seed, which the rest of the
 system relies on for reproducible runs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chunk, ClusteringResult, ClusterSummary, euclidean
+from .core import Chunk, ClusteringResult, ClusterSummary
 
 # (cluster index, distance to its centroid) per record, None for outliers.
 Assignment = tuple[int, float] | None
@@ -74,10 +75,9 @@ def _repair_empty(matrix, centroids, labels, dists):
 
 
 def _lloyd(matrix: np.ndarray, params: KMeansParams):
-    """Run Lloyd iterations; returns (centroids, labels, sse_history)."""
+    """Run Lloyd iterations; returns (centroids, labels)."""
     centroids = _farthest_point_init(matrix, params.k, params.seed)
     labels = np.full(len(matrix), -1, dtype=int)
-    history = []
     for _ in range(params.max_iterations):
         dists = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = dists.argmin(axis=1)
@@ -89,11 +89,7 @@ def _lloyd(matrix: np.ndarray, params: KMeansParams):
             members = matrix[labels == cluster]
             if len(members):
                 centroids[cluster] = members.mean(axis=0)
-        sse = float(
-            (np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()
-        )
-        history.append(sse)
-    return centroids, labels, history
+    return centroids, labels
 
 
 def kmeans(chunk: Chunk, params: KMeansParams) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
@@ -105,7 +101,7 @@ def kmeans(chunk: Chunk, params: KMeansParams) -> list[tuple[tuple[float, ...], 
     """
     if params.k > len(chunk):
         raise ValueError(f"k={params.k} exceeds chunk size {len(chunk)}")
-    centroids, labels, _ = _lloyd(chunk.values, params)
+    centroids, labels = _lloyd(chunk.values, params)
     return [
         (tuple(centroids[c].tolist()), tuple(np.flatnonzero(labels == c).tolist()))
         for c in range(params.k)
@@ -117,7 +113,7 @@ def get_max_dist(centroid, members) -> float:
     members = np.asarray(members, dtype=float).tolist()
     if not members:
         raise ValueError("cluster has no members")
-    return max(euclidean(centroid, row) for row in members)
+    return max(math.dist(centroid, row) for row in members)
 
 
 def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
@@ -130,7 +126,7 @@ def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResul
         if not member_idx:
             continue  # unrepairable empty cluster: drop it
         position = len(summaries)
-        dists = [euclidean(centroid, rows[i]) for i in member_idx]
+        dists = [math.dist(centroid, rows[i]) for i in member_idx]
         for i, d in zip(member_idx, dists):
             assignments[i] = (position, d)
         count = len(member_idx)

@@ -5,8 +5,15 @@ radius, nudging the centroid by a running mean; otherwise it counts as an
 outlier and is discarded. Radii never change here, so clusters cannot inflate
 between retrains. The pass is inherently sequential: centroids move as records
 arrive, and the same input order always yields bit-identical output.
+
+A cluster that absorbs its n-th record moves its centroid c towards the
+record v by (1 - 1/n) * c + (1/n) * v, coordinate by coordinate, which keeps
+it the exact running mean. The update goes through one generated function per
+dimensionality, built on first use and cached, so the loop pays one call per
+absorbed record and no per-coordinate iteration.
 """
 
+import functools
 import math
 
 from .core import Chunk, ClusteringResult, ClusterSummary
@@ -15,14 +22,18 @@ from .core import Chunk, ClusteringResult, ClusterSummary
 Assignment = tuple[int, float] | None
 
 
-def _shift_centroid(centroid, values, updated_lifetime: int) -> tuple[float, ...]:
-    # updated_lifetime is the count *after* absorbing the record; its
-    # reciprocal is the learning rate. (1 - 1/n) * c + (1/n) * v keeps the
-    # centroid an exact running mean.
-    w = 1.0 / updated_lifetime
-    keep = 1.0 - w
-    # a list comprehension, not a generator: same values, less call overhead
-    return tuple([keep * c + w * v for c, v in zip(centroid, values)])
+@functools.cache
+def _lerp_kernel(dimensions: int):
+    """The centroid update for one dimensionality d, as generated code:
+
+        lambda c, v, keep, w: (keep * c[0] + w * v[0], ..., keep * c[d-1] + w * v[d-1],)
+
+    Generated from the integer alone, because the alternatives cost more per
+    call on Python 3.11: a list comprehension gets its own frame, and map
+    chains over operator.mul/operator.add measured slower too.
+    """
+    terms = "".join(f"keep * c[{i}] + w * v[{i}], " for i in range(dimensions))
+    return eval(f"lambda c, v, keep, w: ({terms})")
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
@@ -39,6 +50,7 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     trace: list[Assignment] = []
 
     dist = math.dist
+    lerp = _lerp_kernel(chunk.dimensions)
     for values in chunk.rows():
         best = 0
         best_dist = dist(values, centroids[0])
@@ -47,9 +59,10 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
             if d < best_dist:
                 best, best_dist = idx, d
         if best_dist <= radii[best]:
-            lifetimes[best] += 1
+            n = lifetimes[best] = lifetimes[best] + 1
             deltas[best] += 1
-            centroids[best] = _shift_centroid(centroids[best], values, lifetimes[best])
+            w = 1.0 / n
+            centroids[best] = lerp(centroids[best], values, 1.0 - w, w)
             trace.append((best, best_dist))
         else:
             outliers += 1

@@ -9,13 +9,13 @@ scored by matching its final centroids against them one-to-one.
 import itertools
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Chunk, ClusteringResult, euclidean
+from .core import Chunk, ClusteringResult
 from .engine import StepReport
 
 # Exhaustive minimum-cost matching is exact and cheap up to this many
@@ -28,20 +28,22 @@ def entropy(assignments) -> float:
 
     assignments: iterable of (cluster index, class label) pairs.
     """
-    per_cluster: dict[int, Counter] = defaultdict(Counter)
-    total = 0
-    for cluster, label in assignments:
+    # One count per pair, then grouped per cluster in first-appearance order,
+    # so clusters and labels are summed in the order the pairs arrived.
+    pairs = Counter(assignments)
+    per_cluster: dict[int, list[int]] = {}
+    for (cluster, label), count in pairs.items():
         if label is None:
             raise ValueError("entropy needs labeled assignments")
-        per_cluster[cluster][label] += 1
-        total += 1
-    if total == 0:
+        per_cluster.setdefault(cluster, []).append(count)
+    if not per_cluster:
         raise ValueError("entropy needs at least one assignment")
+    total = pairs.total()
     value = 0.0
     for counts in per_cluster.values():
-        size = sum(counts.values())
+        size = sum(counts)
         cluster_entropy = -sum(
-            (c / size) * math.log2(c / size) for c in counts.values()
+            (c / size) * math.log2(c / size) for c in counts
         )
         value += (size / total) * cluster_entropy
     return value
@@ -53,7 +55,7 @@ def sse(assignments) -> float:
     assignments: iterable of (cluster index, distance) pairs; outliers are
     simply not part of the iterable.
     """
-    return sum(d * d for _, d in assignments)
+    return sum([d * d for _, d in assignments])
 
 
 def true_cluster_values(all_chunks: Sequence[Chunk]) -> list[tuple[int, tuple[float, ...]]]:
@@ -96,7 +98,7 @@ def tcv_distance(final: ClusteringResult, tcvs: Sequence[Sequence[float]]) -> Tc
     refs = [tuple(float(v) for v in t) for t in tcvs]
     if not refs:
         raise ValueError("need at least one reference centroid")
-    dist = [[euclidean(c, r) for r in refs] for c in centroids]
+    dist = [[math.dist(c, r) for r in refs] for c in centroids]
     n, m = len(centroids), len(refs)
 
     if max(n, m) <= _EXHAUSTIVE_LIMIT:
@@ -176,26 +178,23 @@ def step_metrics(
     per-record artificial class rows, entropy is the unweighted mean over its
     columns. Outliers carry no assignment and contribute to neither metric.
     """
-    absorbed = [
-        (assignment, i)
-        for i, assignment in enumerate(report.assignments)
-        if assignment is not None
-    ]
-    sse_value = sse(a for a, _ in absorbed)
+    assignments = report.assignments
+    absorbed = [i for i, a in enumerate(assignments) if a is not None]
+    hits = [assignments[i] for i in absorbed]
+    sse_value = sse(hits)
+    clusters = [cluster for cluster, _ in hits]
     if not absorbed:
         entropy_value = 0.0
     elif label_sets is None:
         if chunk.labels is None:
             raise ValueError("entropy needs labeled assignments")
         labels = chunk.labels.tolist()
-        entropy_value = entropy(((cluster, labels[i]) for (cluster, _), i in absorbed))
+        entropy_value = entropy(zip(clusters, [labels[i] for i in absorbed]))
     else:
-        rows = np.asarray(label_sets).tolist()
-        columns = len(rows[0])
+        columns = np.asarray(label_sets).T.tolist()
         entropy_value = sum(
-            entropy(((cluster, rows[i][col]) for (cluster, _), i in absorbed))
-            for col in range(columns)
-        ) / columns
+            entropy(zip(clusters, [column[i] for i in absorbed])) for column in columns
+        ) / len(columns)
     return TimestepMetrics(
         timestamp=report.timestamp,
         entropy=entropy_value,

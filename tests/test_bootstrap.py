@@ -70,17 +70,31 @@ def test_kmeans_deterministic_bit_for_bit():
     assert a == b
 
 
+def _lloyd_sse_history(matrix, k, seed):
+    """SSE after each Lloyd iteration that changed the labels: _lloyd rerun
+    with one more iteration at a time until its labels stop changing."""
+    history = []
+    previous = None
+    for iterations in range(1, KMeansParams(k=k).max_iterations + 1):
+        centroids, labels = _lloyd(matrix, KMeansParams(k=k, max_iterations=iterations, seed=seed))
+        if previous is not None and np.array_equal(labels, previous):
+            break
+        history.append(float((np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()))
+        previous = labels
+    return history
+
+
 def test_lloyd_sse_non_increasing():
     rng = np.random.default_rng(13)
     for trial in range(10):
         matrix = rng.uniform(0, 1, size=(60, 2))
-        _, _, history = _lloyd(matrix, KMeansParams(k=4, seed=trial))
+        history = _lloyd_sse_history(matrix, 4, trial)
         # relative tolerance: rounding noise scales with the SSE itself
         assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
     # the same at a scale where an absolute 1e-9 would sit below float noise
     for trial in range(5):
         matrix = rng.uniform(0, 1e6, size=(200, 3))
-        _, _, history = _lloyd(matrix, KMeansParams(k=6, seed=trial))
+        history = _lloyd_sse_history(matrix, 6, trial)
         assert history[0] > 1e9
         assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
 

@@ -1,10 +1,12 @@
 """Byte-level pins on what the commands write and print.
 
-The digests were taken from the version that still built one frozen object
-per record. The columnar data model must reproduce its stream files, reports,
-snapshots and eval tables exactly. Before hashing a metrics.jsonl, the
-wall-clock fields (duration_s, total_runtime_s) and the meta line's absolute
-manifest path are dropped; everything else is hashed as written.
+Each digest was taken on the code before the change it guards, and every
+later version must reproduce it exactly: the stream files, reports,
+snapshots and eval tables come from the version that built one frozen object
+per record, and the 4-D run from the version whose centroid update was a
+list comprehension. Before hashing a metrics.jsonl, the wall-clock fields
+(duration_s, total_runtime_s) and the meta line's absolute manifest path are
+dropped; everything else is hashed as written.
 """
 
 import hashlib
@@ -33,6 +35,10 @@ GOLDEN = {
     "snapshot": "48bcd3fc29ec5001cebfd9e09ededf5d3be0ef2e5871165674e57388d016cf7f",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
     "chunked_tree": "fb982f22d8f182ab9662c9b84ea49bb5023013b6f788405aebc21735d5896323",
+    "chunked_run": {
+        "metrics": "74fce436297c1294de5a633fd3140ab0975dcc17c1cbd37e647b302c2a811632",
+        "counts": "3d597ff1b4359135073482dd0b4fb74c112d7531352da570168b955b4565a6f2",
+    },
 }
 
 
@@ -97,7 +103,7 @@ def test_snapshot_and_resume_match_golden_digests(tmp_path, capsys):
     assert _report_digest(tmp_path / "rest" / "metrics.jsonl") == GOLDEN["resumed_metrics"]
 
 
-def test_chunked_dataset_matches_golden_digest(tmp_path, capsys):
+def _chunked_stream(tmp_path):
     # three classes of 4-attribute rows on different scales, so normalization
     # and the artificial-class binning both do real work
     rng = np.random.default_rng(5)
@@ -110,5 +116,25 @@ def test_chunked_dataset_matches_golden_digest(tmp_path, capsys):
     stream = tmp_path / "stream"
     assert main(["chunk", str(dataset), "--chunks", "5", "--artificial-classes",
                  "--out", str(stream)]) == 0
+    return stream
+
+
+def test_chunked_dataset_matches_golden_digest(tmp_path, capsys):
+    stream = _chunked_stream(tmp_path)
     capsys.readouterr()
     assert _tree_digest(stream) == GOLDEN["chunked_tree"]
+
+
+def test_chunked_run_matches_golden_digests(tmp_path, capsys):
+    # an engine pin off 2-D: absorbs at d=4 and scores entropy over the
+    # artificial label sets rather than the chunk labels
+    stream = _chunked_stream(tmp_path)
+    run_out = tmp_path / "run"
+    assert main(["run", str(stream / "manifest.json"), "--k", "3", "--seed", "7",
+                 "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    digests = {
+        "metrics": _report_digest(run_out / "metrics.jsonl"),
+        "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
+    }
+    assert digests == GOLDEN["chunked_run"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamclust import (
     Chunk,
@@ -212,3 +214,105 @@ def test_dist_clust_dimension_mismatch():
     prev = _result([(0.5, 0.5)])
     with pytest.raises(ValueError):
         dist_clust(Chunk(2, [(0.5, 0.5, 0.5)]), prev)
+
+
+# ---------------------------------------------------------------- exactness
+#
+# The absorb pass updates centroids through a generated kernel per
+# dimensionality. It must stay bit-identical to the plain update below.
+
+
+def _reference_absorb(rows, prev):
+    """The absorb pass written plainly: a nearest-centroid scan with ties to
+    the lowest index, and the running mean as a list comprehension."""
+    centroids = [c.centroid for c in prev.clusters]
+    radii = [c.radius for c in prev.clusters]
+    lifetimes = [c.lifetime_count for c in prev.clusters]
+    deltas = [0] * len(centroids)
+    outliers = 0
+    trace = []
+    for values in rows:
+        dists = [math.dist(values, c) for c in centroids]
+        best = dists.index(min(dists))
+        if dists[best] <= radii[best]:
+            lifetimes[best] += 1
+            deltas[best] += 1
+            n = lifetimes[best]
+            centroids[best] = tuple(
+                [(1 - 1 / n) * c + (1 / n) * v for c, v in zip(centroids[best], values)]
+            )
+            trace.append((best, dists[best]))
+        else:
+            outliers += 1
+            trace.append(None)
+    return centroids, lifetimes, deltas, outliers, trace
+
+
+def _assert_matches_reference(chunk, prev):
+    result, trace = dist_clust_trace(chunk, prev)
+    got = (
+        [c.centroid for c in result.clusters],
+        [c.lifetime_count for c in result.clusters],
+        [c.chunk_count for c in result.clusters],
+        result.outliers,
+        list(trace),
+    )
+    # repr tells every float bit pattern apart, -0.0 from 0.0 included
+    assert repr(got) == repr(_reference_absorb(chunk.values.tolist(), prev))
+
+
+_RADII = (0.0, 0.25, 1.0, 2.5, math.inf)
+_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier")
+
+
+@st.composite
+def _absorb_cases(draw):
+    # Hypothesis picks the shape and the mix of row kinds; a seeded generator
+    # fills in the coordinates, which keeps 16-D cases cheap to draw. Grid
+    # values are quarter steps, so the midpoint of two centroids is exact and
+    # lies at exactly the same distance from both: a tie.
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = (rng.integers(-8, 9, size=(k, d)) / 4).tolist()
+    radii = draw(st.lists(st.sampled_from(_RADII), min_size=k, max_size=k))
+    lifetimes = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    prev = ClusteringResult(
+        tuple(ClusterSummary(c, r, n, 0) for c, r, n in zip(centroids, radii, lifetimes)), 0, 1
+    )
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=40)):
+        if kind == "grid":
+            rows.append(rng.integers(-8, 9, size=d) / 4)
+        elif kind == "centroid":
+            rows.append(centroids[rng.integers(k)])
+        elif kind == "tie":
+            a, b = rng.integers(k, size=2)
+            rows.append([(x + y) / 2 for x, y in zip(centroids[a], centroids[b])])
+        elif kind == "float":
+            rows.append(rng.uniform(-3.0, 3.0, size=d))
+        else:
+            rows.append(rng.uniform(1e3, 1e6, size=d))
+    return Chunk(2, rows), prev
+
+
+@settings(max_examples=300, deadline=None)
+@given(_absorb_cases())
+def test_dist_clust_matches_plain_reference_bit_for_bit(case):
+    chunk, prev = case
+    _assert_matches_reference(chunk, prev)
+
+
+def test_dist_clust_one_dimension_matches_reference():
+    rng = np.random.default_rng(3)
+    prev = ClusteringResult(
+        tuple(ClusterSummary((c,), 0.3, 1, 0) for c in (0.1, 0.5, 0.9)), 0, 1
+    )
+    _assert_matches_reference(Chunk(2, rng.uniform(-0.2, 1.2, size=(2000, 1))), prev)
+
+
+def test_dist_clust_single_cluster_matches_reference():
+    # one cluster absorbing thousands of records: long lifetimes, tiny weights
+    rng = np.random.default_rng(4)
+    prev = ClusteringResult((ClusterSummary((0.5, 0.5, 0.5), 0.6, 10, 0),), 0, 1)
+    _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(5000, 3))), prev)
