@@ -9,13 +9,12 @@ metrics and a CLI (``streamclust --help``).
 
 __version__ = "0.1.0"
 
-from .bootstrap import KMeansParams, get_max_dist, kmeans, summarize, summarize_trace
+from .bootstrap import KMeansParams, get_max_dist, kmeans, summarize_trace
 from .core import (
     Chunk,
     ClusteringResult,
     ClusterSummary,
     DriftConfig,
-    euclidean,
     minmax_normalize,
 )
 from .drift import DriftCause, DriftVerdict, detect
@@ -29,7 +28,7 @@ from .engine import (
     state_to_json,
     step,
 )
-from .incremental import dist_clust, dist_clust_trace
+from .incremental import dist_clust_trace
 from .metrics import (
     MetricsReport,
     TcvMatch,
@@ -63,9 +62,9 @@ from .streams import (
 __all__ = [
     "__version__",
     "Chunk", "ClusterSummary", "ClusteringResult", "DriftConfig",
-    "euclidean", "minmax_normalize",
-    "KMeansParams", "kmeans", "get_max_dist", "summarize", "summarize_trace",
-    "dist_clust", "dist_clust_trace",
+    "minmax_normalize",
+    "KMeansParams", "kmeans", "get_max_dist", "summarize_trace",
+    "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
     "EngineState", "ParallelState", "StepReport", "init", "step", "run",
     "state_to_json", "state_from_json",

@@ -3,7 +3,9 @@
 Used to build the very first model and to retrain a fresh model whenever the
 engine decides the current one is stale. Plain Lloyd k-means with greedy
 farthest-point seeding: deterministic for a fixed seed, which the rest of the
-system relies on for reproducible runs.
+system relies on for reproducible runs. summarize_trace is the one bootstrap
+function: it returns the cluster summaries together with each record's
+assignment.
 """
 
 import math
@@ -11,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chunk, ClusteringResult, ClusterSummary
-
-# (cluster index, distance to its centroid) per record, None for outliers.
-Assignment = tuple[int, float] | None
+from .core import Assignment, Chunk, ClusteringResult, ClusterSummary
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def _repair_empty(matrix, centroids, labels, dists):
 
     The record farthest from its currently assigned centroid becomes the empty
     cluster's new sole member. Clusters that cannot be repaired (only zero
-    distances left) stay empty and are dropped later by summarize().
+    distances left) stay empty and are dropped later by summarize_trace().
     """
     k = len(centroids)
     counts = np.bincount(labels, minlength=k)
@@ -117,7 +116,12 @@ def get_max_dist(centroid, members) -> float:
 
 
 def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
-    """summarize() plus the per-record (cluster, distance) assignments."""
+    """Cluster a chunk and keep only the summaries; the records are dropped.
+
+    Each cluster's lifetime and per-chunk counts start at its member count and
+    its radius is the farthest member's distance from the centroid. Also
+    returns every record's (cluster, distance to its centroid) assignment.
+    """
     pairs = kmeans(chunk, params)
     rows = chunk.rows()
     summaries = []
@@ -133,13 +137,3 @@ def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResul
         summaries.append(ClusterSummary(centroid, max(dists), count, count))
     result = ClusteringResult(tuple(summaries), 0, chunk.timestamp)
     return result, tuple(assignments)
-
-
-def summarize(chunk: Chunk, params: KMeansParams) -> ClusteringResult:
-    """Cluster a chunk and keep only the summaries; the records are dropped.
-
-    Each cluster's lifetime and per-chunk counts start at its member count and
-    its radius is the farthest member's distance from the centroid.
-    """
-    result, _ = summarize_trace(chunk, params)
-    return result

@@ -152,77 +152,82 @@ def cmd_chunk(args) -> int:
     return 0
 
 
-def _run_stream(data, config: DriftConfig, fixed_k: int | None, stop_after: int | None):
-    chunks = list(data.chunks)
-    if stop_after is not None:
-        if not 1 <= stop_after <= len(chunks):
-            raise ValueError(f"--stop-after must be in 1..{len(chunks)}")
-        chunks = chunks[:stop_after]
-    k_fn = None if fixed_k is not None else _labels_k
-    state, reports = engine.run(chunks, config, k_fn)
-    return chunks, state, reports
+def _k_policy(k: int | None):
+    """The k policy's name and its k per chunk: the fixed --k, or the label count."""
+    if k is not None:
+        return "fixed", lambda chunk: k
+    return "labels", _labels_k
+
+
+def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
+    """Write metrics.jsonl, cluster_counts.tsv and the optional snapshot; print the summary."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics_path = out / "metrics.jsonl"
+    atomic_write_text(metrics_path, reports_to_jsonl(runs, meta))
+
+    lines = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
+    for i, step in enumerate(runs[0].steps):
+        mean_count = sum(r.steps[i].cluster_count for r in runs) / len(runs)
+        lines.append(f"{step.timestamp}\t{mean_count:g}")
+    atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
+
+    if snapshot:
+        atomic_write_text(Path(snapshot), engine.state_to_json(state) + "\n")
+
+    mean_entropy = sum(r.mean_entropy for r in runs) / len(runs)
+    mean_sse = sum(r.mean_sse for r in runs) / len(runs)
+    total = sum(r.total_runtime_s for r in runs) / len(runs)
+    print(
+        f"runs={len(runs)} mean_entropy={mean_entropy:.6f} mean_sse={mean_sse:.6f} "
+        f"total_runtime_s={total:.4f}"
+    )
+    print(metrics_path)
 
 
 def cmd_run(args) -> int:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    if args.snapshot and args.repeat != 1:
+        raise ValueError("--snapshot requires --repeat 1")
+    if args.stop_after is not None and args.repeat != 1:
+        raise ValueError("--stop-after requires --repeat 1")
     data = load_stream(args.manifest)
     d_thresh = args.d_thresh
     if d_thresh is None:
         d_thresh = (
             DEFAULT_D_THRESH_REAL if data.origin == "real-world" else DEFAULT_D_THRESH_SYNTHETIC
         )
-    if args.snapshot and args.repeat != 1:
-        raise ValueError("--snapshot requires --repeat 1")
-    if args.stop_after is not None and args.repeat != 1:
-        raise ValueError("--stop-after requires --repeat 1")
-
-    base_k = args.k if args.k is not None else _labels_k(data.chunks[0])
+    chunks = list(data.chunks)
+    if args.stop_after is not None:
+        if not 1 <= args.stop_after <= len(chunks):
+            raise ValueError(f"--stop-after must be in 1..{len(chunks)}")
+        chunks = chunks[:args.stop_after]
+    ac = list(data.ac_sets[: len(chunks)]) if data.ac_sets else None
+    k_policy, k_for_chunk = _k_policy(args.k)
+    base_k = k_for_chunk(data.chunks[0])
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
 
     runs = []
-    final_state = None
     for i in range(args.repeat):
         config = DriftConfig(
             k=base_k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=args.seed + i
         )
-        chunks, state, reports = _run_stream(data, config, args.k, args.stop_after)
-        ac = list(data.ac_sets[: len(chunks)]) if data.ac_sets else None
+        state, reports = engine.run(chunks, config, k_for_chunk)
         runs.append(build_report(chunks, reports, state.main, ac, tcvs))
-        final_state = state
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "tool_version": __version__,
         "manifest": str(Path(args.manifest).resolve()),
         "k": args.k,
-        "k_policy": "fixed" if args.k is not None else "labels",
+        "k_policy": k_policy,
         "o_thresh": args.o_thresh,
         "d_thresh": d_thresh,
         "seed": args.seed,
         "repeat": args.repeat,
         "stop_after": args.stop_after,
     }
-    metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, reports_to_jsonl(runs, meta))
-
-    counts_path = out / "cluster_counts.tsv"
-    lines = [f"# streamclust {__version__} seed={args.seed} repeat={args.repeat}"]
-    for i, step in enumerate(runs[0].steps):
-        mean_count = sum(r.steps[i].cluster_count for r in runs) / len(runs)
-        lines.append(f"{step.timestamp}\t{mean_count:g}")
-    atomic_write_text(counts_path, "\n".join(lines) + "\n")
-
-    if args.snapshot:
-        atomic_write_text(Path(args.snapshot), engine.state_to_json(final_state) + "\n")
-
-    mean_entropy = sum(r.mean_entropy for r in runs) / len(runs)
-    mean_sse = sum(r.mean_sse for r in runs) / len(runs)
-    total = sum(r.total_runtime_s for r in runs) / len(runs)
-    print(
-        f"runs={args.repeat} mean_entropy={mean_entropy:.6f} mean_sse={mean_sse:.6f} "
-        f"total_runtime_s={total:.4f}"
-    )
-    print(metrics_path)
+    _write_outputs(args.out, runs, meta, state, args.snapshot)
     return 0
 
 
@@ -234,10 +239,10 @@ def cmd_resume(args) -> int:
         raise ValueError(
             f"snapshot already covers t={state.timestamp}; nothing left to process"
         )
-    k_fn = None if args.k is not None else _labels_k
+    k_policy, k_for_chunk = _k_policy(args.k)
     reports = []
     for chunk in remaining:
-        state, report = engine.step(state, chunk, args.k if args.k is not None else k_fn(chunk))
+        state, report = engine.step(state, chunk, k_for_chunk(chunk))
         reports.append(report)
 
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
@@ -245,21 +250,15 @@ def cmd_resume(args) -> int:
     ac = list(data.ac_sets[offset:]) if data.ac_sets else None
     run_report = build_report(remaining, reports, state.main, ac, tcvs)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "tool_version": __version__,
         "manifest": str(Path(args.manifest).resolve()),
         "seed": state.config.seed,
         "resumed_after": remaining[0].timestamp - 1,
         "k": args.k,
-        "k_policy": "fixed" if args.k is not None else "labels",
+        "k_policy": k_policy,
     }
-    metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, reports_to_jsonl([run_report], meta))
-    if args.snapshot_out:
-        atomic_write_text(Path(args.snapshot_out), engine.state_to_json(state) + "\n")
-    print(metrics_path)
+    _write_outputs(args.out, [run_report], meta, state, args.snapshot_out)
     return 0
 
 
@@ -281,12 +280,7 @@ def cmd_eval(args) -> int:
         )
 
     labeled = true_cluster_values(data.chunks)
-    from .core import ClusteringResult, ClusterSummary
-
-    final = ClusteringResult(
-        tuple(ClusterSummary(c, 0.0, 1, 0) for c in centroids), 0, len(steps)
-    )
-    match = tcv_distance(final, [c for _, c in labeled])
+    match = tcv_distance(centroids, [c for _, c in labeled])
 
     dims = len(centroids[0])
     head = ["cluster"]

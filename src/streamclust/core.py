@@ -66,6 +66,10 @@ class Chunk:
         return list(zip(*self.values.T.tolist()))
 
 
+# (cluster index, distance at assignment time) per record, None for outliers.
+Assignment = tuple[int, float] | None
+
+
 def first_nonfinite_row(matrix: np.ndarray) -> int | None:
     """Index of the first row holding a NaN or an infinity, or None."""
     finite = np.isfinite(matrix)
@@ -88,10 +92,12 @@ class ClusterSummary:
     chunk_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "centroid", tuple(float(v) for v in self.centroid))
+        object.__setattr__(self, "centroid", tuple(map(float, self.centroid)))
         if not self.centroid:
             raise ValueError("centroid must be non-empty")
-        if self.radius < 0:
+        if not all(map(math.isfinite, self.centroid)):
+            raise ValueError(f"centroid coordinates must be finite, got {self.centroid}")
+        if not self.radius >= 0:  # also rejects NaN; an infinite radius absorbs everything
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.lifetime_count < 1:
             raise ValueError("lifetime_count must be >= 1")
@@ -140,11 +146,6 @@ class DriftConfig:
             raise ValueError(f"o_thresh must be in (0, 1], got {self.o_thresh}")
         if self.d_thresh <= 0:
             raise ValueError(f"d_thresh must be > 0, got {self.d_thresh}")
-
-
-def euclidean(a, b) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    return math.dist(a, b)
 
 
 def minmax_normalize(values) -> np.ndarray:

@@ -10,18 +10,21 @@ three consecutive chunks to come back with a clean drift verdict:
   (which meanwhile absorbed those chunks, retraining itself whenever it
   drifted too) replaces the main model wholesale.
 
-"Parallel" means a second logical model per step, not a thread. Steps never
-mutate their input state and never touch the filesystem; the snapshot helpers
-below only translate state to and from a JSON document, the caller owns the
-bytes. All randomness in bootstraps is derived from (config.seed, timestamp),
-so a resumed run continues bit-identically.
+"Parallel" means a second logical model per step, not a thread. The state
+holds the parallel model only while drift handling is active, so the
+drift-active flag is derived from it rather than stored. Steps never mutate
+their input state and never touch the filesystem; the snapshot functions
+below only translate state to and from JSON text, the caller owns the bytes.
+All randomness in bootstraps is derived from (config.seed, timestamp), so a
+resumed run continues bit-identically.
 """
 
+import json
 import time
 from dataclasses import dataclass
 
-from .bootstrap import Assignment, KMeansParams, summarize_trace
-from .core import Chunk, ClusteringResult, ClusterSummary, DriftConfig
+from .bootstrap import KMeansParams, summarize_trace
+from .core import Assignment, Chunk, ClusteringResult, ClusterSummary, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
 
@@ -49,13 +52,13 @@ class ParallelState:
 class EngineState:
     main: ClusteringResult
     parallel: ParallelState | None
-    is_concept_drift: bool
     timestamp: int
     config: DriftConfig
 
-    def __post_init__(self):
-        if (self.parallel is not None) != self.is_concept_drift:
-            raise ValueError("parallel state must exist exactly while drift is active")
+    @property
+    def is_concept_drift(self) -> bool:
+        """Drift handling is active exactly while a parallel model exists."""
+        return self.parallel is not None
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def _report(timestamp, event, active, verdict, parallel_active, strike,
 def _init_trace(first_chunk: Chunk, config: DriftConfig, k: int | None = None):
     started = time.perf_counter()
     main, assignments = summarize_trace(first_chunk, _bootstrap_params(config, first_chunk.timestamp, k))
-    state = EngineState(main, None, False, first_chunk.timestamp, config)
+    state = EngineState(main, None, first_chunk.timestamp, config)
     report = _report(first_chunk.timestamp, "bootstrap", main, None, False, 0,
                      False, assignments, started)
     return state, report
@@ -150,17 +153,17 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
 
     if not state.is_concept_drift:
         if not verdict.is_drift:
-            new_state = EngineState(main, None, False, t, config)
+            new_state = EngineState(main, None, t, config)
             return new_state, _report(t, "none", main, verdict, False, 0, False,
                                       main_assign, started)
         para, para_assign = summarize_trace(chunk, _bootstrap_params(config, t, k))
-        new_state = EngineState(main, ParallelState(para, 1), True, t, config)
+        new_state = EngineState(main, ParallelState(para, 1), t, config)
         return new_state, _report(t, "activated", para, verdict, True, 1, False,
                                   para_assign, started)
 
     if not verdict.is_drift:
         # Main model recovered: drift handling ends, parallel work is dropped.
-        new_state = EngineState(main, None, False, t, config)
+        new_state = EngineState(main, None, t, config)
         return new_state, _report(t, "stabilized", main, verdict, False, 0, False,
                                   main_assign, started)
 
@@ -171,10 +174,10 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
         para, para_assign = summarize_trace(chunk, _bootstrap_params(config, t, k))
     strike = state.parallel.strike + 1
     if strike >= _SWAP_AT:
-        new_state = EngineState(para, None, False, t, config)
+        new_state = EngineState(para, None, t, config)
         return new_state, _report(t, "swapped", para, verdict, False, _SWAP_AT,
                                   retrained, para_assign, started)
-    new_state = EngineState(main, ParallelState(para, strike), True, t, config)
+    new_state = EngineState(main, ParallelState(para, strike), t, config)
     return new_state, _report(t, "none", para, verdict, True, strike, retrained,
                               para_assign, started)
 
@@ -227,9 +230,9 @@ def _result_from_doc(doc: dict) -> ClusteringResult:
     )
 
 
-def state_to_document(state: EngineState) -> dict:
-    """Self-describing snapshot of the full engine state."""
-    return {
+def state_to_json(state: EngineState) -> str:
+    """Self-describing JSON snapshot of the full engine state."""
+    return json.dumps({
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
@@ -244,36 +247,27 @@ def state_to_document(state: EngineState) -> dict:
         "parallel": None
         if state.parallel is None
         else {"strike": state.parallel.strike, "result": _result_to_doc(state.parallel.result)},
-    }
+    }, indent=2)
 
 
-def state_from_document(doc: dict) -> EngineState:
+def state_from_json(text: str) -> EngineState:
+    """Rebuild the engine state from state_to_json's output, validating it."""
+    doc = json.loads(text)
     if doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
     cfg = doc["config"]
     parallel = doc["parallel"]
+    if doc["is_concept_drift"] != (parallel is not None):
+        raise ValueError("snapshot must hold a parallel model exactly while drift is active")
     return EngineState(
         main=_result_from_doc(doc["main"]),
         parallel=None
         if parallel is None
         else ParallelState(_result_from_doc(parallel["result"]), parallel["strike"]),
-        is_concept_drift=doc["is_concept_drift"],
         timestamp=doc["timestamp"],
         config=DriftConfig(
             k=cfg["k"], o_thresh=cfg["o_thresh"], d_thresh=cfg["d_thresh"], seed=cfg["seed"]
         ),
     )
-
-
-def state_to_json(state: EngineState) -> str:
-    import json
-
-    return json.dumps(state_to_document(state), indent=2)
-
-
-def state_from_json(text: str) -> EngineState:
-    import json
-
-    return state_from_document(json.loads(text))

@@ -10,16 +10,14 @@ A cluster that absorbs its n-th record moves its centroid c towards the
 record v by (1 - 1/n) * c + (1/n) * v, coordinate by coordinate, which keeps
 it the exact running mean. The update goes through one generated function per
 dimensionality, built on first use and cached, so the loop pays one call per
-absorbed record and no per-coordinate iteration.
+absorbed record and no per-coordinate iteration. dist_clust_trace is the one
+absorb function; the engine reports its per-record trace and metrics score it.
 """
 
 import functools
 import math
 
-from .core import Chunk, ClusteringResult, ClusterSummary
-
-# (cluster index, distance at assignment time) per record, None for outliers.
-Assignment = tuple[int, float] | None
+from .core import Assignment, Chunk, ClusteringResult, ClusterSummary
 
 
 @functools.cache
@@ -37,7 +35,16 @@ def _lerp_kernel(dimensions: int):
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
-    """dist_clust() plus the per-record (cluster, distance) assignments."""
+    """Absorb a chunk into the previous result; return the updated result and
+    the per-record (cluster, distance) assignments, None for each outlier.
+
+    Starts from prev's clusters with every per-chunk count and the outlier
+    counter reset to zero (prev itself is never mutated, so its counts remain
+    available for drift comparison). The chunk's rows are processed in order:
+    the nearest centroid wins (ties go to the lowest cluster index),
+    absorption requires distance <= that cluster's radius, and everything
+    else is counted as an outlier and dropped.
+    """
     if chunk.dimensions != prev.dimensions:
         raise ValueError(
             f"chunk has {chunk.dimensions} dimensions, clusters have {prev.dimensions}"
@@ -73,17 +80,3 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
         for i in range(len(centroids))
     )
     return ClusteringResult(clusters, outliers, chunk.timestamp), tuple(trace)
-
-
-def dist_clust(chunk: Chunk, prev: ClusteringResult) -> ClusteringResult:
-    """Absorb a chunk into the previous result and return the updated one.
-
-    Starts from prev's clusters with every per-chunk count and the outlier
-    counter reset to zero (prev itself is never mutated, so its counts remain
-    available for drift comparison). The chunk's rows are processed in order:
-    the nearest centroid wins (ties go to the lowest cluster index),
-    absorption requires distance <= that cluster's radius, and everything
-    else is counted as an outlier and dropped.
-    """
-    result, _ = dist_clust_trace(chunk, prev)
-    return result

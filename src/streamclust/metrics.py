@@ -3,10 +3,12 @@
 Entropy and SSE work on per-record assignments captured while a chunk was
 processed, so nothing here requires retained records. Reference centroids for
 a labeled stream are the per-class means over all chunks merged; a run is
-scored by matching its final centroids against them one-to-one.
+scored by matching its final centroids against them one-to-one, with the
+exact minimum-total-distance assignment (Kuhn-Munkres) for any count on
+either side. The engine's StepReports are only read here, through their
+fields, so this module does not import the engine.
 """
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -16,11 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import Chunk, ClusteringResult
-from .engine import StepReport
-
-# Exhaustive minimum-cost matching is exact and cheap up to this many
-# centroids; beyond it, greedy nearest pairing.
-_EXHAUSTIVE_LIMIT = 8
 
 
 def entropy(assignments) -> float:
@@ -87,50 +84,71 @@ class TcvMatch:
         return tuple(d for _, _, d in self.pairs)
 
 
-def tcv_distance(final: ClusteringResult, tcvs: Sequence[Sequence[float]]) -> TcvMatch:
-    """Match final centroids to reference centroids, minimizing total distance.
+def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """Kuhn-Munkres with row and column potentials, for n rows <= m columns.
 
-    One-to-one over min(len(clusters), len(tcvs)) pairs: exhaustive search up
-    to 8 centroids per side, greedy nearest pairing beyond that. Leftovers on
-    either side are reported as unmatched.
+    Returns the (row, column) pairs, in column order, of the one-to-one
+    assignment of every row with the least total cost. Each row enters in
+    turn along the shortest augmenting path under the reduced costs:
+    O(n * n * m), and the same costs always give the same pairs.
     """
-    centroids = [c.centroid for c in final.clusters]
+    n, m = len(cost), len(cost[0])
+    u = [0.0] * (n + 1)  # row potentials; index 0 is unused
+    v = [0.0] * (m + 1)  # column potentials; column 0 is the entering row's slot
+    owner = [0] * (m + 1)  # row (1-based) holding each column, 0 when free
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = [math.inf] * (m + 1)
+        back = [0] * (m + 1)
+        seen = [False] * (m + 1)
+        while owner[col]:
+            seen[col] = True
+            i = owner[col]
+            costs = cost[i - 1]
+            delta, nxt = math.inf, 0
+            for j in range(1, m + 1):
+                if not seen[j]:
+                    reduced = costs[j - 1] - u[i] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], back[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(m + 1):
+                if seen[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:  # flip the augmenting path back to the entering row
+            prev = back[col]
+            owner[col] = owner[prev]
+            col = prev
+    return [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
+
+
+def tcv_distance(
+    centroids: Sequence[Sequence[float]], tcvs: Sequence[Sequence[float]]
+) -> TcvMatch:
+    """Match centroids to reference centroids, minimizing total distance.
+
+    One-to-one over min(len(centroids), len(tcvs)) pairs, solved exactly for
+    any count. Leftovers on either side are reported as unmatched.
+    """
+    found = [tuple(float(v) for v in c) for c in centroids]
     refs = [tuple(float(v) for v in t) for t in tcvs]
+    if not found:
+        raise ValueError("need at least one centroid to match")
     if not refs:
         raise ValueError("need at least one reference centroid")
-    dist = [[math.dist(c, r) for r in refs] for c in centroids]
-    n, m = len(centroids), len(refs)
-
-    if max(n, m) <= _EXHAUSTIVE_LIMIT:
-        if n <= m:
-            best = min(
-                itertools.permutations(range(m), n),
-                key=lambda perm: sum(dist[i][perm[i]] for i in range(n)),
-            )
-            pairs = [(i, best[i], dist[i][best[i]]) for i in range(n)]
-        else:
-            best = min(
-                itertools.permutations(range(n), m),
-                key=lambda perm: sum(dist[perm[j]][j] for j in range(m)),
-            )
-            pairs = [(best[j], j, dist[best[j]][j]) for j in range(m)]
-    else:
-        flat = sorted(
-            ((dist[i][j], i, j) for i in range(n) for j in range(m))
-        )
-        used_c: set[int] = set()
-        used_r: set[int] = set()
-        pairs = []
-        for d, i, j in flat:
-            if i in used_c or j in used_r:
-                continue
-            pairs.append((i, j, d))
-            used_c.add(i)
-            used_r.add(j)
-            if len(pairs) == min(n, m):
-                break
-
-    pairs.sort()
+    dist = [[math.dist(c, r) for r in refs] for c in found]
+    n, m = len(found), len(refs)
+    if n <= m:
+        pairs = sorted((i, j, dist[i][j]) for i, j in _min_cost_assignment(dist))
+    else:  # more clusters than references: each reference gets one cluster
+        transposed = [list(column) for column in zip(*dist)]
+        pairs = [(i, j, dist[i][j]) for j, i in _min_cost_assignment(transposed)]
     matched_c = {i for i, _, _ in pairs}
     matched_r = {j for _, j, _ in pairs}
     return TcvMatch(
@@ -169,10 +187,10 @@ class MetricsReport:
 
 def step_metrics(
     chunk: Chunk,
-    report: StepReport,
+    report,
     label_sets: Sequence[tuple[int, ...]] | None = None,
 ) -> TimestepMetrics:
-    """Metrics for one processed chunk.
+    """Metrics for one processed chunk, from the engine's StepReport for it.
 
     Labels default to the chunk's own; when label_sets gives a matrix of
     per-record artificial class rows, entropy is the unweighted mean over its
@@ -207,7 +225,7 @@ def step_metrics(
 
 def build_report(
     chunks: Sequence[Chunk],
-    reports: Sequence[StepReport],
+    reports: Sequence,
     final: ClusteringResult,
     ac_sets=None,
     tcvs: Sequence[Sequence[float]] | None = None,
@@ -218,14 +236,15 @@ def build_report(
         step_metrics(chunk, rep, ac_sets[i] if ac_sets else None)
         for i, (chunk, rep) in enumerate(zip(chunks, reports))
     )
+    final_centroids = tuple(c.centroid for c in final.clusters)
     return MetricsReport(
         steps=steps,
         mean_entropy=sum(s.entropy for s in steps) / len(steps),
         mean_sse=sum(s.sse for s in steps) / len(steps),
         total_runtime_s=sum(s.duration_s for s in steps),
-        final_centroids=tuple(c.centroid for c in final.clusters),
+        final_centroids=final_centroids,
         events=tuple(r.event for r in reports),
-        tcv=tcv_distance(final, tcvs) if tcvs else None,
+        tcv=tcv_distance(final_centroids, tcvs) if tcvs else None,
     )
 
 

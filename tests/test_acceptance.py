@@ -127,7 +127,7 @@ def test_criterion_04_sdccl_tcv_and_single_activation():
     assert reports[4].event == "activated"  # the collapsed chunk at t=5
 
     tcvs = true_cluster_values(chunks)
-    match = tcv_distance(state.main, [c for _, c in tcvs])
+    match = tcv_distance([c.centroid for c in state.main.clusters], [c for _, c in tcvs])
     assert len(match.pairs) == 5
     assert all(d <= 0.005 for d in match.distances)
     assert elapsed < 2.0

@@ -6,10 +6,8 @@ import pytest
 from streamclust import (
     Chunk,
     KMeansParams,
-    euclidean,
     get_max_dist,
     kmeans,
-    summarize,
     summarize_trace,
 )
 from streamclust.bootstrap import _lloyd
@@ -30,7 +28,7 @@ def test_kmeans_one_point_per_cluster():
     assert centroids == set(chunk.rows())
     for centroid, members in pairs:
         assert len(members) == 1
-        assert euclidean(centroid, chunk.values[members[0]]) == 0.0
+        assert math.dist(centroid, chunk.values[members[0]]) == 0.0
 
 
 def test_kmeans_two_separated_pairs():
@@ -51,8 +49,8 @@ def test_kmeans_recovers_separated_blobs():
         pts = np.array([v for v, lab in zip(chunk.rows(), chunk.labels) if lab == label])
         blob_means.append(pts.mean(axis=0))
     for centroid, members in pairs:
-        nearest = min(blob_means, key=lambda m: euclidean(centroid, m))
-        assert euclidean(centroid, nearest) < 0.02
+        nearest = min(blob_means, key=lambda m: math.dist(centroid, m))
+        assert math.dist(centroid, nearest) < 0.02
         assert len(members) == 30
 
 
@@ -128,7 +126,7 @@ def test_get_max_dist_empty_members():
 
 def test_summarize_counts_equal_membership():
     chunk = Chunk(1, [(0.0, 0.0), (0.02, 0.0), (1.0, 1.0), (0.98, 1.0)])
-    result = summarize(chunk, KMeansParams(k=2, seed=0))
+    result, _ = summarize_trace(chunk, KMeansParams(k=2, seed=0))
     assert result.outliers == 0
     assert result.timestamp == 1
     for cluster in result.clusters:
@@ -138,19 +136,19 @@ def test_summarize_counts_equal_membership():
 def test_summarize_single_cluster_reduction():
     rng = np.random.default_rng(3)
     chunk = Chunk(2, rng.uniform(0, 1, (25, 2)))
-    result = summarize(chunk, KMeansParams(k=1, seed=0))
+    result, _ = summarize_trace(chunk, KMeansParams(k=1, seed=0))
     assert len(result.clusters) == 1
     cluster = result.clusters[0]
     mean = np.array(chunk.rows()).mean(axis=0)
     assert cluster.centroid == pytest.approx(tuple(mean), abs=1e-12)
     assert cluster.lifetime_count == cluster.chunk_count == 25
     assert cluster.radius == pytest.approx(
-        max(euclidean(cluster.centroid, row) for row in chunk.rows())
+        max(math.dist(cluster.centroid, row) for row in chunk.rows())
     )
 
 
 def test_summarize_toy_dataset_class_means(toy_chunk):
-    result = summarize(toy_chunk, KMeansParams(k=2, seed=0))
+    result, _ = summarize_trace(toy_chunk, KMeansParams(k=2, seed=0))
     centroids = sorted(c.centroid for c in result.clusters)
     assert centroids[0] == pytest.approx((0.0535, 0.19075))
     assert centroids[1] == pytest.approx((0.961, 0.805))
@@ -167,7 +165,7 @@ def test_summarize_every_member_within_radius():
             assert assignment is not None
             idx, dist = assignment
             assert dist <= result.clusters[idx].radius
-            assert dist == euclidean(values, result.clusters[idx].centroid)
+            assert dist == math.dist(values, result.clusters[idx].centroid)
 
 
 def test_summarize_trace_assigns_every_record():

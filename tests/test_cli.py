@@ -1,6 +1,7 @@
 import json
+import re
 
-from streamclust import load_stream
+from streamclust import __version__, load_stream
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -156,6 +157,20 @@ def test_run_snapshot_requires_single_run(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_repeat_below_one_is_an_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    main(["gen", "sdccl", "--seed", "7", "--out", str(out)])
+    capsys.readouterr()
+    for repeat in ("0", "-2"):
+        run_out = tmp_path / f"run{repeat}"
+        code = main(["run", str(out / "manifest.json"), "--repeat", repeat,
+                     "--out", str(run_out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--repeat" in err
+        assert not run_out.exists()
+
+
 def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
     out = tmp_path / "s"
     main(["gen", "sdwcd", "--seed", "7", "--out", str(out)])
@@ -170,8 +185,18 @@ def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
     snap = tmp_path / "snap.json"
     assert main(["run", manifest, "--seed", "7", "--stop-after", "4",
                  "--snapshot", str(snap), "--out", str(part_out)]) == 0
+    capsys.readouterr()
     resume_out = tmp_path / "resumed"
     assert main(["resume", manifest, "--snapshot", str(snap), "--out", str(resume_out)]) == 0
+    # resume writes and prints what run does
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("runs=1 mean_entropy=")
+    assert printed[1] == str(resume_out / "metrics.jsonl")
+    counts = (resume_out / "cluster_counts.tsv").read_text().splitlines()
+    assert counts[0] == f"# streamclust {__version__} seed=7 repeat=1"
+    assert [row.split("\t")[0] for row in counts[1:]] == [
+        str(t) for t in range(5, len(full_steps) + 1)
+    ]
 
     _, part_steps, part_summary = parse_jsonl((part_out / "metrics.jsonl").read_text())
     _, rest_steps, rest_summary = parse_jsonl((resume_out / "metrics.jsonl").read_text())
@@ -184,6 +209,22 @@ def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
         assert row["entropy"] == full_row["entropy"]
         assert row["sse"] == full_row["sse"]
         assert row["outliers"] == full_row["outliers"]
+
+
+def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
+    out = _sdwcd(tmp_path, capsys)
+    manifest = str(out / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    text = snap.read_text()
+    snap.write_text(re.sub(r'"radius": [^,\n]+', '"radius": NaN', text, count=1))
+    capsys.readouterr()
+    resume_out = tmp_path / "rest"
+    assert main(["resume", manifest, "--snapshot", str(snap), "--out", str(resume_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "radius" in err
+    assert not resume_out.exists()
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):
@@ -215,6 +256,24 @@ def test_eval_mismatched_pair_is_an_error(tmp_path, capsys):
     code = main(["eval", str(other / "manifest.json"), str(run_out / "metrics.jsonl")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_report_without_centroids_is_an_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    main(["gen", "sdccl", "--seed", "7", "--out", str(out)])
+    run_out = tmp_path / "run"
+    main(["run", str(out / "manifest.json"), "--seed", "7", "--out", str(run_out)])
+    report = run_out / "metrics.jsonl"
+    lines = report.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary["runs"][0]["final_centroids"] = []
+    lines[-1] = json.dumps(summary)
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(out / "manifest.json"), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_eval_tolerates_truncated_run(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -217,6 +218,19 @@ def test_resume_matches_uninterrupted_run():
 def test_snapshot_rejects_foreign_documents():
     with pytest.raises(ValueError):
         engine.state_from_json('{"format": "something-else", "version": 1}')
+
+
+def test_snapshot_rejects_drift_flag_that_disagrees_with_parallel():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    cfg = DriftConfig(k=5, seed=5)
+    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
+    for chunk in chunks[1:4]:
+        state, _ = engine.step(state, chunk, labels_k(chunk))
+        doc = json.loads(engine.state_to_json(state))
+        assert doc["is_concept_drift"] == (doc["parallel"] is not None)
+        doc["is_concept_drift"] = not doc["is_concept_drift"]
+        with pytest.raises(ValueError, match="parallel"):
+            engine.state_from_json(json.dumps(doc))
 
 
 def test_parallel_state_invariants():

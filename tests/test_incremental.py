@@ -10,9 +10,7 @@ from streamclust import (
     ClusteringResult,
     ClusterSummary,
     KMeansParams,
-    dist_clust,
     dist_clust_trace,
-    summarize,
     summarize_trace,
 )
 
@@ -91,7 +89,7 @@ def test_update_centroid_dimension_mismatch():
 def test_update_centroid_equals_batch_mean():
     rng = np.random.default_rng(5)
     base = rng.uniform(0, 1, size=(3, 2))
-    result = summarize(Chunk(1, base), KMeansParams(k=1, seed=0))
+    result, _ = summarize_trace(Chunk(1, base), KMeansParams(k=1, seed=0))
     cluster = result.clusters[0]
     extra = rng.uniform(0, 1, size=(5, 2))
     for row in extra:
@@ -110,10 +108,10 @@ def test_dist_clust_reabsorbs_interior_records():
     centers = np.array([(0.2, 0.2), (0.8, 0.8), (0.2, 0.8)])
     pts = np.vstack([c + rng.uniform(-0.05, 0.05, size=(10, 2)) for c in centers])
     chunk = Chunk(1, pts)
-    prev = summarize(chunk, KMeansParams(k=3, seed=0))
+    prev, _ = summarize_trace(chunk, KMeansParams(k=3, seed=0))
     interior = np.vstack([c + rng.uniform(-0.02, 0.02, size=(10, 2)) for c in centers])
     again = Chunk(2, interior)
-    result = dist_clust(again, prev)
+    result, _ = dist_clust_trace(again, prev)
     assert result.outliers == 0
     assert sum(c.chunk_count for c in result.clusters) == 30
     assert result.timestamp == 2
@@ -124,8 +122,8 @@ def test_dist_clust_identical_chunk_nearly_self_absorbs():
     # the centroid, so records sitting at the radius can fall just outside it
     rng = np.random.default_rng(23)
     chunk = Chunk(1, rng.uniform(0, 1, (30, 2)))
-    prev = summarize(chunk, KMeansParams(k=3, seed=0))
-    result = dist_clust(Chunk(2, chunk.values), prev)
+    prev, _ = summarize_trace(chunk, KMeansParams(k=3, seed=0))
+    result, _ = dist_clust_trace(Chunk(2, chunk.values), prev)
     assert result.outliers <= 3
     assert result.outliers + sum(c.chunk_count for c in result.clusters) == 30
 
@@ -133,7 +131,7 @@ def test_dist_clust_identical_chunk_nearly_self_absorbs():
 def test_dist_clust_total_outlier_chunk():
     prev = _result([(0.1, 0.1), (0.9, 0.9)], radius=0.05)
     chunk = Chunk(2, np.full((10, 2), 0.5))
-    result = dist_clust(chunk, prev)
+    result, _ = dist_clust_trace(chunk, prev)
     assert result.outliers == 10
     assert [c.centroid for c in result.clusters] == [c.centroid for c in prev.clusters]
     assert all(c.chunk_count == 0 for c in result.clusters)
@@ -142,7 +140,7 @@ def test_dist_clust_total_outlier_chunk():
 def test_dist_clust_boundary_distance_absorbs():
     # distance exactly equal to the radius still counts as inside
     prev = _result([(0.0, 0.0)], radius=0.5, lifetime=1)
-    result = dist_clust(Chunk(2, [(0.5, 0.0)]), prev)
+    result, _ = dist_clust_trace(Chunk(2, [(0.5, 0.0)]), prev)
     assert result.outliers == 0
     assert result.clusters[0].chunk_count == 1
 
@@ -150,21 +148,21 @@ def test_dist_clust_boundary_distance_absorbs():
 def test_dist_clust_resets_chunk_counts_and_keeps_prev():
     rng = np.random.default_rng(3)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    prev = summarize(base, KMeansParams(k=2, seed=0))
+    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
     prev_deltas = [c.chunk_count for c in prev.clusters]
-    one = dist_clust(Chunk(2, base.values[:5]), prev)
+    one, _ = dist_clust_trace(Chunk(2, base.values[:5]), prev)
     assert [c.chunk_count for c in prev.clusters] == prev_deltas  # prev untouched
     assert sum(c.chunk_count for c in one.clusters) + one.outliers == 5
-    two = dist_clust(Chunk(3, base.values[:3]), one)
+    two, _ = dist_clust_trace(Chunk(3, base.values[:3]), one)
     assert sum(c.chunk_count for c in two.clusters) + two.outliers == 3
 
 
 def test_dist_clust_radius_and_lifetime_rules():
     rng = np.random.default_rng(9)
     base = Chunk(1, rng.uniform(0, 1, (25, 2)))
-    prev = summarize(base, KMeansParams(k=2, seed=1))
+    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=1))
     follow = Chunk(2, rng.uniform(0, 1, (25, 2)))
-    result = dist_clust(follow, prev)
+    result, _ = dist_clust_trace(follow, prev)
     for before, after in zip(prev.clusters, result.clusters):
         assert after.radius == before.radius  # radii never grow
         assert after.lifetime_count >= before.lifetime_count
@@ -175,10 +173,10 @@ def test_dist_clust_conservation_random():
     rng = np.random.default_rng(41)
     for trial in range(20):
         base = Chunk(1, rng.uniform(0, 1, (30, 2)))
-        prev = summarize(base, KMeansParams(k=3, seed=trial))
+        prev, _ = summarize_trace(base, KMeansParams(k=3, seed=trial))
         size = int(rng.integers(1, 60))
         chunk = Chunk(2, rng.uniform(0, 1, (size, 2)))
-        result = dist_clust(chunk, prev)
+        result, _ = dist_clust_trace(chunk, prev)
         assert result.outliers + sum(c.chunk_count for c in result.clusters) == size
 
 
@@ -205,15 +203,15 @@ def test_dist_clust_running_mean_matches_retained_records():
 def test_dist_clust_deterministic():
     rng = np.random.default_rng(55)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    prev = summarize(base, KMeansParams(k=2, seed=0))
+    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
     chunk = Chunk(2, rng.uniform(0, 1, (30, 2)))
-    assert dist_clust(chunk, prev) == dist_clust(chunk, prev)
+    assert dist_clust_trace(chunk, prev) == dist_clust_trace(chunk, prev)
 
 
 def test_dist_clust_dimension_mismatch():
     prev = _result([(0.5, 0.5)])
     with pytest.raises(ValueError):
-        dist_clust(Chunk(2, [(0.5, 0.5, 0.5)]), prev)
+        dist_clust_trace(Chunk(2, [(0.5, 0.5, 0.5)]), prev)
 
 
 # ---------------------------------------------------------------- exactness

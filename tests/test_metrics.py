@@ -6,8 +6,6 @@ from scipy.optimize import linear_sum_assignment
 
 from streamclust import (
     Chunk,
-    ClusteringResult,
-    ClusterSummary,
     DriftConfig,
     build_report,
     dist_clust_trace,
@@ -16,7 +14,7 @@ from streamclust import (
     generate_synthetic,
     sdccl_spec,
     sse,
-    summarize,
+    summarize_trace,
     tcv_distance,
     true_cluster_values,
 )
@@ -70,7 +68,7 @@ def test_sse_online_equals_offline_replay():
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
     from streamclust import KMeansParams
 
-    prev = summarize(base, KMeansParams(k=2, seed=0))
+    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
     chunk = Chunk(2, rng.uniform(0, 1, (40, 2)))
     _, trace = dist_clust_trace(chunk, prev)
     online = sse(a for a in trace if a is not None)
@@ -145,51 +143,74 @@ def test_sdccl_class_means_sit_on_the_anchors():
         assert math.dist(tcvs[label], anchor) < 0.0075
 
 
-def _final(centroids):
-    return ClusteringResult(
-        tuple(ClusterSummary(c, 0.1, 10, 0) for c in centroids), 0, 1
-    )
-
-
 def test_tcv_distance_exact_match():
     refs = [(0.1, 0.1), (0.9, 0.9), (0.5, 0.5)]
-    match = tcv_distance(_final(refs), refs)
+    match = tcv_distance(refs, refs)
     assert match.distances == (0.0, 0.0, 0.0)
     assert match.unmatched_clusters == () and match.unmatched_references == ()
 
 
 def test_tcv_distance_single_offset():
-    match = tcv_distance(_final([(0.53, 0.54)]), [(0.5, 0.5)])
+    match = tcv_distance([(0.53, 0.54)], [(0.5, 0.5)])
     assert match.distances[0] == pytest.approx(0.05)
 
 
 def test_tcv_distance_matches_hungarian_oracle():
+    # every shape up to 12 x 12 on both sides of the diagonal, including the
+    # sizes above 8 that a greedy fallback used to pair, plus 12 centroids
+    # sitting exactly on 12 references
     rng = np.random.default_rng(33)
-    for _ in range(30):
-        centroids = [tuple(c) for c in rng.uniform(0, 1, size=(5, 2))]
-        refs = [tuple(c) for c in rng.uniform(0, 1, size=(5, 2))]
-        match = tcv_distance(_final(centroids), refs)
+    pts = [tuple(c) for c in np.random.default_rng(3).uniform(0, 1, size=(12, 2))]
+    cases = [(pts, pts)] + [
+        (rng.uniform(0, 1, size=(n, 2)).tolist(), rng.uniform(0, 1, size=(m, 2)).tolist())
+        for n in range(1, 13)
+        for m in range(1, 13)
+        for _ in range(3)
+    ]
+    for centroids, refs in cases:
+        match = tcv_distance(centroids, refs)
         cost = np.array([[math.dist(c, r) for r in refs] for c in centroids])
         rows, cols = linear_sum_assignment(cost)
         assert sum(match.distances) == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+        # random points have one optimum, so the pairs themselves must agree
+        assert [(i, j) for i, j, _ in match.pairs] == sorted(zip(rows.tolist(), cols.tolist()))
+        for i, j, d in match.pairs:
+            assert d == cost[i, j]
+        matched = {i for i, _, _ in match.pairs} | set(match.unmatched_clusters)
+        assert matched == set(range(len(centroids)))
+        matched = {j for _, j, _ in match.pairs} | set(match.unmatched_references)
+        assert matched == set(range(len(refs)))
+    assert tcv_distance(pts, pts).distances == (0.0,) * 12
 
 
 def test_tcv_distance_partial_when_counts_differ():
     centroids = [(0.1, 0.1), (0.9, 0.9)]
     refs = [(0.1, 0.1), (0.9, 0.9), (0.5, 0.5)]
-    match = tcv_distance(_final(centroids), refs)
+    match = tcv_distance(centroids, refs)
     assert len(match.pairs) == 2
     assert match.unmatched_references == (2,)
-    match = tcv_distance(_final(refs), refs[:2])
+    match = tcv_distance(refs, refs[:2])
     assert len(match.pairs) == 2
     assert match.unmatched_clusters == (2,)
 
 
-def test_tcv_distance_greedy_path_for_many_clusters():
-    rng = np.random.default_rng(3)
-    pts = [tuple(c) for c in rng.uniform(0, 1, size=(12, 2))]
-    match = tcv_distance(_final(pts), pts)
-    assert match.distances == (0.0,) * 12
+def test_tcv_distance_exact_tie_is_deterministic():
+    # two identical centroids tie for either reference
+    centroids = [(0.5, 0.5), (0.5, 0.5)]
+    refs = [(0.4, 0.5), (0.6, 0.5), (0.5, 0.9)]
+    first = tcv_distance(centroids, refs)
+    assert sum(first.distances) == pytest.approx(0.2, abs=1e-12)
+    assert first.unmatched_references == (2,)
+    for _ in range(5):
+        assert tcv_distance(centroids, refs) == first
+        assert tcv_distance(refs, centroids).distances == first.distances
+
+
+def test_tcv_distance_needs_both_sides():
+    with pytest.raises(ValueError, match="centroid to match"):
+        tcv_distance([], [(0.5, 0.5)])
+    with pytest.raises(ValueError, match="reference"):
+        tcv_distance([(0.5, 0.5)], [])
 
 
 def test_build_report_and_jsonl_round_trip():
