@@ -180,7 +180,16 @@ def test_tcv_distance_matches_hungarian_oracle():
         assert matched == set(range(len(centroids)))
         matched = {j for _, j, _ in match.pairs} | set(match.unmatched_references)
         assert matched == set(range(len(refs)))
-    assert tcv_distance(pts, pts).distances == (0.0,) * 12
+
+
+def test_tcv_distance_greedy_path_for_many_clusters():
+    # 12 clusters is above the size a greedy fallback once took over; the
+    # exact solver must still pair every centroid with the reference it sits on
+    rng = np.random.default_rng(3)
+    pts = [tuple(c) for c in rng.uniform(0, 1, size=(12, 2))]
+    match = tcv_distance(pts, pts)
+    assert match.distances == (0.0,) * 12
+    assert [(i, j) for i, j, _ in match.pairs] == [(i, i) for i in range(12)]
 
 
 def test_tcv_distance_partial_when_counts_differ():
