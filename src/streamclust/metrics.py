@@ -90,7 +90,8 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     Returns the (row, column) pairs, in column order, of the one-to-one
     assignment of every row with the least total cost. Each row enters in
     turn along the shortest augmenting path under the reduced costs:
-    O(n * n * m), and the same costs always give the same pairs.
+    O(n * n * m), and the same costs always give the same pairs. Costs must
+    be finite: a row of NaN or inf never finds a column and the search spins.
     """
     n, m = len(cost), len(cost[0])
     u = [0.0] * (n + 1)  # row potentials; index 0 is unused
@@ -134,7 +135,8 @@ def tcv_distance(
     """Match centroids to reference centroids, minimizing total distance.
 
     One-to-one over min(len(centroids), len(tcvs)) pairs, solved exactly for
-    any count. Leftovers on either side are reported as unmatched.
+    any count. Leftovers on either side are reported as unmatched. Every
+    coordinate must be finite.
     """
     found = [tuple(float(v) for v in c) for c in centroids]
     refs = [tuple(float(v) for v in t) for t in tcvs]
@@ -142,6 +144,8 @@ def tcv_distance(
         raise ValueError("need at least one centroid to match")
     if not refs:
         raise ValueError("need at least one reference centroid")
+    if not all(map(math.isfinite, (v for c in found + refs for v in c))):
+        raise ValueError("centroids to match must have finite coordinates")
     dist = [[math.dist(c, r) for r in refs] for c in found]
     n, m = len(found), len(refs)
     if n <= m:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 from streamclust import __version__, load_stream
@@ -268,6 +269,25 @@ def test_eval_report_without_centroids_is_an_error(tmp_path, capsys):
     summary = json.loads(lines[-1])
     summary["runs"][0]["final_centroids"] = []
     lines[-1] = json.dumps(summary)
+    report.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(out / "manifest.json"), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_eval_report_with_nan_centroid_is_an_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    main(["gen", "sdccl", "--seed", "7", "--out", str(out)])
+    run_out = tmp_path / "run"
+    main(["run", str(out / "manifest.json"), "--seed", "7", "--out", str(run_out)])
+    report = run_out / "metrics.jsonl"
+    lines = report.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary["runs"][0]["final_centroids"][0][1] = math.nan
+    lines[-1] = json.dumps(summary)
+    assert "NaN" in lines[-1]
     report.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["eval", str(out / "manifest.json"), str(report)]) == 1
