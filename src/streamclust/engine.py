@@ -217,17 +217,35 @@ def _result_to_doc(result: ClusteringResult) -> dict:
     }
 
 
+_INT = (int,)
+_NUMBER = (int, float)  # the types json.loads gives numbers; bool is neither
+
+
+def _field(doc: dict, key: str, kinds: tuple = _INT):
+    """doc[key], if json.loads gave it one of these types; else a ValueError
+    that names the field, so a hand-edited snapshot fails in one line."""
+    value = doc[key]
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"snapshot field {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def _result_from_doc(doc: dict) -> ClusteringResult:
-    return ClusteringResult(
-        tuple(
-            ClusterSummary(
-                tuple(c["centroid"]), c["radius"], c["lifetime_count"], c["chunk_count"]
+    clusters = []
+    for c in _field(doc, "clusters", (list,)):
+        if type(c) is not dict:
+            raise ValueError(f"snapshot field 'clusters' must hold objects, got {c!r}")
+        centroid = _field(c, "centroid", (list,))
+        if not centroid or any(type(x) not in _NUMBER for x in centroid):
+            raise ValueError(
+                f"snapshot field 'centroid' must be a non-empty list of numbers, got {centroid!r}"
             )
-            for c in doc["clusters"]
-        ),
-        doc["outliers"],
-        doc["timestamp"],
-    )
+        clusters.append(ClusterSummary(
+            tuple(centroid), _field(c, "radius", _NUMBER),
+            _field(c, "lifetime_count"), _field(c, "chunk_count"),
+        ))
+    return ClusteringResult(tuple(clusters), _field(doc, "outliers"), _field(doc, "timestamp"))
 
 
 def state_to_json(state: EngineState) -> str:
@@ -253,21 +271,26 @@ def state_to_json(state: EngineState) -> str:
 def state_from_json(text: str) -> EngineState:
     """Rebuild the engine state from state_to_json's output, validating it."""
     doc = json.loads(text)
-    if doc.get("format") != SNAPSHOT_FORMAT:
+    if type(doc) is not dict or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
-    cfg = doc["config"]
-    parallel = doc["parallel"]
+    cfg = _field(doc, "config", (dict,))
+    parallel = _field(doc, "parallel", (dict, type(None)))
     if doc["is_concept_drift"] != (parallel is not None):
         raise ValueError("snapshot must hold a parallel model exactly while drift is active")
     return EngineState(
-        main=_result_from_doc(doc["main"]),
+        main=_result_from_doc(_field(doc, "main", (dict,))),
         parallel=None
         if parallel is None
-        else ParallelState(_result_from_doc(parallel["result"]), parallel["strike"]),
-        timestamp=doc["timestamp"],
+        else ParallelState(
+            _result_from_doc(_field(parallel, "result", (dict,))), _field(parallel, "strike")
+        ),
+        timestamp=_field(doc, "timestamp"),
         config=DriftConfig(
-            k=cfg["k"], o_thresh=cfg["o_thresh"], d_thresh=cfg["d_thresh"], seed=cfg["seed"]
+            k=_field(cfg, "k"),
+            o_thresh=_field(cfg, "o_thresh", _NUMBER),
+            d_thresh=_field(cfg, "d_thresh", _NUMBER),
+            seed=_field(cfg, "seed"),
         ),
     )

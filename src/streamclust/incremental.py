@@ -8,10 +8,13 @@ arrive, and the same input order always yields bit-identical output.
 
 A cluster that absorbs its n-th record moves its centroid c towards the
 record v by (1 - 1/n) * c + (1/n) * v, coordinate by coordinate, which keeps
-it the exact running mean. The update goes through one generated function per
-dimensionality, built on first use and cached, so the loop pays one call per
-absorbed record and no per-coordinate iteration. dist_clust_trace is the one
-absorb function; the engine reports its per-record trace and metrics score it.
+it the exact running mean. The whole pass over a chunk is one generated
+function per (k clusters, d dimensions), built from the two integers on first
+use and cached: the nearest-centroid scan is unrolled into k distance calls
+and the update into one tuple of d terms, so the loop pays no per-cluster or
+per-coordinate iteration and no call beyond math.dist. dist_clust_trace is
+the one absorb function; the engine reports its per-record trace and metrics
+score it.
 """
 
 import functools
@@ -20,18 +23,53 @@ import math
 from .core import Assignment, Chunk, ClusteringResult, ClusterSummary
 
 
-@functools.cache
-def _lerp_kernel(dimensions: int):
-    """The centroid update for one dimensionality d, as generated code:
+@functools.lru_cache(maxsize=None, typed=True)
+def _absorb_kernel(clusters: int, dimensions: int):
+    """The absorb pass for k clusters in d dimensions, as generated code.
 
-        lambda c, v, keep, w: (keep * c[0] + w * v[0], ..., keep * c[d-1] + w * v[d-1],)
-
-    Generated from the integer alone, because the alternatives cost more per
-    call on Python 3.11: a list comprehension gets its own frame, and map
-    chains over operator.mul/operator.add measured slower too.
+    absorb(rows, centroids, radii, lifetimes, deltas) updates centroids,
+    lifetimes and deltas in place and returns the outlier count and the
+    per-record trace. Its scan holds k dist() calls, each followed by
+    `if x < b`, so ties keep the lowest index; its update is one tuple of d
+    `keep * c[j] + w * v[j]` terms. The source comes from the two integers
+    alone, checked before any code is built; typed caching keeps 2.0 or True
+    from reusing the kernel cached for 2 or 1. Generated, because on Python
+    3.11 range(), list indexing and a call per absorbed record cost more than
+    the distance work at small k and d.
     """
-    terms = "".join(f"keep * c[{i}] + w * v[{i}], " for i in range(dimensions))
-    return eval(f"lambda c, v, keep, w: ({terms})")
+    if type(clusters) is not int or type(dimensions) is not int:
+        raise TypeError(f"kernel shape must be two ints, got {clusters!r}, {dimensions!r}")
+    scan = "".join(
+        f"        x = dist(v, centroids[{j}])\n"
+        f"        if x < b: b = x; i = {j}\n"
+        for j in range(1, clusters)
+    )
+    mean = "".join(f"keep * c[{j}] + w * v[{j}], " for j in range(dimensions))
+    source = (
+        "def absorb(rows, centroids, radii, lifetimes, deltas):\n"
+        "    dist = math.dist\n"
+        "    trace = []\n"
+        "    append = trace.append\n"
+        "    outliers = 0\n"
+        "    for v in rows:\n"
+        "        b = dist(v, centroids[0]); i = 0\n"
+        f"{scan}"
+        "        if b <= radii[i]:\n"
+        "            n = lifetimes[i] = lifetimes[i] + 1\n"
+        "            deltas[i] += 1\n"
+        "            w = 1.0 / n\n"
+        "            keep = 1.0 - w\n"
+        "            c = centroids[i]\n"
+        f"            centroids[i] = ({mean})\n"
+        "            append((i, b))\n"
+        "        else:\n"
+        "            outliers += 1\n"
+        "            append(None)\n"
+        "    return outliers, trace\n"
+    )
+    namespace = {"math": math}
+    exec(compile(source, f"<absorb kernel k={clusters} d={dimensions}>", "exec"), namespace)
+    return namespace["absorb"]
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
@@ -52,28 +90,9 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     centroids = [c.centroid for c in prev.clusters]
     radii = [c.radius for c in prev.clusters]
     lifetimes = [c.lifetime_count for c in prev.clusters]
-    deltas = [0] * len(prev.clusters)  # per-chunk counts restart each call
-    outliers = 0
-    trace: list[Assignment] = []
-
-    dist = math.dist
-    lerp = _lerp_kernel(chunk.dimensions)
-    for values in chunk.rows():
-        best = 0
-        best_dist = dist(values, centroids[0])
-        for idx in range(1, len(centroids)):
-            d = dist(values, centroids[idx])
-            if d < best_dist:
-                best, best_dist = idx, d
-        if best_dist <= radii[best]:
-            n = lifetimes[best] = lifetimes[best] + 1
-            deltas[best] += 1
-            w = 1.0 / n
-            centroids[best] = lerp(centroids[best], values, 1.0 - w, w)
-            trace.append((best, best_dist))
-        else:
-            outliers += 1
-            trace.append(None)
+    deltas = [0] * len(centroids)  # per-chunk counts restart each call
+    absorb = _absorb_kernel(len(centroids), chunk.dimensions)
+    outliers, trace = absorb(chunk.rows(), centroids, radii, lifetimes, deltas)
 
     clusters = tuple(
         ClusterSummary(centroids[i], radii[i], lifetimes[i], deltas[i])

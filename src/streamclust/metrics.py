@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -201,21 +202,20 @@ def step_metrics(
     columns. Outliers carry no assignment and contribute to neither metric.
     """
     assignments = report.assignments
-    absorbed = [i for i, a in enumerate(assignments) if a is not None]
-    hits = [assignments[i] for i in absorbed]
+    # An assignment is a non-empty tuple, so truthy; an outlier is None.
+    hits = list(filter(None, assignments))
     sse_value = sse(hits)
     clusters = [cluster for cluster, _ in hits]
-    if not absorbed:
+    if not hits:
         entropy_value = 0.0
     elif label_sets is None:
         if chunk.labels is None:
             raise ValueError("entropy needs labeled assignments")
-        labels = chunk.labels.tolist()
-        entropy_value = entropy(zip(clusters, [labels[i] for i in absorbed]))
+        entropy_value = entropy(zip(clusters, compress(chunk.labels.tolist(), assignments)))
     else:
         columns = np.asarray(label_sets).T.tolist()
         entropy_value = sum(
-            entropy(zip(clusters, [column[i] for i in absorbed])) for column in columns
+            entropy(zip(clusters, compress(column, assignments))) for column in columns
         ) / len(columns)
     return TimestepMetrics(
         timestamp=report.timestamp,

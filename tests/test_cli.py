@@ -1,6 +1,7 @@
 import json
 import math
-import re
+
+import pytest
 
 from streamclust import __version__, load_stream
 from streamclust.cli import main
@@ -212,20 +213,50 @@ def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
         assert row["outliers"] == full_row["outliers"]
 
 
-def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
+def _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field):
+    # the snapshot after chunk 4 of sdwcd seed 7 holds a parallel model
     out = _sdwcd(tmp_path, capsys)
     manifest = str(out / "manifest.json")
     snap = tmp_path / "snap.json"
     assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
                  "--out", str(tmp_path / "part")]) == 0
-    text = snap.read_text()
-    snap.write_text(re.sub(r'"radius": [^,\n]+', '"radius": NaN', text, count=1))
+    doc = json.loads(snap.read_text())
+    edit(doc)
+    snap.write_text(json.dumps(doc))
     capsys.readouterr()
     resume_out = tmp_path / "rest"
     assert main(["resume", manifest, "--snapshot", str(snap), "--out", str(resume_out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "radius" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
     assert not resume_out.exists()
+
+
+def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
+    def edit(doc):
+        doc["main"]["clusters"][0]["radius"] = math.nan
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radius")
+
+
+_WRONG_TYPES = {
+    "string_radius": (("main", "clusters", 0, "radius"), "x", "radius"),
+    "string_strike": (("parallel", "strike"), "1", "strike"),
+    "null_coordinate": (("main", "clusters", 1, "centroid", 0), None, "centroid"),
+    "string_lifetime_count": (("parallel", "result", "clusters", 0, "lifetime_count"), "7",
+                              "lifetime_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_resume_from_snapshot_with_wrong_type_is_an_error(tmp_path, capsys, case):
+    path, value, field = _WRONG_TYPES[case]
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field)
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):

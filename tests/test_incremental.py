@@ -13,6 +13,7 @@ from streamclust import (
     dist_clust_trace,
     summarize_trace,
 )
+from streamclust import incremental
 
 
 def _result(centroids, radius=0.1, lifetime=5, timestamp=1):
@@ -216,8 +217,8 @@ def test_dist_clust_dimension_mismatch():
 
 # ---------------------------------------------------------------- exactness
 #
-# The absorb pass updates centroids through a generated kernel per
-# dimensionality. It must stay bit-identical to the plain update below.
+# The absorb pass runs as one generated kernel per (k, d): k clusters in d
+# dimensions. It must stay bit-identical to the plain pass below.
 
 
 def _reference_absorb(rows, prev):
@@ -314,3 +315,45 @@ def test_dist_clust_single_cluster_matches_reference():
     rng = np.random.default_rng(4)
     prev = ClusteringResult((ClusterSummary((0.5, 0.5, 0.5), 0.6, 10, 0),), 0, 1)
     _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(5000, 3))), prev)
+
+
+def test_dist_clust_many_clusters_matches_reference():
+    # k = 40 unrolls into 40 distance calls; half the rows sit at exact
+    # midpoints of two starting centroids, which tie, and clusters 7 and 39
+    # start at one point, so the first record near it must go to 7
+    rng = np.random.default_rng(6)
+    centroids = (rng.integers(-8, 9, size=(40, 3)) / 4).tolist()
+    centroids[39] = centroids[7]
+    prev = ClusteringResult(
+        tuple(ClusterSummary(c, _RADII[i % len(_RADII)], 3, 0) for i, c in enumerate(centroids)),
+        0, 1,
+    )
+    pairs = rng.integers(40, size=(1500, 2))
+    ties = [[(x + y) / 2 for x, y in zip(centroids[a], centroids[b])] for a, b in pairs]
+    rows = np.vstack([ties, rng.uniform(-2.5, 2.5, size=(1500, 3))])
+    _assert_matches_reference(Chunk(2, rows[rng.permutation(3000)]), prev)
+
+
+def test_dist_clust_alternating_shapes_match_reference():
+    # cached kernels are reused across calls and shapes: none may carry
+    # state from one call into the next
+    rng = np.random.default_rng(8)
+    for k, d in ((3, 2), (5, 2), (3, 2), (1, 4)):
+        prev = ClusteringResult(
+            tuple(ClusterSummary(c, 0.5, 2, 0) for c in rng.uniform(0, 1, size=(k, d)).tolist()),
+            0, 1,
+        )
+        _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(200, d))), prev)
+
+
+def test_absorb_kernel_takes_ints_only(monkeypatch):
+    incremental._absorb_kernel(2, 2)  # a cached int shape must not serve 2.0 or True
+
+    def refuse(*args):
+        raise AssertionError("kernel source was built from a non-int shape")
+
+    monkeypatch.setattr(incremental, "exec", refuse, raising=False)
+    monkeypatch.setattr(incremental, "compile", refuse, raising=False)
+    for shape in (("2", 2), (2.0, 2), (True, 2), (2, "1]); import os; (c[0")):
+        with pytest.raises(TypeError):
+            incremental._absorb_kernel(*shape)
