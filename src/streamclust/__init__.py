@@ -9,7 +9,7 @@ metrics and a CLI (``streamclust --help``).
 
 __version__ = "0.1.0"
 
-from .bootstrap import KMeansParams, get_max_dist, kmeans, summarize_trace
+from .bootstrap import KMeansParams, kmeans, summarize_trace
 from .core import (
     Chunk,
     ClusteringResult,
@@ -63,7 +63,7 @@ __all__ = [
     "__version__",
     "Chunk", "ClusterSummary", "ClusteringResult", "DriftConfig",
     "minmax_normalize",
-    "KMeansParams", "kmeans", "get_max_dist", "summarize_trace",
+    "KMeansParams", "kmeans", "summarize_trace",
     "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
     "EngineState", "ParallelState", "StepReport", "init", "step", "run",

@@ -107,14 +107,6 @@ def kmeans(chunk: Chunk, params: KMeansParams) -> list[tuple[tuple[float, ...], 
     ]
 
 
-def get_max_dist(centroid, members) -> float:
-    """Distance from the centroid to its farthest member row; becomes the radius."""
-    members = np.asarray(members, dtype=float).tolist()
-    if not members:
-        raise ValueError("cluster has no members")
-    return max(math.dist(centroid, row) for row in members)
-
-
 def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
     """Cluster a chunk and keep only the summaries; the records are dropped.
 

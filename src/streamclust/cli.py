@@ -24,6 +24,7 @@ from .metrics import (
     build_report,
     parse_jsonl,
     reports_to_jsonl,
+    step_metrics,
     tcv_distance,
     true_cluster_values,
 )
@@ -159,6 +160,26 @@ def _k_policy(k: int | None):
     return "labels", _labels_k
 
 
+def _scored_run(state, chunks, k_for_chunk, ac_sets, tcvs, config=None):
+    """Drive the engine over chunks, scoring each step as it ends.
+
+    Continues from state, or bootstraps on the first chunk under config when
+    state is None. Each step's StepReport, with one assignment per record,
+    becomes one small metrics row and is dropped before the next step runs.
+    Returns the final state and the run's report.
+    """
+    rows = []
+    for i, chunk in enumerate(chunks):
+        k = k_for_chunk(chunk)
+        if state is None:
+            state, report = engine.bootstrap(chunk, config, k)
+        else:
+            state, report = engine.step(state, chunk, k)
+        rows.append(step_metrics(chunk, report, ac_sets[i] if ac_sets else None))
+        del report  # so the next step runs with no earlier step's records alive
+    return state, build_report(rows, state.main, tcvs)
+
+
 def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
     """Write metrics.jsonl, cluster_counts.tsv and the optional snapshot; print the summary."""
     out = Path(out_dir)
@@ -213,8 +234,8 @@ def cmd_run(args) -> int:
         config = DriftConfig(
             k=base_k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=args.seed + i
         )
-        state, reports = engine.run(chunks, config, k_for_chunk)
-        runs.append(build_report(chunks, reports, state.main, ac, tcvs))
+        state, run_report = _scored_run(None, chunks, k_for_chunk, ac, tcvs, config)
+        runs.append(run_report)
 
     meta = {
         "tool_version": __version__,
@@ -234,21 +255,21 @@ def cmd_run(args) -> int:
 def cmd_resume(args) -> int:
     data = load_stream(args.manifest)
     state = engine.state_from_json(Path(args.snapshot).read_text(encoding="utf-8"))
+    if state.main.dimensions != data.chunks[0].dimensions:
+        raise ValueError(
+            f"snapshot {args.snapshot} has {state.main.dimensions}-D centroids but the "
+            f"stream has {data.chunks[0].dimensions} dimensions; wrong snapshot/manifest pair?"
+        )
     remaining = [c for c in data.chunks if c.timestamp > state.timestamp]
     if not remaining:
         raise ValueError(
             f"snapshot already covers t={state.timestamp}; nothing left to process"
         )
     k_policy, k_for_chunk = _k_policy(args.k)
-    reports = []
-    for chunk in remaining:
-        state, report = engine.step(state, chunk, k_for_chunk(chunk))
-        reports.append(report)
-
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
     offset = len(data.chunks) - len(remaining)
     ac = list(data.ac_sets[offset:]) if data.ac_sets else None
-    run_report = build_report(remaining, reports, state.main, ac, tcvs)
+    state, run_report = _scored_run(state, remaining, k_for_chunk, ac, tcvs)
 
     meta = {
         "tool_version": __version__,

@@ -110,7 +110,13 @@ def _report(timestamp, event, active, verdict, parallel_active, strike,
     )
 
 
-def _init_trace(first_chunk: Chunk, config: DriftConfig, k: int | None = None):
+def bootstrap(first_chunk: Chunk, config: DriftConfig,
+              k: int | None = None) -> tuple[EngineState, StepReport]:
+    """Bootstrap the engine on the first chunk of a stream, with its report.
+
+    k overrides config.k for this bootstrap only (callers that derive k per
+    chunk inject it here; the engine itself never looks at labels).
+    """
     started = time.perf_counter()
     main, assignments = summarize_trace(first_chunk, _bootstrap_params(config, first_chunk.timestamp, k))
     state = EngineState(main, None, first_chunk.timestamp, config)
@@ -120,12 +126,8 @@ def _init_trace(first_chunk: Chunk, config: DriftConfig, k: int | None = None):
 
 
 def init(first_chunk: Chunk, config: DriftConfig, k: int | None = None) -> EngineState:
-    """Bootstrap the engine on the first chunk of a stream.
-
-    k overrides config.k for this bootstrap only (callers that derive k per
-    chunk inject it here; the engine itself never looks at labels).
-    """
-    state, _ = _init_trace(first_chunk, config, k)
+    """bootstrap() without the report: the bare state to step from."""
+    state, _ = bootstrap(first_chunk, config, k)
     return state
 
 
@@ -193,7 +195,7 @@ def run(stream, config: DriftConfig, k_for_chunk=None) -> tuple[EngineState, lis
     first = next(iterator, None)
     if first is None:
         raise ValueError("stream yielded no chunks")
-    state, report = _init_trace(first, config, k_for_chunk(first) if k_for_chunk else None)
+    state, report = bootstrap(first, config, k_for_chunk(first) if k_for_chunk else None)
     reports = [report]
     for chunk in iterator:
         state, report = step(state, chunk, k_for_chunk(chunk) if k_for_chunk else None)
@@ -279,13 +281,17 @@ def state_from_json(text: str) -> EngineState:
     parallel = _field(doc, "parallel", (dict, type(None)))
     if doc["is_concept_drift"] != (parallel is not None):
         raise ValueError("snapshot must hold a parallel model exactly while drift is active")
+    main = _result_from_doc(_field(doc, "main", (dict,)))
+    para = None if parallel is None else _result_from_doc(_field(parallel, "result", (dict,)))
+    results = (main,) if para is None else (main, para)
+    lengths = sorted({len(c.centroid) for r in results for c in r.clusters})
+    if len(lengths) > 1:
+        raise ValueError(
+            f"snapshot field 'centroid' must have one length in every cluster, got {lengths}"
+        )
     return EngineState(
-        main=_result_from_doc(_field(doc, "main", (dict,))),
-        parallel=None
-        if parallel is None
-        else ParallelState(
-            _result_from_doc(_field(parallel, "result", (dict,))), _field(parallel, "strike")
-        ),
+        main=main,
+        parallel=None if para is None else ParallelState(para, _field(parallel, "strike")),
         timestamp=_field(doc, "timestamp"),
         config=DriftConfig(
             k=_field(cfg, "k"),

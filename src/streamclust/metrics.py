@@ -1,12 +1,15 @@
 """Clustering quality metrics and per-run reporting.
 
 Entropy and SSE work on per-record assignments captured while a chunk was
-processed, so nothing here requires retained records. Reference centroids for
-a labeled stream are the per-class means over all chunks merged; a run is
-scored by matching its final centroids against them one-to-one, with the
-exact minimum-total-distance assignment (Kuhn-Munkres) for any count on
-either side. The engine's StepReports are only read here, through their
-fields, so this module does not import the engine.
+processed, so nothing here requires retained records. A run is scored as it
+goes: step_metrics turns each step's report into one small TimestepMetrics
+row as soon as the step ends, and build_report folds those rows and the final
+clustering into the run's report, so no per-record data outlives its step.
+Reference centroids for a labeled stream are the per-class means over all
+chunks merged; a run is scored by matching its final centroids against them
+one-to-one, with the exact minimum-total-distance assignment (Kuhn-Munkres)
+for any count on either side. The engine's StepReports are only read here,
+through their fields, so this module does not import the engine.
 """
 
 import json
@@ -171,6 +174,7 @@ class TimestepMetrics:
     cluster_count: int
     outliers: int
     duration_s: float
+    event: str
 
 
 @dataclass(frozen=True)
@@ -224,22 +228,26 @@ def step_metrics(
         cluster_count=report.cluster_count,
         outliers=report.outliers,
         duration_s=report.duration_s,
+        event=report.event,
     )
 
 
 def build_report(
-    chunks: Sequence[Chunk],
-    reports: Sequence,
+    steps: Sequence[TimestepMetrics],
     final: ClusteringResult,
-    ac_sets=None,
     tcvs: Sequence[Sequence[float]] | None = None,
 ) -> MetricsReport:
-    if len(chunks) != len(reports):
-        raise ValueError("chunks and step reports must align")
-    steps = tuple(
-        step_metrics(chunk, rep, ac_sets[i] if ac_sets else None)
-        for i, (chunk, rep) in enumerate(zip(chunks, reports))
-    )
+    """Fold one run's per-step rows, in step order, and its final clustering
+    into the run's report.
+
+    The means and the runtime are sums over the rows in order; the final
+    centroids are matched against tcvs, the reference centroids, when given.
+    Only the rows are needed, so a caller can score each step as it ends and
+    let its StepReport go.
+    """
+    steps = tuple(steps)
+    if not steps:
+        raise ValueError("a report needs at least one step")
     final_centroids = tuple(c.centroid for c in final.clusters)
     return MetricsReport(
         steps=steps,
@@ -247,7 +255,7 @@ def build_report(
         mean_sse=sum(s.sse for s in steps) / len(steps),
         total_runtime_s=sum(s.duration_s for s in steps),
         final_centroids=final_centroids,
-        events=tuple(r.event for r in reports),
+        events=tuple(s.event for s in steps),
         tcv=tcv_distance(final_centroids, tcvs) if tcvs else None,
     )
 

@@ -6,7 +6,6 @@ import pytest
 from streamclust import (
     Chunk,
     KMeansParams,
-    get_max_dist,
     kmeans,
     summarize_trace,
 )
@@ -97,31 +96,41 @@ def test_lloyd_sse_non_increasing():
         assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
 
 
-def test_get_max_dist_single_coincident_point():
-    assert get_max_dist((0.0, 0.0), [(0.0, 0.0)]) == 0.0
+def test_summarize_radius_of_coincident_records_is_zero():
+    chunk = Chunk(1, [(0.25, 0.75)] * 3)
+    result, assignments = summarize_trace(chunk, KMeansParams(k=1, seed=0))
+    assert [c.radius for c in result.clusters] == [0.0]
+    assert assignments == ((0, 0.0),) * 3
 
 
-def test_get_max_dist_takes_maximum():
-    members = [(0.3, 0.4), (0.1, 0.0)]
-    assert get_max_dist((0.0, 0.0), members) == pytest.approx(0.5)
+def test_summarize_radius_takes_maximum():
+    # the mean of these four records is the origin; the farthest is 0.5 away
+    chunk = Chunk(1, [(0.3, 0.4), (0.1, 0.0), (-0.3, -0.4), (-0.1, 0.0)])
+    result, _ = summarize_trace(chunk, KMeansParams(k=1, seed=0))
+    assert result.clusters[0].centroid == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert result.clusters[0].radius == pytest.approx(0.5)
 
 
-def test_get_max_dist_matches_brute_force():
+def test_summarize_radius_matches_brute_force():
     rng = np.random.default_rng(21)
-    members = rng.uniform(0, 1, size=(50, 3))
-    centroid = tuple(rng.uniform(0, 1, size=3))
-    # brute-force oracle: explicit loop over every member
-    expected = 0.0
-    for row in members.tolist():
-        d = math.dist(centroid, row)
-        if d > expected:
-            expected = d
-    assert get_max_dist(centroid, members) == expected
+    chunk = Chunk(1, rng.uniform(0, 1, size=(50, 3)))
+    result, assignments = summarize_trace(chunk, KMeansParams(k=3, seed=4))
+    # brute-force oracle: explicit loop over every member of each cluster
+    expected = [0.0] * len(result.clusters)
+    for row, (cluster, _) in zip(chunk.values.tolist(), assignments):
+        d = math.dist(result.clusters[cluster].centroid, row)
+        if d > expected[cluster]:
+            expected[cluster] = d
+    assert [c.radius for c in result.clusters] == expected
 
 
-def test_get_max_dist_empty_members():
+def test_summarize_radius_needs_members():
+    # a cluster with no member has no radius: k above the record count is
+    # refused, and a cluster left empty on coincident records is dropped
     with pytest.raises(ValueError):
-        get_max_dist((0.0,), [])
+        summarize_trace(Chunk(1, [(0.1,), (0.2,)]), KMeansParams(k=3, seed=0))
+    result, _ = summarize_trace(Chunk(1, [(0.4,)] * 4), KMeansParams(k=2, seed=0))
+    assert [(c.radius, c.chunk_count) for c in result.clusters] == [(0.0, 4)]
 
 
 def test_summarize_counts_equal_membership():

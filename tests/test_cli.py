@@ -1,9 +1,10 @@
 import json
 import math
+import weakref
 
 import pytest
 
-from streamclust import __version__, load_stream
+from streamclust import __version__, engine, load_stream
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -257,6 +258,54 @@ def test_resume_from_snapshot_with_wrong_type_is_an_error(tmp_path, capsys, case
         doc[path[-1]] = value
 
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field)
+
+
+def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):
+    def edit(doc):
+        doc["main"]["clusters"][1]["centroid"].append(0.5)
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "'centroid'")
+
+
+def test_resume_from_snapshot_of_other_dimensionality_is_an_error(tmp_path, capsys):
+    # every centroid 3-D against the 2-D stream: a consistent snapshot of
+    # some other stream, so the error names the snapshot file
+    def edit(doc):
+        for result in (doc["main"], doc["parallel"]["result"]):
+            for cluster in result["clusters"]:
+                cluster["centroid"].append(0.5)
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "snap.json")
+
+
+def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeypatch):
+    # each StepReport carries one assignment per record; a command that kept
+    # them all would hold the whole stream's worth until it ends
+    out = _sdwcd(tmp_path, capsys)
+    manifest = str(out / "manifest.json")
+    steps = len(load_stream(manifest).chunks)
+    refs = []
+
+    def one_at_a_time(fn):
+        def wrapper(*args, **kwargs):
+            alive = [r.timestamp for r in (ref() for ref in refs) if r is not None]
+            assert not alive, f"StepReports of earlier steps still alive: t={alive}"
+            state, report = fn(*args, **kwargs)
+            refs.append(weakref.ref(report))
+            return state, report
+        return wrapper
+
+    monkeypatch.setattr(engine, "bootstrap", one_at_a_time(engine.bootstrap))
+    monkeypatch.setattr(engine, "step", one_at_a_time(engine.step))
+    assert main(["run", manifest, "--repeat", "2", "--out", str(tmp_path / "run")]) == 0
+    assert len(refs) == 2 * steps
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    assert main(["resume", manifest, "--snapshot", str(snap),
+                 "--out", str(tmp_path / "rest")]) == 0
+    assert len(refs) == 3 * steps
+    assert all(ref() is None for ref in refs)
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):

@@ -167,6 +167,15 @@ def test_step_dimension_mismatch():
         engine.step(state, Chunk(2, [(0.1, 0.1, 0.1)]))
 
 
+def test_bootstrap_reports_the_state_init_returns():
+    chunk = _boot_chunk()
+    state, report = engine.bootstrap(chunk, CFG)
+    assert state == engine.init(chunk, CFG)
+    assert report.event == "bootstrap" and report.timestamp == 1
+    assert len(report.assignments) == len(chunk)
+    assert report.outliers + sum(report.cluster_deltas) == len(chunk)
+
+
 def test_run_empty_stream():
     with pytest.raises(ValueError):
         engine.run([], CFG)
@@ -244,3 +253,22 @@ def test_parallel_state_invariants():
             assert 1 <= state.parallel.strike <= 3
         if report.event == "swapped":
             assert report.strike == 4 and state.parallel is None
+
+
+def test_snapshot_rejects_centroids_of_different_lengths():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    cfg = DriftConfig(k=5, seed=5)
+    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
+    for chunk in chunks[1:4]:
+        state, _ = engine.step(state, chunk, labels_k(chunk))
+    assert state.is_concept_drift
+    text = engine.state_to_json(state)
+    # one cluster of one result, and every cluster of the parallel result
+    ragged = json.loads(text)
+    ragged["main"]["clusters"][1]["centroid"].append(0.5)
+    parallel_only = json.loads(text)
+    for cluster in parallel_only["parallel"]["result"]["clusters"]:
+        cluster["centroid"].append(0.5)
+    for doc in (ragged, parallel_only):
+        with pytest.raises(ValueError, match="'centroid'"):
+            engine.state_from_json(json.dumps(doc))

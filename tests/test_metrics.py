@@ -14,6 +14,7 @@ from streamclust import (
     generate_synthetic,
     sdccl_spec,
     sse,
+    step_metrics,
     summarize_trace,
     tcv_distance,
     true_cluster_values,
@@ -228,10 +229,13 @@ def test_build_report_and_jsonl_round_trip():
     cfg = DriftConfig(k=5, seed=7)
     state, reports = engine.run(chunks, cfg, labels_k)
     tcvs = [c for _, c in true_cluster_values(chunks)]
-    report = build_report(chunks, reports, state.main, tcvs=tcvs)
+    rows = [step_metrics(chunk, rep) for chunk, rep in zip(chunks, reports)]
+    report = build_report(rows, state.main, tcvs=tcvs)
 
     assert len(report.steps) == 7
     assert report.cluster_counts == (5, 5, 5, 5, 1, 5, 5)
+    assert report.events == tuple(rep.event for rep in reports)
+    assert report.events[0] == "bootstrap"
     assert report.events.count("activated") == 1
     assert report.mean_sse >= 0.0
     assert report.total_runtime_s > 0.0
@@ -243,13 +247,12 @@ def test_build_report_and_jsonl_round_trip():
     assert meta["note"] == "unit"
     assert len(steps) == 7
     assert steps[0]["timestamp"] == 1
+    assert not any("event" in row for row in steps)  # events live in the summary
     assert summary["runs"][0]["cluster_counts"] == [5, 5, 5, 5, 1, 5, 5]
     assert summary["runs"][0]["tcv_distances"] == list(report.tcv.distances)
 
 
 def test_step_metrics_averages_artificial_label_sets():
-    from streamclust import step_metrics
-
     chunks = generate_synthetic(sdccl_spec(seed=7))[:1]
     cfg = DriftConfig(k=5, seed=7)
     state, reports = engine.run(chunks, cfg, labels_k)
