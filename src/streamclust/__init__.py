@@ -9,14 +9,8 @@ metrics and a CLI (``streamclust --help``).
 
 __version__ = "0.1.0"
 
-from .bootstrap import KMeansParams, kmeans, summarize_trace
-from .core import (
-    Chunk,
-    ClusteringResult,
-    ClusterSummary,
-    DriftConfig,
-    minmax_normalize,
-)
+from .bootstrap import kmeans, summarize_trace
+from .core import Chunk, ClusteringResult, DriftConfig, minmax_normalize
 from .drift import DriftCause, DriftVerdict, detect
 from .engine import (
     EngineState,
@@ -61,9 +55,9 @@ from .streams import (
 
 __all__ = [
     "__version__",
-    "Chunk", "ClusterSummary", "ClusteringResult", "DriftConfig",
+    "Chunk", "ClusteringResult", "DriftConfig",
     "minmax_normalize",
-    "KMeansParams", "kmeans", "summarize_trace",
+    "kmeans", "summarize_trace",
     "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
     "EngineState", "ParallelState", "StepReport", "init", "step", "run",

@@ -9,24 +9,13 @@ assignment.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Chunk, ClusteringResult, ClusterSummary
+from .core import Assignment, Chunk, ClusteringResult
 
-
-@dataclass(frozen=True)
-class KMeansParams:
-    k: int
-    max_iterations: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+# Lloyd iterations stop here even if assignments still change.
+MAX_ITERATIONS = 100
 
 
 def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -73,59 +62,58 @@ def _repair_empty(matrix, centroids, labels, dists):
     return labels
 
 
-def _lloyd(matrix: np.ndarray, params: KMeansParams):
+def _lloyd(matrix: np.ndarray, k: int, seed: int):
     """Run Lloyd iterations; returns (centroids, labels)."""
-    centroids = _farthest_point_init(matrix, params.k, params.seed)
+    centroids = _farthest_point_init(matrix, k, seed)
     labels = np.full(len(matrix), -1, dtype=int)
-    for _ in range(params.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         dists = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = dists.argmin(axis=1)
         new_labels = _repair_empty(matrix, centroids, new_labels, dists)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for cluster in range(params.k):
+        for cluster in range(k):
             members = matrix[labels == cluster]
             if len(members):
                 centroids[cluster] = members.mean(axis=0)
     return centroids, labels
 
 
-def kmeans(chunk: Chunk, params: KMeansParams) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
+def kmeans(chunk: Chunk, k: int, seed: int) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
     """Cluster one chunk into k groups.
 
     Returns k (centroid, member record indices) pairs. Every record lands in
     exactly one group; iteration stops when assignments are stable or after
-    max_iterations. Deterministic for a fixed seed.
+    MAX_ITERATIONS. Deterministic for a fixed seed.
     """
-    if params.k > len(chunk):
-        raise ValueError(f"k={params.k} exceeds chunk size {len(chunk)}")
-    centroids, labels = _lloyd(chunk.values, params)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(chunk):
+        raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
+    centroids, labels = _lloyd(chunk.values, k, seed)
     return [
         (tuple(centroids[c].tolist()), tuple(np.flatnonzero(labels == c).tolist()))
-        for c in range(params.k)
+        for c in range(k)
     ]
 
 
-def summarize_trace(chunk: Chunk, params: KMeansParams) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
+def summarize_trace(chunk: Chunk, k: int, seed: int) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
     """Cluster a chunk and keep only the summaries; the records are dropped.
 
     Each cluster's lifetime and per-chunk counts start at its member count and
     its radius is the farthest member's distance from the centroid. Also
     returns every record's (cluster, distance to its centroid) assignment.
     """
-    pairs = kmeans(chunk, params)
+    pairs = [pair for pair in kmeans(chunk, k, seed) if pair[1]]  # drop unrepairable empties
     rows = chunk.rows()
-    summaries = []
+    radii = []
     assignments: list[Assignment] = [None] * len(chunk)
-    for centroid, member_idx in pairs:
-        if not member_idx:
-            continue  # unrepairable empty cluster: drop it
-        position = len(summaries)
+    for position, (centroid, member_idx) in enumerate(pairs):
         dists = [math.dist(centroid, rows[i]) for i in member_idx]
         for i, d in zip(member_idx, dists):
             assignments[i] = (position, d)
-        count = len(member_idx)
-        summaries.append(ClusterSummary(centroid, max(dists), count, count))
-    result = ClusteringResult(tuple(summaries), 0, chunk.timestamp)
+        radii.append(max(dists))
+    counts = [len(member_idx) for _, member_idx in pairs]
+    result = ClusteringResult([c for c, _ in pairs], radii, counts, counts, 0, chunk.timestamp)
     return result, tuple(assignments)

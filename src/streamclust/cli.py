@@ -14,6 +14,7 @@ fixed constant 7, never the clock. The drift thresholds default to 0.18 /
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,9 @@ from .metrics import (
     true_cluster_values,
 )
 from .stream_io import (
+    JSON_NUMBER,
     atomic_write_text,
+    json_field,
     load_dataset,
     load_stream,
     write_stream,
@@ -59,29 +62,38 @@ def _labels_k(chunk: Chunk) -> int:
     return len(set(chunk.labels.tolist()))
 
 
+_spec_field = functools.partial(json_field, "spec")
+_SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": (int,),
+                 "anchors": (list,), "alt_anchors": (list,)}
+
+
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     doc = json.loads(path.read_text(encoding="utf-8"))
-    entries = tuple(
-        TimestepSpec(
-            cluster_count=e["cluster_count"],
-            records_per_cluster=(
-                tuple(e["records_per_cluster"])
-                if isinstance(e["records_per_cluster"], list)
-                else e["records_per_cluster"]
-            ),
-            drift_kind=DriftKind(e.get("drift_kind", "none")),
-            offset_steps=e.get("offset_steps", 0),
-        )
-        for e in doc["entries"]
-    )
-    kwargs = {}
-    for key in ("sigma", "relocate_offset"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    if type(doc) is not dict:
+        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    entries = []
+    for e in _spec_field(doc, "entries", (list,)):
+        if type(e) is not dict:
+            raise ValueError(f"spec field 'entries' must hold objects, got {e!r}")
+        e = {"drift_kind": "none", "offset_steps": 0, **e}
+        sizes = _spec_field(e, "records_per_cluster", (int, list))
+        if type(sizes) is list and not all(type(size) is int for size in sizes):
+            raise ValueError(f"spec field 'records_per_cluster' must list ints, got {sizes!r}")
+        entries.append(TimestepSpec(
+            cluster_count=_spec_field(e, "cluster_count"),
+            records_per_cluster=tuple(sizes) if type(sizes) is list else sizes,
+            drift_kind=DriftKind(_spec_field(e, "drift_kind", (str,))),
+            offset_steps=_spec_field(e, "offset_steps"),
+        ))
+    kwargs = {key: _spec_field(doc, key, kinds)
+              for key, kinds in _SPEC_OPTIONS.items() if key in doc}
     for key in ("anchors", "alt_anchors"):
-        if key in doc:
-            kwargs[key] = tuple(tuple(a) for a in doc[key])
-    return StreamSpec(entries, seed=doc.get("seed", seed), **kwargs)
+        if key in kwargs:
+            anchors = kwargs[key]
+            if not all(type(a) is list and all(type(x) in JSON_NUMBER for x in a) for a in anchors):
+                raise ValueError(f"spec field {key!r} must list [x, y] pairs, got {anchors!r}")
+            kwargs[key] = tuple(map(tuple, anchors))
+    return StreamSpec(entries, **{"seed": seed, **kwargs})
 
 
 def _spec_to_source(spec: StreamSpec, name: str) -> dict:

@@ -1,12 +1,14 @@
 """Shared domain types and numeric primitives.
 
 Every type here is immutable and the functions are pure, which makes results
-safe to hand between threads. Summaries and results compare by value; a chunk
-holds read-only numpy arrays and compares by identity.
+safe to hand between threads. Results compare by value; a chunk holds
+read-only numpy arrays and compares by identity. Both are columnar: a chunk
+is one matrix of records, a result one column per cluster field.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -77,52 +79,55 @@ def first_nonfinite_row(matrix: np.ndarray) -> int | None:
 
 
 @dataclass(frozen=True)
-class ClusterSummary:
-    """Compact stand-in for a cluster once its records are discarded.
+class ClusteringResult:
+    """The compact stand-in for a set of clusters once their records are
+    discarded, at one timestamp: one tuple per field, one entry per cluster.
 
-    centroid        running mean of every record the cluster absorbed
-    radius          absorption threshold, fixed when the cluster was built
-    lifetime_count  records absorbed over the cluster's whole life
-    chunk_count     records absorbed from the current chunk only
+    centroids        running mean of every record each cluster absorbed
+    radii            absorption thresholds, fixed when each cluster was built
+    lifetime_counts  records absorbed over each cluster's whole life
+    chunk_counts     records absorbed from the current chunk only
+    outliers         records of the current chunk that no cluster absorbed
+
+    Checked once, on construction: centroids share one non-zero length and
+    hold finite Python floats, radii are >= 0 (not NaN; inf absorbs all), and
+    every cluster has 1 <= lifetime count and 0 <= chunk count <= lifetime.
     """
 
-    centroid: tuple[float, ...]
-    radius: float
-    lifetime_count: int
-    chunk_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroid", tuple(map(float, self.centroid)))
-        if not self.centroid:
-            raise ValueError("centroid must be non-empty")
-        if not all(map(math.isfinite, self.centroid)):
-            raise ValueError(f"centroid coordinates must be finite, got {self.centroid}")
-        if not self.radius >= 0:  # also rejects NaN; an infinite radius absorbs everything
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.lifetime_count < 1:
-            raise ValueError("lifetime_count must be >= 1")
-        if not 0 <= self.chunk_count <= self.lifetime_count:
-            raise ValueError("chunk_count must satisfy 0 <= chunk_count <= lifetime_count")
-
-
-@dataclass(frozen=True)
-class ClusteringResult:
-    """A set of cluster summaries plus the outlier count for one timestamp."""
-
-    clusters: tuple[ClusterSummary, ...]
+    centroids: tuple[tuple[float, ...], ...]
+    radii: tuple[float, ...]
+    lifetime_counts: tuple[int, ...]
+    chunk_counts: tuple[int, ...]
     outliers: int
     timestamp: int
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-        if not self.clusters:
+        object.__setattr__(self, "centroids", tuple(tuple(map(float, c)) for c in self.centroids))
+        for name in ("radii", "lifetime_counts", "chunk_counts"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        lifetimes, deltas = self.lifetime_counts, self.chunk_counts
+        if not self.centroids:
             raise ValueError("ClusteringResult needs at least one cluster")
+        columns = (self.centroids, self.radii, lifetimes, deltas)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"one entry per cluster in every column, got {[*map(len, columns)]}")
+        lengths = sorted(set(map(len, self.centroids)))
+        if len(lengths) > 1 or lengths[0] == 0:
+            raise ValueError(f"centroids need one common, non-zero length, got {lengths}")
+        if not all(map(math.isfinite, chain.from_iterable(self.centroids))):
+            raise ValueError(f"centroid coordinates must be finite, got {self.centroids}")
+        if not all(r >= 0 for r in self.radii):  # also rejects NaN
+            raise ValueError(f"radius must be >= 0, got {self.radii}")
+        if not all(n >= 1 for n in lifetimes):
+            raise ValueError(f"lifetime_count must be >= 1, got {lifetimes}")
+        if not all(0 <= m <= n for m, n in zip(deltas, lifetimes)):
+            raise ValueError(f"need 0 <= chunk_count <= lifetime_count, got {deltas}, {lifetimes}")
         if self.outliers < 0:
             raise ValueError("outliers must be >= 0")
 
     @property
     def dimensions(self) -> int:
-        return len(self.clusters[0].centroid)
+        return len(self.centroids[0])
 
 
 @dataclass(frozen=True)

@@ -51,15 +51,15 @@ def detect(
         raise ValueError("chunk_size must be >= 1")
     if current.outliers / chunk_size > config.o_thresh:
         return DriftVerdict(True, DriftCause.OUTLIER_RATIO)
-    if len(current.clusters) != len(previous.clusters):
+    if len(current.chunk_counts) != len(previous.chunk_counts):
         return DriftVerdict(True, DriftCause.DISTRIBUTION_SHIFT)
     changes: list[float] = []
-    for cur, prior in zip(current.clusters, previous.clusters):
-        diff = cur.chunk_count - prior.chunk_count
-        if prior.chunk_count == 0:
+    for cur, prior in zip(current.chunk_counts, previous.chunk_counts):
+        diff = cur - prior
+        if prior == 0:
             pct = 0.0 if diff == 0 else math.inf
         else:
-            pct = abs(diff) / prior.chunk_count
+            pct = abs(diff) / prior
         changes.append(pct)
         if pct > config.d_thresh:
             return DriftVerdict(True, DriftCause.DISTRIBUTION_SHIFT, tuple(changes))

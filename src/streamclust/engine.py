@@ -19,14 +19,16 @@ All randomness in bootstraps is derived from (config.seed, timestamp), so a
 resumed run continues bit-identically.
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass
 
-from .bootstrap import KMeansParams, summarize_trace
-from .core import Assignment, Chunk, ClusteringResult, ClusterSummary, DriftConfig
+from .bootstrap import summarize_trace
+from .core import Assignment, Chunk, ClusteringResult, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
+from .stream_io import JSON_NUMBER, json_field
 
 SNAPSHOT_FORMAT = "streamclust-state"
 SNAPSHOT_VERSION = 1
@@ -86,11 +88,10 @@ class StepReport:
     duration_s: float
 
 
-def _bootstrap_params(config: DriftConfig, timestamp: int, k: int | None) -> KMeansParams:
+def _bootstrap_seed(config: DriftConfig, timestamp: int) -> int:
     # Seed depends only on (config.seed, timestamp): no shared RNG state, so
     # a run resumed from a snapshot reproduces future bootstraps exactly.
-    seed = (config.seed & 0x7FFFFFFF) * 1_000_003 + timestamp
-    return KMeansParams(k=k if k is not None else config.k, seed=seed)
+    return (config.seed & 0x7FFFFFFF) * 1_000_003 + timestamp
 
 
 def _report(timestamp, event, active, verdict, parallel_active, strike,
@@ -98,9 +99,9 @@ def _report(timestamp, event, active, verdict, parallel_active, strike,
     return StepReport(
         timestamp=timestamp,
         event=event,
-        cluster_count=len(active.clusters),
+        cluster_count=len(active.chunk_counts),
         outliers=active.outliers,
-        cluster_deltas=tuple(c.chunk_count for c in active.clusters),
+        cluster_deltas=active.chunk_counts,
         verdict=verdict,
         parallel_active=parallel_active,
         strike=strike,
@@ -118,10 +119,11 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig,
     chunk inject it here; the engine itself never looks at labels).
     """
     started = time.perf_counter()
-    main, assignments = summarize_trace(first_chunk, _bootstrap_params(config, first_chunk.timestamp, k))
-    state = EngineState(main, None, first_chunk.timestamp, config)
-    report = _report(first_chunk.timestamp, "bootstrap", main, None, False, 0,
-                     False, assignments, started)
+    t = first_chunk.timestamp
+    k = config.k if k is None else k
+    main, assignments = summarize_trace(first_chunk, k, _bootstrap_seed(config, t))
+    state = EngineState(main, None, t, config)
+    report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
     return state, report
 
 
@@ -149,6 +151,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
         )
     config = state.config
     t = chunk.timestamp
+    k = config.k if k is None else k
 
     main, main_assign = dist_clust_trace(chunk, state.main)
     verdict = detect(main, state.main, len(chunk), config)
@@ -158,7 +161,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
             new_state = EngineState(main, None, t, config)
             return new_state, _report(t, "none", main, verdict, False, 0, False,
                                       main_assign, started)
-        para, para_assign = summarize_trace(chunk, _bootstrap_params(config, t, k))
+        para, para_assign = summarize_trace(chunk, k, _bootstrap_seed(config, t))
         new_state = EngineState(main, ParallelState(para, 1), t, config)
         return new_state, _report(t, "activated", para, verdict, True, 1, False,
                                   para_assign, started)
@@ -173,7 +176,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
     para, para_assign = dist_clust_trace(chunk, prev_para)
     retrained = detect(para, prev_para, len(chunk), config).is_drift
     if retrained:
-        para, para_assign = summarize_trace(chunk, _bootstrap_params(config, t, k))
+        para, para_assign = summarize_trace(chunk, k, _bootstrap_seed(config, t))
     strike = state.parallel.strike + 1
     if strike >= _SWAP_AT:
         new_state = EngineState(para, None, t, config)
@@ -208,46 +211,39 @@ def _result_to_doc(result: ClusteringResult) -> dict:
         "timestamp": result.timestamp,
         "outliers": result.outliers,
         "clusters": [
-            {
-                "centroid": list(c.centroid),
-                "radius": c.radius,
-                "lifetime_count": c.lifetime_count,
-                "chunk_count": c.chunk_count,
-            }
-            for c in result.clusters
+            {"centroid": list(c), "radius": r, "lifetime_count": n, "chunk_count": m}
+            for c, r, n, m in zip(result.centroids, result.radii,
+                                  result.lifetime_counts, result.chunk_counts)
         ],
     }
 
 
-_INT = (int,)
-_NUMBER = (int, float)  # the types json.loads gives numbers; bool is neither
+_field = functools.partial(json_field, "snapshot")
 
 
-def _field(doc: dict, key: str, kinds: tuple = _INT):
-    """doc[key], if json.loads gave it one of these types; else a ValueError
-    that names the field, so a hand-edited snapshot fails in one line."""
-    value = doc[key]
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"snapshot field {key!r} must be {names}, got {value!r}")
-    return value
-
-
-def _result_from_doc(doc: dict) -> ClusteringResult:
-    clusters = []
-    for c in _field(doc, "clusters", (list,)):
+def _result_from_doc(doc: dict, dimensions: int | None = None) -> ClusteringResult:
+    """The result a snapshot object holds, with every centroid of the given
+    length (by default, the first centroid's)."""
+    clusters = _field(doc, "clusters", (list,))
+    for c in clusters:
         if type(c) is not dict:
             raise ValueError(f"snapshot field 'clusters' must hold objects, got {c!r}")
         centroid = _field(c, "centroid", (list,))
-        if not centroid or any(type(x) not in _NUMBER for x in centroid):
+        dimensions = dimensions or len(centroid)
+        if (not centroid or len(centroid) != dimensions
+                or any(type(x) not in JSON_NUMBER for x in centroid)):
             raise ValueError(
-                f"snapshot field 'centroid' must be a non-empty list of numbers, got {centroid!r}"
+                f"snapshot field 'centroid' must be a non-empty list of numbers of one length "
+                f"in every cluster, got {centroid!r}"
             )
-        clusters.append(ClusterSummary(
-            tuple(centroid), _field(c, "radius", _NUMBER),
-            _field(c, "lifetime_count"), _field(c, "chunk_count"),
-        ))
-    return ClusteringResult(tuple(clusters), _field(doc, "outliers"), _field(doc, "timestamp"))
+    return ClusteringResult(
+        [c["centroid"] for c in clusters],
+        [_field(c, "radius", JSON_NUMBER) for c in clusters],
+        [_field(c, "lifetime_count") for c in clusters],
+        [_field(c, "chunk_count") for c in clusters],
+        _field(doc, "outliers"),
+        _field(doc, "timestamp"),
+    )
 
 
 def state_to_json(state: EngineState) -> str:
@@ -282,21 +278,17 @@ def state_from_json(text: str) -> EngineState:
     if doc["is_concept_drift"] != (parallel is not None):
         raise ValueError("snapshot must hold a parallel model exactly while drift is active")
     main = _result_from_doc(_field(doc, "main", (dict,)))
-    para = None if parallel is None else _result_from_doc(_field(parallel, "result", (dict,)))
-    results = (main,) if para is None else (main, para)
-    lengths = sorted({len(c.centroid) for r in results for c in r.clusters})
-    if len(lengths) > 1:
-        raise ValueError(
-            f"snapshot field 'centroid' must have one length in every cluster, got {lengths}"
-        )
+    para = None
+    if parallel is not None:
+        para = _result_from_doc(_field(parallel, "result", (dict,)), main.dimensions)
     return EngineState(
         main=main,
         parallel=None if para is None else ParallelState(para, _field(parallel, "strike")),
         timestamp=_field(doc, "timestamp"),
         config=DriftConfig(
             k=_field(cfg, "k"),
-            o_thresh=_field(cfg, "o_thresh", _NUMBER),
-            d_thresh=_field(cfg, "d_thresh", _NUMBER),
+            o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),
+            d_thresh=_field(cfg, "d_thresh", JSON_NUMBER),
             seed=_field(cfg, "seed"),
         ),
     )

@@ -20,7 +20,7 @@ score it.
 import functools
 import math
 
-from .core import Assignment, Chunk, ClusteringResult, ClusterSummary
+from .core import Assignment, Chunk, ClusteringResult
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -87,15 +87,10 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
         raise ValueError(
             f"chunk has {chunk.dimensions} dimensions, clusters have {prev.dimensions}"
         )
-    centroids = [c.centroid for c in prev.clusters]
-    radii = [c.radius for c in prev.clusters]
-    lifetimes = [c.lifetime_count for c in prev.clusters]
+    centroids = list(prev.centroids)
+    lifetimes = list(prev.lifetime_counts)
     deltas = [0] * len(centroids)  # per-chunk counts restart each call
     absorb = _absorb_kernel(len(centroids), chunk.dimensions)
-    outliers, trace = absorb(chunk.rows(), centroids, radii, lifetimes, deltas)
-
-    clusters = tuple(
-        ClusterSummary(centroids[i], radii[i], lifetimes[i], deltas[i])
-        for i in range(len(centroids))
-    )
-    return ClusteringResult(clusters, outliers, chunk.timestamp), tuple(trace)
+    outliers, trace = absorb(chunk.rows(), centroids, prev.radii, lifetimes, deltas)
+    result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers, chunk.timestamp)
+    return result, tuple(trace)

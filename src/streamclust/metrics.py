@@ -248,15 +248,14 @@ def build_report(
     steps = tuple(steps)
     if not steps:
         raise ValueError("a report needs at least one step")
-    final_centroids = tuple(c.centroid for c in final.clusters)
     return MetricsReport(
         steps=steps,
         mean_entropy=sum(s.entropy for s in steps) / len(steps),
         mean_sse=sum(s.sse for s in steps) / len(steps),
         total_runtime_s=sum(s.duration_s for s in steps),
-        final_centroids=final_centroids,
+        final_centroids=final.centroids,
         events=tuple(s.event for s in steps),
-        tcv=tcv_distance(final_centroids, tcvs) if tcvs else None,
+        tcv=tcv_distance(final.centroids, tcvs) if tcvs else None,
     )
 
 

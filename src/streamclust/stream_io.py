@@ -25,6 +25,17 @@ from .core import Chunk, first_nonfinite_row
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "streamclust-stream"
 MANIFEST_VERSION = 1
+JSON_NUMBER = (int, float)  # the types json.loads gives numbers; bool is neither
+
+
+def json_field(document: str, doc: dict, key: str, kinds: tuple = (int,)):
+    """doc[key] if json.loads gave it one of these types, else a ValueError
+    naming the document and field: a hand-edited file fails in one line."""
+    value = doc[key]
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{document} field {key!r} must be {names}, got {value!r}")
+    return value
 
 
 def _tool_version() -> str:
@@ -224,12 +235,13 @@ def _looks_numeric(field: str) -> bool:
         return False
 
 
-def load_dataset(path, delimiter: str | None = None) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Read a delimiter-separated dataset whose last column is the class label.
 
-    The delimiter is sniffed when not given, a header row is skipped when the
-    first row is not fully numeric, and non-integer labels are mapped to
-    integers in first-appearance order. Attribute values must be finite.
+    The delimiter is sniffed from the first line (a comma when that fails), a
+    header row is skipped when the first row is not fully numeric, and
+    non-integer labels are mapped to integers in first-appearance order.
+    Attribute values must be finite.
     Returns (float64 value matrix, int64 label vector, label mapping).
     """
     path = Path(path)
@@ -237,11 +249,10 @@ def load_dataset(path, delimiter: str | None = None) -> tuple[np.ndarray, np.nda
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
-    if delimiter is None:
-        try:
-            delimiter = csv.Sniffer().sniff(lines[0], delimiters=",;\t ").delimiter
-        except csv.Error:
-            delimiter = ","
+    try:
+        delimiter = csv.Sniffer().sniff(lines[0], delimiters=",;\t ").delimiter
+    except csv.Error:
+        delimiter = ","
     rows = list(csv.reader(lines, delimiter=delimiter))
     rows = [[f.strip() for f in row] for row in rows if row]
     start = 0

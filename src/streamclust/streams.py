@@ -115,6 +115,9 @@ class StreamSpec:
             raise ValueError("StreamSpec needs at least one entry")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
+        for anchor in (*self.anchors, *self.alt_anchors):
+            if len(anchor) != 2:
+                raise ValueError(f"every anchor must be an (x, y) pair, got {anchor!r}")
         base = self.entries[0].cluster_count
         for entry in self.entries:
             bank = self.anchors if entry.cluster_count == base else self.alt_anchors

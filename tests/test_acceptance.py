@@ -13,10 +13,8 @@ import numpy as np
 from streamclust import (
     Chunk,
     ClusteringResult,
-    ClusterSummary,
     DriftCause,
     DriftConfig,
-    KMeansParams,
     detect,
     dist_clust_trace,
     engine,
@@ -58,9 +56,9 @@ def test_criterion_01_running_mean_oracle():
             [a + rng.normal(0, 0.05, size=(int(rng.integers(4, 10)), dims)) for a in anchors]
         )
         base = Chunk(1, base_pts)
-        prev, base_assign = summarize_trace(base, KMeansParams(k=k, seed=cases))
+        prev, base_assign = summarize_trace(base, k, cases)
 
-        buckets = [[] for _ in prev.clusters]
+        buckets = [[] for _ in prev.centroids]
         for values, (idx, _) in zip(base.rows(), base_assign):
             buckets[idx].append(values)
 
@@ -72,9 +70,9 @@ def test_criterion_01_running_mean_oracle():
             if assignment is not None:
                 buckets[assignment[0]].append(values)
 
-        for idx, cluster in enumerate(result.clusters):
+        for idx, centroid in enumerate(result.centroids):
             expected = np.array(buckets[idx]).mean(axis=0)
-            for got, want in zip(cluster.centroid, expected):
+            for got, want in zip(centroid, expected):
                 assert abs(got - want) <= 1e-9
         cases += 1
     _ok(1, "500 random absorb sequences: centroids equal batch means within 1e-9")
@@ -127,7 +125,7 @@ def test_criterion_04_sdccl_tcv_and_single_activation():
     assert reports[4].event == "activated"  # the collapsed chunk at t=5
 
     tcvs = true_cluster_values(chunks)
-    match = tcv_distance([c.centroid for c in state.main.clusters], [c for _, c in tcvs])
+    match = tcv_distance(list(state.main.centroids), [c for _, c in tcvs])
     assert len(match.pairs) == 5
     assert all(d <= 0.005 for d in match.distances)
     assert elapsed < 2.0
@@ -159,7 +157,7 @@ def test_criterion_06_thousand_chunk_scale():
     elapsed = time.perf_counter() - started
     assert len(reports) == 1000
     assert elapsed < 10.0
-    assert len(state.main.clusters) == 5  # final block runs 5 clusters
+    assert len(state.main.centroids) == 5  # final block runs 5 clusters
     _ok(6, f"1000-chunk stream end-to-end in {elapsed:.2f}s < 10s")
 
 
@@ -173,8 +171,9 @@ def test_criterion_07_golden_toy_tables():
 
 
 def _drift_result(deltas, outliers=0, timestamp=2):
-    clusters = tuple(ClusterSummary((0.5, 0.5), 0.1, max(d, 1) + 10, d) for d in deltas)
-    return ClusteringResult(clusters, outliers, timestamp)
+    k = len(deltas)
+    lifetimes = [max(d, 1) + 10 for d in deltas]
+    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers, timestamp)
 
 
 def test_criterion_08_drift_detector_suite():

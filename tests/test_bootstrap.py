@@ -5,10 +5,10 @@ import pytest
 
 from streamclust import (
     Chunk,
-    KMeansParams,
     kmeans,
     summarize_trace,
 )
+from streamclust import bootstrap
 from streamclust.bootstrap import _lloyd
 
 ANCHORS = ((0.117, 0.884), (0.885, 0.885), (0.527, 0.635), (0.117, 0.111), (0.877, 0.117))
@@ -22,7 +22,7 @@ def _blob_chunk(rng, anchors, per_cluster, sigma=0.02, timestamp=1):
 
 def test_kmeans_one_point_per_cluster():
     chunk = Chunk(1, [(i / 10, i / 10) for i in range(4)])
-    pairs = kmeans(chunk, KMeansParams(k=4, seed=0))
+    pairs = kmeans(chunk, 4, 0)
     centroids = {c for c, _ in pairs}
     assert centroids == set(chunk.rows())
     for centroid, members in pairs:
@@ -32,7 +32,7 @@ def test_kmeans_one_point_per_cluster():
 
 def test_kmeans_two_separated_pairs():
     chunk = Chunk(1, [(0.0, 0.0), (0.01, 0.0), (1.0, 1.0), (0.99, 1.0)])
-    pairs = kmeans(chunk, KMeansParams(k=2, seed=3))
+    pairs = kmeans(chunk, 2, 3)
     centroids = sorted(c for c, _ in pairs)
     assert centroids[0] == pytest.approx((0.005, 0.0))
     assert centroids[1] == pytest.approx((0.995, 1.0))
@@ -41,7 +41,7 @@ def test_kmeans_two_separated_pairs():
 def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(11)
     chunk = _blob_chunk(rng, ANCHORS, 30)
-    pairs = kmeans(chunk, KMeansParams(k=5, seed=1))
+    pairs = kmeans(chunk, 5, 1)
     # oracle: per-blob sample means computed directly from the raw points
     blob_means = []
     for label in range(1, 6):
@@ -56,14 +56,14 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_k_exceeds_chunk_size():
     chunk = Chunk(1, [(0.1,), (0.2,)])
     with pytest.raises(ValueError):
-        kmeans(chunk, KMeansParams(k=3, seed=0))
+        kmeans(chunk, 3, 0)
 
 
 def test_kmeans_deterministic_bit_for_bit():
     rng = np.random.default_rng(5)
     chunk = _blob_chunk(rng, ANCHORS, 20)
-    a = kmeans(chunk, KMeansParams(k=5, seed=9))
-    b = kmeans(chunk, KMeansParams(k=5, seed=9))
+    a = kmeans(chunk, 5, 9)
+    b = kmeans(chunk, 5, 9)
     assert a == b
 
 
@@ -72,12 +72,14 @@ def _lloyd_sse_history(matrix, k, seed):
     with one more iteration at a time until its labels stop changing."""
     history = []
     previous = None
-    for iterations in range(1, KMeansParams(k=k).max_iterations + 1):
-        centroids, labels = _lloyd(matrix, KMeansParams(k=k, max_iterations=iterations, seed=seed))
-        if previous is not None and np.array_equal(labels, previous):
-            break
-        history.append(float((np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()))
-        previous = labels
+    with pytest.MonkeyPatch.context() as patch:
+        for iterations in range(1, bootstrap.MAX_ITERATIONS + 1):
+            patch.setattr(bootstrap, "MAX_ITERATIONS", iterations)
+            centroids, labels = _lloyd(matrix, k, seed)
+            if previous is not None and np.array_equal(labels, previous):
+                break
+            history.append(float((np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()))
+            previous = labels
     return history
 
 
@@ -98,96 +100,93 @@ def test_lloyd_sse_non_increasing():
 
 def test_summarize_radius_of_coincident_records_is_zero():
     chunk = Chunk(1, [(0.25, 0.75)] * 3)
-    result, assignments = summarize_trace(chunk, KMeansParams(k=1, seed=0))
-    assert [c.radius for c in result.clusters] == [0.0]
+    result, assignments = summarize_trace(chunk, 1, 0)
+    assert list(result.radii) == [0.0]
     assert assignments == ((0, 0.0),) * 3
 
 
 def test_summarize_radius_takes_maximum():
     # the mean of these four records is the origin; the farthest is 0.5 away
     chunk = Chunk(1, [(0.3, 0.4), (0.1, 0.0), (-0.3, -0.4), (-0.1, 0.0)])
-    result, _ = summarize_trace(chunk, KMeansParams(k=1, seed=0))
-    assert result.clusters[0].centroid == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert result.clusters[0].radius == pytest.approx(0.5)
+    result, _ = summarize_trace(chunk, 1, 0)
+    assert result.centroids[0] == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert result.radii[0] == pytest.approx(0.5)
 
 
 def test_summarize_radius_matches_brute_force():
     rng = np.random.default_rng(21)
     chunk = Chunk(1, rng.uniform(0, 1, size=(50, 3)))
-    result, assignments = summarize_trace(chunk, KMeansParams(k=3, seed=4))
+    result, assignments = summarize_trace(chunk, 3, 4)
     # brute-force oracle: explicit loop over every member of each cluster
-    expected = [0.0] * len(result.clusters)
+    expected = [0.0] * len(result.centroids)
     for row, (cluster, _) in zip(chunk.values.tolist(), assignments):
-        d = math.dist(result.clusters[cluster].centroid, row)
+        d = math.dist(result.centroids[cluster], row)
         if d > expected[cluster]:
             expected[cluster] = d
-    assert [c.radius for c in result.clusters] == expected
+    assert list(result.radii) == expected
 
 
 def test_summarize_radius_needs_members():
     # a cluster with no member has no radius: k above the record count is
     # refused, and a cluster left empty on coincident records is dropped
     with pytest.raises(ValueError):
-        summarize_trace(Chunk(1, [(0.1,), (0.2,)]), KMeansParams(k=3, seed=0))
-    result, _ = summarize_trace(Chunk(1, [(0.4,)] * 4), KMeansParams(k=2, seed=0))
-    assert [(c.radius, c.chunk_count) for c in result.clusters] == [(0.0, 4)]
+        summarize_trace(Chunk(1, [(0.1,), (0.2,)]), 3, 0)
+    result, _ = summarize_trace(Chunk(1, [(0.4,)] * 4), 2, 0)
+    assert (result.radii, result.chunk_counts) == ((0.0,), (4,))
 
 
 def test_summarize_counts_equal_membership():
     chunk = Chunk(1, [(0.0, 0.0), (0.02, 0.0), (1.0, 1.0), (0.98, 1.0)])
-    result, _ = summarize_trace(chunk, KMeansParams(k=2, seed=0))
+    result, _ = summarize_trace(chunk, 2, 0)
     assert result.outliers == 0
     assert result.timestamp == 1
-    for cluster in result.clusters:
-        assert cluster.lifetime_count == cluster.chunk_count == 2
+    assert result.lifetime_counts == result.chunk_counts == (2, 2)
 
 
 def test_summarize_single_cluster_reduction():
     rng = np.random.default_rng(3)
     chunk = Chunk(2, rng.uniform(0, 1, (25, 2)))
-    result, _ = summarize_trace(chunk, KMeansParams(k=1, seed=0))
-    assert len(result.clusters) == 1
-    cluster = result.clusters[0]
+    result, _ = summarize_trace(chunk, 1, 0)
+    assert len(result.centroids) == 1
+    centroid = result.centroids[0]
     mean = np.array(chunk.rows()).mean(axis=0)
-    assert cluster.centroid == pytest.approx(tuple(mean), abs=1e-12)
-    assert cluster.lifetime_count == cluster.chunk_count == 25
-    assert cluster.radius == pytest.approx(
-        max(math.dist(cluster.centroid, row) for row in chunk.rows())
+    assert centroid == pytest.approx(tuple(mean), abs=1e-12)
+    assert result.lifetime_counts == result.chunk_counts == (25,)
+    assert result.radii[0] == pytest.approx(
+        max(math.dist(centroid, row) for row in chunk.rows())
     )
 
 
 def test_summarize_toy_dataset_class_means(toy_chunk):
-    result, _ = summarize_trace(toy_chunk, KMeansParams(k=2, seed=0))
-    centroids = sorted(c.centroid for c in result.clusters)
+    result, _ = summarize_trace(toy_chunk, 2, 0)
+    centroids = sorted(result.centroids)
     assert centroids[0] == pytest.approx((0.0535, 0.19075))
     assert centroids[1] == pytest.approx((0.961, 0.805))
-    assert all(c.chunk_count == 4 for c in result.clusters)
+    assert result.chunk_counts == (4, 4)
 
 
 def test_summarize_every_member_within_radius():
     rng = np.random.default_rng(17)
     for trial in range(5):
         chunk = Chunk(1, rng.uniform(0, 1, (40, 2)))
-        result, assignments = summarize_trace(chunk, KMeansParams(k=3, seed=trial))
-        assert sum(c.chunk_count for c in result.clusters) == len(chunk)
+        result, assignments = summarize_trace(chunk, 3, trial)
+        assert sum(result.chunk_counts) == len(chunk)
         for values, assignment in zip(chunk.rows(), assignments):
             assert assignment is not None
             idx, dist = assignment
-            assert dist <= result.clusters[idx].radius
-            assert dist == math.dist(values, result.clusters[idx].centroid)
+            assert dist <= result.radii[idx]
+            assert dist == math.dist(values, result.centroids[idx])
 
 
 def test_summarize_trace_assigns_every_record():
     rng = np.random.default_rng(29)
     chunk = _blob_chunk(rng, ANCHORS[:3], 10)
-    result, assignments = summarize_trace(chunk, KMeansParams(k=3, seed=0))
+    result, assignments = summarize_trace(chunk, 3, 0)
     assert len(assignments) == len(chunk)
     assert all(a is not None for a in assignments)
-    assert {idx for idx, _ in assignments} == set(range(len(result.clusters)))
+    assert {idx for idx, _ in assignments} == set(range(len(result.centroids)))
 
 
 def test_kmeans_params_validation():
-    with pytest.raises(ValueError):
-        KMeansParams(k=0)
-    with pytest.raises(ValueError):
-        KMeansParams(k=1, max_iterations=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kmeans(Chunk(1, [(0.1,), (0.2,)]), 0, 0)

@@ -51,7 +51,7 @@ def test_gen_unknown_spec(tmp_path, capsys):
     assert "unknown stream spec" in capsys.readouterr().err
 
 
-def test_gen_from_spec_file(tmp_path, capsys):
+def _spec(**changes):
     spec = {
         "entries": [
             {"cluster_count": 2, "records_per_cluster": 10},
@@ -60,13 +60,42 @@ def test_gen_from_spec_file(tmp_path, capsys):
         "sigma": 0.01,
         "seed": 2,
     }
+    entry = changes.pop("entry", {})
+    spec["entries"][0].update(entry)
+    spec.update(changes)
+    return spec
+
+
+def test_gen_from_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "custom.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(_spec()))
     out = tmp_path / "custom"
     assert main(["gen", str(spec_path), "--out", str(out)]) == 0
     data = load_stream(capsys.readouterr().out.strip())
     assert len(data.chunks) == 2
     assert all(len(c) == 20 for c in data.chunks)
+
+
+_MALFORMED_SPECS = {
+    "string_records_per_cluster": (_spec(entry={"records_per_cluster": "30"}),
+                                   "records_per_cluster"),
+    "string_cluster_count": (_spec(entry={"cluster_count": "2"}), "cluster_count"),
+    "string_sigma": (_spec(sigma="x"), "sigma"),
+    "one_coordinate_anchors": (_spec(anchors=[[0.1], [0.2]]), "anchor"),
+    "top_level_list": ([1, 2], "JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SPECS))
+def test_gen_from_malformed_spec_file_is_an_error(tmp_path, capsys, case):
+    spec, field = _MALFORMED_SPECS[case]
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "bad"
+    assert main(["gen", str(spec_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+    assert not out.exists()
 
 
 def test_chunk_splits_toy_dataset(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamclust import Chunk, ClusterSummary, DriftConfig, minmax_normalize
+from streamclust import Chunk, ClusteringResult, DriftConfig, minmax_normalize
 
 # Absorb, bootstrap and matching all measure with math.dist; these pin the
 # properties of the metric they rely on.
@@ -137,19 +137,40 @@ def test_chunk_is_columnar_and_read_only():
     assert chunk != Chunk(1, source, labels)  # equality is identity
 
 
+def _one_cluster(centroid, radius, lifetime_count, chunk_count):
+    return ClusteringResult([centroid], [radius], [lifetime_count], [chunk_count], 0, 1)
+
+
 def test_cluster_summary_validation():
     with pytest.raises(ValueError):
-        ClusterSummary((0.5,), -0.1, 1, 0)
+        _one_cluster((0.5,), -0.1, 1, 0)
     with pytest.raises(ValueError, match="radius"):
-        ClusterSummary((0.5,), math.nan, 1, 0)
+        _one_cluster((0.5,), math.nan, 1, 0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            ClusterSummary((0.5, bad), 0.1, 1, 0)
-    assert ClusterSummary((0.5,), math.inf, 1, 0).radius == math.inf  # absorbs everything
+            _one_cluster((0.5, bad), 0.1, 1, 0)
+    assert _one_cluster((0.5,), math.inf, 1, 0).radii == (math.inf,)  # absorbs everything
     with pytest.raises(ValueError):
-        ClusterSummary((0.5,), 0.1, 0, 0)
+        _one_cluster((0.5,), 0.1, 0, 0)
     with pytest.raises(ValueError):
-        ClusterSummary((0.5,), 0.1, 2, 3)
+        _one_cluster((0.5,), 0.1, 2, 3)
+    # centroids of different lengths, and columns of different lengths
+    with pytest.raises(ValueError, match="length"):
+        ClusteringResult([(0.0,), (0.5, 0.5)], [1.0, 1.0], [1, 1], [1, 1], 0, 1)
+    with pytest.raises(ValueError, match="length"):
+        _one_cluster((), 0.1, 1, 0)
+    with pytest.raises(ValueError, match="one entry per cluster"):
+        ClusteringResult([(0.0,), (0.5,)], [1.0, 1.0], [1], [1, 1], 0, 1)
+    with pytest.raises(ValueError, match="at least one cluster"):
+        ClusteringResult([], [], [], [], 0, 1)
+    with pytest.raises(ValueError, match="outliers"):
+        ClusteringResult([(0.5,)], [0.1], [1], [0], -1, 1)
+    # columns become tuples and coordinates Python floats
+    result = ClusteringResult([np.array([1, 2])], [0.5], [3], [2], 0, 1)
+    assert result.centroids == ((1.0, 2.0),)
+    assert all(type(x) is float for x in result.centroids[0])
+    assert (result.radii, result.lifetime_counts, result.chunk_counts) == ((0.5,), (3,), (2,))
+    assert result == ClusteringResult(((1.0, 2.0),), (0.5,), (3,), (2,), 0, 1)
 
 
 def test_drift_config_bounds():

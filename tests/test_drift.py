@@ -5,7 +5,6 @@ import pytest
 
 from streamclust import (
     ClusteringResult,
-    ClusterSummary,
     DriftCause,
     DriftConfig,
     DriftVerdict,
@@ -14,10 +13,9 @@ from streamclust import (
 
 
 def _result(deltas, outliers=0, timestamp=2):
-    clusters = tuple(
-        ClusterSummary((0.5, 0.5), 0.1, max(d, 1) + 10, d) for d in deltas
-    )
-    return ClusteringResult(clusters, outliers, timestamp)
+    k = len(deltas)
+    lifetimes = [max(d, 1) + 10 for d in deltas]
+    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers, timestamp)
 
 
 CFG = DriftConfig(k=5, o_thresh=0.18, d_thresh=0.6)

@@ -51,14 +51,14 @@ def test_init_bootstrap_conservation():
     assert state.timestamp == 1
     assert state.parallel is None and not state.is_concept_drift
     assert state.main.outliers == 0
-    assert sum(c.chunk_count for c in state.main.clusters) == 8
+    assert sum(state.main.chunk_counts) == 8
 
 
 def test_init_on_five_blob_benchmark_chunk():
     chunks = generate_synthetic(sdwcd_spec(seed=7))
     state = engine.init(chunks[0], DriftConfig(k=5, seed=7))
-    assert len(state.main.clusters) == 5
-    assert [c.chunk_count for c in state.main.clusters] == [30] * 5
+    assert len(state.main.centroids) == 5
+    assert list(state.main.chunk_counts) == [30] * 5
 
 
 def test_no_drift_benchmark_stream_stays_quiet():
@@ -75,9 +75,9 @@ def test_no_drift_benchmark_stream_stays_quiet():
 def test_init_singleton_clusters():
     chunk = Chunk(1, [(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])
     state = engine.init(chunk, DriftConfig(k=3, seed=0))
-    assert len(state.main.clusters) == 3
-    assert all(c.radius == 0.0 for c in state.main.clusters)
-    assert all(c.lifetime_count == 1 for c in state.main.clusters)
+    assert len(state.main.centroids) == 3
+    assert state.main.radii == (0.0, 0.0, 0.0)
+    assert state.main.lifetime_counts == (1, 1, 1)
 
 
 def test_quiet_stream_never_activates():
@@ -100,17 +100,21 @@ def test_temporary_drift_activates_then_stabilizes():
     assert state.is_concept_drift
     assert report.cluster_count == 3  # the freshly bootstrapped parallel model
     # the main model absorbed the normal records and was kept
-    assert len(state.main.clusters) == 2
-    assert sum(c.chunk_count for c in state.main.clusters) == 8
+    assert len(state.main.centroids) == 2
+    assert sum(state.main.chunk_counts) == 8
     assert state.main.outliers == 4
 
     state, report = engine.step(state, _normal_chunk(4))
     assert report.event == "stabilized"
     assert not state.is_concept_drift and state.parallel is None
-    assert len(state.main.clusters) == 2
+    assert len(state.main.centroids) == 2
     # continuity: the main model's lifetime kept growing through the episode
-    for before, after in zip(main_before.clusters, state.main.clusters):
-        assert after.lifetime_count == before.lifetime_count + 8
+    for before, after in zip(main_before.lifetime_counts, state.main.lifetime_counts):
+        assert after == before + 8
+
+
+def _clusters(result):
+    return result.centroids, result.radii, result.lifetime_counts, result.chunk_counts
 
 
 def test_sustained_drift_swaps_after_three_strikes():
@@ -126,7 +130,8 @@ def test_sustained_drift_swaps_after_three_strikes():
         assert report.event == "none"
         assert report.parallel_active and report.strike == expected_strike
         assert not report.parallel_retrained
-        assert state.main.clusters == old_main.clusters  # untouched by parallel work
+        # every cluster untouched by parallel work
+        assert _clusters(state.main) == _clusters(old_main)
         old_main = state.main
 
     state, report = engine.step(state, _moved_chunk(6), k=1)
@@ -134,8 +139,8 @@ def test_sustained_drift_swaps_after_three_strikes():
     assert report.strike == 4
     assert not report.parallel_active and state.parallel is None
     assert not state.is_concept_drift
-    assert len(state.main.clusters) == 1
-    assert state.main.clusters[0].centroid == pytest.approx(AWAY, abs=0.02)
+    assert len(state.main.centroids) == 1
+    assert state.main.centroids[0] == pytest.approx(AWAY, abs=0.02)
 
     # swap is three drifted chunks after activation, and the stream goes on
     state, report = engine.step(state, _moved_chunk(7), k=1)
@@ -152,7 +157,7 @@ def test_parallel_retrains_when_it_drifts_itself():
     state, report = engine.step(state, _moved_chunk(4, center=(0.2, 0.8), wide=True), k=1)
     assert report.parallel_retrained
     assert report.parallel_active and report.strike == 2
-    assert state.parallel.result.clusters[0].centroid == pytest.approx((0.2, 0.8), abs=0.02)
+    assert state.parallel.result.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
 def test_step_timestamp_continuity():

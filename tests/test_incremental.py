@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from streamclust import (
     Chunk,
     ClusteringResult,
-    ClusterSummary,
-    KMeansParams,
     dist_clust_trace,
     summarize_trace,
 )
@@ -17,24 +15,25 @@ from streamclust import incremental
 
 
 def _result(centroids, radius=0.1, lifetime=5, timestamp=1):
-    return ClusteringResult(
-        tuple(ClusterSummary(c, radius, lifetime, 0) for c in centroids), 0, timestamp
-    )
+    k = len(centroids)
+    return ClusteringResult(centroids, [radius] * k, [lifetime] * k, [0] * k, 0, timestamp)
 
 
 def _closest(values, result):
     # the nearest cluster as the absorb pass sees it: a radius no record can
     # exceed turns the first assignment into a pure nearest-centroid query
-    wide = ClusteringResult(
-        tuple(ClusterSummary(c.centroid, math.inf, 1, 0) for c in result.clusters), 0, 1
-    )
+    wide = _result(result.centroids, radius=math.inf, lifetime=1)
     _, trace = dist_clust_trace(Chunk(2, [values]), wide)
     return trace[0]
 
 
-def _absorb_one(summary, values):
-    result, _ = dist_clust_trace(Chunk(2, [values]), ClusteringResult((summary,), 0, 1))
-    return result.clusters[0]
+def _one(centroid, radius, lifetime, chunk_count):
+    return ClusteringResult([centroid], [radius], [lifetime], [chunk_count], 0, 1)
+
+
+def _absorb_one(prev, values):
+    result, _ = dist_clust_trace(Chunk(2, [values]), prev)
+    return result
 
 
 def test_closest_cluster_coincident():
@@ -67,39 +66,37 @@ def test_closest_cluster_tie_breaks_low_index():
 
 
 def test_update_centroid_mean_of_two_points():
-    summary = ClusterSummary((0.5,), 0.2, 1, 1)
-    updated = _absorb_one(summary, (0.7,))
-    assert updated.centroid == pytest.approx((0.6,))
-    assert updated.lifetime_count == 2
-    assert updated.chunk_count == 1  # per-chunk counts restart with each chunk
-    assert updated.radius == 0.2
+    updated = _absorb_one(_one((0.5,), 0.2, 1, 1), (0.7,))
+    assert updated.centroids[0] == pytest.approx((0.6,))
+    assert updated.lifetime_counts == (2,)
+    assert updated.chunk_counts == (1,)  # per-chunk counts restart with each chunk
+    assert updated.radii == (0.2,)
 
 
 def test_update_centroid_fixed_point():
-    summary = ClusterSummary((0.3, 0.4), 0.2, 7, 2)
-    updated = _absorb_one(summary, (0.3, 0.4))
-    assert updated.centroid == summary.centroid
-    assert updated.lifetime_count == 8
+    prev = _one((0.3, 0.4), 0.2, 7, 2)
+    updated = _absorb_one(prev, (0.3, 0.4))
+    assert updated.centroids == prev.centroids
+    assert updated.lifetime_counts == (8,)
 
 
 def test_update_centroid_dimension_mismatch():
     with pytest.raises(ValueError):
-        _absorb_one(ClusterSummary((0.5,), 0.1, 1, 0), (0.5, 0.5))
+        _absorb_one(_one((0.5,), 0.1, 1, 0), (0.5, 0.5))
 
 
 def test_update_centroid_equals_batch_mean():
     rng = np.random.default_rng(5)
     base = rng.uniform(0, 1, size=(3, 2))
-    result, _ = summarize_trace(Chunk(1, base), KMeansParams(k=1, seed=0))
-    cluster = result.clusters[0]
+    result, _ = summarize_trace(Chunk(1, base), 1, 0)
     extra = rng.uniform(0, 1, size=(5, 2))
     for row in extra:
-        cluster = ClusterSummary(cluster.centroid, math.inf, cluster.lifetime_count, 0)
-        cluster = _absorb_one(cluster, row)
+        result = _one(result.centroids[0], math.inf, result.lifetime_counts[0], 0)
+        result = _absorb_one(result, row)
     # batch-mean oracle over all eight contributing records
     expected = np.vstack([base, extra]).mean(axis=0)
-    assert cluster.centroid == pytest.approx(tuple(expected), abs=1e-9)
-    assert cluster.lifetime_count == 8
+    assert result.centroids[0] == pytest.approx(tuple(expected), abs=1e-9)
+    assert result.lifetime_counts == (8,)
 
 
 def test_dist_clust_reabsorbs_interior_records():
@@ -109,12 +106,12 @@ def test_dist_clust_reabsorbs_interior_records():
     centers = np.array([(0.2, 0.2), (0.8, 0.8), (0.2, 0.8)])
     pts = np.vstack([c + rng.uniform(-0.05, 0.05, size=(10, 2)) for c in centers])
     chunk = Chunk(1, pts)
-    prev, _ = summarize_trace(chunk, KMeansParams(k=3, seed=0))
+    prev, _ = summarize_trace(chunk, 3, 0)
     interior = np.vstack([c + rng.uniform(-0.02, 0.02, size=(10, 2)) for c in centers])
     again = Chunk(2, interior)
     result, _ = dist_clust_trace(again, prev)
     assert result.outliers == 0
-    assert sum(c.chunk_count for c in result.clusters) == 30
+    assert sum(result.chunk_counts) == 30
     assert result.timestamp == 2
 
 
@@ -123,10 +120,10 @@ def test_dist_clust_identical_chunk_nearly_self_absorbs():
     # the centroid, so records sitting at the radius can fall just outside it
     rng = np.random.default_rng(23)
     chunk = Chunk(1, rng.uniform(0, 1, (30, 2)))
-    prev, _ = summarize_trace(chunk, KMeansParams(k=3, seed=0))
+    prev, _ = summarize_trace(chunk, 3, 0)
     result, _ = dist_clust_trace(Chunk(2, chunk.values), prev)
     assert result.outliers <= 3
-    assert result.outliers + sum(c.chunk_count for c in result.clusters) == 30
+    assert result.outliers + sum(result.chunk_counts) == 30
 
 
 def test_dist_clust_total_outlier_chunk():
@@ -134,8 +131,8 @@ def test_dist_clust_total_outlier_chunk():
     chunk = Chunk(2, np.full((10, 2), 0.5))
     result, _ = dist_clust_trace(chunk, prev)
     assert result.outliers == 10
-    assert [c.centroid for c in result.clusters] == [c.centroid for c in prev.clusters]
-    assert all(c.chunk_count == 0 for c in result.clusters)
+    assert list(result.centroids) == list(prev.centroids)
+    assert result.chunk_counts == (0, 0)
 
 
 def test_dist_clust_boundary_distance_absorbs():
@@ -143,50 +140,52 @@ def test_dist_clust_boundary_distance_absorbs():
     prev = _result([(0.0, 0.0)], radius=0.5, lifetime=1)
     result, _ = dist_clust_trace(Chunk(2, [(0.5, 0.0)]), prev)
     assert result.outliers == 0
-    assert result.clusters[0].chunk_count == 1
+    assert result.chunk_counts[0] == 1
 
 
 def test_dist_clust_resets_chunk_counts_and_keeps_prev():
     rng = np.random.default_rng(3)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
-    prev_deltas = [c.chunk_count for c in prev.clusters]
+    prev, _ = summarize_trace(base, 2, 0)
+    prev_deltas = list(prev.chunk_counts)
     one, _ = dist_clust_trace(Chunk(2, base.values[:5]), prev)
-    assert [c.chunk_count for c in prev.clusters] == prev_deltas  # prev untouched
-    assert sum(c.chunk_count for c in one.clusters) + one.outliers == 5
+    assert list(prev.chunk_counts) == prev_deltas  # prev untouched
+    assert sum(one.chunk_counts) + one.outliers == 5
     two, _ = dist_clust_trace(Chunk(3, base.values[:3]), one)
-    assert sum(c.chunk_count for c in two.clusters) + two.outliers == 3
+    assert sum(two.chunk_counts) + two.outliers == 3
 
 
 def test_dist_clust_radius_and_lifetime_rules():
     rng = np.random.default_rng(9)
     base = Chunk(1, rng.uniform(0, 1, (25, 2)))
-    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=1))
+    prev, _ = summarize_trace(base, 2, 1)
     follow = Chunk(2, rng.uniform(0, 1, (25, 2)))
     result, _ = dist_clust_trace(follow, prev)
-    for before, after in zip(prev.clusters, result.clusters):
-        assert after.radius == before.radius  # radii never grow
-        assert after.lifetime_count >= before.lifetime_count
-        assert after.lifetime_count == before.lifetime_count + after.chunk_count
+    assert result.radii == prev.radii  # radii never grow
+    for before, after, absorbed in zip(
+        prev.lifetime_counts, result.lifetime_counts, result.chunk_counts
+    ):
+        assert after >= before
+        assert after == before + absorbed
 
 
 def test_dist_clust_conservation_random():
     rng = np.random.default_rng(41)
     for trial in range(20):
         base = Chunk(1, rng.uniform(0, 1, (30, 2)))
-        prev, _ = summarize_trace(base, KMeansParams(k=3, seed=trial))
+        prev, _ = summarize_trace(base, 3, trial)
         size = int(rng.integers(1, 60))
         chunk = Chunk(2, rng.uniform(0, 1, (size, 2)))
         result, _ = dist_clust_trace(chunk, prev)
-        assert result.outliers + sum(c.chunk_count for c in result.clusters) == size
+        assert result.outliers + sum(result.chunk_counts) == size
 
 
 def test_dist_clust_running_mean_matches_retained_records():
     rng = np.random.default_rng(77)
     base_pts = rng.uniform(0, 1, size=(12, 2))
     base = Chunk(1, base_pts)
-    prev, base_assign = summarize_trace(base, KMeansParams(k=2, seed=0))
-    buckets = {i: [] for i in range(len(prev.clusters))}
+    prev, base_assign = summarize_trace(base, 2, 0)
+    buckets = {i: [] for i in range(len(prev.centroids))}
     for values, (idx, _) in zip(base.values.tolist(), base_assign):
         buckets[idx].append(values)
     absorb_pts = base_pts[rng.integers(0, 12, size=40)] + rng.normal(0, 0.01, (40, 2))
@@ -196,15 +195,15 @@ def test_dist_clust_running_mean_matches_retained_records():
         if assignment is not None:
             buckets[assignment[0]].append(values)
     # oracle retains every contributing record and takes the plain mean
-    for idx, cluster in enumerate(result.clusters):
+    for idx, centroid in enumerate(result.centroids):
         expected = np.array(buckets[idx]).mean(axis=0)
-        assert cluster.centroid == pytest.approx(tuple(expected), abs=1e-9)
+        assert centroid == pytest.approx(tuple(expected), abs=1e-9)
 
 
 def test_dist_clust_deterministic():
     rng = np.random.default_rng(55)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
+    prev, _ = summarize_trace(base, 2, 0)
     chunk = Chunk(2, rng.uniform(0, 1, (30, 2)))
     assert dist_clust_trace(chunk, prev) == dist_clust_trace(chunk, prev)
 
@@ -224,9 +223,9 @@ def test_dist_clust_dimension_mismatch():
 def _reference_absorb(rows, prev):
     """The absorb pass written plainly: a nearest-centroid scan with ties to
     the lowest index, and the running mean as a list comprehension."""
-    centroids = [c.centroid for c in prev.clusters]
-    radii = [c.radius for c in prev.clusters]
-    lifetimes = [c.lifetime_count for c in prev.clusters]
+    centroids = list(prev.centroids)
+    radii = list(prev.radii)
+    lifetimes = list(prev.lifetime_counts)
     deltas = [0] * len(centroids)
     outliers = 0
     trace = []
@@ -250,9 +249,9 @@ def _reference_absorb(rows, prev):
 def _assert_matches_reference(chunk, prev):
     result, trace = dist_clust_trace(chunk, prev)
     got = (
-        [c.centroid for c in result.clusters],
-        [c.lifetime_count for c in result.clusters],
-        [c.chunk_count for c in result.clusters],
+        list(result.centroids),
+        list(result.lifetime_counts),
+        list(result.chunk_counts),
         result.outliers,
         list(trace),
     )
@@ -276,9 +275,7 @@ def _absorb_cases(draw):
     centroids = (rng.integers(-8, 9, size=(k, d)) / 4).tolist()
     radii = draw(st.lists(st.sampled_from(_RADII), min_size=k, max_size=k))
     lifetimes = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
-    prev = ClusteringResult(
-        tuple(ClusterSummary(c, r, n, 0) for c, r, n in zip(centroids, radii, lifetimes)), 0, 1
-    )
+    prev = ClusteringResult(centroids, radii, lifetimes, [0] * k, 0, 1)
     rows = []
     for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=40)):
         if kind == "grid":
@@ -304,16 +301,14 @@ def test_dist_clust_matches_plain_reference_bit_for_bit(case):
 
 def test_dist_clust_one_dimension_matches_reference():
     rng = np.random.default_rng(3)
-    prev = ClusteringResult(
-        tuple(ClusterSummary((c,), 0.3, 1, 0) for c in (0.1, 0.5, 0.9)), 0, 1
-    )
+    prev = _result([(0.1,), (0.5,), (0.9,)], radius=0.3, lifetime=1)
     _assert_matches_reference(Chunk(2, rng.uniform(-0.2, 1.2, size=(2000, 1))), prev)
 
 
 def test_dist_clust_single_cluster_matches_reference():
     # one cluster absorbing thousands of records: long lifetimes, tiny weights
     rng = np.random.default_rng(4)
-    prev = ClusteringResult((ClusterSummary((0.5, 0.5, 0.5), 0.6, 10, 0),), 0, 1)
+    prev = _one((0.5, 0.5, 0.5), 0.6, 10, 0)
     _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(5000, 3))), prev)
 
 
@@ -324,10 +319,8 @@ def test_dist_clust_many_clusters_matches_reference():
     rng = np.random.default_rng(6)
     centroids = (rng.integers(-8, 9, size=(40, 3)) / 4).tolist()
     centroids[39] = centroids[7]
-    prev = ClusteringResult(
-        tuple(ClusterSummary(c, _RADII[i % len(_RADII)], 3, 0) for i, c in enumerate(centroids)),
-        0, 1,
-    )
+    radii = [_RADII[i % len(_RADII)] for i in range(40)]
+    prev = ClusteringResult(centroids, radii, [3] * 40, [0] * 40, 0, 1)
     pairs = rng.integers(40, size=(1500, 2))
     ties = [[(x + y) / 2 for x, y in zip(centroids[a], centroids[b])] for a, b in pairs]
     rows = np.vstack([ties, rng.uniform(-2.5, 2.5, size=(1500, 3))])
@@ -339,10 +332,7 @@ def test_dist_clust_alternating_shapes_match_reference():
     # state from one call into the next
     rng = np.random.default_rng(8)
     for k, d in ((3, 2), (5, 2), (3, 2), (1, 4)):
-        prev = ClusteringResult(
-            tuple(ClusterSummary(c, 0.5, 2, 0) for c in rng.uniform(0, 1, size=(k, d)).tolist()),
-            0, 1,
-        )
+        prev = _result(rng.uniform(0, 1, size=(k, d)).tolist(), radius=0.5, lifetime=2)
         _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(200, d))), prev)
 
 

@@ -67,17 +67,15 @@ def test_sse_squares_distances():
 def test_sse_online_equals_offline_replay():
     rng = np.random.default_rng(19)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    from streamclust import KMeansParams
-
-    prev, _ = summarize_trace(base, KMeansParams(k=2, seed=0))
+    prev, _ = summarize_trace(base, 2, 0)
     chunk = Chunk(2, rng.uniform(0, 1, (40, 2)))
     _, trace = dist_clust_trace(chunk, prev)
     online = sse(a for a in trace if a is not None)
 
     # oracle: replay the pass with retained records and an evolving centroid
-    centroids = [list(c.centroid) for c in prev.clusters]
-    lifetimes = [c.lifetime_count for c in prev.clusters]
-    radii = [c.radius for c in prev.clusters]
+    centroids = [list(c) for c in prev.centroids]
+    lifetimes = list(prev.lifetime_counts)
+    radii = list(prev.radii)
     offline = 0.0
     for values in chunk.values.tolist():
         dists = [math.dist(values, c) for c in centroids]
