@@ -9,7 +9,7 @@ metrics and a CLI (``streamclust --help``).
 
 __version__ = "0.1.0"
 
-from .bootstrap import kmeans, summarize_trace
+from .bootstrap import summarize_trace
 from .core import Chunk, ClusteringResult, DriftConfig, minmax_normalize
 from .drift import DriftCause, DriftVerdict, detect
 from .engine import (
@@ -42,7 +42,6 @@ from .streams import (
     DriftKind,
     StreamSpec,
     TimestepSpec,
-    apply_label_drift,
     chunk_dataset,
     chunk_indices,
     generate_synthetic,
@@ -57,13 +56,13 @@ __all__ = [
     "__version__",
     "Chunk", "ClusteringResult", "DriftConfig",
     "minmax_normalize",
-    "kmeans", "summarize_trace",
+    "summarize_trace",
     "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
     "EngineState", "ParallelState", "StepReport", "init", "step", "run",
     "state_to_json", "state_from_json",
     "DriftKind", "TimestepSpec", "StreamSpec", "generate_synthetic",
-    "apply_label_drift", "chunk_dataset", "chunk_indices",
+    "chunk_dataset", "chunk_indices",
     "make_artificial_classes", "sdwcd_spec", "sdccl_spec", "ncd100_spec",
     "wcd1000_spec", "BASE_ANCHORS", "DRIFT_ANCHORS", "MERGED_LABEL",
     "entropy", "sse", "true_cluster_values", "tcv_distance", "TcvMatch",

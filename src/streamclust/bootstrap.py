@@ -80,40 +80,31 @@ def _lloyd(matrix: np.ndarray, k: int, seed: int):
     return centroids, labels
 
 
-def kmeans(chunk: Chunk, k: int, seed: int) -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
-    """Cluster one chunk into k groups.
+def summarize_trace(chunk: Chunk, k: int, seed: int) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
+    """Cluster a chunk into k groups and keep only the summaries; the records
+    are dropped.
 
-    Returns k (centroid, member record indices) pairs. Every record lands in
-    exactly one group; iteration stops when assignments are stable or after
-    MAX_ITERATIONS. Deterministic for a fixed seed.
+    Every record lands in exactly one group; Lloyd iterations stop when
+    assignments are stable or after MAX_ITERATIONS. Deterministic for a fixed
+    seed. Each cluster's lifetime and per-chunk counts start at its member
+    count and its radius is the farthest member's distance from the centroid.
+    Also returns every record's (cluster, distance to its centroid) assignment.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(chunk):
         raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
     centroids, labels = _lloyd(chunk.values, k, seed)
-    return [
-        (tuple(centroids[c].tolist()), tuple(np.flatnonzero(labels == c).tolist()))
-        for c in range(k)
-    ]
-
-
-def summarize_trace(chunk: Chunk, k: int, seed: int) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
-    """Cluster a chunk and keep only the summaries; the records are dropped.
-
-    Each cluster's lifetime and per-chunk counts start at its member count and
-    its radius is the farthest member's distance from the centroid. Also
-    returns every record's (cluster, distance to its centroid) assignment.
-    """
-    pairs = [pair for pair in kmeans(chunk, k, seed) if pair[1]]  # drop unrepairable empties
-    rows = chunk.rows()
-    radii = []
-    assignments: list[Assignment] = [None] * len(chunk)
-    for position, (centroid, member_idx) in enumerate(pairs):
-        dists = [math.dist(centroid, rows[i]) for i in member_idx]
-        for i, d in zip(member_idx, dists):
-            assignments[i] = (position, d)
-        radii.append(max(dists))
-    counts = [len(member_idx) for _, member_idx in pairs]
-    result = ClusteringResult([c for c, _ in pairs], radii, counts, counts, 0, chunk.timestamp)
-    return result, tuple(assignments)
+    counts = np.bincount(labels, minlength=k)
+    kept = np.flatnonzero(counts)  # drop unrepairable empties, renumber the rest
+    position = np.cumsum(counts > 0) - 1
+    centroids = [tuple(c) for c in centroids[kept].tolist()]
+    clusters = position[labels].tolist()
+    dists = list(map(math.dist, [centroids[c] for c in clusters], chunk.rows()))
+    radii = [0.0] * len(kept)
+    for c, d in zip(clusters, dists):
+        if d > radii[c]:
+            radii[c] = d
+    counts = counts[kept].tolist()
+    result = ClusteringResult(centroids, radii, counts, counts, 0, chunk.timestamp)
+    return result, tuple(zip(clusters, dists))

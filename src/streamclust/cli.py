@@ -166,28 +166,23 @@ def cmd_chunk(args) -> int:
 
 
 def _k_policy(k: int | None):
-    """The k policy's name and its k per chunk: the fixed --k, or the label count."""
-    if k is not None:
-        return "fixed", lambda chunk: k
-    return "labels", _labels_k
+    """The k policy's name and the k_for_chunk that engine.run takes: none
+    for a fixed k, which the config carries, or the label count per chunk."""
+    return ("fixed", None) if k is not None else ("labels", _labels_k)
 
 
-def _scored_run(state, chunks, k_for_chunk, ac_sets, tcvs, config=None):
+def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, config=None, state=None):
     """Drive the engine over chunks, scoring each step as it ends.
 
-    Continues from state, or bootstraps on the first chunk under config when
-    state is None. Each step's StepReport, with one assignment per record,
-    becomes one small metrics row and is dropped before the next step runs.
-    Returns the final state and the run's report.
+    Bootstraps under config, or continues from state (see engine.run). Each
+    step's StepReport, with one assignment per record, becomes one small
+    metrics row and is dropped before the next step runs. Returns the final
+    state and the run's report.
     """
     rows = []
-    for i, chunk in enumerate(chunks):
-        k = k_for_chunk(chunk)
-        if state is None:
-            state, report = engine.bootstrap(chunk, config, k)
-        else:
-            state, report = engine.step(state, chunk, k)
-        rows.append(step_metrics(chunk, report, ac_sets[i] if ac_sets else None))
+    for state, report in engine.run(chunks, config, k_for_chunk, state=state):
+        i = len(rows)  # not enumerate: its reused tuple would keep the report alive
+        rows.append(step_metrics(chunks[i], report, ac_sets[i] if ac_sets else None))
         del report  # so the next step runs with no earlier step's records alive
     return state, build_report(rows, state.main, tcvs)
 
@@ -238,15 +233,14 @@ def cmd_run(args) -> int:
         chunks = chunks[:args.stop_after]
     ac = list(data.ac_sets[: len(chunks)]) if data.ac_sets else None
     k_policy, k_for_chunk = _k_policy(args.k)
-    base_k = k_for_chunk(data.chunks[0])
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
 
     runs = []
     for i in range(args.repeat):
         config = DriftConfig(
-            k=base_k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=args.seed + i
+            k=args.k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=args.seed + i
         )
-        state, run_report = _scored_run(None, chunks, k_for_chunk, ac, tcvs, config)
+        state, run_report = _scored_run(chunks, k_for_chunk, ac, tcvs, config=config)
         runs.append(run_report)
 
     meta = {
@@ -277,18 +271,18 @@ def cmd_resume(args) -> int:
         raise ValueError(
             f"snapshot already covers t={state.timestamp}; nothing left to process"
         )
-    k_policy, k_for_chunk = _k_policy(args.k)
+    k_policy, k_for_chunk = _k_policy(state.config.k)
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
     offset = len(data.chunks) - len(remaining)
     ac = list(data.ac_sets[offset:]) if data.ac_sets else None
-    state, run_report = _scored_run(state, remaining, k_for_chunk, ac, tcvs)
+    state, run_report = _scored_run(remaining, k_for_chunk, ac, tcvs, state=state)
 
     meta = {
         "tool_version": __version__,
         "manifest": str(Path(args.manifest).resolve()),
         "seed": state.config.seed,
         "resumed_after": remaining[0].timestamp - 1,
-        "k": args.k,
+        "k": state.config.k,
         "k_policy": k_policy,
     }
     _write_outputs(args.out, [run_report], meta, state, args.snapshot_out)
@@ -377,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resume", help="continue a run from a snapshot")
     p.add_argument("manifest")
-    p.add_argument("--snapshot", required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--snapshot", required=True,
+                   help="state written by run/resume; it also holds the k policy")
     p.add_argument("--out", default="resume_out")
     p.add_argument("--snapshot-out", help="write the state at stream end to this file")
     p.set_defaults(func=cmd_resume)

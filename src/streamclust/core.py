@@ -136,16 +136,18 @@ class DriftConfig:
 
     o_thresh is the maximum tolerated outlier ratio per chunk, d_thresh the
     maximum tolerated per-cluster distribution change; seed controls every
-    internal k-means bootstrap so runs are reproducible.
+    internal k-means bootstrap so runs are reproducible. k is the cluster
+    count of every bootstrap, or None when the caller injects one per chunk
+    (the k-from-labels policy).
     """
 
-    k: int
+    k: int | None
     o_thresh: float = 0.18
     d_thresh: float = 0.6
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 < self.o_thresh <= 1:
             raise ValueError(f"o_thresh must be in (0, 1], got {self.o_thresh}")

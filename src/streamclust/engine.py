@@ -31,7 +31,7 @@ from .incremental import dist_clust_trace
 from .stream_io import JSON_NUMBER, json_field
 
 SNAPSHOT_FORMAT = "streamclust-state"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # 2: config.k may be null, the k-from-labels policy
 
 # Strike ceiling: activation chunk is strike 1; three more drifted chunks
 # exhaust the main model's chances and trigger the swap.
@@ -111,6 +111,13 @@ def _report(timestamp, event, active, verdict, parallel_active, strike,
     )
 
 
+def _k(config: DriftConfig, k: int | None) -> int:
+    k = config.k if k is None else k
+    if k is None:
+        raise ValueError("no k to bootstrap with: the config leaves k to the caller, who gave none")
+    return k
+
+
 def bootstrap(first_chunk: Chunk, config: DriftConfig,
               k: int | None = None) -> tuple[EngineState, StepReport]:
     """Bootstrap the engine on the first chunk of a stream, with its report.
@@ -120,8 +127,7 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig,
     """
     started = time.perf_counter()
     t = first_chunk.timestamp
-    k = config.k if k is None else k
-    main, assignments = summarize_trace(first_chunk, k, _bootstrap_seed(config, t))
+    main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t))
     state = EngineState(main, None, t, config)
     report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
     return state, report
@@ -151,59 +157,59 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
         )
     config = state.config
     t = chunk.timestamp
-    k = config.k if k is None else k
+    k = _k(config, k)
 
-    main, main_assign = dist_clust_trace(chunk, state.main)
+    main, assignments = dist_clust_trace(chunk, state.main)
     verdict = detect(main, state.main, len(chunk), config)
-
-    if not state.is_concept_drift:
-        if not verdict.is_drift:
-            new_state = EngineState(main, None, t, config)
-            return new_state, _report(t, "none", main, verdict, False, 0, False,
-                                      main_assign, started)
-        para, para_assign = summarize_trace(chunk, k, _bootstrap_seed(config, t))
-        new_state = EngineState(main, ParallelState(para, 1), t, config)
-        return new_state, _report(t, "activated", para, verdict, True, 1, False,
-                                  para_assign, started)
-
+    active, parallel, strike, retrained = main, None, 0, False
     if not verdict.is_drift:
-        # Main model recovered: drift handling ends, parallel work is dropped.
-        new_state = EngineState(main, None, t, config)
-        return new_state, _report(t, "stabilized", main, verdict, False, 0, False,
-                                  main_assign, started)
+        # Main model fine, or recovered: drift handling ends, parallel work is dropped.
+        event = "none" if state.parallel is None else "stabilized"
+    elif state.parallel is None:
+        event, strike = "activated", 1
+        parallel, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
+        active = parallel
+    else:
+        prev_para = state.parallel.result
+        active, assignments = dist_clust_trace(chunk, prev_para)
+        retrained = detect(active, prev_para, len(chunk), config).is_drift
+        if retrained:
+            active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
+        strike = state.parallel.strike + 1
+        if strike < _SWAP_AT:
+            event, parallel = "none", active
+        else:
+            event, main = "swapped", active
+    new_state = EngineState(
+        main, None if parallel is None else ParallelState(parallel, strike), t, config
+    )
+    return new_state, _report(t, event, active, verdict, parallel is not None, strike,
+                              retrained, assignments, started)
 
-    prev_para = state.parallel.result
-    para, para_assign = dist_clust_trace(chunk, prev_para)
-    retrained = detect(para, prev_para, len(chunk), config).is_drift
-    if retrained:
-        para, para_assign = summarize_trace(chunk, k, _bootstrap_seed(config, t))
-    strike = state.parallel.strike + 1
-    if strike >= _SWAP_AT:
-        new_state = EngineState(para, None, t, config)
-        return new_state, _report(t, "swapped", para, verdict, False, _SWAP_AT,
-                                  retrained, para_assign, started)
-    new_state = EngineState(main, ParallelState(para, strike), t, config)
-    return new_state, _report(t, "none", para, verdict, True, strike, retrained,
-                              para_assign, started)
 
+def run(stream, config: DriftConfig | None = None, k_for_chunk=None, *,
+        state: EngineState | None = None):
+    """Drive the engine over a stream, yielding (state, report) as each step ends.
 
-def run(stream, config: DriftConfig, k_for_chunk=None) -> tuple[EngineState, list[StepReport]]:
-    """Bootstrap on the first chunk, step through the rest, collect reports.
-
-    k_for_chunk, when given, maps each chunk to the k used for any bootstrap
-    on that chunk (the main one at t=1, parallel activations and retrains
-    later).
+    Bootstraps on the first chunk under config, or continues from state; give
+    exactly one of the two. k_for_chunk, when given, maps each chunk to the k
+    used for any bootstrap on that chunk (the main one, parallel activations
+    and retrains); without it every bootstrap uses config.k. Nothing of a
+    step outlives its yield here, so a caller that drops each report before
+    asking for the next keeps one step's records alive at a time.
     """
-    iterator = iter(stream)
-    first = next(iterator, None)
-    if first is None:
+    if (config is None) == (state is None):
+        raise ValueError("run needs either a config to bootstrap under or a state to continue")
+    for chunk in stream:
+        k = k_for_chunk(chunk) if k_for_chunk else None
+        if state is None:
+            state, report = bootstrap(chunk, config, k)
+        else:
+            state, report = step(state, chunk, k)
+        yield state, report
+        del report
+    if state is None:
         raise ValueError("stream yielded no chunks")
-    state, report = bootstrap(first, config, k_for_chunk(first) if k_for_chunk else None)
-    reports = [report]
-    for chunk in iterator:
-        state, report = step(state, chunk, k_for_chunk(chunk) if k_for_chunk else None)
-        reports.append(report)
-    return state, reports
 
 
 def _result_to_doc(result: ClusteringResult) -> dict:
@@ -272,10 +278,11 @@ def state_from_json(text: str) -> EngineState:
     if type(doc) is not dict or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
     if doc.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
+        raise ValueError(f"unsupported snapshot version {doc.get('version')!r}, "
+                         f"expected {SNAPSHOT_VERSION}; write it again with run --snapshot")
     cfg = _field(doc, "config", (dict,))
     parallel = _field(doc, "parallel", (dict, type(None)))
-    if doc["is_concept_drift"] != (parallel is not None):
+    if _field(doc, "is_concept_drift", (bool,)) != (parallel is not None):
         raise ValueError("snapshot must hold a parallel model exactly while drift is active")
     main = _result_from_doc(_field(doc, "main", (dict,)))
     para = None
@@ -286,7 +293,7 @@ def state_from_json(text: str) -> EngineState:
         parallel=None if para is None else ParallelState(para, _field(parallel, "strike")),
         timestamp=_field(doc, "timestamp"),
         config=DriftConfig(
-            k=_field(cfg, "k"),
+            k=_field(cfg, "k", (int, type(None))),
             o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),
             d_thresh=_field(cfg, "d_thresh", JSON_NUMBER),
             seed=_field(cfg, "seed"),

@@ -212,12 +212,12 @@ def step_metrics(
     clusters = [cluster for cluster, _ in hits]
     if not hits:
         entropy_value = 0.0
-    elif label_sets is None:
-        if chunk.labels is None:
-            raise ValueError("entropy needs labeled assignments")
-        entropy_value = entropy(zip(clusters, compress(chunk.labels.tolist(), assignments)))
+    elif label_sets is None and chunk.labels is None:
+        raise ValueError("entropy needs labeled assignments")
     else:
-        columns = np.asarray(label_sets).T.tolist()
+        # without label_sets, the chunk's own labels are the one column
+        columns = ([chunk.labels.tolist()] if label_sets is None
+                   else np.asarray(label_sets).T.tolist())
         entropy_value = sum(
             entropy(zip(clusters, compress(column, assignments))) for column in columns
         ) / len(columns)

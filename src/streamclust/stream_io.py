@@ -31,6 +31,8 @@ JSON_NUMBER = (int, float)  # the types json.loads gives numbers; bool is neithe
 def json_field(document: str, doc: dict, key: str, kinds: tuple = (int,)):
     """doc[key] if json.loads gave it one of these types, else a ValueError
     naming the document and field: a hand-edited file fails in one line."""
+    if key not in doc:
+        raise ValueError(f"{document} field {key!r} is missing")
     value = doc[key]
     if type(value) not in kinds:
         names = " or ".join(kind.__name__ for kind in kinds)

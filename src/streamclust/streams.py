@@ -138,13 +138,14 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
 
     Chunk records are isotropic Gaussian blobs (clipped to the unit square)
     around fixed anchors; merged chunks collapse to one blob at the anchors'
-    centroid; relabel entries reshuffle the class ids from that chunk to the
-    end of the stream. Same spec and seed, same records, always.
+    centroid. A relabel entry permutes the class ids present in its chunk,
+    from that chunk to the end of the stream; whenever the chunk has two or
+    more distinct labels the permutation is never the identity (with exactly
+    two labels that means a swap). Same spec and seed, same records, always.
     """
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFF)
     base_count = spec.entries[0].cluster_count
-    chunks: list[Chunk] = []
-    relabel_at: dict[int, str] = {}
+    matrices, label_blocks, relabel_at = [], [], []
 
     for t, entry in enumerate(spec.entries, start=1):
         shift = entry.offset_steps * spec.relocate_offset
@@ -156,59 +157,33 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
             anchors = list(bank[: entry.cluster_count])
             labels = list(range(1, entry.cluster_count + 1))
             if entry.drift_kind is DriftKind.RELABEL:
-                relabel_at[t] = "sustained"
+                relabel_at.append(t - 1)
         blocks = []
         for anchor, size in zip(anchors, entry.cluster_sizes):
             center = (anchor[0] + shift, anchor[1] + shift)
             points = rng.normal(loc=center, scale=spec.sigma, size=(size, 2))
             np.clip(points, 0.0, 1.0, out=points)
             blocks.append(points)
-        chunks.append(Chunk(t, np.concatenate(blocks), np.repeat(labels, entry.cluster_sizes)))
+        matrices.append(np.concatenate(blocks))
+        label_blocks.append(np.repeat(labels, entry.cluster_sizes))
 
-    if relabel_at:
-        chunks = apply_label_drift(chunks, relabel_at, seed=spec.seed + 1)
-    return chunks
-
-
-def apply_label_drift(chunks: Sequence[Chunk], drift_schedule, seed: int = 0) -> list[Chunk]:
-    """Permute class labels at scheduled timestamps.
-
-    drift_schedule maps timestamp -> "temporary" | "sustained". A temporary
-    entry scrambles that chunk only; a sustained entry keeps the permutation
-    in force to the end of the stream. Whenever a chunk has two or more
-    distinct labels the drawn permutation is guaranteed not to be the
-    identity (with exactly two labels that means a swap).
-    """
-    schedule = dict(drift_schedule)
-    for t, kind in schedule.items():
-        if kind not in ("temporary", "sustained"):
-            raise ValueError(f"unknown drift kind {kind!r} at t={t}")
-    chunks = list(chunks)
-    if any(c.labels is None for c in chunks):
-        raise ValueError("label drift needs a labeled stream")
-    rng = np.random.default_rng(seed & 0xFFFFFFFF)
-    by_time = {c.timestamp: i for i, c in enumerate(chunks)}
-    # All labels in one vector: a sustained drift remaps the whole tail at once.
-    bounds = np.cumsum([0] + [len(c) for c in chunks])
-    labels = np.concatenate([c.labels for c in chunks])
-
-    for t in sorted(schedule):
-        if t not in by_time:
-            raise ValueError(f"drift scheduled at t={t} but no such chunk")
-        i = by_time[t]
+    # All labels in one vector: a relabel remaps the whole tail at once, with
+    # its own generator so the records do not depend on the relabels.
+    perm_rng = np.random.default_rng((spec.seed + 1) & 0xFFFFFFFF)
+    bounds = np.cumsum([0] + [len(m) for m in matrices])
+    labels = np.concatenate(label_blocks)
+    for i in relabel_at:
         present = np.array(sorted(set(labels[bounds[i] : bounds[i + 1]].tolist())))
         permuted = present
         if len(present) > 1:
             while np.array_equal(permuted, present):
-                permuted = rng.permutation(present)
-        stop = bounds[i + 1] if schedule[t] == "temporary" else len(labels)
-        part = labels[bounds[i] : stop]
-        slot = np.minimum(np.searchsorted(present, part), len(present) - 1)
-        labels[bounds[i] : stop] = np.where(present[slot] == part, permuted[slot], part)
-
+                permuted = perm_rng.permutation(present)
+        tail = labels[bounds[i] :]
+        slot = np.minimum(np.searchsorted(present, tail), len(present) - 1)
+        tail[:] = np.where(present[slot] == tail, permuted[slot], tail)
     return [
-        Chunk(c.timestamp, c.values, labels[bounds[i] : bounds[i + 1]])
-        for i, c in enumerate(chunks)
+        Chunk(i + 1, matrix, labels[bounds[i] : bounds[i + 1]])
+        for i, matrix in enumerate(matrices)
     ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamclust import Chunk
+from streamclust import Chunk, engine
 
 # 8-record, 2-attribute toy dataset with two classes; values already in [0,1].
 TOY_ROWS = (
@@ -56,3 +56,11 @@ def same_chunk(a: Chunk, b: Chunk) -> bool:
     else:
         labels_equal = np.array_equal(a.labels, b.labels)
     return a.timestamp == b.timestamp and np.array_equal(a.values, b.values) and labels_equal
+
+
+def run_all(chunks, config, k_for_chunk=None):
+    """engine.run to the stream's end: the final state and every report."""
+    state, reports = None, []
+    for state, report in engine.run(chunks, config, k_for_chunk):
+        reports.append(report)
+    return state, reports

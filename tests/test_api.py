@@ -22,7 +22,8 @@ def test_all_lists_each_public_name_once_and_every_name_resolves():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(streamclust, name), name
-    deleted = {"dist_clust", "summarize", "euclidean", "ClusterSummary", "KMeansParams"}
+    deleted = {"dist_clust", "summarize", "euclidean", "ClusterSummary", "KMeansParams",
+               "kmeans", "apply_label_drift"}
     assert not deleted & set(names)
     assert not any(hasattr(streamclust, name) for name in deleted)
 

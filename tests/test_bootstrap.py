@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamclust import (
-    Chunk,
-    kmeans,
-    summarize_trace,
-)
+from streamclust import Chunk, summarize_trace
 from streamclust import bootstrap
 from streamclust.bootstrap import _lloyd
 
@@ -20,20 +16,24 @@ def _blob_chunk(rng, anchors, per_cluster, sigma=0.02, timestamp=1):
     return Chunk(timestamp, np.vstack(blocks), labels)
 
 
+def _members(assignments, cluster):
+    return [i for i, (c, _) in enumerate(assignments) if c == cluster]
+
+
 def test_kmeans_one_point_per_cluster():
     chunk = Chunk(1, [(i / 10, i / 10) for i in range(4)])
-    pairs = kmeans(chunk, 4, 0)
-    centroids = {c for c, _ in pairs}
-    assert centroids == set(chunk.rows())
-    for centroid, members in pairs:
+    result, assignments = summarize_trace(chunk, 4, 0)
+    assert set(result.centroids) == set(chunk.rows())
+    for cluster, centroid in enumerate(result.centroids):
+        members = _members(assignments, cluster)
         assert len(members) == 1
         assert math.dist(centroid, chunk.values[members[0]]) == 0.0
 
 
 def test_kmeans_two_separated_pairs():
     chunk = Chunk(1, [(0.0, 0.0), (0.01, 0.0), (1.0, 1.0), (0.99, 1.0)])
-    pairs = kmeans(chunk, 2, 3)
-    centroids = sorted(c for c, _ in pairs)
+    result, _ = summarize_trace(chunk, 2, 3)
+    centroids = sorted(result.centroids)
     assert centroids[0] == pytest.approx((0.005, 0.0))
     assert centroids[1] == pytest.approx((0.995, 1.0))
 
@@ -41,30 +41,28 @@ def test_kmeans_two_separated_pairs():
 def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(11)
     chunk = _blob_chunk(rng, ANCHORS, 30)
-    pairs = kmeans(chunk, 5, 1)
+    result, assignments = summarize_trace(chunk, 5, 1)
     # oracle: per-blob sample means computed directly from the raw points
     blob_means = []
     for label in range(1, 6):
         pts = np.array([v for v, lab in zip(chunk.rows(), chunk.labels) if lab == label])
         blob_means.append(pts.mean(axis=0))
-    for centroid, members in pairs:
+    for cluster, centroid in enumerate(result.centroids):
         nearest = min(blob_means, key=lambda m: math.dist(centroid, m))
         assert math.dist(centroid, nearest) < 0.02
-        assert len(members) == 30
+        assert len(_members(assignments, cluster)) == 30
 
 
 def test_kmeans_k_exceeds_chunk_size():
     chunk = Chunk(1, [(0.1,), (0.2,)])
-    with pytest.raises(ValueError):
-        kmeans(chunk, 3, 0)
+    with pytest.raises(ValueError, match="exceeds chunk size"):
+        summarize_trace(chunk, 3, 0)
 
 
 def test_kmeans_deterministic_bit_for_bit():
     rng = np.random.default_rng(5)
     chunk = _blob_chunk(rng, ANCHORS, 20)
-    a = kmeans(chunk, 5, 9)
-    b = kmeans(chunk, 5, 9)
-    assert a == b
+    assert summarize_trace(chunk, 5, 9) == summarize_trace(chunk, 5, 9)
 
 
 def _lloyd_sse_history(matrix, k, seed):
@@ -189,4 +187,4 @@ def test_summarize_trace_assigns_every_record():
 
 def test_kmeans_params_validation():
     with pytest.raises(ValueError, match="k must be >= 1"):
-        kmeans(Chunk(1, [(0.1,), (0.2,)]), 0, 0)
+        summarize_trace(Chunk(1, [(0.1,), (0.2,)]), 0, 0)

@@ -83,6 +83,7 @@ _MALFORMED_SPECS = {
     "string_sigma": (_spec(sigma="x"), "sigma"),
     "one_coordinate_anchors": (_spec(anchors=[[0.1], [0.2]]), "anchor"),
     "top_level_list": ([1, 2], "JSON object"),
+    "missing_entries": ({"sigma": 0.1}, "spec field 'entries' is missing"),
 }
 
 
@@ -287,6 +288,47 @@ def test_resume_from_snapshot_with_wrong_type_is_an_error(tmp_path, capsys, case
         doc[path[-1]] = value
 
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field)
+
+
+def test_resume_from_snapshot_without_a_radius_is_an_error(tmp_path, capsys):
+    def edit(doc):
+        del doc["main"]["clusters"][0]["radius"]
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
+                                       "snapshot field 'radius' is missing")
+
+
+def test_resume_from_version_1_snapshot_is_an_error(tmp_path, capsys):
+    # version 1 wrote the label-count policy as the first chunk's k
+    def edit(doc):
+        doc["version"] = 1
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "version 1")
+
+
+def test_resume_takes_the_k_policy_from_the_snapshot(tmp_path, capsys):
+    out = _sdwcd(tmp_path, capsys)
+    manifest = str(out / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--k", "5", "--out", str(tmp_path / "full")]) == 0
+    assert main(["run", manifest, "--k", "5", "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    assert json.loads(snap.read_text())["config"]["k"] == 5
+    assert main(["resume", manifest, "--snapshot", str(snap),
+                 "--out", str(tmp_path / "rest")]) == 0
+    capsys.readouterr()
+    meta, rest, rest_summary = parse_jsonl((tmp_path / "rest" / "metrics.jsonl").read_text())
+    assert (meta["k"], meta["k_policy"]) == (5, "fixed")
+    _, full, full_summary = parse_jsonl((tmp_path / "full" / "metrics.jsonl").read_text())
+    for row in full + rest:
+        row.pop("duration_s")
+    assert rest == full[4:]
+    # under the label-count policy sdwcd runs 3 clusters from t=6; fixed k=5 does not
+    counts = rest_summary["runs"][0]["cluster_counts"]
+    assert counts == full_summary["runs"][0]["cluster_counts"][4:]
+    assert counts[-1] == 5
+    with pytest.raises(SystemExit):  # resume has no --k: the snapshot holds it
+        main(["resume", manifest, "--snapshot", str(snap), "--k", "3"])
 
 
 def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from streamclust import Chunk, DriftConfig, engine, generate_synthetic, sdwcd_spec
-from conftest import labels_k
+from streamclust import (
+    Chunk, DriftConfig, engine, generate_synthetic, sdccl_spec, sdwcd_spec,
+)
+from conftest import labels_k, run_all
 
 # Hand-built two-cluster world: a wide bootstrap chunk fixes the radii, later
 # "normal" chunks sit comfortably inside them.
@@ -65,7 +67,7 @@ def test_no_drift_benchmark_stream_stays_quiet():
     from streamclust import ncd100_spec
 
     chunks = generate_synthetic(ncd100_spec(seed=7))
-    _, reports = engine.run(chunks, DriftConfig(k=5, seed=7), labels_k)
+    _, reports = run_all(chunks, DriftConfig(k=5, seed=7), labels_k)
     assert len(reports) == 100
     assert all(r.event in ("bootstrap", "none") for r in reports)
     assert all(not r.parallel_active for r in reports)
@@ -160,6 +162,18 @@ def test_parallel_retrains_when_it_drifts_itself():
     assert state.parallel.result.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
+def test_labels_policy_config_needs_a_k_from_the_caller():
+    # k=None leaves k to the caller; a caller that gives none is refused
+    labels_cfg = dataclasses.replace(CFG, k=None)
+    with pytest.raises(ValueError, match="no k"):
+        engine.init(_boot_chunk(), labels_cfg)
+    state = engine.init(_boot_chunk(), labels_cfg, 2)
+    with pytest.raises(ValueError, match="no k"):
+        engine.step(state, _normal_chunk(2))
+    state, report = engine.step(state, _normal_chunk(2), 2)
+    assert report.event == "none" and state.config.k is None
+
+
 def test_step_timestamp_continuity():
     state = engine.init(_boot_chunk(), CFG)
     with pytest.raises(ValueError):
@@ -183,11 +197,18 @@ def test_bootstrap_reports_the_state_init_returns():
 
 def test_run_empty_stream():
     with pytest.raises(ValueError):
-        engine.run([], CFG)
+        list(engine.run([], CFG))
+
+
+def test_run_needs_a_config_or_a_state_but_not_both():
+    state = engine.init(_boot_chunk(), CFG)
+    for kwargs in ({}, {"config": CFG, "state": state}):
+        with pytest.raises(ValueError, match="config"):
+            list(engine.run([_normal_chunk(2)], **kwargs))
 
 
 def test_run_single_chunk_stream():
-    state, reports = engine.run([_boot_chunk()], CFG)
+    state, reports = run_all([_boot_chunk()], CFG)
     assert len(reports) == 1
     assert reports[0].event == "bootstrap"
     assert state.timestamp == 1
@@ -200,8 +221,8 @@ def _strip_duration(report):
 def test_run_deterministic_for_fixed_seed():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     cfg = DriftConfig(k=5, seed=5)
-    _, first = engine.run(chunks, cfg, labels_k)
-    _, second = engine.run(chunks, cfg, labels_k)
+    _, first = run_all(chunks, cfg, labels_k)
+    _, second = run_all(chunks, cfg, labels_k)
     assert [_strip_duration(r) for r in first] == [_strip_duration(r) for r in second]
 
 
@@ -219,14 +240,49 @@ def test_state_json_round_trip():
 def test_resume_matches_uninterrupted_run():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     cfg = DriftConfig(k=5, seed=5)
-    _, full = engine.run(chunks, cfg, labels_k)
+    _, full = run_all(chunks, cfg, labels_k)
 
-    state, reports = engine.run(chunks[:4], cfg, labels_k)
+    state, reports = run_all(chunks[:4], cfg, labels_k)
     state = engine.state_from_json(engine.state_to_json(state))
-    for chunk in chunks[4:]:
-        state, report = engine.step(state, chunk, labels_k(chunk))
-        reports.append(report)
+    reports += [r for _, r in engine.run(chunks[4:], k_for_chunk=labels_k, state=state)]
     assert [_strip_duration(r) for r in reports] == [_strip_duration(r) for r in full]
+
+
+def _check_step(chunk, state, report, previous_t):
+    assert state.timestamp == report.timestamp == chunk.timestamp == previous_t + 1
+    assert report.outliers + sum(report.cluster_deltas) == len(chunk)
+    # a parallel model exists exactly while drift is active, with its strike
+    assert report.parallel_active == state.is_concept_drift == (state.parallel is not None)
+    if state.parallel is not None:
+        assert 1 <= state.parallel.strike <= 3 and report.strike == state.parallel.strike
+
+
+_POLICIES = {"fixed": (5, None), "labels": (None, labels_k)}
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+@pytest.mark.parametrize("spec", [sdwcd_spec, sdccl_spec], ids=["sdwcd", "sdccl"])
+def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
+    chunks = generate_synthetic(spec(seed=5))
+    k, k_for_chunk = _POLICIES[policy]
+    cfg = DriftConfig(k=k, seed=5)
+    full = list(engine.run(chunks, cfg, k_for_chunk))
+    for i, (state, report) in enumerate(full):
+        _check_step(chunks[i], state, report, i)
+    expected = [(state, _strip_duration(report)) for state, report in full]
+    for cut in range(1, len(chunks)):
+        text = engine.state_to_json(full[cut - 1][0])
+        doc = json.loads(text)
+        assert doc["is_concept_drift"] == (doc["parallel"] is not None)
+        assert doc["config"]["k"] == k
+        state = engine.state_from_json(text)
+        assert state == full[cut - 1][0]
+        tail = []
+        for i, (state, report) in enumerate(
+                engine.run(chunks[cut:], k_for_chunk=k_for_chunk, state=state), cut):
+            _check_step(chunks[i], state, report, i)
+            tail.append((state, _strip_duration(report)))
+        assert tail == expected[cut:]
 
 
 def test_snapshot_rejects_foreign_documents():

@@ -32,7 +32,9 @@ GOLDEN = {
         "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
         "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
     },
-    "snapshot": "48bcd3fc29ec5001cebfd9e09ededf5d3be0ef2e5871165674e57388d016cf7f",
+    # re-pinned for snapshot version 2, which writes the k-from-labels
+    # policy as "k": null; every other byte is as before
+    "snapshot": "f927ddb71b7b5c9f7110e59bba9e86673a0030a752d3652097bea646cb88a4bc",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
     "chunked_tree": "fb982f22d8f182ab9662c9b84ea49bb5023013b6f788405aebc21735d5896323",
     "chunked_run": {

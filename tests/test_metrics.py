@@ -9,7 +9,6 @@ from streamclust import (
     DriftConfig,
     build_report,
     dist_clust_trace,
-    engine,
     entropy,
     generate_synthetic,
     sdccl_spec,
@@ -21,7 +20,7 @@ from streamclust import (
 )
 from streamclust.metrics import parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
-from conftest import labels_k
+from conftest import labels_k, run_all
 
 
 def test_entropy_pure_clusters():
@@ -225,7 +224,7 @@ def test_tcv_distance_needs_both_sides():
 def test_build_report_and_jsonl_round_trip():
     chunks = generate_synthetic(sdccl_spec(seed=7))
     cfg = DriftConfig(k=5, seed=7)
-    state, reports = engine.run(chunks, cfg, labels_k)
+    state, reports = run_all(chunks, cfg, labels_k)
     tcvs = [c for _, c in true_cluster_values(chunks)]
     rows = [step_metrics(chunk, rep) for chunk, rep in zip(chunks, reports)]
     report = build_report(rows, state.main, tcvs=tcvs)
@@ -253,7 +252,7 @@ def test_build_report_and_jsonl_round_trip():
 def test_step_metrics_averages_artificial_label_sets():
     chunks = generate_synthetic(sdccl_spec(seed=7))[:1]
     cfg = DriftConfig(k=5, seed=7)
-    state, reports = engine.run(chunks, cfg, labels_k)
+    state, reports = run_all(chunks, cfg, labels_k)
     # two artificial label columns: one equal to the true labels (entropy 0),
     # one constant (entropy of a single shared label is also 0 per cluster)
     sets = np.column_stack([chunks[0].labels, np.ones(len(chunks[0]), dtype=int)])

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from streamclust import (
-    Chunk,
     DriftKind,
     MERGED_LABEL,
     StreamSpec,
     TimestepSpec,
-    apply_label_drift,
     chunk_dataset,
     generate_synthetic,
     make_artificial_classes,
@@ -112,73 +110,68 @@ def test_spec_validation():
         StreamSpec((TimestepSpec(9, 10),))
 
 
-def _two_label_chunk(t=1):
-    return Chunk(t, [(0.1, 0.1)] * 3 + [(0.9, 0.9)] * 3, [1, 1, 1, 2, 2, 2])
+def _relabel_streams(counts, relabel_at, seed=0, size=3):
+    """One chunk per cluster count, with RELABEL entries at the given
+    timestamps, and the same stream without them."""
+    def stream(relabel):
+        kinds = [DriftKind.RELABEL if t in relabel else DriftKind.NONE
+                 for t in range(1, len(counts) + 1)]
+        return generate_synthetic(
+            StreamSpec(tuple(map(TimestepSpec, counts, [size] * len(counts), kinds)), seed=seed))
+
+    return stream(relabel_at), stream(())
 
 
 def test_label_drift_two_labels_swap():
-    out = apply_label_drift([_two_label_chunk()], {1: "temporary"}, seed=0)
-    counts = _label_counts(out[0])
-    assert counts == {1: 3, 2: 3}
+    out, plain = _relabel_streams([2], {1})
+    assert np.array_equal(out[0].values, plain[0].values)
+    assert _label_counts(out[0]) == {1: 3, 2: 3}
     # with two labels the only non-identity permutation is the swap
-    for before, after in zip(_two_label_chunk().labels.tolist(), out[0].labels.tolist()):
+    for before, after in zip(plain[0].labels.tolist(), out[0].labels.tolist()):
         assert after == (2 if before == 1 else 1)
 
 
 def test_label_drift_single_label_is_identity():
-    chunk = Chunk(1, [(0.5, 0.5)] * 5, [4] * 5)
-    out = apply_label_drift([chunk], {1: "temporary"}, seed=0)
-    assert same_chunk(out[0], chunk)
-
-
-def test_label_drift_temporary_affects_one_chunk():
-    chunks = [_two_label_chunk(1), _two_label_chunk(2), _two_label_chunk(3)]
-    out = apply_label_drift(chunks, {2: "temporary"}, seed=0)
-    assert same_chunk(out[0], chunks[0])
-    assert not same_chunk(out[1], chunks[1])
-    assert same_chunk(out[2], chunks[2])
+    out, plain = _relabel_streams([1], {1}, size=5)
+    assert same_chunk(out[0], plain[0])
 
 
 def test_label_drift_sustained_persists():
-    chunks = [_two_label_chunk(t) for t in range(1, 5)]
-    out = apply_label_drift(chunks, {2: "sustained"}, seed=0)
-    assert same_chunk(out[0], chunks[0])
-    for later in out[1:]:
-        assert later.labels.tolist() != chunks[0].labels.tolist()
-        assert later.labels.tolist() == out[1].labels.tolist()
+    out, plain = _relabel_streams([2, 2, 2, 2], {2})
+    assert same_chunk(out[0], plain[0])
+    for later, before in zip(out[1:], plain[1:]):
+        assert later.labels.tolist() == [3 - label for label in before.labels.tolist()]
 
 
 def test_label_drift_composes_like_relabeling_chunk_by_chunk():
-    # oracle: the per-chunk dict remap, applied to every later chunk in turn
-    rng = np.random.default_rng(12)
-    chunks = [
-        Chunk(t, np.zeros((12, 1)), rng.integers(0, 4, size=12)) for t in range(1, 9)
-    ]
-    schedule = {2: "sustained", 4: "temporary", 5: "sustained", 7: "sustained"}
-    out = apply_label_drift(chunks, schedule, seed=3)
-    expected = [c.labels.tolist() for c in chunks]
-    perm_rng = np.random.default_rng(3)
-    for t in sorted(schedule):
+    # oracle: the per-chunk dict remap, applied to every later chunk in turn,
+    # with the relabel generator seeded at seed + 1; the 3-cluster chunks
+    # see only part of an earlier 4-label permutation
+    counts = [4, 4, 3, 4, 3, 3, 4, 4]
+    relabel_at = {2, 5, 7}
+    out, plain = _relabel_streams(counts, relabel_at, seed=3)
+    expected = [c.labels.tolist() for c in plain]
+    perm_rng = np.random.default_rng(4)
+    for t in sorted(relabel_at):
         present = sorted(set(expected[t - 1]))
         permuted = list(present)
         if len(present) > 1:
             while permuted == present:
                 permuted = list(perm_rng.permutation(present))
         mapping = dict(zip(present, (int(v) for v in permuted)))
-        stop = t if schedule[t] == "temporary" else len(chunks)
-        for i in range(t - 1, stop):
+        for i in range(t - 1, len(counts)):
             expected[i] = [mapping.get(v, v) for v in expected[i]]
     assert [c.labels.tolist() for c in out] == expected
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(out, chunks))
+    assert expected != [c.labels.tolist() for c in plain]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(out, plain))
 
 
 def test_label_drift_validation():
-    with pytest.raises(ValueError):
-        apply_label_drift([_two_label_chunk()], {1: "forever"})
-    with pytest.raises(ValueError):
-        apply_label_drift([_two_label_chunk()], {9: "temporary"})
-    with pytest.raises(ValueError):
-        apply_label_drift([Chunk(1, [(0.5, 0.5)])], {1: "temporary"})
+    # label drift is scheduled only by RELABEL entries: a kind outside
+    # DriftKind, such as a one-chunk "temporary" scramble, is refused
+    for name in ("temporary", "sustained", "forever"):
+        with pytest.raises(ValueError):
+            DriftKind(name)
 
 
 def test_chunk_dataset_toy_split():
