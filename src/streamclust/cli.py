@@ -171,20 +171,23 @@ def _k_policy(k: int | None):
     return ("fixed", None) if k is not None else ("labels", _labels_k)
 
 
-def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, config=None, state=None):
-    """Drive the engine over chunks, scoring each step as it ends.
+def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
+    """Drive one or more runs over chunks in lockstep, scoring each step as
+    it ends.
 
-    Bootstraps under config, or continues from state (see engine.run). Each
-    step's StepReport, with one assignment per record, becomes one small
-    metrics row and is dropped before the next step runs. Returns the final
-    state and the run's report.
+    Bootstraps one run per config, or continues one per state (see
+    engine.run). Each step's StepReport, with one assignment per record,
+    becomes one small metrics row of its run and is dropped before the next
+    step runs. Returns every run's final state and report, in run order.
     """
-    rows = []
-    for state, report in engine.run(chunks, config, k_for_chunk, state=state):
-        i = len(rows)  # not enumerate: its reused tuple would keep the report alive
-        rows.append(step_metrics(chunks[i], report, ac_sets[i] if ac_sets else None))
+    finals = list(states) or [None] * len(configs)
+    rows = [[] for _ in finals]
+    for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
+        t = len(rows[i])  # not enumerate: its reused tuple would keep the report alive
+        rows[i].append(step_metrics(chunks[t], report, ac_sets[t] if ac_sets else None))
+        finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
-    return state, build_report(rows, state.main, tcvs)
+    return finals, [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
 
 
 def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
@@ -235,13 +238,9 @@ def cmd_run(args) -> int:
     k_policy, k_for_chunk = _k_policy(args.k)
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
 
-    runs = []
-    for i in range(args.repeat):
-        config = DriftConfig(
-            k=args.k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=args.seed + i
-        )
-        state, run_report = _scored_run(chunks, k_for_chunk, ac, tcvs, config=config)
-        runs.append(run_report)
+    configs = [DriftConfig(k=args.k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=seed)
+               for seed in range(args.seed, args.seed + args.repeat)]
+    states, runs = _scored_run(chunks, k_for_chunk, ac, tcvs, configs=configs)
 
     meta = {
         "tool_version": __version__,
@@ -254,7 +253,7 @@ def cmd_run(args) -> int:
         "repeat": args.repeat,
         "stop_after": args.stop_after,
     }
-    _write_outputs(args.out, runs, meta, state, args.snapshot)
+    _write_outputs(args.out, runs, meta, states[0], args.snapshot)
     return 0
 
 
@@ -275,7 +274,7 @@ def cmd_resume(args) -> int:
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
     offset = len(data.chunks) - len(remaining)
     ac = list(data.ac_sets[offset:]) if data.ac_sets else None
-    state, run_report = _scored_run(remaining, k_for_chunk, ac, tcvs, state=state)
+    (state,), runs = _scored_run(remaining, k_for_chunk, ac, tcvs, states=[state])
 
     meta = {
         "tool_version": __version__,
@@ -285,7 +284,7 @@ def cmd_resume(args) -> int:
         "k": state.config.k,
         "k_policy": k_policy,
     }
-    _write_outputs(args.out, [run_report], meta, state, args.snapshot_out)
+    _write_outputs(args.out, runs, meta, state, args.snapshot_out)
     return 0
 
 

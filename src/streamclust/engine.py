@@ -17,10 +17,16 @@ their input state and never touch the filesystem; the snapshot functions
 below only translate state to and from JSON text, the caller owns the bytes.
 All randomness in bootstraps is derived from (config.seed, timestamp), so a
 resumed run continues bit-identically.
+
+Absorbs carry no seed: an absorb is a pure function of the chunk and the
+previous model. run() advances several runs in lockstep, chunk by chunk, and
+lets the runs share each chunk's absorbs: every run whose previous model is
+bit for bit another's reuses that run's absorb instead of repeating it.
 """
 
 import functools
 import json
+import marshal
 import time
 from dataclasses import dataclass
 
@@ -139,7 +145,26 @@ def init(first_chunk: Chunk, config: DriftConfig, k: int | None = None) -> Engin
     return state
 
 
-def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[EngineState, StepReport]:
+def _absorb(chunk: Chunk, prev: ClusteringResult, absorbed: dict | None):
+    """dist_clust_trace(chunk, prev), computed once per distinct prev in absorbed.
+
+    The key holds the chunk and exactly what the absorb reads of prev: its
+    centroids, radii and lifetime counts, marshalled at version 2 (no
+    back-references), so equal keys mean the same types and the same float
+    bits. Value equality would not do: 0.0 == -0.0, but absorbing into either
+    gives different bits.
+    """
+    if absorbed is None:
+        return dist_clust_trace(chunk, prev)
+    key = chunk, marshal.dumps((prev.centroids, prev.radii, prev.lifetime_counts), 2)
+    out = absorbed.get(key)
+    if out is None:
+        out = absorbed[key] = dist_clust_trace(chunk, prev)
+    return out
+
+
+def step(state: EngineState, chunk: Chunk, k: int | None = None,
+         absorbed: dict | None = None) -> tuple[EngineState, StepReport]:
     """Advance the engine by one chunk.
 
     Without active drift: absorb into the main model and check for drift; on
@@ -149,6 +174,10 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
     chunk too (re-bootstrapping if it drifted itself) and the strike counter
     grows; on the third drifted chunk after activation the parallel result
     replaces the main model.
+
+    absorbed, when given, is a dict the caller owns for this chunk only and
+    passes to every step on it: an absorb already in it is reused, a new one
+    is added. Without it, every absorb is computed.
     """
     started = time.perf_counter()
     if chunk.timestamp != state.timestamp + 1:
@@ -159,7 +188,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
     t = chunk.timestamp
     k = _k(config, k)
 
-    main, assignments = dist_clust_trace(chunk, state.main)
+    main, assignments = _absorb(chunk, state.main, absorbed)
     verdict = detect(main, state.main, len(chunk), config)
     active, parallel, strike, retrained = main, None, 0, False
     if not verdict.is_drift:
@@ -171,7 +200,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
         active = parallel
     else:
         prev_para = state.parallel.result
-        active, assignments = dist_clust_trace(chunk, prev_para)
+        active, assignments = _absorb(chunk, prev_para, absorbed)
         retrained = detect(active, prev_para, len(chunk), config).is_drift
         if retrained:
             active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
@@ -187,28 +216,34 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None) -> tuple[Engine
                               retrained, assignments, started)
 
 
-def run(stream, config: DriftConfig | None = None, k_for_chunk=None, *,
-        state: EngineState | None = None):
-    """Drive the engine over a stream, yielding (state, report) as each step ends.
+def run(stream, configs=(), k_for_chunk=None, *, states=()):
+    """Drive one or more runs over a stream in lockstep, yielding
+    (run index, state, report) as each step ends.
 
-    Bootstraps on the first chunk under config, or continues from state; give
-    exactly one of the two. k_for_chunk, when given, maps each chunk to the k
-    used for any bootstrap on that chunk (the main one, parallel activations
-    and retrains); without it every bootstrap uses config.k. Nothing of a
+    Every run bootstraps on the first chunk under its config, or continues
+    from its state; give configs or states, not both. Every run steps through
+    a chunk before any run sees the next one, in index order, and the runs
+    share that chunk's absorbs (see step); the share is dropped when the
+    chunk ends. k_for_chunk, when given, maps each chunk to the k used for
+    any bootstrap on that chunk (the main one, parallel activations and
+    retrains); without it every bootstrap uses its config's k. Nothing of a
     step outlives its yield here, so a caller that drops each report before
-    asking for the next keeps one step's records alive at a time.
+    asking for the next keeps one step's report alive at a time.
     """
-    if (config is None) == (state is None):
-        raise ValueError("run needs either a config to bootstrap under or a state to continue")
+    if (not configs) == (not states):
+        raise ValueError("run needs either configs to bootstrap under or states to continue from")
+    states = list(states) or [None] * len(configs)
     for chunk in stream:
         k = k_for_chunk(chunk) if k_for_chunk else None
-        if state is None:
-            state, report = bootstrap(chunk, config, k)
-        else:
-            state, report = step(state, chunk, k)
-        yield state, report
-        del report
-    if state is None:
+        absorbed = {}
+        for i in range(len(states)):
+            if states[i] is None:
+                states[i], report = bootstrap(chunk, configs[i], k)
+            else:
+                states[i], report = step(states[i], chunk, k, absorbed)
+            yield i, states[i], report
+            del report
+    if states[0] is None:
         raise ValueError("stream yielded no chunks")
 
 
@@ -288,10 +323,16 @@ def state_from_json(text: str) -> EngineState:
     para = None
     if parallel is not None:
         para = _result_from_doc(_field(parallel, "result", (dict,)), main.dimensions)
+    timestamp = _field(doc, "timestamp")
+    # every result of a state is the one its last step produced
+    stamps = [main.timestamp] if para is None else [main.timestamp, para.timestamp]
+    if any(t != timestamp for t in stamps):
+        raise ValueError(f"snapshot field 'timestamp' is {timestamp}, "
+                         f"but its results are at t={stamps}")
     return EngineState(
         main=main,
         parallel=None if para is None else ParallelState(para, _field(parallel, "strike")),
-        timestamp=_field(doc, "timestamp"),
+        timestamp=timestamp,
         config=DriftConfig(
             k=_field(cfg, "k", (int, type(None))),
             o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),

@@ -61,6 +61,6 @@ def same_chunk(a: Chunk, b: Chunk) -> bool:
 def run_all(chunks, config, k_for_chunk=None):
     """engine.run to the stream's end: the final state and every report."""
     state, reports = None, []
-    for state, report in engine.run(chunks, config, k_for_chunk):
+    for _, state, report in engine.run(chunks, [config], k_for_chunk):
         reports.append(report)
     return state, reports

@@ -331,6 +331,14 @@ def test_resume_takes_the_k_policy_from_the_snapshot(tmp_path, capsys):
         main(["resume", manifest, "--snapshot", str(snap), "--k", "3"])
 
 
+def test_resume_from_snapshot_with_a_stale_timestamp_is_an_error(tmp_path, capsys):
+    # its results hold chunks 1-4: resuming after chunk 2 would absorb 3 and 4 twice
+    def edit(doc):
+        doc["timestamp"] = 2
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "'timestamp'")
+
+
 def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):
     def edit(doc):
         doc["main"]["clusters"][1]["centroid"].append(0.5)
@@ -377,6 +385,45 @@ def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeyp
                  "--out", str(tmp_path / "rest")]) == 0
     assert len(refs) == 3 * steps
     assert all(ref() is None for ref in refs)
+
+
+def _summary_runs(path):
+    return parse_jsonl(path.read_text())[2]["runs"]
+
+
+def test_run_repeats_equal_their_seeds_run_alone(tmp_path, capsys):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    assert main(["run", manifest, "--seed", "7", "--repeat", "5",
+                 "--out", str(tmp_path / "all")]) == 0
+    repeats = _summary_runs(tmp_path / "all" / "metrics.jsonl")
+    assert len(repeats) == 5
+    for r in range(5):
+        out = tmp_path / f"alone{r}"
+        assert main(["run", manifest, "--seed", str(7 + r), "--out", str(out)]) == 0
+        (alone,) = _summary_runs(out / "metrics.jsonl")
+        for key in ("events", "cluster_counts", "final_centroids", "mean_entropy", "mean_sse"):
+            assert repeats[r][key] == alone[key], (r, key)
+    # the seeds differ where it shows: some repeat bootstraps other centroids
+    assert len({json.dumps(run["final_centroids"]) for run in repeats}) > 1
+
+
+def test_run_repeats_share_equal_absorbs(tmp_path, capsys, monkeypatch):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    calls = []
+    absorb = engine.dist_clust_trace
+
+    def spy(chunk, prev):
+        calls.append(chunk.timestamp)
+        return absorb(chunk, prev)
+
+    monkeypatch.setattr(engine, "dist_clust_trace", spy)
+    assert main(["run", manifest, "--seed", "7", "--out", str(tmp_path / "one")]) == 0
+    single = len(calls)
+    assert single > 0
+    calls.clear()
+    assert main(["run", manifest, "--seed", "7", "--repeat", "5",
+                 "--out", str(tmp_path / "five")]) == 0
+    assert len(calls) < 5 * single
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):

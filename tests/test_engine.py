@@ -4,7 +4,7 @@ import json
 import pytest
 
 from streamclust import (
-    Chunk, DriftConfig, engine, generate_synthetic, sdccl_spec, sdwcd_spec,
+    Chunk, DriftConfig, dist_clust_trace, engine, generate_synthetic, sdccl_spec, sdwcd_spec,
 )
 from conftest import labels_k, run_all
 
@@ -197,12 +197,12 @@ def test_bootstrap_reports_the_state_init_returns():
 
 def test_run_empty_stream():
     with pytest.raises(ValueError):
-        list(engine.run([], CFG))
+        list(engine.run([], [CFG]))
 
 
 def test_run_needs_a_config_or_a_state_but_not_both():
     state = engine.init(_boot_chunk(), CFG)
-    for kwargs in ({}, {"config": CFG, "state": state}):
+    for kwargs in ({}, {"configs": [CFG], "states": [state]}):
         with pytest.raises(ValueError, match="config"):
             list(engine.run([_normal_chunk(2)], **kwargs))
 
@@ -244,7 +244,7 @@ def test_resume_matches_uninterrupted_run():
 
     state, reports = run_all(chunks[:4], cfg, labels_k)
     state = engine.state_from_json(engine.state_to_json(state))
-    reports += [r for _, r in engine.run(chunks[4:], k_for_chunk=labels_k, state=state)]
+    reports += [r for _, _, r in engine.run(chunks[4:], k_for_chunk=labels_k, states=[state])]
     assert [_strip_duration(r) for r in reports] == [_strip_duration(r) for r in full]
 
 
@@ -266,7 +266,7 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
     chunks = generate_synthetic(spec(seed=5))
     k, k_for_chunk = _POLICIES[policy]
     cfg = DriftConfig(k=k, seed=5)
-    full = list(engine.run(chunks, cfg, k_for_chunk))
+    full = [(state, report) for _, state, report in engine.run(chunks, [cfg], k_for_chunk)]
     for i, (state, report) in enumerate(full):
         _check_step(chunks[i], state, report, i)
     expected = [(state, _strip_duration(report)) for state, report in full]
@@ -278,11 +278,92 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
         state = engine.state_from_json(text)
         assert state == full[cut - 1][0]
         tail = []
-        for i, (state, report) in enumerate(
-                engine.run(chunks[cut:], k_for_chunk=k_for_chunk, state=state), cut):
+        for i, (_, state, report) in enumerate(
+                engine.run(chunks[cut:], k_for_chunk=k_for_chunk, states=[state]), cut):
             _check_step(chunks[i], state, report, i)
             tail.append((state, _strip_duration(report)))
         assert tail == expected[cut:]
+
+
+def _with_main(state, centroids):
+    return dataclasses.replace(state, main=dataclasses.replace(state.main, centroids=centroids))
+
+
+def _hex(result):
+    return [[x.hex() for x in c] for c in result.centroids]
+
+
+def test_shared_absorb_keeps_the_sign_of_zero_apart():
+    # equal by value, not bit for bit: absorbing (-0.0, 1.0) into (-0.0, 1.0)
+    # gives -0.0, into (0.0, 1.0) gives 0.0
+    state = engine.init(_boot_chunk(), CFG)
+    far = state.main.centroids[1]
+    negative = _with_main(state, [(-0.0, 1.0), far])
+    positive = _with_main(state, [(0.0, 1.0), far])
+    assert negative.main == positive.main
+    chunk = _chunk(2, [((-0.0, 1.0), 1)])
+    absorbed = {}
+    stepped = [engine.step(s, chunk, 1, absorbed)[0] for s in (negative, positive)]
+    assert len(absorbed) == 2
+    for before, after in zip((negative, positive), stepped):
+        alone, _ = dist_clust_trace(chunk, before.main)
+        assert _hex(after.main) == _hex(alone)
+    assert _hex(stepped[0].main)[0][0] != _hex(stepped[1].main)[0][0]
+
+
+def test_shared_absorb_is_reused_for_an_equal_model():
+    state = engine.init(_boot_chunk(), CFG)
+    twin = engine.state_from_json(engine.state_to_json(state))
+    assert twin.main is not state.main
+    chunk, absorbed = _normal_chunk(2), {}
+    first, first_report = engine.step(state, chunk, absorbed=absorbed)
+    second, second_report = engine.step(twin, chunk, absorbed=absorbed)
+    assert len(absorbed) == 1
+    assert second.main is first.main
+    assert second_report.assignments is first_report.assignments
+
+
+def test_step_without_a_share_always_absorbs(monkeypatch):
+    calls = []
+    absorb = engine.dist_clust_trace
+
+    def spy(chunk, prev):
+        calls.append(chunk.timestamp)
+        return absorb(chunk, prev)
+
+    monkeypatch.setattr(engine, "dist_clust_trace", spy)
+    state = engine.init(_boot_chunk(), CFG)
+    chunk = _normal_chunk(2)
+    for _ in range(3):
+        engine.step(state, chunk)
+    assert calls == [2, 2, 2]
+
+
+def test_run_steps_every_run_through_a_chunk_before_the_next():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    configs = [DriftConfig(k=5, seed=seed) for seed in (5, 6, 7)]
+    order, together = [], [[] for _ in configs]
+    for i, _, report in engine.run(chunks, configs, labels_k):
+        order.append((report.timestamp, i))
+        together[i].append(_strip_duration(report))
+    assert order == [(c.timestamp, i) for c in chunks for i in range(3)]
+    for cfg, reports in zip(configs, together):
+        _, alone = run_all(chunks, cfg, labels_k)
+        assert reports == [_strip_duration(r) for r in alone]
+
+
+def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    assert state.is_concept_drift
+    text = engine.state_to_json(state)
+    stale = json.loads(text)
+    stale["timestamp"] = 2
+    parallel_only = json.loads(text)
+    parallel_only["parallel"]["result"]["timestamp"] = 3
+    for doc in (stale, parallel_only):
+        with pytest.raises(ValueError, match="'timestamp'"):
+            engine.state_from_json(json.dumps(doc))
 
 
 def test_snapshot_rejects_foreign_documents():

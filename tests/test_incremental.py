@@ -200,6 +200,21 @@ def test_dist_clust_running_mean_matches_retained_records():
         assert centroid == pytest.approx(tuple(expected), abs=1e-9)
 
 
+def test_running_mean_stays_exact_over_a_long_lifetime():
+    # criterion 1 checks up to 30 absorbs; this one cluster absorbs 15 000,
+    # compared at every 1 000th with the fsum mean of every record it holds
+    rng = np.random.default_rng(2020)
+    records = rng.uniform(0, 1, size=(15_001, 2))
+    prev = _one(tuple(records[0].tolist()), math.inf, 1, 1)
+    for t, start in enumerate(range(1, len(records), 1_000), 2):
+        prev, trace = dist_clust_trace(Chunk(t, records[start:start + 1_000]), prev)
+        assert None not in trace
+        held = records[:start + 1_000].T.tolist()
+        assert prev.lifetime_counts == (start + 1_000,)
+        for c, column in zip(prev.centroids[0], held):
+            assert abs(c - math.fsum(column) / len(column)) <= 1e-9
+
+
 def test_dist_clust_deterministic():
     rng = np.random.default_rng(55)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
