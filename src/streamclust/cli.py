@@ -63,36 +63,24 @@ def _labels_k(chunk: Chunk) -> int:
 
 
 _spec_field = functools.partial(json_field, "spec")
-_SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": (int,),
-                 "anchors": (list,), "alt_anchors": (list,)}
+_SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": int,
+                 "anchors": list[list[JSON_NUMBER]], "alt_anchors": list[list[JSON_NUMBER]]}
 
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if type(doc) is not dict:
-        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     entries = []
-    for e in _spec_field(doc, "entries", (list,)):
-        if type(e) is not dict:
-            raise ValueError(f"spec field 'entries' must hold objects, got {e!r}")
+    for e in _spec_field(doc, "entries", list[dict]):
         e = {"drift_kind": "none", "offset_steps": 0, **e}
-        sizes = _spec_field(e, "records_per_cluster", (int, list))
-        if type(sizes) is list and not all(type(size) is int for size in sizes):
-            raise ValueError(f"spec field 'records_per_cluster' must list ints, got {sizes!r}")
+        sizes = _spec_field(e, "records_per_cluster", int | list[int])
         entries.append(TimestepSpec(
             cluster_count=_spec_field(e, "cluster_count"),
             records_per_cluster=tuple(sizes) if type(sizes) is list else sizes,
-            drift_kind=DriftKind(_spec_field(e, "drift_kind", (str,))),
+            drift_kind=DriftKind(_spec_field(e, "drift_kind", str)),
             offset_steps=_spec_field(e, "offset_steps"),
         ))
-    kwargs = {key: _spec_field(doc, key, kinds)
-              for key, kinds in _SPEC_OPTIONS.items() if key in doc}
-    for key in ("anchors", "alt_anchors"):
-        if key in kwargs:
-            anchors = kwargs[key]
-            if not all(type(a) is list and all(type(x) in JSON_NUMBER for x in a) for a in anchors):
-                raise ValueError(f"spec field {key!r} must list [x, y] pairs, got {anchors!r}")
-            kwargs[key] = tuple(map(tuple, anchors))
+    kwargs = {key: _spec_field(doc, key, kind)
+              for key, kind in _SPEC_OPTIONS.items() if key in doc}
     return StreamSpec(entries, **{"seed": seed, **kwargs})
 
 
@@ -295,20 +283,18 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"report covers {len(steps)} timestamps but the stream has {len(data.chunks)} chunks"
         )
-    runs = summary.get("runs") or []
+    runs = json_field("report", summary, "runs", list[dict])
     if not (0 <= args.run < len(runs)):
         raise ValueError(f"report has {len(runs)} runs; --run {args.run} is out of range")
-    centroids = [tuple(c) for c in runs[args.run]["final_centroids"]]
-    if centroids and len(centroids[0]) != data.chunks[0].dimensions:
-        raise ValueError(
-            "report centroids do not match the stream's dimensionality; "
-            "wrong manifest/report pair?"
-        )
+    centroids = json_field("report", runs[args.run], "final_centroids", list[list[JSON_NUMBER]])
+    dims = data.chunks[0].dimensions
+    if any(len(c) != dims for c in centroids):
+        raise ValueError(f"report field 'final_centroids' does not hold {dims}-D centroids "
+                         "like the stream; wrong manifest/report pair?")
 
     labeled = true_cluster_values(data.chunks)
     match = tcv_distance(centroids, [c for _, c in labeled])
 
-    dims = len(centroids[0])
     head = ["cluster"]
     head += [f"tcv_x{d + 1}" for d in range(dims)]
     head += [f"found_x{d + 1}" for d in range(dims)]
@@ -389,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

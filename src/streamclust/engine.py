@@ -60,8 +60,15 @@ class ParallelState:
 class EngineState:
     main: ClusteringResult
     parallel: ParallelState | None
-    timestamp: int
     config: DriftConfig
+
+    def __post_init__(self):
+        if self.parallel is not None and self.parallel.result.timestamp != self.timestamp:
+            raise ValueError("a parallel result needs the main result's 'timestamp'")
+
+    @property
+    def timestamp(self) -> int:
+        return self.main.timestamp
 
     @property
     def is_concept_drift(self) -> bool:
@@ -134,7 +141,7 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig,
     started = time.perf_counter()
     t = first_chunk.timestamp
     main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t))
-    state = EngineState(main, None, t, config)
+    state = EngineState(main, None, config)
     report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
     return state, report
 
@@ -210,7 +217,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         else:
             event, main = "swapped", active
     new_state = EngineState(
-        main, None if parallel is None else ParallelState(parallel, strike), t, config
+        main, None if parallel is None else ParallelState(parallel, strike), config
     )
     return new_state, _report(t, event, active, verdict, parallel is not None, strike,
                               retrained, assignments, started)
@@ -265,20 +272,13 @@ _field = functools.partial(json_field, "snapshot")
 def _result_from_doc(doc: dict, dimensions: int | None = None) -> ClusteringResult:
     """The result a snapshot object holds, with every centroid of the given
     length (by default, the first centroid's)."""
-    clusters = _field(doc, "clusters", (list,))
-    for c in clusters:
-        if type(c) is not dict:
-            raise ValueError(f"snapshot field 'clusters' must hold objects, got {c!r}")
-        centroid = _field(c, "centroid", (list,))
-        dimensions = dimensions or len(centroid)
-        if (not centroid or len(centroid) != dimensions
-                or any(type(x) not in JSON_NUMBER for x in centroid)):
-            raise ValueError(
-                f"snapshot field 'centroid' must be a non-empty list of numbers of one length "
-                f"in every cluster, got {centroid!r}"
-            )
+    clusters = _field(doc, "clusters", list[dict])
+    centroids = [_field(c, "centroid", list[JSON_NUMBER]) for c in clusters]
+    if any(not c or len(c) != (dimensions or len(centroids[0])) for c in centroids):
+        raise ValueError(f"snapshot field 'centroid' must have one non-zero length in every "
+                         f"cluster, got lengths {[len(c) for c in centroids]}")
     return ClusteringResult(
-        [c["centroid"] for c in clusters],
+        centroids,
         [_field(c, "radius", JSON_NUMBER) for c in clusters],
         [_field(c, "lifetime_count") for c in clusters],
         [_field(c, "chunk_count") for c in clusters],
@@ -310,33 +310,31 @@ def state_to_json(state: EngineState) -> str:
 def state_from_json(text: str) -> EngineState:
     """Rebuild the engine state from state_to_json's output, validating it."""
     doc = json.loads(text)
-    if type(doc) is not dict or doc.get("format") != SNAPSHOT_FORMAT:
+    if _field(doc, "format", str) != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {doc.get('version')!r}, "
+    if _field(doc, "version") != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {doc['version']}, "
                          f"expected {SNAPSHOT_VERSION}; write it again with run --snapshot")
-    cfg = _field(doc, "config", (dict,))
-    parallel = _field(doc, "parallel", (dict, type(None)))
-    if _field(doc, "is_concept_drift", (bool,)) != (parallel is not None):
+    cfg = _field(doc, "config", dict)
+    parallel = _field(doc, "parallel", dict | None)
+    if _field(doc, "is_concept_drift", bool) != (parallel is not None):
         raise ValueError("snapshot must hold a parallel model exactly while drift is active")
-    main = _result_from_doc(_field(doc, "main", (dict,)))
-    para = None
-    if parallel is not None:
-        para = _result_from_doc(_field(parallel, "result", (dict,)), main.dimensions)
-    timestamp = _field(doc, "timestamp")
-    # every result of a state is the one its last step produced
-    stamps = [main.timestamp] if para is None else [main.timestamp, para.timestamp]
-    if any(t != timestamp for t in stamps):
-        raise ValueError(f"snapshot field 'timestamp' is {timestamp}, "
-                         f"but its results are at t={stamps}")
-    return EngineState(
+    main = _result_from_doc(_field(doc, "main", dict))
+    state = EngineState(
         main=main,
-        parallel=None if para is None else ParallelState(para, _field(parallel, "strike")),
-        timestamp=timestamp,
+        parallel=None if parallel is None else ParallelState(
+            _result_from_doc(_field(parallel, "result", dict), main.dimensions),
+            _field(parallel, "strike"),
+        ),
         config=DriftConfig(
-            k=_field(cfg, "k", (int, type(None))),
+            k=_field(cfg, "k", int | None),
             o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),
             d_thresh=_field(cfg, "d_thresh", JSON_NUMBER),
             seed=_field(cfg, "seed"),
         ),
     )
+    # every result of a state is the one its last step produced
+    if _field(doc, "timestamp") != state.timestamp:
+        raise ValueError(f"snapshot field 'timestamp' is {doc['timestamp']}, "
+                         f"but its results are at t={state.timestamp}")
+    return state

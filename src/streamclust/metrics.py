@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Chunk, ClusteringResult
+from .stream_io import json_field
 
 
 def entropy(assignments) -> float:
@@ -310,11 +311,11 @@ def parse_jsonl(text: str) -> tuple[dict, list[dict], dict]:
     meta: dict = {}
     steps: list[dict] = []
     summary: dict = {}
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         doc = json.loads(line)
-        kind = doc.get("type")
+        kind = json_field(f"report line {n}", doc, "type", str)
         if kind == "meta":
             meta = doc
         elif kind == "step":

@@ -12,11 +12,14 @@ match the files. A failed check raises ValueError naming the file and row.
 """
 
 import csv
+import functools
 import json
 import os
+import reprlib
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -25,18 +28,33 @@ from .core import Chunk, first_nonfinite_row
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "streamclust-stream"
 MANIFEST_VERSION = 1
-JSON_NUMBER = (int, float)  # the types json.loads gives numbers; bool is neither
+JSON_NUMBER = int | float  # the types json.loads gives numbers; bool is neither
 
 
-def json_field(document: str, doc: dict, key: str, kinds: tuple = (int,)):
-    """doc[key] if json.loads gave it one of these types, else a ValueError
-    naming the document and field: a hand-edited file fails in one line."""
+def _has_kind(value, kind, limit=sys.float_info.max) -> bool:
+    """Whether a json.loads value has the JSON type kind, a class (True is not
+    an int), list[kind] or a union such as int | None; ints lie within limit."""
+    if type(kind) is type:
+        return type(value) is kind and (kind is not int or abs(value) <= limit)
+    if get_origin(kind) is list:
+        return type(value) is list and all(_has_kind(v, get_args(kind)[0], limit) for v in value)
+    return any(_has_kind(value, k, limit) for k in get_args(kind))
+
+
+def json_field(document: str, doc, key: str, kind=int):
+    """doc[key] if doc is a JSON object and doc[key] has the JSON type kind
+    with every int in the float64 range, else a ValueError naming the document
+    and field. NaN and infinities are left to the caller's domain checks."""
+    if type(doc) is not dict:
+        raise ValueError(f"{document} is a {type(doc).__name__}, not an object holding {key!r}")
     if key not in doc:
         raise ValueError(f"{document} field {key!r} is missing")
     value = doc[key]
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"{document} field {key!r} must be {names}, got {value!r}")
+    if not _has_kind(value, kind):
+        if _has_kind(value, kind, float("inf")):
+            raise ValueError(f"{document} field {key!r} holds a number beyond the float64 range")
+        name = kind.__name__ if type(kind) is type else kind
+        raise ValueError(f"{document} field {key!r} must be {name}, got {reprlib.repr(value)}")
     return value
 
 
@@ -127,7 +145,7 @@ class StreamData:
 
     @property
     def origin(self) -> str:
-        return self.manifest.get("origin", "synthetic")
+        return json_field("manifest", {"origin": "synthetic", **self.manifest}, "origin", str)
 
 
 def _row_error(path: Path, rows: list[str], dims: int, labeled: bool, exc: Exception) -> ValueError:
@@ -196,29 +214,23 @@ def _parse_chunk(path: Path, dims: int, ac_count: int):
 def load_stream(manifest_path) -> StreamData:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != MANIFEST_FORMAT:
+    field = functools.partial(json_field, "manifest", manifest)
+    if field("format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest.get('version')!r}")
-    missing = [key for key in ("dimensions", "chunk_count", "chunks") if key not in manifest]
-    if missing:
-        raise ValueError(f"{manifest_path} lacks {', '.join(missing)}")
-    dims = manifest["dimensions"]
-    ac_count = manifest.get("artificial_class_sets", 0)
-    names = manifest["chunks"]
-    if not isinstance(dims, int) or dims < 1:
+    if field("version") != MANIFEST_VERSION:
+        raise ValueError(f"unsupported manifest version {manifest['version']!r}")
+    dims = field("dimensions")
+    ac_count = field("artificial_class_sets") if "artificial_class_sets" in manifest else 0
+    names = field("chunks", list[str])
+    if dims < 1:
         raise ValueError(f"{manifest_path}: dimensions must be a positive integer, got {dims!r}")
-    if not isinstance(ac_count, int) or ac_count < 0:
-        raise ValueError(
-            f"{manifest_path}: artificial_class_sets must be a count, got {ac_count!r}"
-        )
-    if not isinstance(names, list) or not names:
+    if ac_count < 0:
+        raise ValueError(f"{manifest_path}: artificial_class_sets must be a count, got {ac_count}")
+    if not names:
         raise ValueError(f"{manifest_path}: chunks must be a non-empty list of file names")
-    if manifest["chunk_count"] != len(names):
-        raise ValueError(
-            f"{manifest_path}: chunk_count is {manifest['chunk_count']!r} "
-            f"but {len(names)} chunk files are listed"
-        )
+    if field("chunk_count") != len(names):
+        raise ValueError(f"{manifest_path}: chunk_count is {manifest['chunk_count']!r} "
+                         f"but {len(names)} chunk files are listed")
 
     chunks = []
     ac_sets = []

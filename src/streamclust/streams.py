@@ -111,6 +111,8 @@ class StreamSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        for name in ("anchors", "alt_anchors"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         if not self.entries:
             raise ValueError("StreamSpec needs at least one entry")
         if self.sigma <= 0:

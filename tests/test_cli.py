@@ -82,8 +82,12 @@ _MALFORMED_SPECS = {
     "string_cluster_count": (_spec(entry={"cluster_count": "2"}), "cluster_count"),
     "string_sigma": (_spec(sigma="x"), "sigma"),
     "one_coordinate_anchors": (_spec(anchors=[[0.1], [0.2]]), "anchor"),
-    "top_level_list": ([1, 2], "JSON object"),
+    "top_level_list": ([1, 2], "spec is a list, not an object holding 'entries'"),
     "missing_entries": ({"sigma": 0.1}, "spec field 'entries' is missing"),
+    # json.dumps writes a big int as digits, which json.loads reads back as an int
+    "huge_sigma": (_spec(sigma=10**400), "spec field 'sigma'"),
+    "huge_anchor_coordinate": (_spec(anchors=[[0.1, 10**400], [0.5, 0.5]]),
+                               "spec field 'anchors'"),
 }
 
 
@@ -275,6 +279,10 @@ _WRONG_TYPES = {
     "null_coordinate": (("main", "clusters", 1, "centroid", 0), None, "centroid"),
     "string_lifetime_count": (("parallel", "result", "clusters", 0, "lifetime_count"), "7",
                               "lifetime_count"),
+    "huge_coordinate": (("main", "clusters", 0, "centroid", 0), 10**400,
+                        "snapshot field 'centroid'"),
+    "huge_lifetime_count": (("main", "clusters", 0, "lifetime_count"), 10**400,
+                            "snapshot field 'lifetime_count'"),
 }
 
 
@@ -494,6 +502,48 @@ def test_eval_report_with_nan_centroid_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _summary_edit(edit):
+    """A report edit that applies edit to the summary line's list of runs."""
+    def edit_lines(lines):
+        summary = json.loads(lines[-1])
+        edit(summary["runs"])
+        return lines[:-1] + [json.dumps(summary)]
+    return edit_lines
+
+
+def _first_coordinate(value):
+    return _summary_edit(lambda runs: runs[0]["final_centroids"][0].__setitem__(0, value))
+
+
+_MALFORMED_REPORTS = {
+    "line_not_an_object": (lambda lines: lines[:1] + ["[1, 2]"] + lines[1:],
+                           "report line 2", "'type'"),
+    "runs_of_numbers": (_summary_edit(lambda runs: runs.__setitem__(0, 1)), "report", "'runs'"),
+    "null_coordinate": (_first_coordinate(None), "report", "'final_centroids'"),
+    "huge_coordinate": (_first_coordinate(10**400), "report", "'final_centroids'"),
+    "missing_final_centroids": (_summary_edit(lambda runs: runs[0].pop("final_centroids")),
+                                "report", "'final_centroids'"),
+    "second_centroid_too_long": (
+        _summary_edit(lambda runs: runs[0]["final_centroids"][1].append(0.5)),
+        "report", "'final_centroids'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_REPORTS))
+def test_eval_malformed_report_is_an_error(tmp_path, capsys, case):
+    edit, *names = _MALFORMED_REPORTS[case]
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    report = tmp_path / "run" / "metrics.jsonl"
+    assert main(["run", str(manifest), "--out", str(report.parent)]) == 0
+    report.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(manifest), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert all(name in captured.err for name in names), captured.err
+
+
 def test_eval_tolerates_truncated_run(tmp_path, capsys):
     out = tmp_path / "s"
     main(["gen", "sdwcd", "--seed", "7", "--out", str(out)])
@@ -527,6 +577,21 @@ def _sdwcd(tmp_path, capsys):
     assert main(["gen", "sdwcd", "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     return out
+
+
+_MALFORMED_MANIFESTS = {
+    "top_level_list": (lambda doc: [], "'format'"),
+    "number_as_chunk_file": (lambda doc: {**doc, "chunks": [5, *doc["chunks"][1:]]}, "'chunks'"),
+    "number_as_origin": (lambda doc: {**doc, "origin": 5}, "'origin'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MANIFESTS))
+def test_run_malformed_manifest_is_an_error(tmp_path, capsys, case):
+    edit, field = _MALFORMED_MANIFESTS[case]
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    _run_fails_with_one_line_error(tmp_path, capsys, manifest, "manifest", field)
 
 
 def test_run_truncated_row_is_an_error(tmp_path, capsys):

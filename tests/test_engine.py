@@ -4,7 +4,8 @@ import json
 import pytest
 
 from streamclust import (
-    Chunk, DriftConfig, dist_clust_trace, engine, generate_synthetic, sdccl_spec, sdwcd_spec,
+    Chunk, DriftConfig, EngineState, ParallelState, dist_clust_trace, engine, generate_synthetic,
+    sdccl_spec, sdwcd_spec,
 )
 from conftest import labels_k, run_all
 
@@ -364,6 +365,24 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
     for doc in (stale, parallel_only):
         with pytest.raises(ValueError, match="'timestamp'"):
             engine.state_from_json(json.dumps(doc))
+
+
+def test_state_timestamp_is_its_results_timestamp():
+    # a state cannot claim the timestamp before its results: stepping one that
+    # holds chunks 1-2 with chunk 2 again would absorb chunk 2 twice
+    chunks = generate_synthetic(sdwcd_spec(seed=7))
+    cfg = DriftConfig(k=5, seed=7)
+    s1, _ = run_all(chunks[:1], cfg)
+    s2, _ = run_all(chunks[:2], cfg)
+    assert s2.parallel is None and s2.main.lifetime_counts == (59, 59, 60, 60, 60)
+    with pytest.raises(TypeError):
+        EngineState(s2.main, None, 1, cfg)
+    state = EngineState(s2.main, None, cfg)
+    assert state.timestamp == 2
+    with pytest.raises(ValueError, match="expected chunk timestamp 3, got 2"):
+        engine.step(state, chunks[1])
+    with pytest.raises(ValueError, match="'timestamp'"):
+        EngineState(s2.main, ParallelState(s1.main, 1), cfg)
 
 
 def test_snapshot_rejects_foreign_documents():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from streamclust import (
     sdccl_spec,
     write_stream,
 )
+from streamclust.stream_io import JSON_NUMBER, json_field
 from conftest import same_chunk
 
 
@@ -195,10 +197,12 @@ def test_load_stream_rejects_unparsable_field(tmp_path, field):
         ({"dimensions": 3}, "4 columns|need 4"),
         ({"dimensions": 0}, "positive integer"),
         ({"chunk_count": 9}, "chunk_count is 9 but 7"),
-        ({"chunks": "chunk_00001.csv"}, "non-empty list"),
+        pytest.param({"chunks": "chunk_00001.csv"}, r"manifest field 'chunks' must be list\[str\]",
+                     id="edit3-non-empty list"),
         ({"chunks": []}, "non-empty list"),
         ({"artificial_class_sets": 1}, "need 4"),
-        ({"artificial_class_sets": "2"}, "must be a count"),
+        pytest.param({"artificial_class_sets": "2"},
+                     "manifest field 'artificial_class_sets' must be int", id="edit6-must be a count"),
     ],
 )
 def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, message):
@@ -216,7 +220,7 @@ def test_load_stream_rejects_manifest_missing_field(tmp_path, key):
     doc = json.loads(manifest.read_text())
     del doc[key]
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"manifest.json lacks {key}"):
+    with pytest.raises(ValueError, match=f"manifest field '{key}' is missing"):
         load_stream(manifest)
 
 
@@ -226,3 +230,31 @@ def test_load_stream_returns_read_only_matrices(tmp_path):
     assert chunk.values.shape == (150, 2) and chunk.values.dtype == np.float64
     assert chunk.labels.shape == (150,) and chunk.labels.dtype == np.int64
     assert not chunk.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "text, key, kind, message",
+    [
+        ('{"a": 1}', "b", int, "doc field 'b' is missing"),
+        ("[1]", "a", int, "doc is a list, not an object holding 'a'"),
+        ('{"a": true}', "a", int, "doc field 'a' must be int, got True"),
+        ('{"a": [1, "2"]}', "a", list[int], r"doc field 'a' must be list\[int\], got \[1, '2'\]"),
+        ('{"a": [[0.5], [1, null]]}', "a", list[list[JSON_NUMBER]], r"must be list\[list\[int"),
+        ('{"a": [[0.5], [1' + "0" * 400 + ']]}', "a", list[list[JSON_NUMBER]],
+         "doc field 'a' holds a number beyond the float64 range"),
+        ('{"a": -1' + "0" * 400 + "}", "a", JSON_NUMBER, "beyond the float64 range"),
+    ],
+)
+def test_json_field_rejects(text, key, kind, message):
+    with pytest.raises(ValueError, match=message):
+        json_field("doc", json.loads(text), key, kind)
+
+
+def test_json_field_returns_values_of_the_kind():
+    big = "1" + "0" * 308  # 1e308, below the float64 maximum of about 1.8e308
+    doc = json.loads('{"r": Infinity, "n": NaN, "k": null, "c": [[1, 0.5]], "big": ' + big + "}")
+    assert json_field("doc", doc, "r", JSON_NUMBER) == math.inf
+    assert math.isnan(json_field("doc", doc, "n", float))
+    assert json_field("doc", doc, "k", int | None) is None
+    assert json_field("doc", doc, "c", list[list[JSON_NUMBER]]) == [[1, 0.5]]
+    assert json_field("doc", doc, "big") == 10**308
