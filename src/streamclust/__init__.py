@@ -14,7 +14,6 @@ from .core import Chunk, ClusteringResult, DriftConfig, minmax_normalize
 from .drift import DriftCause, DriftVerdict, detect
 from .engine import (
     EngineState,
-    ParallelState,
     StepReport,
     init,
     run,
@@ -36,9 +35,6 @@ from .metrics import (
 )
 from .stream_io import StreamData, load_dataset, load_stream, write_stream
 from .streams import (
-    BASE_ANCHORS,
-    DRIFT_ANCHORS,
-    MERGED_LABEL,
     DriftKind,
     StreamSpec,
     TimestepSpec,
@@ -59,12 +55,12 @@ __all__ = [
     "summarize_trace",
     "dist_clust_trace",
     "DriftCause", "DriftVerdict", "detect",
-    "EngineState", "ParallelState", "StepReport", "init", "step", "run",
+    "EngineState", "StepReport", "init", "step", "run",
     "state_to_json", "state_from_json",
     "DriftKind", "TimestepSpec", "StreamSpec", "generate_synthetic",
     "chunk_dataset", "chunk_indices",
     "make_artificial_classes", "sdwcd_spec", "sdccl_spec", "ncd100_spec",
-    "wcd1000_spec", "BASE_ANCHORS", "DRIFT_ANCHORS", "MERGED_LABEL",
+    "wcd1000_spec",
     "entropy", "sse", "true_cluster_values", "tcv_distance", "TcvMatch",
     "TimestepMetrics", "MetricsReport", "step_metrics", "build_report",
     "StreamData", "write_stream", "load_stream", "load_dataset",

@@ -45,25 +45,22 @@ _SWAP_AT = 4
 
 
 @dataclass(frozen=True)
-class ParallelState:
-    """The shadow model kept alive while drift handling is active."""
-
-    result: ClusteringResult
-    strike: int
-
-    def __post_init__(self):
-        if not 1 <= self.strike < _SWAP_AT:
-            raise ValueError(f"strike must be in 1..{_SWAP_AT - 1}, got {self.strike}")
-
-
-@dataclass(frozen=True)
 class EngineState:
+    """The main model and, while drift handling is active, the parallel
+    model with its strike (1..3); strike is 0 while there is none."""
+
     main: ClusteringResult
-    parallel: ParallelState | None
+    parallel: ClusteringResult | None
+    strike: int
     config: DriftConfig
 
     def __post_init__(self):
-        if self.parallel is not None and self.parallel.result.timestamp != self.timestamp:
+        if self.parallel is None:
+            if self.strike != 0:
+                raise ValueError(f"strike must be 0 without a parallel model, got {self.strike}")
+        elif not 1 <= self.strike < _SWAP_AT:
+            raise ValueError(f"strike must be in 1..{_SWAP_AT - 1}, got {self.strike}")
+        elif self.parallel.timestamp != self.timestamp:
             raise ValueError("a parallel result needs the main result's 'timestamp'")
 
     @property
@@ -141,7 +138,7 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig,
     started = time.perf_counter()
     t = first_chunk.timestamp
     main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t))
-    state = EngineState(main, None, config)
+    state = EngineState(main, None, 0, config)
     report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
     return state, report
 
@@ -206,19 +203,16 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         parallel, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
         active = parallel
     else:
-        prev_para = state.parallel.result
-        active, assignments = _absorb(chunk, prev_para, absorbed)
-        retrained = detect(active, prev_para, len(chunk), config).is_drift
+        active, assignments = _absorb(chunk, state.parallel, absorbed)
+        retrained = detect(active, state.parallel, len(chunk), config).is_drift
         if retrained:
             active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
-        strike = state.parallel.strike + 1
+        strike = state.strike + 1
         if strike < _SWAP_AT:
             event, parallel = "none", active
         else:
             event, main = "swapped", active
-    new_state = EngineState(
-        main, None if parallel is None else ParallelState(parallel, strike), config
-    )
+    new_state = EngineState(main, parallel, 0 if parallel is None else strike, config)
     return new_state, _report(t, event, active, verdict, parallel is not None, strike,
                               retrained, assignments, started)
 
@@ -303,7 +297,7 @@ def state_to_json(state: EngineState) -> str:
         "main": _result_to_doc(state.main),
         "parallel": None
         if state.parallel is None
-        else {"strike": state.parallel.strike, "result": _result_to_doc(state.parallel.result)},
+        else {"strike": state.strike, "result": _result_to_doc(state.parallel)},
     }, indent=2)
 
 
@@ -322,10 +316,9 @@ def state_from_json(text: str) -> EngineState:
     main = _result_from_doc(_field(doc, "main", dict))
     state = EngineState(
         main=main,
-        parallel=None if parallel is None else ParallelState(
-            _result_from_doc(_field(parallel, "result", dict), main.dimensions),
-            _field(parallel, "strike"),
-        ),
+        parallel=None if parallel is None
+        else _result_from_doc(_field(parallel, "result", dict), main.dimensions),
+        strike=0 if parallel is None else _field(parallel, "strike"),
         config=DriftConfig(
             k=_field(cfg, "k", int | None),
             o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),

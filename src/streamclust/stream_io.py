@@ -1,14 +1,15 @@
-"""File formats: one CSV per chunk plus a JSON manifest, and dataset loading.
+"""File formats: a stream as NumPy arrays plus a JSON manifest, and dataset loading.
 
-Floats are written with repr() so that parsing them back yields bit-identical
-values; regenerating a stream from the same seed produces byte-identical
-files. All writes go through a temp file and os.replace, so a failed write
-never leaves a half-written file behind.
-
-Chunk files are parsed in bulk and checked whole on the way in: every row
-has the manifest's column count, every attribute value is finite, labels are
-all present or all absent, and the manifest's dimensions and chunk_count
-match the files. A failed check raises ValueError naming the file and row.
+A stream directory holds its records in stream order as .npy arrays:
+values.npy (float64, records x dimensions), labels.npy (int64, labeled
+streams only) and ac.npy (int64, records x artificial_class_sets). The
+manifest's chunk_sizes splits the rows into chunks. A .npy file holds the
+float64 bits themselves, so a stream reads back exactly and regenerating it
+from the same seed gives byte-identical files. Writes go through a temp file
+and os.replace, so a failed write never leaves a half-written file behind.
+On the way in, each array must have its exact dtype, byte order included,
+and the shape the manifest gives it, and every value must be finite; a
+failed check raises ValueError naming the file.
 """
 
 import csv
@@ -23,11 +24,13 @@ from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
+from . import __version__
 from .core import Chunk, first_nonfinite_row
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "streamclust-stream"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2  # 2: three .npy arrays in place of one CSV file per chunk
+ORIGINS = ("synthetic", "real-world")
 JSON_NUMBER = int | float  # the types json.loads gives numbers; bool is neither
 
 
@@ -58,12 +61,6 @@ def json_field(document: str, doc, key: str, kind=int):
     return value
 
 
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -71,8 +68,11 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _chunk_file_name(timestamp: int) -> str:
-    return f"chunk_{timestamp:05d}.csv"
+def _save_array(path: Path, array: np.ndarray) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:  # a file object, so np.save appends no .npy suffix
+        np.save(f, array, allow_pickle=False)
+    os.replace(tmp, path)
 
 
 def write_stream(
@@ -84,49 +84,45 @@ def write_stream(
     source: dict | None = None,
     ac_sets: Sequence[Sequence[tuple[int, ...]]] | None = None,
 ) -> Path:
-    """Write chunk files and a manifest; returns the manifest path.
+    """Write the stream's arrays and its manifest; returns the manifest path.
 
-    ac_sets, when given, holds one int matrix per chunk with a row of
-    artificial class labels per record; they are stored as extra columns
-    after the label column.
+    The chunks must be all labeled or all unlabeled. ac_sets, when given,
+    holds one int matrix per chunk with a row of artificial class labels per
+    record; they are stored in ac.npy.
     """
-    if origin not in ("synthetic", "real-world"):
+    if origin not in ORIGINS:
         raise ValueError(f"origin must be 'synthetic' or 'real-world', got {origin!r}")
     chunks = list(chunks)
     if not chunks:
         raise ValueError("cannot write an empty stream")
-    if ac_sets is not None and len(ac_sets) != len(chunks):
+    sizes = [len(c) for c in chunks]
+    if ac_sets is not None and [len(a) for a in ac_sets] != sizes:
         raise ValueError("ac_sets must align with chunks")
+    labeled = chunks[0].labels is not None
+    if any((c.labels is not None) != labeled for c in chunks):
+        raise ValueError("a stream's chunks must be all labeled or all unlabeled")
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    dims = chunks[0].dimensions
-    ac_count = len(ac_sets[0][0]) if ac_sets else 0
-    header = [f"a{i + 1}" for i in range(dims)] + ["label"]
-    header += [f"ac{i + 1}" for i in range(ac_count)]
-
-    names = []
-    for pos, chunk in enumerate(chunks):
-        # repr() of Python floats (never of numpy scalars) round-trips exactly
-        rows = [",".join(map(repr, row)) for row in chunk.values.tolist()]
-        labels = [""] * len(chunk) if chunk.labels is None else map(str, chunk.labels.tolist())
-        rows = [f"{row},{label}" for row, label in zip(rows, labels)]
-        if ac_sets:
-            extra = [",".join(map(str, r)) for r in np.asarray(ac_sets[pos]).tolist()]
-            rows = [f"{row},{ac}" for row, ac in zip(rows, extra)]
-        name = _chunk_file_name(chunk.timestamp)
-        names.append(name)
-        atomic_write_text(directory / name, "\n".join([",".join(header), *rows]) + "\n")
+    values = np.concatenate([c.values for c in chunks])
+    _save_array(directory / "values.npy", values)
+    if labeled:
+        _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
+    ac_count = 0
+    if ac_sets is not None:
+        ac = np.concatenate([np.asarray(a, dtype=np.int64) for a in ac_sets])
+        ac_count = ac.shape[1]
+        _save_array(directory / "ac.npy", ac)
 
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "origin": origin,
         "seed": seed,
-        "dimensions": dims,
-        "chunk_count": len(chunks),
-        "chunks": names,
+        "dimensions": values.shape[1],
+        "labeled": labeled,
+        "chunk_sizes": sizes,
         "artificial_class_sets": ac_count,
         "source": source or {},
     }
@@ -145,70 +141,23 @@ class StreamData:
 
     @property
     def origin(self) -> str:
-        return json_field("manifest", {"origin": "synthetic", **self.manifest}, "origin", str)
+        return self.manifest["origin"]
 
 
-def _row_error(path: Path, rows: list[str], dims: int, labeled: bool, exc: Exception) -> ValueError:
-    """Name the first row holding a field the bulk conversion rejected."""
-    for line, row in enumerate(rows, start=2):
-        fields = row.split(",")
-        try:
-            for v in fields[:dims]:
-                float(v)
-            if labeled:
-                int(fields[dims])
-            for v in fields[dims + 1 :]:
-                int(v)
-        except ValueError as err:
-            return ValueError(f"{path} row {line}: {err}")
-    return ValueError(f"{path}: {exc}")
-
-
-def _parse_chunk(path: Path, dims: int, ac_count: int):
-    """Read one chunk file into (values, labels or None, ac matrix or None).
-
-    The file is split once into a flat row-major field list; the label and
-    artificial-class columns are sliced out of it, and each part is converted
-    in one call. Row numbers in errors count the header as row 1.
-    """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise ValueError(f"chunk file {path} is empty")
-    width = dims + 1 + ac_count
-    columns = lines[0].count(",") + 1
-    if columns != width:
-        raise ValueError(
-            f"{path} has {columns} columns, but the manifest's dimensions={dims} "
-            f"and artificial_class_sets={ac_count} need {width}"
-        )
-    rows = lines[1:]
-    # A "\n" field between rows marks their ends: every row has exactly
-    # width fields iff the markers sit at every (width + 1)-th position.
-    fields = ",\n,".join(rows).split(",")
-    markers = fields[width :: width + 1]
-    if len(fields) != len(rows) * (width + 1) - 1 or markers != ["\n"] * (len(rows) - 1):
-        line, row = next(
-            (line, row) for line, row in enumerate(rows, start=2) if row.count(",") != width - 1
-        )
-        raise ValueError(f"{path} row {line}: expected {width} fields, got {row.count(',') + 1}")
-    del fields[width :: width + 1]
-    label_fields = fields[dims::width]
-    labeled = any(label_fields)
-    ac_columns = [fields[dims + 1 + a :: width] for a in range(ac_count)]
-    for j in range(width - 1, dims - 1, -1):  # drop label and ac columns
-        del fields[j :: j + 1]
-    # numpy converts each str with Python's own float() / int(), so values
-    # parse exactly as float(field) does, just without a Python-level loop
+def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
+    """The array in the .npy file at path, refused unless it holds exactly
+    dtype, byte order included, in the shape the manifest's fields give."""
     try:
-        values = np.array(fields, dtype=np.float64).reshape(len(rows), dims)
-        labels = np.array(label_fields, dtype=np.int64) if labeled else None
-        ac = np.array(ac_columns, dtype=np.int64).T.copy() if ac_count else None
-    except (ValueError, OverflowError) as exc:
-        raise _row_error(path, rows, dims, labeled, exc) from None
-    bad = first_nonfinite_row(values)
-    if bad is not None:
-        raise ValueError(f"{path} row {bad + 2}: attribute values must be finite")
-    return values, labels, ac
+        with open(path, "rb") as f:  # reads the .npy format only: never a pickle or an .npz
+            array = np.lib.format.read_array(f, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a readable .npy array: {exc}") from None
+    if array.dtype != dtype:
+        raise ValueError(f"{path} holds {array.dtype.str} values, not {np.dtype(dtype).str}")
+    if array.shape != shape:
+        raise ValueError(f"{path} has shape {array.shape}, "
+                         f"but the manifest's {fields} give {shape}")
+    return array
 
 
 def load_stream(manifest_path) -> StreamData:
@@ -218,27 +167,44 @@ def load_stream(manifest_path) -> StreamData:
     if field("format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
     if field("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest['version']!r}")
+        raise ValueError(f"unsupported manifest version {manifest['version']}, expected "
+                         f"{MANIFEST_VERSION}; write the stream again with gen or chunk")
+    origin = field("origin", str)
+    if origin not in ORIGINS:
+        raise ValueError(f"manifest field 'origin' must be 'synthetic' or 'real-world', "
+                         f"got {origin!r}")
     dims = field("dimensions")
-    ac_count = field("artificial_class_sets") if "artificial_class_sets" in manifest else 0
-    names = field("chunks", list[str])
+    labeled = field("labeled", bool)
+    sizes = field("chunk_sizes", list[int])
+    ac_count = field("artificial_class_sets")
     if dims < 1:
         raise ValueError(f"{manifest_path}: dimensions must be a positive integer, got {dims!r}")
     if ac_count < 0:
         raise ValueError(f"{manifest_path}: artificial_class_sets must be a count, got {ac_count}")
-    if not names:
-        raise ValueError(f"{manifest_path}: chunks must be a non-empty list of file names")
-    if field("chunk_count") != len(names):
-        raise ValueError(f"{manifest_path}: chunk_count is {manifest['chunk_count']!r} "
-                         f"but {len(names)} chunk files are listed")
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"{manifest_path}: chunk_sizes must be a non-empty list of "
+                         "positive record counts")
 
-    chunks = []
-    ac_sets = []
-    for t, name in enumerate(names, start=1):
-        values, labels, ac = _parse_chunk(manifest_path.parent / name, dims, ac_count)
-        chunks.append(Chunk(t, values, labels))
-        ac_sets.append(ac)
-    return StreamData(tuple(chunks), manifest, tuple(ac_sets) if ac_count else None)
+    directory, rows = manifest_path.parent, sum(sizes)
+    path = directory / "values.npy"
+    values = _read_array(path, np.float64, (rows, dims), "chunk_sizes and dimensions")
+    bad = first_nonfinite_row(values)
+    if bad is not None:
+        t = int(np.searchsorted(np.cumsum(sizes), bad, side="right"))
+        raise ValueError(f"{path} record {bad - sum(sizes[:t]) + 1} of chunk {t + 1}: "
+                         "attribute values must be finite")
+    labels = ac = None
+    if labeled:
+        labels = _read_array(directory / "labels.npy", np.int64, (rows,), "chunk_sizes")
+    if ac_count:
+        ac = _read_array(directory / "ac.npy", np.int64, (rows, ac_count),
+                         "chunk_sizes and artificial_class_sets")
+
+    bounds = np.cumsum(sizes[:-1])
+    label_parts = np.split(labels, bounds) if labeled else [None] * len(sizes)
+    chunks = tuple(Chunk(t, v, y) for t, (v, y)
+                   in enumerate(zip(np.split(values, bounds), label_parts), start=1))
+    return StreamData(chunks, manifest, tuple(np.split(ac, bounds)) if ac_count else None)
 
 
 def _looks_numeric(field: str) -> bool:

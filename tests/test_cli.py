@@ -2,6 +2,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from streamclust import __version__, engine, load_stream
@@ -33,8 +34,9 @@ def test_gen_writes_stream(tmp_path, capsys):
 def test_gen_is_byte_reproducible(tmp_path):
     assert main(["gen", "sdwcd", "--seed", "5", "--out", str(tmp_path / "a")]) == 0
     assert main(["gen", "sdwcd", "--seed", "5", "--out", str(tmp_path / "b")]) == 0
-    names = json.loads((tmp_path / "a" / "manifest.json").read_text())["chunks"]
-    for name in names + ["manifest.json"]:
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == ["labels.npy", "manifest.json", "values.npy"]
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -128,6 +130,7 @@ def test_chunk_with_artificial_classes(tmp_path, capsys):
     data = load_stream(capsys.readouterr().out.strip())
     assert data.manifest["artificial_class_sets"] == 2
     assert len(data.ac_sets[0]) == len(data.chunks[0])
+    assert np.load(out / "ac.npy").shape == (8, 2)
 
 
 def test_chunk_class_smaller_than_chunk_count(tmp_path, capsys):
@@ -581,8 +584,11 @@ def _sdwcd(tmp_path, capsys):
 
 _MALFORMED_MANIFESTS = {
     "top_level_list": (lambda doc: [], "'format'"),
-    "number_as_chunk_file": (lambda doc: {**doc, "chunks": [5, *doc["chunks"][1:]]}, "'chunks'"),
+    "string_as_chunk_size": (lambda doc: {**doc, "chunk_sizes": ["150", *doc["chunk_sizes"][1:]]},
+                             "'chunk_sizes'"),
     "number_as_origin": (lambda doc: {**doc, "origin": 5}, "'origin'"),
+    "misspelled_origin": (lambda doc: {**doc, "origin": "realworld"}, "'origin'"),
+    "version_1": (lambda doc: {**doc, "version": 1}, "gen or chunk"),
 }
 
 
@@ -594,14 +600,52 @@ def test_run_malformed_manifest_is_an_error(tmp_path, capsys, case):
     _run_fails_with_one_line_error(tmp_path, capsys, manifest, "manifest", field)
 
 
+def _save_object_array(path):
+    np.save(path, np.array([0.5, "x"], dtype=object), allow_pickle=True)
+
+
+def _drop_row(path):
+    np.save(path, np.load(path)[1:])
+
+
+# Each case breaks one array file of a generated sdwcd stream
+_BROKEN_ARRAYS = {
+    "zero_byte_values": ("values.npy", lambda path: path.write_bytes(b"")),
+    "truncated_header": ("values.npy", lambda path: path.write_bytes(path.read_bytes()[:30])),
+    "text_values": ("values.npy", lambda path: path.write_text("a1,a2,label\n0.5,0.5,1\n")),
+    "object_values": ("values.npy", _save_object_array),
+    "int64_values": ("values.npy", lambda path: np.save(path, np.load(path).astype(np.int64))),
+    "big_endian_values": ("values.npy", lambda path: np.save(path, np.load(path).astype(">f8"))),
+    "rows_not_chunk_sizes": ("values.npy", _drop_row),
+    "missing_labels": ("labels.npy", lambda path: path.unlink()),
+    "short_labels": ("labels.npy", _drop_row),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_ARRAYS))
+def test_run_broken_stream_array_is_an_error(tmp_path, capsys, case):
+    name, breaks = _BROKEN_ARRAYS[case]
+    out = _sdwcd(tmp_path, capsys)
+    breaks(out / name)
+    _run_fails_with_one_line_error(tmp_path, capsys, out / "manifest.json", str(out / name))
+
+
 def test_run_truncated_row_is_an_error(tmp_path, capsys):
     out = _sdwcd(tmp_path, capsys)
-    path = out / "chunk_00004.csv"
-    lines = path.read_text().splitlines()
-    lines[10] = lines[10].rsplit(",", 1)[0]  # drop the label field of row 11
-    path.write_text("\n".join(lines) + "\n")
+    path = out / "values.npy"
+    path.write_bytes(path.read_bytes()[:-8])  # the last record loses its last value
     _run_fails_with_one_line_error(
-        tmp_path, capsys, out / "manifest.json", "chunk_00004.csv", "row 11"
+        tmp_path, capsys, out / "manifest.json", str(path), "is not a readable .npy array"
+    )
+
+
+def test_run_artificial_class_width_mismatch_is_an_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    main(["chunk", str(_toy_csv(tmp_path)), "--chunks", "2", "--artificial-classes",
+          "--out", str(out)])
+    np.save(out / "ac.npy", np.load(out / "ac.npy")[:, :1])
+    _run_fails_with_one_line_error(
+        tmp_path, capsys, out / "manifest.json", str(out / "ac.npy"), "artificial_class_sets"
     )
 
 
@@ -611,17 +655,16 @@ def test_run_manifest_dimensions_mismatch_is_an_error(tmp_path, capsys):
     doc = json.loads(manifest.read_text())
     doc["dimensions"] = 3
     manifest.write_text(json.dumps(doc))
-    _run_fails_with_one_line_error(tmp_path, capsys, manifest, "chunk_00001.csv", "dimensions=3")
+    _run_fails_with_one_line_error(tmp_path, capsys, manifest, "values.npy", "dimensions")
 
 
 def test_run_nan_value_is_an_error(tmp_path, capsys):
     out = _sdwcd(tmp_path, capsys)
-    path = out / "chunk_00002.csv"
-    lines = path.read_text().splitlines()
-    lines[5] = "nan," + lines[5].split(",", 1)[1]
-    path.write_text("\n".join(lines) + "\n")
+    values = np.load(out / "values.npy")
+    values[150 + 5, 0] = math.nan  # chunk 2, record 6
+    np.save(out / "values.npy", values)
     _run_fails_with_one_line_error(
-        tmp_path, capsys, out / "manifest.json", "chunk_00002.csv", "row 6", "finite"
+        tmp_path, capsys, out / "manifest.json", "values.npy", "record 6 of chunk 2", "finite"
     )
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from streamclust import (
-    Chunk, DriftConfig, EngineState, ParallelState, dist_clust_trace, engine, generate_synthetic,
+    Chunk, DriftConfig, EngineState, dist_clust_trace, engine, generate_synthetic,
     sdccl_spec, sdwcd_spec,
 )
 from conftest import labels_k, run_all
@@ -160,7 +160,7 @@ def test_parallel_retrains_when_it_drifts_itself():
     state, report = engine.step(state, _moved_chunk(4, center=(0.2, 0.8), wide=True), k=1)
     assert report.parallel_retrained
     assert report.parallel_active and report.strike == 2
-    assert state.parallel.result.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
+    assert state.parallel.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
 def test_labels_policy_config_needs_a_k_from_the_caller():
@@ -255,7 +255,7 @@ def _check_step(chunk, state, report, previous_t):
     # a parallel model exists exactly while drift is active, with its strike
     assert report.parallel_active == state.is_concept_drift == (state.parallel is not None)
     if state.parallel is not None:
-        assert 1 <= state.parallel.strike <= 3 and report.strike == state.parallel.strike
+        assert 1 <= state.strike <= 3 and report.strike == state.strike
 
 
 _POLICIES = {"fixed": (5, None), "labels": (None, labels_k)}
@@ -376,13 +376,25 @@ def test_state_timestamp_is_its_results_timestamp():
     s2, _ = run_all(chunks[:2], cfg)
     assert s2.parallel is None and s2.main.lifetime_counts == (59, 59, 60, 60, 60)
     with pytest.raises(TypeError):
-        EngineState(s2.main, None, 1, cfg)
-    state = EngineState(s2.main, None, cfg)
+        EngineState(s2.main, None, 0, cfg, timestamp=1)
+    state = EngineState(s2.main, None, 0, cfg)
     assert state.timestamp == 2
     with pytest.raises(ValueError, match="expected chunk timestamp 3, got 2"):
         engine.step(state, chunks[1])
     with pytest.raises(ValueError, match="'timestamp'"):
-        EngineState(s2.main, ParallelState(s1.main, 1), cfg)
+        EngineState(s2.main, s1.main, 1, cfg)
+
+
+def test_state_strike_is_in_range_exactly_while_a_parallel_model_exists():
+    chunks = generate_synthetic(sdwcd_spec(seed=7))
+    cfg = DriftConfig(k=5, seed=7)
+    s2, _ = run_all(chunks[:2], cfg)
+    for strike in (1, 3):
+        assert EngineState(s2.main, s2.main, strike, cfg).is_concept_drift
+    for parallel, strike, message in ((s2.main, 0, "1..3"), (s2.main, 4, "1..3"),
+                                      (None, 1, "0 without a parallel model")):
+        with pytest.raises(ValueError, match=message):
+            EngineState(s2.main, parallel, strike, cfg)
 
 
 def test_snapshot_rejects_foreign_documents():
@@ -411,7 +423,7 @@ def test_parallel_state_invariants():
         state, report = engine.step(state, chunk, labels_k(chunk))
         assert (state.parallel is not None) == state.is_concept_drift
         if state.parallel is not None:
-            assert 1 <= state.parallel.strike <= 3
+            assert 1 <= state.strike <= 3
         if report.event == "swapped":
             assert report.strike == 4 and state.parallel is None
 

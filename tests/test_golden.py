@@ -1,10 +1,13 @@
 """Byte-level pins on what the commands write and print.
 
 Each digest was taken on the code before the change it guards, and every
-later version must reproduce it exactly: the stream files, reports,
-snapshots and eval tables come from the version that built one frozen object
-per record, and the 4-D run from the version whose centroid update was a
-list comprehension. Before hashing a metrics.jsonl, the wall-clock fields
+later version must reproduce it exactly: the reports, snapshots and eval
+tables come from the version that built one frozen object per record, and
+the 4-D run from the version whose centroid update was a list comprehension.
+The stream trees ("tree", "chunked_tree") were taken when streams moved from
+one CSV file per chunk to .npy arrays (manifest version 2), after the CSV
+and .npy loaders were shown to read bit-equal values, labels and
+artificial classes from the two formats. Before hashing a metrics.jsonl, the wall-clock fields
 (duration_s, total_runtime_s) and the meta line's absolute manifest path are
 dropped; everything else is hashed as written.
 """
@@ -21,13 +24,13 @@ WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
 
 GOLDEN = {
     "sdwcd": {
-        "tree": "ee09cc5ed677c9846fe617f0afb8594b5abe246aab24482dc19ef6b565456c83",
+        "tree": "c26acdbb888ecb03ed82607d8232016741370da119e63525e92f31d41365923e",
         "metrics": "8088a63ebe97e70c083b9edb62a3b73a7289eab4291eae72a65f000aefba87e6",
         "counts": "680f7898f919f4be30eac893f0ea9c0e345de23075d841250d334c59cb676d7d",
         "eval": "98d93ebbae987db33aa159200270334cc433a259e19cac9ff91075fb6ab1b73b",
     },
     "ncd100": {
-        "tree": "5b335d37da3d10af5649c868443b0ced96f5f62569cee10f815acbbf560c2ae4",
+        "tree": "9f43795a5d46bd426f167d6590ae47ed4ecf537d998cd1b2c1ab84590e8f496a",
         "metrics": "7873a82a3b3db82ae2b9dfd37427cd8829893d27cc23d68dbe5529c23810199a",
         "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
         "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
@@ -36,7 +39,7 @@ GOLDEN = {
     # policy as "k": null; every other byte is as before
     "snapshot": "f927ddb71b7b5c9f7110e59bba9e86673a0030a752d3652097bea646cb88a4bc",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
-    "chunked_tree": "fb982f22d8f182ab9662c9b84ea49bb5023013b6f788405aebc21735d5896323",
+    "chunked_tree": "9836e13fe6acf21089a20f5d468227b6fc0eef0d44db47d377b8caf7f327a39b",
     "chunked_run": {
         "metrics": "74fce436297c1294de5a633fd3140ab0975dcc17c1cbd37e647b302c2a811632",
         "counts": "3d597ff1b4359135073482dd0b4fb74c112d7531352da570168b955b4565a6f2",

@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from streamclust import (
     Chunk,
@@ -27,36 +32,81 @@ def test_stream_round_trip_is_bit_exact(tmp_path):
     assert data.origin == "synthetic"
     assert data.manifest["seed"] == 9
     assert data.manifest["dimensions"] == 2
-    assert data.manifest["chunk_count"] == 7
+    assert data.manifest["chunk_sizes"] == [150] * 7
+    assert data.manifest["labeled"] is True
     assert data.ac_sets is None
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
+
+
 def test_round_trip_is_bit_exact_over_the_whole_float_range(tmp_path):
-    # random bit patterns cover subnormals, huge exponents and 17-digit reprs;
-    # the second chunk has no labels, which must read back as None
+    # random bit patterns cover subnormals, huge exponents and -0.0; a stream
+    # without labels reads back with None and writes no labels.npy
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**63, size=(2, 40, 3), dtype=np.uint64)
     values = bits.view(np.float64)
     values[~np.isfinite(values)] = 0.5
     values[0, 0] = (5e-324, -0.0, 1.7976931348623157e308)
-    chunks = [Chunk(1, values[0], rng.integers(-3, 9, size=40)), Chunk(2, values[1])]
-    manifest = write_stream(tmp_path / "a", chunks, seed=0)
-    data = load_stream(manifest)
-    for original, loaded in zip(chunks, data.chunks):
-        assert same_chunk(loaded, original)
-        assert np.array_equal(loaded.values.view(np.uint64), original.values.view(np.uint64))
-    again = write_stream(tmp_path / "b", data.chunks, seed=0)
-    for name in json.loads(manifest.read_text())["chunks"] + ["manifest.json"]:
-        assert (tmp_path / "a" / name).read_bytes() == (again.parent / name).read_bytes()
+    for case, labels in enumerate((rng.integers(-3, 9, size=(2, 40)), [None, None])):
+        chunks = [Chunk(t, values[t - 1], labels[t - 1]) for t in (1, 2)]
+        manifest = write_stream(tmp_path / f"a{case}", chunks, seed=0)
+        data = load_stream(manifest)
+        for original, loaded in zip(chunks, data.chunks):
+            assert same_chunk(loaded, original)
+            assert loaded.values.tobytes() == original.values.tobytes()
+        again = write_stream(tmp_path / f"b{case}", data.chunks, seed=0)
+        assert _files(manifest.parent) == _files(again.parent)
+        assert ("labels.npy" in _files(manifest.parent)) == (labels[0] is not None)
 
 
 def test_stream_files_are_reproducible(tmp_path):
     chunks = generate_synthetic(sdccl_spec(seed=4))
-    m1 = write_stream(tmp_path / "a", chunks, seed=4, origin="synthetic")
-    m2 = write_stream(tmp_path / "b", chunks, seed=4, origin="synthetic")
-    for name in json.loads(m1.read_text())["chunks"]:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    assert m1.read_bytes() == m2.read_bytes()
+    write_stream(tmp_path / "a", chunks, seed=4, origin="synthetic")
+    write_stream(tmp_path / "b", chunks, seed=4, origin="synthetic")
+    files = _files(tmp_path / "a")
+    assert sorted(files) == ["labels.npy", "manifest.json", "values.npy"]
+    assert files == _files(tmp_path / "b")
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.225e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _streams(draw):
+    """(chunks, ac_sets or None): 1-6 chunks of 1-4 dims, 0-2 ac sets."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    dims, ac_count, labeled = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.booleans())
+    chunks, ac_sets = [], []
+    for t, size in enumerate(sizes, start=1):
+        labels = draw(arrays(np.int64, size, elements=_INT64)) if labeled else None
+        chunks.append(Chunk(t, draw(arrays(np.float64, (size, dims), elements=_FLOATS)), labels))
+        ac_sets.append(draw(arrays(np.int64, (size, ac_count), elements=_INT64)))
+    return chunks, ac_sets if ac_count else None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_streams())
+def test_write_then_load_gives_bit_equal_chunks_and_ac(stream):
+    chunks, ac_sets = stream
+    with tempfile.TemporaryDirectory() as tmp:
+        data = load_stream(write_stream(Path(tmp), chunks, seed=0, ac_sets=ac_sets))
+    assert len(data.chunks) == len(chunks)
+    for original, loaded in zip(chunks, data.chunks):
+        assert loaded.timestamp == original.timestamp
+        assert loaded.values.tobytes() == original.values.tobytes()
+        assert (loaded.labels is None) == (original.labels is None)
+        if original.labels is not None:
+            assert loaded.labels.tobytes() == original.labels.tobytes()
+    if ac_sets is None:
+        assert data.ac_sets is None
+    else:
+        assert [a.tobytes() for a in data.ac_sets] == [a.tobytes() for a in ac_sets]
 
 
 def test_stream_round_trip_with_artificial_classes(tmp_path):
@@ -69,6 +119,7 @@ def test_stream_round_trip_with_artificial_classes(tmp_path):
     assert data.origin == "real-world"
     assert data.manifest["artificial_class_sets"] == 2
     assert [rows.tolist() for rows in data.ac_sets] == [rows.tolist() for rows in ac_sets]
+    assert all(rows.dtype == np.int64 for rows in data.ac_sets)
     for original, loaded in zip(chunks, data.chunks):
         assert same_chunk(loaded, original)
 
@@ -81,6 +132,11 @@ def test_write_stream_validation(tmp_path):
         write_stream(tmp_path / "s", [], seed=0)
     with pytest.raises(ValueError):
         write_stream(tmp_path / "s", chunks, seed=0, ac_sets=[])
+    with pytest.raises(ValueError, match="ac_sets must align"):
+        write_stream(tmp_path / "s", chunks, seed=0, ac_sets=[np.zeros((149, 2), int)])
+    with pytest.raises(ValueError, match="all labeled or all unlabeled"):
+        write_stream(tmp_path / "s", [chunks[0], Chunk(2, chunks[0].values)], seed=0)
+    assert not (tmp_path / "s").exists()
 
 
 def test_load_stream_rejects_foreign_manifest(tmp_path):
@@ -153,56 +209,32 @@ def _sdccl_stream(tmp_path):
     return manifest, tmp_path / "s"
 
 
-def _edit_row(path, line, edit):
-    lines = path.read_text().splitlines()
-    lines[line - 1] = edit(lines[line - 1])
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_load_stream_rejects_truncated_row(tmp_path):
-    manifest, stream = _sdccl_stream(tmp_path)
-    _edit_row(stream / "chunk_00004.csv", 5, lambda row: row.rsplit(",", 1)[0])
-    with pytest.raises(ValueError, match=r"chunk_00004\.csv row 5: expected 3 fields, got 2"):
-        load_stream(manifest)
-
-
-def test_load_stream_rejects_short_row_balanced_by_long_row(tmp_path):
-    # the file's total field count is right; only the per-row widths are not
-    manifest, stream = _sdccl_stream(tmp_path)
-    _edit_row(stream / "chunk_00001.csv", 3, lambda row: row.rsplit(",", 1)[0])
-    _edit_row(stream / "chunk_00001.csv", 8, lambda row: row + ",1")
-    with pytest.raises(ValueError, match=r"chunk_00001\.csv row 3: expected 3 fields, got 2"):
-        load_stream(manifest)
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_stream_rejects_non_finite_value(tmp_path, bad):
     manifest, stream = _sdccl_stream(tmp_path)
-    _edit_row(stream / "chunk_00002.csv", 7, lambda row: f"{bad}," + row.split(",", 1)[1])
-    with pytest.raises(ValueError, match=r"chunk_00002\.csv row 7: .*finite"):
-        load_stream(manifest)
-
-
-@pytest.mark.parametrize("field", ["abc", ""])
-def test_load_stream_rejects_unparsable_field(tmp_path, field):
-    manifest, stream = _sdccl_stream(tmp_path)
-    _edit_row(stream / "chunk_00003.csv", 9, lambda row: ",".join(row.split(",")[:2] + [field]))
-    with pytest.raises(ValueError, match=r"chunk_00003\.csv row 9: "):
+    values = np.load(stream / "values.npy")
+    values[150 + 6, 1] = float(bad)  # chunk 2, record 7
+    np.save(stream / "values.npy", values)
+    with pytest.raises(ValueError, match=r"values\.npy record 7 of chunk 2: .*finite"):
         load_stream(manifest)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ({"dimensions": 3}, "4 columns|need 4"),
+        pytest.param({"dimensions": 3}, r"values\.npy has shape \(1050, 2\), but the manifest's "
+                     r"chunk_sizes and dimensions give \(1050, 3\)", id="dimensions"),
         ({"dimensions": 0}, "positive integer"),
-        ({"chunk_count": 9}, "chunk_count is 9 but 7"),
-        pytest.param({"chunks": "chunk_00001.csv"}, r"manifest field 'chunks' must be list\[str\]",
-                     id="edit3-non-empty list"),
-        ({"chunks": []}, "non-empty list"),
-        ({"artificial_class_sets": 1}, "need 4"),
+        pytest.param({"chunk_sizes": [150] * 6}, r"values\.npy has shape \(1050, 2\).*\(900, 2\)",
+                     id="rows_vs_sizes"),
+        pytest.param({"chunk_sizes": "150"}, r"manifest field 'chunk_sizes' must be list\[int\]",
+                     id="sizes_string"),
+        ({"chunk_sizes": []}, "non-empty list"),
+        pytest.param({"chunk_sizes": [0] + [150] * 7}, "positive record counts", id="empty_chunk"),
+        pytest.param({"artificial_class_sets": 1}, r"ac\.npy", id="ac_without_file"),
         pytest.param({"artificial_class_sets": "2"},
                      "manifest field 'artificial_class_sets' must be int", id="edit6-must be a count"),
+        pytest.param({"labeled": 1}, "manifest field 'labeled' must be bool", id="labeled_int"),
     ],
 )
 def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, message):
@@ -210,11 +242,12 @@ def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, 
     doc = json.loads(manifest.read_text())
     doc.update(edit)
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises((ValueError, OSError), match=message):
         load_stream(manifest)
 
 
-@pytest.mark.parametrize("key", ["dimensions", "chunk_count", "chunks"])
+@pytest.mark.parametrize(
+    "key", ["dimensions", "chunk_sizes", "labeled", "artificial_class_sets", "origin"])
 def test_load_stream_rejects_manifest_missing_field(tmp_path, key):
     manifest, _ = _sdccl_stream(tmp_path)
     doc = json.loads(manifest.read_text())

@@ -5,7 +5,6 @@ import pytest
 
 from streamclust import (
     DriftKind,
-    MERGED_LABEL,
     StreamSpec,
     TimestepSpec,
     chunk_dataset,
@@ -16,6 +15,7 @@ from streamclust import (
     sdwcd_spec,
     wcd1000_spec,
 )
+from streamclust.streams import MERGED_LABEL
 from conftest import (
     BINNING_ROWS,
     EXPECTED_BINS,
