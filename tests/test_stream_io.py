@@ -219,6 +219,14 @@ def test_load_stream_rejects_non_finite_value(tmp_path, bad):
         load_stream(manifest)
 
 
+def test_load_stream_rejects_truncated_row(tmp_path):
+    manifest, stream = _sdccl_stream(tmp_path)
+    path = stream / "values.npy"
+    path.write_bytes(path.read_bytes()[:-8])  # the last record loses its last value
+    with pytest.raises(ValueError, match=r"values\.npy is not a readable \.npy array"):
+        load_stream(manifest)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
