@@ -5,7 +5,8 @@ engine decides the current one is stale. Plain Lloyd k-means with greedy
 farthest-point seeding: deterministic for a fixed seed, which the rest of the
 system relies on for reproducible runs. summarize_trace is the one bootstrap
 function: it returns the cluster summaries together with each record's
-assignment.
+assignment, and can share its work between bootstraps that reach the same
+state after Lloyd's first iteration.
 """
 
 import math
@@ -62,40 +63,49 @@ def _repair_empty(matrix, centroids, labels, dists):
     return labels
 
 
-def _lloyd(matrix: np.ndarray, k: int, seed: int):
-    """Run Lloyd iterations; returns (centroids, labels)."""
-    centroids = _farthest_point_init(matrix, k, seed)
-    labels = np.full(len(matrix), -1, dtype=int)
-    for _ in range(MAX_ITERATIONS):
+def _lloyd_iterate(matrix: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                   iterations: int):
+    """Run up to `iterations` Lloyd iterations from (centroids, labels),
+    stopping early once the labels stop changing; returns (centroids, labels).
+
+    Reads nothing but its arguments, and updates centroids in place.
+    """
+    for _ in range(iterations):
         dists = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = dists.argmin(axis=1)
         new_labels = _repair_empty(matrix, centroids, new_labels, dists)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for cluster in range(k):
+        for cluster in range(len(centroids)):
             members = matrix[labels == cluster]
             if len(members):
                 centroids[cluster] = members.mean(axis=0)
     return centroids, labels
 
 
-def summarize_trace(chunk: Chunk, k: int, seed: int) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
-    """Cluster a chunk into k groups and keep only the summaries; the records
-    are dropped.
+def _lloyd_first(matrix: np.ndarray, k: int, seed: int):
+    """Farthest-point seeding and Lloyd's first iteration: (centroids, labels).
 
-    Every record lands in exactly one group; Lloyd iterations stop when
-    assignments are stable or after MAX_ITERATIONS. Deterministic for a fixed
-    seed. Each cluster's lifetime and per-chunk counts start at its member
-    count and its radius is the farthest member's distance from the centroid.
-    Also returns every record's (cluster, distance to its centroid) assignment.
+    Every later iteration reads only this pair: the first labelling after
+    _repair_empty, and the centroids after the first update. A cluster that
+    stayed empty keeps its seeded centroid, so that centroid is part of it.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(chunk):
-        raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
-    centroids, labels = _lloyd(chunk.values, k, seed)
-    counts = np.bincount(labels, minlength=k)
+    centroids = _farthest_point_init(matrix, k, seed)
+    return _lloyd_iterate(matrix, centroids, np.full(len(matrix), -1, dtype=int), 1)
+
+
+def _lloyd(matrix: np.ndarray, k: int, seed: int):
+    """Run Lloyd iterations; returns (centroids, labels)."""
+    centroids, labels = _lloyd_first(matrix, k, seed)
+    return _lloyd_iterate(matrix, centroids, labels, MAX_ITERATIONS - 1)
+
+
+def _finish(chunk: Chunk, centroids: np.ndarray, labels: np.ndarray):
+    """Lloyd's remaining iterations from its first, then the summary: what
+    summarize_trace returns."""
+    centroids, labels = _lloyd_iterate(chunk.values, centroids, labels, MAX_ITERATIONS - 1)
+    counts = np.bincount(labels, minlength=len(centroids))
     kept = np.flatnonzero(counts)  # drop unrepairable empties, renumber the rest
     position = np.cumsum(counts > 0) - 1
     centroids = [tuple(c) for c in centroids[kept].tolist()]
@@ -108,3 +118,35 @@ def summarize_trace(chunk: Chunk, k: int, seed: int) -> tuple[ClusteringResult, 
     counts = counts[kept].tolist()
     result = ClusteringResult(centroids, radii, counts, counts, 0, chunk.timestamp)
     return result, tuple(zip(clusters, dists))
+
+
+def summarize_trace(chunk: Chunk, k: int, seed: int,
+                    shared: dict | None = None) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
+    """Cluster a chunk into k groups and keep only the summaries; the records
+    are dropped.
+
+    Every record lands in exactly one group; Lloyd iterations stop when
+    assignments are stable or after MAX_ITERATIONS. Deterministic for a fixed
+    seed. Each cluster's lifetime and per-chunk counts start at its member
+    count and its radius is the farthest member's distance from the centroid.
+    Also returns every record's (cluster, distance to its centroid) assignment.
+
+    shared, when given, is a dict the caller owns for this chunk only. Past
+    Lloyd's first iteration a bootstrap is a pure function of the chunk, k and
+    that iteration's labels and centroids, so the rest is computed once per
+    distinct such state in shared, and every call that reaches it gets the
+    same (result, assignments) objects. The key holds the arrays' bytes, so
+    0.0 and -0.0 never share. Without shared, every bootstrap is computed.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(chunk):
+        raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
+    centroids, labels = _lloyd_first(chunk.values, k, seed)
+    if shared is None:
+        return _finish(chunk, centroids, labels)
+    key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
+    out = shared.get(key)
+    if out is None:
+        out = shared[key] = _finish(chunk, centroids, labels)
+    return out

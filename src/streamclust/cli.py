@@ -166,13 +166,17 @@ def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
     Bootstraps one run per config, or continues one per state (see
     engine.run). Each step's StepReport, with one assignment per record,
     becomes one small metrics row of its run and is dropped before the next
-    step runs. Returns every run's final state and report, in run order.
+    step runs. With several runs, the runs of a chunk share the scoring of
+    equal assignments (see step_metrics); the share is dropped when the
+    chunk ends. Returns every run's final state and report, in run order.
     """
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
         t = len(rows[i])  # not enumerate: its reused tuple would keep the report alive
-        rows[i].append(step_metrics(chunks[t], report, ac_sets[t] if ac_sets else None))
+        if i == 0:  # a new chunk; one run has nothing to share
+            scored = {} if len(finals) > 1 else None
+        rows[i].append(step_metrics(chunks[t], report, ac_sets[t] if ac_sets else None, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
     return finals, [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]

@@ -19,9 +19,13 @@ All randomness in bootstraps is derived from (config.seed, timestamp), so a
 resumed run continues bit-identically.
 
 Absorbs carry no seed: an absorb is a pure function of the chunk and the
-previous model. run() advances several runs in lockstep, chunk by chunk, and
-lets the runs share each chunk's absorbs: every run whose previous model is
-bit for bit another's reuses that run's absorb instead of repeating it.
+previous model. A bootstrap's seed matters only up to Lloyd's first
+iteration: after it, the bootstrap is a pure function of the chunk, k and
+that iteration's labels and centroids (see summarize_trace). run() advances
+several runs in lockstep, chunk by chunk, and lets the runs share each
+chunk's absorbs and bootstraps: a run whose previous model, or whose
+bootstrap state, is bit for bit another's reuses that run's work instead of
+repeating it.
 """
 
 import functools
@@ -83,6 +87,10 @@ class StepReport:
     otherwise. event is one of "bootstrap", "none", "activated", "stabilized",
     "swapped"; parallel_retrained marks steps where the parallel model itself
     drifted and was re-bootstrapped.
+
+    duration_s is the step's wall-clock time. An absorb or bootstrap that
+    lockstep runs share (see run) counts only in the step that computed it;
+    the runs that reuse it spend no time on it.
     """
 
     timestamp: int
@@ -128,16 +136,18 @@ def _k(config: DriftConfig, k: int | None) -> int:
     return k
 
 
-def bootstrap(first_chunk: Chunk, config: DriftConfig,
-              k: int | None = None) -> tuple[EngineState, StepReport]:
+def bootstrap(first_chunk: Chunk, config: DriftConfig, k: int | None = None,
+              shared: dict | None = None) -> tuple[EngineState, StepReport]:
     """Bootstrap the engine on the first chunk of a stream, with its report.
 
     k overrides config.k for this bootstrap only (callers that derive k per
-    chunk inject it here; the engine itself never looks at labels).
+    chunk inject it here; the engine itself never looks at labels). shared
+    is the chunk's dict of shared work, as in step.
     """
     started = time.perf_counter()
     t = first_chunk.timestamp
-    main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t))
+    main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t),
+                                        shared)
     state = EngineState(main, None, 0, config)
     report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
     return state, report
@@ -149,8 +159,8 @@ def init(first_chunk: Chunk, config: DriftConfig, k: int | None = None) -> Engin
     return state
 
 
-def _absorb(chunk: Chunk, prev: ClusteringResult, absorbed: dict | None):
-    """dist_clust_trace(chunk, prev), computed once per distinct prev in absorbed.
+def _absorb(chunk: Chunk, prev: ClusteringResult, shared: dict | None):
+    """dist_clust_trace(chunk, prev), computed once per distinct prev in shared.
 
     The key holds the chunk and exactly what the absorb reads of prev: its
     centroids, radii and lifetime counts, marshalled at version 2 (no
@@ -158,17 +168,17 @@ def _absorb(chunk: Chunk, prev: ClusteringResult, absorbed: dict | None):
     bits. Value equality would not do: 0.0 == -0.0, but absorbing into either
     gives different bits.
     """
-    if absorbed is None:
+    if shared is None:
         return dist_clust_trace(chunk, prev)
-    key = chunk, marshal.dumps((prev.centroids, prev.radii, prev.lifetime_counts), 2)
-    out = absorbed.get(key)
+    key = "absorb", chunk, marshal.dumps((prev.centroids, prev.radii, prev.lifetime_counts), 2)
+    out = shared.get(key)
     if out is None:
-        out = absorbed[key] = dist_clust_trace(chunk, prev)
+        out = shared[key] = dist_clust_trace(chunk, prev)
     return out
 
 
 def step(state: EngineState, chunk: Chunk, k: int | None = None,
-         absorbed: dict | None = None) -> tuple[EngineState, StepReport]:
+         shared: dict | None = None) -> tuple[EngineState, StepReport]:
     """Advance the engine by one chunk.
 
     Without active drift: absorb into the main model and check for drift; on
@@ -179,9 +189,11 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     grows; on the third drifted chunk after activation the parallel result
     replaces the main model.
 
-    absorbed, when given, is a dict the caller owns for this chunk only and
-    passes to every step on it: an absorb already in it is reused, a new one
-    is added. Without it, every absorb is computed.
+    shared, when given, is a dict the caller owns for this chunk only and
+    passes to every bootstrap and step on it: an absorb or a bootstrap
+    already in it is reused, a new one is added. Its keys are tagged
+    "absorb" and "bootstrap". Without it, every absorb and bootstrap is
+    computed.
     """
     started = time.perf_counter()
     if chunk.timestamp != state.timestamp + 1:
@@ -192,7 +204,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     t = chunk.timestamp
     k = _k(config, k)
 
-    main, assignments = _absorb(chunk, state.main, absorbed)
+    main, assignments = _absorb(chunk, state.main, shared)
     verdict = detect(main, state.main, len(chunk), config)
     active, parallel, strike, retrained = main, None, 0, False
     if not verdict.is_drift:
@@ -200,13 +212,13 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         event = "none" if state.parallel is None else "stabilized"
     elif state.parallel is None:
         event, strike = "activated", 1
-        parallel, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
+        parallel, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
         active = parallel
     else:
-        active, assignments = _absorb(chunk, state.parallel, absorbed)
+        active, assignments = _absorb(chunk, state.parallel, shared)
         retrained = detect(active, state.parallel, len(chunk), config).is_drift
         if retrained:
-            active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t))
+            active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
         strike = state.strike + 1
         if strike < _SWAP_AT:
             event, parallel = "none", active
@@ -224,24 +236,25 @@ def run(stream, configs=(), k_for_chunk=None, *, states=()):
     Every run bootstraps on the first chunk under its config, or continues
     from its state; give configs or states, not both. Every run steps through
     a chunk before any run sees the next one, in index order, and the runs
-    share that chunk's absorbs (see step); the share is dropped when the
-    chunk ends. k_for_chunk, when given, maps each chunk to the k used for
-    any bootstrap on that chunk (the main one, parallel activations and
-    retrains); without it every bootstrap uses its config's k. Nothing of a
-    step outlives its yield here, so a caller that drops each report before
-    asking for the next keeps one step's report alive at a time.
+    share that chunk's absorbs and bootstraps (see step); the share is
+    dropped when the chunk ends, so nothing is kept across chunks.
+    k_for_chunk, when given, maps each chunk to the k used for any bootstrap
+    on that chunk (the main one, parallel activations and retrains); without
+    it every bootstrap uses its config's k. Nothing of a step outlives its
+    yield here, so a caller that drops each report before asking for the
+    next keeps one step's report alive at a time.
     """
     if (not configs) == (not states):
         raise ValueError("run needs either configs to bootstrap under or states to continue from")
     states = list(states) or [None] * len(configs)
     for chunk in stream:
         k = k_for_chunk(chunk) if k_for_chunk else None
-        absorbed = {}
+        shared = {}
         for i in range(len(states)):
             if states[i] is None:
-                states[i], report = bootstrap(chunk, configs[i], k)
+                states[i], report = bootstrap(chunk, configs[i], k, shared)
             else:
-                states[i], report = step(states[i], chunk, k, absorbed)
+                states[i], report = step(states[i], chunk, k, shared)
             yield i, states[i], report
             del report
     if states[0] is None:

@@ -195,33 +195,50 @@ class MetricsReport:
         return tuple(s.cluster_count for s in self.steps)
 
 
+def _score(chunk: Chunk, assignments, label_sets) -> tuple[float, float]:
+    """(entropy, sse) of one step's assignments; see step_metrics."""
+    # An assignment is a non-empty tuple, so truthy; an outlier is None.
+    hits = list(filter(None, assignments))
+    sse_value = sse(hits)
+    if not hits:
+        return 0.0, sse_value
+    if label_sets is None and chunk.labels is None:
+        raise ValueError("entropy needs labeled assignments")
+    clusters = [cluster for cluster, _ in hits]
+    # without label_sets, the chunk's own labels are the one column
+    columns = ([chunk.labels.tolist()] if label_sets is None
+               else np.asarray(label_sets).T.tolist())
+    entropy_value = sum(
+        entropy(zip(clusters, compress(column, assignments))) for column in columns
+    ) / len(columns)
+    return entropy_value, sse_value
+
+
 def step_metrics(
     chunk: Chunk,
     report,
     label_sets: Sequence[tuple[int, ...]] | None = None,
+    scored: dict | None = None,
 ) -> TimestepMetrics:
     """Metrics for one processed chunk, from the engine's StepReport for it.
 
     Labels default to the chunk's own; when label_sets gives a matrix of
     per-record artificial class rows, entropy is the unweighted mean over its
     columns. Outliers carry no assignment and contribute to neither metric.
+
+    scored, when given, is a dict the caller owns for this chunk and these
+    label_sets only: the entropy and SSE are computed once per distinct
+    assignments value in it. Value equality is exact here: an assignment
+    is None or (int, math.dist(...)), and math.dist never returns -0.0 or
+    NaN. The other fields are always taken from the report.
     """
-    assignments = report.assignments
-    # An assignment is a non-empty tuple, so truthy; an outlier is None.
-    hits = list(filter(None, assignments))
-    sse_value = sse(hits)
-    clusters = [cluster for cluster, _ in hits]
-    if not hits:
-        entropy_value = 0.0
-    elif label_sets is None and chunk.labels is None:
-        raise ValueError("entropy needs labeled assignments")
+    if scored is None:
+        entropy_value, sse_value = _score(chunk, report.assignments, label_sets)
     else:
-        # without label_sets, the chunk's own labels are the one column
-        columns = ([chunk.labels.tolist()] if label_sets is None
-                   else np.asarray(label_sets).T.tolist())
-        entropy_value = sum(
-            entropy(zip(clusters, compress(column, assignments))) for column in columns
-        ) / len(columns)
+        out = scored.get(report.assignments)
+        if out is None:
+            out = scored[report.assignments] = _score(chunk, report.assignments, label_sets)
+        entropy_value, sse_value = out
     return TimestepMetrics(
         timestamp=report.timestamp,
         entropy=entropy_value,

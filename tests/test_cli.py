@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from streamclust import __version__, engine, load_stream
+from streamclust import __version__, bootstrap, engine, load_stream, metrics
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -435,6 +435,29 @@ def test_run_repeats_share_equal_absorbs(tmp_path, capsys, monkeypatch):
     assert main(["run", manifest, "--seed", "7", "--repeat", "5",
                  "--out", str(tmp_path / "five")]) == 0
     assert len(calls) < 5 * single
+
+
+def test_run_repeats_share_equal_bootstraps_and_scores(tmp_path, capsys, monkeypatch):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    calls = {"lloyd": 0, "score": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    # the Lloyd iterations past the first, and the entropy and SSE of a step
+    monkeypatch.setattr(bootstrap, "_finish", spy("lloyd", bootstrap._finish))
+    monkeypatch.setattr(metrics, "_score", spy("score", metrics._score))
+    assert main(["run", manifest, "--seed", "7", "--out", str(tmp_path / "one")]) == 0
+    single = dict(calls)
+    assert single["lloyd"] > 0 and single["score"] == 10
+    calls.update(lloyd=0, score=0)
+    assert main(["run", manifest, "--seed", "7", "--repeat", "5",
+                 "--out", str(tmp_path / "five")]) == 0
+    assert calls["lloyd"] < 5 * single["lloyd"]
+    assert calls["score"] < 5 * single["score"]
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):

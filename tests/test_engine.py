@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamclust import (
-    Chunk, DriftConfig, EngineState, dist_clust_trace, engine, generate_synthetic,
-    sdccl_spec, sdwcd_spec,
+    Chunk, DriftConfig, DriftKind, EngineState, StreamSpec, TimestepSpec, dist_clust_trace,
+    engine, generate_synthetic, sdccl_spec, sdwcd_spec, summarize_trace,
 )
+from streamclust import bootstrap as kmeans_bootstrap
 from conftest import labels_k, run_all
 
 # Hand-built two-cluster world: a wide bootstrap chunk fixes the radii, later
@@ -294,6 +298,10 @@ def _hex(result):
     return [[x.hex() for x in c] for c in result.centroids]
 
 
+def _absorbs(shared):
+    return sum(key[0] == "absorb" for key in shared)
+
+
 def test_shared_absorb_keeps_the_sign_of_zero_apart():
     # equal by value, not bit for bit: absorbing (-0.0, 1.0) into (-0.0, 1.0)
     # gives -0.0, into (0.0, 1.0) gives 0.0
@@ -303,9 +311,10 @@ def test_shared_absorb_keeps_the_sign_of_zero_apart():
     positive = _with_main(state, [(0.0, 1.0), far])
     assert negative.main == positive.main
     chunk = _chunk(2, [((-0.0, 1.0), 1)])
-    absorbed = {}
-    stepped = [engine.step(s, chunk, 1, absorbed)[0] for s in (negative, positive)]
-    assert len(absorbed) == 2
+    shared = {}
+    stepped = [engine.step(s, chunk, 1, shared)[0] for s in (negative, positive)]
+    # the chunk also activates drift, so shared holds a bootstrap too
+    assert _absorbs(shared) == 2
     for before, after in zip((negative, positive), stepped):
         alone, _ = dist_clust_trace(chunk, before.main)
         assert _hex(after.main) == _hex(alone)
@@ -316,12 +325,111 @@ def test_shared_absorb_is_reused_for_an_equal_model():
     state = engine.init(_boot_chunk(), CFG)
     twin = engine.state_from_json(engine.state_to_json(state))
     assert twin.main is not state.main
-    chunk, absorbed = _normal_chunk(2), {}
-    first, first_report = engine.step(state, chunk, absorbed=absorbed)
-    second, second_report = engine.step(twin, chunk, absorbed=absorbed)
-    assert len(absorbed) == 1
+    chunk, shared = _normal_chunk(2), {}
+    first, first_report = engine.step(state, chunk, shared=shared)
+    second, second_report = engine.step(twin, chunk, shared=shared)
+    assert _absorbs(shared) == 1
     assert second.main is first.main
     assert second_report.assignments is first_report.assignments
+
+
+def _bootstraps(shared):
+    return sum(key[0] == "bootstrap" for key in shared)
+
+
+def test_bootstraps_with_equal_first_labellings_share_one_result():
+    # two blobs, k=2: every seed's first labelling splits them, but the
+    # seeds start from different records
+    chunk = _boot_chunk()
+    firsts = {}
+    for seed in range(40):
+        config = dataclasses.replace(CFG, seed=seed)
+        s = engine._bootstrap_seed(config, chunk.timestamp)
+        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, s)
+        _, labels = kmeans_bootstrap._lloyd_first(chunk.values, 2, s)
+        firsts.setdefault(labels.tobytes(), {}).setdefault(seeded.tobytes(), (config, s))
+    (a, seed_a), (b, seed_b) = next(
+        list(by_start.values())[:2] for by_start in firsts.values() if len(by_start) > 1)
+    shared = {}
+    state_a, report_a = engine.bootstrap(chunk, a, shared=shared)
+    state_b, report_b = engine.bootstrap(chunk, b, shared=shared)
+    assert _bootstraps(shared) == 1
+    assert report_b.assignments is report_a.assignments
+    assert state_b.main is state_a.main
+    for state, report, seed in ((state_a, report_a, seed_a), (state_b, report_b, seed_b)):
+        alone = summarize_trace(chunk, 2, seed)
+        assert repr((state.main, report.assignments)) == repr(alone)
+
+
+def test_shared_bootstrap_keeps_the_sign_of_an_empty_centroid_apart():
+    # two equal records: the second seeded center finds no record to take,
+    # so its cluster stays empty with the other record's bits as centroid
+    chunk = Chunk(1, [(0.0, 0.0), (-0.0, 0.0)])
+    seeds = {}
+    for seed in range(40):
+        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, seed)
+        seeds.setdefault(math.copysign(1.0, seeded[1][0]), seed)
+    firsts = [kmeans_bootstrap._lloyd_first(chunk.values, 2, seed) for seed in seeds.values()]
+    assert len(firsts) == 2
+    assert firsts[0][1].tobytes() == firsts[1][1].tobytes()  # one labelling
+    assert firsts[0][0].tolist() == firsts[1][0].tolist()  # equal by value only
+    shared = {}
+    for seed in seeds.values():
+        alone = summarize_trace(chunk, 2, seed)
+        assert repr(summarize_trace(chunk, 2, seed, shared)) == repr(alone)
+    assert _bootstraps(shared) == 2
+
+
+_KINDS = list(DriftKind)
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A small stream, a k policy, drift thresholds and 2..5 seeds."""
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(_KINDS))
+        count = 1 if kind is DriftKind.MERGE else draw(st.integers(1, 4))
+        sizes = tuple(draw(st.integers(1, 12)) for _ in range(count))
+        entries.append(TimestepSpec(count, sizes, kind, draw(st.integers(-1, 1))))
+    spec = StreamSpec(entries, sigma=draw(st.floats(0.005, 0.1)),
+                      seed=draw(st.integers(0, 2**16)))
+    chunks = generate_synthetic(spec)
+    smallest = min(len(c) for c in chunks)
+    k = draw(st.none() | st.integers(1, min(4, smallest)))
+    o_thresh = draw(st.floats(0.01, 1.0))
+    d_thresh = draw(st.floats(0.05, 2.0))
+    first = draw(st.integers(0, 2**20))
+    configs = [DriftConfig(k, o_thresh, d_thresh, seed)
+               for seed in range(first, first + draw(st.integers(2, 5)))]
+    return chunks, configs, None if k is not None else labels_k
+
+
+def _alone(chunks, config, k_for_chunk):
+    """One run through bootstrap and step with nothing shared."""
+    k = k_for_chunk or (lambda chunk: None)
+    state, report = engine.bootstrap(chunks[0], config, k(chunks[0]))
+    out = [(state, report)]
+    for chunk in chunks[1:]:
+        state, report = engine.step(state, chunk, k(chunk))
+        out.append((state, report))
+    return out
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_lockstep_cases())
+def test_lockstep_runs_equal_each_seed_run_alone(case):
+    chunks, configs, k_for_chunk = case
+    together = [[] for _ in configs]
+    for i, state, report in engine.run(chunks, configs, k_for_chunk):
+        t = len(together[i])
+        _check_step(chunks[t], state, report, t)  # records conserved, among others
+        together[i].append((state, _strip_duration(report)))
+    for config, steps in zip(configs, together):
+        alone = [(state, _strip_duration(report))
+                 for state, report in _alone(chunks, config, k_for_chunk)]
+        # repr spells every float's bits, the sign of zero included
+        assert repr(steps) == repr(alone)
 
 
 def test_step_without_a_share_always_absorbs(monkeypatch):
