@@ -5,8 +5,8 @@ engine decides the current one is stale. Plain Lloyd k-means with greedy
 farthest-point seeding: deterministic for a fixed seed, which the rest of the
 system relies on for reproducible runs. summarize_trace is the one bootstrap
 function: it returns the cluster summaries together with each record's
-assignment, and can share its work between bootstraps that reach the same
-state after Lloyd's first iteration.
+assignment, and can share its work between bootstraps that draw the same
+first center or reach the same state after Lloyd's first iteration.
 """
 
 import math
@@ -19,19 +19,28 @@ from .core import Assignment, Chunk, ClusteringResult
 MAX_ITERATIONS = 100
 
 
-def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Greedy seeding: random first center, then repeatedly the record farthest
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis: np.linalg.norm's float64 path, undispatched."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _first_draw(n: int, seed: int) -> int:
+    """The bootstrap's one random draw: the index of its first seeded center."""
+    return int(np.random.default_rng(seed & 0xFFFFFFFF).integers(n))
+
+
+def _farthest_point_init(matrix: np.ndarray, k: int, first: int) -> np.ndarray:
+    """Greedy seeding: record `first`, then repeatedly the record farthest
     from every center chosen so far. Ties break toward the lowest index."""
-    rng = np.random.default_rng(seed & 0xFFFFFFFF)
-    chosen = [int(rng.integers(len(matrix)))]
-    min_dist = np.linalg.norm(matrix - matrix[chosen[0]], axis=1)
-    min_dist[chosen[0]] = -1.0  # never re-pick a chosen record
+    chosen = [first]
+    min_dist = _norms(matrix - matrix[first])
+    min_dist[first] = -1.0  # never re-pick a chosen record
     while len(chosen) < k:
         nxt = int(min_dist.argmax())
         chosen.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(matrix - matrix[nxt], axis=1))
+        np.minimum(min_dist, _norms(matrix - matrix[nxt]), out=min_dist)
         min_dist[nxt] = -1.0
-    return matrix[chosen].copy()
+    return matrix[chosen]
 
 
 def _repair_empty(matrix, centroids, labels, dists):
@@ -63,6 +72,21 @@ def _repair_empty(matrix, centroids, labels, dists):
     return labels
 
 
+def _update_centroids(matrix: np.ndarray, labels: np.ndarray, centroids: np.ndarray):
+    """Move each cluster with members to their mean, in place, bit for bit
+    matrix[labels == c].mean(axis=0): numpy sums a cluster's rows in record
+    order from +0.0, as bincount does, but sums a lone column pairwise."""
+    k = len(centroids)
+    counts = np.bincount(labels, minlength=k)
+    if matrix.shape[1] == 1:
+        for cluster in np.flatnonzero(counts):
+            centroids[cluster] = matrix[labels == cluster].mean(axis=0)
+    else:
+        sums = np.column_stack([np.bincount(labels, col, minlength=k) for col in matrix.T])
+        kept = counts > 0
+        centroids[kept] = sums[kept] / counts[kept, None]
+
+
 def _lloyd_iterate(matrix: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
                    iterations: int):
     """Run up to `iterations` Lloyd iterations from (centroids, labels),
@@ -71,34 +95,25 @@ def _lloyd_iterate(matrix: np.ndarray, centroids: np.ndarray, labels: np.ndarray
     Reads nothing but its arguments, and updates centroids in place.
     """
     for _ in range(iterations):
-        dists = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :], axis=2)
+        dists = _norms(matrix[:, None, :] - centroids[None, :, :])
         new_labels = dists.argmin(axis=1)
         new_labels = _repair_empty(matrix, centroids, new_labels, dists)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for cluster in range(len(centroids)):
-            members = matrix[labels == cluster]
-            if len(members):
-                centroids[cluster] = members.mean(axis=0)
+        _update_centroids(matrix, labels, centroids)
     return centroids, labels
 
 
-def _lloyd_first(matrix: np.ndarray, k: int, seed: int):
-    """Farthest-point seeding and Lloyd's first iteration: (centroids, labels).
+def _lloyd_first(matrix: np.ndarray, k: int, first: int):
+    """Seeding from record `first`, then Lloyd's first iteration: (centroids, labels).
 
     Every later iteration reads only this pair: the first labelling after
     _repair_empty, and the centroids after the first update. A cluster that
     stayed empty keeps its seeded centroid, so that centroid is part of it.
     """
-    centroids = _farthest_point_init(matrix, k, seed)
+    centroids = _farthest_point_init(matrix, k, first)
     return _lloyd_iterate(matrix, centroids, np.full(len(matrix), -1, dtype=int), 1)
-
-
-def _lloyd(matrix: np.ndarray, k: int, seed: int):
-    """Run Lloyd iterations; returns (centroids, labels)."""
-    centroids, labels = _lloyd_first(matrix, k, seed)
-    return _lloyd_iterate(matrix, centroids, labels, MAX_ITERATIONS - 1)
 
 
 def _finish(chunk: Chunk, centroids: np.ndarray, labels: np.ndarray):
@@ -131,22 +146,27 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     count and its radius is the farthest member's distance from the centroid.
     Also returns every record's (cluster, distance to its centroid) assignment.
 
-    shared, when given, is a dict the caller owns for this chunk only. Past
-    Lloyd's first iteration a bootstrap is a pure function of the chunk, k and
-    that iteration's labels and centroids, so the rest is computed once per
-    distinct such state in shared, and every call that reaches it gets the
-    same (result, assignments) objects. The key holds the arrays' bytes, so
-    0.0 and -0.0 never share. Without shared, every bootstrap is computed.
+    The seed reaches a bootstrap only through its one random draw, the first
+    center's index. shared, when given, is a dict the caller owns for this
+    chunk only: the seeding and Lloyd's first iteration run once per distinct
+    (chunk, k, first index) in it, and the rest, a pure function of the chunk,
+    k and that iteration's labels and centroids, once per distinct such state,
+    keyed on the arrays' bytes so 0.0 and -0.0 never share. Shared calls get
+    the same (result, assignments) objects. Without shared, every bootstrap
+    is computed in full.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(chunk):
         raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
-    centroids, labels = _lloyd_first(chunk.values, k, seed)
+    first = _first_draw(len(chunk), seed)
     if shared is None:
-        return _finish(chunk, centroids, labels)
-    key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
-    out = shared.get(key)
-    if out is None:
-        out = shared[key] = _finish(chunk, centroids, labels)
-    return out
+        return _finish(chunk, *_lloyd_first(chunk.values, k, first))
+    seeded = "seeded", chunk, k, first
+    if seeded not in shared:
+        centroids, labels = _lloyd_first(chunk.values, k, first)
+        key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
+        if key not in shared:
+            shared[key] = _finish(chunk, centroids, labels)
+        shared[seeded] = shared[key]
+    return shared[seeded]

@@ -19,13 +19,14 @@ All randomness in bootstraps is derived from (config.seed, timestamp), so a
 resumed run continues bit-identically.
 
 Absorbs carry no seed: an absorb is a pure function of the chunk and the
-previous model. A bootstrap's seed matters only up to Lloyd's first
-iteration: after it, the bootstrap is a pure function of the chunk, k and
-that iteration's labels and centroids (see summarize_trace). run() advances
-several runs in lockstep, chunk by chunk, and lets the runs share each
-chunk's absorbs and bootstraps: a run whose previous model, or whose
-bootstrap state, is bit for bit another's reuses that run's work instead of
-repeating it.
+previous model. The seed reaches a bootstrap only through its first draw,
+the index of the first seeded center: the seeding and Lloyd's first
+iteration are a pure function of the chunk, k and that index, and the rest
+of the bootstrap is one of the chunk, k and that iteration's labels and
+centroids (see summarize_trace). run() advances several runs in lockstep,
+chunk by chunk, and lets the runs share each chunk's absorbs and
+bootstraps: a run whose previous model, first draw or bootstrap state is
+bit for bit another's reuses that run's work instead of repeating it.
 """
 
 import functools
@@ -192,8 +193,8 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     shared, when given, is a dict the caller owns for this chunk only and
     passes to every bootstrap and step on it: an absorb or a bootstrap
     already in it is reused, a new one is added. Its keys are tagged
-    "absorb" and "bootstrap". Without it, every absorb and bootstrap is
-    computed.
+    "absorb", "seeded" and "bootstrap". Without it, every absorb and
+    bootstrap is computed.
     """
     started = time.perf_counter()
     if chunk.timestamp != state.timestamp + 1:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from streamclust import Chunk, summarize_trace
 from streamclust import bootstrap
-from streamclust.bootstrap import _lloyd
+from streamclust.bootstrap import _first_draw, _lloyd_first, _lloyd_iterate, _update_centroids
 
 ANCHORS = ((0.117, 0.884), (0.885, 0.885), (0.527, 0.635), (0.117, 0.111), (0.877, 0.117))
 
@@ -66,18 +69,16 @@ def test_kmeans_deterministic_bit_for_bit():
 
 
 def _lloyd_sse_history(matrix, k, seed):
-    """SSE after each Lloyd iteration that changed the labels: _lloyd rerun
-    with one more iteration at a time until its labels stop changing."""
+    """SSE after each Lloyd iteration that changed the labels: the first
+    iteration, then one more at a time until the labels stop changing."""
+    centroids, labels = _lloyd_first(matrix, k, _first_draw(len(matrix), seed))
     history = []
-    previous = None
-    with pytest.MonkeyPatch.context() as patch:
-        for iterations in range(1, bootstrap.MAX_ITERATIONS + 1):
-            patch.setattr(bootstrap, "MAX_ITERATIONS", iterations)
-            centroids, labels = _lloyd(matrix, k, seed)
-            if previous is not None and np.array_equal(labels, previous):
-                break
-            history.append(float((np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()))
-            previous = labels
+    for _ in range(bootstrap.MAX_ITERATIONS):
+        history.append(float((np.linalg.norm(matrix - centroids[labels], axis=1) ** 2).sum()))
+        centroids, new_labels = _lloyd_iterate(matrix, centroids, labels, 1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
     return history
 
 
@@ -94,6 +95,40 @@ def test_lloyd_sse_non_increasing():
         history = _lloyd_sse_history(matrix, 6, trial)
         assert history[0] > 1e9
         assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 0.1, 1e16, -1e16]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _clusterings(draw):
+    """(matrix, labels, centroids): rows of 1..4 values with signed zeros and
+    duplicate rows, 2..5 clusters, one of them empty, and one cluster whose
+    members are all -0.0 in one column."""
+    n, d, k = draw(st.integers(1, 60)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    matrix = draw(arrays(np.float64, (n, d), elements=_VALUES))
+    duplicates = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    matrix = np.vstack([matrix, matrix[duplicates]])
+    labels = draw(arrays(np.int64, len(matrix), elements=st.integers(0, k - 2)))
+    empty = draw(st.integers(0, k - 1))
+    labels[labels >= empty] += 1
+    matrix[labels == labels[0], draw(st.integers(0, d - 1))] = -0.0
+    return matrix, labels, draw(arrays(np.float64, (k, d), elements=_VALUES))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_clusterings())
+@example((np.array([[-0.0, 1.0], [-0.0, 3.0]]), np.array([0, 0]), np.ones((2, 2))))
+def test_update_centroids_is_the_member_mean_bit_for_bit(case):
+    matrix, labels, centroids = case
+    expected = centroids.copy()
+    for cluster in range(len(centroids)):
+        members = matrix[labels == cluster]
+        if len(members):
+            expected[cluster] = members.mean(axis=0)
+    _update_centroids(matrix, labels, centroids)
+    # tobytes tells 0.0 from -0.0: the mean of -0.0 members is 0.0
+    assert centroids.tobytes() == expected.tobytes()
 
 
 def test_summarize_radius_of_coincident_records_is_zero():

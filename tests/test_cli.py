@@ -437,19 +437,20 @@ def test_run_repeats_share_equal_absorbs(tmp_path, capsys, monkeypatch):
     assert len(calls) < 5 * single
 
 
+def _counted(calls, name, fn):
+    """fn, adding one to calls[name] on every call."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
 def test_run_repeats_share_equal_bootstraps_and_scores(tmp_path, capsys, monkeypatch):
     manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
     calls = {"lloyd": 0, "score": 0}
-
-    def spy(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
     # the Lloyd iterations past the first, and the entropy and SSE of a step
-    monkeypatch.setattr(bootstrap, "_finish", spy("lloyd", bootstrap._finish))
-    monkeypatch.setattr(metrics, "_score", spy("score", metrics._score))
+    monkeypatch.setattr(bootstrap, "_finish", _counted(calls, "lloyd", bootstrap._finish))
+    monkeypatch.setattr(metrics, "_score", _counted(calls, "score", metrics._score))
     assert main(["run", manifest, "--seed", "7", "--out", str(tmp_path / "one")]) == 0
     single = dict(calls)
     assert single["lloyd"] > 0 and single["score"] == 10
@@ -458,6 +459,19 @@ def test_run_repeats_share_equal_bootstraps_and_scores(tmp_path, capsys, monkeyp
                  "--out", str(tmp_path / "five")]) == 0
     assert calls["lloyd"] < 5 * single["lloyd"]
     assert calls["score"] < 5 * single["score"]
+
+
+def test_run_repeats_share_seedings_by_their_first_draw(tmp_path, capsys, monkeypatch):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    calls = {"seeding": 0, "lloyd": 0}
+    # the seeding with Lloyd's first iteration, and the iterations past it
+    monkeypatch.setattr(bootstrap, "_lloyd_first", _counted(calls, "seeding", bootstrap._lloyd_first))
+    monkeypatch.setattr(bootstrap, "_finish", _counted(calls, "lloyd", bootstrap._finish))
+    assert main(["run", manifest, "--seed", "7", "--repeat", "100",
+                 "--out", str(tmp_path / "hundred")]) == 0
+    # of the 400 bootstraps, one seeding per distinct (chunk, k, first
+    # center) and one continuation per distinct state after the first pass
+    assert calls == {"seeding": 284, "lloyd": 25}
 
 
 def test_eval_prints_tcv_table(tmp_path, capsys):

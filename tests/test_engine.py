@@ -345,8 +345,9 @@ def test_bootstraps_with_equal_first_labellings_share_one_result():
     for seed in range(40):
         config = dataclasses.replace(CFG, seed=seed)
         s = engine._bootstrap_seed(config, chunk.timestamp)
-        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, s)
-        _, labels = kmeans_bootstrap._lloyd_first(chunk.values, 2, s)
+        first = kmeans_bootstrap._first_draw(len(chunk), s)
+        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, first)
+        _, labels = kmeans_bootstrap._lloyd_first(chunk.values, 2, first)
         firsts.setdefault(labels.tobytes(), {}).setdefault(seeded.tobytes(), (config, s))
     (a, seed_a), (b, seed_b) = next(
         list(by_start.values())[:2] for by_start in firsts.values() if len(by_start) > 1)
@@ -367,9 +368,12 @@ def test_shared_bootstrap_keeps_the_sign_of_an_empty_centroid_apart():
     chunk = Chunk(1, [(0.0, 0.0), (-0.0, 0.0)])
     seeds = {}
     for seed in range(40):
-        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, seed)
+        first = kmeans_bootstrap._first_draw(len(chunk), seed)
+        seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, first)
         seeds.setdefault(math.copysign(1.0, seeded[1][0]), seed)
-    firsts = [kmeans_bootstrap._lloyd_first(chunk.values, 2, seed) for seed in seeds.values()]
+    firsts = [kmeans_bootstrap._lloyd_first(chunk.values, 2,
+                                            kmeans_bootstrap._first_draw(len(chunk), seed))
+              for seed in seeds.values()]
     assert len(firsts) == 2
     assert firsts[0][1].tobytes() == firsts[1][1].tobytes()  # one labelling
     assert firsts[0][0].tolist() == firsts[1][0].tolist()  # equal by value only
@@ -378,6 +382,33 @@ def test_shared_bootstrap_keeps_the_sign_of_an_empty_centroid_apart():
         alone = summarize_trace(chunk, 2, seed)
         assert repr(summarize_trace(chunk, 2, seed, shared)) == repr(alone)
     assert _bootstraps(shared) == 2
+
+
+def test_bootstraps_with_one_first_draw_share_one_seeding(monkeypatch):
+    chunk = _boot_chunk()
+    by_first = {}
+    for seed in range(40):
+        config = dataclasses.replace(CFG, seed=seed)
+        s = engine._bootstrap_seed(config, chunk.timestamp)
+        by_first.setdefault(kmeans_bootstrap._first_draw(len(chunk), s), []).append((config, s))
+    (a, seed_a), (b, seed_b) = next(same[:2] for same in by_first.values() if len(same) > 1)
+    seedings = []
+    seeding = kmeans_bootstrap._lloyd_first
+
+    def spy(matrix, k, first):
+        seedings.append(first)
+        return seeding(matrix, k, first)
+
+    monkeypatch.setattr(kmeans_bootstrap, "_lloyd_first", spy)
+    shared = {}
+    state_a, report_a = engine.bootstrap(chunk, a, shared=shared)
+    state_b, report_b = engine.bootstrap(chunk, b, shared=shared)
+    assert sum(key[0] == "seeded" for key in shared) == len(seedings) == 1
+    assert report_b.assignments is report_a.assignments
+    assert state_b.main is state_a.main
+    for state, report, seed in ((state_a, report_a, seed_a), (state_b, report_b, seed_b)):
+        alone = summarize_trace(chunk, 2, seed)
+        assert repr((state.main, report.assignments)) == repr(alone)
 
 
 _KINDS = list(DriftKind)
@@ -430,6 +461,23 @@ def test_lockstep_runs_equal_each_seed_run_alone(case):
                  for state, report in _alone(chunks, config, k_for_chunk)]
         # repr spells every float's bits, the sign of zero included
         assert repr(steps) == repr(alone)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_lockstep_cases(), st.data())
+def test_resume_at_a_drawn_cut_matches_the_uninterrupted_tail(case, data):
+    chunks, configs, k_for_chunk = case
+    full = [[] for _ in configs]
+    for i, state, report in engine.run(chunks, configs, k_for_chunk):
+        full[i].append((state, _strip_duration(report)))
+    cut = data.draw(st.integers(1, len(chunks)), label="cut")
+    restored = [engine.state_from_json(engine.state_to_json(steps[cut - 1][0])) for steps in full]
+    assert repr(restored) == repr([steps[cut - 1][0] for steps in full])
+    tail = [[] for _ in configs]
+    for i, state, report in engine.run(chunks[cut:], k_for_chunk=k_for_chunk, states=restored):
+        tail[i].append((state, _strip_duration(report)))
+    # repr spells every float's bits, the sign of zero included
+    assert repr(tail) == repr([steps[cut:] for steps in full])
 
 
 def test_step_without_a_share_always_absorbs(monkeypatch):
