@@ -7,61 +7,41 @@ and sustained change. Ships with benchmark stream generators, evaluation
 metrics and a CLI (``streamclust --help``).
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bootstrap import summarize_trace
-from .core import Chunk, ClusteringResult, DriftConfig, minmax_normalize
-from .drift import DriftCause, DriftVerdict, detect
-from .engine import (
-    EngineState,
-    StepReport,
-    init,
-    run,
-    state_from_json,
-    state_to_json,
-    step,
-)
-from .incremental import dist_clust_trace
-from .metrics import (
-    MetricsReport,
-    TcvMatch,
-    TimestepMetrics,
-    build_report,
-    entropy,
-    sse,
-    step_metrics,
-    tcv_distance,
-    true_cluster_values,
-)
-from .stream_io import StreamData, load_dataset, load_stream, write_stream
-from .streams import (
-    DriftKind,
-    StreamSpec,
-    TimestepSpec,
-    chunk_dataset,
-    chunk_indices,
-    generate_synthetic,
-    make_artificial_classes,
-    ncd100_spec,
-    sdccl_spec,
-    sdwcd_spec,
-    wcd1000_spec,
-)
+# Each public name, listed once under the submodule that defines it. A name
+# is imported on first use (PEP 562), so `import streamclust` loads no
+# submodule and each CLI command loads only the ones it runs.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core": "Chunk ClusteringResult DriftConfig minmax_normalize",
+        "bootstrap": "summarize_trace",
+        "incremental": "dist_clust_trace",
+        "drift": "DriftCause DriftVerdict detect",
+        "engine": "EngineState StepReport init step run state_to_json state_from_json",
+        "streams": "DriftKind TimestepSpec StreamSpec generate_synthetic chunk_dataset "
+                   "chunk_indices make_artificial_classes sdwcd_spec sdccl_spec "
+                   "ncd100_spec wcd1000_spec",
+        "metrics": "entropy sse true_cluster_values tcv_distance TcvMatch TimestepMetrics "
+                   "MetricsReport step_metrics build_report",
+        "stream_io": "StreamData write_stream load_stream load_dataset",
+    }.items()
+    for name in names.split()
+}
 
-__all__ = [
-    "__version__",
-    "Chunk", "ClusteringResult", "DriftConfig",
-    "minmax_normalize",
-    "summarize_trace",
-    "dist_clust_trace",
-    "DriftCause", "DriftVerdict", "detect",
-    "EngineState", "StepReport", "init", "step", "run",
-    "state_to_json", "state_from_json",
-    "DriftKind", "TimestepSpec", "StreamSpec", "generate_synthetic",
-    "chunk_dataset", "chunk_indices",
-    "make_artificial_classes", "sdwcd_spec", "sdccl_spec", "ncd100_spec",
-    "wcd1000_spec",
-    "entropy", "sse", "true_cluster_values", "tcv_distance", "TcvMatch",
-    "TimestepMetrics", "MetricsReport", "step_metrics", "build_report",
-    "StreamData", "write_stream", "load_stream", "load_dataset",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

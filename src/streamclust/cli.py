@@ -19,16 +19,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, engine
+from . import __version__
+# engine and metrics are imported in the commands that run them: gen and
+# chunk load neither, and eval loads no part of the engine.
 from .core import Chunk, DriftConfig, minmax_normalize
-from .metrics import (
-    build_report,
-    parse_jsonl,
-    reports_to_jsonl,
-    step_metrics,
-    tcv_distance,
-    true_cluster_values,
-)
 from .stream_io import (
     JSON_NUMBER,
     atomic_write_text,
@@ -170,6 +164,8 @@ def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
     equal assignments (see step_metrics); the share is dropped when the
     chunk ends. Returns every run's final state and report, in run order.
     """
+    from . import engine
+    from .metrics import build_report, step_metrics
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
@@ -184,6 +180,8 @@ def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
 
 def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
     """Write metrics.jsonl, cluster_counts.tsv and the optional snapshot; print the summary."""
+    from .engine import state_to_json
+    from .metrics import reports_to_jsonl
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
@@ -196,7 +194,7 @@ def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
     atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
 
     if snapshot:
-        atomic_write_text(Path(snapshot), engine.state_to_json(state) + "\n")
+        atomic_write_text(Path(snapshot), state_to_json(state) + "\n")
 
     mean_entropy = sum(r.mean_entropy for r in runs) / len(runs)
     mean_sse = sum(r.mean_sse for r in runs) / len(runs)
@@ -209,6 +207,7 @@ def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
 
 
 def cmd_run(args) -> int:
+    from .metrics import true_cluster_values
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     if args.snapshot and args.repeat != 1:
@@ -250,8 +249,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    from .engine import state_from_json
+    from .metrics import true_cluster_values
     data = load_stream(args.manifest)
-    state = engine.state_from_json(Path(args.snapshot).read_text(encoding="utf-8"))
+    state = state_from_json(Path(args.snapshot).read_text(encoding="utf-8"))
     if state.main.dimensions != data.chunks[0].dimensions:
         raise ValueError(
             f"snapshot {args.snapshot} has {state.main.dimensions}-D centroids but the "
@@ -281,6 +282,7 @@ def cmd_resume(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import parse_jsonl, tcv_distance, true_cluster_values
     data = load_stream(args.manifest)
     _, steps, summary = parse_jsonl(Path(args.report).read_text(encoding="utf-8"))
     if len(steps) > len(data.chunks):
@@ -381,6 +383,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -75,6 +75,15 @@ def _save_array(path: Path, array: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
+def _require_finite(values: np.ndarray, sizes: Sequence[int], where) -> None:
+    """Refuse a NaN or infinite value, naming where, its record and its chunk."""
+    bad = first_nonfinite_row(values)
+    if bad is not None:
+        t = int(np.searchsorted(np.cumsum(sizes), bad, side="right"))
+        raise ValueError(f"{where} record {bad - sum(sizes[:t]) + 1} of chunk {t + 1}: "
+                         "attribute values must be finite")
+
+
 def write_stream(
     directory,
     chunks: Sequence[Chunk],
@@ -102,9 +111,10 @@ def write_stream(
     if any((c.labels is not None) != labeled for c in chunks):
         raise ValueError("a stream's chunks must be all labeled or all unlabeled")
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     values = np.concatenate([c.values for c in chunks])
+    directory = Path(directory)
+    _require_finite(values, sizes, directory)  # what load_stream would refuse
+    directory.mkdir(parents=True, exist_ok=True)
     _save_array(directory / "values.npy", values)
     if labeled:
         _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
@@ -188,11 +198,7 @@ def load_stream(manifest_path) -> StreamData:
     directory, rows = manifest_path.parent, sum(sizes)
     path = directory / "values.npy"
     values = _read_array(path, np.float64, (rows, dims), "chunk_sizes and dimensions")
-    bad = first_nonfinite_row(values)
-    if bad is not None:
-        t = int(np.searchsorted(np.cumsum(sizes), bad, side="right"))
-        raise ValueError(f"{path} record {bad - sum(sizes[:t]) + 1} of chunk {t + 1}: "
-                         "attribute values must be finite")
+    _require_finite(values, sizes, path)
     labels = ac = None
     if labeled:
         labels = _read_array(directory / "labels.npy", np.int64, (rows,), "chunk_sizes")

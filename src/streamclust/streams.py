@@ -19,6 +19,7 @@ Two families:
 All generation is driven by a seed and is byte-for-byte reproducible.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -115,11 +116,15 @@ class StreamSpec:
             object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         if not self.entries:
             raise ValueError("StreamSpec needs at least one entry")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if not math.isfinite(self.relocate_offset):
+            raise ValueError(f"relocate_offset must be finite, got {self.relocate_offset!r}")
         for anchor in (*self.anchors, *self.alt_anchors):
             if len(anchor) != 2:
                 raise ValueError(f"every anchor must be an (x, y) pair, got {anchor!r}")
+            if not all(map(math.isfinite, anchor)):
+                raise ValueError(f"anchor coordinates must be finite, got {anchor!r}")
         base = self.entries[0].cluster_count
         for entry in self.entries:
             bank = self.anchors if entry.cluster_count == base else self.alt_anchors
@@ -144,10 +149,15 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
     from that chunk to the end of the stream; whenever the chunk has two or
     more distinct labels the permutation is never the identity (with exactly
     two labels that means a swap). Same spec and seed, same records, always.
+
+    The whole stream is one Generator.normal call, with each blob's center
+    repeated once per record as loc. It draws one standard normal per element
+    in C order and rounds loc + scale * normal in the same C code whatever the
+    shapes, so it gives the same bits as one call per blob of shape (size, 2).
     """
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFF)
     base_count = spec.entries[0].cluster_count
-    matrices, label_blocks, relabel_at = [], [], []
+    centers, blob_labels, blob_sizes, relabel_at = [], [], [], []
 
     for t, entry in enumerate(spec.entries, start=1):
         shift = entry.offset_steps * spec.relocate_offset
@@ -160,20 +170,18 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
             labels = list(range(1, entry.cluster_count + 1))
             if entry.drift_kind is DriftKind.RELABEL:
                 relabel_at.append(t - 1)
-        blocks = []
-        for anchor, size in zip(anchors, entry.cluster_sizes):
-            center = (anchor[0] + shift, anchor[1] + shift)
-            points = rng.normal(loc=center, scale=spec.sigma, size=(size, 2))
-            np.clip(points, 0.0, 1.0, out=points)
-            blocks.append(points)
-        matrices.append(np.concatenate(blocks))
-        label_blocks.append(np.repeat(labels, entry.cluster_sizes))
+        centers += [(x + shift, y + shift) for x, y in anchors]
+        blob_labels += labels
+        blob_sizes += entry.cluster_sizes
+
+    values = rng.normal(loc=np.repeat(centers, blob_sizes, axis=0), scale=spec.sigma)
+    np.clip(values, 0.0, 1.0, out=values)
+    labels = np.repeat(blob_labels, blob_sizes)
 
     # All labels in one vector: a relabel remaps the whole tail at once, with
     # its own generator so the records do not depend on the relabels.
     perm_rng = np.random.default_rng((spec.seed + 1) & 0xFFFFFFFF)
-    bounds = np.cumsum([0] + [len(m) for m in matrices])
-    labels = np.concatenate(label_blocks)
+    bounds = np.cumsum([0] + [entry.chunk_size for entry in spec.entries])
     for i in relabel_at:
         present = np.array(sorted(set(labels[bounds[i] : bounds[i + 1]].tolist())))
         permuted = present
@@ -184,8 +192,8 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
         slot = np.minimum(np.searchsorted(present, tail), len(present) - 1)
         tail[:] = np.where(present[slot] == tail, permuted[slot], tail)
     return [
-        Chunk(i + 1, matrix, labels[bounds[i] : bounds[i + 1]])
-        for i, matrix in enumerate(matrices)
+        Chunk(i + 1, values[bounds[i] : bounds[i + 1]], labels[bounds[i] : bounds[i + 1]])
+        for i in range(len(spec.entries))
     ]
 
 

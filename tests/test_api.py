@@ -11,6 +11,7 @@ from pathlib import Path
 
 import streamclust
 from streamclust import Chunk, DriftConfig, EngineState, engine
+from streamclust.cli import main
 from conftest import TOY_LABELS, TOY_VALUES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +28,44 @@ def test_all_lists_each_public_name_once_and_every_name_resolves():
                "MERGED_LABEL"}
     assert not deleted & set(names)
     assert not any(hasattr(streamclust, name) for name in deleted)
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from streamclust import *", names)
+    assert all(names[name] is getattr(streamclust, name) for name in streamclust.__all__)
+
+
+_ENGINE_PARTS = {f"streamclust.{m}" for m in ("engine", "bootstrap", "incremental", "drift")}
+
+
+def _modules_loaded_by(code, cwd):
+    """The streamclust modules that code leaves in sys.modules, run in a
+    fresh interpreter so that nothing this process imported counts."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('streamclust')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    assert not _ENGINE_PARTS & _modules_loaded_by("import streamclust.cli", tmp_path)
+
+    gen = "from streamclust.cli import main\nmain(['gen', 'sdwcd', '--out', 's'])"
+    loaded = _modules_loaded_by(gen, tmp_path)
+    assert "streamclust.streams" in loaded
+    assert not (_ENGINE_PARTS | {"streamclust.metrics"}) & loaded
+
+    run = ["run", str(tmp_path / "s" / "manifest.json"), "--out", str(tmp_path / "r")]
+    assert main(run) == 0
+    evaluate = "from streamclust.cli import main\nmain(['eval', 's/manifest.json', 'r/metrics.jsonl'])"
+    loaded = _modules_loaded_by(evaluate, tmp_path)
+    assert "streamclust.metrics" in loaded
+    assert not _ENGINE_PARTS & loaded
 
 
 def test_bench_traced_functions_exist():

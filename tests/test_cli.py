@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streamclust import __version__, bootstrap, engine, load_stream, metrics
+from streamclust import cli
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -90,6 +91,11 @@ _MALFORMED_SPECS = {
     "huge_sigma": (_spec(sigma=10**400), "spec field 'sigma'"),
     "huge_anchor_coordinate": (_spec(anchors=[[0.1, 10**400], [0.5, 0.5]]),
                                "spec field 'anchors'"),
+    # json.dumps writes these as the bare tokens NaN and Infinity
+    "nan_sigma": (_spec(sigma=math.nan), "sigma"),
+    "infinite_sigma": (_spec(sigma=math.inf), "sigma"),
+    "nan_anchor_coordinate": (_spec(anchors=[[0.1, math.nan], [0.5, 0.5]]), "anchor"),
+    "nan_relocate_offset": (_spec(relocate_offset=math.nan), "relocate_offset"),
 }
 
 
@@ -102,6 +108,22 @@ def test_gen_from_malformed_spec_file_is_an_error(tmp_path, capsys, case):
     assert main(["gen", str(spec_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+    assert not out.exists()
+
+
+def test_gen_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # Raised, never provoked: a spec that asks for more memory than the host
+    # has can get the test process killed where the kernel overcommits.
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 2.18 TiB for an array with shape "
+                          "(150000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+    out = tmp_path / "huge"
+    assert main(["gen", "sdwcd", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 2.18 TiB for an array with shape " \
+                  "(150000000000, 2) and data type float64\n"
     assert not out.exists()
 
 

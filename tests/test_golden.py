@@ -7,7 +7,9 @@ the 4-D run from the version whose centroid update was a list comprehension.
 The stream trees ("tree", "chunked_tree") were taken when streams moved from
 one CSV file per chunk to .npy arrays (manifest version 2), after the CSV
 and .npy loaders were shown to read bit-equal values, labels and
-artificial classes from the two formats. Before hashing a metrics.jsonl, the wall-clock fields
+artificial classes from the two formats. The sdccl and wcd1000 trees were
+taken when gen still drew each blob with its own Generator.normal call,
+before it drew the whole stream in one. Before hashing a metrics.jsonl, the wall-clock fields
 (duration_s, total_runtime_s) and the meta line's absolute manifest path are
 dropped; everything else is hashed as written.
 """
@@ -34,6 +36,12 @@ GOLDEN = {
         "metrics": "7873a82a3b3db82ae2b9dfd37427cd8829893d27cc23d68dbe5529c23810199a",
         "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
         "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
+    },
+    "sdccl": {
+        "tree": "4e513cfb7356a8b4f7f711f82ce6538a1fbaeedf9ed37f93d11ec90caca14ece",
+    },
+    "wcd1000": {
+        "tree": "a1d42b24aeb10ee468acf71b733783a59e58ef3277fede44fb6a15148a37177d",
     },
     # re-pinned for snapshot version 2, which writes the k-from-labels
     # policy as "k": null; every other byte is as before
@@ -92,6 +100,15 @@ def test_gen_run_eval_match_golden_digests(name, tmp_path, capsys):
         "eval": _sha(capsys.readouterr().out.encode()),
     }
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["sdccl", "wcd1000"])
+def test_gen_matches_golden_tree_digest(name, tmp_path, capsys):
+    # sdccl's merge and relocations are offset; wcd1000 has per-cluster sizes,
+    # other cluster counts and 1 000 chunks
+    assert main(["gen", name, "--seed", "7", "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert _tree_digest(tmp_path / name) == GOLDEN[name]["tree"]
 
 
 def test_snapshot_and_resume_match_golden_digests(tmp_path, capsys):

@@ -219,6 +219,18 @@ def test_load_stream_rejects_non_finite_value(tmp_path, bad):
         load_stream(manifest)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_stream_refuses_non_finite_value(tmp_path, bad):
+    # the same check load_stream makes, so no stream is written that it refuses
+    chunks = generate_synthetic(sdccl_spec(seed=3))
+    values = chunks[1].values.copy()
+    values[6, 1] = bad
+    chunks[1] = Chunk(2, values, chunks[1].labels)
+    with pytest.raises(ValueError, match=r"record 7 of chunk 2: .*finite"):
+        write_stream(tmp_path / "s", chunks, seed=3)
+    assert not (tmp_path / "s").exists()
+
+
 def test_load_stream_rejects_truncated_row(tmp_path):
     manifest, stream = _sdccl_stream(tmp_path)
     path = stream / "values.npy"

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamclust import (
     DriftKind,
@@ -108,6 +110,64 @@ def test_spec_validation():
         TimestepSpec(2, 30, DriftKind.MERGE)
     with pytest.raises(ValueError):
         StreamSpec((TimestepSpec(9, 10),))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            StreamSpec((TimestepSpec(1, 10),), sigma=bad)
+    with pytest.raises(ValueError, match="relocate_offset"):
+        StreamSpec((TimestepSpec(1, 10),), relocate_offset=float("nan"))
+    with pytest.raises(ValueError, match="anchor"):
+        StreamSpec((TimestepSpec(1, 10),), anchors=[(0.1, float("-inf"))])
+
+
+def _per_blob_values(spec):
+    """Oracle: each chunk's records drawn one blob at a time, one
+    Generator.normal call of shape (size, 2) per blob, clipped per blob."""
+    rng = np.random.default_rng(spec.seed & 0xFFFFFFFF)
+    base_count = spec.entries[0].cluster_count
+    matrices = []
+    for entry in spec.entries:
+        shift = entry.offset_steps * spec.relocate_offset
+        if entry.drift_kind is DriftKind.MERGE:
+            xs, ys = zip(*spec.anchors)
+            anchors = [(sum(xs) / len(xs), sum(ys) / len(ys))]
+        else:
+            bank = spec.anchors if entry.cluster_count == base_count else spec.alt_anchors
+            anchors = bank[: entry.cluster_count]
+        blocks = []
+        for anchor, size in zip(anchors, entry.cluster_sizes):
+            center = (anchor[0] + shift, anchor[1] + shift)
+            points = rng.normal(loc=center, scale=spec.sigma, size=(size, 2))
+            np.clip(points, 0.0, 1.0, out=points)
+            blocks.append(points)
+        matrices.append(np.concatenate(blocks))
+    return matrices
+
+
+@st.composite
+def _stream_specs(draw):
+    entries = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(DriftKind))
+        count = 1 if kind is DriftKind.MERGE else draw(st.integers(1, 5))
+        sizes = draw(st.integers(1, 12) | st.tuples(*[st.integers(1, 12)] * count))
+        entries.append(TimestepSpec(count, sizes, kind, draw(st.integers(-2, 2))))
+    return StreamSpec(
+        tuple(entries),
+        sigma=draw(st.sampled_from([1e-9, 1e-3, 0.02, 0.5, 30.0, 1e6])
+                   | st.floats(1e-12, 1e12, exclude_min=True)),
+        seed=draw(st.integers(-2**70, -1) | st.integers(0, 2**32) | st.integers(2**32, 2**70)),
+        relocate_offset=draw(st.floats(-0.5, 0.5)),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_stream_specs())
+def test_one_call_draw_equals_per_blob_draws(spec):
+    chunks = generate_synthetic(spec)
+    expected = _per_blob_values(spec)
+    assert [c.values.shape for c in chunks] == [m.shape for m in expected]
+    assert all(c.values.tobytes() == m.tobytes() for c, m in zip(chunks, expected))
+    assert [len(c.labels) for c in chunks] == [e.chunk_size for e in spec.entries]
 
 
 def _relabel_streams(counts, relabel_at, seed=0, size=3):
