@@ -62,8 +62,9 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
 
     run = ["run", str(tmp_path / "s" / "manifest.json"), "--out", str(tmp_path / "r")]
     assert main(run) == 0
-    evaluate = "from streamclust.cli import main\nmain(['eval', 's/manifest.json', 'r/metrics.jsonl'])"
-    loaded = _modules_loaded_by(evaluate, tmp_path)
+    loaded = _modules_loaded_by(
+        "from streamclust.cli import main\nmain(['eval', 's/manifest.json', 'r/metrics.jsonl'])",
+        tmp_path)
     assert "streamclust.metrics" in loaded
     assert not _ENGINE_PARTS & loaded
 
