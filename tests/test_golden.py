@@ -9,7 +9,9 @@ one CSV file per chunk to .npy arrays (manifest version 2), after the CSV
 and .npy loaders were shown to read bit-equal values, labels and
 artificial classes from the two formats. The sdccl and wcd1000 trees were
 taken when gen still drew each blob with its own Generator.normal call,
-before it drew the whole stream in one. Before hashing a metrics.jsonl, the wall-clock fields
+before it drew the whole stream in one. The wcd1000 run was taken when the
+absorb pass still scanned every centroid for every record, before it
+certified the previous record's cluster by the half-gap test. Before hashing a metrics.jsonl, the wall-clock fields
 (duration_s, total_runtime_s) and the meta line's absolute manifest path are
 dropped; everything else is hashed as written.
 """
@@ -42,6 +44,8 @@ GOLDEN = {
     },
     "wcd1000": {
         "tree": "a1d42b24aeb10ee468acf71b733783a59e58ef3277fede44fb6a15148a37177d",
+        "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
+        "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
     # re-pinned for snapshot version 2, which writes the k-from-labels
     # policy as "k": null; every other byte is as before
@@ -109,6 +113,21 @@ def test_gen_matches_golden_tree_digest(name, tmp_path, capsys):
     assert main(["gen", name, "--seed", "7", "--out", str(tmp_path / name)]) == 0
     capsys.readouterr()
     assert _tree_digest(tmp_path / name) == GOLDEN[name]["tree"]
+
+
+def test_run_wcd1000_matches_golden_digests(tmp_path, capsys):
+    # 1 000 chunks of steady blobs: the stream where the absorb pass most
+    # often settles a record's cluster with one distance
+    stream = tmp_path / "wcd1000"
+    run_out = tmp_path / "run"
+    assert main(["gen", "wcd1000", "--seed", "7", "--out", str(stream)]) == 0
+    assert main(["run", str(stream / "manifest.json"), "--seed", "7", "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    digests = {
+        "metrics": _report_digest(run_out / "metrics.jsonl"),
+        "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
+    }
+    assert digests == {key: GOLDEN["wcd1000"][key] for key in digests}
 
 
 def test_snapshot_and_resume_match_golden_digests(tmp_path, capsys):
