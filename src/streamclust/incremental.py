@@ -15,22 +15,53 @@ and the update into one tuple of d terms, so the loop pays no per-cluster or
 per-coordinate iteration and no call beyond math.dist. dist_clust_trace is
 the one absorb function; the engine reports its per-record trace and metrics
 score it.
+
+Most records land in the cluster the record before them did, so the kernel
+first measures the distance b to that cluster i and runs the k-distance scan
+only when the half-gap test `b < safe[i]` fails (Elkan 2003, Lemma 1). The
+test is exact: it passes only where the scan would pick i with the same b,
+so the output keeps every bit. Centroid j moves in a chunk of n records by
+at most move_j: its m-th absorb steps it by at most r_j / (L_j + m) towards
+a record within its radius r_j, and those steps sum to at most
+r_j * log1p(n / L_j) for a lifetime count L_j; a second term,
+n * sqrt(d) * (1e-15 * (max|c_j| + r_j + r_j * log1p(n / L_j)) + 1e-300),
+bounds the rounding of n running-mean updates, whose error per coordinate is
+a few ulps of the largest magnitude involved, and at least the absolute
+rounding of subnormals. If b < safe_i = min over l of
+(|c_i c_l| * (1 - 1e-9) - move_i - move_l) * (0.5 - 1e-9), then at any point
+of the chunk the centroids i and l are more than 2b apart, so by the
+triangle inequality l lies more than b from the record: i is strictly
+nearest, never a tie, and the scan, which computes the same
+dist(v, centroids[i]), would return it. The 1e-9 factors cover the few-ulp
+error of each math.dist and of the sums, the 1e-300 floor keeps every
+compared quantity where that error is relative, and a pair distance that
+overflows counts as the largest float, a true lower bound (inf would
+certify a record equidistant from two centroids 1e308 away). With k = 1 no
+other centroid exists, and safe = [inf]. safe_i is never NaN: every term is
+finite or +inf and >= 0, and the test's `not b < safe[i]` would send a NaN
+to the scan anyway.
 """
 
 import functools
+import itertools
 import math
+import sys
 
 from .core import Assignment, Chunk, ClusteringResult
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _absorb_kernel(clusters: int, dimensions: int):
     """The absorb pass for k clusters in d dimensions, as generated code.
 
-    absorb(rows, centroids, radii, lifetimes, deltas) updates centroids,
-    lifetimes and deltas in place and returns the outlier count and the
-    per-record trace. Its scan holds k dist() calls, each followed by
-    `if x < b`, so ties keep the lowest index; its update is one tuple of d
+    absorb(rows, centroids, radii, lifetimes, deltas, safe) updates
+    centroids, lifetimes and deltas in place and returns the outlier count
+    and the per-record trace. It keeps the last record's cluster i, its
+    centroid, radius and safe radius in locals; when the half-gap test
+    fails, its scan holds k dist() calls, each followed by `if x < b`, so
+    ties keep the lowest index. The update is one tuple of d
     `keep * c[j] + w * v[j]` terms. The source comes from the two integers
     alone, checked before any code is built; typed caching keeps 2.0 or True
     from reusing the kernel cached for 2 or 1. Generated, because on Python
@@ -40,27 +71,31 @@ def _absorb_kernel(clusters: int, dimensions: int):
     if type(clusters) is not int or type(dimensions) is not int:
         raise TypeError(f"kernel shape must be two ints, got {clusters!r}, {dimensions!r}")
     scan = "".join(
-        f"        x = dist(v, centroids[{j}])\n"
-        f"        if x < b: b = x; i = {j}\n"
+        f"            x = dist(v, centroids[{j}])\n"
+        f"            if x < b: b = x; i = {j}\n"
         for j in range(1, clusters)
     )
     mean = "".join(f"keep * c[{j}] + w * v[{j}], " for j in range(dimensions))
     source = (
-        "def absorb(rows, centroids, radii, lifetimes, deltas):\n"
+        "def absorb(rows, centroids, radii, lifetimes, deltas, safe):\n"
         "    dist = math.dist\n"
         "    trace = []\n"
         "    append = trace.append\n"
         "    outliers = 0\n"
+        "    i = 0\n"
+        "    c, r, s = centroids[0], radii[0], safe[0]\n"
         "    for v in rows:\n"
-        "        b = dist(v, centroids[0]); i = 0\n"
+        "        b = dist(v, c)\n"
+        "        if not b < s:\n"
+        "            b = dist(v, centroids[0]); i = 0\n"
         f"{scan}"
-        "        if b <= radii[i]:\n"
+        "            c, r, s = centroids[i], radii[i], safe[i]\n"
+        "        if b <= r:\n"
         "            n = lifetimes[i] = lifetimes[i] + 1\n"
         "            deltas[i] += 1\n"
         "            w = 1.0 / n\n"
         "            keep = 1.0 - w\n"
-        "            c = centroids[i]\n"
-        f"            centroids[i] = ({mean})\n"
+        f"            c = centroids[i] = ({mean})\n"
         "            append((i, b))\n"
         "        else:\n"
         "            outliers += 1\n"
@@ -70,6 +105,33 @@ def _absorb_kernel(clusters: int, dimensions: int):
     namespace = {"math": math}
     exec(compile(source, f"<absorb kernel k={clusters} d={dimensions}>", "exec"), namespace)
     return namespace["absorb"]
+
+
+def _safe_radii(prev: ClusteringResult, records: int) -> list[float]:
+    """Per cluster, the distance below which a record of a chunk of this many
+    records is certified to be strictly nearest that cluster's centroid,
+    wherever the pass has moved the centroids by then (see the module
+    docstring for the bound and why it is exact)."""
+    centroids = prev.centroids
+    k = len(centroids)
+    if k == 1:
+        return [math.inf]
+    scale = records * math.sqrt(prev.dimensions)
+    moves = []
+    for c, r, life in zip(centroids, prev.radii, prev.lifetime_counts):
+        drift = r * math.log1p(records / life)
+        moves.append(drift * (1 + 1e-9) + scale * (1e-15 * (max(map(abs, c)) + r + drift) + 1e-300))
+    safe = [math.inf] * k
+    for j, l in itertools.combinations(range(k), 2):
+        gap = math.dist(centroids[j], centroids[l])
+        if gap > _FLOAT_MAX:  # overflowed: the true distance is at least the largest float
+            gap = _FLOAT_MAX
+        half = (gap * (1 - 1e-9) - moves[j] - moves[l]) * (0.5 - 1e-9)
+        if half < safe[j]:
+            safe[j] = half
+        if half < safe[l]:
+            safe[l] = half
+    return safe
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
@@ -90,7 +152,9 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     centroids = list(prev.centroids)
     lifetimes = list(prev.lifetime_counts)
     deltas = [0] * len(centroids)  # per-chunk counts restart each call
+    rows = chunk.rows()
     absorb = _absorb_kernel(len(centroids), chunk.dimensions)
-    outliers, trace = absorb(chunk.rows(), centroids, prev.radii, lifetimes, deltas)
+    outliers, trace = absorb(rows, centroids, prev.radii, lifetimes, deltas,
+                             _safe_radii(prev, len(rows)))
     result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers, chunk.timestamp)
     return result, tuple(trace)
