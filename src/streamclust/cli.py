@@ -15,7 +15,6 @@ fixed constant 7, never the clock. The drift thresholds default to 0.18 /
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -29,6 +28,8 @@ from .stream_io import (
     json_field,
     load_dataset,
     load_stream,
+    read_json,
+    read_text,
     write_stream,
 )
 from .streams import (
@@ -62,7 +63,7 @@ _SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": i
 
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = read_json(path)
     entries = []
     for e in _spec_field(doc, "entries", list[dict]):
         e = {"drift_kind": "none", "offset_steps": 0, **e}
@@ -145,6 +146,15 @@ def cmd_chunk(args) -> int:
     )
     print(manifest)
     return 0
+
+
+def _in_file(path, parse):
+    """parse applied to the UTF-8 text of the file at path; its errors name the file."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _k_policy(k: int | None):
@@ -252,7 +262,7 @@ def cmd_resume(args) -> int:
     from .engine import state_from_json
     from .metrics import true_cluster_values
     data = load_stream(args.manifest)
-    state = state_from_json(Path(args.snapshot).read_text(encoding="utf-8"))
+    state = _in_file(args.snapshot, state_from_json)
     if state.main.dimensions != data.chunks[0].dimensions:
         raise ValueError(
             f"snapshot {args.snapshot} has {state.main.dimensions}-D centroids but the "
@@ -284,7 +294,7 @@ def cmd_resume(args) -> int:
 def cmd_eval(args) -> int:
     from .metrics import parse_jsonl, tcv_distance, true_cluster_values
     data = load_stream(args.manifest)
-    _, steps, summary = parse_jsonl(Path(args.report).read_text(encoding="utf-8"))
+    _, steps, summary = _in_file(args.report, parse_jsonl)
     if len(steps) > len(data.chunks):
         raise ValueError(
             f"report covers {len(steps)} timestamps but the stream has {len(data.chunks)} chunks"

@@ -151,7 +151,7 @@ class DriftConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 < self.o_thresh <= 1:
             raise ValueError(f"o_thresh must be in (0, 1], got {self.o_thresh}")
-        if self.d_thresh <= 0:
+        if not self.d_thresh > 0:  # also rejects NaN, which would never fire
             raise ValueError(f"d_thresh must be > 0, got {self.d_thresh}")
 
 

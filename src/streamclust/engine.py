@@ -39,7 +39,7 @@ from .bootstrap import summarize_trace
 from .core import Assignment, Chunk, ClusteringResult, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
-from .stream_io import JSON_NUMBER, json_field
+from .stream_io import JSON_NUMBER, json_field, parse_json
 
 SNAPSHOT_FORMAT = "streamclust-state"
 SNAPSHOT_VERSION = 2  # 2: config.k may be null, the k-from-labels policy
@@ -317,7 +317,7 @@ def state_to_json(state: EngineState) -> str:
 
 def state_from_json(text: str) -> EngineState:
     """Rebuild the engine state from state_to_json's output, validating it."""
-    doc = json.loads(text)
+    doc = parse_json(text, "snapshot")
     if _field(doc, "format", str) != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
     if _field(doc, "version") != SNAPSHOT_VERSION:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Chunk, ClusteringResult
-from .stream_io import json_field
+from .stream_io import json_field, parse_json
 
 
 def entropy(assignments) -> float:
@@ -331,7 +331,7 @@ def parse_jsonl(text: str) -> tuple[dict, list[dict], dict]:
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        doc = json.loads(line)
+        doc = parse_json(line, "report", n)
         kind = json_field(f"report line {n}", doc, "type", str)
         if kind == "meta":
             meta = doc

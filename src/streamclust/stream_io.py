@@ -61,6 +61,33 @@ def json_field(document: str, doc, key: str, kind=int):
     return value
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path; a decode error names the file and
+    the line that holds the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at line {line}") from None
+
+
+def parse_json(text: str, document, line: int | None = None):
+    """json.loads(text); a decode error names the document and the line it
+    is on, which is the given line when text is that one line of a file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{document} is not valid JSON: {exc.msg} at line "
+                         f"{line or exc.lineno} column {exc.colno}") from None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at path; a decode error names the
+    file and the line."""
+    return parse_json(read_text(path), path)
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -172,7 +199,7 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
 
 def load_stream(manifest_path) -> StreamData:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
     field = functools.partial(json_field, "manifest", manifest)
     if field("format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")

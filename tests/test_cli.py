@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -734,3 +735,74 @@ def test_chunk_nan_in_dataset_is_an_error(tmp_path, capsys):
     assert main(["chunk", str(path), "--chunks", "2", "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 2" in err and "finite" in err
+
+
+def test_run_nan_d_thresh_is_an_error(tmp_path, capsys):
+    # NaN > d is always False: distribution drift would never fire
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    code = main(["run", str(manifest), "--d-thresh", "nan", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "d_thresh" in err, err
+    assert not (tmp_path / "r").exists()
+
+
+def test_resume_from_snapshot_with_nan_d_thresh_is_an_error(tmp_path, capsys):
+    def edit(doc):
+        doc["config"]["d_thresh"] = math.nan  # json.dumps writes the bare token NaN
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "d_thresh")
+
+
+# Each JSON document a command reads, as (the file, the command that reads
+# it) once the commands before it have written it.
+def _manifest_document(tmp_path, capsys):
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    return manifest, ["run", str(manifest), "--out", str(tmp_path / "r")]
+
+
+def _spec_document(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec(), indent=2))
+    return spec, ["gen", str(spec), "--out", str(tmp_path / "g")]
+
+
+def _snapshot_document(tmp_path, capsys):
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    snap = tmp_path / "snap.json"
+    assert main(["run", str(manifest), "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    return snap, ["resume", str(manifest), "--snapshot", str(snap), "--out", str(tmp_path / "r")]
+
+
+def _report_document(tmp_path, capsys):
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    assert main(["run", str(manifest), "--out", str(tmp_path / "run")]) == 0
+    return tmp_path / "run" / "metrics.jsonl", ["eval", str(manifest),
+                                                 str(tmp_path / "run" / "metrics.jsonl")]
+
+
+_JSON_DOCUMENTS = {
+    "manifest": _manifest_document,
+    "spec": _spec_document,
+    "snapshot": _snapshot_document,
+    # one JSON document per line, each parsed on its own: the error must
+    # still name the line of the file, not line 1 of that document
+    "report": _report_document,
+}
+_UNDECODABLE = {"json": (b"@", "is not valid JSON"), "utf8": (b"\xff", "is not UTF-8 text")}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("document", sorted(_JSON_DOCUMENTS))
+def test_undecodable_json_names_the_file_and_line(tmp_path, capsys, document, kind):
+    path, argv = _JSON_DOCUMENTS[document](tmp_path, capsys)
+    junk, message = _UNDECODABLE[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = junk + lines[4]  # line 5, which starts a key or a whole report line
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert message in err and re.search(r" at line 5\b", err), err

@@ -182,5 +182,7 @@ def test_drift_config_bounds():
         DriftConfig(k=1, o_thresh=1.5)
     with pytest.raises(ValueError):
         DriftConfig(k=1, d_thresh=0.0)
+    with pytest.raises(ValueError, match="d_thresh"):
+        DriftConfig(k=1, d_thresh=math.nan)  # a NaN threshold would never fire
     cfg = DriftConfig(k=3)
     assert (cfg.o_thresh, cfg.d_thresh) == (0.18, 0.6)

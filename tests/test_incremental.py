@@ -275,7 +275,7 @@ def _assert_matches_reference(chunk, prev):
 
 
 _RADII = (0.0, 0.25, 1.0, 2.5, math.inf)
-_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier")
+_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier", "near")
 
 
 @st.composite
@@ -283,17 +283,28 @@ def _absorb_cases(draw):
     # Hypothesis picks the shape and the mix of row kinds; a seeded generator
     # fills in the coordinates, which keeps 16-D cases cheap to draw. Grid
     # values are quarter steps, so the midpoint of two centroids is exact and
-    # lies at exactly the same distance from both: a tie.
+    # lies at exactly the same distance from both: a tie. A "near" row is a
+    # run of records within 0.1 of one centroid, less than half the 0.25 grid
+    # step. In a settled case every cluster has a long lifetime and a finite
+    # radius, so the centroids barely move and the half-gap test settles
+    # most of such a run with one distance.
     d = draw(st.integers(1, 16))
     k = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centroids = (rng.integers(-8, 9, size=(k, d)) / 4).tolist()
-    radii = draw(st.lists(st.sampled_from(_RADII), min_size=k, max_size=k))
-    lifetimes = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    settled = draw(st.booleans())
+    radius = st.sampled_from(_RADII[:-1] if settled else _RADII)
+    radii = draw(st.lists(radius, min_size=k, max_size=k))
+    lifetime = st.integers(10**6, 10**15) if settled else st.integers(1, 10**6)
+    lifetimes = draw(st.lists(lifetime, min_size=k, max_size=k))
     prev = ClusteringResult(centroids, radii, lifetimes, [0] * k, 0, 1)
     rows = []
     for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=40)):
-        if kind == "grid":
+        if kind == "near":
+            home = centroids[rng.integers(k)]
+            spread = rng.uniform(-0.1, 0.1, size=(rng.integers(1, 30), d)) / math.sqrt(d)
+            rows.extend(home + spread)
+        elif kind == "grid":
             rows.append(rng.integers(-8, 9, size=d) / 4)
         elif kind == "centroid":
             rows.append(centroids[rng.integers(k)])
@@ -349,6 +360,65 @@ def test_dist_clust_alternating_shapes_match_reference():
     for k, d in ((3, 2), (5, 2), (3, 2), (1, 4)):
         prev = _result(rng.uniform(0, 1, size=(k, d)).tolist(), radius=0.5, lifetime=2)
         _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(200, d))), prev)
+
+
+# Named cases for the half-gap test: each must give the plain pass's bits.
+
+_BIG = 1e308
+
+
+@pytest.mark.parametrize("centroids, radii, lifetimes, rows", [
+    pytest.param([(0.5, 0.5), (0.0, 0.0), (0.0, 0.0)], [0.3] * 3, [10**9] * 3,
+                 [(0.1, 0.0), (0.0, 0.0), (0.0, 0.1), (0.0, 0.0), (0.4, 0.4)],
+                 id="coincident_centroids"),
+    pytest.param([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [math.inf] * 3, [10**9] * 3,
+                 [(0.01 * t, 0.0) for t in range(50)] + [(1.0, 0.01 * t) for t in range(50)],
+                 id="infinite_radii"),
+    pytest.param([(0.25, -0.5)], [0.5], [1], [(0.25, -0.5), (0.5, -0.25), (9.0, 9.0), (0.0, 0.0)],
+                 id="one_cluster"),
+    pytest.param([(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0)], [0.5] * 3, [10**9] * 3,
+                 [(-0.0, 0.9), (0.0, 0.9), (0.0, 1.0), (0.9, -0.0), (0.9, 0.0), (-0.0, -0.0),
+                  (0.0, 0.0), (0.0, -0.0)],
+                 id="negative_zero"),
+    # the pair distance overflows: taken as inf, half of it would certify the
+    # record at 0, which lies 1e308 from both centroids, for cluster 1
+    pytest.param([(-_BIG,), (_BIG,)], [1.5 * _BIG] * 2, [10**300] * 2,
+                 [(_BIG,), (0.0,), (0.0,), (-_BIG,), (0.0,)],
+                 id="overflowing_pair_distance"),
+    pytest.param([(-_BIG, _BIG), (_BIG, -_BIG), (0.0, 0.0)], [_BIG] * 3, [1, 10**300, 10**300],
+                 [(-_BIG, _BIG), (_BIG, 0.0), (0.0, _BIG), (_BIG, -_BIG), (0.0, 0.0)],
+                 id="coordinates_near_1e308"),
+    # cluster 0 absorbs its way towards cluster 1: a record at 0.6 starts
+    # 0.4 from cluster 1 but ends nearer the moved cluster 0, so the test
+    # must count how far the centroids can move within the chunk
+    pytest.param([(0.0,), (1.0,)], [10.0, 10.0], [1, 1],
+                 [(0.45,)] * 6 + [(0.95,), (0.6,)],
+                 id="centroid_moving_within_the_chunk"),
+])
+def test_half_gap_edge_cases_match_reference(centroids, radii, lifetimes, rows):
+    k = len(centroids)
+    _assert_matches_reference(Chunk(2, rows), ClusteringResult(centroids, radii, lifetimes,
+                                                               [0] * k, 0, 1))
+
+
+def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
+    # five settled clusters and a chunk of their records in blob order: each
+    # record after the first of its blob is settled by the half-gap test
+    k, per_blob = 5, 40
+    rng = np.random.default_rng(12)
+    centers = [(0.1, 0.1), (0.9, 0.1), (0.5, 0.5), (0.1, 0.9), (0.9, 0.9)]
+    prev = ClusteringResult(centers, [0.15] * k, [10**4] * k, [0] * k, 0, 1)
+    order = [0, 3, 1, 4, 2]  # starts at cluster 0, the first one tried
+    rows = np.vstack([rng.normal(centers[j], 0.03, size=(per_blob, 2)) for j in order])
+    calls = []
+    dist = math.dist
+    monkeypatch.setattr(math, "dist", lambda a, b: calls.append(1) or dist(a, b))
+    result, trace = dist_clust_trace(Chunk(2, rows), prev)
+    switches = len(order) - 1
+    assert len(calls) <= len(rows) + k * (k - 1) // 2 + (k + 1) * switches
+    assert [a[0] for a in trace] == [j for j in order for _ in range(per_blob)]
+    monkeypatch.undo()
+    _assert_matches_reference(Chunk(2, rows), prev)
 
 
 def test_absorb_kernel_takes_ints_only(monkeypatch):
