@@ -28,7 +28,7 @@ from .stream_io import (
     json_field,
     load_dataset,
     load_stream,
-    read_json,
+    parse_json,
     read_text,
     write_stream,
 )
@@ -63,7 +63,7 @@ _SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": i
 
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
-    doc = read_json(path)
+    doc = parse_json(read_text(path), path)
     entries = []
     for e in _spec_field(doc, "entries", list[dict]):
         e = {"drift_kind": "none", "offset_steps": 0, **e}

@@ -82,12 +82,6 @@ def parse_json(text: str, document, line: int | None = None):
                          f"{line or exc.lineno} column {exc.colno}") from None
 
 
-def read_json(path):
-    """The JSON document in the UTF-8 file at path; a decode error names the
-    file and the line."""
-    return parse_json(read_text(path), path)
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -199,7 +193,7 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
 
 def load_stream(manifest_path) -> StreamData:
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
+    manifest = parse_json(read_text(manifest_path), manifest_path)
     field = functools.partial(json_field, "manifest", manifest)
     if field("format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
@@ -258,7 +252,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     Returns (float64 value matrix, int64 label vector, label mapping).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")

@@ -737,6 +737,15 @@ def test_chunk_nan_in_dataset_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "row 2" in err and "finite" in err
 
 
+def test_chunk_undecodable_dataset_names_the_file_and_line(tmp_path, capsys):
+    path = _toy_csv(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    assert main(["chunk", str(path), "--chunks", "2", "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: invalid start byte at line 3\n"
+
+
 def test_run_nan_d_thresh_is_an_error(tmp_path, capsys):
     # NaN > d is always False: distribution drift would never fire
     manifest = _sdwcd(tmp_path, capsys) / "manifest.json"

@@ -413,7 +413,7 @@ def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
     calls = []
     dist = math.dist
     monkeypatch.setattr(math, "dist", lambda a, b: calls.append(1) or dist(a, b))
-    result, trace = dist_clust_trace(Chunk(2, rows), prev)
+    _, trace = dist_clust_trace(Chunk(2, rows), prev)
     switches = len(order) - 1
     assert len(calls) <= len(rows) + k * (k - 1) // 2 + (k + 1) * switches
     assert [a[0] for a in trace] == [j for j in order for _ in range(per_blob)]
