@@ -786,9 +786,9 @@ def _snapshot_document(tmp_path, capsys):
 
 def _report_document(tmp_path, capsys):
     manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
-    assert main(["run", str(manifest), "--out", str(tmp_path / "run")]) == 0
-    return tmp_path / "run" / "metrics.jsonl", ["eval", str(manifest),
-                                                 str(tmp_path / "run" / "metrics.jsonl")]
+    report = tmp_path / "run" / "metrics.jsonl"
+    assert main(["run", str(manifest), "--out", str(report.parent)]) == 0
+    return report, ["eval", str(manifest), str(report)]
 
 
 _JSON_DOCUMENTS = {
