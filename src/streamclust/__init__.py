@@ -25,7 +25,7 @@ _EXPORTS = {
         "streams": "DriftKind TimestepSpec StreamSpec generate_synthetic chunk_dataset "
                    "chunk_indices make_artificial_classes sdwcd_spec sdccl_spec "
                    "ncd100_spec wcd1000_spec",
-        "metrics": "entropy sse true_cluster_values tcv_distance TcvMatch TimestepMetrics "
+        "metrics": "entropy true_cluster_values tcv_distance TcvMatch TimestepMetrics "
                    "MetricsReport step_metrics build_report",
         "stream_io": "StreamData write_stream load_stream load_dataset",
     }.items()

@@ -4,16 +4,16 @@ Used to build the very first model and to retrain a fresh model whenever the
 engine decides the current one is stale. Plain Lloyd k-means with greedy
 farthest-point seeding: deterministic for a fixed seed, which the rest of the
 system relies on for reproducible runs. summarize_trace is the one bootstrap
-function: it returns the cluster summaries together with each record's
-assignment, and can share its work between bootstraps that draw the same
-first center or reach the same state after Lloyd's first iteration.
+function: it returns the cluster summaries with each record's cluster and
+the SSE, and can share its work between bootstraps that draw the same first
+center or reach the same state after Lloyd's first iteration.
 """
 
 import math
 
 import numpy as np
 
-from .core import Assignment, Chunk, ClusteringResult
+from .core import Chunk, ClusteringResult
 
 # Lloyd iterations stop here even if assignments still change.
 MAX_ITERATIONS = 100
@@ -124,19 +124,19 @@ def _finish(chunk: Chunk, centroids: np.ndarray, labels: np.ndarray):
     kept = np.flatnonzero(counts)  # drop unrepairable empties, renumber the rest
     position = np.cumsum(counts > 0) - 1
     centroids = [tuple(c) for c in centroids[kept].tolist()]
-    clusters = position[labels].tolist()
-    dists = list(map(math.dist, [centroids[c] for c in clusters], chunk.rows()))
-    radii = [0.0] * len(kept)
-    for c, d in zip(clusters, dists):
+    clusters = tuple(position[labels].tolist())
+    radii, sse = [0.0] * len(kept), 0.0
+    for c, d in zip(clusters, map(math.dist, [centroids[c] for c in clusters], chunk.rows())):
+        sse += d * d
         if d > radii[c]:
             radii[c] = d
     counts = counts[kept].tolist()
     result = ClusteringResult(centroids, radii, counts, counts, 0, chunk.timestamp)
-    return result, tuple(zip(clusters, dists))
+    return result, (clusters, sse)
 
 
 def summarize_trace(chunk: Chunk, k: int, seed: int,
-                    shared: dict | None = None) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
+                    shared: dict | None = None) -> tuple[ClusteringResult, tuple]:
     """Cluster a chunk into k groups and keep only the summaries; the records
     are dropped.
 
@@ -144,7 +144,8 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     assignments are stable or after MAX_ITERATIONS. Deterministic for a fixed
     seed. Each cluster's lifetime and per-chunk counts start at its member
     count and its radius is the farthest member's distance from the centroid.
-    Also returns every record's (cluster, distance to its centroid) assignment.
+    Also returns the trace (clusters, sse): each record's cluster index and
+    the squared distances to the centroids added in record order.
 
     The seed reaches a bootstrap only through its one random draw, the first
     center's index. shared, when given, is a dict the caller owns for this
@@ -152,8 +153,8 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     (chunk, k, first index) in it, and the rest, a pure function of the chunk,
     k and that iteration's labels and centroids, once per distinct such state,
     keyed on the arrays' bytes so 0.0 and -0.0 never share. Shared calls get
-    the same (result, assignments) objects. Without shared, every bootstrap
-    is computed in full.
+    the same (result, trace) objects. Without shared, every bootstrap is
+    computed in full.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 # engine and metrics are imported in the commands that run them: gen and
 # chunk load neither, and eval loads no part of the engine.
-from .core import Chunk, DriftConfig, minmax_normalize
+from .core import Chunk, DriftConfig, left_sum, minmax_normalize
 from .stream_io import (
     JSON_NUMBER,
     atomic_write_text,
@@ -168,10 +168,10 @@ def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
     it ends.
 
     Bootstraps one run per config, or continues one per state (see
-    engine.run). Each step's StepReport, with one assignment per record,
+    engine.run). Each step's StepReport, with one cluster index per record,
     becomes one small metrics row of its run and is dropped before the next
     step runs. With several runs, the runs of a chunk share the scoring of
-    equal assignments (see step_metrics); the share is dropped when the
+    equal cluster indices (see step_metrics); the share is dropped when the
     chunk ends. Returns every run's final state and report, in run order.
     """
     from . import engine
@@ -206,9 +206,9 @@ def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
     if snapshot:
         atomic_write_text(Path(snapshot), state_to_json(state) + "\n")
 
-    mean_entropy = sum(r.mean_entropy for r in runs) / len(runs)
-    mean_sse = sum(r.mean_sse for r in runs) / len(runs)
-    total = sum(r.total_runtime_s for r in runs) / len(runs)
+    mean_entropy = left_sum(r.mean_entropy for r in runs) / len(runs)
+    mean_sse = left_sum(r.mean_sse for r in runs) / len(runs)
+    total = left_sum(r.total_runtime_s for r in runs) / len(runs)
     print(
         f"runs={len(runs)} mean_entropy={mean_entropy:.6f} mean_sse={mean_sse:.6f} "
         f"total_runtime_s={total:.4f}"

@@ -7,7 +7,9 @@ is one matrix of records, a result one column per cluster field.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -68,8 +70,10 @@ class Chunk:
         return list(zip(*self.values.T.tolist()))
 
 
-# (cluster index, distance at assignment time) per record, None for outliers.
-Assignment = tuple[int, float] | None
+def left_sum(values):
+    """The values added left to right from 0: Python 3.11's sum() bits on
+    every version, where 3.12's sum() compensates float rounding."""
+    return reduce(operator.add, values, 0)
 
 
 def first_nonfinite_row(matrix: np.ndarray) -> int | None:

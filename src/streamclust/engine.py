@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 
 from .bootstrap import summarize_trace
-from .core import Assignment, Chunk, ClusteringResult, DriftConfig
+from .core import Chunk, ClusteringResult, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
 from .stream_io import JSON_NUMBER, json_field, parse_json
@@ -82,12 +82,14 @@ class EngineState:
 class StepReport:
     """Everything observable about one processed chunk.
 
-    The cluster_count / outliers / cluster_deltas / assignments fields
+    The cluster_count / outliers / cluster_deltas / clusters / sse fields
     describe the *active* result: the parallel model while drift handling is
     running (it is the model trained on the current structure), the main model
     otherwise. event is one of "bootstrap", "none", "activated", "stabilized",
     "swapped"; parallel_retrained marks steps where the parallel model itself
-    drifted and was re-bootstrapped.
+    drifted and was re-bootstrapped. clusters and sse are the active
+    result's trace (see dist_clust_trace): a cluster index per record, -1 for
+    an outlier, and the step's SSE.
 
     duration_s is the step's wall-clock time. An absorb or bootstrap that
     lockstep runs share (see run) counts only in the step that computed it;
@@ -103,7 +105,8 @@ class StepReport:
     parallel_active: bool
     strike: int
     parallel_retrained: bool
-    assignments: tuple[Assignment, ...]
+    clusters: tuple[int, ...]
+    sse: float
     duration_s: float
 
 
@@ -114,7 +117,7 @@ def _bootstrap_seed(config: DriftConfig, timestamp: int) -> int:
 
 
 def _report(timestamp, event, active, verdict, parallel_active, strike,
-            retrained, assignments, started) -> StepReport:
+            retrained, trace, started) -> StepReport:
     return StepReport(
         timestamp=timestamp,
         event=event,
@@ -125,7 +128,8 @@ def _report(timestamp, event, active, verdict, parallel_active, strike,
         parallel_active=parallel_active,
         strike=strike,
         parallel_retrained=retrained,
-        assignments=assignments,
+        clusters=trace[0],
+        sse=trace[1],
         duration_s=time.perf_counter() - started,
     )
 
@@ -147,10 +151,9 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig, k: int | None = None,
     """
     started = time.perf_counter()
     t = first_chunk.timestamp
-    main, assignments = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t),
-                                        shared)
+    main, trace = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t), shared)
     state = EngineState(main, None, 0, config)
-    report = _report(t, "bootstrap", main, None, False, 0, False, assignments, started)
+    report = _report(t, "bootstrap", main, None, False, 0, False, trace, started)
     return state, report
 
 
@@ -205,7 +208,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     t = chunk.timestamp
     k = _k(config, k)
 
-    main, assignments = _absorb(chunk, state.main, shared)
+    main, trace = _absorb(chunk, state.main, shared)
     verdict = detect(main, state.main, len(chunk), config)
     active, parallel, strike, retrained = main, None, 0, False
     if not verdict.is_drift:
@@ -213,13 +216,13 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         event = "none" if state.parallel is None else "stabilized"
     elif state.parallel is None:
         event, strike = "activated", 1
-        parallel, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
+        parallel, trace = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
         active = parallel
     else:
-        active, assignments = _absorb(chunk, state.parallel, shared)
+        active, trace = _absorb(chunk, state.parallel, shared)
         retrained = detect(active, state.parallel, len(chunk), config).is_drift
         if retrained:
-            active, assignments = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
+            active, trace = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
         strike = state.strike + 1
         if strike < _SWAP_AT:
             event, parallel = "none", active
@@ -227,7 +230,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
             event, main = "swapped", active
     new_state = EngineState(main, parallel, 0 if parallel is None else strike, config)
     return new_state, _report(t, event, active, verdict, parallel is not None, strike,
-                              retrained, assignments, started)
+                              retrained, trace, started)
 
 
 def run(stream, configs=(), k_for_chunk=None, *, states=()):

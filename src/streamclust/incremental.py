@@ -13,8 +13,7 @@ function per (k clusters, d dimensions), built from the two integers on first
 use and cached: the nearest-centroid scan is unrolled into k distance calls
 and the update into one tuple of d terms, so the loop pays no per-cluster or
 per-coordinate iteration and no call beyond math.dist. dist_clust_trace is
-the one absorb function; the engine reports its per-record trace and metrics
-score it.
+the one absorb function; the engine reports its trace and metrics score it.
 
 Most records land in the cluster the record before them did, so the kernel
 first measures the distance b to that cluster i and runs the k-distance scan
@@ -47,7 +46,7 @@ import itertools
 import math
 import sys
 
-from .core import Assignment, Chunk, ClusteringResult
+from .core import Chunk, ClusteringResult
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -57,11 +56,11 @@ def _absorb_kernel(clusters: int, dimensions: int):
     """The absorb pass for k clusters in d dimensions, as generated code.
 
     absorb(rows, centroids, radii, lifetimes, deltas, safe) updates
-    centroids, lifetimes and deltas in place and returns the outlier count
-    and the per-record trace. It keeps the last record's cluster i, its
-    centroid, radius and safe radius in locals; when the half-gap test
-    fails, its scan holds k dist() calls, each followed by `if x < b`, so
-    ties keep the lowest index. The update is one tuple of d
+    centroids, lifetimes and deltas in place and returns the outlier count,
+    each record's cluster (-1 for an outlier) and the SSE. It keeps the last
+    record's cluster i, its centroid, radius and safe radius in locals; when
+    the half-gap test fails, its scan holds k dist() calls, each followed by
+    `if x < b`, so ties keep the lowest index. The update is one tuple of d
     `keep * c[j] + w * v[j]` terms. The source comes from the two integers
     alone, checked before any code is built; typed caching keeps 2.0 or True
     from reusing the kernel cached for 2 or 1. Generated, because on Python
@@ -79,9 +78,10 @@ def _absorb_kernel(clusters: int, dimensions: int):
     source = (
         "def absorb(rows, centroids, radii, lifetimes, deltas, safe):\n"
         "    dist = math.dist\n"
-        "    trace = []\n"
-        "    append = trace.append\n"
+        "    clusters = []\n"
+        "    append = clusters.append\n"
         "    outliers = 0\n"
+        "    sse = 0.0\n"
         "    i = 0\n"
         "    c, r, s = centroids[0], radii[0], safe[0]\n"
         "    for v in rows:\n"
@@ -96,11 +96,12 @@ def _absorb_kernel(clusters: int, dimensions: int):
         "            w = 1.0 / n\n"
         "            keep = 1.0 - w\n"
         f"            c = centroids[i] = ({mean})\n"
-        "            append((i, b))\n"
+        "            append(i)\n"
+        "            sse += b * b\n"
         "        else:\n"
         "            outliers += 1\n"
-        "            append(None)\n"
-        "    return outliers, trace\n"
+        "            append(-1)\n"
+        "    return outliers, clusters, sse\n"
     )
     namespace = {"math": math}
     exec(compile(source, f"<absorb kernel k={clusters} d={dimensions}>", "exec"), namespace)
@@ -134,9 +135,10 @@ def _safe_radii(prev: ClusteringResult, records: int) -> list[float]:
     return safe
 
 
-def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple[Assignment, ...]]:
+def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple]:
     """Absorb a chunk into the previous result; return the updated result and
-    the per-record (cluster, distance) assignments, None for each outlier.
+    the trace (clusters, sse): each record's cluster index, -1 for an outlier,
+    and the absorbed records' squared distances added in record order.
 
     Starts from prev's clusters with every per-chunk count and the outlier
     counter reset to zero (prev itself is never mutated, so its counts remain
@@ -154,7 +156,7 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     deltas = [0] * len(centroids)  # per-chunk counts restart each call
     rows = chunk.rows()
     absorb = _absorb_kernel(len(centroids), chunk.dimensions)
-    outliers, trace = absorb(rows, centroids, prev.radii, lifetimes, deltas,
-                             _safe_radii(prev, len(rows)))
+    outliers, clusters, sse = absorb(rows, centroids, prev.radii, lifetimes, deltas,
+                                     _safe_radii(prev, len(rows)))
     result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers, chunk.timestamp)
-    return result, tuple(trace)
+    return result, (tuple(clusters), sse)

@@ -1,15 +1,16 @@
 """Clustering quality metrics and per-run reporting.
 
-Entropy and SSE work on per-record assignments captured while a chunk was
-processed, so nothing here requires retained records. A run is scored as it
-goes: step_metrics turns each step's report into one small TimestepMetrics
-row as soon as the step ends, and build_report folds those rows and the final
-clustering into the run's report, so no per-record data outlives its step.
-Reference centroids for a labeled stream are the per-class means over all
-chunks merged; a run is scored by matching its final centroids against them
+Entropy works on the cluster index of each record of a step, and the absorb
+and bootstrap passes fold the step's SSE, so nothing here requires retained
+records. A run is scored as it goes: step_metrics turns each step's report
+into one small TimestepMetrics row as soon as the step ends, and build_report
+folds those rows and the final clustering into the run's report. Reference
+centroids for a labeled stream are the per-class means over all chunks
+merged; a run is scored by matching its final centroids against them
 one-to-one, with the exact minimum-total-distance assignment (Kuhn-Munkres)
-for any count on either side. The engine's StepReports are only read here,
-through their fields, so this module does not import the engine.
+for any count on either side. Float sums are left_sum folds, the same bits
+on every Python. The engine's StepReports are only read here, through their
+fields, so this module does not import the engine.
 """
 
 import json
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Chunk, ClusteringResult
+from .core import Chunk, ClusteringResult, left_sum
 from .stream_io import json_field, parse_json
 
 
@@ -44,20 +45,9 @@ def entropy(assignments) -> float:
     value = 0.0
     for counts in per_cluster.values():
         size = sum(counts)
-        cluster_entropy = -sum(
-            (c / size) * math.log2(c / size) for c in counts
-        )
+        cluster_entropy = -left_sum((c / size) * math.log2(c / size) for c in counts)
         value += (size / total) * cluster_entropy
     return value
-
-
-def sse(assignments) -> float:
-    """Sum of squared record-to-centroid distances at assignment time.
-
-    assignments: iterable of (cluster index, distance) pairs; outliers are
-    simply not part of the iterable.
-    """
-    return sum([d * d for _, d in assignments])
 
 
 def true_cluster_values(all_chunks: Sequence[Chunk]) -> list[tuple[int, tuple[float, ...]]]:
@@ -195,23 +185,20 @@ class MetricsReport:
         return tuple(s.cluster_count for s in self.steps)
 
 
-def _score(chunk: Chunk, assignments, label_sets) -> tuple[float, float]:
-    """(entropy, sse) of one step's assignments; see step_metrics."""
-    # An assignment is a non-empty tuple, so truthy; an outlier is None.
-    hits = list(filter(None, assignments))
-    sse_value = sse(hits)
-    if not hits:
-        return 0.0, sse_value
+def _score(chunk: Chunk, clusters, label_sets) -> float:
+    """The entropy of one step's absorbed records; see step_metrics."""
+    hits = [c >= 0 for c in clusters]  # an outlier's cluster is -1
+    absorbed = list(compress(clusters, hits))
+    if not absorbed:
+        return 0.0
     if label_sets is None and chunk.labels is None:
         raise ValueError("entropy needs labeled assignments")
-    clusters = [cluster for cluster, _ in hits]
     # without label_sets, the chunk's own labels are the one column
     columns = ([chunk.labels.tolist()] if label_sets is None
                else np.asarray(label_sets).T.tolist())
-    entropy_value = sum(
-        entropy(zip(clusters, compress(column, assignments))) for column in columns
+    return left_sum(
+        entropy(zip(absorbed, compress(column, hits))) for column in columns
     ) / len(columns)
-    return entropy_value, sse_value
 
 
 def step_metrics(
@@ -224,25 +211,22 @@ def step_metrics(
 
     Labels default to the chunk's own; when label_sets gives a matrix of
     per-record artificial class rows, entropy is the unweighted mean over its
-    columns. Outliers carry no assignment and contribute to neither metric.
+    columns. Outliers count in neither metric; the SSE is the report's.
 
     scored, when given, is a dict the caller owns for this chunk and these
-    label_sets only: the entropy and SSE are computed once per distinct
-    assignments value in it. Value equality is exact here: an assignment
-    is None or (int, math.dist(...)), and math.dist never returns -0.0 or
-    NaN. The other fields are always taken from the report.
+    label_sets only: the entropy is computed once per distinct clusters
+    value in it. The other fields are always taken from the report.
     """
     if scored is None:
-        entropy_value, sse_value = _score(chunk, report.assignments, label_sets)
+        entropy_value = _score(chunk, report.clusters, label_sets)
     else:
-        out = scored.get(report.assignments)
-        if out is None:
-            out = scored[report.assignments] = _score(chunk, report.assignments, label_sets)
-        entropy_value, sse_value = out
+        entropy_value = scored.get(report.clusters)
+        if entropy_value is None:
+            entropy_value = scored[report.clusters] = _score(chunk, report.clusters, label_sets)
     return TimestepMetrics(
         timestamp=report.timestamp,
         entropy=entropy_value,
-        sse=sse_value,
+        sse=report.sse,
         cluster_count=report.cluster_count,
         outliers=report.outliers,
         duration_s=report.duration_s,
@@ -268,9 +252,9 @@ def build_report(
         raise ValueError("a report needs at least one step")
     return MetricsReport(
         steps=steps,
-        mean_entropy=sum(s.entropy for s in steps) / len(steps),
-        mean_sse=sum(s.sse for s in steps) / len(steps),
-        total_runtime_s=sum(s.duration_s for s in steps),
+        mean_entropy=left_sum(s.entropy for s in steps) / len(steps),
+        mean_sse=left_sum(s.sse for s in steps) / len(steps),
+        total_runtime_s=left_sum(s.duration_s for s in steps),
         final_centroids=final.centroids,
         events=tuple(s.event for s in steps),
         tcv=tcv_distance(final.centroids, tcvs) if tcvs else None,
@@ -293,19 +277,19 @@ def reports_to_jsonl(runs: Sequence[MetricsReport], meta: dict) -> str:
                 {
                     "type": "step",
                     "timestamp": rows[0].timestamp,
-                    "entropy": sum(s.entropy for s in rows) / len(rows),
-                    "sse": sum(s.sse for s in rows) / len(rows),
+                    "entropy": left_sum(s.entropy for s in rows) / len(rows),
+                    "sse": left_sum(s.sse for s in rows) / len(rows),
                     "cluster_count": sum(s.cluster_count for s in rows) / len(rows),
                     "outliers": sum(s.outliers for s in rows) / len(rows),
-                    "duration_s": sum(s.duration_s for s in rows) / len(rows),
+                    "duration_s": left_sum(s.duration_s for s in rows) / len(rows),
                 }
             )
         )
     summary = {
         "type": "summary",
-        "mean_entropy": sum(r.mean_entropy for r in runs) / len(runs),
-        "mean_sse": sum(r.mean_sse for r in runs) / len(runs),
-        "total_runtime_s": sum(r.total_runtime_s for r in runs) / len(runs),
+        "mean_entropy": left_sum(r.mean_entropy for r in runs) / len(runs),
+        "mean_sse": left_sum(r.mean_sse for r in runs) / len(runs),
+        "total_runtime_s": left_sum(r.total_runtime_s for r in runs) / len(runs),
         "runs": [
             {
                 "cluster_counts": list(r.cluster_counts),

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Chunk
+from .core import Chunk, left_sum
 
 # Anchor layouts for blob centers. Clusters sit far enough apart that a blob
 # is never absorbed by a foreign cluster and k-means recovers blobs exactly.
@@ -137,7 +137,7 @@ class StreamSpec:
 def _merge_anchor(anchors) -> tuple[float, float]:
     xs = [a[0] for a in anchors]
     ys = [a[1] for a in anchors]
-    return (sum(xs) / len(xs), sum(ys) / len(ys))
+    return (left_sum(xs) / len(xs), left_sum(ys) / len(ys))
 
 
 def generate_synthetic(spec: StreamSpec) -> list[Chunk]:

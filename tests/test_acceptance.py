@@ -57,19 +57,19 @@ def test_criterion_01_running_mean_oracle():
             [a + rng.normal(0, 0.05, size=(int(rng.integers(4, 10)), dims)) for a in anchors]
         )
         base = Chunk(1, base_pts)
-        prev, base_assign = summarize_trace(base, k, cases)
+        prev, (base_clusters, _) = summarize_trace(base, k, cases)
 
         buckets = [[] for _ in prev.centroids]
-        for values, (idx, _) in zip(base.rows(), base_assign):
+        for values, idx in zip(base.rows(), base_clusters):
             buckets[idx].append(values)
 
         pick = rng.integers(0, len(base_pts), size=int(rng.integers(5, 30)))
         absorb_pts = base_pts[pick] + rng.normal(0, 0.02, size=(len(pick), dims))
         chunk = Chunk(2, absorb_pts)
-        result, trace = dist_clust_trace(chunk, prev)
-        for values, assignment in zip(chunk.rows(), trace):
-            if assignment is not None:
-                buckets[assignment[0]].append(values)
+        result, (clusters, _) = dist_clust_trace(chunk, prev)
+        for values, idx in zip(chunk.rows(), clusters):
+            if idx >= 0:
+                buckets[idx].append(values)
 
         for idx, centroid in enumerate(result.centroids):
             expected = np.array(buckets[idx]).mean(axis=0)

@@ -19,16 +19,16 @@ def _blob_chunk(rng, anchors, per_cluster, sigma=0.02, timestamp=1):
     return Chunk(timestamp, np.vstack(blocks), labels)
 
 
-def _members(assignments, cluster):
-    return [i for i, (c, _) in enumerate(assignments) if c == cluster]
+def _members(clusters, cluster):
+    return [i for i, c in enumerate(clusters) if c == cluster]
 
 
 def test_kmeans_one_point_per_cluster():
     chunk = Chunk(1, [(i / 10, i / 10) for i in range(4)])
-    result, assignments = summarize_trace(chunk, 4, 0)
+    result, (clusters, _) = summarize_trace(chunk, 4, 0)
     assert set(result.centroids) == set(chunk.rows())
     for cluster, centroid in enumerate(result.centroids):
-        members = _members(assignments, cluster)
+        members = _members(clusters, cluster)
         assert len(members) == 1
         assert math.dist(centroid, chunk.values[members[0]]) == 0.0
 
@@ -44,7 +44,7 @@ def test_kmeans_two_separated_pairs():
 def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(11)
     chunk = _blob_chunk(rng, ANCHORS, 30)
-    result, assignments = summarize_trace(chunk, 5, 1)
+    result, (clusters, _) = summarize_trace(chunk, 5, 1)
     # oracle: per-blob sample means computed directly from the raw points
     blob_means = []
     for label in range(1, 6):
@@ -53,7 +53,7 @@ def test_kmeans_recovers_separated_blobs():
     for cluster, centroid in enumerate(result.centroids):
         nearest = min(blob_means, key=lambda m: math.dist(centroid, m))
         assert math.dist(centroid, nearest) < 0.02
-        assert len(_members(assignments, cluster)) == 30
+        assert len(_members(clusters, cluster)) == 30
 
 
 def test_kmeans_k_exceeds_chunk_size():
@@ -133,9 +133,9 @@ def test_update_centroids_is_the_member_mean_bit_for_bit(case):
 
 def test_summarize_radius_of_coincident_records_is_zero():
     chunk = Chunk(1, [(0.25, 0.75)] * 3)
-    result, assignments = summarize_trace(chunk, 1, 0)
+    result, trace = summarize_trace(chunk, 1, 0)
     assert list(result.radii) == [0.0]
-    assert assignments == ((0, 0.0),) * 3
+    assert trace == ((0,) * 3, 0.0)
 
 
 def test_summarize_radius_takes_maximum():
@@ -149,10 +149,10 @@ def test_summarize_radius_takes_maximum():
 def test_summarize_radius_matches_brute_force():
     rng = np.random.default_rng(21)
     chunk = Chunk(1, rng.uniform(0, 1, size=(50, 3)))
-    result, assignments = summarize_trace(chunk, 3, 4)
+    result, (clusters, _) = summarize_trace(chunk, 3, 4)
     # brute-force oracle: explicit loop over every member of each cluster
     expected = [0.0] * len(result.centroids)
-    for row, (cluster, _) in zip(chunk.values.tolist(), assignments):
+    for row, cluster in zip(chunk.values.tolist(), clusters):
         d = math.dist(result.centroids[cluster], row)
         if d > expected[cluster]:
             expected[cluster] = d
@@ -202,22 +202,24 @@ def test_summarize_every_member_within_radius():
     rng = np.random.default_rng(17)
     for trial in range(5):
         chunk = Chunk(1, rng.uniform(0, 1, (40, 2)))
-        result, assignments = summarize_trace(chunk, 3, trial)
+        result, (clusters, sse) = summarize_trace(chunk, 3, trial)
         assert sum(result.chunk_counts) == len(chunk)
-        for values, assignment in zip(chunk.rows(), assignments):
-            assert assignment is not None
-            idx, dist = assignment
+        expected_sse = 0.0
+        for values, idx in zip(chunk.rows(), clusters):
+            assert idx >= 0
+            dist = math.dist(values, result.centroids[idx])
             assert dist <= result.radii[idx]
-            assert dist == math.dist(values, result.centroids[idx])
+            expected_sse += dist * dist
+        assert sse == expected_sse
 
 
 def test_summarize_trace_assigns_every_record():
     rng = np.random.default_rng(29)
     chunk = _blob_chunk(rng, ANCHORS[:3], 10)
-    result, assignments = summarize_trace(chunk, 3, 0)
-    assert len(assignments) == len(chunk)
-    assert all(a is not None for a in assignments)
-    assert {idx for idx, _ in assignments} == set(range(len(result.centroids)))
+    result, (clusters, _) = summarize_trace(chunk, 3, 0)
+    assert len(clusters) == len(chunk)
+    assert -1 not in clusters
+    assert set(clusters) == set(range(len(result.centroids)))
 
 
 def test_kmeans_params_validation():

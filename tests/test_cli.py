@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from streamclust import __version__, bootstrap, cli, engine, load_stream, metrics
+from streamclust import Chunk, __version__, bootstrap, cli, engine, load_stream, metrics, write_stream
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -815,3 +822,48 @@ def test_undecodable_json_names_the_file_and_line(tmp_path, capsys, document, ki
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert message in err and re.search(r" at line 5\b", err), err
+
+
+@st.composite
+def _small_streams(draw):
+    """1-4 chunks of 1-8 records in 1-3 dimensions, labeled or not. Values
+    come partly from a coarse grid, so records coincide with each other and
+    with centroids."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    dims, labeled = draw(st.integers(1, 3)), draw(st.booleans())
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                       st.floats(-10.0, 10.0, allow_nan=False))
+    return [
+        Chunk(t, draw(arrays(np.float64, (size, dims), elements=values)),
+              draw(arrays(np.int64, size, elements=st.integers(0, 3))) if labeled else None)
+        for t, size in enumerate(sizes, start=1)
+    ]
+
+
+def _exits_0_or_prints_one_error_line(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code:
+        message = err.getvalue()
+        assert code == 1 and out.getvalue() == ""
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+    return code
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_small_streams(), st.one_of(st.none(), st.integers(1, 3)), st.integers(1, 2),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_eval_of_a_run_report_exits_0_or_prints_one_error_line(chunks, k, repeat, keep):
+    # k None is the label-count policy; keep, when given, is the share of the
+    # report's bytes left after an interrupted write
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = str(write_stream(Path(tmp) / "s", chunks, seed=0))
+        report = Path(tmp) / "run" / "metrics.jsonl"
+        run = ["run", manifest, "--repeat", str(repeat), "--out", str(report.parent)]
+        if _exits_0_or_prints_one_error_line(run + ([] if k is None else ["--k", str(k)])):
+            return
+        if keep is not None:
+            text = report.read_bytes()
+            report.write_bytes(text[:int(len(text) * keep)])
+        _exits_0_or_prints_one_error_line(["eval", manifest, str(report)])

@@ -196,7 +196,7 @@ def test_bootstrap_reports_the_state_init_returns():
     state, report = engine.bootstrap(chunk, CFG)
     assert state == engine.init(chunk, CFG)
     assert report.event == "bootstrap" and report.timestamp == 1
-    assert len(report.assignments) == len(chunk)
+    assert len(report.clusters) == len(chunk)
     assert report.outliers + sum(report.cluster_deltas) == len(chunk)
 
 
@@ -330,7 +330,8 @@ def test_shared_absorb_is_reused_for_an_equal_model():
     second, second_report = engine.step(twin, chunk, shared=shared)
     assert _absorbs(shared) == 1
     assert second.main is first.main
-    assert second_report.assignments is first_report.assignments
+    assert second_report.clusters is first_report.clusters
+    assert second_report.sse == first_report.sse
 
 
 def _bootstraps(shared):
@@ -355,11 +356,12 @@ def test_bootstraps_with_equal_first_labellings_share_one_result():
     state_a, report_a = engine.bootstrap(chunk, a, shared=shared)
     state_b, report_b = engine.bootstrap(chunk, b, shared=shared)
     assert _bootstraps(shared) == 1
-    assert report_b.assignments is report_a.assignments
+    assert report_b.clusters is report_a.clusters
+    assert report_b.sse == report_a.sse
     assert state_b.main is state_a.main
     for state, report, seed in ((state_a, report_a, seed_a), (state_b, report_b, seed_b)):
         alone = summarize_trace(chunk, 2, seed)
-        assert repr((state.main, report.assignments)) == repr(alone)
+        assert repr((state.main, (report.clusters, report.sse))) == repr(alone)
 
 
 def test_shared_bootstrap_keeps_the_sign_of_an_empty_centroid_apart():
@@ -404,11 +406,12 @@ def test_bootstraps_with_one_first_draw_share_one_seeding(monkeypatch):
     state_a, report_a = engine.bootstrap(chunk, a, shared=shared)
     state_b, report_b = engine.bootstrap(chunk, b, shared=shared)
     assert sum(key[0] == "seeded" for key in shared) == len(seedings) == 1
-    assert report_b.assignments is report_a.assignments
+    assert report_b.clusters is report_a.clusters
+    assert report_b.sse == report_a.sse
     assert state_b.main is state_a.main
     for state, report, seed in ((state_a, report_a, seed_a), (state_b, report_b, seed_b)):
         alone = summarize_trace(chunk, 2, seed)
-        assert repr((state.main, report.assignments)) == repr(alone)
+        assert repr((state.main, (report.clusters, report.sse))) == repr(alone)
 
 
 _KINDS = list(DriftKind)

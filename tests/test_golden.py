@@ -11,17 +11,29 @@ artificial classes from the two formats. The sdccl and wcd1000 trees were
 taken when gen still drew each blob with its own Generator.normal call,
 before it drew the whole stream in one. The wcd1000 run was taken when the
 absorb pass still scanned every centroid for every record, before it
-certified the previous record's cluster by the half-gap test. Before hashing a metrics.jsonl, the wall-clock fields
-(duration_s, total_runtime_s) and the meta line's absolute manifest path are
-dropped; everything else is hashed as written.
+certified the previous record's cluster by the half-gap test. Before
+hashing a metrics.jsonl, the wall-clock fields (duration_s,
+total_runtime_s) and the meta line's absolute manifest path are dropped;
+everything else is hashed as written.
+
+Every digest was pinned under numpy 2.4.6. The streams come from numpy's
+Generator, whose streams NEP 19 does not promise to keep across numpy
+releases, so another numpy may draw other streams. Python's version must not
+matter: the last test checks every digest again under an emulation of
+Python 3.12's sum(), which compensates float rounding where 3.11's adds
+left to right.
 """
 
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import streamclust
 from streamclust.cli import main
 
 WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
@@ -179,3 +191,57 @@ def test_chunked_run_matches_golden_digests(tmp_path, capsys):
         "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
     }
     assert digests == GOLDEN["chunked_run"]
+
+
+def _sum_312(iterable, /, start=0):
+    """An emulation of Python 3.12's sum() (gh-100425): ints add exactly,
+    and once the total is a float, each further float goes through Neumaier's
+    compensated summation, the compensation added at the end; anything else
+    adds plainly."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+        return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is not float:
+            total = total + item
+            continue
+        t = total + item
+        if abs(total) >= abs(item):
+            compensation += (total - t) + item
+        else:
+            compensation += (item - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+@pytest.mark.parametrize("check, args", [
+    pytest.param(check, args, id="-".join([check.__name__.removeprefix("test_"), *args]))
+    for check, args in [
+        (test_gen_run_eval_match_golden_digests, ("sdwcd",)),
+        (test_gen_run_eval_match_golden_digests, ("ncd100",)),
+        (test_gen_matches_golden_tree_digest, ("sdccl",)),
+        (test_gen_matches_golden_tree_digest, ("wcd1000",)),
+        (test_run_wcd1000_matches_golden_digests, ()),
+        (test_snapshot_and_resume_match_golden_digests, ()),
+        (test_chunked_dataset_matches_golden_digest, ()),
+        (test_chunked_run_matches_golden_digests, ()),
+    ]
+])
+def test_golden_digests_hold_under_python_312_sum(check, args, tmp_path, capsys, monkeypatch):
+    # every streamclust module's sum() becomes 3.12's: a float sum left to
+    # sum() would move the bits of whatever it computes
+    for info in pkgutil.iter_modules(streamclust.__path__):
+        module = importlib.import_module(f"streamclust.{info.name}")
+        monkeypatch.setattr(module, "sum", _sum_312, raising=False)
+    check(*args, tmp_path, capsys)

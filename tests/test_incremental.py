@@ -20,11 +20,12 @@ def _result(centroids, radius=0.1, lifetime=5, timestamp=1):
 
 
 def _closest(values, result):
-    # the nearest cluster as the absorb pass sees it: a radius no record can
-    # exceed turns the first assignment into a pure nearest-centroid query
+    # the nearest cluster and its squared distance as the absorb pass sees
+    # them: a radius no record can exceed turns a one-record chunk into a
+    # pure nearest-centroid query, whose SSE is that one squared distance
     wide = _result(result.centroids, radius=math.inf, lifetime=1)
-    _, trace = dist_clust_trace(Chunk(2, [values]), wide)
-    return trace[0]
+    _, (clusters, sse) = dist_clust_trace(Chunk(2, [values]), wide)
+    return clusters[0], sse
 
 
 def _one(centroid, radius, lifetime, chunk_count):
@@ -43,9 +44,9 @@ def test_closest_cluster_coincident():
 
 def test_closest_cluster_nearer_corner():
     result = _result([(0.0, 0.0), (1.0, 1.0)])
-    idx, dist = _closest((0.6, 0.6), result)
+    idx, squared = _closest((0.6, 0.6), result)
     assert idx == 1
-    assert dist == pytest.approx(math.sqrt(0.32))
+    assert squared == pytest.approx(0.32)
 
 
 def test_closest_cluster_matches_linear_scan():
@@ -57,7 +58,7 @@ def test_closest_cluster_matches_linear_scan():
         # linear-scan oracle
         dists = [math.dist(values, c) for c in centroids]
         best = dists.index(min(dists))
-        assert _closest(values, result) == (best, dists[best])
+        assert _closest(values, result) == (best, dists[best] * dists[best])
 
 
 def test_closest_cluster_tie_breaks_low_index():
@@ -184,16 +185,16 @@ def test_dist_clust_running_mean_matches_retained_records():
     rng = np.random.default_rng(77)
     base_pts = rng.uniform(0, 1, size=(12, 2))
     base = Chunk(1, base_pts)
-    prev, base_assign = summarize_trace(base, 2, 0)
+    prev, (base_clusters, _) = summarize_trace(base, 2, 0)
     buckets = {i: [] for i in range(len(prev.centroids))}
-    for values, (idx, _) in zip(base.values.tolist(), base_assign):
+    for values, idx in zip(base.values.tolist(), base_clusters):
         buckets[idx].append(values)
     absorb_pts = base_pts[rng.integers(0, 12, size=40)] + rng.normal(0, 0.01, (40, 2))
     chunk = Chunk(2, absorb_pts)
-    result, trace = dist_clust_trace(chunk, prev)
-    for values, assignment in zip(chunk.values.tolist(), trace):
-        if assignment is not None:
-            buckets[assignment[0]].append(values)
+    result, (clusters, _) = dist_clust_trace(chunk, prev)
+    for values, idx in zip(chunk.values.tolist(), clusters):
+        if idx >= 0:
+            buckets[idx].append(values)
     # oracle retains every contributing record and takes the plain mean
     for idx, centroid in enumerate(result.centroids):
         expected = np.array(buckets[idx]).mean(axis=0)
@@ -207,8 +208,8 @@ def test_running_mean_stays_exact_over_a_long_lifetime():
     records = rng.uniform(0, 1, size=(15_001, 2))
     prev = _one(tuple(records[0].tolist()), math.inf, 1, 1)
     for t, start in enumerate(range(1, len(records), 1_000), 2):
-        prev, trace = dist_clust_trace(Chunk(t, records[start:start + 1_000]), prev)
-        assert None not in trace
+        prev, (clusters, _) = dist_clust_trace(Chunk(t, records[start:start + 1_000]), prev)
+        assert -1 not in clusters
         held = records[:start + 1_000].T.tolist()
         assert prev.lifetime_counts == (start + 1_000,)
         for c, column in zip(prev.centroids[0], held):
@@ -237,13 +238,15 @@ def test_dist_clust_dimension_mismatch():
 
 def _reference_absorb(rows, prev):
     """The absorb pass written plainly: a nearest-centroid scan with ties to
-    the lowest index, and the running mean as a list comprehension."""
+    the lowest index, the running mean as a list comprehension, and the SSE
+    as squared distances added in record order."""
     centroids = list(prev.centroids)
     radii = list(prev.radii)
     lifetimes = list(prev.lifetime_counts)
     deltas = [0] * len(centroids)
     outliers = 0
-    trace = []
+    clusters = []
+    sse = 0.0
     for values in rows:
         dists = [math.dist(values, c) for c in centroids]
         best = dists.index(min(dists))
@@ -254,28 +257,30 @@ def _reference_absorb(rows, prev):
             centroids[best] = tuple(
                 [(1 - 1 / n) * c + (1 / n) * v for c, v in zip(centroids[best], values)]
             )
-            trace.append((best, dists[best]))
+            clusters.append(best)
+            sse += dists[best] * dists[best]
         else:
             outliers += 1
-            trace.append(None)
-    return centroids, lifetimes, deltas, outliers, trace
+            clusters.append(-1)
+    return centroids, lifetimes, deltas, outliers, clusters, sse
 
 
 def _assert_matches_reference(chunk, prev):
-    result, trace = dist_clust_trace(chunk, prev)
+    result, (clusters, sse) = dist_clust_trace(chunk, prev)
     got = (
         list(result.centroids),
         list(result.lifetime_counts),
         list(result.chunk_counts),
         result.outliers,
-        list(trace),
+        list(clusters),
+        sse,
     )
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
     assert repr(got) == repr(_reference_absorb(chunk.values.tolist(), prev))
 
 
 _RADII = (0.0, 0.25, 1.0, 2.5, math.inf)
-_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier", "near")
+_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier", "near", "pull")
 
 
 @st.composite
@@ -287,7 +292,11 @@ def _absorb_cases(draw):
     # run of records within 0.1 of one centroid, less than half the 0.25 grid
     # step. In a settled case every cluster has a long lifetime and a finite
     # radius, so the centroids barely move and the half-gap test settles
-    # most of such a run with one distance.
+    # most of such a run with one distance. A "pull" row is a run of records
+    # between two centroids that drags the first towards the second, then a
+    # record at the second and one past the midpoint: with short lifetimes,
+    # the first centroid may have moved nearer to that last record than the
+    # second is, which only a test that bounds the moves gets right.
     d = draw(st.integers(1, 16))
     k = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -295,7 +304,9 @@ def _absorb_cases(draw):
     settled = draw(st.booleans())
     radius = st.sampled_from(_RADII[:-1] if settled else _RADII)
     radii = draw(st.lists(radius, min_size=k, max_size=k))
-    lifetime = st.integers(10**6, 10**15) if settled else st.integers(1, 10**6)
+    # short lifetimes let a centroid move far within one chunk
+    lifetime = (st.integers(10**6, 10**15) if settled
+                else st.one_of(st.integers(1, 8), st.integers(1, 10**6)))
     lifetimes = draw(st.lists(lifetime, min_size=k, max_size=k))
     prev = ClusteringResult(centroids, radii, lifetimes, [0] * k, 0, 1)
     rows = []
@@ -304,6 +315,11 @@ def _absorb_cases(draw):
             home = centroids[rng.integers(k)]
             spread = rng.uniform(-0.1, 0.1, size=(rng.integers(1, 30), d)) / math.sqrt(d)
             rows.extend(home + spread)
+        elif kind == "pull":
+            i = rng.integers(k)
+            a, b = np.array(centroids)[[i, (i + 1 + rng.integers(max(k - 1, 1))) % k]]
+            rows.extend(a + t * (b - a) for t in rng.uniform(0.3, 0.5, size=rng.integers(1, 10)))
+            rows.extend([b, a + rng.uniform(0.5, 0.7) * (b - a)])
         elif kind == "grid":
             rows.append(rng.integers(-8, 9, size=d) / 4)
         elif kind == "centroid":
@@ -318,7 +334,7 @@ def _absorb_cases(draw):
     return Chunk(2, rows), prev
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=700, deadline=None, derandomize=True)
 @given(_absorb_cases())
 def test_dist_clust_matches_plain_reference_bit_for_bit(case):
     chunk, prev = case
@@ -413,10 +429,10 @@ def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
     calls = []
     dist = math.dist
     monkeypatch.setattr(math, "dist", lambda a, b: calls.append(1) or dist(a, b))
-    _, trace = dist_clust_trace(Chunk(2, rows), prev)
+    _, (clusters, _) = dist_clust_trace(Chunk(2, rows), prev)
     switches = len(order) - 1
     assert len(calls) <= len(rows) + k * (k - 1) // 2 + (k + 1) * switches
-    assert [a[0] for a in trace] == [j for j in order for _ in range(per_blob)]
+    assert list(clusters) == [j for j in order for _ in range(per_blob)]
     monkeypatch.undo()
     _assert_matches_reference(Chunk(2, rows), prev)
 

@@ -8,13 +8,11 @@ from streamclust import (
     Chunk,
     DriftConfig,
     build_report,
-    dist_clust_trace,
+    engine,
     entropy,
     generate_synthetic,
     sdccl_spec,
-    sse,
     step_metrics,
-    summarize_trace,
     tcv_distance,
     true_cluster_values,
 )
@@ -55,21 +53,36 @@ def test_entropy_validation():
         entropy([(0, None)])
 
 
+def _bootstrap_sse(rows, k):
+    """The SSE of one bootstrap step, as its report and its metrics row hold it."""
+    chunk = Chunk(1, rows, [1] * len(rows))
+    _, report = engine.bootstrap(chunk, DriftConfig(k=k))
+    assert step_metrics(chunk, report).sse == report.sse
+    return report.sse
+
+
 def test_sse_zero_for_coincident_records():
-    assert sse([(0, 0.0), (1, 0.0)]) == 0.0
+    # each cluster's records sit on its centroid
+    assert _bootstrap_sse([(0.3, 0.3), (0.3, 0.3), (0.6, 0.6)], 2) == 0.0
 
 
 def test_sse_squares_distances():
-    assert sse([(0, 0.5), (1, 0.5)]) == pytest.approx(0.5)
+    # one cluster at (0.5, 0): each record is 0.5 from it
+    assert _bootstrap_sse([(0.0, 0.0), (1.0, 0.0)], 1) == pytest.approx(0.5)
 
 
 def test_sse_online_equals_offline_replay():
     rng = np.random.default_rng(19)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    prev, _ = summarize_trace(base, 2, 0)
-    chunk = Chunk(2, rng.uniform(0, 1, (40, 2)))
-    _, trace = dist_clust_trace(chunk, prev)
-    online = sse(a for a in trace if a is not None)
+    # thresholds no chunk can exceed: the step absorbs into the main model
+    config = DriftConfig(k=2, o_thresh=1.0, d_thresh=math.inf)
+    state, _ = engine.bootstrap(base, config)
+    prev = state.main
+    chunk = Chunk(2, rng.uniform(0, 1, (40, 2)), [1] * 40)
+    _, report = engine.step(state, chunk)
+    assert report.event == "none"
+    online = step_metrics(chunk, report).sse
+    assert online == report.sse
 
     # oracle: replay the pass with retained records and an evolving centroid
     centroids = [list(c) for c in prev.centroids]
