@@ -6,7 +6,8 @@ Commands:
     run     drive the engine over a stream, write metrics (optionally repeat
             with derived seeds and average)
     eval    match a run's final centroids against the stream's per-class means
-    resume  continue a run from a saved engine snapshot
+    resume  continue a run from a saved engine snapshot over the chunks after
+            it, through the same code as run
 
 Every command is deterministic given explicit seeds; --seed defaults to the
 fixed constant 7, never the clock. The drift thresholds default to 0.18 /
@@ -157,25 +158,26 @@ def _in_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _k_policy(k: int | None):
-    """The k policy's name and the k_for_chunk that engine.run takes: none
-    for a fixed k, which the config carries, or the label count per chunk."""
-    return ("fixed", None) if k is not None else ("labels", _labels_k)
+def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=()) -> int:
+    """Run and resume's one path: drive the engine over chunks, consecutive
+    chunks of data's stream, bootstrapping one run per config or continuing
+    one per state (see engine.run); write metrics.jsonl, cluster_counts.tsv
+    and the optional snapshot of the first run's final state; print the
+    summary.
 
-
-def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
-    """Drive one or more runs over chunks in lockstep, scoring each step as
-    it ends.
-
-    Bootstraps one run per config, or continues one per state (see
-    engine.run). Each step's StepReport, with one cluster index per record,
-    becomes one small metrics row of its run and is dropped before the next
-    step runs. With several runs, the runs of a chunk share the scoring of
-    equal cluster indices (see step_metrics); the share is dropped when the
-    chunk ends. Returns every run's final state and report, in run order.
+    meta holds the command's own keys: the tool version and manifest go in
+    front, and after k its policy, "fixed" or "labels" (each chunk's label
+    count). Each step's StepReport becomes one small metrics row of its run
+    and is dropped before the next step runs; the runs of a chunk share the
+    scoring of equal cluster indices (see step_metrics) until it ends.
     """
     from . import engine
-    from .metrics import build_report, step_metrics
+    from .metrics import build_report, reports_to_jsonl, step_metrics, true_cluster_values
+    t0 = chunks[0].timestamp - 1
+    ac_sets = data.ac_sets[t0:t0 + len(chunks)] if data.ac_sets else None
+    tcvs = [c for _, c in true_cluster_values(data.chunks)]
+
+    k_for_chunk = None if meta["k"] is not None else _labels_k
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
@@ -185,17 +187,17 @@ def _scored_run(chunks, k_for_chunk, ac_sets, tcvs, configs=(), states=()):
         rows[i].append(step_metrics(chunks[t], report, ac_sets[t] if ac_sets else None, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
-    return finals, [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
+    runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
 
-
-def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
-    """Write metrics.jsonl, cluster_counts.tsv and the optional snapshot; print the summary."""
-    from .engine import state_to_json
-    from .metrics import reports_to_jsonl
-    out = Path(out_dir)
+    full_meta = {"tool_version": __version__, "manifest": str(Path(args.manifest).resolve())}
+    for key, value in meta.items():
+        full_meta[key] = value
+        if key == "k":
+            full_meta["k_policy"] = "fixed" if value is not None else "labels"
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, reports_to_jsonl(runs, meta))
+    atomic_write_text(metrics_path, reports_to_jsonl(runs, full_meta))
 
     lines = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
     for i, step in enumerate(runs[0].steps):
@@ -204,7 +206,7 @@ def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
     atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
 
     if snapshot:
-        atomic_write_text(Path(snapshot), state_to_json(state) + "\n")
+        atomic_write_text(Path(snapshot), engine.state_to_json(finals[0]) + "\n")
 
     mean_entropy = left_sum(r.mean_entropy for r in runs) / len(runs)
     mean_sse = left_sum(r.mean_sse for r in runs) / len(runs)
@@ -214,10 +216,10 @@ def _write_outputs(out_dir, runs, meta: dict, state, snapshot) -> None:
         f"total_runtime_s={total:.4f}"
     )
     print(metrics_path)
+    return 0
 
 
 def cmd_run(args) -> int:
-    from .metrics import true_cluster_values
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     if args.snapshot and args.repeat != 1:
@@ -230,37 +232,24 @@ def cmd_run(args) -> int:
         d_thresh = (
             DEFAULT_D_THRESH_REAL if data.origin == "real-world" else DEFAULT_D_THRESH_SYNTHETIC
         )
-    chunks = list(data.chunks)
-    if args.stop_after is not None:
-        if not 1 <= args.stop_after <= len(chunks):
-            raise ValueError(f"--stop-after must be in 1..{len(chunks)}")
-        chunks = chunks[:args.stop_after]
-    ac = list(data.ac_sets[: len(chunks)]) if data.ac_sets else None
-    k_policy, k_for_chunk = _k_policy(args.k)
-    tcvs = [c for _, c in true_cluster_values(data.chunks)]
-
+    if args.stop_after is not None and not 1 <= args.stop_after <= len(data.chunks):
+        raise ValueError(f"--stop-after must be in 1..{len(data.chunks)}")
+    chunks = data.chunks[:args.stop_after]
     configs = [DriftConfig(k=args.k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=seed)
                for seed in range(args.seed, args.seed + args.repeat)]
-    states, runs = _scored_run(chunks, k_for_chunk, ac, tcvs, configs=configs)
-
     meta = {
-        "tool_version": __version__,
-        "manifest": str(Path(args.manifest).resolve()),
         "k": args.k,
-        "k_policy": k_policy,
         "o_thresh": args.o_thresh,
         "d_thresh": d_thresh,
         "seed": args.seed,
         "repeat": args.repeat,
         "stop_after": args.stop_after,
     }
-    _write_outputs(args.out, runs, meta, states[0], args.snapshot)
-    return 0
+    return _run_and_write(args, data, chunks, meta, args.snapshot, configs=configs)
 
 
 def cmd_resume(args) -> int:
     from .engine import state_from_json
-    from .metrics import true_cluster_values
     data = load_stream(args.manifest)
     state = _in_file(args.snapshot, state_from_json)
     if state.main.dimensions != data.chunks[0].dimensions:
@@ -273,22 +262,12 @@ def cmd_resume(args) -> int:
         raise ValueError(
             f"snapshot already covers t={state.timestamp}; nothing left to process"
         )
-    k_policy, k_for_chunk = _k_policy(state.config.k)
-    tcvs = [c for _, c in true_cluster_values(data.chunks)]
-    offset = len(data.chunks) - len(remaining)
-    ac = list(data.ac_sets[offset:]) if data.ac_sets else None
-    (state,), runs = _scored_run(remaining, k_for_chunk, ac, tcvs, states=[state])
-
     meta = {
-        "tool_version": __version__,
-        "manifest": str(Path(args.manifest).resolve()),
         "seed": state.config.seed,
         "resumed_after": remaining[0].timestamp - 1,
         "k": state.config.k,
-        "k_policy": k_policy,
     }
-    _write_outputs(args.out, runs, meta, state, args.snapshot_out)
-    return 0
+    return _run_and_write(args, data, remaining, meta, args.snapshot_out, states=[state])
 
 
 def cmd_eval(args) -> int:

@@ -155,8 +155,9 @@ class DriftConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 < self.o_thresh <= 1:
             raise ValueError(f"o_thresh must be in (0, 1], got {self.o_thresh}")
-        if not self.d_thresh > 0:  # also rejects NaN, which would never fire
-            raise ValueError(f"d_thresh must be > 0, got {self.d_thresh}")
+        # NaN would never fire, and JSON has no token for NaN or an infinity
+        if not 0 < self.d_thresh < math.inf:
+            raise ValueError(f"d_thresh must be finite and > 0, got {self.d_thresh}")
 
 
 def minmax_normalize(values) -> np.ndarray:

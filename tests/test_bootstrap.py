@@ -131,6 +131,21 @@ def test_update_centroids_is_the_member_mean_bit_for_bit(case):
     assert centroids.tobytes() == expected.tobytes()
 
 
+def test_repair_empty_reseeds_a_cluster_with_the_worst_fit_record():
+    # no record is nearest to the centroid at 100: cluster 1 starts empty,
+    # and each record is 0.5 from its own centroid, so the stable order
+    # picks record 0, whose cluster keeps record 1
+    matrix = np.array([[0.0], [1.0], [10.0], [11.0]])
+    centroids = np.array([[0.5], [100.0], [10.5]])
+    dists = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :], axis=2)
+    labels = dists.argmin(axis=1)
+    assert labels.tolist() == [0, 0, 2, 2]
+    labels = bootstrap._repair_empty(matrix, centroids, labels, dists)
+    assert labels.tolist() == [1, 0, 2, 2]
+    assert centroids.tolist() == [[0.5], [0.0], [10.5]]
+    assert np.bincount(labels, minlength=3).min() == 1
+
+
 def test_summarize_radius_of_coincident_records_is_zero():
     chunk = Chunk(1, [(0.25, 0.75)] * 3)
     result, trace = summarize_trace(chunk, 1, 0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import tempfile
 import weakref
@@ -242,11 +243,27 @@ def test_run_repeat_below_one_is_an_error(tmp_path, capsys):
         assert not run_out.exists()
 
 
-def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
+def _artificial_class_stream(tmp_path, capsys):
+    """A chunk --artificial-classes stream of 600 records, 3 attributes and
+    3 classes in 10 chunks. The classes overlap, so the binned attributes
+    differ from the class labels, and the entropies after chunk 4 depend on
+    which AC rows score which chunk."""
+    rng = random.Random(0)
+    path = tmp_path / "data.csv"
+    path.write_text("".join(
+        ",".join(f"{c + rng.gauss(0, 0.3):.4f}" for _ in range(3)) + f",{c}\n"
+        for i in range(600) for c in [i % 3]))
     out = tmp_path / "s"
-    main(["gen", "sdwcd", "--seed", "7", "--out", str(out)])
-    manifest = str(out / "manifest.json")
+    assert main(["chunk", str(path), "--chunks", "10", "--artificial-classes",
+                 "--out", str(out)]) == 0
     capsys.readouterr()
+    return out
+
+
+def _stop_after_snapshot_then_resume(tmp_path, capsys, out):
+    """Cut a seed-7 run of the stream at out after chunk 4 and resume it: the
+    two reports make up the uninterrupted one."""
+    manifest = str(out / "manifest.json")
 
     full_out = tmp_path / "full"
     assert main(["run", manifest, "--seed", "7", "--out", str(full_out)]) == 0
@@ -280,6 +297,15 @@ def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
         assert row["entropy"] == full_row["entropy"]
         assert row["sse"] == full_row["sse"]
         assert row["outliers"] == full_row["outliers"]
+
+
+def test_run_stop_after_snapshot_then_resume(tmp_path, capsys):
+    _stop_after_snapshot_then_resume(tmp_path, capsys, _sdwcd(tmp_path, capsys))
+
+
+def test_run_stop_after_snapshot_then_resume_with_artificial_classes(tmp_path, capsys):
+    # resume must score chunk t with AC rows t, not the first rows of the stream
+    _stop_after_snapshot_then_resume(tmp_path, capsys, _artificial_class_stream(tmp_path, capsys))
 
 
 def _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field):
@@ -754,20 +780,68 @@ def test_chunk_undecodable_dataset_names_the_file_and_line(tmp_path, capsys):
 
 
 def test_run_nan_d_thresh_is_an_error(tmp_path, capsys):
-    # NaN > d is always False: distribution drift would never fire
+    # NaN > d is always False: distribution drift would never fire; and an
+    # infinite one would be written to metrics.jsonl and the snapshot as
+    # Infinity, which is not JSON
     manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
-    code = main(["run", str(manifest), "--d-thresh", "nan", "--out", str(tmp_path / "r")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "d_thresh" in err, err
-    assert not (tmp_path / "r").exists()
+    for value in ("nan", "inf", "-inf"):
+        code = main(["run", str(manifest), f"--d-thresh={value}", "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "d_thresh" in err, err
+        assert not (tmp_path / "r").exists()
 
 
 def test_resume_from_snapshot_with_nan_d_thresh_is_an_error(tmp_path, capsys):
-    def edit(doc):
-        doc["config"]["d_thresh"] = math.nan  # json.dumps writes the bare token NaN
+    for value in (math.nan, math.inf):
+        def edit(doc):
+            doc["config"]["d_thresh"] = value  # json.dumps writes the bare token NaN or Infinity
 
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "d_thresh")
+        work = tmp_path / str(value)
+        work.mkdir()
+        _resume_from_edited_snapshot_fails(work, capsys, edit, "d_thresh")
+
+
+def _resume_past_the_end(tmp_path, manifest):
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--snapshot", str(snap), "--out", str(tmp_path / "full")]) == 0
+    return ["resume", manifest, "--snapshot", str(snap)]
+
+
+def _eval_run_out_of_range(tmp_path, manifest):
+    assert main(["run", manifest, "--out", str(tmp_path / "full")]) == 0
+    return ["eval", manifest, str(tmp_path / "full" / "metrics.jsonl"), "--run", "5"]
+
+
+# Each misuse of a command on the 10-chunk sdwcd stream, as (the command,
+# less --out, once the commands before it have run; what its error says)
+_MISUSES = {
+    "stop_after_with_repeat": (
+        lambda tmp_path, manifest: ["run", manifest, "--stop-after", "4", "--repeat", "2"],
+        "--stop-after requires --repeat 1"),
+    "stop_after_0": (lambda tmp_path, manifest: ["run", manifest, "--stop-after", "0"],
+                     "--stop-after must be in 1..10"),
+    "stop_after_11": (lambda tmp_path, manifest: ["run", manifest, "--stop-after", "11"],
+                      "--stop-after must be in 1..10"),
+    "resume_past_the_end": (_resume_past_the_end, "snapshot already covers t=10"),
+    "eval_run_out_of_range": (_eval_run_out_of_range, "report has 1 runs; --run 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISUSES))
+def test_command_misuse_is_one_error_line(tmp_path, capsys, case):
+    argv, message = _MISUSES[case]
+    argv = argv(tmp_path, str(_sdwcd(tmp_path, capsys) / "manifest.json"))
+    out = tmp_path / "out"
+    if argv[0] != "eval":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert message in captured.err, captured.err
+    assert not out.exists()
 
 
 # Each JSON document a command reads, as (the file, the command that reads

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -184,5 +185,9 @@ def test_drift_config_bounds():
         DriftConfig(k=1, d_thresh=0.0)
     with pytest.raises(ValueError, match="d_thresh"):
         DriftConfig(k=1, d_thresh=math.nan)  # a NaN threshold would never fire
+    for infinite in (math.inf, -math.inf):  # JSON has no token for either
+        with pytest.raises(ValueError, match="d_thresh"):
+            DriftConfig(k=1, d_thresh=infinite)
+    assert DriftConfig(k=1, d_thresh=sys.float_info.max).d_thresh == sys.float_info.max
     cfg = DriftConfig(k=3)
     assert (cfg.o_thresh, cfg.d_thresh) == (0.18, 0.6)

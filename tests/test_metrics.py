@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from streamclust import (
     entropy,
     generate_synthetic,
     sdccl_spec,
+    sdwcd_spec,
     step_metrics,
     tcv_distance,
     true_cluster_values,
@@ -74,8 +76,9 @@ def test_sse_squares_distances():
 def test_sse_online_equals_offline_replay():
     rng = np.random.default_rng(19)
     base = Chunk(1, rng.uniform(0, 1, (20, 2)))
-    # thresholds no chunk can exceed: the step absorbs into the main model
-    config = DriftConfig(k=2, o_thresh=1.0, d_thresh=math.inf)
+    # thresholds no chunk can exceed: the step absorbs into the main model (the
+    # bootstrap leaves no cluster empty, so no relative change is infinite)
+    config = DriftConfig(k=2, o_thresh=1.0, d_thresh=sys.float_info.max)
     state, _ = engine.bootstrap(base, config)
     prev = state.main
     chunk = Chunk(2, rng.uniform(0, 1, (40, 2)), [1] * 40)
@@ -260,6 +263,24 @@ def test_build_report_and_jsonl_round_trip():
     assert not any("event" in row for row in steps)  # events live in the summary
     assert summary["runs"][0]["cluster_counts"] == [5, 5, 5, 5, 1, 5, 5]
     assert summary["runs"][0]["tcv_distances"] == list(report.tcv.distances)
+
+
+def test_step_whose_active_model_absorbs_no_record_scores_zero():
+    # `run sdwcd --seed 7 --o-thresh 1 --d-thresh 1`: no outlier ratio
+    # exceeds 1, so the main model stays active on chunks that fall wholly
+    # outside its radii: the collapse at t=3, and every chunk after the
+    # parallel model is dropped at t=5
+    chunks = generate_synthetic(sdwcd_spec(seed=7))
+    cfg = DriftConfig(k=None, o_thresh=1.0, d_thresh=1.0, seed=7)
+    _, reports = run_all(chunks, cfg, labels_k)
+    empty = []
+    for chunk, report in zip(chunks, reports):
+        assert report.outliers + sum(report.cluster_deltas) == len(chunk)
+        row = step_metrics(chunk, report)
+        if report.outliers == len(chunk):
+            empty.append(chunk.timestamp)
+            assert (row.entropy, row.sse, row.outliers) == (0.0, 0.0, 150)
+    assert empty == [3, 6, 7, 8, 9, 10]
 
 
 def test_step_metrics_averages_artificial_label_sets():
