@@ -206,7 +206,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
 
     if snapshot:
-        atomic_write_text(Path(snapshot), engine.state_to_json(finals[0]) + "\n")
+        atomic_write_text(Path(snapshot), engine.state_to_json(finals[0], data.chunks) + "\n")
 
     mean_entropy = left_sum(r.mean_entropy for r in runs) / len(runs)
     mean_sse = left_sum(r.mean_sse for r in runs) / len(runs)
@@ -251,7 +251,8 @@ def cmd_run(args) -> int:
 def cmd_resume(args) -> int:
     from .engine import state_from_json
     data = load_stream(args.manifest)
-    state = _in_file(args.snapshot, state_from_json)
+    state = _in_file(args.snapshot, functools.partial(state_from_json, chunks=data.chunks,
+                                                      stream=args.manifest))
     if state.main.dimensions != data.chunks[0].dimensions:
         raise ValueError(
             f"snapshot {args.snapshot} has {state.main.dimensions}-D centroids but the "

@@ -42,7 +42,8 @@ from .incremental import dist_clust_trace
 from .stream_io import JSON_NUMBER, json_field, parse_json
 
 SNAPSHOT_FORMAT = "streamclust-state"
-SNAPSHOT_VERSION = 2  # 2: config.k may be null, the k-from-labels policy
+# 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream
+SNAPSHOT_VERSION = 3
 
 # Strike ceiling: activation chunk is strike 1; three more drifted chunks
 # exhaust the main model's chances and trigger the swap.
@@ -298,12 +299,36 @@ def _result_from_doc(doc: dict, dimensions: int | None = None) -> ClusteringResu
     )
 
 
-def state_to_json(state: EngineState) -> str:
-    """Self-describing JSON snapshot of the full engine state."""
+def _chunks_sha256(chunks, t: int) -> str:
+    """SHA-256 of chunks 1..t of a stream: each chunk's timestamp, shape and
+    whether it is labeled, then its values' and labels' bytes. Equal digests
+    mean the same records in the same chunks, bit for bit."""
+    # imported here: hashlib loads OpenSSL, ≈3.5 MB of resident memory that
+    # a run writing no snapshot does not need
+    import hashlib
+    h = hashlib.sha256()
+    for chunk in chunks[:t]:
+        labels = chunk.labels
+        rows, columns = chunk.values.shape
+        h.update(f"{chunk.timestamp} {rows} {columns} {labels is not None}\n".encode())
+        h.update(chunk.values.data)
+        if labels is not None:
+            h.update(labels.data)
+    return h.hexdigest()
+
+
+def state_to_json(state: EngineState, chunks) -> str:
+    """Self-describing JSON snapshot of the full engine state, taken on a
+    stream whose first state.timestamp chunks are those of chunks; it
+    records their SHA-256, so it resumes only on that stream."""
+    if len(chunks) < state.timestamp:
+        raise ValueError(f"a state at t={state.timestamp} covers chunks 1..{state.timestamp}, "
+                         f"got {len(chunks)} chunks")
     return json.dumps({
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
+        "chunks_sha256": _chunks_sha256(chunks, state.timestamp),
         "is_concept_drift": state.is_concept_drift,
         "config": {
             "k": state.config.k,
@@ -318,8 +343,10 @@ def state_to_json(state: EngineState) -> str:
     }, indent=2)
 
 
-def state_from_json(text: str) -> EngineState:
-    """Rebuild the engine state from state_to_json's output, validating it."""
+def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineState:
+    """Rebuild the engine state from state_to_json's output, validating it
+    and that it was taken on chunks, the stream it resumes on; stream names
+    that stream in the error for one it was not taken on."""
     doc = parse_json(text, "snapshot")
     if _field(doc, "format", str) != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
@@ -347,4 +374,7 @@ def state_from_json(text: str) -> EngineState:
     if _field(doc, "timestamp") != state.timestamp:
         raise ValueError(f"snapshot field 'timestamp' is {doc['timestamp']}, "
                          f"but its results are at t={state.timestamp}")
+    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, state.timestamp):
+        raise ValueError(f"snapshot was taken on another stream than {stream}: "
+                         f"its chunks 1..{state.timestamp} differ")
     return state

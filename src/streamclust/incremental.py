@@ -10,19 +10,27 @@ A cluster that absorbs its n-th record moves its centroid c towards the
 record v by (1 - 1/n) * c + (1/n) * v, coordinate by coordinate, which keeps
 it the exact running mean. The whole pass over a chunk is one generated
 function per (k clusters, d dimensions), built from the two integers on first
-use and cached: the nearest-centroid scan is unrolled into k distance calls
-and the update into one tuple of d terms, so the loop pays no per-cluster or
-per-coordinate iteration and no call beyond math.dist. dist_clust_trace is
-the one absorb function; the engine reports its trace and metrics score it.
+use and cached. It walks the chunk's d columns together, so no record becomes
+a tuple unless it is scanned, and holds the current cluster in scalar locals:
+its d coordinates and its lifetime count, updated with one statement per
+coordinate. Those locals are written back to the centroid and lifetime lists
+before a scan and after the last record; the chunk counts are then each
+lifetime count less prev's. The nearest-centroid scan is unrolled into k
+math.dist calls, so the loop pays no per-cluster or per-coordinate iteration.
+dist_clust_trace is the one absorb function; the engine reports its trace
+and metrics score it.
 
 Most records land in the cluster the record before them did, so the kernel
 first measures the distance b to that cluster i and runs the k-distance scan
-only when the half-gap test `b < safe[i]` fails (Elkan 2003, Lemma 1). The
-test is exact: it passes only where the scan would pick i with the same b,
-so the output keeps every bit. Centroid j moves in a chunk of n records by
-at most move_j: its m-th absorb steps it by at most r_j / (L_j + m) towards
-a record within its radius r_j, and those steps sum to at most
-r_j * log1p(n / L_j) for a lifetime count L_j; a second term,
+only when the half-gap test `b < safe[i]` fails (Elkan 2003, Lemma 1). It
+takes b as math.hypot of the d coordinate gaps: hypot and dist hand the same
+array of |x_j - c_j| to one norm routine in CPython, so b has the bits the
+scan's dist(v, centroids[i]) would give. The test is exact: it passes only
+where the scan would pick i with the same b, so the output keeps every bit.
+Centroid j moves in a chunk of n records by at most move_j: its m-th absorb
+steps it by at most r_j / (L_j + m) towards a record within its radius
+r_j, and those steps sum to at most r_j * log1p(n / L_j) for a lifetime
+count L_j; a second term,
 n * sqrt(d) * (1e-15 * (max|c_j| + r_j + r_j * log1p(n / L_j)) + 1e-300),
 bounds the rounding of n running-mean updates, whose error per coordinate is
 a few ulps of the largest magnitude involved, and at least the absolute
@@ -55,17 +63,23 @@ _FLOAT_MAX = sys.float_info.max
 def _absorb_kernel(clusters: int, dimensions: int):
     """The absorb pass for k clusters in d dimensions, as generated code.
 
-    absorb(rows, centroids, radii, lifetimes, deltas, safe) updates
-    centroids, lifetimes and deltas in place and returns the outlier count,
-    each record's cluster (-1 for an outlier) and the SSE. It keeps the last
-    record's cluster i, its centroid, radius and safe radius in locals; when
-    the half-gap test fails, its scan holds k dist() calls, each followed by
-    `if x < b`, so ties keep the lowest index. The update is one tuple of d
-    `keep * c[j] + w * v[j]` terms. The source comes from the two integers
-    alone, checked before any code is built; typed caching keeps 2.0 or True
-    from reusing the kernel cached for 2 or 1. Generated, because on Python
-    3.11 range(), list indexing and a call per absorbed record cost more than
-    the distance work at small k and d.
+    absorb(columns, centroids, radii, lifetimes, safe) walks the chunk's d
+    column lists together, one record x0..x{d-1} at a time, updates
+    centroids and lifetimes in place and returns the outlier count, each
+    record's cluster (-1 for an outlier) and the SSE. The current cluster i
+    lives in locals: its coordinates c0..c{d-1}, lifetime count n, radius
+    and safe radius. A record first takes b = hypot(x0 - c0, ...), the same
+    bits as math.dist (both feed one array of |x_j - c_j| to the same norm);
+    the update is n += 1, w = 1/n and one `c_j = keep * c_j + w * x_j` per
+    coordinate. When the half-gap test fails, the locals are written back to
+    centroids[i] and lifetimes[i], and the scan holds k dist() calls on the
+    record as a tuple, each followed by `if x < b`, so ties keep the lowest
+    index; the chosen cluster's entries are then loaded into the locals, and
+    the last cluster is written back after the loop. The source comes from
+    the two integers alone, checked before any code is built; typed caching
+    keeps 2.0 or True from reusing the kernel cached for 2 or 1. Generated,
+    because on Python 3.11 range(), list indexing, tuple building and a call
+    per absorbed record cost more than the distance work at small k and d.
     """
     if type(clusters) is not int or type(dimensions) is not int:
         raise TypeError(f"kernel shape must be two ints, got {clusters!r}, {dimensions!r}")
@@ -74,33 +88,43 @@ def _absorb_kernel(clusters: int, dimensions: int):
         f"            if x < b: b = x; i = {j}\n"
         for j in range(1, clusters)
     )
-    mean = "".join(f"keep * c[{j}] + w * v[{j}], " for j in range(dimensions))
+    xs = "".join(f"x{j}, " for j in range(dimensions))
+    cs = "".join(f"c{j}, " for j in range(dimensions))
+    gaps = "".join(f"x{j} - c{j}, " for j in range(dimensions))
+    mean = "".join(f"            c{j} = keep * c{j} + w * x{j}\n" for j in range(dimensions))
     source = (
-        "def absorb(rows, centroids, radii, lifetimes, deltas, safe):\n"
+        "def absorb(columns, centroids, radii, lifetimes, safe):\n"
         "    dist = math.dist\n"
+        "    hypot = math.hypot\n"
         "    clusters = []\n"
         "    append = clusters.append\n"
         "    outliers = 0\n"
         "    sse = 0.0\n"
         "    i = 0\n"
-        "    c, r, s = centroids[0], radii[0], safe[0]\n"
-        "    for v in rows:\n"
-        "        b = dist(v, c)\n"
+        f"    {cs}= centroids[0]\n"
+        "    n, r, s = lifetimes[0], radii[0], safe[0]\n"
+        f"    for {xs}in zip(*columns):\n"
+        f"        b = hypot({gaps})\n"
         "        if not b < s:\n"
+        f"            centroids[i] = ({cs})\n"
+        "            lifetimes[i] = n\n"
+        f"            v = ({xs})\n"
         "            b = dist(v, centroids[0]); i = 0\n"
         f"{scan}"
-        "            c, r, s = centroids[i], radii[i], safe[i]\n"
+        f"            {cs}= centroids[i]\n"
+        "            n, r, s = lifetimes[i], radii[i], safe[i]\n"
         "        if b <= r:\n"
-        "            n = lifetimes[i] = lifetimes[i] + 1\n"
-        "            deltas[i] += 1\n"
+        "            n += 1\n"
         "            w = 1.0 / n\n"
         "            keep = 1.0 - w\n"
-        f"            c = centroids[i] = ({mean})\n"
+        f"{mean}"
         "            append(i)\n"
         "            sse += b * b\n"
         "        else:\n"
         "            outliers += 1\n"
         "            append(-1)\n"
+        f"    centroids[i] = ({cs})\n"
+        "    lifetimes[i] = n\n"
         "    return outliers, clusters, sse\n"
     )
     namespace = {"math": math}
@@ -153,10 +177,10 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
         )
     centroids = list(prev.centroids)
     lifetimes = list(prev.lifetime_counts)
-    deltas = [0] * len(centroids)  # per-chunk counts restart each call
-    rows = chunk.rows()
     absorb = _absorb_kernel(len(centroids), chunk.dimensions)
-    outliers, clusters, sse = absorb(rows, centroids, prev.radii, lifetimes, deltas,
-                                     _safe_radii(prev, len(rows)))
+    outliers, clusters, sse = absorb(chunk.values.T.tolist(), centroids, prev.radii, lifetimes,
+                                     _safe_radii(prev, len(chunk)))
+    # per-chunk counts restart each call: what this chunk added to each lifetime
+    deltas = [n - m for n, m in zip(lifetimes, prev.lifetime_counts)]
     result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers, chunk.timestamp)
     return result, (tuple(clusters), sse)

@@ -254,8 +254,8 @@ def test_criterion_10_snapshot_round_trip():
     _, full = run_all(chunks, cfg, labels_k)
 
     state, reports = run_all(chunks[:5], cfg, labels_k)
-    document = engine.state_to_json(state)
-    restored = engine.state_from_json(document)
+    document = engine.state_to_json(state, chunks)
+    restored = engine.state_from_json(document, chunks)
     assert restored == state
     for chunk in chunks[5:]:
         restored, report = engine.step(restored, chunk, labels_k(chunk))

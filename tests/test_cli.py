@@ -374,6 +374,36 @@ def test_resume_from_version_1_snapshot_is_an_error(tmp_path, capsys):
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "version 1")
 
 
+def test_resume_from_version_2_snapshot_is_an_error(tmp_path, capsys):
+    # version 2 recorded no digest of the chunks it covers
+    def edit(doc):
+        doc["version"] = 2
+        del doc["chunks_sha256"]
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "write it again")
+
+
+@pytest.mark.parametrize("other", [("sdwcd", "--seed", "8"), ("sdccl",)], ids=["seed8", "sdccl"])
+def test_resume_on_another_stream_is_an_error(tmp_path, capsys, other):
+    # the snapshot covers chunks 1-4 of sdwcd seed 7; other 2-D streams of
+    # the same shape must not continue it
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    other_manifest = str(tmp_path / "other" / "manifest.json")
+    assert main(["gen", *other, "--out", str(tmp_path / "other")]) == 0
+    capsys.readouterr()
+    resume_out = tmp_path / "rest"
+    assert main(["resume", other_manifest, "--snapshot", str(snap),
+                 "--out", str(resume_out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(snap) in err and other_manifest in err and "another stream" in err, err
+    assert captured.out == "" and not resume_out.exists()
+
+
 def test_resume_takes_the_k_policy_from_the_snapshot(tmp_path, capsys):
     out = _sdwcd(tmp_path, capsys)
     manifest = str(out / "manifest.json")

@@ -238,7 +238,7 @@ def test_state_json_round_trip():
     for chunk in chunks[1:4]:
         state, _ = engine.step(state, chunk, labels_k(chunk))
     assert state.is_concept_drift  # mid-episode, the interesting case
-    restored = engine.state_from_json(engine.state_to_json(state))
+    restored = engine.state_from_json(engine.state_to_json(state, chunks), chunks)
     assert restored == state
 
 
@@ -248,7 +248,7 @@ def test_resume_matches_uninterrupted_run():
     _, full = run_all(chunks, cfg, labels_k)
 
     state, reports = run_all(chunks[:4], cfg, labels_k)
-    state = engine.state_from_json(engine.state_to_json(state))
+    state = engine.state_from_json(engine.state_to_json(state, chunks), chunks)
     reports += [r for _, _, r in engine.run(chunks[4:], k_for_chunk=labels_k, states=[state])]
     assert [_strip_duration(r) for r in reports] == [_strip_duration(r) for r in full]
 
@@ -276,11 +276,11 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
         _check_step(chunks[i], state, report, i)
     expected = [(state, _strip_duration(report)) for state, report in full]
     for cut in range(1, len(chunks)):
-        text = engine.state_to_json(full[cut - 1][0])
+        text = engine.state_to_json(full[cut - 1][0], chunks)
         doc = json.loads(text)
         assert doc["is_concept_drift"] == (doc["parallel"] is not None)
         assert doc["config"]["k"] == k
-        state = engine.state_from_json(text)
+        state = engine.state_from_json(text, chunks)
         assert state == full[cut - 1][0]
         tail = []
         for i, (_, state, report) in enumerate(
@@ -322,8 +322,9 @@ def test_shared_absorb_keeps_the_sign_of_zero_apart():
 
 
 def test_shared_absorb_is_reused_for_an_equal_model():
-    state = engine.init(_boot_chunk(), CFG)
-    twin = engine.state_from_json(engine.state_to_json(state))
+    boot = [_boot_chunk()]
+    state = engine.init(boot[0], CFG)
+    twin = engine.state_from_json(engine.state_to_json(state, boot), boot)
     assert twin.main is not state.main
     chunk, shared = _normal_chunk(2), {}
     first, first_report = engine.step(state, chunk, shared=shared)
@@ -474,7 +475,8 @@ def test_resume_at_a_drawn_cut_matches_the_uninterrupted_tail(case, data):
     for i, state, report in engine.run(chunks, configs, k_for_chunk):
         full[i].append((state, _strip_duration(report)))
     cut = data.draw(st.integers(1, len(chunks)), label="cut")
-    restored = [engine.state_from_json(engine.state_to_json(steps[cut - 1][0])) for steps in full]
+    restored = [engine.state_from_json(engine.state_to_json(steps[cut - 1][0], chunks), chunks)
+                for steps in full]
     assert repr(restored) == repr([steps[cut - 1][0] for steps in full])
     tail = [[] for _ in configs]
     for i, state, report in engine.run(chunks[cut:], k_for_chunk=k_for_chunk, states=restored):
@@ -516,14 +518,38 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
     assert state.is_concept_drift
-    text = engine.state_to_json(state)
+    text = engine.state_to_json(state, chunks)
     stale = json.loads(text)
     stale["timestamp"] = 2
     parallel_only = json.loads(text)
     parallel_only["parallel"]["result"]["timestamp"] = 3
     for doc in (stale, parallel_only):
         with pytest.raises(ValueError, match="'timestamp'"):
-            engine.state_from_json(json.dumps(doc))
+            engine.state_from_json(json.dumps(doc), chunks)
+
+
+def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    text = engine.state_to_json(state, chunks)
+    # only the chunks it covers count: chunks after t=4 may differ
+    assert engine.state_from_json(text, chunks[:4]) == state
+    values = [c.values.copy() for c in chunks[:4]]
+    values[3][-1, 1] = math.nextafter(values[3][-1, 1], 2.0)  # one bit of the last record
+    labels = [c.labels.copy() for c in chunks[:4]]
+    labels[0][0] += 1
+    others = (
+        generate_synthetic(sdwcd_spec(seed=6)),
+        [Chunk(c.timestamp, v, c.labels) for c, v in zip(chunks, values)],
+        [Chunk(c.timestamp, c.values, y) for c, y in zip(chunks, labels)],
+        [Chunk(c.timestamp, c.values) for c in chunks[:4]],  # the labels dropped
+        chunks[:3],
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="another stream than this stream"):
+            engine.state_from_json(text, other)
+    with pytest.raises(ValueError, match="covers chunks 1..4, got 3 chunks"):
+        engine.state_to_json(state, chunks[:3])
 
 
 def test_state_timestamp_is_its_results_timestamp():
@@ -558,7 +584,7 @@ def test_state_strike_is_in_range_exactly_while_a_parallel_model_exists():
 
 def test_snapshot_rejects_foreign_documents():
     with pytest.raises(ValueError):
-        engine.state_from_json('{"format": "something-else", "version": 1}')
+        engine.state_from_json('{"format": "something-else", "version": 1}', [])
 
 
 def test_snapshot_rejects_drift_flag_that_disagrees_with_parallel():
@@ -567,11 +593,11 @@ def test_snapshot_rejects_drift_flag_that_disagrees_with_parallel():
     state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
     for chunk in chunks[1:4]:
         state, _ = engine.step(state, chunk, labels_k(chunk))
-        doc = json.loads(engine.state_to_json(state))
+        doc = json.loads(engine.state_to_json(state, chunks))
         assert doc["is_concept_drift"] == (doc["parallel"] is not None)
         doc["is_concept_drift"] = not doc["is_concept_drift"]
         with pytest.raises(ValueError, match="parallel"):
-            engine.state_from_json(json.dumps(doc))
+            engine.state_from_json(json.dumps(doc), chunks)
 
 
 def test_parallel_state_invariants():
@@ -594,7 +620,7 @@ def test_snapshot_rejects_centroids_of_different_lengths():
     for chunk in chunks[1:4]:
         state, _ = engine.step(state, chunk, labels_k(chunk))
     assert state.is_concept_drift
-    text = engine.state_to_json(state)
+    text = engine.state_to_json(state, chunks)
     # one cluster of one result, and every cluster of the parallel result
     ragged = json.loads(text)
     ragged["main"]["clusters"][1]["centroid"].append(0.5)
@@ -603,4 +629,4 @@ def test_snapshot_rejects_centroids_of_different_lengths():
         cluster["centroid"].append(0.5)
     for doc in (ragged, parallel_only):
         with pytest.raises(ValueError, match="'centroid'"):
-            engine.state_from_json(json.dumps(doc))
+            engine.state_from_json(json.dumps(doc), chunks)

@@ -59,9 +59,10 @@ GOLDEN = {
         "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
-    # re-pinned for snapshot version 2, which writes the k-from-labels
-    # policy as "k": null; every other byte is as before
-    "snapshot": "f927ddb71b7b5c9f7110e59bba9e86673a0030a752d3652097bea646cb88a4bc",
+    # re-pinned for snapshot version 3, which records the SHA-256 of the
+    # chunks it covers; version 2 had written the k-from-labels policy as
+    # "k": null. Every other byte is as before.
+    "snapshot": "bd6356d8a04449ce8b42876ebda62f53bba197a938fba7efc9f6c35199de4075",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
     "chunked_tree": "9836e13fe6acf21089a20f5d468227b6fc0eef0d44db47d377b8caf7f327a39b",
     "chunked_run": {

@@ -378,6 +378,24 @@ def test_dist_clust_alternating_shapes_match_reference():
         _assert_matches_reference(Chunk(2, rng.uniform(0, 1, size=(200, d))), prev)
 
 
+# The kernel takes the certified distance as hypot() of the coordinate gaps
+# and scans with dist(): both hand the same |x_j - c_j| array to one norm,
+# so their bits must agree on every Python the package supports.
+
+_EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308)
+_COORDINATE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_EDGE_COORDINATES),
+                        st.floats(-1e-300, 1e-300), st.floats(1e307, 1.7976931348623157e308))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1, max_size=16))
+def test_hypot_of_gaps_equals_dist_bit_for_bit(pairs):
+    v, q = zip(*pairs)
+    assert repr(math.hypot(*(x - c for x, c in zip(v, q)))) == repr(math.dist(v, q))
+
+
 # Named cases for the half-gap test: each must give the plain pass's bits.
 
 _BIG = 1e308
@@ -410,6 +428,22 @@ _BIG = 1e308
     pytest.param([(0.0,), (1.0,)], [10.0, 10.0], [1, 1],
                  [(0.45,)] * 6 + [(0.95,), (0.6,)],
                  id="centroid_moving_within_the_chunk"),
+    # the kernel keeps the current cluster in locals and writes them back
+    # before each scan and after the chunk: the last record leaves a cluster
+    # that absorbed records, scans into another and is an outlier there
+    pytest.param([(0.0, 0.0), (1.0, 1.0)], [0.5, 0.1], [2, 2],
+                 [(0.1, 0.0), (0.0, 0.2), (0.1, 0.1), (0.8, 0.8)],
+                 id="last_record_scans_away_as_an_outlier"),
+    # records leave cluster 0 for 1 and scan back into 0, whose locals were
+    # written back when they left it, then into 1 again
+    pytest.param([(0.0,), (1.0,)], [0.6, 0.6], [1, 1],
+                 [(0.2,), (0.3,), (0.9,), (0.8,), (0.1,), (0.4,), (0.7,)],
+                 id="record_scans_back_into_the_cluster_it_left"),
+    pytest.param([(0.0, 0.0, 0.0), (1.0, 0.5, -0.25), (-0.5, 1.0, 0.75)], [0.8, 0.6, math.inf],
+                 [3, 1, 7],
+                 [(0.1, 0.0, -0.1), (0.9, 0.5, -0.2), (0.2, 0.1, 0.0), (-0.4, 0.9, 0.8),
+                  (0.0, 0.0, 0.05), (5.0, 5.0, 5.0), (1.1, 0.4, -0.3), (0.05, -0.05, 0.0)],
+                 id="three_dimensions"),
 ])
 def test_half_gap_edge_cases_match_reference(centroids, radii, lifetimes, rows):
     k = len(centroids)
@@ -426,9 +460,11 @@ def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
     prev = ClusteringResult(centers, [0.15] * k, [10**4] * k, [0] * k, 0, 1)
     order = [0, 3, 1, 4, 2]  # starts at cluster 0, the first one tried
     rows = np.vstack([rng.normal(centers[j], 0.03, size=(per_blob, 2)) for j in order])
+    # the kernel takes the certified distance with hypot and scans with dist
     calls = []
-    dist = math.dist
+    dist, hypot = math.dist, math.hypot
     monkeypatch.setattr(math, "dist", lambda a, b: calls.append(1) or dist(a, b))
+    monkeypatch.setattr(math, "hypot", lambda *gaps: calls.append(1) or hypot(*gaps))
     _, (clusters, _) = dist_clust_trace(Chunk(2, rows), prev)
     switches = len(order) - 1
     assert len(calls) <= len(rows) + k * (k - 1) // 2 + (k + 1) * switches
