@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 # engine and metrics are imported in the commands that run them: gen and
 # chunk load neither, and eval loads no part of the engine.
-from .core import Chunk, DriftConfig, left_sum, minmax_normalize
+from .core import Chunk, DriftConfig, minmax_normalize
 from .stream_io import (
     JSON_NUMBER,
     atomic_write_text,
@@ -167,27 +167,29 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
 
     meta holds the command's own keys: the tool version and manifest go in
     front, and after k its policy, "fixed" or "labels" (each chunk's label
-    count). Each step's StepReport becomes one small metrics row of its run
-    and is dropped before the next step runs; the runs of a chunk share the
-    scoring of equal cluster indices (see step_metrics) until it ends.
+    count). Each StepReport is scored on the chunk and artificial-class rows
+    at its timestamp into one small metrics row of its run, and dropped
+    before the next step runs; the runs of a chunk share the scoring of equal
+    cluster indices (see step_metrics). Every output reads average_runs' rows.
     """
     from . import engine
-    from .metrics import build_report, reports_to_jsonl, step_metrics, true_cluster_values
-    t0 = chunks[0].timestamp - 1
-    ac_sets = data.ac_sets[t0:t0 + len(chunks)] if data.ac_sets else None
+    from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
+                          true_cluster_values)
     tcvs = [c for _, c in true_cluster_values(data.chunks)]
 
     k_for_chunk = None if meta["k"] is not None else _labels_k
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
-        t = len(rows[i])  # not enumerate: its reused tuple would keep the report alive
-        if i == 0:  # a new chunk; one run has nothing to share
-            scored = {} if len(finals) > 1 else None
-        rows[i].append(step_metrics(chunks[t], report, ac_sets[t] if ac_sets else None, scored))
+        t = report.timestamp - 1
+        if i == 0:  # a new chunk
+            scored = {}
+        rows[i].append(step_metrics(data.chunks[t], report,
+                                    data.ac_sets[t] if data.ac_sets else None, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
     runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
+    steps, summary = average_runs(runs)
 
     full_meta = {"tool_version": __version__, "manifest": str(Path(args.manifest).resolve())}
     for key, value in meta.items():
@@ -196,24 +198,23 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
             full_meta["k_policy"] = "fixed" if value is not None else "labels"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, reports_to_jsonl(runs, full_meta))
 
-    lines = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
-    for i, step in enumerate(runs[0].steps):
-        mean_count = sum(r.steps[i].cluster_count for r in runs) / len(runs)
-        lines.append(f"{step.timestamp}\t{mean_count:g}")
-    atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
+    def counted(steps):  # writes cluster_counts.tsv, freeing its lines, after the last row
+        lines = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
+        for step in steps:
+            lines.append(f"{step['timestamp']}\t{step['cluster_count']:g}")
+            yield step
+        atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
+
+    metrics_path = out / "metrics.jsonl"
+    atomic_write_text(metrics_path, reports_to_jsonl(full_meta, counted(steps), summary))
 
     if snapshot:
         atomic_write_text(Path(snapshot), engine.state_to_json(finals[0], data.chunks) + "\n")
 
-    mean_entropy = left_sum(r.mean_entropy for r in runs) / len(runs)
-    mean_sse = left_sum(r.mean_sse for r in runs) / len(runs)
-    total = left_sum(r.total_runtime_s for r in runs) / len(runs)
     print(
-        f"runs={len(runs)} mean_entropy={mean_entropy:.6f} mean_sse={mean_sse:.6f} "
-        f"total_runtime_s={total:.4f}"
+        f"runs={len(runs)} mean_entropy={summary['mean_entropy']:.6f} "
+        f"mean_sse={summary['mean_sse']:.6f} total_runtime_s={summary['total_runtime_s']:.4f}"
     )
     print(metrics_path)
     return 0
@@ -253,19 +254,14 @@ def cmd_resume(args) -> int:
     data = load_stream(args.manifest)
     state = _in_file(args.snapshot, functools.partial(state_from_json, chunks=data.chunks,
                                                       stream=args.manifest))
-    if state.main.dimensions != data.chunks[0].dimensions:
-        raise ValueError(
-            f"snapshot {args.snapshot} has {state.main.dimensions}-D centroids but the "
-            f"stream has {data.chunks[0].dimensions} dimensions; wrong snapshot/manifest pair?"
-        )
-    remaining = [c for c in data.chunks if c.timestamp > state.timestamp]
+    remaining = data.chunks[state.timestamp:]
     if not remaining:
         raise ValueError(
             f"snapshot already covers t={state.timestamp}; nothing left to process"
         )
     meta = {
         "seed": state.config.seed,
-        "resumed_after": remaining[0].timestamp - 1,
+        "resumed_after": state.timestamp,
         "k": state.config.k,
     }
     return _run_and_write(args, data, remaining, meta, args.snapshot_out, states=[state])

@@ -344,9 +344,9 @@ def state_to_json(state: EngineState, chunks) -> str:
 
 
 def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineState:
-    """Rebuild the engine state from state_to_json's output, validating it
-    and that it was taken on chunks, the stream it resumes on; stream names
-    that stream in the error for one it was not taken on."""
+    """Rebuild the engine state from state_to_json's output, validating it and
+    that it was taken on chunks, the stream it resumes on, in their number of
+    dimensions; stream names that stream in the errors."""
     doc = parse_json(text, "snapshot")
     if _field(doc, "format", str) != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
@@ -377,4 +377,7 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
     if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, state.timestamp):
         raise ValueError(f"snapshot was taken on another stream than {stream}: "
                          f"its chunks 1..{state.timestamp} differ")
+    if main.dimensions != chunks[0].dimensions:
+        raise ValueError(f"snapshot has {main.dimensions}-D centroids but {stream} has "
+                         f"{chunks[0].dimensions} dimensions; wrong snapshot/manifest pair?")
     return state

@@ -139,8 +139,6 @@ def _safe_radii(prev: ClusteringResult, records: int) -> list[float]:
     docstring for the bound and why it is exact)."""
     centroids = prev.centroids
     k = len(centroids)
-    if k == 1:
-        return [math.inf]
     scale = records * math.sqrt(prev.dimensions)
     moves = []
     for c, r, life in zip(centroids, prev.radii, prev.lifetime_counts):

@@ -8,17 +8,17 @@ folds those rows and the final clustering into the run's report. Reference
 centroids for a labeled stream are the per-class means over all chunks
 merged; a run is scored by matching its final centroids against them
 one-to-one, with the exact minimum-total-distance assignment (Kuhn-Munkres)
-for any count on either side. Float sums are left_sum folds, the same bits
-on every Python. The engine's StepReports are only read here, through their
-fields, so this module does not import the engine.
+for any count on either side; average_runs averages the runs once. Float
+sums are left_sum folds, the same bits on every Python. The engine's
+StepReports are only read here, through their fields, so this module does
+not import the engine.
 """
 
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,19 +29,21 @@ from .stream_io import json_field, parse_json
 def entropy(assignments) -> float:
     """Size-weighted label entropy of a clustering, in bits; 0 is label-pure.
 
-    assignments: iterable of (cluster index, class label) pairs.
+    assignments: iterable of (cluster index, class label) pairs. A pair with
+    a negative cluster index, an outlier in a step's trace, counts nowhere.
     """
     # One count per pair, then grouped per cluster in first-appearance order,
     # so clusters and labels are summed in the order the pairs arrived.
-    pairs = Counter(assignments)
     per_cluster: dict[int, list[int]] = {}
-    for (cluster, label), count in pairs.items():
+    for (cluster, label), count in Counter(assignments).items():
+        if cluster < 0:
+            continue
         if label is None:
             raise ValueError("entropy needs labeled assignments")
         per_cluster.setdefault(cluster, []).append(count)
     if not per_cluster:
-        raise ValueError("entropy needs at least one assignment")
-    total = pairs.total()
+        raise ValueError("entropy needs at least one assignment to a cluster")
+    total = sum(map(sum, per_cluster.values()))
     value = 0.0
     for counts in per_cluster.values():
         size = sum(counts)
@@ -187,18 +189,14 @@ class MetricsReport:
 
 def _score(chunk: Chunk, clusters, label_sets) -> float:
     """The entropy of one step's absorbed records; see step_metrics."""
-    hits = [c >= 0 for c in clusters]  # an outlier's cluster is -1
-    absorbed = list(compress(clusters, hits))
-    if not absorbed:
+    if max(clusters, default=-1) < 0:  # every record an outlier
         return 0.0
     if label_sets is None and chunk.labels is None:
         raise ValueError("entropy needs labeled assignments")
     # without label_sets, the chunk's own labels are the one column
     columns = ([chunk.labels.tolist()] if label_sets is None
                else np.asarray(label_sets).T.tolist())
-    return left_sum(
-        entropy(zip(absorbed, compress(column, hits))) for column in columns
-    ) / len(columns)
+    return left_sum(entropy(zip(clusters, column)) for column in columns) / len(columns)
 
 
 def step_metrics(
@@ -217,12 +215,10 @@ def step_metrics(
     label_sets only: the entropy is computed once per distinct clusters
     value in it. The other fields are always taken from the report.
     """
-    if scored is None:
-        entropy_value = _score(chunk, report.clusters, label_sets)
-    else:
-        entropy_value = scored.get(report.clusters)
-        if entropy_value is None:
-            entropy_value = scored[report.clusters] = _score(chunk, report.clusters, label_sets)
+    scored = {} if scored is None else scored
+    entropy_value = scored.get(report.clusters)
+    if entropy_value is None:
+        entropy_value = scored[report.clusters] = _score(chunk, report.clusters, label_sets)
     return TimestepMetrics(
         timestamp=report.timestamp,
         entropy=entropy_value,
@@ -261,30 +257,27 @@ def build_report(
     )
 
 
-def reports_to_jsonl(runs: Sequence[MetricsReport], meta: dict) -> str:
-    """Serialize one or more runs: a meta line, per-timestamp lines averaged
-    across runs, and a summary line carrying the per-run payloads."""
+def average_runs(runs: Sequence[MetricsReport]) -> tuple[Iterator[dict], dict]:
+    """The rows of one or more runs' report: each timestamp's step row
+    averaged across runs, built one at a time as it is read, and the summary
+    row, which carries the per-run payloads."""
     if not runs:
         raise ValueError("need at least one run")
-    length = len(runs[0].steps)
-    if any(len(r.steps) != length for r in runs):
+    if len({len(r.steps) for r in runs}) != 1:
         raise ValueError("all runs must cover the same timestamps")
-    lines = [json.dumps({"type": "meta", **meta})]
-    for i in range(length):
-        rows = [r.steps[i] for r in runs]
-        lines.append(
-            json.dumps(
-                {
-                    "type": "step",
-                    "timestamp": rows[0].timestamp,
-                    "entropy": left_sum(s.entropy for s in rows) / len(rows),
-                    "sse": left_sum(s.sse for s in rows) / len(rows),
-                    "cluster_count": sum(s.cluster_count for s in rows) / len(rows),
-                    "outliers": sum(s.outliers for s in rows) / len(rows),
-                    "duration_s": left_sum(s.duration_s for s in rows) / len(rows),
-                }
-            )
-        )
+
+    def steps():
+        for rows in zip(*(r.steps for r in runs)):
+            yield {
+                "type": "step",
+                "timestamp": rows[0].timestamp,
+                "entropy": left_sum(s.entropy for s in rows) / len(rows),
+                "sse": left_sum(s.sse for s in rows) / len(rows),
+                "cluster_count": sum(s.cluster_count for s in rows) / len(rows),
+                "outliers": sum(s.outliers for s in rows) / len(rows),
+                "duration_s": left_sum(s.duration_s for s in rows) / len(rows),
+            }
+
     summary = {
         "type": "summary",
         "mean_entropy": left_sum(r.mean_entropy for r in runs) / len(runs),
@@ -303,8 +296,15 @@ def reports_to_jsonl(runs: Sequence[MetricsReport], meta: dict) -> str:
             for r in runs
         ],
     }
-    lines.append(json.dumps(summary))
-    return "\n".join(lines) + "\n"
+    return steps(), summary
+
+
+def reports_to_jsonl(meta: dict, steps: Iterable[dict], summary: dict) -> str:
+    """Serialize a report: a meta line, then average_runs' step rows and
+    summary, one JSON line each."""
+    lines = [json.dumps({"type": "meta", **meta}), *map(json.dumps, steps)]
+    lines += [json.dumps(summary), ""]  # a final newline, with no copy of the text to add it
+    return "\n".join(lines)
 
 
 def parse_jsonl(text: str) -> tuple[dict, list[dict], dict]:

@@ -455,6 +455,40 @@ def test_resume_from_snapshot_of_other_dimensionality_is_an_error(tmp_path, caps
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "snap.json")
 
 
+def _outputs_agree(out_dir, printed):
+    """metrics.jsonl, cluster_counts.tsv and the printed summary of one
+    run or resume hold the same averages."""
+    _, steps, summary = parse_jsonl((out_dir / "metrics.jsonl").read_text())
+    header, *lines = (out_dir / "cluster_counts.tsv").read_text().splitlines()
+    assert header.startswith(f"# streamclust {__version__} ")
+    assert [(int(t), float(count)) for t, count in (line.split("\t") for line in lines)] == [
+        (step["timestamp"], step["cluster_count"]) for step in steps]
+    assert printed.splitlines() == [
+        f"runs={len(summary['runs'])} mean_entropy={summary['mean_entropy']:.6f} "
+        f"mean_sse={summary['mean_sse']:.6f} total_runtime_s={summary['total_runtime_s']:.4f}",
+        str(out_dir / "metrics.jsonl"),
+    ]
+    return steps
+
+
+def test_run_outputs_agree_across_repeats(tmp_path, capsys):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    assert main(["run", manifest, "--repeat", "3", "--out", str(tmp_path / "three")]) == 0
+    steps = _outputs_agree(tmp_path / "three", capsys.readouterr().out)
+    assert len(steps) == 10
+
+
+def test_resume_outputs_agree(tmp_path, capsys):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    snap = str(tmp_path / "snap.json")
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", snap,
+                 "--out", str(tmp_path / "part")]) == 0
+    assert len(_outputs_agree(tmp_path / "part", capsys.readouterr().out)) == 4
+    assert main(["resume", manifest, "--snapshot", snap, "--out", str(tmp_path / "rest")]) == 0
+    steps = _outputs_agree(tmp_path / "rest", capsys.readouterr().out)
+    assert [step["timestamp"] for step in steps] == list(range(5, 11))
+
+
 def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeypatch):
     # each StepReport carries one assignment per record; a command that kept
     # them all would hold the whole stream's worth until it ends

@@ -552,6 +552,23 @@ def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
         engine.state_to_json(state, chunks[:3])
 
 
+def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    assert state.is_concept_drift
+    # 3-D centroids on the 2-D chunks the snapshot records: only the
+    # dimensionality check stands between it and a resume
+    doc = json.loads(engine.state_to_json(state, chunks))
+    for result in (doc["main"], doc["parallel"]["result"]):
+        for cluster in result["clusters"]:
+            cluster["centroid"].append(0.5)
+    text = json.dumps(doc)
+    with pytest.raises(ValueError, match="3-D centroids but s/manifest.json has 2 dimensions"):
+        engine.state_from_json(text, chunks, stream="s/manifest.json")
+    with pytest.raises(ValueError, match="but this stream has 2 dimensions"):
+        engine.state_from_json(text, chunks)
+
+
 def test_state_timestamp_is_its_results_timestamp():
     # a state cannot claim the timestamp before its results: stepping one that
     # holds chunks 1-2 with chunk 2 again would absorb chunk 2 twice

@@ -1,8 +1,12 @@
 import math
 import sys
+from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from streamclust import (
@@ -12,13 +16,15 @@ from streamclust import (
     engine,
     entropy,
     generate_synthetic,
+    metrics,
     sdccl_spec,
     sdwcd_spec,
     step_metrics,
     tcv_distance,
     true_cluster_values,
 )
-from streamclust.metrics import parse_jsonl, reports_to_jsonl
+from streamclust.core import left_sum
+from streamclust.metrics import average_runs, parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
 from conftest import labels_k, run_all
 
@@ -53,6 +59,86 @@ def test_entropy_validation():
         entropy([])
     with pytest.raises(ValueError):
         entropy([(0, None)])
+
+
+def test_entropy_counts_negative_clusters_nowhere():
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 1), (2, 3), (1, 2)]
+    # an outlier's label is never read, not even a missing one
+    outliers = [(-1, 3), (-1, None), (-2, 1)]
+    mixed = outliers[:1] + pairs[:3] + outliers[1:] + pairs[3:]
+    assert repr(entropy(mixed)) == repr(entropy(pairs))
+    assert entropy([(-1, 1), (0, 2), (-1, 2)]) == 0.0
+
+
+def test_entropy_of_outliers_only_is_an_error():
+    for outliers in ([(-1, 1)], [(-1, 1), (-1, 2), (-3, 1)], [(-1, None)]):
+        with pytest.raises(ValueError, match="at least one assignment"):
+            entropy(outliers)
+    with pytest.raises(ValueError, match="labeled"):
+        entropy([(-1, 1), (0, None)])
+
+
+def _entropy_of_pairs(assignments):
+    """entropy as it was before it skipped outliers: every pair counts."""
+    pairs = Counter(assignments)
+    per_cluster = {}
+    for (cluster, label), count in pairs.items():
+        if label is None:
+            raise ValueError("entropy needs labeled assignments")
+        per_cluster.setdefault(cluster, []).append(count)
+    if not per_cluster:
+        raise ValueError("entropy needs at least one assignment")
+    total = pairs.total()
+    value = 0.0
+    for counts in per_cluster.values():
+        size = sum(counts)
+        cluster_entropy = -left_sum((c / size) * math.log2(c / size) for c in counts)
+        value += (size / total) * cluster_entropy
+    return value
+
+
+def _two_pass_score(chunk, clusters, label_sets):
+    """A step's entropy as it was scored before the one-pass score: the
+    absorbed records picked out of the trace and of each label column."""
+    hits = [c >= 0 for c in clusters]
+    absorbed = list(compress(clusters, hits))
+    if not absorbed:
+        return 0.0
+    if label_sets is None and chunk.labels is None:
+        raise ValueError("entropy needs labeled assignments")
+    columns = ([chunk.labels.tolist()] if label_sets is None
+               else np.asarray(label_sets).T.tolist())
+    return left_sum(
+        _entropy_of_pairs(zip(absorbed, compress(column, hits))) for column in columns
+    ) / len(columns)
+
+
+@st.composite
+def _scored_steps(draw):
+    """A chunk, a trace over it with -1 outliers (every record one, at times)
+    and 1-3 label columns: artificial classes, or the chunk's own labels."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    if draw(st.integers(0, 5)) == 0:
+        clusters = (-1,) * n
+    else:
+        clusters = tuple(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), min_size=n, max_size=n))
+    chunk = Chunk(1, np.zeros((n, 2)), [row[0] for row in rows])
+    label_sets = rows if width > 1 or draw(st.booleans()) else None
+    return chunk, clusters, label_sets
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_scored_steps())
+@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1]), (-1, -1, -1), None))
+@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1]), (-1, -1, -1), [(1, 0), (2, 0), (1, 1)]))
+@example((Chunk(1, np.zeros((4, 2)), [1, 2, 1, 2]), (0, -1, 1, 0), [(1, 0, 3)] * 4))
+def test_one_pass_score_equals_two_pass_score(step):
+    chunk, clusters, label_sets = step
+    assert repr(metrics._score(chunk, clusters, label_sets)) == repr(
+        _two_pass_score(chunk, clusters, label_sets))
 
 
 def _bootstrap_sse(rows, k):
@@ -255,7 +341,7 @@ def test_build_report_and_jsonl_round_trip():
     assert all(s.duration_s > 0.0 for s in report.steps)
     assert report.tcv is not None and len(report.tcv.pairs) == 5
 
-    text = reports_to_jsonl([report], {"note": "unit"})
+    text = reports_to_jsonl({"note": "unit"}, *average_runs([report]))
     meta, steps, summary = parse_jsonl(text)
     assert meta["note"] == "unit"
     assert len(steps) == 7
