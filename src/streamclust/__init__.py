@@ -26,7 +26,7 @@ _EXPORTS = {
                    "chunk_indices make_artificial_classes sdwcd_spec sdccl_spec "
                    "ncd100_spec wcd1000_spec",
         "metrics": "entropy true_cluster_values tcv_distance TcvMatch TimestepMetrics "
-                   "MetricsReport step_metrics build_report",
+                   "step_metrics build_report",
         "stream_io": "StreamData write_stream load_stream load_dataset",
     }.items()
     for name in names.split()

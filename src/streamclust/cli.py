@@ -80,24 +80,6 @@ def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     return StreamSpec(entries, **{"seed": seed, **kwargs})
 
 
-def _spec_to_source(spec: StreamSpec, name: str) -> dict:
-    return {
-        "kind": "generated",
-        "name": name,
-        "sigma": spec.sigma,
-        "relocate_offset": spec.relocate_offset,
-        "entries": [
-            {
-                "cluster_count": e.cluster_count,
-                "records_per_cluster": list(e.cluster_sizes),
-                "drift_kind": e.drift_kind.value,
-                "offset_steps": e.offset_steps,
-            }
-            for e in spec.entries
-        ],
-    }
-
-
 def cmd_gen(args) -> int:
     name = args.spec
     if name in NAMED_SPECS:
@@ -112,9 +94,8 @@ def cmd_gen(args) -> int:
         name = path.stem
     out = Path(args.out) if args.out else Path(f"{name}_seed{spec.seed}")
     chunks = generate_synthetic(spec)
-    manifest = write_stream(
-        out, chunks, seed=spec.seed, origin="synthetic", source=_spec_to_source(spec, name)
-    )
+    manifest = write_stream(out, chunks, seed=spec.seed, origin="synthetic",
+                            source={"kind": "generated", "name": name})
     print(manifest)
     return 0
 
@@ -189,7 +170,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
     runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
-    steps, summary = average_runs(runs)
+    steps, summary = average_runs(rows, runs)
 
     full_meta = {"tool_version": __version__, "manifest": str(Path(args.manifest).resolve())}
     for key, value in meta.items():
@@ -370,7 +351,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # numpy's names the array it could not allocate
+    except (MemoryError, OverflowError) as exc:
+        # a stream too big to hold: numpy's MemoryError names the array it
+        # could not allocate, an OverflowError the count past any index
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

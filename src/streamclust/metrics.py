@@ -4,12 +4,13 @@ Entropy works on the cluster index of each record of a step, and the absorb
 and bootstrap passes fold the step's SSE, so nothing here requires retained
 records. A run is scored as it goes: step_metrics turns each step's report
 into one small TimestepMetrics row as soon as the step ends, and build_report
-folds those rows and the final clustering into the run's report. Reference
-centroids for a labeled stream are the per-class means over all chunks
-merged; a run is scored by matching its final centroids against them
-one-to-one, with the exact minimum-total-distance assignment (Kuhn-Munkres)
-for any count on either side; average_runs averages the runs once. Float
-sums are left_sum folds, the same bits on every Python. The engine's
+folds those rows and the final clustering into the run's entry of the
+report's summary row, a dict of JSON values. Reference centroids for a
+labeled stream are the per-class means over all chunks merged; a run is
+scored by matching its final centroids against them one-to-one, with the
+exact minimum-total-distance assignment (Kuhn-Munkres) for any count on
+either side; average_runs averages the runs' step rows and entries once.
+Float sums are left_sum folds, the same bits on every Python. The engine's
 StepReports are only read here, through their fields, so this module does
 not import the engine.
 """
@@ -170,23 +171,6 @@ class TimestepMetrics:
     event: str
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-timestamp metrics plus stream-level aggregates for one run."""
-
-    steps: tuple[TimestepMetrics, ...]
-    mean_entropy: float
-    mean_sse: float
-    total_runtime_s: float
-    final_centroids: tuple[tuple[float, ...], ...]
-    events: tuple[str, ...]
-    tcv: TcvMatch | None = None
-
-    @property
-    def cluster_counts(self) -> tuple[int, ...]:
-        return tuple(s.cluster_count for s in self.steps)
-
-
 def _score(chunk: Chunk, clusters, label_sets) -> float:
     """The entropy of one step's absorbed records; see step_metrics."""
     if max(clusters, default=-1) < 0:  # every record an outlier
@@ -234,69 +218,52 @@ def build_report(
     steps: Sequence[TimestepMetrics],
     final: ClusteringResult,
     tcvs: Sequence[Sequence[float]] | None = None,
-) -> MetricsReport:
+) -> dict:
     """Fold one run's per-step rows, in step order, and its final clustering
-    into the run's report.
+    into the run's entry of the summary row.
 
     The means and the runtime are sums over the rows in order; the final
     centroids are matched against tcvs, the reference centroids, when given.
     Only the rows are needed, so a caller can score each step as it ends and
     let its StepReport go.
     """
-    steps = tuple(steps)
     if not steps:
         raise ValueError("a report needs at least one step")
-    return MetricsReport(
-        steps=steps,
-        mean_entropy=left_sum(s.entropy for s in steps) / len(steps),
-        mean_sse=left_sum(s.sse for s in steps) / len(steps),
-        total_runtime_s=left_sum(s.duration_s for s in steps),
-        final_centroids=final.centroids,
-        events=tuple(s.event for s in steps),
-        tcv=tcv_distance(final.centroids, tcvs) if tcvs else None,
-    )
+    return {
+        "cluster_counts": [s.cluster_count for s in steps],
+        "events": [s.event for s in steps],
+        "final_centroids": [list(c) for c in final.centroids],
+        "tcv_distances": list(tcv_distance(final.centroids, tcvs).distances) if tcvs else None,
+        "mean_entropy": left_sum(s.entropy for s in steps) / len(steps),
+        "mean_sse": left_sum(s.sse for s in steps) / len(steps),
+        "total_runtime_s": left_sum(s.duration_s for s in steps),
+    }
 
 
-def average_runs(runs: Sequence[MetricsReport]) -> tuple[Iterator[dict], dict]:
-    """The rows of one or more runs' report: each timestamp's step row
-    averaged across runs, built one at a time as it is read, and the summary
-    row, which carries the per-run payloads."""
-    if not runs:
-        raise ValueError("need at least one run")
-    if len({len(r.steps) for r in runs}) != 1:
+def average_runs(
+    rows: Sequence[Sequence[TimestepMetrics]], runs: Sequence[dict]
+) -> tuple[Iterator[dict], dict]:
+    """The rows of one or more runs' report, from each run's step rows and
+    its build_report entry: each timestamp's step row averaged across runs,
+    built one at a time as it is read, and the summary row, which carries
+    the run entries as they are."""
+    if not runs or len(rows) != len(runs):
+        raise ValueError("need the step rows and the entry of at least one run")
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("all runs must cover the same timestamps")
-
-    def steps():
-        for rows in zip(*(r.steps for r in runs)):
-            yield {
-                "type": "step",
-                "timestamp": rows[0].timestamp,
-                "entropy": left_sum(s.entropy for s in rows) / len(rows),
-                "sse": left_sum(s.sse for s in rows) / len(rows),
-                "cluster_count": sum(s.cluster_count for s in rows) / len(rows),
-                "outliers": sum(s.outliers for s in rows) / len(rows),
-                "duration_s": left_sum(s.duration_s for s in rows) / len(rows),
-            }
-
+    steps = (
+        {"type": "step", "timestamp": same[0].timestamp,
+         **{key: left_sum(getattr(s, key) for s in same) / len(same)
+            for key in ("entropy", "sse", "cluster_count", "outliers", "duration_s")}}
+        for same in zip(*rows)
+    )
     summary = {
         "type": "summary",
-        "mean_entropy": left_sum(r.mean_entropy for r in runs) / len(runs),
-        "mean_sse": left_sum(r.mean_sse for r in runs) / len(runs),
-        "total_runtime_s": left_sum(r.total_runtime_s for r in runs) / len(runs),
-        "runs": [
-            {
-                "cluster_counts": list(r.cluster_counts),
-                "events": list(r.events),
-                "final_centroids": [list(c) for c in r.final_centroids],
-                "tcv_distances": list(r.tcv.distances) if r.tcv else None,
-                "mean_entropy": r.mean_entropy,
-                "mean_sse": r.mean_sse,
-                "total_runtime_s": r.total_runtime_s,
-            }
-            for r in runs
-        ],
+        **{key: left_sum(r[key] for r in runs) / len(runs)
+           for key in ("mean_entropy", "mean_sse", "total_runtime_s")},
+        "runs": list(runs),
     }
-    return steps(), summary
+    return steps, summary
 
 
 def reports_to_jsonl(meta: dict, steps: Iterable[dict], summary: dict) -> str:

@@ -246,8 +246,10 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Read a delimiter-separated dataset whose last column is the class label.
 
     The delimiter is sniffed from the first line (a comma when that fails), a
-    header row is skipped when the first row is not fully numeric, and
-    non-integer labels are mapped to integers in first-appearance order.
+    header row is skipped when the first row is not fully numeric. Labels
+    that are all integral numbers within int64 keep their values (5.0 gives
+    5) and the mapping is empty; otherwise every distinct label gets an id in
+    first-appearance order, each recorded in the mapping.
     Attribute values must be finite.
     Returns (float64 value matrix, int64 label vector, label mapping).
     """
@@ -272,8 +274,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     if width < 2:
         raise ValueError("dataset needs at least one attribute column plus a label")
     values = []
-    labels = []
-    label_map: dict[str, int] = {}
+    raw_labels = []
     for i, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
             raise ValueError(f"{path} row {i}: expected {width} fields, got {len(row)}")
@@ -281,14 +282,18 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
             values.append([float(v) for v in row[:-1]])
         except ValueError as exc:
             raise ValueError(f"{path} row {i}: non-numeric attribute ({exc})") from None
-        raw = row[-1]
-        try:
-            label = int(float(raw))
-        except (ValueError, OverflowError):
-            label = label_map.setdefault(raw, len(label_map))
-        labels.append(label)
+        raw_labels.append(row[-1])
     matrix = np.array(values, dtype=np.float64)
     bad = first_nonfinite_row(matrix)
     if bad is not None:
         raise ValueError(f"{path} row {start + 1 + bad}: attribute values must be finite")
+    try:
+        numbers = [float(raw) for raw in raw_labels]
+    except ValueError:
+        numbers = []
+    label_map: dict[str, int] = {}
+    if numbers and all(x.is_integer() and -2**63 <= x < 2**63 for x in numbers):
+        labels = [int(x) for x in numbers]
+    else:  # one id per distinct label, so no two labels share a class
+        labels = [label_map.setdefault(raw, len(label_map)) for raw in raw_labels]
     return matrix, np.array(labels, dtype=np.int64), label_map

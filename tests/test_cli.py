@@ -119,6 +119,22 @@ def test_gen_from_malformed_spec_file_is_an_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [
+    {"cluster_count": 10**21, "records_per_cluster": 5},
+    {"cluster_count": 2, "records_per_cluster": [5, 10**21]},
+], ids=["cluster_count", "records_per_cluster"])
+def test_gen_count_past_any_index_is_one_error_line(tmp_path, capsys, entry):
+    # Python's and numpy's OverflowError name no spec field, so this is not
+    # one of _MALFORMED_SPECS; both are raised before anything is allocated
+    spec_path = tmp_path / "big.json"
+    spec_path.write_text(json.dumps({"entries": [entry]}))
+    out = tmp_path / "big"
+    assert main(["gen", str(spec_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 2.18 TiB for an array with shape (150000000000, 2) and data type "
      "float64", None),

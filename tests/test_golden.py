@@ -7,9 +7,15 @@ the 4-D run from the version whose centroid update was a list comprehension.
 The stream trees ("tree", "chunked_tree") were taken when streams moved from
 one CSV file per chunk to .npy arrays (manifest version 2), after the CSV
 and .npy loaders were shown to read bit-equal values, labels and
-artificial classes from the two formats. The sdccl and wcd1000 trees were
+artificial classes from the two formats. The sdccl and wcd1000 trees were first
 taken when gen still drew each blob with its own Generator.normal call,
-before it drew the whole stream in one. The wcd1000 run was taken when the
+before it drew the whole stream in one. All four generated trees (sdwcd,
+ncd100, sdccl, wcd1000) were re-pinned when gen stopped copying its spec
+into the manifest's "source", which now only names the spec: their
+values.npy and labels.npy were checked byte-identical to the previous
+version's, and their manifest.json to differ only in "source". The repeat
+run, three runs averaged, was taken before the run reports stopped going
+through one object per run. The wcd1000 run was taken when the
 absorb pass still scanned every centroid for every record, before it
 certified the previous record's cluster by the half-gap test. Before
 hashing a metrics.jsonl, the wall-clock fields (duration_s,
@@ -40,22 +46,22 @@ WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
 
 GOLDEN = {
     "sdwcd": {
-        "tree": "c26acdbb888ecb03ed82607d8232016741370da119e63525e92f31d41365923e",
+        "tree": "69ccf2c7b02af04e56174899ece57a17976a189e37d99c15de1e17c672fefb62",
         "metrics": "8088a63ebe97e70c083b9edb62a3b73a7289eab4291eae72a65f000aefba87e6",
         "counts": "680f7898f919f4be30eac893f0ea9c0e345de23075d841250d334c59cb676d7d",
         "eval": "98d93ebbae987db33aa159200270334cc433a259e19cac9ff91075fb6ab1b73b",
     },
     "ncd100": {
-        "tree": "9f43795a5d46bd426f167d6590ae47ed4ecf537d998cd1b2c1ab84590e8f496a",
+        "tree": "8f8918cfe196281052a081c0c80069f96b3121feaa60b08d905a83b19500bc06",
         "metrics": "7873a82a3b3db82ae2b9dfd37427cd8829893d27cc23d68dbe5529c23810199a",
         "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
         "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
     },
     "sdccl": {
-        "tree": "4e513cfb7356a8b4f7f711f82ce6538a1fbaeedf9ed37f93d11ec90caca14ece",
+        "tree": "8d8fa05646aedec749f003d18279bc079def79044717a29623cf1d7b5941a140",
     },
     "wcd1000": {
-        "tree": "a1d42b24aeb10ee468acf71b733783a59e58ef3277fede44fb6a15148a37177d",
+        "tree": "c49737f9aa8738b92bdff77589c92a711a05dbcb656b79b65ac92ee25257ef20",
         "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
@@ -68,6 +74,10 @@ GOLDEN = {
     "chunked_run": {
         "metrics": "74fce436297c1294de5a633fd3140ab0975dcc17c1cbd37e647b302c2a811632",
         "counts": "3d597ff1b4359135073482dd0b4fb74c112d7531352da570168b955b4565a6f2",
+    },
+    "repeat": {
+        "metrics": "facbb4931934d5c34ad058a174862104d9c87d72468486725c8cdc72b5caab84",
+        "counts": "85c45b148910c641c3dfac575427228c4fd28bf2093f75ee4df6c4223da04a7d",
     },
 }
 
@@ -141,6 +151,21 @@ def test_run_wcd1000_matches_golden_digests(tmp_path, capsys):
         "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
     }
     assert digests == {key: GOLDEN["wcd1000"][key] for key in digests}
+
+
+def test_repeat_run_matches_golden_digests(tmp_path, capsys):
+    # the one input where the step rows and the summary average across runs
+    stream = tmp_path / "sdwcd"
+    run_out = tmp_path / "run"
+    assert main(["gen", "sdwcd", "--seed", "7", "--out", str(stream)]) == 0
+    assert main(["run", str(stream / "manifest.json"), "--seed", "7", "--repeat", "3",
+                 "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    digests = {
+        "metrics": _report_digest(run_out / "metrics.jsonl"),
+        "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
+    }
+    assert digests == GOLDEN["repeat"]
 
 
 def test_snapshot_and_resume_match_golden_digests(tmp_path, capsys):
@@ -234,6 +259,7 @@ def _sum_312(iterable, /, start=0):
         (test_gen_matches_golden_tree_digest, ("sdccl",)),
         (test_gen_matches_golden_tree_digest, ("wcd1000",)),
         (test_run_wcd1000_matches_golden_digests, ()),
+        (test_repeat_run_matches_golden_digests, ()),
         (test_snapshot_and_resume_match_golden_digests, ()),
         (test_chunked_dataset_matches_golden_digest, ()),
         (test_chunked_run_matches_golden_digests, ()),

@@ -331,24 +331,24 @@ def test_build_report_and_jsonl_round_trip():
     rows = [step_metrics(chunk, rep) for chunk, rep in zip(chunks, reports)]
     report = build_report(rows, state.main, tcvs=tcvs)
 
-    assert len(report.steps) == 7
-    assert report.cluster_counts == (5, 5, 5, 5, 1, 5, 5)
-    assert report.events == tuple(rep.event for rep in reports)
-    assert report.events[0] == "bootstrap"
-    assert report.events.count("activated") == 1
-    assert report.mean_sse >= 0.0
-    assert report.total_runtime_s > 0.0
-    assert all(s.duration_s > 0.0 for s in report.steps)
-    assert report.tcv is not None and len(report.tcv.pairs) == 5
+    assert len(report["cluster_counts"]) == 7
+    assert report["cluster_counts"] == [5, 5, 5, 5, 1, 5, 5]
+    assert report["events"] == [rep.event for rep in reports]
+    assert report["events"][0] == "bootstrap"
+    assert report["events"].count("activated") == 1
+    assert report["mean_sse"] >= 0.0
+    assert report["total_runtime_s"] > 0.0
+    assert all(s.duration_s > 0.0 for s in rows)
+    assert report["tcv_distances"] is not None and len(report["tcv_distances"]) == 5
 
-    text = reports_to_jsonl({"note": "unit"}, *average_runs([report]))
+    text = reports_to_jsonl({"note": "unit"}, *average_runs([rows], [report]))
     meta, steps, summary = parse_jsonl(text)
     assert meta["note"] == "unit"
     assert len(steps) == 7
     assert steps[0]["timestamp"] == 1
     assert not any("event" in row for row in steps)  # events live in the summary
     assert summary["runs"][0]["cluster_counts"] == [5, 5, 5, 5, 1, 5, 5]
-    assert summary["runs"][0]["tcv_distances"] == list(report.tcv.distances)
+    assert summary["runs"][0]["tcv_distances"] == report["tcv_distances"]
 
 
 def test_step_whose_active_model_absorbs_no_record_scores_zero():

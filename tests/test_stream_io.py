@@ -179,6 +179,22 @@ def test_load_dataset_float_labels_become_ints(tmp_path):
     assert labels.tolist() == [5, 6]
 
 
+@pytest.mark.parametrize("column, ids, label_map", [
+    # two fractions that int() would fold into one class
+    (["1.5", "1.7", "1.5"], [0, 1, 0], {"1.5": 0, "1.7": 1}),
+    # a number and a string that would both have become 0
+    (["0", "apple", "0"], [0, 1, 0], {"0": 0, "apple": 1}),
+    # an integral label past int64
+    (["1e19", "2", "1e19"], [0, 1, 0], {"1e19": 0, "2": 1}),
+])
+def test_load_dataset_maps_non_integer_labels_one_to_one(tmp_path, column, ids, label_map):
+    rows = [f"0.{i},0.{i + 1},{label}" for i, label in enumerate(column)]
+    path = _write(tmp_path, "d.csv", "\n".join(rows) + "\n")
+    _, labels, found_map = load_dataset(path)
+    assert labels.tolist() == ids
+    assert found_map == label_map
+
+
 def test_load_dataset_ragged_row(tmp_path):
     path = _write(tmp_path, "d.csv", "0.1,0.2,1\n0.3,1\n")
     with pytest.raises(ValueError):
