@@ -45,8 +45,8 @@ from .streams import (
 )
 
 DEFAULT_SEED = 7
-DEFAULT_O_THRESH = 0.18
-DEFAULT_D_THRESH_SYNTHETIC = 0.6
+DEFAULT_O_THRESH = DriftConfig.o_thresh
+DEFAULT_D_THRESH_SYNTHETIC = DriftConfig.d_thresh
 DEFAULT_D_THRESH_REAL = 0.4
 
 
@@ -84,6 +84,7 @@ def cmd_gen(args) -> int:
     name = args.spec
     if name in NAMED_SPECS:
         spec = NAMED_SPECS[name](seed=args.seed)
+        source = {"kind": "generated", "name": name}
     else:
         path = Path(name)
         if not path.exists():
@@ -91,11 +92,11 @@ def cmd_gen(args) -> int:
                 f"unknown stream spec {name!r}; pick one of {sorted(NAMED_SPECS)} or give a JSON file"
             )
         spec = _spec_from_file(path, args.seed)
+        source = {"kind": "file", "name": path.name}
         name = path.stem
     out = Path(args.out) if args.out else Path(f"{name}_seed{spec.seed}")
     chunks = generate_synthetic(spec)
-    manifest = write_stream(out, chunks, seed=spec.seed, origin="synthetic",
-                            source={"kind": "generated", "name": name})
+    manifest = write_stream(out, chunks, seed=spec.seed, origin="synthetic", source=source)
     print(manifest)
     return 0
 
@@ -162,7 +163,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
-        t = report.timestamp - 1
+        t = state.timestamp - 1
         if i == 0:  # a new chunk
             scored = {}
         rows[i].append(step_metrics(data.chunks[t], report,

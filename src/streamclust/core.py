@@ -92,6 +92,7 @@ class ClusteringResult:
     lifetime_counts  records absorbed over each cluster's whole life
     chunk_counts     records absorbed from the current chunk only
     outliers         records of the current chunk that no cluster absorbed
+    timestamp        the chunk it last absorbed or bootstrapped on, >= 1
 
     Checked once, on construction: centroids share one non-zero length and
     hold finite Python floats, radii are >= 0 (not NaN; inf absorbs all), and
@@ -128,6 +129,8 @@ class ClusteringResult:
             raise ValueError(f"need 0 <= chunk_count <= lifetime_count, got {deltas}, {lifetimes}")
         if self.outliers < 0:
             raise ValueError("outliers must be >= 0")
+        if self.timestamp < 1:
+            raise ValueError(f"result timestamp must be >= 1, got {self.timestamp}")
 
     @property
     def dimensions(self) -> int:

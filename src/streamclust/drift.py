@@ -21,14 +21,13 @@ class DriftCause(Enum):
 
 @dataclass(frozen=True)
 class DriftVerdict:
-    is_drift: bool
     cause: DriftCause
     # Per-cluster relative change in chunk counts, up to the first offender.
     detail: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if self.is_drift == (self.cause is DriftCause.NONE):
-            raise ValueError("cause must be NONE exactly when is_drift is False")
+    @property
+    def is_drift(self) -> bool:
+        return self.cause is not DriftCause.NONE
 
 
 def detect(
@@ -50,9 +49,9 @@ def detect(
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if current.outliers / chunk_size > config.o_thresh:
-        return DriftVerdict(True, DriftCause.OUTLIER_RATIO)
+        return DriftVerdict(DriftCause.OUTLIER_RATIO)
     if len(current.chunk_counts) != len(previous.chunk_counts):
-        return DriftVerdict(True, DriftCause.DISTRIBUTION_SHIFT)
+        return DriftVerdict(DriftCause.DISTRIBUTION_SHIFT)
     changes: list[float] = []
     for cur, prior in zip(current.chunk_counts, previous.chunk_counts):
         diff = cur - prior
@@ -62,5 +61,5 @@ def detect(
             pct = abs(diff) / prior
         changes.append(pct)
         if pct > config.d_thresh:
-            return DriftVerdict(True, DriftCause.DISTRIBUTION_SHIFT, tuple(changes))
-    return DriftVerdict(False, DriftCause.NONE, tuple(changes))
+            return DriftVerdict(DriftCause.DISTRIBUTION_SHIFT, tuple(changes))
+    return DriftVerdict(DriftCause.NONE, tuple(changes))

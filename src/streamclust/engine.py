@@ -42,8 +42,9 @@ from .incremental import dist_clust_trace
 from .stream_io import JSON_NUMBER, json_field, parse_json
 
 SNAPSHOT_FORMAT = "streamclust-state"
-# 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream
-SNAPSHOT_VERSION = 3
+# 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream;
+# 4: no drift flag or per-result timestamp, which restated other fields
+SNAPSHOT_VERSION = 4
 
 # Strike ceiling: activation chunk is strike 1; three more drifted chunks
 # exhaust the main model's chances and trigger the swap.
@@ -81,30 +82,28 @@ class EngineState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Everything observable about one processed chunk.
+    """What one processed chunk did; the state returned with it holds the
+    timestamp, the strike and whether drift handling is active.
 
-    The cluster_count / outliers / cluster_deltas / clusters / sse fields
-    describe the *active* result: the parallel model while drift handling is
-    running (it is the model trained on the current structure), the main model
-    otherwise. event is one of "bootstrap", "none", "activated", "stabilized",
-    "swapped"; parallel_retrained marks steps where the parallel model itself
-    drifted and was re-bootstrapped. clusters and sse are the active
-    result's trace (see dist_clust_trace): a cluster index per record, -1 for
-    an outlier, and the step's SSE.
+    outliers, cluster_deltas (one per cluster), clusters and sse describe
+    the *active* result, state.parallel or state.main: the parallel model
+    while drift handling runs (it is trained on the current structure), the
+    main model otherwise. clusters and sse are its trace (see
+    dist_clust_trace): a cluster index per record, -1 for an outlier, and the
+    step's SSE. event is one of "bootstrap", "none", "activated",
+    "stabilized", "swapped"; verdict is the main model's, None on a
+    bootstrap; parallel_retrained marks steps where the parallel model itself
+    drifted and was re-bootstrapped.
 
     duration_s is the step's wall-clock time. An absorb or bootstrap that
     lockstep runs share (see run) counts only in the step that computed it;
     the runs that reuse it spend no time on it.
     """
 
-    timestamp: int
     event: str
-    cluster_count: int
     outliers: int
     cluster_deltas: tuple[int, ...]
     verdict: DriftVerdict | None
-    parallel_active: bool
-    strike: int
     parallel_retrained: bool
     clusters: tuple[int, ...]
     sse: float
@@ -117,17 +116,12 @@ def _bootstrap_seed(config: DriftConfig, timestamp: int) -> int:
     return (config.seed & 0x7FFFFFFF) * 1_000_003 + timestamp
 
 
-def _report(timestamp, event, active, verdict, parallel_active, strike,
-            retrained, trace, started) -> StepReport:
+def _report(event, active, verdict, retrained, trace, started) -> StepReport:
     return StepReport(
-        timestamp=timestamp,
         event=event,
-        cluster_count=len(active.chunk_counts),
         outliers=active.outliers,
         cluster_deltas=active.chunk_counts,
         verdict=verdict,
-        parallel_active=parallel_active,
-        strike=strike,
         parallel_retrained=retrained,
         clusters=trace[0],
         sse=trace[1],
@@ -154,7 +148,7 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig, k: int | None = None,
     t = first_chunk.timestamp
     main, trace = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t), shared)
     state = EngineState(main, None, 0, config)
-    report = _report(t, "bootstrap", main, None, False, 0, False, trace, started)
+    report = _report("bootstrap", main, None, False, trace, started)
     return state, report
 
 
@@ -230,8 +224,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         else:
             event, main = "swapped", active
     new_state = EngineState(main, parallel, 0 if parallel is None else strike, config)
-    return new_state, _report(t, event, active, verdict, parallel is not None, strike,
-                              retrained, trace, started)
+    return new_state, _report(event, active, verdict, retrained, trace, started)
 
 
 def run(stream, configs=(), k_for_chunk=None, *, states=()):
@@ -268,7 +261,6 @@ def run(stream, configs=(), k_for_chunk=None, *, states=()):
 
 def _result_to_doc(result: ClusteringResult) -> dict:
     return {
-        "timestamp": result.timestamp,
         "outliers": result.outliers,
         "clusters": [
             {"centroid": list(c), "radius": r, "lifetime_count": n, "chunk_count": m}
@@ -281,21 +273,22 @@ def _result_to_doc(result: ClusteringResult) -> dict:
 _field = functools.partial(json_field, "snapshot")
 
 
-def _result_from_doc(doc: dict, dimensions: int | None = None) -> ClusteringResult:
-    """The result a snapshot object holds, with every centroid of the given
-    length (by default, the first centroid's)."""
+def _result_from_doc(doc: dict, timestamp: int, dimensions: int, stream: str) -> ClusteringResult:
+    """The result a snapshot object holds at timestamp, every centroid of
+    the given length, that of the stream named stream."""
     clusters = _field(doc, "clusters", list[dict])
     centroids = [_field(c, "centroid", list[JSON_NUMBER]) for c in clusters]
-    if any(not c or len(c) != (dimensions or len(centroids[0])) for c in centroids):
-        raise ValueError(f"snapshot field 'centroid' must have one non-zero length in every "
-                         f"cluster, got lengths {[len(c) for c in centroids]}")
+    wrong = sorted({len(c) for c in centroids} - {dimensions})
+    if wrong:
+        raise ValueError(f"snapshot field 'centroid' holds {'/'.join(map(str, wrong))}-D centroids "
+                         f"but {stream} has {dimensions} dimensions; wrong snapshot/manifest pair?")
     return ClusteringResult(
         centroids,
         [_field(c, "radius", JSON_NUMBER) for c in clusters],
         [_field(c, "lifetime_count") for c in clusters],
         [_field(c, "chunk_count") for c in clusters],
         _field(doc, "outliers"),
-        _field(doc, "timestamp"),
+        timestamp,
     )
 
 
@@ -329,7 +322,6 @@ def state_to_json(state: EngineState, chunks) -> str:
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
         "chunks_sha256": _chunks_sha256(chunks, state.timestamp),
-        "is_concept_drift": state.is_concept_drift,
         "config": {
             "k": state.config.k,
             "o_thresh": state.config.o_thresh,
@@ -355,13 +347,12 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
                          f"expected {SNAPSHOT_VERSION}; write it again with run --snapshot")
     cfg = _field(doc, "config", dict)
     parallel = _field(doc, "parallel", dict | None)
-    if _field(doc, "is_concept_drift", bool) != (parallel is not None):
-        raise ValueError("snapshot must hold a parallel model exactly while drift is active")
-    main = _result_from_doc(_field(doc, "main", dict))
+    t = _field(doc, "timestamp")
+    dimensions = chunks[0].dimensions if chunks else 0  # an empty stream has none
+    result = functools.partial(_result_from_doc, timestamp=t, dimensions=dimensions, stream=stream)
     state = EngineState(
-        main=main,
-        parallel=None if parallel is None
-        else _result_from_doc(_field(parallel, "result", dict), main.dimensions),
+        main=result(_field(doc, "main", dict)),
+        parallel=None if parallel is None else result(_field(parallel, "result", dict)),
         strike=0 if parallel is None else _field(parallel, "strike"),
         config=DriftConfig(
             k=_field(cfg, "k", int | None),
@@ -370,14 +361,7 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
             seed=_field(cfg, "seed"),
         ),
     )
-    # every result of a state is the one its last step produced
-    if _field(doc, "timestamp") != state.timestamp:
-        raise ValueError(f"snapshot field 'timestamp' is {doc['timestamp']}, "
-                         f"but its results are at t={state.timestamp}")
-    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, state.timestamp):
+    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, t):
         raise ValueError(f"snapshot was taken on another stream than {stream}: "
-                         f"its chunks 1..{state.timestamp} differ")
-    if main.dimensions != chunks[0].dimensions:
-        raise ValueError(f"snapshot has {main.dimensions}-D centroids but {stream} has "
-                         f"{chunks[0].dimensions} dimensions; wrong snapshot/manifest pair?")
+                         f"its chunks 1..{t} differ")
     return state

@@ -197,17 +197,17 @@ def step_metrics(
 
     scored, when given, is a dict the caller owns for this chunk and these
     label_sets only: the entropy is computed once per distinct clusters
-    value in it. The other fields are always taken from the report.
+    value in it. The timestamp is the chunk's; the other fields are the report's.
     """
     scored = {} if scored is None else scored
     entropy_value = scored.get(report.clusters)
     if entropy_value is None:
         entropy_value = scored[report.clusters] = _score(chunk, report.clusters, label_sets)
     return TimestepMetrics(
-        timestamp=report.timestamp,
+        timestamp=chunk.timestamp,
         entropy=entropy_value,
         sse=report.sse,
-        cluster_count=report.cluster_count,
+        cluster_count=len(report.cluster_deltas),
         outliers=report.outliers,
         duration_s=report.duration_s,
         event=report.event,

@@ -138,7 +138,7 @@ def test_criterion_05_drift_timelines_on_sdwcd():
     for seed in range(7, 27):
         chunks = generate_synthetic(sdwcd_spec(seed=seed))
         _, reports = run_all(chunks, DriftConfig(k=5, seed=seed), labels_k)
-        events = {r.timestamp: r.event for r in reports}
+        events = {c.timestamp: r.event for c, r in zip(chunks, reports)}
         # temporary drift: activation at t=3, stabilization follows, no swap
         assert events[3] == "activated"
         stabilized = [t for t, e in events.items() if e == "stabilized"]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -85,6 +86,23 @@ def test_gen_from_spec_file(tmp_path, capsys):
     data = load_stream(capsys.readouterr().out.strip())
     assert len(data.chunks) == 2
     assert all(len(c) == 20 for c in data.chunks)
+    assert data.manifest["source"] == {"kind": "file", "name": "custom.json"}
+
+
+def test_gen_spec_file_named_like_a_bundled_stream_has_its_own_source(
+        tmp_path, capsys, monkeypatch):
+    # the manifest's source must not point at the bundled spec that did not
+    # make the stream; the default --out still takes the file's stem
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "specs").mkdir()
+    (tmp_path / "specs" / "sdwcd.json").write_text(json.dumps(_spec()))
+    assert main(["gen", str(Path("specs") / "sdwcd.json")]) == 0
+    assert main(["gen", "sdwcd"]) == 0
+    capsys.readouterr()
+    from_file = load_stream(tmp_path / "sdwcd_seed2" / "manifest.json").manifest
+    named = load_stream(tmp_path / "sdwcd_seed7" / "manifest.json").manifest
+    assert from_file["source"] == {"kind": "file", "name": "sdwcd.json"}
+    assert named["source"] == {"kind": "generated", "name": "sdwcd"}
 
 
 _MALFORMED_SPECS = {
@@ -399,6 +417,16 @@ def test_resume_from_version_2_snapshot_is_an_error(tmp_path, capsys):
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "write it again")
 
 
+def test_resume_from_version_3_snapshot_is_an_error(tmp_path, capsys):
+    # version 3 also wrote the drift flag and each result's timestamp
+    def edit(doc):
+        doc.update(version=3, is_concept_drift=doc["parallel"] is not None)
+        for result in (doc["main"], doc["parallel"]["result"]):
+            result["timestamp"] = doc["timestamp"]
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "version 3")
+
+
 @pytest.mark.parametrize("other", [("sdwcd", "--seed", "8"), ("sdccl",)], ids=["seed8", "sdccl"])
 def test_resume_on_another_stream_is_an_error(tmp_path, capsys, other):
     # the snapshot covers chunks 1-4 of sdwcd seed 7; other 2-D streams of
@@ -446,11 +474,24 @@ def test_resume_takes_the_k_policy_from_the_snapshot(tmp_path, capsys):
 
 
 def test_resume_from_snapshot_with_a_stale_timestamp_is_an_error(tmp_path, capsys):
-    # its results hold chunks 1-4: resuming after chunk 2 would absorb 3 and 4 twice
+    # its results hold chunks 1-4: resuming after chunk 2 would absorb 3 and
+    # 4 twice; the digest it records is of chunks 1-4, not 1-2
     def edit(doc):
         doc["timestamp"] = 2
 
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "'timestamp'")
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "its chunks 1..2 differ")
+
+
+@pytest.mark.parametrize("timestamp", [0, -1])
+def test_resume_from_snapshot_before_the_first_chunk_is_an_error(tmp_path, capsys, timestamp):
+    # no bootstrap made a model at t < 1; at t=0 the digest of no chunks is
+    # the SHA-256 of no bytes, which anyone can write
+    def edit(doc):
+        doc["timestamp"] = timestamp
+        doc["chunks_sha256"] = hashlib.sha256(b"").hexdigest()
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
+                                       f"timestamp must be >= 1, got {timestamp}")
 
 
 def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):
@@ -515,10 +556,10 @@ def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeyp
 
     def one_at_a_time(fn):
         def wrapper(*args, **kwargs):
-            alive = [r.timestamp for r in (ref() for ref in refs) if r is not None]
+            alive = [t for t, ref in refs if ref() is not None]
             assert not alive, f"StepReports of earlier steps still alive: t={alive}"
             state, report = fn(*args, **kwargs)
-            refs.append(weakref.ref(report))
+            refs.append((state.timestamp, weakref.ref(report)))
             return state, report
         return wrapper
 
@@ -532,7 +573,7 @@ def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeyp
     assert main(["resume", manifest, "--snapshot", str(snap),
                  "--out", str(tmp_path / "rest")]) == 0
     assert len(refs) == 3 * steps
-    assert all(ref() is None for ref in refs)
+    assert all(ref() is None for _, ref in refs)
 
 
 def _summary_runs(path):

@@ -174,6 +174,14 @@ def test_cluster_summary_validation():
     assert result == ClusteringResult(((1.0, 2.0),), (0.5,), (3,), (2,), 0, 1)
 
 
+def test_result_timestamp_is_a_chunk_timestamp():
+    # like a chunk's, a result's timestamp starts at 1: no step makes one at t < 1
+    for timestamp in (0, -1):
+        with pytest.raises(ValueError, match=f"timestamp must be >= 1, got {timestamp}"):
+            ClusteringResult([(0.5,)], [0.1], [1], [1], 0, timestamp)
+    assert ClusteringResult([(0.5,)], [0.1], [1], [1], 0, 1).timestamp == 1
+
+
 def test_drift_config_bounds():
     with pytest.raises(ValueError):
         DriftConfig(k=0)

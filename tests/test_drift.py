@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,11 +94,11 @@ def test_chunk_size_validation():
         detect(_result([1]), _result([1]), 0, CFG)
 
 
-def test_verdict_cause_consistency():
-    with pytest.raises(ValueError):
-        DriftVerdict(True, DriftCause.NONE)
-    with pytest.raises(ValueError):
-        DriftVerdict(False, DriftCause.OUTLIER_RATIO)
+def test_verdict_is_drift_is_its_cause():
+    # one field decides it, so no verdict can say drift with no cause
+    assert [f.name for f in dataclasses.fields(DriftVerdict)] == ["cause", "detail"]
+    for cause in DriftCause:
+        assert DriftVerdict(cause).is_drift == (cause is not DriftCause.NONE)
 
 
 def _random_pair(rng):

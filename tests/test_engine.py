@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamclust import (
-    Chunk, DriftConfig, DriftKind, EngineState, StreamSpec, TimestepSpec, dist_clust_trace,
-    engine, generate_synthetic, sdccl_spec, sdwcd_spec, summarize_trace,
+    Chunk, DriftCause, DriftConfig, DriftKind, EngineState, StreamSpec, TimestepSpec,
+    dist_clust_trace, engine, generate_synthetic, sdccl_spec, sdwcd_spec, summarize_trace,
+    wcd1000_spec,
 )
 from streamclust import bootstrap as kmeans_bootstrap
 from conftest import labels_k, run_all
@@ -72,11 +73,12 @@ def test_no_drift_benchmark_stream_stays_quiet():
     from streamclust import ncd100_spec
 
     chunks = generate_synthetic(ncd100_spec(seed=7))
-    _, reports = run_all(chunks, DriftConfig(k=5, seed=7), labels_k)
-    assert len(reports) == 100
-    assert all(r.event in ("bootstrap", "none") for r in reports)
-    assert all(not r.parallel_active for r in reports)
-    assert all(r.cluster_count == 5 for r in reports)
+    steps = [(state, report) for _, state, report
+             in engine.run(chunks, [DriftConfig(k=5, seed=7)], labels_k)]
+    assert len(steps) == 100
+    assert all(r.event in ("bootstrap", "none") for _, r in steps)
+    assert all(not s.is_concept_drift for s, _ in steps)
+    assert all(len(r.cluster_deltas) == 5 for _, r in steps)
 
 
 def test_init_singleton_clusters():
@@ -92,8 +94,7 @@ def test_quiet_stream_never_activates():
     for t in range(2, 8):
         state, report = engine.step(state, _normal_chunk(t))
         assert report.event == "none"
-        assert not report.parallel_active and report.strike == 0
-        assert not state.is_concept_drift
+        assert not state.is_concept_drift and state.strike == 0
 
 
 def test_temporary_drift_activates_then_stabilizes():
@@ -103,9 +104,8 @@ def test_temporary_drift_activates_then_stabilizes():
 
     state, report = engine.step(state, _noisy_chunk(3), k=3)
     assert report.event == "activated"
-    assert report.parallel_active and report.strike == 1
-    assert state.is_concept_drift
-    assert report.cluster_count == 3  # the freshly bootstrapped parallel model
+    assert state.is_concept_drift and state.strike == 1
+    assert len(report.cluster_deltas) == 3  # the freshly bootstrapped parallel model
     # the main model absorbed the normal records and was kept
     assert len(state.main.centroids) == 2
     assert sum(state.main.chunk_counts) == 8
@@ -129,13 +129,13 @@ def test_sustained_drift_swaps_after_three_strikes():
     state, _ = engine.step(state, _normal_chunk(2))
 
     state, report = engine.step(state, _moved_chunk(3, wide=True), k=1)
-    assert report.event == "activated" and report.strike == 1
+    assert report.event == "activated" and state.strike == 1
     old_main = state.main
 
     for t, expected_strike in ((4, 2), (5, 3)):
         state, report = engine.step(state, _moved_chunk(t), k=1)
         assert report.event == "none"
-        assert report.parallel_active and report.strike == expected_strike
+        assert state.is_concept_drift and state.strike == expected_strike
         assert not report.parallel_retrained
         # every cluster untouched by parallel work
         assert _clusters(state.main) == _clusters(old_main)
@@ -143,8 +143,7 @@ def test_sustained_drift_swaps_after_three_strikes():
 
     state, report = engine.step(state, _moved_chunk(6), k=1)
     assert report.event == "swapped"
-    assert report.strike == 4
-    assert not report.parallel_active and state.parallel is None
+    assert state.strike == 0 and state.parallel is None
     assert not state.is_concept_drift
     assert len(state.main.centroids) == 1
     assert state.main.centroids[0] == pytest.approx(AWAY, abs=0.02)
@@ -152,7 +151,7 @@ def test_sustained_drift_swaps_after_three_strikes():
     # swap is three drifted chunks after activation, and the stream goes on
     state, report = engine.step(state, _moved_chunk(7), k=1)
     assert report.event == "none"
-    assert report.cluster_count == 1
+    assert len(report.cluster_deltas) == 1
 
 
 def test_parallel_retrains_when_it_drifts_itself():
@@ -163,7 +162,7 @@ def test_parallel_retrains_when_it_drifts_itself():
     # next chunk sits somewhere new again: the parallel model cannot absorb it
     state, report = engine.step(state, _moved_chunk(4, center=(0.2, 0.8), wide=True), k=1)
     assert report.parallel_retrained
-    assert report.parallel_active and report.strike == 2
+    assert state.is_concept_drift and state.strike == 2
     assert state.parallel.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
@@ -195,7 +194,7 @@ def test_bootstrap_reports_the_state_init_returns():
     chunk = _boot_chunk()
     state, report = engine.bootstrap(chunk, CFG)
     assert state == engine.init(chunk, CFG)
-    assert report.event == "bootstrap" and report.timestamp == 1
+    assert report.event == "bootstrap" and state.timestamp == 1
     assert len(report.clusters) == len(chunk)
     assert report.outliers + sum(report.cluster_deltas) == len(chunk)
 
@@ -231,6 +230,40 @@ def test_run_deterministic_for_fixed_seed():
     assert [_strip_duration(r) for r in first] == [_strip_duration(r) for r in second]
 
 
+@pytest.mark.parametrize("spec", [sdwcd_spec, sdccl_spec, wcd1000_spec],
+                         ids=["sdwcd", "sdccl", "wcd1000"])
+def test_report_counts_are_the_active_results(spec):
+    # the report holds no cluster count, strike or drift flag of its own:
+    # its counts are those of state.parallel or state.main at every step
+    chunks = generate_synthetic(spec(seed=7))
+    configs = [DriftConfig(k=None, seed=seed) for seed in range(7, 17)]
+    steps = 0
+    for _, state, report in engine.run(chunks, configs, labels_k):
+        active = state.parallel or state.main
+        assert report.outliers == active.outliers
+        assert report.cluster_deltas == active.chunk_counts
+        steps += 1
+    assert steps == 10 * len(chunks)
+
+
+def test_verdicts_of_sdwcd_seed_7():
+    # `run sdwcd --seed 7` with k from labels: the main model's verdict at
+    # every step, which no output reads yet
+    chunks = generate_synthetic(sdwcd_spec(seed=7))
+    steps = [(state.timestamp, report) for _, state, report
+             in engine.run(chunks, [DriftConfig(k=None, seed=7)], labels_k)]
+    assert steps[0][1].event == "bootstrap" and steps[0][1].verdict is None
+    causes = {t: report.verdict.cause for t, report in steps[1:]}
+    none, ratio, shift = DriftCause.NONE, DriftCause.OUTLIER_RATIO, DriftCause.DISTRIBUTION_SHIFT
+    assert causes == {2: none, 3: ratio, 4: shift, 5: none, 6: ratio, 7: ratio, 8: ratio,
+                      9: ratio, 10: none}
+    reports = dict(steps)
+    assert reports[4].verdict.detail == (math.inf,)  # a dead cluster came back
+    assert [t for t, report in steps if report.parallel_retrained] == [4]
+    assert reports[5].event == "stabilized"
+    assert all(reports[t].verdict.detail == () for t in (3, 6, 7, 8, 9))
+
+
 def test_state_json_round_trip():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     cfg = DriftConfig(k=5, seed=5)
@@ -254,12 +287,14 @@ def test_resume_matches_uninterrupted_run():
 
 
 def _check_step(chunk, state, report, previous_t):
-    assert state.timestamp == report.timestamp == chunk.timestamp == previous_t + 1
+    assert state.timestamp == chunk.timestamp == previous_t + 1
     assert report.outliers + sum(report.cluster_deltas) == len(chunk)
+    # the report's counts are the active result's
+    active = state.parallel or state.main
+    assert (report.outliers, report.cluster_deltas) == (active.outliers, active.chunk_counts)
     # a parallel model exists exactly while drift is active, with its strike
-    assert report.parallel_active == state.is_concept_drift == (state.parallel is not None)
     if state.parallel is not None:
-        assert 1 <= state.strike <= 3 and report.strike == state.strike
+        assert 1 <= state.strike <= 3
 
 
 _POLICIES = {"fixed": (5, None), "labels": (None, labels_k)}
@@ -278,7 +313,7 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
     for cut in range(1, len(chunks)):
         text = engine.state_to_json(full[cut - 1][0], chunks)
         doc = json.loads(text)
-        assert doc["is_concept_drift"] == (doc["parallel"] is not None)
+        assert (doc["parallel"] is not None) == full[cut - 1][0].is_concept_drift
         assert doc["config"]["k"] == k
         state = engine.state_from_json(text, chunks)
         assert state == full[cut - 1][0]
@@ -505,8 +540,8 @@ def test_run_steps_every_run_through_a_chunk_before_the_next():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     configs = [DriftConfig(k=5, seed=seed) for seed in (5, 6, 7)]
     order, together = [], [[] for _ in configs]
-    for i, _, report in engine.run(chunks, configs, labels_k):
-        order.append((report.timestamp, i))
+    for i, state, report in engine.run(chunks, configs, labels_k):
+        order.append((state.timestamp, i))
         together[i].append(_strip_duration(report))
     assert order == [(c.timestamp, i) for c in chunks for i in range(3)]
     for cfg, reports in zip(configs, together):
@@ -515,17 +550,16 @@ def test_run_steps_every_run_through_a_chunk_before_the_next():
 
 
 def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
+    # the results hold chunks 1-4 and carry no timestamp of their own: a
+    # stale top-level one names chunks 1-2, whose digest is not the recorded one
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
     assert state.is_concept_drift
-    text = engine.state_to_json(state, chunks)
-    stale = json.loads(text)
+    stale = json.loads(engine.state_to_json(state, chunks))
+    assert "timestamp" not in stale["main"] and "timestamp" not in stale["parallel"]["result"]
     stale["timestamp"] = 2
-    parallel_only = json.loads(text)
-    parallel_only["parallel"]["result"]["timestamp"] = 3
-    for doc in (stale, parallel_only):
-        with pytest.raises(ValueError, match="'timestamp'"):
-            engine.state_from_json(json.dumps(doc), chunks)
+    with pytest.raises(ValueError, match=r"another stream than this stream: its chunks 1\.\.2"):
+        engine.state_from_json(json.dumps(stale), chunks)
 
 
 def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
@@ -550,6 +584,8 @@ def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
             engine.state_from_json(text, other)
     with pytest.raises(ValueError, match="covers chunks 1..4, got 3 chunks"):
         engine.state_to_json(state, chunks[:3])
+    with pytest.raises(ValueError, match="but this stream has 0 dimensions"):
+        engine.state_from_json(text, [])
 
 
 def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
@@ -604,19 +640,6 @@ def test_snapshot_rejects_foreign_documents():
         engine.state_from_json('{"format": "something-else", "version": 1}', [])
 
 
-def test_snapshot_rejects_drift_flag_that_disagrees_with_parallel():
-    chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
-    for chunk in chunks[1:4]:
-        state, _ = engine.step(state, chunk, labels_k(chunk))
-        doc = json.loads(engine.state_to_json(state, chunks))
-        assert doc["is_concept_drift"] == (doc["parallel"] is not None)
-        doc["is_concept_drift"] = not doc["is_concept_drift"]
-        with pytest.raises(ValueError, match="parallel"):
-            engine.state_from_json(json.dumps(doc), chunks)
-
-
 def test_parallel_state_invariants():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     cfg = DriftConfig(k=5, seed=5)
@@ -627,7 +650,7 @@ def test_parallel_state_invariants():
         if state.parallel is not None:
             assert 1 <= state.strike <= 3
         if report.event == "swapped":
-            assert report.strike == 4 and state.parallel is None
+            assert state.strike == 0 and state.parallel is None
 
 
 def test_snapshot_rejects_centroids_of_different_lengths():

@@ -15,9 +15,14 @@ into the manifest's "source", which now only names the spec: their
 values.npy and labels.npy were checked byte-identical to the previous
 version's, and their manifest.json to differ only in "source". The repeat
 run, three runs averaged, was taken before the run reports stopped going
-through one object per run. The wcd1000 run was taken when the
-absorb pass still scanned every centroid for every record, before it
-certified the previous record's cluster by the half-gap test. Before
+through one object per run. The snapshot was re-pinned when it stopped
+restating facts it holds elsewhere (version 4): the drift flag, which is
+whether "parallel" is null, and each result's "timestamp", which is the
+top-level one. The new file was checked to differ from the version 3 file
+only in "version" and in those three deleted lines, and the resumed run's
+digest held. The wcd1000 run was taken when the absorb pass still scanned
+every centroid for every record, before it certified the previous record's
+cluster by the half-gap test. Before
 hashing a metrics.jsonl, the wall-clock fields (duration_s,
 total_runtime_s) and the meta line's absolute manifest path are dropped;
 everything else is hashed as written.
@@ -65,10 +70,11 @@ GOLDEN = {
         "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
-    # re-pinned for snapshot version 3, which records the SHA-256 of the
-    # chunks it covers; version 2 had written the k-from-labels policy as
+    # re-pinned for snapshot version 4, which drops the drift flag and each
+    # result's timestamp; version 3 had recorded the SHA-256 of the chunks
+    # it covers, and version 2 had written the k-from-labels policy as
     # "k": null. Every other byte is as before.
-    "snapshot": "bd6356d8a04449ce8b42876ebda62f53bba197a938fba7efc9f6c35199de4075",
+    "snapshot": "a1d7fe436adcee30a685fec608d23cde1dd858b5fb4fc8ee51b03aea18cbaa2b",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
     "chunked_tree": "9836e13fe6acf21089a20f5d468227b6fc0eef0d44db47d377b8caf7f327a39b",
     "chunked_run": {
