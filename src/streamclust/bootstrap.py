@@ -131,7 +131,7 @@ def _finish(chunk: Chunk, centroids: np.ndarray, labels: np.ndarray):
         if d > radii[c]:
             radii[c] = d
     counts = counts[kept].tolist()
-    result = ClusteringResult(centroids, radii, counts, counts, 0, chunk.timestamp)
+    result = ClusteringResult(centroids, radii, counts, counts, 0)
     return result, (clusters, sse)
 
 
@@ -153,16 +153,15 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     (chunk, k, first index) in it, and the rest, a pure function of the chunk,
     k and that iteration's labels and centroids, once per distinct such state,
     keyed on the arrays' bytes so 0.0 and -0.0 never share. Shared calls get
-    the same (result, trace) objects. Without shared, every bootstrap is
-    computed in full.
+    the same (result, trace) objects. Without shared, a fresh dict takes its
+    place, so every bootstrap is computed in full along the same path.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(chunk):
         raise ValueError(f"k={k} exceeds chunk size {len(chunk)}")
     first = _first_draw(len(chunk), seed)
-    if shared is None:
-        return _finish(chunk, *_lloyd_first(chunk.values, k, first))
+    shared = {} if shared is None else shared
     seeded = "seeded", chunk, k, first
     if seeded not in shared:
         centroids, labels = _lloyd_first(chunk.values, k, first)

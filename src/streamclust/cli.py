@@ -63,10 +63,17 @@ _SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": i
                  "anchors": list[list[JSON_NUMBER]], "alt_anchors": list[list[JSON_NUMBER]]}
 
 
+def _only_known_keys(doc: dict, keys, where: str):
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}; it takes {', '.join(keys)}")
+
+
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     doc = parse_json(read_text(path), path)
     entries = []
-    for e in _spec_field(doc, "entries", list[dict]):
+    for i, e in enumerate(_spec_field(doc, "entries", list[dict]), 1):
+        _only_known_keys(e, TimestepSpec.__match_args__, f"spec entry {i}")
         e = {"drift_kind": "none", "offset_steps": 0, **e}
         sizes = _spec_field(e, "records_per_cluster", int | list[int])
         entries.append(TimestepSpec(
@@ -75,6 +82,7 @@ def _spec_from_file(path: Path, seed: int) -> StreamSpec:
             drift_kind=DriftKind(_spec_field(e, "drift_kind", str)),
             offset_steps=_spec_field(e, "offset_steps"),
         ))
+    _only_known_keys(doc, ["entries", *_SPEC_OPTIONS], "spec")
     kwargs = {key: _spec_field(doc, key, kind)
               for key, kind in _SPEC_OPTIONS.items() if key in doc}
     return StreamSpec(entries, **{"seed": seed, **kwargs})

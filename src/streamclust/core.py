@@ -85,14 +85,13 @@ def first_nonfinite_row(matrix: np.ndarray) -> int | None:
 @dataclass(frozen=True)
 class ClusteringResult:
     """The compact stand-in for a set of clusters once their records are
-    discarded, at one timestamp: one tuple per field, one entry per cluster.
+    discarded: one tuple per field, one entry per cluster; no timestamp.
 
     centroids        running mean of every record each cluster absorbed
     radii            absorption thresholds, fixed when each cluster was built
     lifetime_counts  records absorbed over each cluster's whole life
     chunk_counts     records absorbed from the current chunk only
     outliers         records of the current chunk that no cluster absorbed
-    timestamp        the chunk it last absorbed or bootstrapped on, >= 1
 
     Checked once, on construction: centroids share one non-zero length and
     hold finite Python floats, radii are >= 0 (not NaN; inf absorbs all), and
@@ -104,7 +103,6 @@ class ClusteringResult:
     lifetime_counts: tuple[int, ...]
     chunk_counts: tuple[int, ...]
     outliers: int
-    timestamp: int
 
     def __post_init__(self):
         object.__setattr__(self, "centroids", tuple(tuple(map(float, c)) for c in self.centroids))
@@ -129,8 +127,6 @@ class ClusteringResult:
             raise ValueError(f"need 0 <= chunk_count <= lifetime_count, got {deltas}, {lifetimes}")
         if self.outliers < 0:
             raise ValueError("outliers must be >= 0")
-        if self.timestamp < 1:
-            raise ValueError(f"result timestamp must be >= 1, got {self.timestamp}")
 
     @property
     def dimensions(self) -> int:

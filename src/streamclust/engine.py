@@ -54,25 +54,22 @@ _SWAP_AT = 4
 @dataclass(frozen=True)
 class EngineState:
     """The main model and, while drift handling is active, the parallel
-    model with its strike (1..3); strike is 0 while there is none."""
+    model with its strike (1..3, else 0), as of chunk timestamp (>= 1)."""
 
     main: ClusteringResult
     parallel: ClusteringResult | None
     strike: int
     config: DriftConfig
+    timestamp: int
 
     def __post_init__(self):
+        if self.timestamp < 1:
+            raise ValueError(f"state timestamp must be >= 1, got {self.timestamp}")
         if self.parallel is None:
             if self.strike != 0:
                 raise ValueError(f"strike must be 0 without a parallel model, got {self.strike}")
         elif not 1 <= self.strike < _SWAP_AT:
             raise ValueError(f"strike must be in 1..{_SWAP_AT - 1}, got {self.strike}")
-        elif self.parallel.timestamp != self.timestamp:
-            raise ValueError("a parallel result needs the main result's 'timestamp'")
-
-    @property
-    def timestamp(self) -> int:
-        return self.main.timestamp
 
     @property
     def is_concept_drift(self) -> bool:
@@ -147,7 +144,7 @@ def bootstrap(first_chunk: Chunk, config: DriftConfig, k: int | None = None,
     started = time.perf_counter()
     t = first_chunk.timestamp
     main, trace = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t), shared)
-    state = EngineState(main, None, 0, config)
+    state = EngineState(main, None, 0, config, t)
     report = _report("bootstrap", main, None, False, trace, started)
     return state, report
 
@@ -164,8 +161,8 @@ def _absorb(chunk: Chunk, prev: ClusteringResult, shared: dict | None):
     The key holds the chunk and exactly what the absorb reads of prev: its
     centroids, radii and lifetime counts, marshalled at version 2 (no
     back-references), so equal keys mean the same types and the same float
-    bits. Value equality would not do: 0.0 == -0.0, but absorbing into either
-    gives different bits.
+    bits (0.0 == -0.0, but absorbing into either gives different bits). With
+    no shared, no key: its marshal costs over 1% of a 150-record 2-D step.
     """
     if shared is None:
         return dist_clust_trace(chunk, prev)
@@ -223,7 +220,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
             event, parallel = "none", active
         else:
             event, main = "swapped", active
-    new_state = EngineState(main, parallel, 0 if parallel is None else strike, config)
+    new_state = EngineState(main, parallel, 0 if parallel is None else strike, config, t)
     return new_state, _report(event, active, verdict, retrained, trace, started)
 
 
@@ -273,9 +270,9 @@ def _result_to_doc(result: ClusteringResult) -> dict:
 _field = functools.partial(json_field, "snapshot")
 
 
-def _result_from_doc(doc: dict, timestamp: int, dimensions: int, stream: str) -> ClusteringResult:
-    """The result a snapshot object holds at timestamp, every centroid of
-    the given length, that of the stream named stream."""
+def _result_from_doc(doc: dict, dimensions: int, stream: str) -> ClusteringResult:
+    """The result a snapshot object holds, every centroid of the given
+    length, that of the stream named stream."""
     clusters = _field(doc, "clusters", list[dict])
     centroids = [_field(c, "centroid", list[JSON_NUMBER]) for c in clusters]
     wrong = sorted({len(c) for c in centroids} - {dimensions})
@@ -288,14 +285,16 @@ def _result_from_doc(doc: dict, timestamp: int, dimensions: int, stream: str) ->
         [_field(c, "lifetime_count") for c in clusters],
         [_field(c, "chunk_count") for c in clusters],
         _field(doc, "outliers"),
-        timestamp,
     )
 
 
-def _chunks_sha256(chunks, t: int) -> str:
+def _chunks_sha256(chunks, t: int, stream: str = "the stream") -> str:
     """SHA-256 of chunks 1..t of a stream: each chunk's timestamp, shape and
     whether it is labeled, then its values' and labels' bytes. Equal digests
-    mean the same records in the same chunks, bit for bit."""
+    mean the same records in the same chunks, bit for bit. Fewer than t are refused."""
+    if len(chunks) < t:
+        raise ValueError(f"a state at t={t} covers chunks 1..{t}, "
+                         f"got {len(chunks)} chunks in {stream}")
     # imported here: hashlib loads OpenSSL, ≈3.5 MB of resident memory that
     # a run writing no snapshot does not need
     import hashlib
@@ -314,9 +313,6 @@ def state_to_json(state: EngineState, chunks) -> str:
     """Self-describing JSON snapshot of the full engine state, taken on a
     stream whose first state.timestamp chunks are those of chunks; it
     records their SHA-256, so it resumes only on that stream."""
-    if len(chunks) < state.timestamp:
-        raise ValueError(f"a state at t={state.timestamp} covers chunks 1..{state.timestamp}, "
-                         f"got {len(chunks)} chunks")
     return json.dumps({
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -349,7 +345,7 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
     parallel = _field(doc, "parallel", dict | None)
     t = _field(doc, "timestamp")
     dimensions = chunks[0].dimensions if chunks else 0  # an empty stream has none
-    result = functools.partial(_result_from_doc, timestamp=t, dimensions=dimensions, stream=stream)
+    result = functools.partial(_result_from_doc, dimensions=dimensions, stream=stream)
     state = EngineState(
         main=result(_field(doc, "main", dict)),
         parallel=None if parallel is None else result(_field(parallel, "result", dict)),
@@ -360,8 +356,9 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
             d_thresh=_field(cfg, "d_thresh", JSON_NUMBER),
             seed=_field(cfg, "seed"),
         ),
+        timestamp=t,
     )
-    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, t):
+    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, t, stream):
         raise ValueError(f"snapshot was taken on another stream than {stream}: "
                          f"its chunks 1..{t} differ")
     return state

@@ -180,5 +180,5 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
                                      _safe_radii(prev, len(chunk)))
     # per-chunk counts restart each call: what this chunk added to each lifetime
     deltas = [n - m for n, m in zip(lifetimes, prev.lifetime_counts)]
-    result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers, chunk.timestamp)
+    result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers)
     return result, (tuple(clusters), sse)

@@ -171,23 +171,23 @@ def test_criterion_07_golden_toy_tables():
     _ok(7, "class-interleaved toy split and every artificial-class cell reproduced")
 
 
-def _drift_result(deltas, outliers=0, timestamp=2):
+def _drift_result(deltas, outliers=0):
     k = len(deltas)
     lifetimes = [max(d, 1) + 10 for d in deltas]
-    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers, timestamp)
+    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers)
 
 
 def test_criterion_08_drift_detector_suite():
     cfg = DriftConfig(k=5, o_thresh=0.18, d_thresh=0.6)
     verdict = detect(_drift_result([24, 25, 24, 25, 24], outliers=28),
-                     _drift_result([30] * 5, timestamp=1), 150, cfg)
+                     _drift_result([30] * 5), 150, cfg)
     assert verdict.is_drift and verdict.cause is DriftCause.OUTLIER_RATIO
 
-    verdict = detect(_drift_result([30] * 5), _drift_result([30] * 5, timestamp=1), 150, cfg)
+    verdict = detect(_drift_result([30] * 5), _drift_result([30] * 5), 150, cfg)
     assert not verdict.is_drift
 
     verdict = detect(_drift_result([30, 50, 30, 20, 20]),
-                     _drift_result([30] * 5, timestamp=1), 150, cfg)
+                     _drift_result([30] * 5), 150, cfg)
     assert verdict.is_drift and verdict.cause is DriftCause.DISTRIBUTION_SHIFT
 
     rng = np.random.default_rng(808)
@@ -197,7 +197,7 @@ def test_criterion_08_drift_detector_suite():
             [int(d) for d in rng.integers(0, 60, size=count)], int(rng.integers(0, 40))
         )
         previous = _drift_result(
-            [int(d) for d in rng.integers(0, 60, size=count)], timestamp=1
+            [int(d) for d in rng.integers(0, 60, size=count)]
         )
         lo_o, hi_o = sorted(rng.uniform(0.01, 1.0, size=2))
         lo_d, hi_d = sorted(rng.uniform(0.05, 3.0, size=2))

@@ -187,7 +187,6 @@ def test_summarize_counts_equal_membership():
     chunk = Chunk(1, [(0.0, 0.0), (0.02, 0.0), (1.0, 1.0), (0.98, 1.0)])
     result, _ = summarize_trace(chunk, 2, 0)
     assert result.outliers == 0
-    assert result.timestamp == 1
     assert result.lifetime_counts == result.chunk_counts == (2, 2)
 
 

@@ -122,6 +122,10 @@ _MALFORMED_SPECS = {
     "infinite_sigma": (_spec(sigma=math.inf), "sigma"),
     "nan_anchor_coordinate": (_spec(anchors=[[0.1, math.nan], [0.5, 0.5]]), "anchor"),
     "nan_relocate_offset": (_spec(relocate_offset=math.nan), "relocate_offset"),
+    # a misspelt key would silently leave its field at the default
+    "misspelt_top_level_key": (_spec(sigmaa=2), "spec has unknown key 'sigmaa'"),
+    "misspelt_entry_key": (_spec(entry={"offset_step": 1}),
+                           "spec entry 1 has unknown key 'offset_step'"),
 }
 
 
@@ -135,6 +139,16 @@ def test_gen_from_malformed_spec_file_is_an_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
     assert not out.exists()
+
+
+def test_gen_spec_file_takes_every_key_and_its_seed_over_the_option(tmp_path, capsys):
+    spec = _spec(entry={"drift_kind": "relocate", "offset_steps": 1}, relocate_offset=0.02,
+                 seed=3, anchors=[[0.2, 0.2], [0.8, 0.8]], alt_anchors=[[0.5, 0.5]])
+    spec_path = tmp_path / "every.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen", str(spec_path), "--seed", "9", "--out", str(tmp_path / "every")]) == 0
+    data = load_stream(capsys.readouterr().out.strip())
+    assert data.manifest["seed"] == 3 and len(data.chunks) == 2
 
 
 @pytest.mark.parametrize("entry", [
@@ -492,6 +506,22 @@ def test_resume_from_snapshot_before_the_first_chunk_is_an_error(tmp_path, capsy
 
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
                                        f"timestamp must be >= 1, got {timestamp}")
+
+
+def test_resume_on_a_shorter_stream_names_both_counts(tmp_path, capsys):
+    # a snapshot of all 10 chunks of sdwcd seed 7 on a stream of its first
+    # 8: the check that the stream holds the chunks comes before the digest's
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--snapshot", str(snap), "--out", str(tmp_path / "full")]) == 0
+    short = str(write_stream(tmp_path / "short", load_stream(manifest).chunks[:8], seed=7))
+    capsys.readouterr()
+    resume_out = tmp_path / "rest"
+    assert main(["resume", short, "--snapshot", str(snap), "--out", str(resume_out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {snap}: a state at t=10 covers chunks 1..10, "
+                            f"got 8 chunks in {short}\n")
+    assert captured.out == "" and not resume_out.exists()
 
 
 def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):

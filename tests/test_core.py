@@ -139,7 +139,7 @@ def test_chunk_is_columnar_and_read_only():
 
 
 def _one_cluster(centroid, radius, lifetime_count, chunk_count):
-    return ClusteringResult([centroid], [radius], [lifetime_count], [chunk_count], 0, 1)
+    return ClusteringResult([centroid], [radius], [lifetime_count], [chunk_count], 0)
 
 
 def test_cluster_summary_validation():
@@ -157,29 +157,21 @@ def test_cluster_summary_validation():
         _one_cluster((0.5,), 0.1, 2, 3)
     # centroids of different lengths, and columns of different lengths
     with pytest.raises(ValueError, match="length"):
-        ClusteringResult([(0.0,), (0.5, 0.5)], [1.0, 1.0], [1, 1], [1, 1], 0, 1)
+        ClusteringResult([(0.0,), (0.5, 0.5)], [1.0, 1.0], [1, 1], [1, 1], 0)
     with pytest.raises(ValueError, match="length"):
         _one_cluster((), 0.1, 1, 0)
     with pytest.raises(ValueError, match="one entry per cluster"):
-        ClusteringResult([(0.0,), (0.5,)], [1.0, 1.0], [1], [1, 1], 0, 1)
+        ClusteringResult([(0.0,), (0.5,)], [1.0, 1.0], [1], [1, 1], 0)
     with pytest.raises(ValueError, match="at least one cluster"):
-        ClusteringResult([], [], [], [], 0, 1)
+        ClusteringResult([], [], [], [], 0)
     with pytest.raises(ValueError, match="outliers"):
-        ClusteringResult([(0.5,)], [0.1], [1], [0], -1, 1)
+        ClusteringResult([(0.5,)], [0.1], [1], [0], -1)
     # columns become tuples and coordinates Python floats
-    result = ClusteringResult([np.array([1, 2])], [0.5], [3], [2], 0, 1)
+    result = ClusteringResult([np.array([1, 2])], [0.5], [3], [2], 0)
     assert result.centroids == ((1.0, 2.0),)
     assert all(type(x) is float for x in result.centroids[0])
     assert (result.radii, result.lifetime_counts, result.chunk_counts) == ((0.5,), (3,), (2,))
-    assert result == ClusteringResult(((1.0, 2.0),), (0.5,), (3,), (2,), 0, 1)
-
-
-def test_result_timestamp_is_a_chunk_timestamp():
-    # like a chunk's, a result's timestamp starts at 1: no step makes one at t < 1
-    for timestamp in (0, -1):
-        with pytest.raises(ValueError, match=f"timestamp must be >= 1, got {timestamp}"):
-            ClusteringResult([(0.5,)], [0.1], [1], [1], 0, timestamp)
-    assert ClusteringResult([(0.5,)], [0.1], [1], [1], 0, 1).timestamp == 1
+    assert result == ClusteringResult(((1.0, 2.0),), (0.5,), (3,), (2,), 0)
 
 
 def test_drift_config_bounds():

@@ -13,10 +13,10 @@ from streamclust import (
 )
 
 
-def _result(deltas, outliers=0, timestamp=2):
+def _result(deltas, outliers=0):
     k = len(deltas)
     lifetimes = [max(d, 1) + 10 for d in deltas]
-    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers, timestamp)
+    return ClusteringResult([(0.5, 0.5)] * k, [0.1] * k, lifetimes, deltas, outliers)
 
 
 CFG = DriftConfig(k=5, o_thresh=0.18, d_thresh=0.6)
@@ -24,7 +24,7 @@ CFG = DriftConfig(k=5, o_thresh=0.18, d_thresh=0.6)
 
 def test_outlier_ratio_trips():
     current = _result([24, 25, 24, 25, 24], outliers=28)
-    previous = _result([30, 30, 30, 30, 30], timestamp=1)
+    previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert verdict.is_drift
     assert verdict.cause is DriftCause.OUTLIER_RATIO
@@ -32,7 +32,7 @@ def test_outlier_ratio_trips():
 
 def test_identical_distribution_is_clean():
     current = _result([30, 30, 30, 30, 30])
-    previous = _result([30, 30, 30, 30, 30], timestamp=1)
+    previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert not verdict.is_drift
     assert verdict.cause is DriftCause.NONE
@@ -41,7 +41,7 @@ def test_identical_distribution_is_clean():
 
 def test_distribution_shift_trips():
     current = _result([30, 50, 30, 20, 20])
-    previous = _result([30, 30, 30, 30, 30], timestamp=1)
+    previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert verdict.is_drift
     assert verdict.cause is DriftCause.DISTRIBUTION_SHIFT
@@ -51,13 +51,13 @@ def test_distribution_shift_trips():
 
 def test_shrinkage_counts_like_growth():
     current = _result([30, 10])
-    previous = _result([30, 30], timestamp=1)
+    previous = _result([30, 30])
     assert detect(current, previous, 60, CFG).is_drift
 
 
 def test_dead_cluster_coming_alive_is_drift():
     current = _result([30, 5])
-    previous = _result([30, 0], timestamp=1)
+    previous = _result([30, 0])
     verdict = detect(current, previous, 60, CFG)
     assert verdict.is_drift
     assert verdict.detail[-1] == math.inf
@@ -65,13 +65,13 @@ def test_dead_cluster_coming_alive_is_drift():
 
 def test_cluster_dead_both_times_is_no_change():
     current = _result([30, 0])
-    previous = _result([30, 0], timestamp=1)
+    previous = _result([30, 0])
     assert not detect(current, previous, 60, CFG).is_drift
 
 
 def test_cluster_count_mismatch_is_drift():
     current = _result([30, 30, 30])
-    previous = _result([45, 45], timestamp=1)
+    previous = _result([45, 45])
     verdict = detect(current, previous, 90, CFG)
     assert verdict.is_drift
     assert verdict.cause is DriftCause.DISTRIBUTION_SHIFT
@@ -79,13 +79,13 @@ def test_cluster_count_mismatch_is_drift():
 
 def test_outlier_check_runs_before_distribution():
     current = _result([0, 0], outliers=50)
-    previous = _result([25, 25], timestamp=1)
+    previous = _result([25, 25])
     assert detect(current, previous, 50, CFG).cause is DriftCause.OUTLIER_RATIO
 
 
 def test_detect_is_pure():
     current = _result([30, 40], outliers=3)
-    previous = _result([30, 30], timestamp=1)
+    previous = _result([30, 30])
     assert detect(current, previous, 73, CFG) == detect(current, previous, 73, CFG)
 
 
@@ -106,7 +106,7 @@ def _random_pair(rng):
     prev_deltas = [int(d) for d in rng.integers(0, 60, size=count)]
     cur_deltas = [int(d) for d in rng.integers(0, 60, size=count)]
     outliers = int(rng.integers(0, 40))
-    return _result(cur_deltas, outliers), _result(prev_deltas, timestamp=1)
+    return _result(cur_deltas, outliers), _result(prev_deltas)
 
 
 def test_monotonic_in_o_thresh():

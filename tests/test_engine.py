@@ -577,11 +577,13 @@ def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
         [Chunk(c.timestamp, v, c.labels) for c, v in zip(chunks, values)],
         [Chunk(c.timestamp, c.values, y) for c, y in zip(chunks, labels)],
         [Chunk(c.timestamp, c.values) for c in chunks[:4]],  # the labels dropped
-        chunks[:3],
     )
     for other in others:
         with pytest.raises(ValueError, match="another stream than this stream"):
             engine.state_from_json(text, other)
+    # a stream too short to hold the chunks it covers, named in the error
+    with pytest.raises(ValueError, match="covers chunks 1..4, got 3 chunks in s/manifest.json"):
+        engine.state_from_json(text, chunks[:3], stream="s/manifest.json")
     with pytest.raises(ValueError, match="covers chunks 1..4, got 3 chunks"):
         engine.state_to_json(state, chunks[:3])
     with pytest.raises(ValueError, match="but this stream has 0 dimensions"):
@@ -605,22 +607,32 @@ def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
         engine.state_from_json(text, chunks)
 
 
-def test_state_timestamp_is_its_results_timestamp():
-    # a state cannot claim the timestamp before its results: stepping one that
-    # holds chunks 1-2 with chunk 2 again would absorb chunk 2 twice
+def test_state_timestamp_is_a_chunk_timestamp():
+    # like a chunk's, a state's timestamp starts at 1: no step makes one at t < 1
+    state = engine.init(_boot_chunk(), CFG)
+    for timestamp in (0, -1):
+        with pytest.raises(ValueError, match=f"state timestamp must be >= 1, got {timestamp}"):
+            EngineState(state.main, None, 0, CFG, timestamp)
+    assert EngineState(state.main, None, 0, CFG, 1) == state
+
+
+def test_state_timestamp_is_its_chunks_timestamp():
+    # a bootstrap or a step gives the state its chunk's timestamp, with or
+    # without a parallel model; stepping a state that holds chunks 1-2 with
+    # chunk 2 again would absorb chunk 2 twice
     chunks = generate_synthetic(sdwcd_spec(seed=7))
     cfg = DriftConfig(k=5, seed=7)
-    s1, _ = run_all(chunks[:1], cfg)
-    s2, _ = run_all(chunks[:2], cfg)
+    s1, _ = engine.bootstrap(chunks[0], cfg)
+    s2, _ = engine.step(s1, chunks[1])
+    s3, _ = engine.step(s2, chunks[2])
+    assert (s1.timestamp, s2.timestamp, s3.timestamp) == (1, 2, 3)
     assert s2.parallel is None and s2.main.lifetime_counts == (59, 59, 60, 60, 60)
-    with pytest.raises(TypeError):
-        EngineState(s2.main, None, 0, cfg, timestamp=1)
-    state = EngineState(s2.main, None, 0, cfg)
-    assert state.timestamp == 2
+    assert s3.parallel is not None
+    # results hold no timestamp, so equal results at other chunks are equal;
+    # the states holding them are not
+    assert EngineState(s2.main, None, 0, cfg, 2) == s2 != EngineState(s2.main, None, 0, cfg, 5)
     with pytest.raises(ValueError, match="expected chunk timestamp 3, got 2"):
-        engine.step(state, chunks[1])
-    with pytest.raises(ValueError, match="'timestamp'"):
-        EngineState(s2.main, s1.main, 1, cfg)
+        engine.step(s2, chunks[1])
 
 
 def test_state_strike_is_in_range_exactly_while_a_parallel_model_exists():
@@ -628,11 +640,11 @@ def test_state_strike_is_in_range_exactly_while_a_parallel_model_exists():
     cfg = DriftConfig(k=5, seed=7)
     s2, _ = run_all(chunks[:2], cfg)
     for strike in (1, 3):
-        assert EngineState(s2.main, s2.main, strike, cfg).is_concept_drift
+        assert EngineState(s2.main, s2.main, strike, cfg, 2).is_concept_drift
     for parallel, strike, message in ((s2.main, 0, "1..3"), (s2.main, 4, "1..3"),
                                       (None, 1, "0 without a parallel model")):
         with pytest.raises(ValueError, match=message):
-            EngineState(s2.main, parallel, strike, cfg)
+            EngineState(s2.main, parallel, strike, cfg, 2)
 
 
 def test_snapshot_rejects_foreign_documents():

@@ -14,9 +14,9 @@ from streamclust import (
 from streamclust import incremental
 
 
-def _result(centroids, radius=0.1, lifetime=5, timestamp=1):
+def _result(centroids, radius=0.1, lifetime=5):
     k = len(centroids)
-    return ClusteringResult(centroids, [radius] * k, [lifetime] * k, [0] * k, 0, timestamp)
+    return ClusteringResult(centroids, [radius] * k, [lifetime] * k, [0] * k, 0)
 
 
 def _closest(values, result):
@@ -29,7 +29,7 @@ def _closest(values, result):
 
 
 def _one(centroid, radius, lifetime, chunk_count):
-    return ClusteringResult([centroid], [radius], [lifetime], [chunk_count], 0, 1)
+    return ClusteringResult([centroid], [radius], [lifetime], [chunk_count], 0)
 
 
 def _absorb_one(prev, values):
@@ -113,7 +113,6 @@ def test_dist_clust_reabsorbs_interior_records():
     result, _ = dist_clust_trace(again, prev)
     assert result.outliers == 0
     assert sum(result.chunk_counts) == 30
-    assert result.timestamp == 2
 
 
 def test_dist_clust_identical_chunk_nearly_self_absorbs():
@@ -308,7 +307,7 @@ def _absorb_cases(draw):
     lifetime = (st.integers(10**6, 10**15) if settled
                 else st.one_of(st.integers(1, 8), st.integers(1, 10**6)))
     lifetimes = draw(st.lists(lifetime, min_size=k, max_size=k))
-    prev = ClusteringResult(centroids, radii, lifetimes, [0] * k, 0, 1)
+    prev = ClusteringResult(centroids, radii, lifetimes, [0] * k, 0)
     rows = []
     for kind in draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=40)):
         if kind == "near":
@@ -362,7 +361,7 @@ def test_dist_clust_many_clusters_matches_reference():
     centroids = (rng.integers(-8, 9, size=(40, 3)) / 4).tolist()
     centroids[39] = centroids[7]
     radii = [_RADII[i % len(_RADII)] for i in range(40)]
-    prev = ClusteringResult(centroids, radii, [3] * 40, [0] * 40, 0, 1)
+    prev = ClusteringResult(centroids, radii, [3] * 40, [0] * 40, 0)
     pairs = rng.integers(40, size=(1500, 2))
     ties = [[(x + y) / 2 for x, y in zip(centroids[a], centroids[b])] for a, b in pairs]
     rows = np.vstack([ties, rng.uniform(-2.5, 2.5, size=(1500, 3))])
@@ -448,7 +447,7 @@ _BIG = 1e308
 def test_half_gap_edge_cases_match_reference(centroids, radii, lifetimes, rows):
     k = len(centroids)
     _assert_matches_reference(Chunk(2, rows), ClusteringResult(centroids, radii, lifetimes,
-                                                               [0] * k, 0, 1))
+                                                               [0] * k, 0))
 
 
 def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
@@ -457,7 +456,7 @@ def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
     k, per_blob = 5, 40
     rng = np.random.default_rng(12)
     centers = [(0.1, 0.1), (0.9, 0.1), (0.5, 0.5), (0.1, 0.9), (0.9, 0.9)]
-    prev = ClusteringResult(centers, [0.15] * k, [10**4] * k, [0] * k, 0, 1)
+    prev = ClusteringResult(centers, [0.15] * k, [10**4] * k, [0] * k, 0)
     order = [0, 3, 1, 4, 2]  # starts at cluster 0, the first one tried
     rows = np.vstack([rng.normal(centers[j], 0.03, size=(per_blob, 2)) for j in order])
     # the kernel takes the certified distance with hypot and scans with dist
