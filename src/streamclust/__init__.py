@@ -25,8 +25,8 @@ _EXPORTS = {
         "streams": "DriftKind TimestepSpec StreamSpec generate_synthetic chunk_dataset "
                    "chunk_indices make_artificial_classes sdwcd_spec sdccl_spec "
                    "ncd100_spec wcd1000_spec",
-        "metrics": "entropy true_cluster_values tcv_distance TcvMatch TimestepMetrics "
-                   "step_metrics build_report",
+        "metrics": "entropy true_cluster_values tcv_distance TcvMatch step_metrics "
+                   "build_report",
         "stream_io": "StreamData write_stream load_stream load_dataset",
     }.items()
     for name in names.split()

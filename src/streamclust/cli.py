@@ -39,7 +39,6 @@ from .streams import (
     StreamSpec,
     TimestepSpec,
     chunk_dataset,
-    chunk_indices,
     generate_synthetic,
     make_artificial_classes,
 )
@@ -71,15 +70,19 @@ def _only_known_keys(doc: dict, keys, where: str):
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     doc = parse_json(read_text(path), path)
-    entries = []
+    entries, kinds = [], {kind.value: kind for kind in DriftKind}
     for i, e in enumerate(_spec_field(doc, "entries", list[dict]), 1):
         _only_known_keys(e, TimestepSpec.__match_args__, f"spec entry {i}")
         e = {"drift_kind": "none", "offset_steps": 0, **e}
         sizes = _spec_field(e, "records_per_cluster", int | list[int])
+        kind = _spec_field(e, "drift_kind", str)
+        if kind not in kinds:
+            raise ValueError(f"spec entry {i} field 'drift_kind' must be one of "
+                             f"{', '.join(kinds)}, got {kind!r}")
         entries.append(TimestepSpec(
             cluster_count=_spec_field(e, "cluster_count"),
             records_per_cluster=tuple(sizes) if type(sizes) is list else sizes,
-            drift_kind=DriftKind(_spec_field(e, "drift_kind", str)),
+            drift_kind=kinds[kind],
             offset_steps=_spec_field(e, "offset_steps"),
         ))
     _only_known_keys(doc, ["entries", *_SPEC_OPTIONS], "spec")
@@ -113,12 +116,9 @@ def cmd_chunk(args) -> int:
     values, labels, label_map = load_dataset(args.dataset)
     if args.normalize:
         values = minmax_normalize(values)
-    chunks = chunk_dataset(values, labels, args.chunks)
     class_count = len(set(labels.tolist()))
-    ac_sets = None
-    if args.artificial_classes:
-        ac_all = make_artificial_classes(values, class_count)
-        ac_sets = [ac_all[part] for part in chunk_indices(labels.tolist(), args.chunks)]
+    classes = make_artificial_classes(values, class_count) if args.artificial_classes else None
+    chunks = chunk_dataset(values, labels, args.chunks, classes)
     out = Path(args.out) if args.out else Path(Path(args.dataset).stem + "_stream")
     manifest = write_stream(
         out,
@@ -133,7 +133,6 @@ def cmd_chunk(args) -> int:
             "label_map": label_map,
             "normalized": bool(args.normalize),
         },
-        ac_sets=ac_sets,
     )
     print(manifest)
     return 0
@@ -157,10 +156,10 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
 
     meta holds the command's own keys: the tool version and manifest go in
     front, and after k its policy, "fixed" or "labels" (each chunk's label
-    count). Each StepReport is scored on the chunk and artificial-class rows
-    at its timestamp into one small metrics row of its run, and dropped
-    before the next step runs; the runs of a chunk share the scoring of equal
-    cluster indices (see step_metrics). Every output reads average_runs' rows.
+    count). Each StepReport is scored with the stream's chunk at its
+    timestamp into one step row of its run, and dropped before the next step
+    runs; the runs of a chunk share the scoring of equal cluster indices (see
+    step_metrics). Every output reads average_runs' rows.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
@@ -171,11 +170,9 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
-        t = state.timestamp - 1
         if i == 0:  # a new chunk
             scored = {}
-        rows[i].append(step_metrics(data.chunks[t], report,
-                                    data.ac_sets[t] if data.ac_sets else None, scored))
+        rows[i].append(step_metrics(data.chunks[state.timestamp - 1], report, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
     runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]

@@ -21,15 +21,19 @@ class Chunk:
 
     values holds one row per record: a read-only, C-contiguous float64
     matrix of shape (records, dimensions). labels, when given, is a read-only
-    int64 vector with one class label per row. Labels are opaque integers used
-    only by stream construction and external evaluation; no clustering code
-    path ever reads them. Both are copied on construction, so a chunk never
-    changes. Equality is identity: compare the arrays to compare contents.
+    int64 vector with one class label per row; artificial_classes, when
+    given, a read-only int64 matrix with one row of artificial class labels
+    per record and at least one column (see make_artificial_classes). Both
+    are opaque integers used only by stream construction and evaluation; no
+    clustering code path ever reads them. Every array is copied on
+    construction, so a chunk never changes. Equality is identity: compare
+    the arrays to compare contents.
     """
 
     timestamp: int
     values: np.ndarray
     labels: np.ndarray | None = None
+    artificial_classes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.timestamp < 1:
@@ -52,6 +56,15 @@ class Chunk:
                 )
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
+        if self.artificial_classes is not None:
+            classes = np.array(self.artificial_classes, dtype=np.int64)
+            if classes.ndim != 2 or classes.shape[0] != values.shape[0] or not classes.shape[1]:
+                raise ValueError(
+                    f"chunk needs one row of at least one artificial class per record: "
+                    f"values of shape {values.shape}, artificial classes of shape {classes.shape}"
+                )
+            classes.flags.writeable = False
+            object.__setattr__(self, "artificial_classes", classes)
 
     def __len__(self) -> int:
         return self.values.shape[0]

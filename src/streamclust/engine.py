@@ -71,11 +71,6 @@ class EngineState:
         elif not 1 <= self.strike < _SWAP_AT:
             raise ValueError(f"strike must be in 1..{_SWAP_AT - 1}, got {self.strike}")
 
-    @property
-    def is_concept_drift(self) -> bool:
-        """Drift handling is active exactly while a parallel model exists."""
-        return self.parallel is not None
-
 
 @dataclass(frozen=True)
 class StepReport:

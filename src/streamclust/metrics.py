@@ -2,10 +2,10 @@
 
 Entropy works on the cluster index of each record of a step, and the absorb
 and bootstrap passes fold the step's SSE, so nothing here requires retained
-records. A run is scored as it goes: step_metrics turns each step's report
-into one small TimestepMetrics row as soon as the step ends, and build_report
-folds those rows and the final clustering into the run's entry of the
-report's summary row, a dict of JSON values. Reference centroids for a
+records. A run is scored as it goes: step_metrics turns each step's chunk
+and report into the step's row, a small dict, as soon as the step ends, and
+build_report folds those rows and the final clustering into the run's entry
+of the report's summary row, a dict of JSON values. Reference centroids for a
 labeled stream are the per-class means over all chunks merged; a run is
 scored by matching its final centroids against them one-to-one, with the
 exact minimum-total-distance assignment (Kuhn-Munkres) for any count on
@@ -160,62 +160,48 @@ def tcv_distance(
     )
 
 
-@dataclass(frozen=True)
-class TimestepMetrics:
-    timestamp: int
-    entropy: float
-    sse: float
-    cluster_count: int
-    outliers: int
-    duration_s: float
-    event: str
-
-
-def _score(chunk: Chunk, clusters, label_sets) -> float:
+def _score(chunk: Chunk, clusters) -> float:
     """The entropy of one step's absorbed records; see step_metrics."""
     if max(clusters, default=-1) < 0:  # every record an outlier
         return 0.0
-    if label_sets is None and chunk.labels is None:
+    classes = chunk.artificial_classes
+    if classes is None and chunk.labels is None:
         raise ValueError("entropy needs labeled assignments")
-    # without label_sets, the chunk's own labels are the one column
-    columns = ([chunk.labels.tolist()] if label_sets is None
-               else np.asarray(label_sets).T.tolist())
+    # without artificial classes, the chunk's own labels are the one column
+    columns = (chunk.labels[None] if classes is None else classes.T).tolist()
     return left_sum(entropy(zip(clusters, column)) for column in columns) / len(columns)
 
 
-def step_metrics(
-    chunk: Chunk,
-    report,
-    label_sets: Sequence[tuple[int, ...]] | None = None,
-    scored: dict | None = None,
-) -> TimestepMetrics:
-    """Metrics for one processed chunk, from the engine's StepReport for it.
+def step_metrics(chunk: Chunk, report, scored: dict | None = None) -> dict:
+    """The row of one processed chunk, from the engine's StepReport for it:
+    a dict of its timestamp, entropy, sse, cluster_count, outliers,
+    duration_s and event.
 
-    Labels default to the chunk's own; when label_sets gives a matrix of
-    per-record artificial class rows, entropy is the unweighted mean over its
-    columns. Outliers count in neither metric; the SSE is the report's.
+    Entropy is on the chunk's artificial classes when it has them, the
+    unweighted mean over their columns, and on its labels otherwise.
+    Outliers count in neither metric; the SSE is the report's.
 
-    scored, when given, is a dict the caller owns for this chunk and these
-    label_sets only: the entropy is computed once per distinct clusters
-    value in it. The timestamp is the chunk's; the other fields are the report's.
+    scored, when given, is a dict the caller owns for this chunk only: the
+    entropy is computed once per distinct clusters value in it. The
+    timestamp is the chunk's; the other values are the report's.
     """
     scored = {} if scored is None else scored
     entropy_value = scored.get(report.clusters)
     if entropy_value is None:
-        entropy_value = scored[report.clusters] = _score(chunk, report.clusters, label_sets)
-    return TimestepMetrics(
-        timestamp=chunk.timestamp,
-        entropy=entropy_value,
-        sse=report.sse,
-        cluster_count=len(report.cluster_deltas),
-        outliers=report.outliers,
-        duration_s=report.duration_s,
-        event=report.event,
-    )
+        entropy_value = scored[report.clusters] = _score(chunk, report.clusters)
+    return {
+        "timestamp": chunk.timestamp,
+        "entropy": entropy_value,
+        "sse": report.sse,
+        "cluster_count": len(report.cluster_deltas),
+        "outliers": report.outliers,
+        "duration_s": report.duration_s,
+        "event": report.event,
+    }
 
 
 def build_report(
-    steps: Sequence[TimestepMetrics],
+    steps: Sequence[dict],
     final: ClusteringResult,
     tcvs: Sequence[Sequence[float]] | None = None,
 ) -> dict:
@@ -230,18 +216,18 @@ def build_report(
     if not steps:
         raise ValueError("a report needs at least one step")
     return {
-        "cluster_counts": [s.cluster_count for s in steps],
-        "events": [s.event for s in steps],
+        "cluster_counts": [s["cluster_count"] for s in steps],
+        "events": [s["event"] for s in steps],
         "final_centroids": [list(c) for c in final.centroids],
         "tcv_distances": list(tcv_distance(final.centroids, tcvs).distances) if tcvs else None,
-        "mean_entropy": left_sum(s.entropy for s in steps) / len(steps),
-        "mean_sse": left_sum(s.sse for s in steps) / len(steps),
-        "total_runtime_s": left_sum(s.duration_s for s in steps),
+        "mean_entropy": left_sum(s["entropy"] for s in steps) / len(steps),
+        "mean_sse": left_sum(s["sse"] for s in steps) / len(steps),
+        "total_runtime_s": left_sum(s["duration_s"] for s in steps),
     }
 
 
 def average_runs(
-    rows: Sequence[Sequence[TimestepMetrics]], runs: Sequence[dict]
+    rows: Sequence[Sequence[dict]], runs: Sequence[dict]
 ) -> tuple[Iterator[dict], dict]:
     """The rows of one or more runs' report, from each run's step rows and
     its build_report entry: each timestamp's step row averaged across runs,
@@ -252,8 +238,8 @@ def average_runs(
     if len({len(r) for r in rows}) != 1:
         raise ValueError("all runs must cover the same timestamps")
     steps = (
-        {"type": "step", "timestamp": same[0].timestamp,
-         **{key: left_sum(getattr(s, key) for s in same) / len(same)
+        {"type": "step", "timestamp": same[0]["timestamp"],
+         **{key: left_sum(s[key] for s in same) / len(same)
             for key in ("entropy", "sse", "cluster_count", "outliers", "duration_s")}}
         for same in zip(*rows)
     )

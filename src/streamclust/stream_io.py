@@ -12,7 +12,6 @@ and the shape the manifest gives it, and every value must be finite; a
 failed check raises ValueError naming the file.
 """
 
-import csv
 import functools
 import json
 import os
@@ -112,13 +111,11 @@ def write_stream(
     seed: int,
     origin: str = "synthetic",
     source: dict | None = None,
-    ac_sets: Sequence[Sequence[tuple[int, ...]]] | None = None,
 ) -> Path:
     """Write the stream's arrays and its manifest; returns the manifest path.
 
-    The chunks must be all labeled or all unlabeled. ac_sets, when given,
-    holds one int matrix per chunk with a row of artificial class labels per
-    record; they are stored in ac.npy.
+    The chunks must be all labeled or all unlabeled, and carry artificial
+    classes of one width or none; those are stored in ac.npy.
     """
     if origin not in ORIGINS:
         raise ValueError(f"origin must be 'synthetic' or 'real-world', got {origin!r}")
@@ -126,11 +123,14 @@ def write_stream(
     if not chunks:
         raise ValueError("cannot write an empty stream")
     sizes = [len(c) for c in chunks]
-    if ac_sets is not None and [len(a) for a in ac_sets] != sizes:
-        raise ValueError("ac_sets must align with chunks")
     labeled = chunks[0].labels is not None
     if any((c.labels is not None) != labeled for c in chunks):
         raise ValueError("a stream's chunks must be all labeled or all unlabeled")
+    widths = [0 if c.artificial_classes is None else c.artificial_classes.shape[1] for c in chunks]
+    for t, width in enumerate(widths, start=1):
+        if width != widths[0]:
+            raise ValueError(f"a stream's chunks must carry artificial classes of one width or "
+                             f"none: chunk 1 has {widths[0]} columns, chunk {t} has {width}")
 
     values = np.concatenate([c.values for c in chunks])
     directory = Path(directory)
@@ -139,11 +139,8 @@ def write_stream(
     _save_array(directory / "values.npy", values)
     if labeled:
         _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
-    ac_count = 0
-    if ac_sets is not None:
-        ac = np.concatenate([np.asarray(a, dtype=np.int64) for a in ac_sets])
-        ac_count = ac.shape[1]
-        _save_array(directory / "ac.npy", ac)
+    if widths[0]:
+        _save_array(directory / "ac.npy", np.concatenate([c.artificial_classes for c in chunks]))
 
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -154,7 +151,7 @@ def write_stream(
         "dimensions": values.shape[1],
         "labeled": labeled,
         "chunk_sizes": sizes,
-        "artificial_class_sets": ac_count,
+        "artificial_class_sets": widths[0],
         "source": source or {},
     }
     manifest_path = directory / MANIFEST_NAME
@@ -166,9 +163,6 @@ def write_stream(
 class StreamData:
     chunks: tuple[Chunk, ...]
     manifest: dict
-    # Per chunk: an int64 matrix with one row of artificial class labels per
-    # record, or None for streams without artificial classes.
-    ac_sets: tuple[np.ndarray, ...] | None
 
     @property
     def origin(self) -> str:
@@ -228,10 +222,8 @@ def load_stream(manifest_path) -> StreamData:
                          "chunk_sizes and artificial_class_sets")
 
     bounds = np.cumsum(sizes[:-1])
-    label_parts = np.split(labels, bounds) if labeled else [None] * len(sizes)
-    chunks = tuple(Chunk(t, v, y) for t, (v, y)
-                   in enumerate(zip(np.split(values, bounds), label_parts), start=1))
-    return StreamData(chunks, manifest, tuple(np.split(ac, bounds)) if ac_count else None)
+    parts = [[None] * len(sizes) if a is None else np.split(a, bounds) for a in (values, labels, ac)]
+    return StreamData(tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1)), manifest)
 
 
 def _looks_numeric(field: str) -> bool:
@@ -253,6 +245,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     Attribute values must be finite.
     Returns (float64 value matrix, int64 label vector, label mapping).
     """
+    import csv  # only chunk reads a dataset; run and eval never load csv
     path = Path(path)
     text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -69,7 +69,8 @@ class TimestepSpec:
     records_per_cluster may be a single size or one size per cluster.
     offset_steps scales the stream's relocate_offset and is applied to every
     anchor of this chunk (merge included), so +1/-1 entries cancel in the
-    per-class means of the whole stream.
+    per-class means of the whole stream. It alone moves the anchors:
+    RELOCATE only marks the chunk, and generate_synthetic never reads it.
     """
 
     cluster_count: int
@@ -288,15 +289,18 @@ def chunk_indices(labels: Sequence[int], chunk_count: int) -> list[list[int]]:
     return out
 
 
-def chunk_dataset(values, labels, chunk_count: int) -> list[Chunk]:
+def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> list[Chunk]:
     """Split a labeled (records, dimensions) matrix into chunks that preserve
-    class proportions; see chunk_indices for the split."""
+    class proportions; see chunk_indices for the split. artificial_classes,
+    when given, holds one row per record and is split the same way."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(values) == 0:
         raise ValueError("cannot chunk an empty dataset")
     parts = chunk_indices(labels.tolist(), chunk_count)
-    return [Chunk(i + 1, values[part], labels[part]) for i, part in enumerate(parts)]
+    classes = None if artificial_classes is None else np.asarray(artificial_classes)
+    return [Chunk(i + 1, values[part], labels[part], None if classes is None else classes[part])
+            for i, part in enumerate(parts)]
 
 
 def make_artificial_classes(values, class_count: int) -> np.ndarray:

@@ -50,12 +50,11 @@ def labels_k(chunk: Chunk) -> int:
 
 
 def same_chunk(a: Chunk, b: Chunk) -> bool:
-    """Float-exact equality of timestamp, values and labels."""
-    if a.labels is None or b.labels is None:
-        labels_equal = a.labels is None and b.labels is None
-    else:
-        labels_equal = np.array_equal(a.labels, b.labels)
-    return a.timestamp == b.timestamp and np.array_equal(a.values, b.values) and labels_equal
+    """Float-exact equality of timestamp, values, labels and artificial classes."""
+    def same(x, y):
+        return x is None and y is None or x is not None and y is not None and np.array_equal(x, y)
+    return (a.timestamp == b.timestamp and np.array_equal(a.values, b.values)
+            and same(a.labels, b.labels) and same(a.artificial_classes, b.artificial_classes))
 
 
 def run_all(chunks, config, k_for_chunk=None):

@@ -126,6 +126,9 @@ _MALFORMED_SPECS = {
     "misspelt_top_level_key": (_spec(sigmaa=2), "spec has unknown key 'sigmaa'"),
     "misspelt_entry_key": (_spec(entry={"offset_step": 1}),
                            "spec entry 1 has unknown key 'offset_step'"),
+    "misspelt_drift_kind": (_spec(entry={"drift_kind": "relabell"}),
+                            "spec entry 1 field 'drift_kind' must be one of none, relabel, "
+                            "relocate, merge, got 'relabell'"),
 }
 
 
@@ -209,8 +212,10 @@ def test_chunk_with_artificial_classes(tmp_path, capsys):
     assert code == 0
     data = load_stream(capsys.readouterr().out.strip())
     assert data.manifest["artificial_class_sets"] == 2
-    assert len(data.ac_sets[0]) == len(data.chunks[0])
-    assert np.load(out / "ac.npy").shape == (8, 2)
+    assert data.chunks[0].artificial_classes.shape == (len(data.chunks[0]), 2)
+    ac = np.load(out / "ac.npy")
+    assert ac.shape == (8, 2)
+    assert ac.tolist() == np.concatenate([c.artificial_classes for c in data.chunks]).tolist()
 
 
 def test_chunk_class_smaller_than_chunk_count(tmp_path, capsys):

@@ -125,17 +125,35 @@ def test_chunk_rows_are_float_tuples_in_record_order():
 def test_chunk_is_columnar_and_read_only():
     source = np.array([[0.5, 0.25], [0.1, 0.9]], dtype=np.float32)
     labels = [3, 4]
-    chunk = Chunk(1, source, labels)
+    classes = np.array([[1, 2], [2, 1]], dtype=np.int32)
+    chunk = Chunk(1, source, labels, classes)
     assert chunk.values.dtype == np.float64 and chunk.values.flags.c_contiguous
-    assert chunk.labels.dtype == np.int64
+    assert chunk.labels.dtype == np.int64 and chunk.artificial_classes.dtype == np.int64
     with pytest.raises(ValueError):
         chunk.values[0, 0] = 1.0
     with pytest.raises(ValueError):
         chunk.labels[0] = 1
+    with pytest.raises(ValueError):
+        chunk.artificial_classes[0, 0] = 3
     source[0, 0] = 9.0  # the chunk holds its own copy
     labels[0] = 9
+    classes[0, 0] = 9
     assert chunk.values[0, 0] == 0.5 and chunk.labels[0] == 3
+    assert chunk.artificial_classes[0, 0] == 1
     assert chunk != Chunk(1, source, labels)  # equality is identity
+
+
+@pytest.mark.parametrize("classes, shape", [
+    (np.ones((1, 2)), r"\(1, 2\)"),
+    (np.ones((3, 2)), r"\(3, 2\)"),
+    (np.ones(2), r"\(2,\)"),
+    (np.ones((2, 0)), r"\(2, 0\)"),
+], ids=["too_few_rows", "too_many_rows", "vector", "no_columns"])
+def test_chunk_refuses_artificial_classes_of_another_shape(classes, shape):
+    # no columns used to write an ac.npy that the manifest disowned
+    with pytest.raises(ValueError, match=r"values of shape \(2, 2\), artificial classes of "
+                                         r"shape " + shape):
+        Chunk(1, np.ones((2, 2)), [1, 2], classes)
 
 
 def _one_cluster(centroid, radius, lifetime_count, chunk_count):

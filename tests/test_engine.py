@@ -57,7 +57,7 @@ CFG = DriftConfig(k=2, o_thresh=0.18, d_thresh=0.6, seed=3)
 def test_init_bootstrap_conservation():
     state = engine.init(_boot_chunk(), CFG)
     assert state.timestamp == 1
-    assert state.parallel is None and not state.is_concept_drift
+    assert state.parallel is None
     assert state.main.outliers == 0
     assert sum(state.main.chunk_counts) == 8
 
@@ -77,7 +77,7 @@ def test_no_drift_benchmark_stream_stays_quiet():
              in engine.run(chunks, [DriftConfig(k=5, seed=7)], labels_k)]
     assert len(steps) == 100
     assert all(r.event in ("bootstrap", "none") for _, r in steps)
-    assert all(not s.is_concept_drift for s, _ in steps)
+    assert all(s.parallel is None for s, _ in steps)
     assert all(len(r.cluster_deltas) == 5 for _, r in steps)
 
 
@@ -94,7 +94,7 @@ def test_quiet_stream_never_activates():
     for t in range(2, 8):
         state, report = engine.step(state, _normal_chunk(t))
         assert report.event == "none"
-        assert not state.is_concept_drift and state.strike == 0
+        assert state.parallel is None and state.strike == 0
 
 
 def test_temporary_drift_activates_then_stabilizes():
@@ -104,7 +104,7 @@ def test_temporary_drift_activates_then_stabilizes():
 
     state, report = engine.step(state, _noisy_chunk(3), k=3)
     assert report.event == "activated"
-    assert state.is_concept_drift and state.strike == 1
+    assert state.parallel is not None and state.strike == 1
     assert len(report.cluster_deltas) == 3  # the freshly bootstrapped parallel model
     # the main model absorbed the normal records and was kept
     assert len(state.main.centroids) == 2
@@ -113,7 +113,7 @@ def test_temporary_drift_activates_then_stabilizes():
 
     state, report = engine.step(state, _normal_chunk(4))
     assert report.event == "stabilized"
-    assert not state.is_concept_drift and state.parallel is None
+    assert state.parallel is None
     assert len(state.main.centroids) == 2
     # continuity: the main model's lifetime kept growing through the episode
     for before, after in zip(main_before.lifetime_counts, state.main.lifetime_counts):
@@ -135,7 +135,7 @@ def test_sustained_drift_swaps_after_three_strikes():
     for t, expected_strike in ((4, 2), (5, 3)):
         state, report = engine.step(state, _moved_chunk(t), k=1)
         assert report.event == "none"
-        assert state.is_concept_drift and state.strike == expected_strike
+        assert state.parallel is not None and state.strike == expected_strike
         assert not report.parallel_retrained
         # every cluster untouched by parallel work
         assert _clusters(state.main) == _clusters(old_main)
@@ -144,7 +144,6 @@ def test_sustained_drift_swaps_after_three_strikes():
     state, report = engine.step(state, _moved_chunk(6), k=1)
     assert report.event == "swapped"
     assert state.strike == 0 and state.parallel is None
-    assert not state.is_concept_drift
     assert len(state.main.centroids) == 1
     assert state.main.centroids[0] == pytest.approx(AWAY, abs=0.02)
 
@@ -162,7 +161,7 @@ def test_parallel_retrains_when_it_drifts_itself():
     # next chunk sits somewhere new again: the parallel model cannot absorb it
     state, report = engine.step(state, _moved_chunk(4, center=(0.2, 0.8), wide=True), k=1)
     assert report.parallel_retrained
-    assert state.is_concept_drift and state.strike == 2
+    assert state.parallel is not None and state.strike == 2
     assert state.parallel.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
@@ -270,7 +269,7 @@ def test_state_json_round_trip():
     state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
     for chunk in chunks[1:4]:
         state, _ = engine.step(state, chunk, labels_k(chunk))
-    assert state.is_concept_drift  # mid-episode, the interesting case
+    assert state.parallel is not None  # mid-episode, the interesting case
     restored = engine.state_from_json(engine.state_to_json(state, chunks), chunks)
     assert restored == state
 
@@ -313,7 +312,7 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
     for cut in range(1, len(chunks)):
         text = engine.state_to_json(full[cut - 1][0], chunks)
         doc = json.loads(text)
-        assert (doc["parallel"] is not None) == full[cut - 1][0].is_concept_drift
+        assert (doc["parallel"] is not None) == (full[cut - 1][0].parallel is not None)
         assert doc["config"]["k"] == k
         state = engine.state_from_json(text, chunks)
         assert state == full[cut - 1][0]
@@ -554,7 +553,7 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
     # stale top-level one names chunks 1-2, whose digest is not the recorded one
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
-    assert state.is_concept_drift
+    assert state.parallel is not None
     stale = json.loads(engine.state_to_json(state, chunks))
     assert "timestamp" not in stale["main"] and "timestamp" not in stale["parallel"]["result"]
     stale["timestamp"] = 2
@@ -593,7 +592,7 @@ def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
 def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
-    assert state.is_concept_drift
+    assert state.parallel is not None
     # 3-D centroids on the 2-D chunks the snapshot records: only the
     # dimensionality check stands between it and a resume
     doc = json.loads(engine.state_to_json(state, chunks))
@@ -640,7 +639,7 @@ def test_state_strike_is_in_range_exactly_while_a_parallel_model_exists():
     cfg = DriftConfig(k=5, seed=7)
     s2, _ = run_all(chunks[:2], cfg)
     for strike in (1, 3):
-        assert EngineState(s2.main, s2.main, strike, cfg, 2).is_concept_drift
+        assert EngineState(s2.main, s2.main, strike, cfg, 2).parallel is not None
     for parallel, strike, message in ((s2.main, 0, "1..3"), (s2.main, 4, "1..3"),
                                       (None, 1, "0 without a parallel model")):
         with pytest.raises(ValueError, match=message):
@@ -658,7 +657,6 @@ def test_parallel_state_invariants():
     state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
     for chunk in chunks[1:]:
         state, report = engine.step(state, chunk, labels_k(chunk))
-        assert (state.parallel is not None) == state.is_concept_drift
         if state.parallel is not None:
             assert 1 <= state.strike <= 3
         if report.event == "swapped":
@@ -671,7 +669,7 @@ def test_snapshot_rejects_centroids_of_different_lengths():
     state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
     for chunk in chunks[1:4]:
         state, _ = engine.step(state, chunk, labels_k(chunk))
-    assert state.is_concept_drift
+    assert state.parallel is not None
     text = engine.state_to_json(state, chunks)
     # one cluster of one result, and every cluster of the parallel result
     ragged = json.loads(text)

@@ -97,13 +97,15 @@ def _entropy_of_pairs(assignments):
     return value
 
 
-def _two_pass_score(chunk, clusters, label_sets):
+def _two_pass_score(chunk, clusters):
     """A step's entropy as it was scored before the one-pass score: the
-    absorbed records picked out of the trace and of each label column."""
+    absorbed records picked out of the trace and of each label column, the
+    chunk's artificial classes or else its labels."""
     hits = [c >= 0 for c in clusters]
     absorbed = list(compress(clusters, hits))
     if not absorbed:
         return 0.0
+    label_sets = chunk.artificial_classes
     if label_sets is None and chunk.labels is None:
         raise ValueError("entropy needs labeled assignments")
     columns = ([chunk.labels.tolist()] if label_sets is None
@@ -125,27 +127,25 @@ def _scored_steps(draw):
         clusters = tuple(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
     width = draw(st.integers(1, 3))
     rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), min_size=n, max_size=n))
-    chunk = Chunk(1, np.zeros((n, 2)), [row[0] for row in rows])
     label_sets = rows if width > 1 or draw(st.booleans()) else None
-    return chunk, clusters, label_sets
+    return Chunk(1, np.zeros((n, 2)), [row[0] for row in rows], label_sets), clusters
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_scored_steps())
-@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1]), (-1, -1, -1), None))
-@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1]), (-1, -1, -1), [(1, 0), (2, 0), (1, 1)]))
-@example((Chunk(1, np.zeros((4, 2)), [1, 2, 1, 2]), (0, -1, 1, 0), [(1, 0, 3)] * 4))
+@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1]), (-1, -1, -1)))
+@example((Chunk(1, np.zeros((3, 2)), [1, 2, 1], [(1, 0), (2, 0), (1, 1)]), (-1, -1, -1)))
+@example((Chunk(1, np.zeros((4, 2)), [1, 2, 1, 2], [(1, 0, 3)] * 4), (0, -1, 1, 0)))
 def test_one_pass_score_equals_two_pass_score(step):
-    chunk, clusters, label_sets = step
-    assert repr(metrics._score(chunk, clusters, label_sets)) == repr(
-        _two_pass_score(chunk, clusters, label_sets))
+    chunk, clusters = step
+    assert repr(metrics._score(chunk, clusters)) == repr(_two_pass_score(chunk, clusters))
 
 
 def _bootstrap_sse(rows, k):
     """The SSE of one bootstrap step, as its report and its metrics row hold it."""
     chunk = Chunk(1, rows, [1] * len(rows))
     _, report = engine.bootstrap(chunk, DriftConfig(k=k))
-    assert step_metrics(chunk, report).sse == report.sse
+    assert step_metrics(chunk, report)["sse"] == report.sse
     return report.sse
 
 
@@ -170,7 +170,7 @@ def test_sse_online_equals_offline_replay():
     chunk = Chunk(2, rng.uniform(0, 1, (40, 2)), [1] * 40)
     _, report = engine.step(state, chunk)
     assert report.event == "none"
-    online = step_metrics(chunk, report).sse
+    online = step_metrics(chunk, report)["sse"]
     assert online == report.sse
 
     # oracle: replay the pass with retained records and an evolving centroid
@@ -338,7 +338,7 @@ def test_build_report_and_jsonl_round_trip():
     assert report["events"].count("activated") == 1
     assert report["mean_sse"] >= 0.0
     assert report["total_runtime_s"] > 0.0
-    assert all(s.duration_s > 0.0 for s in rows)
+    assert all(s["duration_s"] > 0.0 for s in rows)
     assert report["tcv_distances"] is not None and len(report["tcv_distances"]) == 5
 
     text = reports_to_jsonl({"note": "unit"}, *average_runs([rows], [report]))
@@ -365,7 +365,7 @@ def test_step_whose_active_model_absorbs_no_record_scores_zero():
         row = step_metrics(chunk, report)
         if report.outliers == len(chunk):
             empty.append(chunk.timestamp)
-            assert (row.entropy, row.sse, row.outliers) == (0.0, 0.0, 150)
+            assert (row["entropy"], row["sse"], row["outliers"]) == (0.0, 0.0, 150)
     assert empty == [3, 6, 7, 8, 9, 10]
 
 
@@ -376,6 +376,6 @@ def test_step_metrics_averages_artificial_label_sets():
     # two artificial label columns: one equal to the true labels (entropy 0),
     # one constant (entropy of a single shared label is also 0 per cluster)
     sets = np.column_stack([chunks[0].labels, np.ones(len(chunks[0]), dtype=int)])
-    metrics = step_metrics(chunks[0], reports[0], sets)
-    assert metrics.entropy == pytest.approx(0.0)
-    assert metrics.cluster_count == 5
+    row = step_metrics(Chunk(1, chunks[0].values, chunks[0].labels, sets), reports[0])
+    assert row["entropy"] == pytest.approx(0.0)
+    assert row["cluster_count"] == 5

@@ -34,7 +34,7 @@ def test_stream_round_trip_is_bit_exact(tmp_path):
     assert data.manifest["dimensions"] == 2
     assert data.manifest["chunk_sizes"] == [150] * 7
     assert data.manifest["labeled"] is True
-    assert data.ac_sets is None
+    assert all(c.artificial_classes is None for c in data.chunks)
 
 
 def _files(directory):
@@ -79,47 +79,41 @@ _INT64 = st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def _streams(draw):
-    """(chunks, ac_sets or None): 1-6 chunks of 1-4 dims, 0-2 ac sets."""
+    """1-6 chunks of 1-4 dims, with 0-2 artificial class columns each."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     dims, ac_count, labeled = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.booleans())
-    chunks, ac_sets = [], []
+    chunks = []
     for t, size in enumerate(sizes, start=1):
         labels = draw(arrays(np.int64, size, elements=_INT64)) if labeled else None
-        chunks.append(Chunk(t, draw(arrays(np.float64, (size, dims), elements=_FLOATS)), labels))
-        ac_sets.append(draw(arrays(np.int64, (size, ac_count), elements=_INT64)))
-    return chunks, ac_sets if ac_count else None
+        classes = draw(arrays(np.int64, (size, ac_count), elements=_INT64)) if ac_count else None
+        values = draw(arrays(np.float64, (size, dims), elements=_FLOATS))
+        chunks.append(Chunk(t, values, labels, classes))
+    return chunks
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_streams())
-def test_write_then_load_gives_bit_equal_chunks_and_ac(stream):
-    chunks, ac_sets = stream
+def test_write_then_load_gives_bit_equal_chunks_and_ac(chunks):
     with tempfile.TemporaryDirectory() as tmp:
-        data = load_stream(write_stream(Path(tmp), chunks, seed=0, ac_sets=ac_sets))
+        data = load_stream(write_stream(Path(tmp), chunks, seed=0))
     assert len(data.chunks) == len(chunks)
     for original, loaded in zip(chunks, data.chunks):
         assert loaded.timestamp == original.timestamp
-        assert loaded.values.tobytes() == original.values.tobytes()
-        assert (loaded.labels is None) == (original.labels is None)
-        if original.labels is not None:
-            assert loaded.labels.tobytes() == original.labels.tobytes()
-    if ac_sets is None:
-        assert data.ac_sets is None
-    else:
-        assert [a.tobytes() for a in data.ac_sets] == [a.tobytes() for a in ac_sets]
+        for name in ("values", "labels", "artificial_classes"):
+            a, b = getattr(original, name), getattr(loaded, name)
+            assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
 
 
 def test_stream_round_trip_with_artificial_classes(tmp_path):
-    chunks = generate_synthetic(sdccl_spec(seed=2))[:2]
-    ac_sets = [make_artificial_classes(c.values, 5) for c in chunks]
-    manifest = write_stream(
-        tmp_path / "s", chunks, seed=2, origin="real-world", ac_sets=ac_sets
-    )
+    chunks = [Chunk(c.timestamp, c.values, c.labels, make_artificial_classes(c.values, 5))
+              for c in generate_synthetic(sdccl_spec(seed=2))[:2]]
+    manifest = write_stream(tmp_path / "s", chunks, seed=2, origin="real-world")
     data = load_stream(manifest)
     assert data.origin == "real-world"
     assert data.manifest["artificial_class_sets"] == 2
-    assert [rows.tolist() for rows in data.ac_sets] == [rows.tolist() for rows in ac_sets]
-    assert all(rows.dtype == np.int64 for rows in data.ac_sets)
+    assert np.load(tmp_path / "s" / "ac.npy").tolist() == np.concatenate(
+        [c.artificial_classes for c in chunks]).tolist()
+    assert all(c.artificial_classes.dtype == np.int64 for c in data.chunks)
     for original, loaded in zip(chunks, data.chunks):
         assert same_chunk(loaded, original)
 
@@ -130,12 +124,16 @@ def test_write_stream_validation(tmp_path):
         write_stream(tmp_path / "s", chunks, seed=0, origin="weird")
     with pytest.raises(ValueError):
         write_stream(tmp_path / "s", [], seed=0)
-    with pytest.raises(ValueError):
-        write_stream(tmp_path / "s", chunks, seed=0, ac_sets=[])
-    with pytest.raises(ValueError, match="ac_sets must align"):
-        write_stream(tmp_path / "s", chunks, seed=0, ac_sets=[np.zeros((149, 2), int)])
     with pytest.raises(ValueError, match="all labeled or all unlabeled"):
         write_stream(tmp_path / "s", [chunks[0], Chunk(2, chunks[0].values)], seed=0)
+    values, labels = chunks[0].values, chunks[0].labels
+    two, one = np.ones((len(values), 2), int), np.ones((len(values), 1), int)
+    for classes, message in (((two, None), "chunk 1 has 2 columns, chunk 2 has 0"),
+                             ((None, two), "chunk 1 has 0 columns, chunk 2 has 2"),
+                             ((two, two, one), "chunk 1 has 2 columns, chunk 3 has 1")):
+        mixed = [Chunk(t, values, labels, c) for t, c in enumerate(classes, start=1)]
+        with pytest.raises(ValueError, match="artificial classes of one width or none: " + message):
+            write_stream(tmp_path / "s", mixed, seed=0)
     assert not (tmp_path / "s").exists()
 
 
