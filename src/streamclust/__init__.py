@@ -23,8 +23,7 @@ _EXPORTS = {
         "drift": "DriftCause DriftVerdict detect",
         "engine": "EngineState StepReport init step run state_to_json state_from_json",
         "streams": "DriftKind TimestepSpec StreamSpec generate_synthetic chunk_dataset "
-                   "chunk_indices make_artificial_classes sdwcd_spec sdccl_spec "
-                   "ncd100_spec wcd1000_spec",
+                   "make_artificial_classes sdwcd_spec sdccl_spec ncd100_spec wcd1000_spec",
         "metrics": "entropy true_cluster_values tcv_distance TcvMatch step_metrics "
                    "build_report",
         "stream_io": "StreamData write_stream load_stream load_dataset",

@@ -25,13 +25,14 @@ iteration are a pure function of the chunk, k and that index, and the rest
 of the bootstrap is one of the chunk, k and that iteration's labels and
 centroids (see summarize_trace). run() advances several runs in lockstep,
 chunk by chunk, and lets the runs share each chunk's absorbs and
-bootstraps: a run whose previous model, first draw or bootstrap state is
-bit for bit another's reuses that run's work instead of repeating it.
+bootstraps: a run that holds the same previous model object as another,
+or whose first draw or bootstrap state is bit for bit another's, reuses
+that run's work instead of repeating it. Runs that shared a step's work
+hold its result objects from then on.
 """
 
 import functools
 import json
-import marshal
 import time
 from dataclasses import dataclass
 
@@ -151,21 +152,19 @@ def init(first_chunk: Chunk, config: DriftConfig, k: int | None = None) -> Engin
 
 
 def _absorb(chunk: Chunk, prev: ClusteringResult, shared: dict | None):
-    """dist_clust_trace(chunk, prev), computed once per distinct prev in shared.
+    """dist_clust_trace(chunk, prev), computed once per previous model object
+    in shared; without shared, a fresh dict takes its place.
 
-    The key holds the chunk and exactly what the absorb reads of prev: its
-    centroids, radii and lifetime counts, marshalled at version 2 (no
-    back-references), so equal keys mean the same types and the same float
-    bits (0.0 == -0.0, but absorbing into either gives different bits). With
-    no shared, no key: its marshal costs over 1% of a 150-record 2-D step.
+    The entry keeps prev alive beside the result, so its id is not reused
+    while shared lives. Runs that shared a step hold one result object, so
+    the share finds them; equal models held as distinct objects are each
+    absorbed on their own.
     """
-    if shared is None:
-        return dist_clust_trace(chunk, prev)
-    key = "absorb", chunk, marshal.dumps((prev.centroids, prev.radii, prev.lifetime_counts), 2)
-    out = shared.get(key)
-    if out is None:
-        out = shared[key] = dist_clust_trace(chunk, prev)
-    return out
+    shared = {} if shared is None else shared
+    key = "absorb", chunk, id(prev)
+    if key not in shared:
+        shared[key] = prev, dist_clust_trace(chunk, prev)
+    return shared[key][1]
 
 
 def step(state: EngineState, chunk: Chunk, k: int | None = None,
@@ -181,10 +180,11 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     replaces the main model.
 
     shared, when given, is a dict the caller owns for this chunk only and
-    passes to every bootstrap and step on it: an absorb or a bootstrap
-    already in it is reused, a new one is added. Its keys are tagged
-    "absorb", "seeded" and "bootstrap". Without it, every absorb and
-    bootstrap is computed.
+    passes to every bootstrap and step on it: an absorb into a previous
+    model it already holds the same object of, or a bootstrap already in
+    it, is reused, a new one is added. Its keys are tagged "absorb",
+    "seeded" and "bootstrap". Without it, every absorb and bootstrap is
+    computed.
     """
     started = time.perf_counter()
     if chunk.timestamp != state.timestamp + 1:

@@ -22,7 +22,6 @@ All generation is driven by a seed and is byte-for-byte reproducible.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -262,45 +261,44 @@ NAMED_SPECS = {
 }
 
 
-def chunk_indices(labels: Sequence[int], chunk_count: int) -> list[list[int]]:
-    """Partition record positions into class-interleaved chunks.
+def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> list[Chunk]:
+    """Split a labeled (records, dimensions) matrix into chunks that preserve
+    class proportions. labels, and artificial_classes when given, hold one
+    row per record; another row count is refused, naming both counts.
 
     Classes are kept in first-appearance order; chunk i takes the i-th
     contiguous slice of each class's positions, so per-class counts differ by
     at most one across chunks and the union is the whole dataset in order.
+    artificial_classes is split the same way.
     """
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = None if artificial_classes is None else np.asarray(artificial_classes)
+    if len(values) == 0:
+        raise ValueError("cannot chunk an empty dataset")
+    for name, rows in (("labels", labels), ("artificial class rows", classes)):
+        if rows is not None and len(rows) != len(values):
+            raise ValueError(f"{len(values)} records but {len(rows)} {name}; "
+                             f"each record needs one")
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
     by_class: dict[int, list[int]] = {}
-    for pos, label in enumerate(labels):
+    for pos, label in enumerate(labels.tolist()):
         by_class.setdefault(label, []).append(pos)
     for label, positions in by_class.items():
         if len(positions) < chunk_count:
             raise ValueError(
                 f"class {label} has {len(positions)} records, fewer than {chunk_count} chunks"
             )
-    out = []
+    chunks = []
     for i in range(chunk_count):
-        picked: list[int] = []
+        part: list[int] = []
         for positions in by_class.values():
             n = len(positions)
-            picked.extend(positions[i * n // chunk_count : (i + 1) * n // chunk_count])
-        out.append(picked)
-    return out
-
-
-def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> list[Chunk]:
-    """Split a labeled (records, dimensions) matrix into chunks that preserve
-    class proportions; see chunk_indices for the split. artificial_classes,
-    when given, holds one row per record and is split the same way."""
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(values) == 0:
-        raise ValueError("cannot chunk an empty dataset")
-    parts = chunk_indices(labels.tolist(), chunk_count)
-    classes = None if artificial_classes is None else np.asarray(artificial_classes)
-    return [Chunk(i + 1, values[part], labels[part], None if classes is None else classes[part])
-            for i, part in enumerate(parts)]
+            part.extend(positions[i * n // chunk_count : (i + 1) * n // chunk_count])
+        chunks.append(Chunk(i + 1, values[part], labels[part],
+                            None if classes is None else classes[part]))
+    return chunks
 
 
 def make_artificial_classes(values, class_count: int) -> np.ndarray:

@@ -24,7 +24,7 @@ def test_all_lists_each_public_name_once_and_every_name_resolves():
         assert hasattr(streamclust, name), name
     deleted = {"dist_clust", "summarize", "euclidean", "ClusterSummary", "KMeansParams",
                "kmeans", "apply_label_drift", "ParallelState", "BASE_ANCHORS", "DRIFT_ANCHORS",
-               "MERGED_LABEL", "sse", "MetricsReport", "TimestepMetrics"}
+               "MERGED_LABEL", "sse", "MetricsReport", "TimestepMetrics", "chunk_indices"}
     assert not deleted & set(names)
     assert not any(hasattr(streamclust, name) for name in deleted)
 

@@ -687,6 +687,18 @@ def test_run_repeats_share_seedings_by_their_first_draw(tmp_path, capsys, monkey
     assert calls == {"seeding": 284, "lloyd": 25}
 
 
+def test_run_repeats_share_absorbs_by_their_previous_model(tmp_path, capsys, monkeypatch):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    calls = {"absorb": 0}
+    monkeypatch.setattr(engine, "dist_clust_trace",
+                        _counted(calls, "absorb", engine.dist_clust_trace))
+    assert main(["run", manifest, "--seed", "7", "--repeat", "100",
+                 "--out", str(tmp_path / "hundred")]) == 0
+    # of the 1 300 absorbs the repeats ask for, one per distinct previous
+    # model: repeats that shared a step hold one result object after it
+    assert calls == {"absorb": 93}
+
+
 def test_eval_prints_tcv_table(tmp_path, capsys):
     out = tmp_path / "s"
     main(["gen", "sdccl", "--seed", "7", "--out", str(out)])

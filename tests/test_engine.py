@@ -355,18 +355,36 @@ def test_shared_absorb_keeps_the_sign_of_zero_apart():
     assert _hex(stepped[0].main)[0][0] != _hex(stepped[1].main)[0][0]
 
 
-def test_shared_absorb_is_reused_for_an_equal_model():
-    boot = [_boot_chunk()]
-    state = engine.init(boot[0], CFG)
-    twin = engine.state_from_json(engine.state_to_json(state, boot), boot)
-    assert twin.main is not state.main
+def test_shared_absorb_is_reused_for_one_model_object():
+    # two runs that shared their bootstrap hold its result object
+    state = engine.init(_boot_chunk(), CFG)
+    other = dataclasses.replace(state, config=dataclasses.replace(CFG, seed=CFG.seed + 1))
+    assert other.main is state.main
     chunk, shared = _normal_chunk(2), {}
     first, first_report = engine.step(state, chunk, shared=shared)
-    second, second_report = engine.step(twin, chunk, shared=shared)
+    second, second_report = engine.step(other, chunk, shared=shared)
     assert _absorbs(shared) == 1
     assert second.main is first.main
     assert second_report.clusters is first_report.clusters
     assert second_report.sse == first_report.sse
+
+
+def test_shared_absorb_is_computed_again_for_an_equal_twin():
+    # the snapshot twin is equal, bit for bit, but another object
+    boot = [_boot_chunk()]
+    state = engine.init(boot[0], CFG)
+    twin = engine.state_from_json(engine.state_to_json(state, boot), boot)
+    assert twin.main is not state.main
+    assert repr(twin.main) == repr(state.main)
+    chunk, shared = _normal_chunk(2), {}
+    first, first_report = engine.step(state, chunk, shared=shared)
+    second, second_report = engine.step(twin, chunk, shared=shared)
+    assert _absorbs(shared) == 2
+    assert second.main is not first.main
+    assert _hex(second.main) == _hex(first.main)
+    assert [r.hex() for r in second.main.radii] == [r.hex() for r in first.main.radii]
+    assert second_report.clusters == first_report.clusters
+    assert second_report.sse.hex() == first_report.sse.hex()
 
 
 def _bootstraps(shared):

@@ -274,6 +274,16 @@ def test_chunk_dataset_class_too_small():
         chunk_dataset([(0.1,), (0.2,), (0.9,)], [1, 1, 2], 2)
 
 
+@pytest.mark.parametrize("records, labels, classes", [(12, 10, None), (8, 10, None), (10, 10, 14)],
+                         ids=["more_values", "fewer_values", "more_artificial_classes"])
+def test_chunk_dataset_refuses_rows_that_do_not_match(records, labels, classes):
+    values = [(i / 20, 0.5) for i in range(records)]
+    artificial = None if classes is None else np.ones((classes, 2), dtype=np.int64)
+    counted = labels if classes is None else classes
+    with pytest.raises(ValueError, match=rf"^{records} records but {counted} "):
+        chunk_dataset(values, [i % 2 for i in range(labels)], 2, artificial)
+
+
 def test_artificial_classes_known_cells():
     got = make_artificial_classes(BINNING_ROWS, 3)
     # spot values called out by the worked example
