@@ -12,11 +12,11 @@ three consecutive chunks to come back with a clean drift verdict:
 
 "Parallel" means a second logical model per step, not a thread. The state
 holds the parallel model only while drift handling is active, so the
-drift-active flag is derived from it rather than stored. Steps never mutate
-their input state and never touch the filesystem; the snapshot functions
-below only translate state to and from JSON text, the caller owns the bytes.
-All randomness in bootstraps is derived from (config.seed, timestamp), so a
-resumed run continues bit-identically.
+drift-active flag is derived from it. Steps never mutate their input state
+and never touch the filesystem; the snapshot functions below translate
+state to and from JSON text, each result one list per field, and the caller
+owns the bytes. All randomness in bootstraps comes from (config.seed,
+timestamp), so a resumed run continues bit-identically.
 
 Absorbs carry no seed: an absorb is a pure function of the chunk and the
 previous model. The seed reaches a bootstrap only through its first draw,
@@ -44,8 +44,9 @@ from .stream_io import JSON_NUMBER, json_field, parse_json
 
 SNAPSHOT_FORMAT = "streamclust-state"
 # 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream;
-# 4: no drift flag or per-result timestamp, which restated other fields
-SNAPSHOT_VERSION = 4
+# 4: no drift flag or per-result timestamp, which restated other fields;
+# 5: each result one list per ClusteringResult field, strike at the top level
+SNAPSHOT_VERSION = 5
 
 # Strike ceiling: activation chunk is strike 1; three more drifted chunks
 # exhaust the main model's chances and trigger the swap.
@@ -251,36 +252,33 @@ def run(stream, configs=(), k_for_chunk=None, *, states=()):
         raise ValueError("stream yielded no chunks")
 
 
-def _result_to_doc(result: ClusteringResult) -> dict:
-    return {
-        "outliers": result.outliers,
-        "clusters": [
-            {"centroid": list(c), "radius": r, "lifetime_count": n, "chunk_count": m}
-            for c, r, n, m in zip(result.centroids, result.radii,
-                                  result.lifetime_counts, result.chunk_counts)
-        ],
-    }
-
-
 _field = functools.partial(json_field, "snapshot")
+
+# Each snapshot object's fields in its dataclass's order, with their JSON
+# kinds: the writer and the reader both go by these tables.
+_RESULT_FIELDS = {"centroids": list[list[JSON_NUMBER]], "radii": list[JSON_NUMBER],
+                  "lifetime_counts": list[int], "chunk_counts": list[int], "outliers": int}
+_CONFIG_FIELDS = {"k": int | None, "o_thresh": JSON_NUMBER, "d_thresh": JSON_NUMBER, "seed": int}
+
+
+def _to_doc(obj, fields: dict) -> dict:
+    return {name: getattr(obj, name) for name in fields}
+
+
+def _from_doc(doc, fields: dict) -> dict:
+    return {name: _field(doc, name, kind) for name, kind in fields.items()}
 
 
 def _result_from_doc(doc: dict, dimensions: int, stream: str) -> ClusteringResult:
     """The result a snapshot object holds, every centroid of the given
     length, that of the stream named stream."""
-    clusters = _field(doc, "clusters", list[dict])
-    centroids = [_field(c, "centroid", list[JSON_NUMBER]) for c in clusters]
-    wrong = sorted({len(c) for c in centroids} - {dimensions})
+    columns = _from_doc(doc, _RESULT_FIELDS)
+    wrong = sorted({len(c) for c in columns["centroids"]} - {dimensions})
     if wrong:
-        raise ValueError(f"snapshot field 'centroid' holds {'/'.join(map(str, wrong))}-D centroids "
-                         f"but {stream} has {dimensions} dimensions; wrong snapshot/manifest pair?")
-    return ClusteringResult(
-        centroids,
-        [_field(c, "radius", JSON_NUMBER) for c in clusters],
-        [_field(c, "lifetime_count") for c in clusters],
-        [_field(c, "chunk_count") for c in clusters],
-        _field(doc, "outliers"),
-    )
+        raise ValueError(f"snapshot field 'centroids' holds {'/'.join(map(str, wrong))}-D "
+                         f"centroids but {stream} has {dimensions} dimensions; "
+                         "wrong snapshot/manifest pair?")
+    return ClusteringResult(**columns)
 
 
 def _chunks_sha256(chunks, t: int, stream: str = "the stream") -> str:
@@ -313,16 +311,10 @@ def state_to_json(state: EngineState, chunks) -> str:
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
         "chunks_sha256": _chunks_sha256(chunks, state.timestamp),
-        "config": {
-            "k": state.config.k,
-            "o_thresh": state.config.o_thresh,
-            "d_thresh": state.config.d_thresh,
-            "seed": state.config.seed,
-        },
-        "main": _result_to_doc(state.main),
-        "parallel": None
-        if state.parallel is None
-        else {"strike": state.strike, "result": _result_to_doc(state.parallel)},
+        "config": _to_doc(state.config, _CONFIG_FIELDS),
+        "main": _to_doc(state.main, _RESULT_FIELDS),
+        "parallel": None if state.parallel is None else _to_doc(state.parallel, _RESULT_FIELDS),
+        "strike": state.strike,
     }, indent=2)
 
 
@@ -343,14 +335,9 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
     result = functools.partial(_result_from_doc, dimensions=dimensions, stream=stream)
     state = EngineState(
         main=result(_field(doc, "main", dict)),
-        parallel=None if parallel is None else result(_field(parallel, "result", dict)),
-        strike=0 if parallel is None else _field(parallel, "strike"),
-        config=DriftConfig(
-            k=_field(cfg, "k", int | None),
-            o_thresh=_field(cfg, "o_thresh", JSON_NUMBER),
-            d_thresh=_field(cfg, "d_thresh", JSON_NUMBER),
-            seed=_field(cfg, "seed"),
-        ),
+        parallel=None if parallel is None else result(parallel),
+        strike=_field(doc, "strike"),
+        config=DriftConfig(**_from_doc(cfg, _CONFIG_FIELDS)),
         timestamp=t,
     )
     if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, t, stream):

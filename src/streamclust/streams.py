@@ -263,8 +263,9 @@ NAMED_SPECS = {
 
 def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> list[Chunk]:
     """Split a labeled (records, dimensions) matrix into chunks that preserve
-    class proportions. labels, and artificial_classes when given, hold one
-    row per record; another row count is refused, naming both counts.
+    class proportions. labels, a vector, and artificial_classes when given,
+    a matrix, hold one row per record; another shape is refused, naming it,
+    and another row count, naming both counts.
 
     Classes are kept in first-appearance order; chunk i takes the i-th
     contiguous slice of each class's positions, so per-class counts differ by
@@ -276,7 +277,9 @@ def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> 
     classes = None if artificial_classes is None else np.asarray(artificial_classes)
     if len(values) == 0:
         raise ValueError("cannot chunk an empty dataset")
-    for name, rows in (("labels", labels), ("artificial class rows", classes)):
+    for name, rows, ndim in (("labels", labels, 1), ("artificial class rows", classes, 2)):
+        if rows is not None and rows.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-D, one row per record, got shape {rows.shape}")
         if rows is not None and len(rows) != len(values):
             raise ValueError(f"{len(values)} records but {len(rows)} {name}; "
                              f"each record needs one")

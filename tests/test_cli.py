@@ -381,21 +381,20 @@ def _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field):
 
 def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
     def edit(doc):
-        doc["main"]["clusters"][0]["radius"] = math.nan
+        doc["main"]["radii"][0] = math.nan
 
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radius")
+    # NaN passes as a JSON number; ClusteringResult's check refuses it
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radius must be >= 0")
 
 
 _WRONG_TYPES = {
-    "string_radius": (("main", "clusters", 0, "radius"), "x", "radius"),
-    "string_strike": (("parallel", "strike"), "1", "strike"),
-    "null_coordinate": (("main", "clusters", 1, "centroid", 0), None, "centroid"),
-    "string_lifetime_count": (("parallel", "result", "clusters", 0, "lifetime_count"), "7",
-                              "lifetime_count"),
-    "huge_coordinate": (("main", "clusters", 0, "centroid", 0), 10**400,
-                        "snapshot field 'centroid'"),
-    "huge_lifetime_count": (("main", "clusters", 0, "lifetime_count"), 10**400,
-                            "snapshot field 'lifetime_count'"),
+    "string_radius": (("main", "radii", 0), "x", "radii"),
+    "string_strike": (("strike",), "1", "strike"),
+    "null_coordinate": (("main", "centroids", 1, 0), None, "centroids"),
+    "string_lifetime_count": (("parallel", "lifetime_counts", 0), "7", "lifetime_counts"),
+    "huge_coordinate": (("main", "centroids", 0, 0), 10**400, "snapshot field 'centroids'"),
+    "huge_lifetime_count": (("main", "lifetime_counts", 0), 10**400,
+                            "snapshot field 'lifetime_counts'"),
 }
 
 
@@ -413,10 +412,27 @@ def test_resume_from_snapshot_with_wrong_type_is_an_error(tmp_path, capsys, case
 
 def test_resume_from_snapshot_without_a_radius_is_an_error(tmp_path, capsys):
     def edit(doc):
-        del doc["main"]["clusters"][0]["radius"]
+        del doc["main"]["radii"]
 
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
-                                       "snapshot field 'radius' is missing")
+                                       "snapshot field 'radii' is missing")
+
+
+def test_resume_from_snapshot_with_columns_of_unequal_length_is_an_error(tmp_path, capsys):
+    # one radius short: a fault one object per cluster could not hold
+    def edit(doc):
+        del doc["main"]["radii"][0]
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
+                                       "one entry per cluster in every column, got [5, 4, 5, 5]")
+
+
+def test_resume_from_snapshot_with_a_strike_but_no_parallel_model_is_an_error(tmp_path, capsys):
+    def edit(doc):
+        doc.update(parallel=None, strike=2)
+
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit,
+                                       "strike must be 0 without a parallel model, got 2")
 
 
 def test_resume_from_version_1_snapshot_is_an_error(tmp_path, capsys):
@@ -436,9 +452,29 @@ def test_resume_from_version_2_snapshot_is_an_error(tmp_path, capsys):
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "write it again")
 
 
+def _as_version_4(doc):
+    """A version 5 snapshot rewritten in place to version 4's layout: one
+    object per cluster, and the strike inside "parallel"."""
+    def clusters(result):
+        return {"outliers": result["outliers"], "clusters": [
+            {"centroid": c, "radius": r, "lifetime_count": n, "chunk_count": m}
+            for c, r, n, m in zip(result["centroids"], result["radii"],
+                                  result["lifetime_counts"], result["chunk_counts"])]}
+
+    strike, parallel = doc.pop("strike"), doc["parallel"]
+    doc.update(version=4, main=clusters(doc["main"]), parallel=None if parallel is None
+               else {"strike": strike, "result": clusters(parallel)})
+
+
+def test_resume_from_version_4_snapshot_is_an_error(tmp_path, capsys):
+    # version 4 wrote one object per cluster
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, _as_version_4, "version 4")
+
+
 def test_resume_from_version_3_snapshot_is_an_error(tmp_path, capsys):
     # version 3 also wrote the drift flag and each result's timestamp
     def edit(doc):
+        _as_version_4(doc)
         doc.update(version=3, is_concept_drift=doc["parallel"] is not None)
         for result in (doc["main"], doc["parallel"]["result"]):
             result["timestamp"] = doc["timestamp"]
@@ -492,6 +528,29 @@ def test_resume_takes_the_k_policy_from_the_snapshot(tmp_path, capsys):
         main(["resume", manifest, "--snapshot", str(snap), "--k", "3"])
 
 
+def test_resume_snapshot_out_continues_when_more_chunks_arrive(tmp_path, capsys):
+    # a run stopped after 3 chunks, resumed on the first 6 once they exist
+    # with --snapshot-out, then resumed from that snapshot on all 10: the
+    # two resumes' steps are the uninterrupted run's
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    six = str(write_stream(tmp_path / "six", load_stream(manifest).chunks[:6], seed=7))
+    assert main(["run", manifest, "--out", str(tmp_path / "full")]) == 0
+    assert main(["run", manifest, "--stop-after", "3", "--snapshot", str(first),
+                 "--out", str(tmp_path / "part")]) == 0
+    assert main(["resume", six, "--snapshot", str(first), "--snapshot-out", str(second),
+                 "--out", str(tmp_path / "middle")]) == 0
+    assert main(["resume", manifest, "--snapshot", str(second),
+                 "--out", str(tmp_path / "rest")]) == 0
+    capsys.readouterr()
+    full, middle, rest = (
+        [{k: v for k, v in row.items() if k != "duration_s"}
+         for row in parse_jsonl((tmp_path / name / "metrics.jsonl").read_text())[1]]
+        for name in ("full", "middle", "rest"))
+    assert [row["timestamp"] for row in middle + rest] == list(range(4, 11))
+    assert middle == full[3:6] and rest == full[6:]
+
+
 def test_resume_from_snapshot_with_a_stale_timestamp_is_an_error(tmp_path, capsys):
     # its results hold chunks 1-4: resuming after chunk 2 would absorb 3 and
     # 4 twice; the digest it records is of chunks 1-4, not 1-2
@@ -531,18 +590,18 @@ def test_resume_on_a_shorter_stream_names_both_counts(tmp_path, capsys):
 
 def test_resume_from_snapshot_with_ragged_centroids_is_an_error(tmp_path, capsys):
     def edit(doc):
-        doc["main"]["clusters"][1]["centroid"].append(0.5)
+        doc["main"]["centroids"][1].append(0.5)
 
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "'centroid'")
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "'centroids'")
 
 
 def test_resume_from_snapshot_of_other_dimensionality_is_an_error(tmp_path, capsys):
     # every centroid 3-D against the 2-D stream: a consistent snapshot of
     # some other stream, so the error names the snapshot file
     def edit(doc):
-        for result in (doc["main"], doc["parallel"]["result"]):
-            for cluster in result["clusters"]:
-                cluster["centroid"].append(0.5)
+        for result in (doc["main"], doc["parallel"]):
+            for centroid in result["centroids"]:
+                centroid.append(0.5)
 
     _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "snap.json")
 

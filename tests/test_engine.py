@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamclust import (
-    Chunk, DriftCause, DriftConfig, DriftKind, EngineState, StreamSpec, TimestepSpec,
-    dist_clust_trace, engine, generate_synthetic, sdccl_spec, sdwcd_spec, summarize_trace,
-    wcd1000_spec,
+    Chunk, ClusteringResult, DriftCause, DriftConfig, DriftKind, EngineState, StreamSpec,
+    TimestepSpec, dist_clust_trace, engine, generate_synthetic, sdccl_spec, sdwcd_spec,
+    summarize_trace, wcd1000_spec,
 )
 from streamclust import bootstrap as kmeans_bootstrap
 from conftest import labels_k, run_all
@@ -573,7 +573,7 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
     assert state.parallel is not None
     stale = json.loads(engine.state_to_json(state, chunks))
-    assert "timestamp" not in stale["main"] and "timestamp" not in stale["parallel"]["result"]
+    assert "timestamp" not in stale["main"] and "timestamp" not in stale["parallel"]
     stale["timestamp"] = 2
     with pytest.raises(ValueError, match=r"another stream than this stream: its chunks 1\.\.2"):
         engine.state_from_json(json.dumps(stale), chunks)
@@ -614,9 +614,9 @@ def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
     # 3-D centroids on the 2-D chunks the snapshot records: only the
     # dimensionality check stands between it and a resume
     doc = json.loads(engine.state_to_json(state, chunks))
-    for result in (doc["main"], doc["parallel"]["result"]):
-        for cluster in result["clusters"]:
-            cluster["centroid"].append(0.5)
+    for result in (doc["main"], doc["parallel"]):
+        for centroid in result["centroids"]:
+            centroid.append(0.5)
     text = json.dumps(doc)
     with pytest.raises(ValueError, match="3-D centroids but s/manifest.json has 2 dimensions"):
         engine.state_from_json(text, chunks, stream="s/manifest.json")
@@ -669,6 +669,19 @@ def test_snapshot_rejects_foreign_documents():
         engine.state_from_json('{"format": "something-else", "version": 1}', [])
 
 
+def test_snapshot_objects_hold_the_dataclass_fields_in_order():
+    # the snapshot writes and reads each object by its field names: a renamed
+    # or reordered field fails here, not only in the golden digest
+    chunks = generate_synthetic(sdwcd_spec(seed=5))
+    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    assert state.parallel is not None
+    doc = json.loads(engine.state_to_json(state, chunks))
+    names = [field.name for field in dataclasses.fields(ClusteringResult)]
+    assert list(doc["main"]) == list(doc["parallel"]) == names
+    assert list(doc["config"]) == [field.name for field in dataclasses.fields(DriftConfig)]
+    assert doc["strike"] == state.strike
+
+
 def test_parallel_state_invariants():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
     cfg = DriftConfig(k=5, seed=5)
@@ -691,10 +704,10 @@ def test_snapshot_rejects_centroids_of_different_lengths():
     text = engine.state_to_json(state, chunks)
     # one cluster of one result, and every cluster of the parallel result
     ragged = json.loads(text)
-    ragged["main"]["clusters"][1]["centroid"].append(0.5)
+    ragged["main"]["centroids"][1].append(0.5)
     parallel_only = json.loads(text)
-    for cluster in parallel_only["parallel"]["result"]["clusters"]:
-        cluster["centroid"].append(0.5)
+    for centroid in parallel_only["parallel"]["centroids"]:
+        centroid.append(0.5)
     for doc in (ragged, parallel_only):
-        with pytest.raises(ValueError, match="'centroid'"):
+        with pytest.raises(ValueError, match="'centroids'"):
             engine.state_from_json(json.dumps(doc), chunks)

@@ -20,12 +20,16 @@ restating facts it holds elsewhere (version 4): the drift flag, which is
 whether "parallel" is null, and each result's "timestamp", which is the
 top-level one. The new file was checked to differ from the version 3 file
 only in "version" and in those three deleted lines, and the resumed run's
-digest held. The wcd1000 run was taken when the absorb pass still scanned
-every centroid for every record, before it certified the previous record's
-cluster by the half-gap test. Before
-hashing a metrics.jsonl, the wall-clock fields (duration_s,
-total_runtime_s) and the meta line's absolute manifest path are dropped;
-everything else is hashed as written.
+digest held. It was re-pinned again when each result became one JSON list
+per ClusteringResult field and the strike moved to the top level (version
+5): the version 4 file decoded by the version 4 reader and the version 5
+file decoded by the version 5 reader gave the same state, every float equal
+in float.hex and every int exactly, and the resumed run's digest held. The
+wcd1000 run was taken when the absorb pass still scanned every centroid for
+every record, before it certified the previous record's cluster by the
+half-gap test. Before hashing a metrics.jsonl, the wall-clock fields
+(duration_s, total_runtime_s) and the meta line's absolute manifest path are
+dropped; everything else is hashed as written.
 
 Every digest was pinned under numpy 2.4.6. The streams come from numpy's
 Generator, whose streams NEP 19 does not promise to keep across numpy
@@ -70,11 +74,12 @@ GOLDEN = {
         "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
-    # re-pinned for snapshot version 4, which drops the drift flag and each
-    # result's timestamp; version 3 had recorded the SHA-256 of the chunks
-    # it covers, and version 2 had written the k-from-labels policy as
-    # "k": null. Every other byte is as before.
-    "snapshot": "a1d7fe436adcee30a685fec608d23cde1dd858b5fb4fc8ee51b03aea18cbaa2b",
+    # re-pinned for snapshot version 5, which writes each result as one
+    # list per field and the strike at the top level; version 4 had dropped
+    # the drift flag and each result's timestamp, version 3 had recorded the
+    # SHA-256 of the chunks it covers, and version 2 had written the
+    # k-from-labels policy as "k": null. The state it holds is as before.
+    "snapshot": "863769f696e95f0cfff33b1492fa134901612758357b33f258e2ae6337c10393",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
     "chunked_tree": "9836e13fe6acf21089a20f5d468227b6fc0eef0d44db47d377b8caf7f327a39b",
     "chunked_run": {

@@ -284,6 +284,16 @@ def test_chunk_dataset_refuses_rows_that_do_not_match(records, labels, classes):
         chunk_dataset(values, [i % 2 for i in range(labels)], 2, artificial)
 
 
+@pytest.mark.parametrize("labels, classes, message", [
+    ([[0]] * 10, None, r"^labels must be 1-D, one row per record, got shape \(10, 1\)$"),
+    ([0, 1] * 5, 5, r"^artificial class rows must be 2-D, one row per record, got shape \(\)$"),
+], ids=["labels_as_a_column", "scalar_artificial_classes"])
+def test_chunk_dataset_refuses_rows_of_the_wrong_shape(labels, classes, message):
+    values = [(i / 20, 0.5) for i in range(10)]
+    with pytest.raises(ValueError, match=message):
+        chunk_dataset(values, labels, 2, classes)
+
+
 def test_artificial_classes_known_cells():
     got = make_artificial_classes(BINNING_ROWS, 3)
     # spot values called out by the worked example
