@@ -26,6 +26,7 @@ from .core import Chunk, DriftConfig, minmax_normalize
 from .stream_io import (
     JSON_NUMBER,
     atomic_write_text,
+    from_doc,
     json_field,
     load_dataset,
     load_stream,
@@ -57,38 +58,29 @@ def _labels_k(chunk: Chunk) -> int:
     return len(set(chunk.labels.tolist()))
 
 
-_spec_field = functools.partial(json_field, "spec")
-_SPEC_OPTIONS = {"sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER, "seed": int,
-                 "anchors": list[list[JSON_NUMBER]], "alt_anchors": list[list[JSON_NUMBER]]}
-
-
-def _only_known_keys(doc: dict, keys, where: str):
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ValueError(f"{where} has unknown key {unknown[0]!r}; it takes {', '.join(keys)}")
+# A spec's keys and an entry's, with their JSON kinds; those past the first
+# one and two may be left out, for StreamSpec's and TimestepSpec's defaults.
+_SPEC_FIELDS = {"entries": list[dict], "sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER,
+                "seed": int, "anchors": list[list[JSON_NUMBER]],
+                "alt_anchors": list[list[JSON_NUMBER]]}
+_ENTRY_FIELDS = {"cluster_count": int, "records_per_cluster": int | list[int],
+                 "drift_kind": str, "offset_steps": int}
 
 
 def _spec_from_file(path: Path, seed: int) -> StreamSpec:
     doc = parse_json(read_text(path), path)
+    fields = from_doc("spec", doc, _SPEC_FIELDS, optional=list(_SPEC_FIELDS)[1:])
     entries, kinds = [], {kind.value: kind for kind in DriftKind}
-    for i, e in enumerate(_spec_field(doc, "entries", list[dict]), 1):
-        _only_known_keys(e, TimestepSpec.__match_args__, f"spec entry {i}")
-        e = {"drift_kind": "none", "offset_steps": 0, **e}
-        sizes = _spec_field(e, "records_per_cluster", int | list[int])
-        kind = _spec_field(e, "drift_kind", str)
+    for i, e in enumerate(fields.pop("entries"), 1):
+        e = from_doc(f"spec entry {i}", e, _ENTRY_FIELDS, optional=list(_ENTRY_FIELDS)[2:])
+        kind = e.setdefault("drift_kind", "none")
         if kind not in kinds:
             raise ValueError(f"spec entry {i} field 'drift_kind' must be one of "
                              f"{', '.join(kinds)}, got {kind!r}")
-        entries.append(TimestepSpec(
-            cluster_count=_spec_field(e, "cluster_count"),
-            records_per_cluster=tuple(sizes) if type(sizes) is list else sizes,
-            drift_kind=kinds[kind],
-            offset_steps=_spec_field(e, "offset_steps"),
-        ))
-    _only_known_keys(doc, ["entries", *_SPEC_OPTIONS], "spec")
-    kwargs = {key: _spec_field(doc, key, kind)
-              for key, kind in _SPEC_OPTIONS.items() if key in doc}
-    return StreamSpec(entries, **{"seed": seed, **kwargs})
+        if type(e["records_per_cluster"]) is list:
+            e["records_per_cluster"] = tuple(e["records_per_cluster"])
+        entries.append(TimestepSpec(**{**e, "drift_kind": kinds[kind]}))
+    return StreamSpec(entries, **{"seed": seed, **fields})
 
 
 def cmd_gen(args) -> int:

@@ -133,11 +133,11 @@ class ClusteringResult:
         if not all(map(math.isfinite, chain.from_iterable(self.centroids))):
             raise ValueError(f"centroid coordinates must be finite, got {self.centroids}")
         if not all(r >= 0 for r in self.radii):  # also rejects NaN
-            raise ValueError(f"radius must be >= 0, got {self.radii}")
+            raise ValueError(f"radii must be >= 0, got {self.radii}")
         if not all(n >= 1 for n in lifetimes):
-            raise ValueError(f"lifetime_count must be >= 1, got {lifetimes}")
+            raise ValueError(f"lifetime_counts must be >= 1, got {lifetimes}")
         if not all(0 <= m <= n for m, n in zip(deltas, lifetimes)):
-            raise ValueError(f"need 0 <= chunk_count <= lifetime_count, got {deltas}, {lifetimes}")
+            raise ValueError(f"need 0 <= chunk_counts <= lifetime_counts, got {deltas}, {lifetimes}")
         if self.outliers < 0:
             raise ValueError("outliers must be >= 0")
 

@@ -40,7 +40,7 @@ from .bootstrap import summarize_trace
 from .core import Chunk, ClusteringResult, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
-from .stream_io import JSON_NUMBER, json_field, parse_json
+from .stream_io import JSON_NUMBER, from_doc, json_field, parse_json, to_doc
 
 SNAPSHOT_FORMAT = "streamclust-state"
 # 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream;
@@ -252,27 +252,18 @@ def run(stream, configs=(), k_for_chunk=None, *, states=()):
         raise ValueError("stream yielded no chunks")
 
 
-_field = functools.partial(json_field, "snapshot")
-
-# Each snapshot object's fields in its dataclass's order, with their JSON
-# kinds: the writer and the reader both go by these tables.
+# Each snapshot object's keys in the writer's order, with their JSON kinds
+_SNAPSHOT_FIELDS = {"format": str, "version": int, "timestamp": int, "chunks_sha256": str,
+                    "config": dict, "main": dict, "parallel": dict | None, "strike": int}
 _RESULT_FIELDS = {"centroids": list[list[JSON_NUMBER]], "radii": list[JSON_NUMBER],
                   "lifetime_counts": list[int], "chunk_counts": list[int], "outliers": int}
 _CONFIG_FIELDS = {"k": int | None, "o_thresh": JSON_NUMBER, "d_thresh": JSON_NUMBER, "seed": int}
 
 
-def _to_doc(obj, fields: dict) -> dict:
-    return {name: getattr(obj, name) for name in fields}
-
-
-def _from_doc(doc, fields: dict) -> dict:
-    return {name: _field(doc, name, kind) for name, kind in fields.items()}
-
-
 def _result_from_doc(doc: dict, dimensions: int, stream: str) -> ClusteringResult:
     """The result a snapshot object holds, every centroid of the given
     length, that of the stream named stream."""
-    columns = _from_doc(doc, _RESULT_FIELDS)
+    columns = from_doc("snapshot", doc, _RESULT_FIELDS)
     wrong = sorted({len(c) for c in columns["centroids"]} - {dimensions})
     if wrong:
         raise ValueError(f"snapshot field 'centroids' holds {'/'.join(map(str, wrong))}-D "
@@ -311,9 +302,9 @@ def state_to_json(state: EngineState, chunks) -> str:
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
         "chunks_sha256": _chunks_sha256(chunks, state.timestamp),
-        "config": _to_doc(state.config, _CONFIG_FIELDS),
-        "main": _to_doc(state.main, _RESULT_FIELDS),
-        "parallel": None if state.parallel is None else _to_doc(state.parallel, _RESULT_FIELDS),
+        "config": to_doc(state.config, _CONFIG_FIELDS),
+        "main": to_doc(state.main, _RESULT_FIELDS),
+        "parallel": None if state.parallel is None else to_doc(state.parallel, _RESULT_FIELDS),
         "strike": state.strike,
     }, indent=2)
 
@@ -323,24 +314,23 @@ def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineSta
     that it was taken on chunks, the stream it resumes on, in their number of
     dimensions; stream names that stream in the errors."""
     doc = parse_json(text, "snapshot")
-    if _field(doc, "format", str) != SNAPSHOT_FORMAT:
+    if json_field("snapshot", doc, "format", str) != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
-    if _field(doc, "version") != SNAPSHOT_VERSION:
+    if json_field("snapshot", doc, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {doc['version']}, "
                          f"expected {SNAPSHOT_VERSION}; write it again with run --snapshot")
-    cfg = _field(doc, "config", dict)
-    parallel = _field(doc, "parallel", dict | None)
-    t = _field(doc, "timestamp")
+    fields = from_doc("snapshot", doc, _SNAPSHOT_FIELDS)
+    t, parallel = fields["timestamp"], fields["parallel"]
     dimensions = chunks[0].dimensions if chunks else 0  # an empty stream has none
     result = functools.partial(_result_from_doc, dimensions=dimensions, stream=stream)
     state = EngineState(
-        main=result(_field(doc, "main", dict)),
+        main=result(fields["main"]),
         parallel=None if parallel is None else result(parallel),
-        strike=_field(doc, "strike"),
-        config=DriftConfig(**_from_doc(cfg, _CONFIG_FIELDS)),
+        strike=fields["strike"],
+        config=DriftConfig(**from_doc("snapshot", fields["config"], _CONFIG_FIELDS)),
         timestamp=t,
     )
-    if _field(doc, "chunks_sha256", str) != _chunks_sha256(chunks, t, stream):
+    if fields["chunks_sha256"] != _chunks_sha256(chunks, t, stream):
         raise ValueError(f"snapshot was taken on another stream than {stream}: "
                          f"its chunks 1..{t} differ")
     return state

@@ -262,9 +262,7 @@ def reports_to_jsonl(meta: dict, steps: Iterable[dict], summary: dict) -> str:
 
 def parse_jsonl(text: str) -> tuple[dict, list[dict], dict]:
     """Split a serialized report back into (meta, step rows, summary)."""
-    meta: dict = {}
-    steps: list[dict] = []
-    summary: dict = {}
+    meta, steps, summary = {}, [], {}
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -276,6 +274,8 @@ def parse_jsonl(text: str) -> tuple[dict, list[dict], dict]:
             steps.append(doc)
         elif kind == "summary":
             summary = doc
+        else:
+            raise ValueError(f"report line {n} has type {kind!r}, not meta, step or summary")
     if not summary:
         raise ValueError("report has no summary line")
     return meta, steps, summary

@@ -10,9 +10,12 @@ and os.replace, so a failed write never leaves a half-written file behind.
 On the way in, each array must have its exact dtype, byte order included,
 and the shape the manifest gives it, and every value must be finite; a
 failed check raises ValueError naming the file.
+
+Every JSON object read back (manifest, gen spec, engine snapshot) goes by one
+table of its keys and JSON kinds: from_doc reads it, refusing a key the table
+does not name, so a document's version is checked before it; to_doc writes it.
 """
 
-import functools
 import json
 import os
 import reprlib
@@ -31,6 +34,10 @@ MANIFEST_FORMAT = "streamclust-stream"
 MANIFEST_VERSION = 2  # 2: three .npy arrays in place of one CSV file per chunk
 ORIGINS = ("synthetic", "real-world")
 JSON_NUMBER = int | float  # the types json.loads gives numbers; bool is neither
+# The manifest's keys in the order write_stream writes them, with their JSON kinds
+_MANIFEST_FIELDS = {"format": str, "version": int, "tool_version": str, "origin": str,
+                    "seed": int, "dimensions": int, "labeled": bool, "chunk_sizes": list[int],
+                    "artificial_class_sets": int, "source": dict}
 
 
 def _has_kind(value, kind, limit=sys.float_info.max) -> bool:
@@ -58,6 +65,21 @@ def json_field(document: str, doc, key: str, kind=int):
         name = kind.__name__ if type(kind) is type else kind
         raise ValueError(f"{document} field {key!r} must be {name}, got {reprlib.repr(value)}")
     return value
+
+
+def to_doc(obj, fields: dict) -> dict:
+    """The JSON object of obj's attributes named in the table fields, in its order."""
+    return {name: getattr(obj, name) for name in fields}
+
+
+def from_doc(document: str, doc, fields: dict, optional=()) -> dict:
+    """doc's fields by its table of keys and JSON kinds, each through json_field;
+    a key of optional may be left out, and a key the table does not name is refused."""
+    unknown = [key for key in doc if key not in fields] if type(doc) is dict else []
+    if unknown:
+        raise ValueError(f"{document} has unknown key {unknown[0]!r}; it takes {', '.join(fields)}")
+    return {name: json_field(document, doc, name, kind) for name, kind in fields.items()
+            if name not in optional or name in doc}
 
 
 def read_text(path) -> str:
@@ -135,13 +157,6 @@ def write_stream(
     values = np.concatenate([c.values for c in chunks])
     directory = Path(directory)
     _require_finite(values, sizes, directory)  # what load_stream would refuse
-    directory.mkdir(parents=True, exist_ok=True)
-    _save_array(directory / "values.npy", values)
-    if labeled:
-        _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
-    if widths[0]:
-        _save_array(directory / "ac.npy", np.concatenate([c.artificial_classes for c in chunks]))
-
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -154,6 +169,13 @@ def write_stream(
         "artificial_class_sets": widths[0],
         "source": source or {},
     }
+    from_doc("manifest", manifest, _MANIFEST_FIELDS)  # and so is a seed past the float64 range
+    directory.mkdir(parents=True, exist_ok=True)
+    _save_array(directory / "values.npy", values)
+    if labeled:
+        _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
+    if widths[0]:
+        _save_array(directory / "ac.npy", np.concatenate([c.artificial_classes for c in chunks]))
     manifest_path = directory / MANIFEST_NAME
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path
@@ -188,20 +210,17 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
 def load_stream(manifest_path) -> StreamData:
     manifest_path = Path(manifest_path)
     manifest = parse_json(read_text(manifest_path), manifest_path)
-    field = functools.partial(json_field, "manifest", manifest)
-    if field("format", str) != MANIFEST_FORMAT:
+    if json_field("manifest", manifest, "format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
-    if field("version") != MANIFEST_VERSION:
+    if json_field("manifest", manifest, "version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {manifest['version']}, expected "
                          f"{MANIFEST_VERSION}; write the stream again with gen or chunk")
-    origin = field("origin", str)
-    if origin not in ORIGINS:
+    fields = from_doc("manifest", manifest, _MANIFEST_FIELDS)
+    if fields["origin"] not in ORIGINS:
         raise ValueError(f"manifest field 'origin' must be 'synthetic' or 'real-world', "
-                         f"got {origin!r}")
-    dims = field("dimensions")
-    labeled = field("labeled", bool)
-    sizes = field("chunk_sizes", list[int])
-    ac_count = field("artificial_class_sets")
+                         f"got {fields['origin']!r}")
+    dims, labeled = fields["dimensions"], fields["labeled"]
+    sizes, ac_count = fields["chunk_sizes"], fields["artificial_class_sets"]
     if dims < 1:
         raise ValueError(f"{manifest_path}: dimensions must be a positive integer, got {dims!r}")
     if ac_count < 0:

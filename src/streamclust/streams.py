@@ -255,9 +255,6 @@ NAMED_SPECS = {
     "sdccl": sdccl_spec,
     "ncd100": ncd100_spec,
     "wcd1000": wcd1000_spec,
-    # alternate spellings
-    "100ncd": ncd100_spec,
-    "1000wcd": wcd1000_spec,
 }
 
 

@@ -50,12 +50,14 @@ def test_gen_is_byte_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_gen_accepts_alternate_spelling(tmp_path, capsys):
+def test_gen_refuses_alternate_spelling(tmp_path, capsys):
+    # each bundled stream has one name, which the refusal lists
     out = tmp_path / "n"
-    assert main(["gen", "100ncd", "--seed", "2", "--out", str(out)]) == 0
-    capsys.readouterr()
-    data = load_stream(out / "manifest.json")
-    assert len(data.chunks) == 100
+    assert main(["gen", "100ncd", "--seed", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in ("ncd100", "sdccl", "sdwcd", "wcd1000")), err
+    assert not out.exists()
 
 
 def test_gen_unknown_spec(tmp_path, capsys):
@@ -384,7 +386,7 @@ def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
         doc["main"]["radii"][0] = math.nan
 
     # NaN passes as a JSON number; ClusteringResult's check refuses it
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radius must be >= 0")
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radii must be >= 0")
 
 
 _WRONG_TYPES = {
@@ -395,6 +397,10 @@ _WRONG_TYPES = {
     "huge_coordinate": (("main", "centroids", 0, 0), 10**400, "snapshot field 'centroids'"),
     "huge_lifetime_count": (("main", "lifetime_counts", 0), 10**400,
                             "snapshot field 'lifetime_counts'"),
+    # a key no table names: a misspelt one would leave its field unread
+    "unknown_top_level_key": (("strikes",), 1, "snapshot has unknown key 'strikes'"),
+    "unknown_config_key": (("config", "o_tresh"), 0.5, "snapshot has unknown key 'o_tresh'"),
+    "unknown_main_key": (("main", "radius"), [0.1], "snapshot has unknown key 'radius'"),
 }
 
 
@@ -850,6 +856,8 @@ _MALFORMED_REPORTS = {
     "second_centroid_too_long": (
         _summary_edit(lambda runs: runs[0]["final_centroids"][1].append(0.5)),
         "report", "'final_centroids'"),
+    "unknown_line_type": (lambda lines: lines[:1] + ['{"type": "stepp"}'] + lines[1:],
+                          "report line 2", "'stepp'"),
 }
 
 

@@ -163,7 +163,7 @@ def _one_cluster(centroid, radius, lifetime_count, chunk_count):
 def test_cluster_summary_validation():
     with pytest.raises(ValueError):
         _one_cluster((0.5,), -0.1, 1, 0)
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match="radii"):
         _one_cluster((0.5,), math.nan, 1, 0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):

@@ -676,6 +676,7 @@ def test_snapshot_objects_hold_the_dataclass_fields_in_order():
     state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
     assert state.parallel is not None
     doc = json.loads(engine.state_to_json(state, chunks))
+    assert list(doc) == list(engine._SNAPSHOT_FIELDS)
     names = [field.name for field in dataclasses.fields(ClusteringResult)]
     assert list(doc["main"]) == list(doc["parallel"]) == names
     assert list(doc["config"]) == [field.name for field in dataclasses.fields(DriftConfig)]

@@ -18,7 +18,7 @@ from streamclust import (
     sdccl_spec,
     write_stream,
 )
-from streamclust.stream_io import JSON_NUMBER, json_field
+from streamclust.stream_io import _MANIFEST_FIELDS, JSON_NUMBER, json_field
 from conftest import same_chunk
 
 
@@ -35,6 +35,8 @@ def test_stream_round_trip_is_bit_exact(tmp_path):
     assert data.manifest["chunk_sizes"] == [150] * 7
     assert data.manifest["labeled"] is True
     assert all(c.artificial_classes is None for c in data.chunks)
+    # the writer's key order is the table the reader goes by
+    assert list(data.manifest) == list(_MANIFEST_FIELDS)
 
 
 def _files(directory):
@@ -126,6 +128,9 @@ def test_write_stream_validation(tmp_path):
         write_stream(tmp_path / "s", [], seed=0)
     with pytest.raises(ValueError, match="all labeled or all unlabeled"):
         write_stream(tmp_path / "s", [chunks[0], Chunk(2, chunks[0].values)], seed=0)
+    # a manifest load_stream would refuse is not written either
+    with pytest.raises(ValueError, match="manifest field 'seed' holds a number beyond"):
+        write_stream(tmp_path / "s", chunks, seed=10**400)
     values, labels = chunks[0].values, chunks[0].labels
     two, one = np.ones((len(values), 2), int), np.ones((len(values), 1), int)
     for classes, message in (((two, None), "chunk 1 has 2 columns, chunk 2 has 0"),
@@ -269,6 +274,10 @@ def test_load_stream_rejects_truncated_row(tmp_path):
         pytest.param({"artificial_class_sets": "2"},
                      "manifest field 'artificial_class_sets' must be int", id="edit6-must be a count"),
         pytest.param({"labeled": 1}, "manifest field 'labeled' must be bool", id="labeled_int"),
+        pytest.param({"chunk_size": 150}, "manifest has unknown key 'chunk_size'",
+                     id="unknown_key"),
+        pytest.param({"seed": "7"}, "manifest field 'seed' must be int", id="seed_string"),
+        pytest.param({"source": []}, "manifest field 'source' must be dict", id="source_list"),
     ],
 )
 def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, message):
