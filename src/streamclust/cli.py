@@ -5,7 +5,8 @@ Commands:
     chunk   normalize and split a labeled dataset file into a stream
     run     drive the engine over a stream, write metrics (optionally repeat
             with derived seeds and average)
-    eval    match a run's final centroids against the stream's per-class means
+    eval    match a run's final centroids against the stream's per-class means,
+            which its manifest holds; the arrays are checked by their digests
     resume  continue a run from a saved engine snapshot over the chunks after
             it, through the same code as run
 
@@ -20,30 +21,23 @@ import sys
 from pathlib import Path
 
 from . import __version__
-# engine and metrics are imported in the commands that run them: gen and
-# chunk load neither, and eval loads no part of the engine.
+# stream_io, streams, engine and metrics are imported in the commands that
+# run them, so this module loads no numpy: eval reads only the manifest and
+# its files' digests, and gen and chunk load neither engine nor metrics.
 from .core import Chunk, DriftConfig, minmax_normalize
-from .stream_io import (
+from .jsondoc import (
     JSON_NUMBER,
     atomic_write_text,
+    check_digests,
     from_doc,
     json_field,
-    load_dataset,
-    load_stream,
     parse_json,
+    read_manifest,
     read_text,
-    write_stream,
-)
-from .streams import (
-    DriftKind,
-    NAMED_SPECS,
-    StreamSpec,
-    TimestepSpec,
-    chunk_dataset,
-    generate_synthetic,
-    make_artificial_classes,
 )
 
+# The bundled streams, each built by the streams function <name>_spec
+NAMED_STREAMS = ("ncd100", "sdccl", "sdwcd", "wcd1000")
 DEFAULT_SEED = 7
 DEFAULT_O_THRESH = DriftConfig.o_thresh
 DEFAULT_D_THRESH_SYNTHETIC = DriftConfig.d_thresh
@@ -67,7 +61,8 @@ _ENTRY_FIELDS = {"cluster_count": int, "records_per_cluster": int | list[int],
                  "drift_kind": str, "offset_steps": int}
 
 
-def _spec_from_file(path: Path, seed: int) -> StreamSpec:
+def _spec_from_file(path: Path, seed: int):
+    from .streams import DriftKind, StreamSpec, TimestepSpec
     doc = parse_json(read_text(path), path)
     fields = from_doc("spec", doc, _SPEC_FIELDS, optional=list(_SPEC_FIELDS)[1:])
     entries, kinds = [], {kind.value: kind for kind in DriftKind}
@@ -84,27 +79,30 @@ def _spec_from_file(path: Path, seed: int) -> StreamSpec:
 
 
 def cmd_gen(args) -> int:
+    from . import streams
+    from .stream_io import write_stream
     name = args.spec
-    if name in NAMED_SPECS:
-        spec = NAMED_SPECS[name](seed=args.seed)
+    if name in NAMED_STREAMS:
+        spec = getattr(streams, f"{name}_spec")(seed=args.seed)
         source = {"kind": "generated", "name": name}
     else:
         path = Path(name)
         if not path.exists():
-            raise ValueError(
-                f"unknown stream spec {name!r}; pick one of {sorted(NAMED_SPECS)} or give a JSON file"
-            )
+            raise ValueError(f"unknown stream spec {name!r}; pick one of "
+                             f"{list(NAMED_STREAMS)} or give a JSON file")
         spec = _spec_from_file(path, args.seed)
         source = {"kind": "file", "name": path.name}
         name = path.stem
     out = Path(args.out) if args.out else Path(f"{name}_seed{spec.seed}")
-    chunks = generate_synthetic(spec)
+    chunks = streams.generate_synthetic(spec)
     manifest = write_stream(out, chunks, seed=spec.seed, origin="synthetic", source=source)
     print(manifest)
     return 0
 
 
 def cmd_chunk(args) -> int:
+    from .stream_io import load_dataset, write_stream
+    from .streams import chunk_dataset, make_artificial_classes
     values, labels, label_map = load_dataset(args.dataset)
     if args.normalize:
         values = minmax_normalize(values)
@@ -156,7 +154,12 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
                           true_cluster_values)
-    tcvs = [c for _, c in true_cluster_values(data.chunks)]
+    labeled = true_cluster_values(data.chunks)
+    stored = zip(data.manifest["class_labels"], map(tuple, data.manifest["class_means"]))
+    if labeled != list(stored):  # what eval reads in place of the arrays
+        raise ValueError(f"{args.manifest}: class_means are not the per-class means of the "
+                         "stream's records; write the stream again with gen or chunk")
+    tcvs = [c for _, c in labeled]
 
     k_for_chunk = None if meta["k"] is not None else _labels_k
     finals = list(states) or [None] * len(configs)
@@ -206,6 +209,7 @@ def cmd_run(args) -> int:
         raise ValueError("--snapshot requires --repeat 1")
     if args.stop_after is not None and args.repeat != 1:
         raise ValueError("--stop-after requires --repeat 1")
+    from .stream_io import load_stream
     data = load_stream(args.manifest)
     d_thresh = args.d_thresh
     if d_thresh is None:
@@ -217,6 +221,9 @@ def cmd_run(args) -> int:
     chunks = data.chunks[:args.stop_after]
     configs = [DriftConfig(k=args.k, o_thresh=args.o_thresh, d_thresh=d_thresh, seed=seed)
                for seed in range(args.seed, args.seed + args.repeat)]
+    if args.snapshot:  # a config the snapshot could not hold, such as a huge seed, runs nothing
+        from .engine import config_to_doc
+        config_to_doc(configs[0])
     meta = {
         "k": args.k,
         "o_thresh": args.o_thresh,
@@ -230,6 +237,7 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     from .engine import state_from_json
+    from .stream_io import load_stream
     data = load_stream(args.manifest)
     state = _in_file(args.snapshot, functools.partial(state_from_json, chunks=data.chunks,
                                                       stream=args.manifest))
@@ -247,24 +255,31 @@ def cmd_resume(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .metrics import parse_jsonl, tcv_distance, true_cluster_values
-    data = load_stream(args.manifest)
+    from .metrics import parse_jsonl, tcv_distance
+    manifest = read_manifest(args.manifest)
+    check_digests(args.manifest, manifest)
+    if not manifest["labeled"]:
+        raise ValueError("true cluster values need a labeled stream")
+    chunk_count, dims = len(manifest["chunk_sizes"]), manifest["dimensions"]
     _, steps, summary = _in_file(args.report, parse_jsonl)
-    if len(steps) > len(data.chunks):
+    if len(steps) > chunk_count:
         raise ValueError(
-            f"report covers {len(steps)} timestamps but the stream has {len(data.chunks)} chunks"
+            f"report covers {len(steps)} timestamps but the stream has {chunk_count} chunks"
         )
     runs = json_field("report", summary, "runs", list[dict])
     if not (0 <= args.run < len(runs)):
         raise ValueError(f"report has {len(runs)} runs; --run {args.run} is out of range")
     centroids = json_field("report", runs[args.run], "final_centroids", list[list[JSON_NUMBER]])
-    dims = data.chunks[0].dimensions
     if any(len(c) != dims for c in centroids):
         raise ValueError(f"report field 'final_centroids' does not hold {dims}-D centroids "
                          "like the stream; wrong manifest/report pair?")
+    means = manifest["class_means"]
+    if any(len(m) != dims for m in means):
+        raise ValueError(f"{args.manifest}: class_means do not hold {dims}-D means like "
+                         "its dimensions")
 
-    labeled = true_cluster_values(data.chunks)
-    match = tcv_distance(centroids, [c for _, c in labeled])
+    labeled = list(zip(manifest["class_labels"], means))
+    match = tcv_distance(centroids, means)
 
     head = ["cluster"]
     head += [f"tcv_x{d + 1}" for d in range(dims)]
@@ -295,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark stream")
-    p.add_argument("spec", help=f"named stream ({', '.join(sorted(NAMED_SPECS))}) or spec JSON file")
+    p.add_argument("spec",
+                   help=f"named stream ({', '.join(NAMED_STREAMS)}) or spec JSON file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="output directory (default: <spec>_seed<seed>)")
     p.set_defaults(func=cmd_gen)

@@ -4,15 +4,18 @@ Every type here is immutable and the functions are pure, which makes results
 safe to hand between threads. Results compare by value; a chunk holds
 read-only numpy arrays and compares by identity. Both are columnar: a chunk
 is one matrix of records, a result one column per cluster field.
+
+numpy is imported by the functions that use it, so a command that builds no
+chunk, such as eval, starts without it.
 """
+
+from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-
-import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +39,7 @@ class Chunk:
     artificial_classes: np.ndarray | None = None
 
     def __post_init__(self):
+        import numpy as np
         if self.timestamp < 1:
             raise ValueError(f"chunk timestamp must be >= 1, got {self.timestamp}")
         values = np.array(self.values, dtype=np.float64, order="C")
@@ -91,8 +95,20 @@ def left_sum(values):
 
 def first_nonfinite_row(matrix: np.ndarray) -> int | None:
     """Index of the first row holding a NaN or an infinity, or None."""
+    import numpy as np
     finite = np.isfinite(matrix)
     return None if finite.all() else int(finite.all(axis=1).argmin())
+
+
+def class_means(values: np.ndarray, labels: np.ndarray) -> list[tuple[int, tuple[float, ...]]]:
+    """Each class's mean record, sorted by class label: values is a float64
+    (records, dimensions) matrix, labels its int64 vector of class labels."""
+    # A row-major matrix reduces along axis 0 row by row, in record order.
+    # (np.unique would import numpy.ma, about 1 MB of resident memory.)
+    return [
+        (label, tuple(values[labels == label].mean(axis=0).tolist()))
+        for label in sorted(set(labels.tolist()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,7 @@ def minmax_normalize(values) -> np.ndarray:
     Constant columns map to 0 rather than dividing by zero. NaN and infinite
     values are rejected: one of them would turn its whole column into NaN.
     """
+    import numpy as np
     matrix = np.asarray(values, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D (records, dimensions) matrix, got {matrix.ndim}-D")

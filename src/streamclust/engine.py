@@ -40,7 +40,7 @@ from .bootstrap import summarize_trace
 from .core import Chunk, ClusteringResult, DriftConfig
 from .drift import detect, DriftVerdict
 from .incremental import dist_clust_trace
-from .stream_io import JSON_NUMBER, from_doc, json_field, parse_json, to_doc
+from .jsondoc import JSON_NUMBER, from_doc, json_field, parse_json, to_doc
 
 SNAPSHOT_FORMAT = "streamclust-state"
 # 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream;
@@ -260,6 +260,12 @@ _RESULT_FIELDS = {"centroids": list[list[JSON_NUMBER]], "radii": list[JSON_NUMBE
 _CONFIG_FIELDS = {"k": int | None, "o_thresh": JSON_NUMBER, "d_thresh": JSON_NUMBER, "seed": int}
 
 
+def config_to_doc(config: DriftConfig) -> dict:
+    """config's snapshot object; a config state_from_json would refuse, such
+    as one whose seed is beyond the float64 range, is refused here."""
+    return from_doc("snapshot", to_doc(config, _CONFIG_FIELDS), _CONFIG_FIELDS)
+
+
 def _result_from_doc(doc: dict, dimensions: int, stream: str) -> ClusteringResult:
     """The result a snapshot object holds, every centroid of the given
     length, that of the stream named stream."""
@@ -302,7 +308,7 @@ def state_to_json(state: EngineState, chunks) -> str:
         "version": SNAPSHOT_VERSION,
         "timestamp": state.timestamp,
         "chunks_sha256": _chunks_sha256(chunks, state.timestamp),
-        "config": to_doc(state.config, _CONFIG_FIELDS),
+        "config": config_to_doc(state.config),
         "main": to_doc(state.main, _RESULT_FIELDS),
         "parallel": None if state.parallel is None else to_doc(state.parallel, _RESULT_FIELDS),
         "strike": state.strike,

@@ -21,10 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .core import Chunk, ClusteringResult, left_sum
-from .stream_io import json_field, parse_json
+from .core import Chunk, ClusteringResult, class_means, left_sum
+from .jsondoc import json_field, parse_json
 
 
 def entropy(assignments) -> float:
@@ -54,20 +52,16 @@ def entropy(assignments) -> float:
 
 
 def true_cluster_values(all_chunks: Sequence[Chunk]) -> list[tuple[int, tuple[float, ...]]]:
-    """Per-class mean vectors over every chunk merged, sorted by class label."""
+    """Per-class mean vectors over every chunk merged, sorted by class label;
+    write_stream stores the same means in the manifest."""
+    import numpy as np  # only run and resume score against the arrays' means
     chunks = list(all_chunks)
     if not chunks:
         return []
     if any(c.labels is None for c in chunks):
         raise ValueError("true cluster values need a labeled stream")
-    matrix = np.concatenate([c.values for c in chunks])
-    labels = np.concatenate([c.labels for c in chunks])
-    # A row-major matrix reduces along axis 0 row by row, in record order.
-    # (np.unique would import numpy.ma, about 1 MB of resident memory.)
-    return [
-        (label, tuple(matrix[labels == label].mean(axis=0).tolist()))
-        for label in sorted(set(labels.tolist()))
-    ]
+    return class_means(np.concatenate([c.values for c in chunks]),
+                       np.concatenate([c.labels for c in chunks]))
 
 
 @dataclass(frozen=True)

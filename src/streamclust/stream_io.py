@@ -3,118 +3,46 @@
 A stream directory holds its records in stream order as .npy arrays:
 values.npy (float64, records x dimensions), labels.npy (int64, labeled
 streams only) and ac.npy (int64, records x artificial_class_sets). The
-manifest's chunk_sizes splits the rows into chunks. A .npy file holds the
-float64 bits themselves, so a stream reads back exactly and regenerating it
-from the same seed gives byte-identical files. Writes go through a temp file
-and os.replace, so a failed write never leaves a half-written file behind.
-On the way in, each array must have its exact dtype, byte order included,
-and the shape the manifest gives it, and every value must be finite; a
-failed check raises ValueError naming the file.
-
-Every JSON object read back (manifest, gen spec, engine snapshot) goes by one
-table of its keys and JSON kinds: from_doc reads it, refusing a key the table
-does not name, so a document's version is checked before it; to_doc writes it.
+manifest (see jsondoc) splits the rows into chunks by its chunk_sizes. A .npy
+file holds the float64 bits themselves, so a stream reads back exactly and
+regenerating it from the same seed gives byte-identical files. Writes go
+through a temp file and os.replace, so a failed write never leaves a
+half-written file behind. On the way in, each array must have its exact
+dtype, byte order included, and the shape the manifest gives it, and every
+value must be finite; a failed check raises ValueError naming the file.
 """
 
 import json
 import os
-import reprlib
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, get_args, get_origin
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import Chunk, first_nonfinite_row
-
-MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT = "streamclust-stream"
-MANIFEST_VERSION = 2  # 2: three .npy arrays in place of one CSV file per chunk
-ORIGINS = ("synthetic", "real-world")
-JSON_NUMBER = int | float  # the types json.loads gives numbers; bool is neither
-# The manifest's keys in the order write_stream writes them, with their JSON kinds
-_MANIFEST_FIELDS = {"format": str, "version": int, "tool_version": str, "origin": str,
-                    "seed": int, "dimensions": int, "labeled": bool, "chunk_sizes": list[int],
-                    "artificial_class_sets": int, "source": dict}
-
-
-def _has_kind(value, kind, limit=sys.float_info.max) -> bool:
-    """Whether a json.loads value has the JSON type kind, a class (True is not
-    an int), list[kind] or a union such as int | None; ints lie within limit."""
-    if type(kind) is type:
-        return type(value) is kind and (kind is not int or abs(value) <= limit)
-    if get_origin(kind) is list:
-        return type(value) is list and all(_has_kind(v, get_args(kind)[0], limit) for v in value)
-    return any(_has_kind(value, k, limit) for k in get_args(kind))
+from .core import Chunk, class_means, first_nonfinite_row
+from .jsondoc import (
+    _MANIFEST_FIELDS,
+    MANIFEST_FORMAT,
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
+    ORIGINS,
+    atomic_write_text,
+    from_doc,
+    read_manifest,
+    read_text,
+)
 
 
-def json_field(document: str, doc, key: str, kind=int):
-    """doc[key] if doc is a JSON object and doc[key] has the JSON type kind
-    with every int in the float64 range, else a ValueError naming the document
-    and field. NaN and infinities are left to the caller's domain checks."""
-    if type(doc) is not dict:
-        raise ValueError(f"{document} is a {type(doc).__name__}, not an object holding {key!r}")
-    if key not in doc:
-        raise ValueError(f"{document} field {key!r} is missing")
-    value = doc[key]
-    if not _has_kind(value, kind):
-        if _has_kind(value, kind, float("inf")):
-            raise ValueError(f"{document} field {key!r} holds a number beyond the float64 range")
-        name = kind.__name__ if type(kind) is type else kind
-        raise ValueError(f"{document} field {key!r} must be {name}, got {reprlib.repr(value)}")
-    return value
-
-
-def to_doc(obj, fields: dict) -> dict:
-    """The JSON object of obj's attributes named in the table fields, in its order."""
-    return {name: getattr(obj, name) for name in fields}
-
-
-def from_doc(document: str, doc, fields: dict, optional=()) -> dict:
-    """doc's fields by its table of keys and JSON kinds, each through json_field;
-    a key of optional may be left out, and a key the table does not name is refused."""
-    unknown = [key for key in doc if key not in fields] if type(doc) is dict else []
-    if unknown:
-        raise ValueError(f"{document} has unknown key {unknown[0]!r}; it takes {', '.join(fields)}")
-    return {name: json_field(document, doc, name, kind) for name, kind in fields.items()
-            if name not in optional or name in doc}
-
-
-def read_text(path) -> str:
-    """The UTF-8 text of the file at path; a decode error names the file and
-    the line that holds the first bad byte."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at line {line}") from None
-
-
-def parse_json(text: str, document, line: int | None = None):
-    """json.loads(text); a decode error names the document and the line it
-    is on, which is the given line when text is that one line of a file."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{document} is not valid JSON: {exc.msg} at line "
-                         f"{line or exc.lineno} column {exc.colno}") from None
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _save_array(path: Path, array: np.ndarray) -> None:
+def _save_array(path: Path, array: np.ndarray) -> str:
+    """Write array as the .npy file at path; returns the SHA-256 of the file."""
+    import hashlib  # here, not on load_stream's path: reading a stream takes no digest
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:  # a file object, so np.save appends no .npy suffix
         np.save(f, array, allow_pickle=False)
     os.replace(tmp, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _require_finite(values: np.ndarray, sizes: Sequence[int], where) -> None:
@@ -157,6 +85,12 @@ def write_stream(
     values = np.concatenate([c.values for c in chunks])
     directory = Path(directory)
     _require_finite(values, sizes, directory)  # what load_stream would refuse
+    arrays = {"values.npy": values}
+    if labeled:
+        arrays["labels.npy"] = np.concatenate([c.labels for c in chunks])
+    if widths[0]:
+        arrays["ac.npy"] = np.concatenate([c.artificial_classes for c in chunks])
+    means = class_means(values, arrays["labels.npy"]) if labeled else []
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -168,14 +102,13 @@ def write_stream(
         "chunk_sizes": sizes,
         "artificial_class_sets": widths[0],
         "source": source or {},
+        "class_labels": [label for label, _ in means],
+        "class_means": [list(mean) for _, mean in means],
+        "sha256": {},  # each file's, as it is written
     }
     from_doc("manifest", manifest, _MANIFEST_FIELDS)  # and so is a seed past the float64 range
     directory.mkdir(parents=True, exist_ok=True)
-    _save_array(directory / "values.npy", values)
-    if labeled:
-        _save_array(directory / "labels.npy", np.concatenate([c.labels for c in chunks]))
-    if widths[0]:
-        _save_array(directory / "ac.npy", np.concatenate([c.artificial_classes for c in chunks]))
+    manifest["sha256"] = {name: _save_array(directory / name, a) for name, a in arrays.items()}
     manifest_path = directory / MANIFEST_NAME
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path
@@ -208,27 +141,12 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
 
 
 def load_stream(manifest_path) -> StreamData:
+    """The stream of the manifest at manifest_path, its arrays checked
+    against the manifest (see read_manifest) and split into chunks."""
     manifest_path = Path(manifest_path)
-    manifest = parse_json(read_text(manifest_path), manifest_path)
-    if json_field("manifest", manifest, "format", str) != MANIFEST_FORMAT:
-        raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
-    if json_field("manifest", manifest, "version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest['version']}, expected "
-                         f"{MANIFEST_VERSION}; write the stream again with gen or chunk")
-    fields = from_doc("manifest", manifest, _MANIFEST_FIELDS)
-    if fields["origin"] not in ORIGINS:
-        raise ValueError(f"manifest field 'origin' must be 'synthetic' or 'real-world', "
-                         f"got {fields['origin']!r}")
-    dims, labeled = fields["dimensions"], fields["labeled"]
-    sizes, ac_count = fields["chunk_sizes"], fields["artificial_class_sets"]
-    if dims < 1:
-        raise ValueError(f"{manifest_path}: dimensions must be a positive integer, got {dims!r}")
-    if ac_count < 0:
-        raise ValueError(f"{manifest_path}: artificial_class_sets must be a count, got {ac_count}")
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"{manifest_path}: chunk_sizes must be a non-empty list of "
-                         "positive record counts")
-
+    manifest = read_manifest(manifest_path)
+    dims, labeled = manifest["dimensions"], manifest["labeled"]
+    sizes, ac_count = manifest["chunk_sizes"], manifest["artificial_class_sets"]
     directory, rows = manifest_path.parent, sum(sizes)
     path = directory / "values.npy"
     values = _read_array(path, np.float64, (rows, dims), "chunk_sizes and dimensions")

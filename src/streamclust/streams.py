@@ -250,14 +250,6 @@ def wcd1000_spec(seed: int = 0) -> StreamSpec:
     return StreamSpec(tuple(entries), seed=seed)
 
 
-NAMED_SPECS = {
-    "sdwcd": sdwcd_spec,
-    "sdccl": sdccl_spec,
-    "ncd100": ncd100_spec,
-    "wcd1000": wcd1000_spec,
-}
-
-
 def chunk_dataset(values, labels, chunk_count: int, artificial_classes=None) -> list[Chunk]:
     """Split a labeled (records, dimensions) matrix into chunks that preserve
     class proportions. labels, a vector, and artificial_classes when given,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import streamclust
 from streamclust import Chunk, DriftConfig, EngineState, engine
+from streamclust.cli import main
 from conftest import TOY_LABELS, TOY_VALUES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,11 +40,10 @@ _ENGINE_PARTS = {f"streamclust.{m}" for m in ("engine", "bootstrap", "incrementa
 
 
 def _modules_loaded_by(code, cwd):
-    """The streamclust modules, and csv, that code leaves in sys.modules, run
-    in a fresh interpreter so that nothing this process imported counts."""
+    """The names of the modules that code leaves in sys.modules, run in a
+    fresh interpreter so that nothing this process imported counts."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules"
-             " if m.startswith('streamclust') or m == 'csv'))")
+    code += "\nimport sys\nprint(*sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
         capture_output=True, text=True, timeout=120,
@@ -53,21 +53,41 @@ def _modules_loaded_by(code, cwd):
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    assert not _ENGINE_PARTS & _modules_loaded_by("import streamclust.cli", tmp_path)
+    loaded = _modules_loaded_by("import streamclust.cli", tmp_path)
+    assert not (_ENGINE_PARTS | {"numpy", "streamclust.streams"}) & loaded
 
     gen = "from streamclust.cli import main\nmain(['gen', 'sdwcd', '--out', 's'])"
     loaded = _modules_loaded_by(gen, tmp_path)
     assert "streamclust.streams" in loaded
     assert not (_ENGINE_PARTS | {"streamclust.metrics"}) & loaded
 
-    # only chunk reads a dataset file
+    # only chunk reads a dataset file and only gen and chunk build streams
     run = "from streamclust.cli import main\nmain(['run', 's/manifest.json', '--out', 'r'])"
-    assert "csv" not in _modules_loaded_by(run, tmp_path)
+    assert not {"csv", "streamclust.streams"} & _modules_loaded_by(run, tmp_path)
+    # run checks the manifest's class means against its arrays, not the
+    # arrays against their digests: reading the stream loads no OpenSSL.
+    # (A bootstrap's numpy.random loads it, through the secrets module.)
+    read = ("from streamclust.metrics import true_cluster_values\n"
+            "from streamclust.stream_io import load_stream\n"
+            "true_cluster_values(load_stream('s/manifest.json').chunks)")
+    loaded = _modules_loaded_by(read, tmp_path)
+    assert "numpy" in loaded
+    assert not {"hashlib", "_hashlib"} & loaded
+    assert main(["run", str(tmp_path / "s" / "manifest.json"), "--stop-after", "4",
+                 "--snapshot", str(tmp_path / "snap.json"), "--out", str(tmp_path / "p")]) == 0
+    resume = ("from streamclust.cli import main\n"
+              "main(['resume', 's/manifest.json', '--snapshot', 'snap.json', '--out', 'rr'])")
+    loaded = _modules_loaded_by(resume, tmp_path)
+    assert "streamclust.engine" in loaded
+    assert not {"csv", "streamclust.streams"} & loaded
+
+    # eval reads the manifest and the arrays' digests, never the arrays
     loaded = _modules_loaded_by(
         "from streamclust.cli import main\nmain(['eval', 's/manifest.json', 'r/metrics.jsonl'])",
         tmp_path)
-    assert "streamclust.metrics" in loaded
-    assert not (_ENGINE_PARTS | {"csv"}) & loaded
+    assert {"streamclust.metrics", "hashlib"} <= loaded
+    assert not (_ENGINE_PARTS | {"csv", "numpy", "streamclust.streams",
+                                 "streamclust.stream_io"}) & loaded
 
 
 def test_bench_traced_functions_exist():

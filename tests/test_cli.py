@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamclust import Chunk, __version__, bootstrap, cli, engine, load_stream, metrics, write_stream
+from streamclust import (Chunk, __version__, bootstrap, engine, load_stream, metrics, streams,
+                         write_stream)
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
 from conftest import TOY_ROWS
@@ -183,7 +184,7 @@ def test_gen_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, mess
     def exhausted(spec):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+    monkeypatch.setattr(streams, "generate_synthetic", exhausted)
     out = tmp_path / "huge"
     assert main(["gen", "sdwcd", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {line or message}\n"
@@ -296,6 +297,20 @@ def test_run_repeat_below_one_is_an_error(tmp_path, capsys):
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "--repeat" in err
         assert not run_out.exists()
+
+
+def test_run_snapshot_with_a_seed_it_cannot_hold_is_one_error_line(tmp_path, capsys):
+    # resume would refuse the snapshot's seed, so run refuses it before any
+    # chunk runs, and writes neither the snapshot nor the metrics
+    snap, out = tmp_path / "snap.json", tmp_path / "r"
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    assert main(["run", manifest, "--seed", str(10**400), "--stop-after", "4",
+                 "--snapshot", str(snap), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: snapshot field 'seed' holds a number beyond the "
+                            "float64 range\n")
+    assert not snap.exists() and not out.exists()
 
 
 def _artificial_class_stream(tmp_path, capsys):
@@ -995,6 +1010,82 @@ def test_run_nan_value_is_an_error(tmp_path, capsys):
     _run_fails_with_one_line_error(
         tmp_path, capsys, out / "manifest.json", "values.npy", "record 6 of chunk 2", "finite"
     )
+
+
+def _fails_with_one_error_line(capsys, argv, *names):
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert all(name in captured.err for name in names), captured.err
+
+
+def _sdwcd_run(tmp_path, capsys):
+    """A generated sdwcd stream's manifest and the report of a run on it."""
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    report = tmp_path / "run" / "metrics.jsonl"
+    assert main(["run", str(manifest), "--out", str(report.parent)]) == 0
+    return manifest, report
+
+
+def test_eval_refuses_an_array_file_with_one_byte_flipped(tmp_path, capsys):
+    # the shape and the dtype hold, so only the file's SHA-256 tells
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    path = manifest.parent / "values.npy"
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x01  # a bit of the last record's last value
+    path.write_bytes(bytes(data))
+    assert np.load(path).shape == (1500, 2)
+    _fails_with_one_error_line(capsys, ["eval", str(manifest), str(report)], str(path),
+                               "SHA-256")
+
+
+@pytest.mark.parametrize("name", ["values.npy", "labels.npy"])
+def test_eval_refuses_a_missing_array_file(tmp_path, capsys, name):
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    (manifest.parent / name).unlink()
+    _fails_with_one_error_line(capsys, ["eval", str(manifest), str(report)],
+                               str(manifest.parent / name))
+
+
+def test_run_refuses_edited_class_means(tmp_path, capsys):
+    # eval reads the means in place of the arrays; run and resume check them
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    snap = tmp_path / "snap.json"
+    assert main(["run", str(manifest), "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    doc = json.loads(manifest.read_text())
+    doc["class_means"][1][0] = math.nextafter(doc["class_means"][1][0], 1.0)
+    manifest.write_text(json.dumps(doc, indent=2))
+    for argv in (["run", str(manifest)], ["resume", str(manifest), "--snapshot", str(snap)]):
+        out = tmp_path / f"{argv[0]}-out"
+        _fails_with_one_error_line(capsys, argv + ["--out", str(out)], "class_means")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_version_2_manifest_is_refused(tmp_path, capsys, command):
+    # version 2 stored neither the class means nor the arrays' digests
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    for key in ("class_labels", "class_means", "sha256"):
+        del doc[key]
+    manifest.write_text(json.dumps({**doc, "version": 2}, indent=2))
+    argv = {"run": ["run", str(manifest), "--out", str(tmp_path / "again")],
+            "eval": ["eval", str(manifest), str(report)]}[command]
+    _fails_with_one_error_line(capsys, argv, "unsupported manifest version 2, expected 3; "
+                               "write the stream again with gen or chunk")
+
+
+def test_eval_refuses_an_unlabeled_stream(tmp_path, capsys):
+    # sdwcd's records without their labels: no class means to match against
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    chunks = [Chunk(c.timestamp, c.values) for c in load_stream(manifest).chunks]
+    unlabeled = write_stream(tmp_path / "unlabeled", chunks, seed=7)
+    assert json.loads(unlabeled.read_text())["class_means"] == []
+    _fails_with_one_error_line(capsys, ["eval", str(unlabeled), str(report)],
+                               "labeled stream")
 
 
 def test_chunk_nan_in_dataset_is_an_error(tmp_path, capsys):

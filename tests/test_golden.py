@@ -13,7 +13,15 @@ before it drew the whole stream in one. All four generated trees (sdwcd,
 ncd100, sdccl, wcd1000) were re-pinned when gen stopped copying its spec
 into the manifest's "source", which now only names the spec: their
 values.npy and labels.npy were checked byte-identical to the previous
-version's, and their manifest.json to differ only in "source". The repeat
+version's, and their manifest.json to differ only in "source". All five
+trees (the four generated and the chunked one) were re-pinned again for
+manifest version 3, which stores the labeled stream's per-class means and
+the SHA-256 of each array file, so that eval reads those in place of the
+arrays: each tree's values.npy, labels.npy and ac.npy were checked
+byte-identical to the version 2 tree's, and its manifest.json to differ only
+in "version" and the new "class_labels", "class_means" and "sha256". The
+eval digests held, as JSON gives each stored mean back as the same float.
+The repeat
 run, three runs averaged, was taken before the run reports stopped going
 through one object per run. The snapshot was re-pinned when it stopped
 restating facts it holds elsewhere (version 4): the drift flag, which is
@@ -55,22 +63,22 @@ WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
 
 GOLDEN = {
     "sdwcd": {
-        "tree": "69ccf2c7b02af04e56174899ece57a17976a189e37d99c15de1e17c672fefb62",
+        "tree": "94638f8cedb565d0df60db558b1edbb56f4cf27022143b7329789a0196cd27f7",
         "metrics": "8088a63ebe97e70c083b9edb62a3b73a7289eab4291eae72a65f000aefba87e6",
         "counts": "680f7898f919f4be30eac893f0ea9c0e345de23075d841250d334c59cb676d7d",
         "eval": "98d93ebbae987db33aa159200270334cc433a259e19cac9ff91075fb6ab1b73b",
     },
     "ncd100": {
-        "tree": "8f8918cfe196281052a081c0c80069f96b3121feaa60b08d905a83b19500bc06",
+        "tree": "1918591fcb11dccaf2090267100c00abe88db99d533d80e537fe86967f181cf5",
         "metrics": "7873a82a3b3db82ae2b9dfd37427cd8829893d27cc23d68dbe5529c23810199a",
         "counts": "1bc07bf7e0502915fa5ab9efa73b4c46899bab400dc10888872cd119727a6060",
         "eval": "55b4ccfe7674735a0cc389e33cf64c69971a4e6feb0ea20e69d4fbbecb2b7612",
     },
     "sdccl": {
-        "tree": "8d8fa05646aedec749f003d18279bc079def79044717a29623cf1d7b5941a140",
+        "tree": "251c14939a11599b329c0e685e33597922f67bbe7529647beb720ca690a22b93",
     },
     "wcd1000": {
-        "tree": "c49737f9aa8738b92bdff77589c92a711a05dbcb656b79b65ac92ee25257ef20",
+        "tree": "2c6dfcc3e472d53653cb957c33d51a62b995c94e100282708b1046a32f79538f",
         "metrics": "7992942954634b199e4369eeab2dc5379ec402f652663ac9f2b4dc5c0baa29bb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
     },
@@ -81,7 +89,7 @@ GOLDEN = {
     # k-from-labels policy as "k": null. The state it holds is as before.
     "snapshot": "863769f696e95f0cfff33b1492fa134901612758357b33f258e2ae6337c10393",
     "resumed_metrics": "f4c7fbe42a843c80d04867c80f24493b2e7622e16cfb82d0c257293a51bbcc5c",
-    "chunked_tree": "9836e13fe6acf21089a20f5d468227b6fc0eef0d44db47d377b8caf7f327a39b",
+    "chunked_tree": "5a8af3d384d7d95f8abb8bd75ebcc51695c01d6755f6f9f64a7c5b64900e6c44",
     "chunked_run": {
         "metrics": "74fce436297c1294de5a633fd3140ab0975dcc17c1cbd37e647b302c2a811632",
         "counts": "3d597ff1b4359135073482dd0b4fb74c112d7531352da570168b955b4565a6f2",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -9,16 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import streamclust
 from streamclust import (
     Chunk,
+    chunk_dataset,
     generate_synthetic,
     load_dataset,
     load_stream,
     make_artificial_classes,
+    minmax_normalize,
     sdccl_spec,
+    true_cluster_values,
     write_stream,
 )
-from streamclust.stream_io import _MANIFEST_FIELDS, JSON_NUMBER, json_field
+from streamclust.jsondoc import _MANIFEST_FIELDS, JSON_NUMBER, json_field
 from conftest import same_chunk
 
 
@@ -37,6 +42,35 @@ def test_stream_round_trip_is_bit_exact(tmp_path):
     assert all(c.artificial_classes is None for c in data.chunks)
     # the writer's key order is the table the reader goes by
     assert list(data.manifest) == list(_MANIFEST_FIELDS)
+
+
+def _chunked_dataset():
+    """Three classes of 4-attribute rows on different scales, normalized and
+    split into 5 chunks with artificial classes, as chunk does."""
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.normal(scale, scale / 3, size=(25, 4))
+                             for scale in (1.0, 20.0, 0.1)])
+    values = minmax_normalize(values)
+    labels = np.repeat([3, 8, 5], 25)
+    return chunk_dataset(values, labels, 5, make_artificial_classes(values, 3))
+
+
+@pytest.mark.parametrize("name", ["sdwcd", "sdccl", "ncd100", "wcd1000", "chunked"])
+def test_manifest_holds_the_class_means_and_the_digests_of_its_files(tmp_path, name):
+    # what eval reads in place of the arrays: the means bit for bit, and
+    # the SHA-256 of each array file
+    chunks = (_chunked_dataset() if name == "chunked" else
+              generate_synthetic(getattr(streamclust, f"{name}_spec")(seed=7)))
+    manifest = write_stream(tmp_path / name, chunks, seed=7)
+    doc = json.loads(manifest.read_text())
+    stored = [(label, [m.hex() for m in mean])
+              for label, mean in zip(doc["class_labels"], doc["class_means"])]
+    means = true_cluster_values(load_stream(manifest).chunks)
+    assert stored == [(label, [m.hex() for m in mean]) for label, mean in means]
+    files = sorted(p.name for p in manifest.parent.iterdir() if p.suffix == ".npy")
+    assert sorted(doc["sha256"]) == files
+    for file, digest in doc["sha256"].items():
+        assert hashlib.sha256((manifest.parent / file).read_bytes()).hexdigest() == digest
 
 
 def _files(directory):
@@ -278,6 +312,15 @@ def test_load_stream_rejects_truncated_row(tmp_path):
                      id="unknown_key"),
         pytest.param({"seed": "7"}, "manifest field 'seed' must be int", id="seed_string"),
         pytest.param({"source": []}, "manifest field 'source' must be dict", id="source_list"),
+        pytest.param({"class_labels": []}, "class_labels and class_means must hold one label "
+                     "and one mean per class", id="means_without_labels"),
+        pytest.param({"labeled": False}, "class_labels and class_means", id="unlabeled_means"),
+        pytest.param({"class_means": [[0.5, "x"]]}, r"manifest field 'class_means' must be list",
+                     id="means_string"),
+        pytest.param({"sha256": {"values.npy": "0" * 64}}, "sha256 must give the digests of "
+                     "values.npy, labels.npy, got values.npy", id="digest_missing"),
+        pytest.param({"sha256": {"values.npz": "0" * 64}},
+                     "manifest field 'sha256' has unknown key 'values.npz'", id="digest_unknown"),
     ],
 )
 def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, message):
