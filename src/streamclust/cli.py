@@ -154,7 +154,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
                           true_cluster_values)
-    labeled = true_cluster_values(data.chunks)
+    labeled = true_cluster_values(data)
     stored = zip(data.manifest["class_labels"], map(tuple, data.manifest["class_means"]))
     if labeled != list(stored):  # what eval reads in place of the arrays
         raise ValueError(f"{args.manifest}: class_means are not the per-class means of the "

@@ -28,9 +28,13 @@ class Chunk:
     given, a read-only int64 matrix with one row of artificial class labels
     per record and at least one column (see make_artificial_classes). Both
     are opaque integers used only by stream construction and evaluation; no
-    clustering code path ever reads them. Every array is copied on
-    construction, so a chunk never changes. Equality is identity: compare
-    the arrays to compare contents.
+    clustering code path ever reads them. An array is kept as given only
+    when nothing can change it: it has the right dtype, is C-contiguous and
+    read-only, and so is the array it is a view of; load_stream and
+    generate_synthetic give their chunks such views of the stream's arrays.
+    Every other array is copied, so a chunk never changes (unless its owner
+    sets the writeable flag back on that base array). Equality is identity:
+    compare the arrays to compare contents.
     """
 
     timestamp: int
@@ -42,32 +46,29 @@ class Chunk:
         import numpy as np
         if self.timestamp < 1:
             raise ValueError(f"chunk timestamp must be >= 1, got {self.timestamp}")
-        values = np.array(self.values, dtype=np.float64, order="C")
+        values = _frozen(self.values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"chunk values must be a 2-D matrix, got {values.ndim}-D")
         if values.shape[0] == 0:
             raise ValueError("Chunk needs at least one record")
         if values.shape[1] == 0:
             raise ValueError("a record needs at least one attribute value")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64)
+            labels = _frozen(self.labels, np.int64)
             if labels.shape != (values.shape[0],):
                 raise ValueError(
                     f"chunk needs one label per record: {values.shape[0]} records, "
                     f"labels of shape {labels.shape}"
                 )
-            labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
         if self.artificial_classes is not None:
-            classes = np.array(self.artificial_classes, dtype=np.int64)
+            classes = _frozen(self.artificial_classes, np.int64)
             if classes.ndim != 2 or classes.shape[0] != values.shape[0] or not classes.shape[1]:
                 raise ValueError(
                     f"chunk needs one row of at least one artificial class per record: "
                     f"values of shape {values.shape}, artificial classes of shape {classes.shape}"
                 )
-            classes.flags.writeable = False
             object.__setattr__(self, "artificial_classes", classes)
 
     def __len__(self) -> int:
@@ -87,6 +88,19 @@ class Chunk:
         return list(zip(*self.values.T.tolist()))
 
 
+def _frozen(array, dtype) -> np.ndarray:
+    """array as a read-only, C-contiguous array of dtype: array itself when it
+    is one already and a view of a read-only array, a copy otherwise."""
+    import numpy as np
+    if (type(array) is np.ndarray and array.dtype == dtype and array.flags.c_contiguous
+            and not array.flags.writeable
+            and isinstance(array.base, np.ndarray) and not array.base.flags.writeable):
+        return array
+    array = np.array(array, dtype=dtype, order="C")
+    array.flags.writeable = False
+    return array
+
+
 def left_sum(values):
     """The values added left to right from 0: Python 3.11's sum() bits on
     every version, where 3.12's sum() compensates float rounding."""
@@ -102,13 +116,21 @@ def first_nonfinite_row(matrix: np.ndarray) -> int | None:
 
 def class_means(values: np.ndarray, labels: np.ndarray) -> list[tuple[int, tuple[float, ...]]]:
     """Each class's mean record, sorted by class label: values is a float64
-    (records, dimensions) matrix, labels its int64 vector of class labels."""
+    (records, dimensions) matrix, labels its int64 vector of class labels.
+    A class whose sum overflows float64, so that its mean is not finite, is
+    refused: JSON holds no such number, and no centroid is matched to one."""
+    import numpy as np
     # A row-major matrix reduces along axis 0 row by row, in record order.
     # (np.unique would import numpy.ma, about 1 MB of resident memory.)
-    return [
-        (label, tuple(values[labels == label].mean(axis=0).tolist()))
-        for label in sorted(set(labels.tolist()))
-    ]
+    means = []
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        for label in sorted(set(labels.tolist())):
+            mean = tuple(values[labels == label].mean(axis=0).tolist())
+            if not all(map(math.isfinite, mean)):
+                raise ValueError(f"the values of class {label} sum past the float64 range, "
+                                 "so its mean is not finite")
+            means.append((label, mean))
+    return means
 
 
 @dataclass(frozen=True)

@@ -51,17 +51,27 @@ def entropy(assignments) -> float:
     return value
 
 
-def true_cluster_values(all_chunks: Sequence[Chunk]) -> list[tuple[int, tuple[float, ...]]]:
-    """Per-class mean vectors over every chunk merged, sorted by class label;
-    write_stream stores the same means in the manifest."""
-    import numpy as np  # only run and resume score against the arrays' means
-    chunks = list(all_chunks)
-    if not chunks:
-        return []
-    if any(c.labels is None for c in chunks):
+def true_cluster_values(stream) -> list[tuple[int, tuple[float, ...]]]:
+    """Per-class mean vectors over a labeled stream, sorted by class label;
+    write_stream stores the same means in the manifest. stream is a
+    StreamData, whose whole arrays are read in place, or a sequence of
+    chunks, merged first."""
+    # imported here: only run and resume score against the arrays' means
+    import numpy as np
+    from .stream_io import StreamData
+    if isinstance(stream, StreamData):  # its chunks are views of these arrays
+        values, labels = stream.values, stream.labels
+    else:
+        chunks = list(stream)
+        if not chunks:
+            return []
+        values = labels = None
+        if all(c.labels is not None for c in chunks):
+            values = np.concatenate([c.values for c in chunks])
+            labels = np.concatenate([c.labels for c in chunks])
+    if labels is None:
         raise ValueError("true cluster values need a labeled stream")
-    return class_means(np.concatenate([c.values for c in chunks]),
-                       np.concatenate([c.labels for c in chunks]))
+    return class_means(values, labels)
 
 
 @dataclass(frozen=True)

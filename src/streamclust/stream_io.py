@@ -10,6 +10,8 @@ through a temp file and os.replace, so a failed write never leaves a
 half-written file behind. On the way in, each array must have its exact
 dtype, byte order included, and the shape the manifest gives it, and every
 value must be finite; a failed check raises ValueError naming the file.
+load_stream reads each array once and marks it read-only, so every chunk
+holds views of it, not copies; the stream is in memory once.
 """
 
 import json
@@ -116,8 +118,13 @@ def write_stream(
 
 @dataclass(frozen=True)
 class StreamData:
+    """A loaded stream: its chunks, each a read-only view of the whole-stream
+    arrays values and labels (None when unlabeled), and its manifest."""
+
     chunks: tuple[Chunk, ...]
     manifest: dict
+    values: np.ndarray
+    labels: np.ndarray | None
 
     @property
     def origin(self) -> str:
@@ -126,7 +133,9 @@ class StreamData:
 
 def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
     """The array in the .npy file at path, refused unless it holds exactly
-    dtype, byte order included, in the shape the manifest's fields give."""
+    dtype, byte order included, in the shape the manifest's fields give.
+    It is read-only, and so is the buffer it reshapes, so a chunk keeps its
+    rows of it as a view."""
     try:
         with open(path, "rb") as f:  # reads the .npy format only: never a pickle or an .npz
             array = np.lib.format.read_array(f, allow_pickle=False)
@@ -137,6 +146,9 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
     if array.shape != shape:
         raise ValueError(f"{path} has shape {array.shape}, "
                          f"but the manifest's {fields} give {shape}")
+    array.flags.writeable = False
+    if isinstance(array.base, np.ndarray):  # the buffer read_array filled
+        array.base.flags.writeable = False
     return array
 
 
@@ -160,7 +172,8 @@ def load_stream(manifest_path) -> StreamData:
 
     bounds = np.cumsum(sizes[:-1])
     parts = [[None] * len(sizes) if a is None else np.split(a, bounds) for a in (values, labels, ac)]
-    return StreamData(tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1)), manifest)
+    chunks = tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1))
+    return StreamData(chunks, manifest, values, labels)
 
 
 def _looks_numeric(field: str) -> bool:

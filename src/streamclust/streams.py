@@ -154,6 +154,8 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
     repeated once per record as loc. It draws one standard normal per element
     in C order and rounds loc + scale * normal in the same C code whatever the
     shapes, so it gives the same bits as one call per blob of shape (size, 2).
+    The drawn matrix and label vector are made read-only, and every chunk
+    holds views of them (see Chunk), so the stream is in memory once.
     """
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFF)
     base_count = spec.entries[0].cluster_count
@@ -191,6 +193,7 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
         tail = labels[bounds[i] :]
         slot = np.minimum(np.searchsorted(present, tail), len(present) - 1)
         tail[:] = np.where(present[slot] == tail, permuted[slot], tail)
+    values.flags.writeable = labels.flags.writeable = False  # chunks keep views, not copies
     return [
         Chunk(i + 1, values[bounds[i] : bounds[i + 1]], labels[bounds[i] : bounds[i + 1]])
         for i in range(len(spec.entries))

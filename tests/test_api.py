@@ -61,25 +61,23 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert "streamclust.streams" in loaded
     assert not (_ENGINE_PARTS | {"streamclust.metrics"}) & loaded
 
-    # only chunk reads a dataset file and only gen and chunk build streams
-    run = "from streamclust.cli import main\nmain(['run', 's/manifest.json', '--out', 'r'])"
-    assert not {"csv", "streamclust.streams"} & _modules_loaded_by(run, tmp_path)
+    # only chunk reads a dataset file and only gen and chunk build streams.
     # run checks the manifest's class means against its arrays, not the
-    # arrays against their digests: reading the stream loads no OpenSSL.
-    # (A bootstrap's numpy.random loads it, through the secrets module.)
-    read = ("from streamclust.metrics import true_cluster_values\n"
-            "from streamclust.stream_io import load_stream\n"
-            "true_cluster_values(load_stream('s/manifest.json').chunks)")
-    loaded = _modules_loaded_by(read, tmp_path)
-    assert "numpy" in loaded
-    assert not {"hashlib", "_hashlib"} & loaded
+    # arrays against their digests, and a bootstrap draws its first center
+    # in plain ints: without --snapshot, run loads no OpenSSL.
+    run = "from streamclust.cli import main\nmain(['run', 's/manifest.json', '--out', 'r'])"
+    loaded = _modules_loaded_by(run, tmp_path)
+    assert {"numpy", "streamclust.bootstrap"} <= loaded
+    assert not {"csv", "streamclust.streams", "numpy.random", "secrets", "hashlib",
+                "_hashlib"} & loaded
     assert main(["run", str(tmp_path / "s" / "manifest.json"), "--stop-after", "4",
                  "--snapshot", str(tmp_path / "snap.json"), "--out", str(tmp_path / "p")]) == 0
     resume = ("from streamclust.cli import main\n"
               "main(['resume', 's/manifest.json', '--snapshot', 'snap.json', '--out', 'rr'])")
     loaded = _modules_loaded_by(resume, tmp_path)
     assert "streamclust.engine" in loaded
-    assert not {"csv", "streamclust.streams"} & loaded
+    # resume checks the snapshot's chunks_sha256, so it does load hashlib
+    assert not {"csv", "streamclust.streams", "numpy.random"} & loaded
 
     # eval reads the manifest and the arrays' digests, never the arrays
     loaded = _modules_loaded_by(

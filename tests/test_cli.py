@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -1061,6 +1062,37 @@ def test_run_refuses_edited_class_means(tmp_path, capsys):
     for argv in (["run", str(manifest)], ["resume", str(manifest), "--snapshot", str(snap)]):
         out = tmp_path / f"{argv[0]}-out"
         _fails_with_one_error_line(capsys, argv + ["--out", str(out)], "class_means")
+        assert not out.exists()
+
+
+def test_chunk_refuses_a_class_whose_sum_overflows(tmp_path, capsys):
+    # 1e308 + 1.5e308 is past float64: the mean would be written as Infinity
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,1\n0.5,2\n1.5e308,1\n0.25,2\n")
+    out = tmp_path / "huge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the test
+        _fails_with_one_error_line(capsys, ["chunk", str(path), "--chunks", "2", "--no-normalize",
+                                            "--out", str(out)], "class 1", "float64")
+    assert not out.exists()
+
+
+def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):
+    manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
+    snap = tmp_path / "snap.json"
+    assert main(["run", str(manifest), "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    # one class past float64 after chunk 4, so the snapshot still matches
+    values, labels = np.load(manifest.parent / "values.npy"), np.load(manifest.parent / "labels.npy")
+    label = labels[-1]
+    values[(np.arange(len(values)) >= 4 * 150) & (labels == label), 0] = 1e308
+    np.save(manifest.parent / "values.npy", values)
+    for argv in (["run", str(manifest)], ["resume", str(manifest), "--snapshot", str(snap)]):
+        out = tmp_path / f"{argv[0]}-out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _fails_with_one_error_line(capsys, argv + ["--out", str(out)], f"class {label}",
+                                       "float64")
         assert not out.exists()
 
 

@@ -143,6 +143,31 @@ def test_chunk_is_columnar_and_read_only():
     assert chunk != Chunk(1, source, labels)  # equality is identity
 
 
+def test_chunk_copies_a_read_only_view_of_a_writeable_array():
+    base = np.array([[0.5, 0.25], [0.1, 0.9], [0.3, 0.7]])
+    labels = np.array([1, 2, 1])
+    values_view, labels_view = base[:2], labels[:2]
+    values_view.flags.writeable = labels_view.flags.writeable = False
+    chunk = Chunk(1, values_view, labels_view)
+    base[0, 0] = 9.0  # through the base, which the views cannot stop
+    labels[0] = 9
+    assert chunk.values[0, 0] == 0.5 and chunk.labels[0] == 1
+    assert not np.shares_memory(chunk.values, base)
+
+
+def test_chunk_keeps_a_view_of_a_read_only_array():
+    base = np.array([[0.5, 0.25], [0.1, 0.9], [0.3, 0.7]])
+    classes = np.array([[1, 2], [2, 1], [1, 1]])
+    base.flags.writeable = classes.flags.writeable = False
+    chunk = Chunk(1, base[1:], [3, 4], classes[1:])
+    assert chunk.values.base is base and chunk.artificial_classes.base is classes
+    # an array that owns its memory, or one of another dtype, is copied
+    assert Chunk(1, base).values is not base
+    assert Chunk(1, base[1:].astype(np.float32)).values.base is None
+    with pytest.raises(ValueError):
+        chunk.values.flags.writeable = True
+
+
 @pytest.mark.parametrize("classes, shape", [
     (np.ones((1, 2)), r"\(1, 2\)"),
     (np.ones((3, 2)), r"\(3, 2\)"),

@@ -94,6 +94,14 @@ def test_generation_is_reproducible():
     assert not _same_stream(a, c)
 
 
+def test_generated_chunks_are_views_of_one_draw():
+    chunks = generate_synthetic(sdwcd_spec(seed=7))
+    for name in ("values", "labels"):
+        base = getattr(chunks[0], name).base
+        assert isinstance(base, np.ndarray) and not base.flags.writeable
+        assert all(getattr(c, name).base is base for c in chunks)
+
+
 def test_generated_values_stay_in_unit_square():
     for spec in (sdwcd_spec(seed=3), sdccl_spec(seed=3)):
         for chunk in generate_synthetic(spec):
