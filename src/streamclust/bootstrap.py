@@ -204,7 +204,10 @@ def _finish(chunk: Chunk, centroids: np.ndarray, labels: np.ndarray):
     centroids = [tuple(c) for c in centroids[kept].tolist()]
     clusters = tuple(position[labels].tolist())
     radii, sse = [0.0] * len(kept), 0.0
-    for c, d in zip(clusters, map(math.dist, [centroids[c] for c in clusters], chunk.rows())):
+    # the records as tuples, which math.dist takes without converting;
+    # zipping the column lists builds them without a list per row
+    rows = zip(*chunk.values.T.tolist())
+    for c, d in zip(clusters, map(math.dist, [centroids[c] for c in clusters], rows)):
         sse += d * d
         if d > radii[c]:
             radii[c] = d

@@ -142,7 +142,8 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     chunks of data's stream, bootstrapping one run per config or continuing
     one per state (see engine.run); write metrics.jsonl, cluster_counts.tsv
     and the optional snapshot of the first run's final state; print the
-    summary.
+    summary. The final centroids are matched against the class means of
+    data's manifest, which load_stream checked against the records.
 
     meta holds the command's own keys: the tool version and manifest go in
     front, and after k its policy, "fixed" or "labels" (each chunk's label
@@ -154,12 +155,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
                           true_cluster_values)
-    labeled = true_cluster_values(data)
-    stored = zip(data.manifest["class_labels"], map(tuple, data.manifest["class_means"]))
-    if labeled != list(stored):  # what eval reads in place of the arrays
-        raise ValueError(f"{args.manifest}: class_means are not the per-class means of the "
-                         "stream's records; write the stream again with gen or chunk")
-    tcvs = [c for _, c in labeled]
+    tcvs = [mean for _, mean in true_cluster_values(data.manifest)]
 
     k_for_chunk = None if meta["k"] is not None else _labels_k
     finals = list(states) or [None] * len(configs)
@@ -255,11 +251,10 @@ def cmd_resume(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .metrics import parse_jsonl, tcv_distance
+    from .metrics import parse_jsonl, tcv_distance, true_cluster_values
     manifest = read_manifest(args.manifest)
     check_digests(args.manifest, manifest)
-    if not manifest["labeled"]:
-        raise ValueError("true cluster values need a labeled stream")
+    labeled = true_cluster_values(manifest)
     chunk_count, dims = len(manifest["chunk_sizes"]), manifest["dimensions"]
     _, steps, summary = _in_file(args.report, parse_jsonl)
     if len(steps) > chunk_count:
@@ -273,12 +268,10 @@ def cmd_eval(args) -> int:
     if any(len(c) != dims for c in centroids):
         raise ValueError(f"report field 'final_centroids' does not hold {dims}-D centroids "
                          "like the stream; wrong manifest/report pair?")
-    means = manifest["class_means"]
+    means = [mean for _, mean in labeled]
     if any(len(m) != dims for m in means):
         raise ValueError(f"{args.manifest}: class_means do not hold {dims}-D means like "
                          "its dimensions")
-
-    labeled = list(zip(manifest["class_labels"], means))
     match = tcv_distance(centroids, means)
 
     head = ["cluster"]

@@ -78,15 +78,6 @@ class Chunk:
     def dimensions(self) -> int:
         return self.values.shape[1]
 
-    def rows(self) -> list[tuple[float, ...]]:
-        """The records as tuples of Python floats, built afresh on each call.
-
-        Tuples, because math.dist converts any other sequence to a tuple on
-        every call; zipping the column lists builds them without an
-        intermediate list per row.
-        """
-        return list(zip(*self.values.T.tolist()))
-
 
 def _frozen(array, dtype) -> np.ndarray:
     """array as a read-only, C-contiguous array of dtype: array itself when it

@@ -128,7 +128,7 @@ def read_manifest(manifest_path) -> dict:
     if not sizes or min(sizes) < 1:
         raise ValueError(f"{manifest_path}: chunk_sizes must be a non-empty list of "
                          "positive record counts")
-    # each mean's length is checked by eval; run and resume read the arrays
+    # eval checks each mean's length, and load_stream the means themselves
     classes = fields["class_labels"]
     if len(fields["class_means"]) != len(classes) or bool(classes) != labeled:
         raise ValueError(f"{manifest_path}: class_labels and class_means must hold one label "

@@ -6,10 +6,11 @@ records. A run is scored as it goes: step_metrics turns each step's chunk
 and report into the step's row, a small dict, as soon as the step ends, and
 build_report folds those rows and the final clustering into the run's entry
 of the report's summary row, a dict of JSON values. Reference centroids for a
-labeled stream are the per-class means over all chunks merged; a run is
-scored by matching its final centroids against them one-to-one, with the
-exact minimum-total-distance assignment (Kuhn-Munkres) for any count on
-either side; average_runs averages the runs' step rows and entries once.
+labeled stream are the per-class means its manifest holds, which
+load_stream checks against the records; a run is scored by matching its
+final centroids against them one-to-one, with the exact
+minimum-total-distance assignment (Kuhn-Munkres) for any count on either
+side; average_runs averages the runs' step rows and entries once.
 Float sums are left_sum folds, the same bits on every Python. The engine's
 StepReports are only read here, through their fields, so this module does
 not import the engine.
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Chunk, ClusteringResult, class_means, left_sum
+from .core import Chunk, ClusteringResult, left_sum
 from .jsondoc import json_field, parse_json
 
 
@@ -51,27 +52,13 @@ def entropy(assignments) -> float:
     return value
 
 
-def true_cluster_values(stream) -> list[tuple[int, tuple[float, ...]]]:
-    """Per-class mean vectors over a labeled stream, sorted by class label;
-    write_stream stores the same means in the manifest. stream is a
-    StreamData, whose whole arrays are read in place, or a sequence of
-    chunks, merged first."""
-    # imported here: only run and resume score against the arrays' means
-    import numpy as np
-    from .stream_io import StreamData
-    if isinstance(stream, StreamData):  # its chunks are views of these arrays
-        values, labels = stream.values, stream.labels
-    else:
-        chunks = list(stream)
-        if not chunks:
-            return []
-        values = labels = None
-        if all(c.labels is not None for c in chunks):
-            values = np.concatenate([c.values for c in chunks])
-            labels = np.concatenate([c.labels for c in chunks])
-    if labels is None:
+def true_cluster_values(manifest: dict) -> list[tuple[int, tuple[float, ...]]]:
+    """The (class label, mean vector) pairs of a labeled stream's manifest,
+    as read_manifest returns it, sorted by class label: the per-class means
+    of its records, which write_stream stores and load_stream checks."""
+    if not manifest["labeled"]:
         raise ValueError("true cluster values need a labeled stream")
-    return class_means(values, labels)
+    return list(zip(manifest["class_labels"], map(tuple, manifest["class_means"])))
 
 
 @dataclass(frozen=True)
@@ -81,10 +68,6 @@ class TcvMatch:
     unmatched_clusters: tuple[int, ...]
     unmatched_references: tuple[int, ...]
 
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(d for _, _, d in self.pairs)
-
 
 def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     """Kuhn-Munkres with row and column potentials, for n rows <= m columns.
@@ -92,8 +75,9 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     Returns the (row, column) pairs, in column order, of the one-to-one
     assignment of every row with the least total cost. Each row enters in
     turn along the shortest augmenting path under the reduced costs:
-    O(n * n * m), and the same costs always give the same pairs. Costs must
-    be finite: a row of NaN or inf never finds a column and the search spins.
+    O(n * n * m), and the same costs always give the same pairs. A row that
+    can reach no free column at a finite cost, such as a distance that
+    overflowed to inf, is refused: the search would spin.
     """
     n, m = len(cost), len(cost[0])
     u = [0.0] * (n + 1)  # row potentials; index 0 is unused
@@ -117,6 +101,9 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
                         slack[j], back[j] = reduced, col
                     if slack[j] < delta:
                         delta, nxt = slack[j], j
+            if delta == math.inf:
+                raise ValueError("centroids to match lie too far apart: every way to match "
+                                 "them has a distance past the float64 range")
             for j in range(m + 1):
                 if seen[j]:
                     u[owner[j]] += delta
@@ -205,15 +192,13 @@ def step_metrics(chunk: Chunk, report, scored: dict | None = None) -> dict:
 
 
 def build_report(
-    steps: Sequence[dict],
-    final: ClusteringResult,
-    tcvs: Sequence[Sequence[float]] | None = None,
+    steps: Sequence[dict], final: ClusteringResult, tcvs: Sequence[Sequence[float]]
 ) -> dict:
     """Fold one run's per-step rows, in step order, and its final clustering
     into the run's entry of the summary row.
 
     The means and the runtime are sums over the rows in order; the final
-    centroids are matched against tcvs, the reference centroids, when given.
+    centroids are matched against tcvs, the reference centroids.
     Only the rows are needed, so a caller can score each step as it ends and
     let its StepReport go.
     """
@@ -223,7 +208,7 @@ def build_report(
         "cluster_counts": [s["cluster_count"] for s in steps],
         "events": [s["event"] for s in steps],
         "final_centroids": [list(c) for c in final.centroids],
-        "tcv_distances": list(tcv_distance(final.centroids, tcvs).distances) if tcvs else None,
+        "tcv_distances": [d for _, _, d in tcv_distance(final.centroids, tcvs).pairs],
         "mean_entropy": left_sum(s["entropy"] for s in steps) / len(steps),
         "mean_sse": left_sum(s["sse"] for s in steps) / len(steps),
         "total_runtime_s": left_sum(s["duration_s"] for s in steps),

@@ -10,8 +10,10 @@ through a temp file and os.replace, so a failed write never leaves a
 half-written file behind. On the way in, each array must have its exact
 dtype, byte order included, and the shape the manifest gives it, and every
 value must be finite; a failed check raises ValueError naming the file.
-load_stream reads each array once and marks it read-only, so every chunk
-holds views of it, not copies; the stream is in memory once.
+The manifest's class means must be the per-class means of the records, so
+every reader of a loaded stream may take them from the manifest. load_stream
+reads each array once and marks it read-only, so every chunk holds views of
+it, not copies; the stream is in memory once.
 """
 
 import json
@@ -118,13 +120,11 @@ def write_stream(
 
 @dataclass(frozen=True)
 class StreamData:
-    """A loaded stream: its chunks, each a read-only view of the whole-stream
-    arrays values and labels (None when unlabeled), and its manifest."""
+    """A loaded stream: its chunks, read-only views of one buffer per array,
+    and its manifest, whose class means load_stream checked against them."""
 
     chunks: tuple[Chunk, ...]
     manifest: dict
-    values: np.ndarray
-    labels: np.ndarray | None
 
     @property
     def origin(self) -> str:
@@ -154,7 +154,9 @@ def _read_array(path: Path, dtype, shape: tuple, fields: str) -> np.ndarray:
 
 def load_stream(manifest_path) -> StreamData:
     """The stream of the manifest at manifest_path, its arrays checked
-    against the manifest (see read_manifest) and split into chunks."""
+    against the manifest (see read_manifest) and split into chunks. A labeled
+    stream's class_labels and class_means must be core.class_means of its
+    records, bit for bit."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
     dims, labeled = manifest["dimensions"], manifest["labeled"]
@@ -169,11 +171,15 @@ def load_stream(manifest_path) -> StreamData:
     if ac_count:
         ac = _read_array(directory / "ac.npy", np.int64, (rows, ac_count),
                          "chunk_sizes and artificial_class_sets")
+    stored = zip(manifest["class_labels"], map(tuple, manifest["class_means"]))
+    if labeled and class_means(values, labels) != list(stored):
+        raise ValueError(f"{manifest_path}: class_means are not the per-class means of the "
+                         "stream's records; write the stream again with gen or chunk")
 
     bounds = np.cumsum(sizes[:-1])
     parts = [[None] * len(sizes) if a is None else np.split(a, bounds) for a in (values, labels, ac)]
     chunks = tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1))
-    return StreamData(chunks, manifest, values, labels)
+    return StreamData(chunks, manifest)
 
 
 def _looks_numeric(field: str) -> bool:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from streamclust import Chunk, engine
+from streamclust.core import class_means
 
 # 8-record, 2-attribute toy dataset with two classes; values already in [0,1].
 TOY_ROWS = (
@@ -47,6 +53,33 @@ def toy_chunk():
 
 def labels_k(chunk: Chunk) -> int:
     return len(set(chunk.labels.tolist()))
+
+
+def chunk_rows(chunk: Chunk) -> list[tuple[float, ...]]:
+    """A chunk's records as tuples of Python floats, in record order."""
+    return list(zip(*chunk.values.T.tolist()))
+
+
+def match_distances(match) -> tuple[float, ...]:
+    """The distances of a tcv_distance match's pairs, in cluster order."""
+    return tuple(d for _, _, d in match.pairs)
+
+
+def merged_class_means(chunks) -> list[tuple[int, tuple[float, ...]]]:
+    """core.class_means over the labeled chunks merged in stream order: what
+    write_stream stores in a stream's manifest."""
+    return class_means(np.concatenate([c.values for c in chunks]),
+                       np.concatenate([c.labels for c in chunks]))
+
+
+def run_python(*args, cwd=None, timeout=10):
+    """python args in a fresh interpreter that imports this checkout's
+    streamclust, killed after timeout seconds: a hang raises
+    subprocess.TimeoutExpired, which fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          cwd=cwd, capture_output=True, text=True, timeout=timeout)
 
 
 def same_chunk(a: Chunk, b: Chunk) -> bool:

@@ -25,7 +25,6 @@ from streamclust import (
     sdwcd_spec,
     summarize_trace,
     tcv_distance,
-    true_cluster_values,
     wcd1000_spec,
 )
 from streamclust import chunk_dataset
@@ -37,7 +36,10 @@ from conftest import (
     TOY_LABELS,
     TOY_ROWS,
     TOY_VALUES,
+    chunk_rows,
     labels_k,
+    match_distances,
+    merged_class_means,
     run_all,
 )
 
@@ -60,14 +62,14 @@ def test_criterion_01_running_mean_oracle():
         prev, (base_clusters, _) = summarize_trace(base, k, cases)
 
         buckets = [[] for _ in prev.centroids]
-        for values, idx in zip(base.rows(), base_clusters):
+        for values, idx in zip(chunk_rows(base), base_clusters):
             buckets[idx].append(values)
 
         pick = rng.integers(0, len(base_pts), size=int(rng.integers(5, 30)))
         absorb_pts = base_pts[pick] + rng.normal(0, 0.02, size=(len(pick), dims))
         chunk = Chunk(2, absorb_pts)
         result, (clusters, _) = dist_clust_trace(chunk, prev)
-        for values, idx in zip(chunk.rows(), clusters):
+        for values, idx in zip(chunk_rows(chunk), clusters):
             if idx >= 0:
                 buckets[idx].append(values)
 
@@ -125,12 +127,12 @@ def test_criterion_04_sdccl_tcv_and_single_activation():
     assert events.count("swapped") == 0
     assert reports[4].event == "activated"  # the collapsed chunk at t=5
 
-    tcvs = true_cluster_values(chunks)
+    tcvs = merged_class_means(chunks)
     match = tcv_distance(list(state.main.centroids), [c for _, c in tcvs])
     assert len(match.pairs) == 5
-    assert all(d <= 0.005 for d in match.distances)
+    assert all(d <= 0.005 for d in match_distances(match))
     assert elapsed < 2.0
-    worst = max(match.distances)
+    worst = max(match_distances(match))
     _ok(4, f"one activation, one stabilization, no swap; max TCV distance {worst:.4f} <= 0.005")
 
 
@@ -164,8 +166,8 @@ def test_criterion_06_thousand_chunk_scale():
 
 def test_criterion_07_golden_toy_tables():
     chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 2)
-    assert chunks[0].rows() == [TOY_ROWS[i][0] for i in (0, 1, 4, 5)]
-    assert chunks[1].rows() == [TOY_ROWS[i][0] for i in (2, 3, 6, 7)]
+    assert chunk_rows(chunks[0]) == [TOY_ROWS[i][0] for i in (0, 1, 4, 5)]
+    assert chunk_rows(chunks[1]) == [TOY_ROWS[i][0] for i in (2, 3, 6, 7)]
     binned = make_artificial_classes(BINNING_ROWS, 3)
     assert binned.tolist() == [list(row) for row in EXPECTED_BINS]
     _ok(7, "class-interleaved toy split and every artificial-class cell reproduced")

@@ -3,16 +3,13 @@ benchmark's span tracer wraps by module and attribute name."""
 
 import importlib
 import importlib.util
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import streamclust
 from streamclust import Chunk, DriftConfig, EngineState, engine
 from streamclust.cli import main
-from conftest import TOY_LABELS, TOY_VALUES
+from conftest import TOY_LABELS, TOY_VALUES, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -42,12 +39,8 @@ _ENGINE_PARTS = {f"streamclust.{m}" for m in ("engine", "bootstrap", "incrementa
 def _modules_loaded_by(code, cwd):
     """The names of the modules that code leaves in sys.modules, run in a
     fresh interpreter so that nothing this process imported counts."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     code += "\nimport sys\nprint(*sorted(sys.modules))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", code, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -62,9 +55,9 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert not (_ENGINE_PARTS | {"streamclust.metrics"}) & loaded
 
     # only chunk reads a dataset file and only gen and chunk build streams.
-    # run checks the manifest's class means against its arrays, not the
-    # arrays against their digests, and a bootstrap draws its first center
-    # in plain ints: without --snapshot, run loads no OpenSSL.
+    # load_stream checks the manifest's class means against the arrays run
+    # reads, not the arrays against their digests, and a bootstrap draws its
+    # first center in plain ints: without --snapshot, run loads no OpenSSL.
     run = "from streamclust.cli import main\nmain(['run', 's/manifest.json', '--out', 'r'])"
     loaded = _modules_loaded_by(run, tmp_path)
     assert {"numpy", "streamclust.bootstrap"} <= loaded
@@ -107,10 +100,6 @@ def test_readme_library_example_runs():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", blocks[0]], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", blocks[0], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from streamclust import Chunk, summarize_trace
 from streamclust import bootstrap
 from streamclust.bootstrap import _first_draw, _lloyd_first, _lloyd_iterate, _update_centroids
+from conftest import chunk_rows
 
 ANCHORS = ((0.117, 0.884), (0.885, 0.885), (0.527, 0.635), (0.117, 0.111), (0.877, 0.117))
 
@@ -26,7 +27,7 @@ def _members(clusters, cluster):
 def test_kmeans_one_point_per_cluster():
     chunk = Chunk(1, [(i / 10, i / 10) for i in range(4)])
     result, (clusters, _) = summarize_trace(chunk, 4, 0)
-    assert set(result.centroids) == set(chunk.rows())
+    assert set(result.centroids) == set(chunk_rows(chunk))
     for cluster, centroid in enumerate(result.centroids):
         members = _members(clusters, cluster)
         assert len(members) == 1
@@ -48,7 +49,7 @@ def test_kmeans_recovers_separated_blobs():
     # oracle: per-blob sample means computed directly from the raw points
     blob_means = []
     for label in range(1, 6):
-        pts = np.array([v for v, lab in zip(chunk.rows(), chunk.labels) if lab == label])
+        pts = np.array([v for v, lab in zip(chunk_rows(chunk), chunk.labels) if lab == label])
         blob_means.append(pts.mean(axis=0))
     for cluster, centroid in enumerate(result.centroids):
         nearest = min(blob_means, key=lambda m: math.dist(centroid, m))
@@ -196,11 +197,11 @@ def test_summarize_single_cluster_reduction():
     result, _ = summarize_trace(chunk, 1, 0)
     assert len(result.centroids) == 1
     centroid = result.centroids[0]
-    mean = np.array(chunk.rows()).mean(axis=0)
+    mean = np.array(chunk_rows(chunk)).mean(axis=0)
     assert centroid == pytest.approx(tuple(mean), abs=1e-12)
     assert result.lifetime_counts == result.chunk_counts == (25,)
     assert result.radii[0] == pytest.approx(
-        max(math.dist(centroid, row) for row in chunk.rows())
+        max(math.dist(centroid, row) for row in chunk_rows(chunk))
     )
 
 
@@ -219,7 +220,7 @@ def test_summarize_every_member_within_radius():
         result, (clusters, sse) = summarize_trace(chunk, 3, trial)
         assert sum(result.chunk_counts) == len(chunk)
         expected_sse = 0.0
-        for values, idx in zip(chunk.rows(), clusters):
+        for values, idx in zip(chunk_rows(chunk), clusters):
             assert idx >= 0
             dist = math.dist(values, result.centroids[idx])
             assert dist <= result.radii[idx]

@@ -20,7 +20,7 @@ from streamclust import (Chunk, __version__, bootstrap, engine, load_stream, met
                          write_stream)
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
-from conftest import TOY_ROWS
+from conftest import TOY_ROWS, chunk_rows, run_python
 
 
 def _toy_csv(tmp_path):
@@ -200,10 +200,10 @@ def test_chunk_splits_toy_dataset(tmp_path, capsys):
     assert code == 0
     data = load_stream(capsys.readouterr().out.strip())
     assert data.origin == "real-world"
-    assert data.chunks[0].rows() == [
+    assert chunk_rows(data.chunks[0]) == [
         TOY_ROWS[0][0], TOY_ROWS[1][0], TOY_ROWS[4][0], TOY_ROWS[5][0]
     ]
-    assert data.chunks[1].rows() == [
+    assert chunk_rows(data.chunks[1]) == [
         TOY_ROWS[2][0], TOY_ROWS[3][0], TOY_ROWS[6][0], TOY_ROWS[7][0]
     ]
 
@@ -1063,6 +1063,30 @@ def test_run_refuses_edited_class_means(tmp_path, capsys):
         out = tmp_path / f"{argv[0]}-out"
         _fails_with_one_error_line(capsys, argv + ["--out", str(out)], "class_means")
         assert not out.exists()
+
+
+def test_eval_refuses_class_means_of_another_length(tmp_path, capsys):
+    # the manifest is not among the digested files: only the length tells
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc["class_means"][0].append(0.5)
+    manifest.write_text(json.dumps(doc, indent=2))
+    _fails_with_one_error_line(capsys, ["eval", str(manifest), str(report)], str(manifest),
+                               "class_means do not hold 2-D means")
+
+
+def test_eval_refuses_a_centroid_too_far_to_match(tmp_path, capsys):
+    # its distance to every class mean overflows to inf; eval once hung on
+    # it, so it runs in a subprocess under a timeout
+    manifest, report = _sdwcd_run(tmp_path, capsys)
+    lines = report.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary["runs"][0]["final_centroids"][0] = [1.5e308, 1.5e308]
+    report.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+    proc = run_python("-m", "streamclust.cli", "eval", str(manifest), str(report))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "float64" in proc.stderr
 
 
 def test_chunk_refuses_a_class_whose_sum_overflows(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from streamclust import Chunk, ClusteringResult, DriftConfig, minmax_normalize
+from conftest import chunk_rows
 
 # Absorb, bootstrap and matching all measure with math.dist; these pin the
 # properties of the metric they rely on.
@@ -116,10 +117,10 @@ def test_chunk_validation():
 
 def test_chunk_rows_are_float_tuples_in_record_order():
     chunk = Chunk(1, np.arange(6.0).reshape(3, 2))
-    rows = chunk.rows()
+    rows = chunk_rows(chunk)
     assert rows == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
     assert all(type(row) is tuple and type(row[0]) is float for row in rows)
-    assert Chunk(1, [[0.25]]).rows() == [(0.25,)]
+    assert chunk_rows(Chunk(1, [[0.25]])) == [(0.25,)]
 
 
 def test_chunk_is_columnar_and_read_only():

@@ -16,17 +16,19 @@ from streamclust import (
     engine,
     entropy,
     generate_synthetic,
+    load_stream,
     metrics,
     sdccl_spec,
     sdwcd_spec,
     step_metrics,
     tcv_distance,
     true_cluster_values,
+    write_stream,
 )
 from streamclust.core import left_sum
 from streamclust.metrics import average_runs, parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
-from conftest import labels_k, run_all
+from conftest import labels_k, match_distances, merged_class_means, run_all, run_python
 
 
 def test_entropy_pure_clusters():
@@ -191,27 +193,34 @@ def test_sse_online_equals_offline_replay():
     assert online == pytest.approx(offline, abs=1e-9)
 
 
-def test_true_cluster_values_single_class():
+def _stored_means(directory, chunks):
+    """true_cluster_values of the stream of chunks, written and loaded back:
+    the means its manifest holds, which load_stream checked."""
+    return true_cluster_values(load_stream(write_stream(directory, chunks, seed=0)).manifest)
+
+
+def test_true_cluster_values_single_class(tmp_path):
     chunks = [Chunk(1, [(0.2, 0.4), (0.4, 0.6)], [1, 1])]
-    assert true_cluster_values(chunks) == [(1, (0.30000000000000004, 0.5))]
+    assert _stored_means(tmp_path, chunks) == [(1, (0.30000000000000004, 0.5))]
 
 
-def test_true_cluster_values_symmetric_midpoint():
+def test_true_cluster_values_symmetric_midpoint(tmp_path):
     chunks = [
         Chunk(1, [(0.0, 0.0), (0.5, 0.5)], [1, 2]),
         Chunk(2, [(1.0, 1.0), (0.7, 0.3)], [1, 2]),
     ]
-    tcvs = dict(true_cluster_values(chunks))
+    tcvs = dict(_stored_means(tmp_path, chunks))
     assert tcvs[1] == pytest.approx((0.5, 0.5))
     assert tcvs[2] == pytest.approx((0.6, 0.4))
 
 
-def test_true_cluster_values_requires_labels():
+def test_true_cluster_values_requires_labels(tmp_path):
+    manifest = load_stream(write_stream(tmp_path, [Chunk(1, [(0.1,)])], seed=0)).manifest
     with pytest.raises(ValueError):
-        true_cluster_values([Chunk(1, [(0.1,)])])
+        true_cluster_values(manifest)
 
 
-def test_true_cluster_values_match_sequential_running_sums():
+def test_true_cluster_values_match_sequential_running_sums(tmp_path):
     # oracle: the per-record accumulation in record order; the vectorized
     # per-class mean must agree to the last bit, in 2 and in 16 dimensions
     rng = np.random.default_rng(61)
@@ -230,12 +239,12 @@ def test_true_cluster_values_match_sequential_running_sums():
                 sums[label] += values
                 counts[label] += 1
         expected = [(label, tuple(sums[label] / counts[label])) for label in sorted(sums)]
-        assert true_cluster_values(chunks) == expected
+        assert _stored_means(tmp_path / str(dims), chunks) == expected
 
 
 def test_sdccl_class_means_sit_on_the_anchors():
     chunks = generate_synthetic(sdccl_spec(seed=7))
-    tcvs = dict(true_cluster_values(chunks))
+    tcvs = dict(merged_class_means(chunks))
     assert set(tcvs) == {0, 1, 2, 3, 4, 5}
     # each class mean pools 180 draws at sigma 0.02 (the +/- relocation
     # offsets cancel), so deviations sit within ~5 standard errors: 0.0075
@@ -246,13 +255,13 @@ def test_sdccl_class_means_sit_on_the_anchors():
 def test_tcv_distance_exact_match():
     refs = [(0.1, 0.1), (0.9, 0.9), (0.5, 0.5)]
     match = tcv_distance(refs, refs)
-    assert match.distances == (0.0, 0.0, 0.0)
+    assert match_distances(match) == (0.0, 0.0, 0.0)
     assert match.unmatched_clusters == () and match.unmatched_references == ()
 
 
 def test_tcv_distance_single_offset():
     match = tcv_distance([(0.53, 0.54)], [(0.5, 0.5)])
-    assert match.distances[0] == pytest.approx(0.05)
+    assert match_distances(match)[0] == pytest.approx(0.05)
 
 
 def test_tcv_distance_matches_hungarian_oracle():
@@ -268,7 +277,7 @@ def test_tcv_distance_matches_hungarian_oracle():
         match = tcv_distance(centroids, refs)
         cost = np.array([[math.dist(c, r) for r in refs] for c in centroids])
         rows, cols = linear_sum_assignment(cost)
-        assert sum(match.distances) == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+        assert sum(match_distances(match)) == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
         # random points have one optimum, so the pairs themselves must agree
         assert [(i, j) for i, j, _ in match.pairs] == sorted(zip(rows.tolist(), cols.tolist()))
         for i, j, d in match.pairs:
@@ -284,7 +293,7 @@ def test_tcv_distance_greedy_path_for_many_clusters():
     rng = np.random.default_rng(3)
     pts = [tuple(c) for c in rng.uniform(0, 1, size=(12, 2))]
     match = tcv_distance(pts, pts)
-    assert match.distances == (0.0,) * 12
+    assert match_distances(match) == (0.0,) * 12
     assert [(i, j) for i, j, _ in match.pairs] == [(i, i) for i in range(12)]
 
 
@@ -304,11 +313,11 @@ def test_tcv_distance_exact_tie_is_deterministic():
     centroids = [(0.5, 0.5), (0.5, 0.5)]
     refs = [(0.4, 0.5), (0.6, 0.5), (0.5, 0.9)]
     first = tcv_distance(centroids, refs)
-    assert sum(first.distances) == pytest.approx(0.2, abs=1e-12)
+    assert sum(match_distances(first)) == pytest.approx(0.2, abs=1e-12)
     assert first.unmatched_references == (2,)
     for _ in range(5):
         assert tcv_distance(centroids, refs) == first
-        assert tcv_distance(refs, centroids).distances == first.distances
+        assert match_distances(tcv_distance(refs, centroids)) == match_distances(first)
 
 
 def test_tcv_distance_needs_both_sides():
@@ -323,11 +332,32 @@ def test_tcv_distance_needs_both_sides():
             tcv_distance([(0.5, 0.5)], [(bad, 0.5)])
 
 
+def test_tcv_distance_refuses_distances_past_float64():
+    # finite coordinates whose every distance overflows to inf: no match has
+    # a finite cost, and the assignment once spun forever looking for one
+    code = ("from streamclust import tcv_distance\n"
+            "try:\n"
+            "    tcv_distance([(1.5e308, 1.5e308)], [(0.5, 0.5), (0.2, 0.1)])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "past the float64 range" in proc.stdout
+
+
+def test_tcv_distance_matches_around_distances_past_float64():
+    # the cross distances overflow to inf, but each point has its twin at 0
+    points = [(1e308, 1e308), (-8e307, -8e307)]
+    match = tcv_distance(points, points)
+    assert match_distances(match) == (0.0, 0.0)
+    assert [(i, j) for i, j, _ in match.pairs] == [(0, 0), (1, 1)]
+
+
 def test_build_report_and_jsonl_round_trip():
     chunks = generate_synthetic(sdccl_spec(seed=7))
     cfg = DriftConfig(k=5, seed=7)
     state, reports = run_all(chunks, cfg, labels_k)
-    tcvs = [c for _, c in true_cluster_values(chunks)]
+    tcvs = [c for _, c in merged_class_means(chunks)]
     rows = [step_metrics(chunk, rep) for chunk, rep in zip(chunks, reports)]
     report = build_report(rows, state.main, tcvs=tcvs)
 

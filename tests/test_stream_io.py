@@ -24,7 +24,7 @@ from streamclust import (
     write_stream,
 )
 from streamclust.jsondoc import _MANIFEST_FIELDS, JSON_NUMBER, json_field
-from conftest import same_chunk
+from conftest import merged_class_means, same_chunk
 
 
 def test_stream_round_trip_is_bit_exact(tmp_path):
@@ -65,7 +65,7 @@ def test_manifest_holds_the_class_means_and_the_digests_of_its_files(tmp_path, n
     doc = json.loads(manifest.read_text())
     stored = [(label, [m.hex() for m in mean])
               for label, mean in zip(doc["class_labels"], doc["class_means"])]
-    means = true_cluster_values(load_stream(manifest).chunks)
+    means = merged_class_means(load_stream(manifest).chunks)
     assert stored == [(label, [m.hex() for m in mean]) for label, mean in means]
     files = sorted(p.name for p in manifest.parent.iterdir() if p.suffix == ".npy")
     assert sorted(doc["sha256"]) == files
@@ -276,6 +276,18 @@ def _sdccl_stream(tmp_path):
     return manifest, tmp_path / "s"
 
 
+def test_load_stream_refuses_class_means_one_ulp_off(tmp_path):
+    # every reader takes the means from the manifest, so the library's
+    # loader refuses a mean that is not its records', by the last bit
+    manifest, _ = _sdccl_stream(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["class_means"][2][1] = math.nextafter(doc["class_means"][2][1], 1.0)
+    manifest.write_text(json.dumps(doc, indent=2))
+    with pytest.raises(ValueError, match=f"^{manifest}: class_means are not the per-class "
+                                         "means of the stream's records"):
+        load_stream(manifest)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_stream_rejects_non_finite_value(tmp_path, bad):
     manifest, stream = _sdccl_stream(tmp_path)
@@ -376,10 +388,11 @@ def test_loaded_chunks_share_one_buffer_per_array(tmp_path):
         assert isinstance(base, np.ndarray) and not base.flags.writeable
         assert all(a.base is base and not a.flags.owndata for a in arrays)
         assert base.nbytes == sum(a.nbytes for a in arrays)
-    assert np.shares_memory(data.values, data.chunks[2].values)
-    assert np.shares_memory(data.labels, data.chunks[0].labels)
-    # the means of the whole arrays, read in place, are the merged chunks'
-    assert true_cluster_values(data) == true_cluster_values(chunks)
+    values, labels = data.chunks[0].values.base, data.chunks[2].labels.base
+    assert np.shares_memory(values, data.chunks[2].values)
+    assert np.shares_memory(labels, data.chunks[0].labels)
+    # the manifest's means, which load_stream checked, are the merged chunks'
+    assert true_cluster_values(data.manifest) == merged_class_means(chunks)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from conftest import (
     TOY_LABELS,
     TOY_ROWS,
     TOY_VALUES,
+    chunk_rows,
     same_chunk,
 )
 
@@ -56,8 +57,8 @@ def test_sdwcd_shape():
 
 def test_sdwcd_sustained_phase_moves_the_clusters():
     chunks = generate_synthetic(sdwcd_spec(seed=7))
-    early = {tuple(round(v, 1) for v in row) for row in chunks[0].rows()}
-    late = {tuple(round(v, 1) for v in row) for row in chunks[5].rows()}
+    early = {tuple(round(v, 1) for v in row) for row in chunk_rows(chunks[0])}
+    late = {tuple(round(v, 1) for v in row) for row in chunk_rows(chunks[5])}
     assert not early & late  # drifted phase lives somewhere else entirely
 
 
@@ -105,7 +106,7 @@ def test_generated_chunks_are_views_of_one_draw():
 def test_generated_values_stay_in_unit_square():
     for spec in (sdwcd_spec(seed=3), sdccl_spec(seed=3)):
         for chunk in generate_synthetic(spec):
-            for row in chunk.rows():
+            for row in chunk_rows(chunk):
                 assert all(0.0 <= v <= 1.0 for v in row)
 
 
@@ -244,10 +245,10 @@ def test_label_drift_validation():
 
 def test_chunk_dataset_toy_split():
     chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 2)
-    assert chunks[0].rows() == [
+    assert chunk_rows(chunks[0]) == [
         TOY_ROWS[0][0], TOY_ROWS[1][0], TOY_ROWS[4][0], TOY_ROWS[5][0]
     ]
-    assert chunks[1].rows() == [
+    assert chunk_rows(chunks[1]) == [
         TOY_ROWS[2][0], TOY_ROWS[3][0], TOY_ROWS[6][0], TOY_ROWS[7][0]
     ]
 
@@ -255,7 +256,7 @@ def test_chunk_dataset_toy_split():
 def test_chunk_dataset_single_chunk_is_identity():
     chunks = chunk_dataset(TOY_VALUES, TOY_LABELS, 1)
     assert len(chunks) == 1
-    assert sorted(chunks[0].rows()) == sorted(v for v, _ in TOY_ROWS)
+    assert sorted(chunk_rows(chunks[0])) == sorted(v for v, _ in TOY_ROWS)
 
 
 def test_chunk_dataset_balances_classes():
@@ -273,7 +274,7 @@ def test_chunk_dataset_balances_classes():
             assert abs(counts[label] - size / 10) <= 1
     assert seen == {1: 103, 2: 57, 3: 88}
     # partition: nothing duplicated or dropped
-    flat = [row for c in chunks for row in c.rows()]
+    flat = [row for c in chunks for row in chunk_rows(c)]
     assert Counter(flat) == Counter(rows)
 
 
