@@ -8,17 +8,15 @@ function: it returns the cluster summaries with each record's cluster and
 the SSE, and can share its work between bootstraps that draw the same first
 center or reach the same state after Lloyd's first iteration.
 
-A bootstrap's one random draw, the index of its first center, is numpy's
-default_rng(seed & 0xFFFFFFFF).integers(n) rebuilt in plain Python ints, bit
-for bit: SeedSequence hashes the seed into PCG64's 128-bit state and
-increment (O'Neill 2014), each output is one LCG step then the XSL-RR
-permutation, and Lemire's method (Lemire 2019) bounds it, on 32-bit halves,
-low half first, up to n = 2**32 and on whole outputs above. So run and
-resume never import numpy.random, which loads OpenSSL through the secrets
-module.
+A bootstrap's one random draw, the index of its first center, is
+random.Random(seed).random() scaled to the chunk: Python keeps that sequence
+for a given seed, and numpy already imports random, so run and resume load
+no numpy.random, which would load OpenSSL through the secrets module.
 """
 
 import math
+import operator
+import random
 
 import numpy as np
 
@@ -33,78 +31,12 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_keys(const: int, multiplier: int, count: int) -> list[tuple[int, int]]:
-    """SeedSequence's count hash keys, the same for every seed. A hash xors
-    its word with a running constant, steps the constant by multiplier and
-    multiplies the word by the new constant; its key is (old, new)."""
-    keys = []
-    for _ in range(count):
-        keys.append((const, const * multiplier & _MASK32))
-        const = keys[-1][1]
-    return keys
-
-
-_MIX_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill the pool, 12 to mix it
-_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_PAIRS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-
-
-def _seed_state(seed: int) -> list[int]:
-    """SeedSequence(seed).generate_state(4, np.uint64) for 0 <= seed < 2**32:
-    the seed, one entropy word, hashed into a pool of four with three zeros,
-    every word mixed into every other, then eight words hashed out of the
-    pool and paired low word first."""
-    pool = []
-    for word, (xor, mult) in zip((seed, 0, 0, 0), _MIX_KEYS):
-        word = (word ^ xor) * mult & _MASK32
-        pool.append(word ^ word >> 16)
-    for (src, dst), (xor, mult) in zip(_MIX_PAIRS, _MIX_KEYS[4:]):
-        word = (pool[src] ^ xor) * mult & _MASK32
-        word = (0xCA01F9DD * pool[dst] - 0x4973F715 * (word ^ word >> 16)) & _MASK32
-        pool[dst] = word ^ word >> 16
-    words = []
-    for i, (xor, mult) in enumerate(_STATE_KEYS):
-        word = (pool[i % 4] ^ xor) * mult & _MASK32
-        words.append(word ^ word >> 16)
-    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
-
-
-def _pcg64_words(seed: int, bits: int):
-    """PCG64(SeedSequence(seed))'s outputs, whole (bits 64) or as 32-bit halves,
-    low half first (bits 32), as numpy's Generator reads them."""
-    high, low, inc_high, inc_low = _seed_state(seed)
-    inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
-    state = (inc + (high << 64 | low)) * _PCG64_MULTIPLIER + inc
-    while True:
-        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
-        rot, word = state >> 122, (state >> 64 ^ state) & _MASK64
-        word = (word >> rot | word << 64 - rot) & _MASK64
-        if bits == 64:
-            yield word
-        else:
-            yield word & _MASK32
-            yield word >> 32
-
-
 def _first_draw(n: int, seed: int) -> int:
     """The bootstrap's one random draw, the index of its first seeded center:
-    int(np.random.default_rng(seed & 0xFFFFFFFF).integers(n)) for
-    1 <= n <= 2**63, in plain ints (see the module docstring)."""
-    # numpy draws nothing for n = 1 and returns a bare half for n = 2**32,
-    # where its 32-bit bound overflows; in Python ints, Lemire's method
-    # returns the same values there.
-    bits = 32 if n <= 1 << 32 else 64
-    words = _pcg64_words(seed & _MASK32, bits)
-    product = next(words) * n
-    if product & (1 << bits) - 1 < n:  # reject the low products that would bias the draw
-        threshold = ((1 << bits) - n) % n
-        while product & (1 << bits) - 1 < threshold:
-            product = next(words) * n
-    return product >> bits
+    below n for every n <= 2**53, as random() is below 1 in steps of 2**-53."""
+    # Random would seed None from the clock and hash a float; an integer
+    # seed of numpy's works as Python's does
+    return int(random.Random(operator.index(seed)).random() * n)
 
 
 def _farthest_point_init(matrix: np.ndarray, k: int, first: int) -> np.ndarray:
@@ -245,9 +177,12 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     shared = {} if shared is None else shared
     seeded = "seeded", chunk, k, first
     if seeded not in shared:
-        centroids, labels = _lloyd_first(chunk.values, k, first)
-        key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
-        if key not in shared:
-            shared[key] = _finish(chunk, centroids, labels)
+        # records more than the float64 range apart lie an inf distance apart,
+        # and argmax and argmin break ties between infs toward the lowest index
+        with np.errstate(over="ignore"):
+            centroids, labels = _lloyd_first(chunk.values, k, first)
+            key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
+            if key not in shared:
+                shared[key] = _finish(chunk, centroids, labels)
         shared[seeded] = shared[key]
     return shared[seeded]

@@ -268,11 +268,7 @@ def cmd_eval(args) -> int:
     if any(len(c) != dims for c in centroids):
         raise ValueError(f"report field 'final_centroids' does not hold {dims}-D centroids "
                          "like the stream; wrong manifest/report pair?")
-    means = [mean for _, mean in labeled]
-    if any(len(m) != dims for m in means):
-        raise ValueError(f"{args.manifest}: class_means do not hold {dims}-D means like "
-                         "its dimensions")
-    match = tcv_distance(centroids, means)
+    match = tcv_distance(centroids, [mean for _, mean in labeled])
 
     head = ["cluster"]
     head += [f"tcv_x{d + 1}" for d in range(dims)]

@@ -128,12 +128,14 @@ def read_manifest(manifest_path) -> dict:
     if not sizes or min(sizes) < 1:
         raise ValueError(f"{manifest_path}: chunk_sizes must be a non-empty list of "
                          "positive record counts")
-    # eval checks each mean's length, and load_stream the means themselves
-    classes = fields["class_labels"]
-    if len(fields["class_means"]) != len(classes) or bool(classes) != labeled:
+    classes, means = fields["class_labels"], fields["class_means"]
+    if len(means) != len(classes) or bool(classes) != labeled:
         raise ValueError(f"{manifest_path}: class_labels and class_means must hold one label "
                          "and one mean per class of a labeled stream, and none of an "
                          "unlabeled one")
+    if any(len(mean) != dims for mean in means):
+        raise ValueError(f"{manifest_path}: class_means do not hold {dims}-D means like "
+                         "its dimensions")
     names = ["values.npy", *["labels.npy"] * labeled, *["ac.npy"] * bool(ac_count)]
     digests = from_doc("manifest field 'sha256'", fields["sha256"], _SHA256_FIELDS,
                        optional=list(_SHA256_FIELDS))

@@ -765,7 +765,7 @@ def test_run_repeats_share_seedings_by_their_first_draw(tmp_path, capsys, monkey
                  "--out", str(tmp_path / "hundred")]) == 0
     # of the 400 bootstraps, one seeding per distinct (chunk, k, first
     # center) and one continuation per distinct state after the first pass
-    assert calls == {"seeding": 284, "lloyd": 25}
+    assert calls == {"seeding": 286, "lloyd": 25}
 
 
 def test_run_repeats_share_absorbs_by_their_previous_model(tmp_path, capsys, monkeypatch):
@@ -1000,6 +1000,12 @@ def test_run_manifest_dimensions_mismatch_is_an_error(tmp_path, capsys):
     doc = json.loads(manifest.read_text())
     doc["dimensions"] = 3
     manifest.write_text(json.dumps(doc))
+    # the manifest's 2-D class means already disagree with it
+    _run_fails_with_one_line_error(tmp_path, capsys, manifest, str(manifest),
+                                   "class_means do not hold 3-D means")
+    for mean in doc["class_means"]:
+        mean.append(0.5)
+    manifest.write_text(json.dumps(doc))
     _run_fails_with_one_line_error(tmp_path, capsys, manifest, "values.npy", "dimensions")
 
 
@@ -1065,14 +1071,21 @@ def test_run_refuses_edited_class_means(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_eval_refuses_class_means_of_another_length(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "run", "resume"])
+def test_commands_refuse_class_means_of_another_length(tmp_path, capsys, command):
     # the manifest is not among the digested files: only the length tells
     manifest, report = _sdwcd_run(tmp_path, capsys)
+    snap = tmp_path / "snap.json"
+    assert main(["run", str(manifest), "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
     doc = json.loads(manifest.read_text())
     doc["class_means"][0].append(0.5)
     manifest.write_text(json.dumps(doc, indent=2))
-    _fails_with_one_error_line(capsys, ["eval", str(manifest), str(report)], str(manifest),
-                               "class_means do not hold 2-D means")
+    argv = {"eval": ["eval", str(manifest), str(report)],
+            "run": ["run", str(manifest), "--out", str(tmp_path / "r")],
+            "resume": ["resume", str(manifest), "--snapshot", str(snap),
+                       "--out", str(tmp_path / "r")]}[command]
+    _fails_with_one_error_line(capsys, argv, str(manifest), "class_means do not hold 2-D means")
 
 
 def test_eval_refuses_a_centroid_too_far_to_match(tmp_path, capsys):
@@ -1099,6 +1112,22 @@ def test_chunk_refuses_a_class_whose_sum_overflows(tmp_path, capsys):
         _fails_with_one_error_line(capsys, ["chunk", str(path), "--chunks", "2", "--no-normalize",
                                             "--out", str(out)], "class 1", "float64")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    ["1e308,1e308,1", "-8e307,-8e307,2"],  # the two records lie past float64 apart
+    ["1e200,1e200,1", "1e200,1e200,1", "-1e200,-1e200,2", "-1e200,-1e200,2"],  # norms overflow
+], ids=["difference", "square"])
+def test_run_bootstraps_records_an_inf_distance_apart_without_warnings(tmp_path, capsys, rows):
+    path = tmp_path / "far.csv"
+    path.write_text("\n".join(rows) + "\n")
+    stream = tmp_path / "far"
+    assert main(["chunk", str(path), "--chunks", "1", "--no-normalize", "--out", str(stream)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the test
+        assert main(["run", str(stream / "manifest.json"), "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):

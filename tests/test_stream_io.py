@@ -321,7 +321,10 @@ def test_load_stream_rejects_truncated_row(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param({"dimensions": 3}, r"values\.npy has shape \(1050, 2\), but the manifest's "
+        # each class mean gains a coordinate too, so only the array disagrees
+        pytest.param(lambda doc: {"dimensions": 3,
+                                  "class_means": [[*mean, 0.5] for mean in doc["class_means"]]},
+                     r"values\.npy has shape \(1050, 2\), but the manifest's "
                      r"chunk_sizes and dimensions give \(1050, 3\)", id="dimensions"),
         ({"dimensions": 0}, "positive integer"),
         pytest.param({"chunk_sizes": [150] * 6}, r"values\.npy has shape \(1050, 2\).*\(900, 2\)",
@@ -347,12 +350,14 @@ def test_load_stream_rejects_truncated_row(tmp_path):
                      "values.npy, labels.npy, got values.npy", id="digest_missing"),
         pytest.param({"sha256": {"values.npz": "0" * 64}},
                      "manifest field 'sha256' has unknown key 'values.npz'", id="digest_unknown"),
+        pytest.param({"dimensions": 3}, "class_means do not hold 3-D means like its dimensions",
+                     id="dimensions_vs_means"),
     ],
 )
 def test_load_stream_rejects_manifest_that_does_not_match_files(tmp_path, edit, message):
     manifest, _ = _sdccl_stream(tmp_path)
     doc = json.loads(manifest.read_text())
-    doc.update(edit)
+    doc.update(edit(doc) if callable(edit) else edit)
     manifest.write_text(json.dumps(doc))
     with pytest.raises((ValueError, OSError), match=message):
         load_stream(manifest)
