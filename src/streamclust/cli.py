@@ -17,6 +17,7 @@ fixed constant 7, never the clock. The drift thresholds default to 0.18 /
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -39,8 +40,8 @@ from .jsondoc import (
 # The bundled streams, each built by the streams function <name>_spec
 NAMED_STREAMS = ("ncd100", "sdccl", "sdwcd", "wcd1000")
 DEFAULT_SEED = 7
-DEFAULT_O_THRESH = DriftConfig.o_thresh
-DEFAULT_D_THRESH_SYNTHETIC = DriftConfig.d_thresh
+DEFAULT_O_THRESH = DriftConfig._field_defaults["o_thresh"]
+DEFAULT_D_THRESH_SYNTHETIC = DriftConfig._field_defaults["d_thresh"]
 DEFAULT_D_THRESH_REAL = 0.4
 
 
@@ -150,7 +151,8 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     count). Each StepReport is scored with the stream's chunk at its
     timestamp into one step row of its run, and dropped before the next step
     runs; the runs of a chunk share the scoring of equal cluster indices (see
-    step_metrics). Every output reads average_runs' rows.
+    step_metrics). Every output reads average_runs' rows, and nothing is
+    written unless all of them are finite: JSON holds no NaN or infinity.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
@@ -163,6 +165,9 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
         if i == 0:  # a new chunk
             scored = {}
+        if not math.isfinite(report.sse):
+            raise ValueError(f"the SSE at t={state.timestamp} is {report.sse}: its records lie "
+                             "too far apart to measure in float64, and JSON holds no such number")
         rows[i].append(step_metrics(data.chunks[state.timestamp - 1], report, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
@@ -174,18 +179,20 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
         full_meta[key] = value
         if key == "k":
             full_meta["k_policy"] = "fixed" if value is not None else "labels"
+    counts = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
+
+    def counted(steps):  # cluster_counts.tsv's lines, taken as the rows go by
+        for step in steps:
+            counts.append(f"{step['timestamp']}\t{step['cluster_count']:g}")
+            yield step
+
+    # a mean past the float64 range is refused here, before anything is written
+    text = reports_to_jsonl(full_meta, counted(steps), summary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def counted(steps):  # writes cluster_counts.tsv, freeing its lines, after the last row
-        lines = [f"# streamclust {__version__} seed={meta['seed']} repeat={len(runs)}"]
-        for step in steps:
-            lines.append(f"{step['timestamp']}\t{step['cluster_count']:g}")
-            yield step
-        atomic_write_text(out / "cluster_counts.tsv", "\n".join(lines) + "\n")
-
+    atomic_write_text(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
     metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, reports_to_jsonl(full_meta, counted(steps), summary))
+    atomic_write_text(metrics_path, text)
 
     if snapshot:
         atomic_write_text(Path(snapshot), engine.state_to_json(finals[0], data.chunks) + "\n")

@@ -1,9 +1,10 @@
 """Shared domain types and numeric primitives.
 
 Every type here is immutable and the functions are pure, which makes results
-safe to hand between threads. Results compare by value; a chunk holds
-read-only numpy arrays and compares by identity. Both are columnar: a chunk
-is one matrix of records, a result one column per cluster field.
+safe to hand between threads. Results and configs are named tuples, compared
+by value; a chunk holds read-only numpy arrays and compares by identity.
+Both are columnar: a chunk is one matrix of records, a result one column per
+cluster field.
 
 numpy is imported by the functions that use it, so a command that builds no
 chunk, such as eval, starts without it.
@@ -13,12 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import chain
 
 
-@dataclass(frozen=True, eq=False)
 class Chunk:
     """A timestamped batch of records, the unit of incremental processing.
 
@@ -33,43 +33,45 @@ class Chunk:
     read-only, and so is the array it is a view of; load_stream and
     generate_synthetic give their chunks such views of the stream's arrays.
     Every other array is copied, so a chunk never changes (unless its owner
-    sets the writeable flag back on that base array). Equality is identity:
-    compare the arrays to compare contents.
+    sets the writeable flag back on that base array), and assigning to a
+    field raises AttributeError. Equality is identity, which the engine's
+    shared work keys on: compare the arrays to compare contents.
     """
 
-    timestamp: int
-    values: np.ndarray
-    labels: np.ndarray | None = None
-    artificial_classes: np.ndarray | None = None
+    __slots__ = ("timestamp", "values", "labels", "artificial_classes")
 
-    def __post_init__(self):
+    def __init__(self, timestamp: int, values, labels=None, artificial_classes=None):
         import numpy as np
-        if self.timestamp < 1:
-            raise ValueError(f"chunk timestamp must be >= 1, got {self.timestamp}")
-        values = _frozen(self.values, np.float64)
+        if timestamp < 1:
+            raise ValueError(f"chunk timestamp must be >= 1, got {timestamp}")
+        values = _frozen(values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"chunk values must be a 2-D matrix, got {values.ndim}-D")
         if values.shape[0] == 0:
             raise ValueError("Chunk needs at least one record")
         if values.shape[1] == 0:
             raise ValueError("a record needs at least one attribute value")
-        object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            labels = _frozen(self.labels, np.int64)
+        if labels is not None:
+            labels = _frozen(labels, np.int64)
             if labels.shape != (values.shape[0],):
                 raise ValueError(
                     f"chunk needs one label per record: {values.shape[0]} records, "
                     f"labels of shape {labels.shape}"
                 )
-            object.__setattr__(self, "labels", labels)
-        if self.artificial_classes is not None:
-            classes = _frozen(self.artificial_classes, np.int64)
+        if artificial_classes is not None:
+            classes = artificial_classes = _frozen(artificial_classes, np.int64)
             if classes.ndim != 2 or classes.shape[0] != values.shape[0] or not classes.shape[1]:
                 raise ValueError(
                     f"chunk needs one row of at least one artificial class per record: "
                     f"values of shape {values.shape}, artificial classes of shape {classes.shape}"
                 )
-            object.__setattr__(self, "artificial_classes", classes)
+        for name, value in zip(self.__slots__, (timestamp, values, labels, artificial_classes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"a Chunk is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -124,8 +126,13 @@ def class_means(values: np.ndarray, labels: np.ndarray) -> list[tuple[int, tuple
     return means
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
+# namedtuple's _replace builds its tuple through _make, which skips a
+# subclass's __new__: a checked type's _make calls the type, so the checks run
+checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class ClusteringResult(namedtuple("ClusteringResult",
+                                  "centroids radii lifetime_counts chunk_counts outliers")):
     """The compact stand-in for a set of clusters once their records are
     discarded: one tuple per field, one entry per cluster; no timestamp.
 
@@ -135,63 +142,58 @@ class ClusteringResult:
     chunk_counts     records absorbed from the current chunk only
     outliers         records of the current chunk that no cluster absorbed
 
-    Checked once, on construction: centroids share one non-zero length and
-    hold finite Python floats, radii are >= 0 (not NaN; inf absorbs all), and
-    every cluster has 1 <= lifetime count and 0 <= chunk count <= lifetime.
+    Checked whenever built, by _replace too: centroids share one non-zero
+    length and hold finite Python floats, radii are >= 0 (not NaN; inf absorbs
+    all), and every cluster has 1 <= lifetime count and 0 <= chunk count <= lifetime.
     """
 
-    centroids: tuple[tuple[float, ...], ...]
-    radii: tuple[float, ...]
-    lifetime_counts: tuple[int, ...]
-    chunk_counts: tuple[int, ...]
-    outliers: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "centroids", tuple(tuple(map(float, c)) for c in self.centroids))
-        for name in ("radii", "lifetime_counts", "chunk_counts"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        lifetimes, deltas = self.lifetime_counts, self.chunk_counts
-        if not self.centroids:
+    def __new__(cls, centroids, radii, lifetime_counts, chunk_counts, outliers):
+        self = super().__new__(cls, tuple(tuple(map(float, c)) for c in centroids),
+                               tuple(radii), tuple(lifetime_counts), tuple(chunk_counts), outliers)
+        centroids, radii, lifetimes, deltas, _ = self
+        if not centroids:
             raise ValueError("ClusteringResult needs at least one cluster")
-        columns = (self.centroids, self.radii, lifetimes, deltas)
+        columns = (centroids, radii, lifetimes, deltas)
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"one entry per cluster in every column, got {[*map(len, columns)]}")
-        lengths = sorted(set(map(len, self.centroids)))
+        lengths = sorted(set(map(len, centroids)))
         if len(lengths) > 1 or lengths[0] == 0:
             raise ValueError(f"centroids need one common, non-zero length, got {lengths}")
-        if not all(map(math.isfinite, chain.from_iterable(self.centroids))):
-            raise ValueError(f"centroid coordinates must be finite, got {self.centroids}")
-        if not all(r >= 0 for r in self.radii):  # also rejects NaN
-            raise ValueError(f"radii must be >= 0, got {self.radii}")
+        if not all(map(math.isfinite, chain.from_iterable(centroids))):
+            raise ValueError(f"centroid coordinates must be finite, got {centroids}")
+        if not all(r >= 0 for r in radii):  # also rejects NaN
+            raise ValueError(f"radii must be >= 0, got {radii}")
         if not all(n >= 1 for n in lifetimes):
             raise ValueError(f"lifetime_counts must be >= 1, got {lifetimes}")
         if not all(0 <= m <= n for m, n in zip(deltas, lifetimes)):
             raise ValueError(f"need 0 <= chunk_counts <= lifetime_counts, got {deltas}, {lifetimes}")
-        if self.outliers < 0:
+        if outliers < 0:
             raise ValueError("outliers must be >= 0")
+        return self
+
+    _make = checked_make
 
     @property
     def dimensions(self) -> int:
         return len(self.centroids[0])
 
 
-@dataclass(frozen=True)
-class DriftConfig:
+class DriftConfig(namedtuple("DriftConfig", "k o_thresh d_thresh seed", defaults=(0.18, 0.6, 0))):
     """Tuning knobs shared by the drift detector and the engine.
 
     o_thresh is the maximum tolerated outlier ratio per chunk, d_thresh the
     maximum tolerated per-cluster distribution change; seed controls every
     internal k-means bootstrap so runs are reproducible. k is the cluster
     count of every bootstrap, or None when the caller injects one per chunk
-    (the k-from-labels policy).
+    (the k-from-labels policy). Checked on construction and by _replace.
     """
 
-    k: int | None
-    o_thresh: float = 0.18
-    d_thresh: float = 0.6
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 < self.o_thresh <= 1:
@@ -199,6 +201,9 @@ class DriftConfig:
         # NaN would never fire, and JSON has no token for NaN or an infinity
         if not 0 < self.d_thresh < math.inf:
             raise ValueError(f"d_thresh must be finite and > 0, got {self.d_thresh}")
+        return self
+
+    _make = checked_make
 
 
 def minmax_normalize(values) -> np.ndarray:

@@ -7,7 +7,7 @@ absorbs records but differently).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .core import ClusteringResult, DriftConfig
@@ -19,11 +19,9 @@ class DriftCause(Enum):
     DISTRIBUTION_SHIFT = "distribution_shift"
 
 
-@dataclass(frozen=True)
-class DriftVerdict:
-    cause: DriftCause
-    # Per-cluster relative change in chunk counts, up to the first offender.
-    detail: tuple[float, ...] = ()
+class DriftVerdict(namedtuple("DriftVerdict", "cause detail", defaults=((),))):
+    # detail: per-cluster relative change in chunk counts, up to the first offender
+    __slots__ = ()
 
     @property
     def is_drift(self) -> bool:

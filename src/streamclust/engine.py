@@ -34,11 +34,11 @@ hold its result objects from then on.
 import functools
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bootstrap import summarize_trace
-from .core import Chunk, ClusteringResult, DriftConfig
-from .drift import detect, DriftVerdict
+from .core import checked_make, Chunk, ClusteringResult, DriftConfig
+from .drift import detect
 from .incremental import dist_clust_trace
 from .jsondoc import JSON_NUMBER, from_doc, json_field, parse_json, to_doc
 
@@ -53,18 +53,15 @@ SNAPSHOT_VERSION = 5
 _SWAP_AT = 4
 
 
-@dataclass(frozen=True)
-class EngineState:
+class EngineState(namedtuple("EngineState", "main parallel strike config timestamp")):
     """The main model and, while drift handling is active, the parallel
-    model with its strike (1..3, else 0), as of chunk timestamp (>= 1)."""
+    model with its strike (1..3, else 0), as of chunk timestamp (>= 1).
+    Checked on construction and by _replace."""
 
-    main: ClusteringResult
-    parallel: ClusteringResult | None
-    strike: int
-    config: DriftConfig
-    timestamp: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.timestamp < 1:
             raise ValueError(f"state timestamp must be >= 1, got {self.timestamp}")
         if self.parallel is None:
@@ -72,36 +69,30 @@ class EngineState:
                 raise ValueError(f"strike must be 0 without a parallel model, got {self.strike}")
         elif not 1 <= self.strike < _SWAP_AT:
             raise ValueError(f"strike must be in 1..{_SWAP_AT - 1}, got {self.strike}")
+        return self
+
+    _make = checked_make
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """What one processed chunk did; the state returned with it holds the
-    timestamp, the strike and whether drift handling is active.
+StepReport = namedtuple("StepReport", "event outliers cluster_deltas verdict parallel_retrained "
+                                      "clusters sse duration_s")
+StepReport.__doc__ = """What one processed chunk did; the state returned with it holds the
+timestamp, the strike and whether drift handling is active.
 
-    outliers, cluster_deltas (one per cluster), clusters and sse describe
-    the *active* result, state.parallel or state.main: the parallel model
-    while drift handling runs (it is trained on the current structure), the
-    main model otherwise. clusters and sse are its trace (see
-    dist_clust_trace): a cluster index per record, -1 for an outlier, and the
-    step's SSE. event is one of "bootstrap", "none", "activated",
-    "stabilized", "swapped"; verdict is the main model's, None on a
-    bootstrap; parallel_retrained marks steps where the parallel model itself
-    drifted and was re-bootstrapped.
+outliers, cluster_deltas (one per cluster), clusters and sse describe
+the *active* result, state.parallel or state.main: the parallel model
+while drift handling runs (it is trained on the current structure), the
+main model otherwise. clusters and sse are its trace (see
+dist_clust_trace): a cluster index per record, -1 for an outlier, and the
+step's SSE. event is one of "bootstrap", "none", "activated",
+"stabilized", "swapped"; verdict is the main model's, None on a
+bootstrap; parallel_retrained marks steps where the parallel model itself
+drifted and was re-bootstrapped.
 
-    duration_s is the step's wall-clock time. An absorb or bootstrap that
-    lockstep runs share (see run) counts only in the step that computed it;
-    the runs that reuse it spend no time on it.
-    """
-
-    event: str
-    outliers: int
-    cluster_deltas: tuple[int, ...]
-    verdict: DriftVerdict | None
-    parallel_retrained: bool
-    clusters: tuple[int, ...]
-    sse: float
-    duration_s: float
+duration_s is the step's wall-clock time. An absorb or bootstrap that
+lockstep runs share (see run) counts only in the step that computed it;
+the runs that reuse it spend no time on it.
+"""
 
 
 def _bootstrap_seed(config: DriftConfig, timestamp: int) -> int:
@@ -312,7 +303,7 @@ def state_to_json(state: EngineState, chunks) -> str:
         "main": to_doc(state.main, _RESULT_FIELDS),
         "parallel": None if state.parallel is None else to_doc(state.parallel, _RESULT_FIELDS),
         "strike": state.strike,
-    }, indent=2)
+    }, indent=2, allow_nan=False)
 
 
 def state_from_json(text: str, chunks, stream: str = "this stream") -> EngineState:

@@ -18,8 +18,7 @@ not import the engine.
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from .core import Chunk, ClusteringResult, left_sum
@@ -61,12 +60,8 @@ def true_cluster_values(manifest: dict) -> list[tuple[int, tuple[float, ...]]]:
     return list(zip(manifest["class_labels"], map(tuple, manifest["class_means"])))
 
 
-@dataclass(frozen=True)
-class TcvMatch:
-    # (cluster index, reference index, distance), sorted by cluster index.
-    pairs: tuple[tuple[int, int, float], ...]
-    unmatched_clusters: tuple[int, ...]
-    unmatched_references: tuple[int, ...]
+# pairs: (cluster index, reference index, distance), sorted by cluster index
+TcvMatch = namedtuple("TcvMatch", "pairs unmatched_clusters unmatched_references")
 
 
 def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
@@ -243,9 +238,11 @@ def average_runs(
 
 def reports_to_jsonl(meta: dict, steps: Iterable[dict], summary: dict) -> str:
     """Serialize a report: a meta line, then average_runs' step rows and
-    summary, one JSON line each."""
-    lines = [json.dumps({"type": "meta", **meta}), *map(json.dumps, steps)]
-    lines += [json.dumps(summary), ""]  # a final newline, with no copy of the text to add it
+    summary, one JSON line each. A NaN or infinity, which JSON holds no
+    token for, is refused."""
+    encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps's bytes otherwise
+    lines = [encode({"type": "meta", **meta}), *map(encode, steps)]
+    lines += [encode(summary), ""]  # a final newline, with no copy of the text to add it
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ it, not copies; the stream is in memory once.
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Sequence
 
@@ -114,17 +114,15 @@ def write_stream(
     directory.mkdir(parents=True, exist_ok=True)
     manifest["sha256"] = {name: _save_array(directory / name, a) for name, a in arrays.items()}
     manifest_path = directory / MANIFEST_NAME
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return manifest_path
 
 
-@dataclass(frozen=True)
-class StreamData:
+class StreamData(namedtuple("StreamData", "chunks manifest")):
     """A loaded stream: its chunks, read-only views of one buffer per array,
     and its manifest, whose class means load_stream checked against them."""
 
-    chunks: tuple[Chunk, ...]
-    manifest: dict
+    __slots__ = ()
 
     @property
     def origin(self) -> str:

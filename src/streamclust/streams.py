@@ -20,12 +20,12 @@ All generation is driven by a seed and is byte-for-byte reproducible.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
-from .core import Chunk, left_sum
+from .core import checked_make, Chunk, left_sum
 
 # Anchor layouts for blob centers. Clusters sit far enough apart that a blob
 # is never absorbed by a foreign cluster and k-means recovers blobs exactly.
@@ -61,9 +61,10 @@ class DriftKind(Enum):
     MERGE = "merge"
 
 
-@dataclass(frozen=True)
-class TimestepSpec:
-    """One chunk's blueprint.
+class TimestepSpec(namedtuple("TimestepSpec",
+                              "cluster_count records_per_cluster drift_kind offset_steps",
+                              defaults=(DriftKind.NONE, 0))):
+    """One chunk's blueprint, checked on construction and by _replace.
 
     records_per_cluster may be a single size or one size per cluster.
     offset_steps scales the stream's relocate_offset and is applied to every
@@ -72,12 +73,10 @@ class TimestepSpec:
     RELOCATE only marks the chunk, and generate_synthetic never reads it.
     """
 
-    cluster_count: int
-    records_per_cluster: int | tuple[int, ...]
-    drift_kind: DriftKind = DriftKind.NONE
-    offset_steps: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
         sizes = self.cluster_sizes
@@ -89,6 +88,9 @@ class TimestepSpec:
             raise ValueError("every cluster size must be >= 1")
         if self.drift_kind is DriftKind.MERGE and self.cluster_count != 1:
             raise ValueError("a merge chunk has exactly one cluster")
+        return self
+
+    _make = checked_make
 
     @property
     def cluster_sizes(self) -> tuple[int, ...]:
@@ -101,19 +103,16 @@ class TimestepSpec:
         return sum(self.cluster_sizes)
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    entries: tuple[TimestepSpec, ...]
-    sigma: float = DEFAULT_SIGMA
-    seed: int = 0
-    anchors: tuple[tuple[float, float], ...] = BASE_ANCHORS
-    alt_anchors: tuple[tuple[float, float], ...] = DRIFT_ANCHORS
-    relocate_offset: float = DEFAULT_RELOCATE_OFFSET
+class StreamSpec(namedtuple("StreamSpec",
+                            "entries sigma seed anchors alt_anchors relocate_offset")):
+    """A synthetic stream's schedule, checked on construction and by _replace."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for name in ("anchors", "alt_anchors"):
-            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+    __slots__ = ()
+
+    def __new__(cls, entries, sigma=DEFAULT_SIGMA, seed=0, anchors=BASE_ANCHORS,
+                alt_anchors=DRIFT_ANCHORS, relocate_offset=DEFAULT_RELOCATE_OFFSET):
+        self = super().__new__(cls, tuple(entries), sigma, seed, tuple(map(tuple, anchors)),
+                               tuple(map(tuple, alt_anchors)), relocate_offset)
         if not self.entries:
             raise ValueError("StreamSpec needs at least one entry")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -132,6 +131,9 @@ class StreamSpec:
                 raise ValueError(
                     f"cluster_count {entry.cluster_count} exceeds available anchors"
                 )
+        return self
+
+    _make = checked_make
 
 
 def _merge_anchor(anchors) -> tuple[float, float]:

@@ -34,6 +34,9 @@ def test_star_import_binds_every_public_name():
 
 
 _ENGINE_PARTS = {f"streamclust.{m}" for m in ("engine", "bootstrap", "incremental", "drift")}
+# dataclasses loads inspect, ast, dis and tokenize; the value types are named
+# tuples, and numpy loads inspect itself
+_INTROSPECTION = {"dataclasses", "inspect"}
 
 
 def _modules_loaded_by(code, cwd):
@@ -47,22 +50,22 @@ def _modules_loaded_by(code, cwd):
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     loaded = _modules_loaded_by("import streamclust.cli", tmp_path)
-    assert not (_ENGINE_PARTS | {"numpy", "streamclust.streams"}) & loaded
+    assert not (_ENGINE_PARTS | _INTROSPECTION | {"numpy", "streamclust.streams"}) & loaded
 
     gen = "from streamclust.cli import main\nmain(['gen', 'sdwcd', '--out', 's'])"
     loaded = _modules_loaded_by(gen, tmp_path)
     assert "streamclust.streams" in loaded
-    assert not (_ENGINE_PARTS | {"streamclust.metrics"}) & loaded
+    assert not (_ENGINE_PARTS | {"streamclust.metrics", "dataclasses"}) & loaded
 
     # only chunk reads a dataset file and only gen and chunk build streams.
     # load_stream checks the manifest's class means against the arrays run
     # reads, not the arrays against their digests, and a bootstrap draws its
-    # first center in plain ints: without --snapshot, run loads no OpenSSL.
+    # first center with random.Random: without --snapshot, run loads no OpenSSL.
     run = "from streamclust.cli import main\nmain(['run', 's/manifest.json', '--out', 'r'])"
     loaded = _modules_loaded_by(run, tmp_path)
     assert {"numpy", "streamclust.bootstrap"} <= loaded
     assert not {"csv", "streamclust.streams", "numpy.random", "secrets", "hashlib",
-                "_hashlib"} & loaded
+                "_hashlib", "dataclasses"} & loaded
     assert main(["run", str(tmp_path / "s" / "manifest.json"), "--stop-after", "4",
                  "--snapshot", str(tmp_path / "snap.json"), "--out", str(tmp_path / "p")]) == 0
     resume = ("from streamclust.cli import main\n"
@@ -70,15 +73,15 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     loaded = _modules_loaded_by(resume, tmp_path)
     assert "streamclust.engine" in loaded
     # resume checks the snapshot's chunks_sha256, so it does load hashlib
-    assert not {"csv", "streamclust.streams", "numpy.random"} & loaded
+    assert not {"csv", "streamclust.streams", "numpy.random", "dataclasses"} & loaded
 
     # eval reads the manifest and the arrays' digests, never the arrays
     loaded = _modules_loaded_by(
         "from streamclust.cli import main\nmain(['eval', 's/manifest.json', 'r/metrics.jsonl'])",
         tmp_path)
     assert {"streamclust.metrics", "hashlib"} <= loaded
-    assert not (_ENGINE_PARTS | {"csv", "numpy", "streamclust.streams",
-                                 "streamclust.stream_io"}) & loaded
+    assert not (_ENGINE_PARTS | _INTROSPECTION | {"csv", "numpy", "streamclust.streams",
+                                                  "streamclust.stream_io"}) & loaded
 
 
 def test_bench_traced_functions_exist():

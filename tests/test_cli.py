@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -7,7 +8,6 @@ import random
 import re
 import tempfile
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -664,32 +664,38 @@ def test_resume_outputs_agree(tmp_path, capsys):
 
 def test_run_and_resume_hold_one_step_report_at_a_time(tmp_path, capsys, monkeypatch):
     # each StepReport carries one assignment per record; a command that kept
-    # them all would hold the whole stream's worth until it ends
+    # them all would hold the whole stream's worth until it ends. A tuple
+    # cannot be weakly referenced, so the live reports are counted among the
+    # objects the collector tracks, which never untracks a tuple subclass.
     out = _sdwcd(tmp_path, capsys)
     manifest = str(out / "manifest.json")
     steps = len(load_stream(manifest).chunks)
-    refs = []
+    calls = []
+    gc.collect()  # what earlier tests left in unreachable cycles
+
+    def live_reports():
+        return [o for o in gc.get_objects() if type(o) is engine.StepReport]
 
     def one_at_a_time(fn):
         def wrapper(*args, **kwargs):
-            alive = [t for t, ref in refs if ref() is not None]
-            assert not alive, f"StepReports of earlier steps still alive: t={alive}"
+            alive = live_reports()
+            assert not alive, f"StepReports of earlier steps still alive: {len(alive)}"
             state, report = fn(*args, **kwargs)
-            refs.append((state.timestamp, weakref.ref(report)))
+            calls.append(state.timestamp)
             return state, report
         return wrapper
 
     monkeypatch.setattr(engine, "bootstrap", one_at_a_time(engine.bootstrap))
     monkeypatch.setattr(engine, "step", one_at_a_time(engine.step))
     assert main(["run", manifest, "--repeat", "2", "--out", str(tmp_path / "run")]) == 0
-    assert len(refs) == 2 * steps
+    assert len(calls) == 2 * steps
     snap = tmp_path / "snap.json"
     assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
                  "--out", str(tmp_path / "part")]) == 0
     assert main(["resume", manifest, "--snapshot", str(snap),
                  "--out", str(tmp_path / "rest")]) == 0
-    assert len(refs) == 3 * steps
-    assert all(ref() is None for _, ref in refs)
+    assert len(calls) == 3 * steps
+    assert not live_reports()
 
 
 def _summary_runs(path):
@@ -1128,6 +1134,25 @@ def test_run_bootstraps_records_an_inf_distance_apart_without_warnings(tmp_path,
         warnings.simplefilter("error")  # numpy's overflow warning would fail the test
         assert main(["run", str(stream / "manifest.json"), "--out", str(tmp_path / "r")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(("rows", "chunks", "names"), [
+    (["1e308,1e308,1", "-8e307,-8e307,2"], 1, ("t=1", "SSE", "float64")),  # a step's SSE is inf
+    (["6e153,6e153,1", "-6e153,-6e153,1"] * 2, 2, ("JSON",)),  # each 1.44e308, their mean inf
+], ids=["step", "mean"])
+def test_run_refuses_an_sse_past_float64_and_writes_nothing(tmp_path, capsys, rows, chunks, names):
+    # JSON holds no infinity: metrics.jsonl would say "Infinity", which is not JSON
+    path = tmp_path / "far.csv"
+    path.write_text("\n".join(rows) + "\n")
+    stream = tmp_path / "far"
+    assert main(["chunk", str(path), "--chunks", str(chunks), "--no-normalize",
+                 "--out", str(stream)]) == 0
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails_with_one_error_line(capsys, ["run", str(stream / "manifest.json"), "--k", "1",
+                                            "--out", str(out)], *names)
+    assert not out.exists()
 
 
 def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):

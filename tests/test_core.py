@@ -4,8 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from streamclust import Chunk, ClusteringResult, DriftConfig, minmax_normalize
-from conftest import chunk_rows
+from streamclust import (
+    Chunk, ClusteringResult, DriftCause, DriftConfig, DriftKind, DriftVerdict, EngineState,
+    StreamData, StreamSpec, TimestepSpec, engine, minmax_normalize, tcv_distance,
+)
+from conftest import TOY_LABELS, TOY_VALUES, chunk_rows
 
 # Absorb, bootstrap and matching all measure with math.dist; these pin the
 # properties of the metric they rely on.
@@ -235,3 +238,67 @@ def test_drift_config_bounds():
     assert DriftConfig(k=1, d_thresh=sys.float_info.max).d_thresh == sys.float_info.max
     cfg = DriftConfig(k=3)
     assert (cfg.o_thresh, cfg.d_thresh) == (0.18, 0.6)
+
+
+# The value types: named tuples, and Chunk, a class with slots
+
+
+def _one_of_each_value_type():
+    chunk = Chunk(1, TOY_VALUES, TOY_LABELS)
+    state, report = engine.bootstrap(chunk, DriftConfig(k=2), 2)
+    return [chunk, state.main, state.config, state, report, DriftVerdict(DriftCause.NONE),
+            tcv_distance(state.main.centroids, state.main.centroids), TimestepSpec(1, 5),
+            StreamSpec([TimestepSpec(1, 5)]), StreamData((chunk,), {"origin": "synthetic"})]
+
+
+def test_value_types_refuse_assignment():
+    values = _one_of_each_value_type()
+    assert len({type(value) for value in values}) == 10
+    for value in values:
+        field = getattr(value, "_fields", ("timestamp",))[0]
+        before = getattr(value, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize(("value", "changes", "message"), [
+    (_one_cluster((0.5,), 0.1, 1, 0), {"radii": (-1.0,)}, "radii must be >= 0"),
+    (_one_cluster((0.5,), 0.1, 1, 0), {"centroids": [(math.inf,)]}, "must be finite"),
+    (DriftConfig(k=1), {"d_thresh": math.nan}, "d_thresh must be finite"),
+    (DriftConfig(k=1), {"k": 0}, "k must be >= 1"),
+    (EngineState(_one_cluster((0.5,), 0.1, 1, 0), None, 0, DriftConfig(k=1), 1), {"strike": 5},
+     "strike must be 0 without a parallel model"),
+    (EngineState(_one_cluster((0.5,), 0.1, 1, 0), None, 0, DriftConfig(k=1), 1),
+     {"timestamp": 0}, "state timestamp must be >= 1"),
+    (TimestepSpec(2, 5), {"drift_kind": DriftKind.MERGE}, "exactly one cluster"),
+    (StreamSpec([TimestepSpec(1, 5)]), {"sigma": -1.0}, "sigma must be finite and > 0"),
+    (StreamSpec([TimestepSpec(1, 5)]), {"anchors": [(0.5,)]}, "an \\(x, y\\) pair"),
+], ids=["radii", "centroids", "d_thresh", "k", "strike", "timestamp", "merge", "sigma",
+        "anchors"])
+def test_replace_runs_the_constructors_checks(value, changes, message):
+    with pytest.raises(ValueError, match=message):
+        value._replace(**changes)
+
+
+def test_replace_converts_like_the_constructor():
+    result = _one_cluster((0.5,), 0.1, 1, 0)._replace(centroids=[np.array([1, 2])], radii=[0.2])
+    assert type(result) is ClusteringResult
+    assert result.centroids == ((1.0, 2.0),) and result.radii == (0.2,)
+    assert type(result.centroids[0][0]) is float
+    spec = StreamSpec([TimestepSpec(1, 5)])._replace(entries=[TimestepSpec(1, 3)])
+    assert spec.entries == (TimestepSpec(1, 3),) and spec.entries[0].chunk_size == 3
+
+
+def test_results_compare_by_value_and_chunks_by_identity():
+    assert _one_cluster((0.5,), 0.1, 1, 0) == _one_cluster((0.5,), 0.1, 1, 0)
+    assert len({_one_cluster((0.5,), 0.1, 1, 0), _one_cluster((0.5,), 0.1, 1, 0)}) == 1
+    assert _one_cluster((0.5,), 0.1, 1, 0) != _one_cluster((0.5,), 0.1, 2, 0)
+    base = np.array([[0.5, 0.25], [0.1, 0.9]])
+    base.flags.writeable = False
+    a, b = Chunk(1, base[:], [1, 2]), Chunk(1, base[:], [1, 2])
+    assert a.values.base is b.values.base is base
+    assert a == a and a != b and len({a, b}) == 2

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -167,7 +166,7 @@ def test_parallel_retrains_when_it_drifts_itself():
 
 def test_labels_policy_config_needs_a_k_from_the_caller():
     # k=None leaves k to the caller; a caller that gives none is refused
-    labels_cfg = dataclasses.replace(CFG, k=None)
+    labels_cfg = CFG._replace(k=None)
     with pytest.raises(ValueError, match="no k"):
         engine.init(_boot_chunk(), labels_cfg)
     state = engine.init(_boot_chunk(), labels_cfg, 2)
@@ -218,7 +217,7 @@ def test_run_single_chunk_stream():
 
 
 def _strip_duration(report):
-    return dataclasses.replace(report, duration_s=0.0)
+    return report._replace(duration_s=0.0)
 
 
 def test_run_deterministic_for_fixed_seed():
@@ -325,7 +324,7 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
 
 
 def _with_main(state, centroids):
-    return dataclasses.replace(state, main=dataclasses.replace(state.main, centroids=centroids))
+    return state._replace(main=state.main._replace(centroids=centroids))
 
 
 def _hex(result):
@@ -358,7 +357,7 @@ def test_shared_absorb_keeps_the_sign_of_zero_apart():
 def test_shared_absorb_is_reused_for_one_model_object():
     # two runs that shared their bootstrap hold its result object
     state = engine.init(_boot_chunk(), CFG)
-    other = dataclasses.replace(state, config=dataclasses.replace(CFG, seed=CFG.seed + 1))
+    other = state._replace(config=CFG._replace(seed=CFG.seed + 1))
     assert other.main is state.main
     chunk, shared = _normal_chunk(2), {}
     first, first_report = engine.step(state, chunk, shared=shared)
@@ -397,7 +396,7 @@ def test_bootstraps_with_equal_first_labellings_share_one_result():
     chunk = _boot_chunk()
     firsts = {}
     for seed in range(40):
-        config = dataclasses.replace(CFG, seed=seed)
+        config = CFG._replace(seed=seed)
         s = engine._bootstrap_seed(config, chunk.timestamp)
         first = kmeans_bootstrap._first_draw(len(chunk), s)
         seeded = kmeans_bootstrap._farthest_point_init(chunk.values, 2, first)
@@ -443,7 +442,7 @@ def test_bootstraps_with_one_first_draw_share_one_seeding(monkeypatch):
     chunk = _boot_chunk()
     by_first = {}
     for seed in range(40):
-        config = dataclasses.replace(CFG, seed=seed)
+        config = CFG._replace(seed=seed)
         s = engine._bootstrap_seed(config, chunk.timestamp)
         by_first.setdefault(kmeans_bootstrap._first_draw(len(chunk), s), []).append((config, s))
     (a, seed_a), (b, seed_b) = next(same[:2] for same in by_first.values() if len(same) > 1)
@@ -669,7 +668,7 @@ def test_snapshot_rejects_foreign_documents():
         engine.state_from_json('{"format": "something-else", "version": 1}', [])
 
 
-def test_snapshot_objects_hold_the_dataclass_fields_in_order():
+def test_snapshot_objects_hold_the_type_fields_in_order():
     # the snapshot writes and reads each object by its field names: a renamed
     # or reordered field fails here, not only in the golden digest
     chunks = generate_synthetic(sdwcd_spec(seed=5))
@@ -677,9 +676,9 @@ def test_snapshot_objects_hold_the_dataclass_fields_in_order():
     assert state.parallel is not None
     doc = json.loads(engine.state_to_json(state, chunks))
     assert list(doc) == list(engine._SNAPSHOT_FIELDS)
-    names = [field.name for field in dataclasses.fields(ClusteringResult)]
+    names = list(ClusteringResult._fields)
     assert list(doc["main"]) == list(doc["parallel"]) == names
-    assert list(doc["config"]) == [field.name for field in dataclasses.fields(DriftConfig)]
+    assert list(doc["config"]) == list(DriftConfig._fields)
     assert doc["strike"] == state.strike
 
 
