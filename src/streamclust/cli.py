@@ -138,6 +138,16 @@ def _in_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _refuse_nonfinite(row: dict, keys, where: str) -> None:
+    """Refuse a report mean that is not finite, naming its field and where
+    it is: the values it averages sum past the float64 range, and JSON
+    holds no such number."""
+    for key in keys:
+        if not math.isfinite(row[key]):
+            raise ValueError(f"{key} of {where} is {row[key]}: the values it averages sum past "
+                             "the float64 range, and JSON holds no such number")
+
+
 def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=()) -> int:
     """Run and resume's one path: drive the engine over chunks, consecutive
     chunks of data's stream, bootstrapping one run per config or continuing
@@ -173,6 +183,9 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
         del report  # so the next step runs with no earlier step's records alive
     runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
     steps, summary = average_runs(rows, runs)
+    for n, entry in enumerate(runs):
+        _refuse_nonfinite(entry, ("mean_entropy", "mean_sse"), f"run {n}")
+    _refuse_nonfinite(summary, ("mean_entropy", "mean_sse"), "the summary")
 
     full_meta = {"tool_version": __version__, "manifest": str(Path(args.manifest).resolve())}
     for key, value in meta.items():
@@ -183,10 +196,11 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
 
     def counted(steps):  # cluster_counts.tsv's lines, taken as the rows go by
         for step in steps:
+            _refuse_nonfinite(step, ("entropy", "sse"), f"the step at t={step['timestamp']}")
             counts.append(f"{step['timestamp']}\t{step['cluster_count']:g}")
             yield step
 
-    # a mean past the float64 range is refused here, before anything is written
+    # the step rows are checked as this reads them, before anything is written
     text = reports_to_jsonl(full_meta, counted(steps), summary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 
 
 class Chunk:
@@ -158,16 +158,19 @@ class ClusteringResult(namedtuple("ClusteringResult",
         columns = (centroids, radii, lifetimes, deltas)
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"one entry per cluster in every column, got {[*map(len, columns)]}")
-        lengths = sorted(set(map(len, centroids)))
-        if len(lengths) > 1 or lengths[0] == 0:
-            raise ValueError(f"centroids need one common, non-zero length, got {lengths}")
+        lengths = set(map(len, centroids))
+        if len(lengths) > 1 or 0 in lengths:
+            raise ValueError(f"centroids need one common, non-zero length, got {sorted(lengths)}")
         if not all(map(math.isfinite, chain.from_iterable(centroids))):
             raise ValueError(f"centroid coordinates must be finite, got {centroids}")
-        if not all(r >= 0 for r in radii):  # also rejects NaN
+        # map over C-level comparisons, not generator expressions: this runs
+        # once per absorb. 0 <= NaN is False, so NaN is refused.
+        if not all(map(operator.le, repeat(0), radii)):
             raise ValueError(f"radii must be >= 0, got {radii}")
-        if not all(n >= 1 for n in lifetimes):
+        if not all(map(operator.le, repeat(1), lifetimes)):
             raise ValueError(f"lifetime_counts must be >= 1, got {lifetimes}")
-        if not all(0 <= m <= n for m, n in zip(deltas, lifetimes)):
+        if not (all(map(operator.le, repeat(0), deltas))
+                and all(map(operator.le, deltas, lifetimes))):
             raise ValueError(f"need 0 <= chunk_counts <= lifetime_counts, got {deltas}, {lifetimes}")
         if outliers < 0:
             raise ValueError("outliers must be >= 0")

@@ -47,6 +47,26 @@ certify a record equidistant from two centroids 1e308 away). With k = 1 no
 other centroid exists, and safe = [inf]. safe_i is never NaN: every term is
 finite or +inf and >= 0, and the test's `not b < safe[i]` would send a NaN
 to the scan anyway.
+
+A record that fails the half-gap test can still skip the scan when it is
+certified an outlier. With reach = max over l of r_l * (1 + 1e-9) + 1e-300
+and far_i = (safe_i + safe_i - reach) * (1 - 1e-9), a record with b < far_i
+lies more than reach from every other centroid l: i and l stay more than
+2 * safe_i apart through the chunk, so l lies more than 2 * safe_i - b >
+reach from the record. It lies outside i's own ball too, as safe_i <= b <
+2 * safe_i - reach gives b > reach >= r_i. So whichever cluster the scan
+would pick, the record is farther from it than its radius: an outlier,
+which is all the scan would decide. Skipping it changes only which cluster
+is current and when that cluster's locals are written back, and neither
+shows in the output. The 1e-9 factors cover the few-ulp error of b, of the
+subtraction and of each distance the scan would take; the 1e-300 keeps
+reach above 0, so a computed distance beyond it exceeds a radius of 0. A
+record the test cannot certify scans as before: a NaN b fails b < far_i;
+an infinite radius makes reach inf and far_i -inf, or NaN when safe_i is
+inf; where i's ball overlaps another, safe_i < reach, so no b lies in
+[safe_i, far_i), and centroids that may move past each other make both
+negative; with k = 1, safe = [inf] lets only a b of inf or NaN fail the
+half-gap test, and inf < far_i fails as well.
 """
 
 import functools
@@ -63,23 +83,26 @@ _FLOAT_MAX = sys.float_info.max
 def _absorb_kernel(clusters: int, dimensions: int):
     """The absorb pass for k clusters in d dimensions, as generated code.
 
-    absorb(columns, centroids, radii, lifetimes, safe) walks the chunk's d
-    column lists together, one record x0..x{d-1} at a time, updates
-    centroids and lifetimes in place and returns the outlier count, each
-    record's cluster (-1 for an outlier) and the SSE. The current cluster i
-    lives in locals: its coordinates c0..c{d-1}, lifetime count n, radius
-    and safe radius. A record first takes b = hypot(x0 - c0, ...), the same
-    bits as math.dist (both feed one array of |x_j - c_j| to the same norm);
-    the update is n += 1, w = 1/n and one `c_j = keep * c_j + w * x_j` per
-    coordinate. When the half-gap test fails, the locals are written back to
-    centroids[i] and lifetimes[i], and the scan holds k dist() calls on the
-    record as a tuple, each followed by `if x < b`, so ties keep the lowest
-    index; the chosen cluster's entries are then loaded into the locals, and
-    the last cluster is written back after the loop. The source comes from
-    the two integers alone, checked before any code is built; typed caching
-    keeps 2.0 or True from reusing the kernel cached for 2 or 1. Generated,
-    because on Python 3.11 range(), list indexing, tuple building and a call
-    per absorbed record cost more than the distance work at small k and d.
+    absorb(columns, centroids, radii, lifetimes, safe, reach) walks the
+    chunk's d column lists together, one record x0..x{d-1} at a time,
+    updates centroids and lifetimes in place and returns the outlier count,
+    each record's cluster (-1 for an outlier) and the SSE. The current
+    cluster i lives in locals: its coordinates c0..c{d-1}, lifetime count n,
+    radius, safe radius and far radius f, which is taken from safe[i] and
+    reach as i is loaded. A record first takes b = hypot(x0 - c0, ...), the
+    same bits as math.dist (both feed one array of |x_j - c_j| to the same
+    norm); the update is n += 1, w = 1/n and one `c_j = keep * c_j + w * x_j`
+    per coordinate. When the half-gap test fails and b < f, the record is an
+    outlier and the next one follows. When both tests fail, the locals are
+    written back to centroids[i] and lifetimes[i], and the scan holds k
+    dist() calls on the record as a tuple, each followed by `if x < b`, so
+    ties keep the lowest index; the chosen cluster's entries are then loaded
+    into the locals, and the last cluster is written back after the loop.
+    The source comes from the two integers alone, checked before any code is
+    built; typed caching keeps 2.0 or True from reusing the kernel cached
+    for 2 or 1. Generated, because on Python 3.11 range(), list indexing,
+    tuple building and a call per absorbed record cost more than the
+    distance work at small k and d.
     """
     if type(clusters) is not int or type(dimensions) is not int:
         raise TypeError(f"kernel shape must be two ints, got {clusters!r}, {dimensions!r}")
@@ -93,7 +116,7 @@ def _absorb_kernel(clusters: int, dimensions: int):
     gaps = "".join(f"x{j} - c{j}, " for j in range(dimensions))
     mean = "".join(f"            c{j} = keep * c{j} + w * x{j}\n" for j in range(dimensions))
     source = (
-        "def absorb(columns, centroids, radii, lifetimes, safe):\n"
+        "def absorb(columns, centroids, radii, lifetimes, safe, reach):\n"
         "    dist = math.dist\n"
         "    hypot = math.hypot\n"
         "    clusters = []\n"
@@ -103,9 +126,14 @@ def _absorb_kernel(clusters: int, dimensions: int):
         "    i = 0\n"
         f"    {cs}= centroids[0]\n"
         "    n, r, s = lifetimes[0], radii[0], safe[0]\n"
+        "    f = (s + s - reach) * (1 - 1e-9)\n"
         f"    for {xs}in zip(*columns):\n"
         f"        b = hypot({gaps})\n"
         "        if not b < s:\n"
+        "            if b < f:\n"
+        "                outliers += 1\n"
+        "                append(-1)\n"
+        "                continue\n"
         f"            centroids[i] = ({cs})\n"
         "            lifetimes[i] = n\n"
         f"            v = ({xs})\n"
@@ -113,6 +141,7 @@ def _absorb_kernel(clusters: int, dimensions: int):
         f"{scan}"
         f"            {cs}= centroids[i]\n"
         "            n, r, s = lifetimes[i], radii[i], safe[i]\n"
+        "            f = (s + s - reach) * (1 - 1e-9)\n"
         "        if b <= r:\n"
         "            n += 1\n"
         "            w = 1.0 / n\n"
@@ -132,11 +161,12 @@ def _absorb_kernel(clusters: int, dimensions: int):
     return namespace["absorb"]
 
 
-def _safe_radii(prev: ClusteringResult, records: int) -> list[float]:
+def _safe_radii(prev: ClusteringResult, records: int) -> tuple[list[float], float]:
     """Per cluster, the distance below which a record of a chunk of this many
     records is certified to be strictly nearest that cluster's centroid,
-    wherever the pass has moved the centroids by then (see the module
-    docstring for the bound and why it is exact)."""
+    wherever the pass has moved the centroids by then; and reach, just over
+    the largest radius, from which the kernel takes each far radius (see the
+    module docstring for both bounds and why they are exact)."""
     centroids = prev.centroids
     k = len(centroids)
     scale = records * math.sqrt(prev.dimensions)
@@ -154,7 +184,8 @@ def _safe_radii(prev: ClusteringResult, records: int) -> list[float]:
             safe[j] = half
         if half < safe[l]:
             safe[l] = half
-    return safe
+    reach = max(prev.radii) * (1 + 1e-9) + 1e-300
+    return safe, reach
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple]:
@@ -177,7 +208,7 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     lifetimes = list(prev.lifetime_counts)
     absorb = _absorb_kernel(len(centroids), chunk.dimensions)
     outliers, clusters, sse = absorb(chunk.values.T.tolist(), centroids, prev.radii, lifetimes,
-                                     _safe_radii(prev, len(chunk)))
+                                     *_safe_radii(prev, len(chunk)))
     # per-chunk counts restart each call: what this chunk added to each lifetime
     deltas = [n - m for n, m in zip(lifetimes, prev.lifetime_counts)]
     result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers)

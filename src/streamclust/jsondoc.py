@@ -14,6 +14,7 @@ back as the same float.
 
 import json
 import os
+import re
 import reprlib
 import sys
 from pathlib import Path
@@ -47,7 +48,7 @@ def _has_kind(value, kind, limit=sys.float_info.max) -> bool:
 def json_field(document: str, doc, key: str, kind=int):
     """doc[key] if doc is a JSON object and doc[key] has the JSON type kind
     with every int in the float64 range, else a ValueError naming the document
-    and field. NaN and infinities are left to the caller's domain checks."""
+    and field. parse_json has refused NaN and infinities."""
     if type(doc) is not dict:
         raise ValueError(f"{document} is a {type(doc).__name__}, not an object holding {key!r}")
     if key not in doc:
@@ -87,14 +88,55 @@ def read_text(path) -> str:
         raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at line {line}") from None
 
 
+class _NonFinite(Exception):
+    """A NaN or an infinity read by _DECODER; its one argument is the name."""
+
+
+def _refuse_constant(name: str):
+    raise _NonFinite(name)
+
+
+# json.loads's decoder, but NaN, Infinity and -Infinity, which Python's json
+# reads and JSON has no token for, reach the hook, which refuses them
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+# JSON's tokens that locate such a name: a key, any other string, a bracket
+# and, outside a string, the name itself, only where the decoder read one.
+# re compiles it on the first refusal, so a command that reads good
+# documents does not pay for it.
+_TOKEN = (r'(?P<key>"(?:[^"\\]|\\.)*")\s*:|"(?:[^"\\]|\\.)*"'
+          r'|(?P<open>[{[])|(?P<close>[}\]])|(?P<name>NaN|-?Infinity)')
+
+
+def _locate_constant(text: str) -> tuple[int, str | None]:
+    """Where the first NaN or infinity of a JSON text is, and the key of the
+    field that holds it, None at the top level: a list's items are its
+    field's, an object's start with no key."""
+    keys = [None]
+    for m in re.finditer(_TOKEN, text):
+        if m["key"]:
+            keys[-1] = _DECODER.decode(m["key"])
+        elif m["open"]:
+            keys.append(keys[-1] if m["open"] == "[" else None)
+        elif m["close"]:
+            keys.pop()
+        elif m["name"]:
+            return m.start(), keys[-1]
+
+
 def parse_json(text: str, document, line: int | None = None):
-    """json.loads(text); a decode error names the document and the line it
-    is on, which is the given line when text is that one line of a file."""
+    """json.loads(text), refusing NaN and infinities; an error names the
+    document and the line it is on, which is the given line when text is
+    that one line of a file, and for a NaN or infinity the field holding it."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{document} is not valid JSON: {exc.msg} at line "
-                         f"{line or exc.lineno} column {exc.colno}") from None
+        msg, line, column = exc.msg, line or exc.lineno, exc.colno
+    except _NonFinite as exc:
+        pos, key = _locate_constant(text)
+        where = "" if key is None else f" in field {key!r}"
+        msg = f"{exc.args[0]}{where} is no JSON number"
+        line, column = line or text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    raise ValueError(f"{document} is not valid JSON: {msg} at line {line} column {column}")
 
 
 def atomic_write_text(path: Path, text: str) -> None:

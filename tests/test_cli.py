@@ -399,10 +399,10 @@ def _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, field):
 
 def test_resume_from_snapshot_with_nan_radius_is_an_error(tmp_path, capsys):
     def edit(doc):
-        doc["main"]["radii"][0] = math.nan
+        doc["main"]["radii"][0] = math.nan  # json.dumps writes the bare token NaN
 
-    # NaN passes as a JSON number; ClusteringResult's check refuses it
-    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "radii must be >= 0")
+    # JSON has no NaN: reading the snapshot refuses it, before ClusteringResult's check
+    _resume_from_edited_snapshot_fails(tmp_path, capsys, edit, "NaN in field 'radii'")
 
 
 _WRONG_TYPES = {
@@ -1138,7 +1138,8 @@ def test_run_bootstraps_records_an_inf_distance_apart_without_warnings(tmp_path,
 
 @pytest.mark.parametrize(("rows", "chunks", "names"), [
     (["1e308,1e308,1", "-8e307,-8e307,2"], 1, ("t=1", "SSE", "float64")),  # a step's SSE is inf
-    (["6e153,6e153,1", "-6e153,-6e153,1"] * 2, 2, ("JSON",)),  # each 1.44e308, their mean inf
+    # each 1.44e308, their mean inf
+    (["6e153,6e153,1", "-6e153,-6e153,1"] * 2, 2, ("mean_sse of run 0", "float64", "JSON")),
 ], ids=["step", "mean"])
 def test_run_refuses_an_sse_past_float64_and_writes_nothing(tmp_path, capsys, rows, chunks, names):
     # JSON holds no infinity: metrics.jsonl would say "Infinity", which is not JSON
@@ -1152,6 +1153,21 @@ def test_run_refuses_an_sse_past_float64_and_writes_nothing(tmp_path, capsys, ro
         warnings.simplefilter("error")
         _fails_with_one_error_line(capsys, ["run", str(stream / "manifest.json"), "--k", "1",
                                             "--out", str(out)], *names)
+    assert not out.exists()
+
+
+def test_run_refuses_a_step_sse_whose_mean_over_runs_is_past_float64(tmp_path, capsys):
+    # each run's step 1 SSE is 1.44e308 and its mean over the run finite;
+    # the step row's mean over two runs is not
+    path = tmp_path / "far.csv"
+    path.write_text("6e153,6e153,1\n-6e153,-6e153,1\n0.1,0.1,1\n0.2,0.2,1\n")
+    stream = tmp_path / "far"
+    assert main(["chunk", str(path), "--chunks", "2", "--no-normalize", "--out", str(stream)]) == 0
+    manifest = str(stream / "manifest.json")
+    assert main(["run", manifest, "--k", "1", "--out", str(tmp_path / "one")]) == 0
+    out = tmp_path / "two"
+    _fails_with_one_error_line(capsys, ["run", manifest, "--k", "1", "--repeat", "2",
+                                        "--out", str(out)], "sse of the step at t=1", "float64")
     assert not out.exists()
 
 
@@ -1332,6 +1348,37 @@ def test_undecodable_json_names_the_file_and_line(tmp_path, capsys, document, ki
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert message in err and re.search(r" at line 5\b", err), err
+
+
+# Python's json reads NaN, Infinity and -Infinity, which JSON has no token
+# for. Each case writes one into a document at a value that its command
+# took before: a report's means, an infinite radius (which absorbs every
+# record) or a class mean; (document, pattern of the text before the value,
+# field, name).
+_NONFINITE = {
+    "manifest": ("manifest", r'"class_means": \[\s*\[\s*', "class_means", "-Infinity"),
+    "snapshot": ("snapshot", r'"radii": \[\s*', "radii", "Infinity"),
+    "report_mean": ("report", r'"mean_sse": ', "mean_sse", "Infinity"),
+    "report_step": ("report", r'"sse": ', "sse", "NaN"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONFINITE))
+def test_nonfinite_number_names_the_file_field_and_line(tmp_path, capsys, case):
+    document, before, field, name = _NONFINITE[case]
+    path, argv = _JSON_DOCUMENTS[document](tmp_path, capsys)
+    text = path.read_text()
+    start = re.search(before, text).end()
+    end = re.compile(r"[,\s\]}]").search(text, start).start()
+    path.write_text(text[:start] + name + text[end:])
+    line = text.count("\n", 0, start) + 1
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert f"is not valid JSON: {name} in field '{field}'" in err, err
+    assert re.search(rf" at line {line} column ", err), err
+    assert "--out" not in argv or not Path(argv[argv.index("--out") + 1]).exists()
 
 
 @st.composite

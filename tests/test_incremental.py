@@ -279,7 +279,7 @@ def _assert_matches_reference(chunk, prev):
 
 
 _RADII = (0.0, 0.25, 1.0, 2.5, math.inf)
-_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier", "near", "pull")
+_ROW_KINDS = ("grid", "centroid", "tie", "float", "outlier", "near", "pull", "gap")
 
 
 @st.composite
@@ -295,7 +295,11 @@ def _absorb_cases(draw):
     # between two centroids that drags the first towards the second, then a
     # record at the second and one past the midpoint: with short lifetimes,
     # the first centroid may have moved nearer to that last record than the
-    # second is, which only a test that bounds the moves gets right.
+    # second is, which only a test that bounds the moves gets right. A "gap"
+    # row is a record at one centroid, then a run of records on the far half
+    # of the segment to another centroid, each beyond every radius: the
+    # current cluster is not their nearest, and in a settled case the far
+    # radius certifies most of them as outliers without a scan.
     d = draw(st.integers(1, 16))
     k = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -319,6 +323,12 @@ def _absorb_cases(draw):
             a, b = np.array(centroids)[[i, (i + 1 + rng.integers(max(k - 1, 1))) % k]]
             rows.extend(a + t * (b - a) for t in rng.uniform(0.3, 0.5, size=rng.integers(1, 10)))
             rows.extend([b, a + rng.uniform(0.5, 0.7) * (b - a)])
+        elif kind == "gap":
+            i = rng.integers(k)
+            a, b = np.array(centroids)[[i, (i + 1 + rng.integers(max(k - 1, 1))) % k]]
+            run = a + rng.uniform(0.5, 1.0, size=(rng.integers(1, 20), 1)) * (b - a)
+            gaps = np.linalg.norm(run[:, None] - np.array(centroids)[None], axis=2)
+            rows.extend([a, *run[(gaps > max(radii)).all(axis=1)]])
         elif kind == "grid":
             rows.append(rng.integers(-8, 9, size=d) / 4)
         elif kind == "centroid":
@@ -438,6 +448,34 @@ _BIG = 1e308
     pytest.param([(0.0,), (1.0,)], [0.6, 0.6], [1, 1],
                  [(0.2,), (0.3,), (0.9,), (0.8,), (0.1,), (0.4,), (0.7,)],
                  id="record_scans_back_into_the_cluster_it_left"),
+    # cluster 1 absorbs its way towards 8.2 while the records at 9 come in;
+    # the record at 8.2 arrives with cluster 0 current, 8.2 away: from where
+    # cluster 1 started it lies beyond its radius, but it is 0.97 from where
+    # cluster 1 has moved, so the far radius must count the moves too
+    pytest.param([(0.0,), (10.0,)], [1.0, 1.0], [1, 1],
+                 [(9.0,)] * 5 + [(0.0,), (8.2,)],
+                 id="record_inside_a_ball_that_moved_towards_it"),
+    # overlapping balls whose centroids may move past each other within the
+    # chunk: every safe and far radius is negative, so each record scans
+    pytest.param([(0.0, 0.0), (0.1, 0.0), (0.0, 0.1)], [0.5] * 3, [1] * 3,
+                 [(0.05, 0.0), (0.6, 0.0), (0.9, 0.9), (0.0, 0.55), (-2.0, 0.0), (0.1, 0.05)],
+                 id="overlapping_balls"),
+    # one infinite radius makes every far radius -inf: each failed half-gap
+    # test scans, and cluster 1 takes every record nearer it
+    pytest.param([(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], [0.5, math.inf, 0.5], [10**9] * 3,
+                 [(1.0, 0.0), (1.5, 0.1), (4.0, 0.0), (0.0, 1.5), (0.0, 4.9), (9.0, 9.0)],
+                 id="an_infinite_radius"),
+    # k = 1: safe = [inf], so only a distance that overflows to inf fails the
+    # half-gap test, and inf < inf fails the far one
+    pytest.param([(0.0, 0.0)], [0.5], [3],
+                 [(0.1, 0.0), (1.0, 1.0), (1e308, 1e308), (-1e308, 1e308), (0.0, 0.2)],
+                 id="one_cluster_and_distances_past_float64"),
+    # a NaN coordinate makes every distance NaN, an infinite one every
+    # distance inf: each such record scans, ties go to 0, and it is an outlier
+    pytest.param([(0.0, 0.0), (1.0, 1.0)], [0.3, 0.3], [10**9] * 2,
+                 [(0.1, 0.1), (math.nan, 0.1), (0.9, 1.0), (1.0, math.nan), (math.inf, 0.0),
+                  (0.9, 0.9), (-math.inf, math.nan), (0.0, 0.0)],
+                 id="nan_and_infinite_coordinates"),
     pytest.param([(0.0, 0.0, 0.0), (1.0, 0.5, -0.25), (-0.5, 1.0, 0.75)], [0.8, 0.6, math.inf],
                  [3, 1, 7],
                  [(0.1, 0.0, -0.1), (0.9, 0.5, -0.2), (0.2, 0.1, 0.0), (-0.4, 0.9, 0.8),
@@ -468,6 +506,32 @@ def test_steady_blobs_cost_one_distance_per_record(monkeypatch):
     switches = len(order) - 1
     assert len(calls) <= len(rows) + k * (k - 1) // 2 + (k + 1) * switches
     assert list(clusters) == [j for j in order for _ in range(per_blob)]
+    monkeypatch.undo()
+    _assert_matches_reference(Chunk(2, rows), prev)
+
+
+def test_drifted_blobs_cost_one_distance_per_outlier(monkeypatch):
+    # five settled clusters and a chunk of records drifted away from them in
+    # blob order: each blob lies 0.37 out from its cluster, past the half-gap
+    # radius (0.28) and every radius (0.1) but within the far radius (0.47),
+    # so after the first of a blob, which scans, each costs one distance
+    k, per_blob = 5, 40
+    rng = np.random.default_rng(13)
+    centers = np.array([(0.1, 0.1), (0.9, 0.1), (0.5, 0.5), (0.1, 0.9), (0.9, 0.9)])
+    prev = ClusteringResult(centers.tolist(), [0.1] * k, [10**4] * k, [0] * k, 0)
+    out = centers - 0.5
+    out[2] = (1.0, 0.0)  # the middle cluster's blob goes right
+    drifted = centers + 0.37 * out / np.linalg.norm(out, axis=1)[:, None]
+    order = [0, 3, 1, 4, 2]  # starts at cluster 0, the current one at the start
+    rows = np.vstack([rng.normal(drifted[j], 0.01, size=(per_blob, 2)) for j in order])
+    calls = []
+    dist, hypot = math.dist, math.hypot
+    monkeypatch.setattr(math, "dist", lambda a, b: calls.append(1) or dist(a, b))
+    monkeypatch.setattr(math, "hypot", lambda *gaps: calls.append(1) or hypot(*gaps))
+    result, (clusters, _) = dist_clust_trace(Chunk(2, rows), prev)
+    switches = len(order) - 1
+    assert len(calls) <= len(rows) + k * (k - 1) // 2 + k * switches
+    assert result.outliers == len(rows) and set(clusters) == {-1}
     monkeypatch.undo()
     _assert_matches_reference(Chunk(2, rows), prev)
 
