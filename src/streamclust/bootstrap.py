@@ -177,12 +177,9 @@ def summarize_trace(chunk: Chunk, k: int, seed: int,
     shared = {} if shared is None else shared
     seeded = "seeded", chunk, k, first
     if seeded not in shared:
-        # records more than the float64 range apart lie an inf distance apart,
-        # and argmax and argmin break ties between infs toward the lowest index
-        with np.errstate(over="ignore"):
-            centroids, labels = _lloyd_first(chunk.values, k, first)
-            key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
-            if key not in shared:
-                shared[key] = _finish(chunk, centroids, labels)
+        centroids, labels = _lloyd_first(chunk.values, k, first)
+        key = "bootstrap", chunk, k, labels.tobytes(), centroids.tobytes()
+        if key not in shared:
+            shared[key] = _finish(chunk, centroids, labels)
         shared[seeded] = shared[key]
     return shared[seeded]

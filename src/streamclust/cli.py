@@ -17,7 +17,6 @@ fixed constant 7, never the clock. The drift thresholds default to 0.18 /
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -138,16 +137,6 @@ def _in_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _refuse_nonfinite(row: dict, keys, where: str) -> None:
-    """Refuse a report mean that is not finite, naming its field and where
-    it is: the values it averages sum past the float64 range, and JSON
-    holds no such number."""
-    for key in keys:
-        if not math.isfinite(row[key]):
-            raise ValueError(f"{key} of {where} is {row[key]}: the values it averages sum past "
-                             "the float64 range, and JSON holds no such number")
-
-
 def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=()) -> int:
     """Run and resume's one path: drive the engine over chunks, consecutive
     chunks of data's stream, bootstrapping one run per config or continuing
@@ -161,8 +150,8 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     count). Each StepReport is scored with the stream's chunk at its
     timestamp into one step row of its run, and dropped before the next step
     runs; the runs of a chunk share the scoring of equal cluster indices (see
-    step_metrics). Every output reads average_runs' rows, and nothing is
-    written unless all of them are finite: JSON holds no NaN or infinity.
+    step_metrics). Every output reads average_runs' rows; the report's text
+    is built before anything is written.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
@@ -175,17 +164,11 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
         if i == 0:  # a new chunk
             scored = {}
-        if not math.isfinite(report.sse):
-            raise ValueError(f"the SSE at t={state.timestamp} is {report.sse}: its records lie "
-                             "too far apart to measure in float64, and JSON holds no such number")
         rows[i].append(step_metrics(data.chunks[state.timestamp - 1], report, scored))
         finals[i] = state
         del report  # so the next step runs with no earlier step's records alive
     runs = [build_report(r, s.main, tcvs) for r, s in zip(rows, finals)]
     steps, summary = average_runs(rows, runs)
-    for n, entry in enumerate(runs):
-        _refuse_nonfinite(entry, ("mean_entropy", "mean_sse"), f"run {n}")
-    _refuse_nonfinite(summary, ("mean_entropy", "mean_sse"), "the summary")
 
     full_meta = {"tool_version": __version__, "manifest": str(Path(args.manifest).resolve())}
     for key, value in meta.items():
@@ -196,11 +179,9 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
 
     def counted(steps):  # cluster_counts.tsv's lines, taken as the rows go by
         for step in steps:
-            _refuse_nonfinite(step, ("entropy", "sse"), f"the step at t={step['timestamp']}")
             counts.append(f"{step['timestamp']}\t{step['cluster_count']:g}")
             yield step
 
-    # the step rows are checked as this reads them, before anything is written
     text = reports_to_jsonl(full_meta, counted(steps), summary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,14 @@ by value; a chunk holds read-only numpy arrays and compares by identity.
 Both are columnar: a chunk is one matrix of records, a result one column per
 cluster field.
 
+This module owns the numeric domain: every attribute value lies within
+±BOUND, NaN outside it. Chunk refuses values outside the domain, and so do
+load_dataset and minmax_normalize. A centroid, a mean of such values, can
+round an ulp or so past BOUND, so centroids, built or read back, are held
+to ±2 * BOUND. Then no squared distance, SSE, class sum, min-max span or
+centroid gap overflows float64 while dimensions * records < 1e107, since
+(4e100)**2 = 1.6e201.
+
 numpy is imported by the functions that use it, so a command that builds no
 chunk, such as eval, starts without it.
 """
@@ -17,6 +25,8 @@ import operator
 from collections import namedtuple
 from functools import reduce
 from itertools import chain, repeat
+
+BOUND = 1e100
 
 
 class Chunk:
@@ -35,7 +45,9 @@ class Chunk:
     Every other array is copied, so a chunk never changes (unless its owner
     sets the writeable flag back on that base array), and assigning to a
     field raises AttributeError. Equality is identity, which the engine's
-    shared work keys on: compare the arrays to compare contents.
+    shared work keys on: compare the arrays to compare contents. Every value
+    must lie in the domain, within ±BOUND: a NaN, an infinity or a value past
+    it is refused, naming the chunk and the record.
     """
 
     __slots__ = ("timestamp", "values", "labels", "artificial_classes")
@@ -51,6 +63,10 @@ class Chunk:
             raise ValueError("Chunk needs at least one record")
         if values.shape[1] == 0:
             raise ValueError("a record needs at least one attribute value")
+        bad = first_row_out_of_domain(values)
+        if bad is not None:
+            raise ValueError(f"record {bad + 1} of chunk {timestamp}: attribute values must be "
+                             f"finite, within ±{BOUND:g}")
         if labels is not None:
             labels = _frozen(labels, np.int64)
             if labels.shape != (values.shape[0],):
@@ -100,30 +116,29 @@ def left_sum(values):
     return reduce(operator.add, values, 0)
 
 
-def first_nonfinite_row(matrix: np.ndarray) -> int | None:
-    """Index of the first row holding a NaN or an infinity, or None."""
+def first_row_out_of_domain(matrix: np.ndarray) -> int | None:
+    """Index of the first row of a float matrix holding a NaN or a value past
+    ±BOUND, or None when every value lies in the domain."""
     import numpy as np
-    finite = np.isfinite(matrix)
-    return None if finite.all() else int(finite.all(axis=1).argmin())
+    magnitudes = np.abs(matrix)
+    if magnitudes.max(initial=0.0) <= BOUND:  # False for a NaN
+        return None
+    return int((magnitudes <= BOUND).all(axis=1).argmin())
+
+
+def centroids_in_domain(coordinates) -> bool:
+    """Whether every centroid coordinate lies within ±2 * BOUND, which a mean
+    of values in the domain cannot round past; False for a NaN."""
+    return all(map(operator.ge, repeat(2 * BOUND), map(abs, coordinates)))
 
 
 def class_means(values: np.ndarray, labels: np.ndarray) -> list[tuple[int, tuple[float, ...]]]:
     """Each class's mean record, sorted by class label: values is a float64
-    (records, dimensions) matrix, labels its int64 vector of class labels.
-    A class whose sum overflows float64, so that its mean is not finite, is
-    refused: JSON holds no such number, and no centroid is matched to one."""
-    import numpy as np
+    (records, dimensions) matrix, labels its int64 vector of class labels."""
     # A row-major matrix reduces along axis 0 row by row, in record order.
     # (np.unique would import numpy.ma, about 1 MB of resident memory.)
-    means = []
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        for label in sorted(set(labels.tolist())):
-            mean = tuple(values[labels == label].mean(axis=0).tolist())
-            if not all(map(math.isfinite, mean)):
-                raise ValueError(f"the values of class {label} sum past the float64 range, "
-                                 "so its mean is not finite")
-            means.append((label, mean))
-    return means
+    return [(label, tuple(values[labels == label].mean(axis=0).tolist()))
+            for label in sorted(set(labels.tolist()))]
 
 
 # namedtuple's _replace builds its tuple through _make, which skips a
@@ -143,8 +158,9 @@ class ClusteringResult(namedtuple("ClusteringResult",
     outliers         records of the current chunk that no cluster absorbed
 
     Checked whenever built, by _replace too: centroids share one non-zero
-    length and hold finite Python floats, radii are >= 0 (not NaN; inf absorbs
-    all), and every cluster has 1 <= lifetime count and 0 <= chunk count <= lifetime.
+    length and hold Python floats within ±2 * BOUND (see centroids_in_domain),
+    radii are >= 0 (not NaN; inf absorbs all), and every cluster has
+    1 <= lifetime count and 0 <= chunk count <= lifetime.
     """
 
     __slots__ = ()
@@ -161,8 +177,9 @@ class ClusteringResult(namedtuple("ClusteringResult",
         lengths = set(map(len, centroids))
         if len(lengths) > 1 or 0 in lengths:
             raise ValueError(f"centroids need one common, non-zero length, got {sorted(lengths)}")
-        if not all(map(math.isfinite, chain.from_iterable(centroids))):
-            raise ValueError(f"centroid coordinates must be finite, got {centroids}")
+        if not centroids_in_domain(chain.from_iterable(centroids)):
+            raise ValueError(f"centroid coordinates must be finite, within ±{2 * BOUND:g}, "
+                             f"got {centroids}")
         # map over C-level comparisons, not generator expressions: this runs
         # once per absorb. 0 <= NaN is False, so NaN is refused.
         if not all(map(operator.le, repeat(0), radii)):
@@ -213,8 +230,9 @@ def minmax_normalize(values) -> np.ndarray:
     """Rescale every attribute column of a (records, dimensions) matrix to [0, 1].
 
     Statistics come from the whole dataset, so call this before chunking.
-    Constant columns map to 0 rather than dividing by zero. NaN and infinite
-    values are rejected: one of them would turn its whole column into NaN.
+    Constant columns map to 0 rather than dividing by zero. A value outside
+    the domain (see BOUND) is refused: a NaN or an infinity would turn its
+    whole column into NaN.
     """
     import numpy as np
     matrix = np.asarray(values, dtype=float)
@@ -222,9 +240,9 @@ def minmax_normalize(values) -> np.ndarray:
         raise ValueError(f"expected a 2-D (records, dimensions) matrix, got {matrix.ndim}-D")
     if len(matrix) == 0:
         raise ValueError("cannot normalize an empty dataset")
-    bad = first_nonfinite_row(matrix)
+    bad = first_row_out_of_domain(matrix)
     if bad is not None:
-        raise ValueError(f"record {bad + 1} holds a NaN or infinite value")
+        raise ValueError(f"record {bad + 1}: attribute values must be finite, within ±{BOUND:g}")
     lo = matrix.min(axis=0)
     span = matrix.max(axis=0) - lo
     keep = span > 0

@@ -40,13 +40,11 @@ of the chunk the centroids i and l are more than 2b apart, so by the
 triangle inequality l lies more than b from the record: i is strictly
 nearest, never a tie, and the scan, which computes the same
 dist(v, centroids[i]), would return it. The 1e-9 factors cover the few-ulp
-error of each math.dist and of the sums, the 1e-300 floor keeps every
-compared quantity where that error is relative, and a pair distance that
-overflows counts as the largest float, a true lower bound (inf would
-certify a record equidistant from two centroids 1e308 away). With k = 1 no
+error of each math.dist and of the sums, and the 1e-300 floor keeps every
+compared quantity where that error is relative. Records and centroids lie
+in the domain (see core.BOUND), so no distance overflows. With k = 1 no
 other centroid exists, and safe = [inf]. safe_i is never NaN: every term is
-finite or +inf and >= 0, and the test's `not b < safe[i]` would send a NaN
-to the scan anyway.
+finite or +inf and >= 0.
 
 A record that fails the half-gap test can still skip the scan when it is
 certified an outlier. With reach = max over l of r_l * (1 + 1e-9) + 1e-300
@@ -61,22 +59,18 @@ is current and when that cluster's locals are written back, and neither
 shows in the output. The 1e-9 factors cover the few-ulp error of b, of the
 subtraction and of each distance the scan would take; the 1e-300 keeps
 reach above 0, so a computed distance beyond it exceeds a radius of 0. A
-record the test cannot certify scans as before: a NaN b fails b < far_i;
-an infinite radius makes reach inf and far_i -inf, or NaN when safe_i is
-inf; where i's ball overlaps another, safe_i < reach, so no b lies in
-[safe_i, far_i), and centroids that may move past each other make both
-negative; with k = 1, safe = [inf] lets only a b of inf or NaN fail the
-half-gap test, and inf < far_i fails as well.
+record the test cannot certify scans as before: an infinite radius makes
+reach inf and far_i -inf, or NaN when safe_i is inf; where i's ball
+overlaps another, safe_i < reach, so no b lies in [safe_i, far_i), and
+centroids that may move past each other make both negative; with k = 1,
+every b, finite in the domain, passes the half-gap test.
 """
 
 import functools
 import itertools
 import math
-import sys
 
 from .core import Chunk, ClusteringResult
-
-_FLOAT_MAX = sys.float_info.max
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -177,8 +171,6 @@ def _safe_radii(prev: ClusteringResult, records: int) -> tuple[list[float], floa
     safe = [math.inf] * k
     for j, l in itertools.combinations(range(k), 2):
         gap = math.dist(centroids[j], centroids[l])
-        if gap > _FLOAT_MAX:  # overflowed: the true distance is at least the largest float
-            gap = _FLOAT_MAX
         half = (gap * (1 - 1e-9) - moves[j] - moves[l]) * (0.5 - 1e-9)
         if half < safe[j]:
             safe[j] = half

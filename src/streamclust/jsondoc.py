@@ -99,18 +99,21 @@ def _refuse_constant(name: str):
 # json.loads's decoder, but NaN, Infinity and -Infinity, which Python's json
 # reads and JSON has no token for, reach the hook, which refuses them
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-# JSON's tokens that locate such a name: a key, any other string, a bracket
-# and, outside a string, the name itself, only where the decoder read one.
+# JSON's tokens that locate a number the decoder refused: a key, any other
+# string, a bracket and, outside a string, a NaN or an infinity, or an
+# integer of more than 309 digits, past the float64 range: int() refuses one
+# of more digits than sys.get_int_max_str_digits(), which is at least 640.
 # re compiles it on the first refusal, so a command that reads good
 # documents does not pay for it.
 _TOKEN = (r'(?P<key>"(?:[^"\\]|\\.)*")\s*:|"(?:[^"\\]|\\.)*"'
-          r'|(?P<open>[{[])|(?P<close>[}\]])|(?P<name>NaN|-?Infinity)')
+          r'|(?P<open>[{[])|(?P<close>[}\]])|(?P<constant>NaN|-?Infinity)'
+          r'|(?P<integer>(?<![\d.eE+-])-?\d{310,}(?![\d.eE]))')
 
 
-def _locate_constant(text: str) -> tuple[int, str | None]:
-    """Where the first NaN or infinity of a JSON text is, and the key of the
-    field that holds it, None at the top level: a list's items are its
-    field's, an object's start with no key."""
+def _locate(text: str, kind: str) -> tuple[int, str | None, str]:
+    """Where the first token of the kind ("constant" or "integer") in a JSON
+    text is, the key of the field that holds it, None at the top level, and
+    the token: a list's items are its field's, an object's start with no key."""
     keys = [None]
     for m in re.finditer(_TOKEN, text):
         if m["key"]:
@@ -119,24 +122,29 @@ def _locate_constant(text: str) -> tuple[int, str | None]:
             keys.append(keys[-1] if m["open"] == "[" else None)
         elif m["close"]:
             keys.pop()
-        elif m["name"]:
-            return m.start(), keys[-1]
+        elif m[kind]:
+            return m.start(), keys[-1], m[kind]
 
 
 def parse_json(text: str, document, line: int | None = None):
-    """json.loads(text), refusing NaN and infinities; an error names the
-    document and the line it is on, which is the given line when text is
-    that one line of a file, and for a NaN or infinity the field holding it."""
+    """json.loads(text), refusing NaN, infinities and integers too long for
+    int() to read; an error names the document and the line it is on, which
+    is the given line when text is that one line of a file, and for such a
+    number the field holding it."""
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        msg, line, column = exc.msg, line or exc.lineno, exc.colno
-    except _NonFinite as exc:
-        pos, key = _locate_constant(text)
+        pos, what = exc.pos, f"is not valid JSON: {exc.msg}"
+    except _NonFinite:
+        pos, key, token = _locate(text, "constant")
         where = "" if key is None else f" in field {key!r}"
-        msg = f"{exc.args[0]}{where} is no JSON number"
-        line, column = line or text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-    raise ValueError(f"{document} is not valid JSON: {msg} at line {line} column {column}")
+        what = f"is not valid JSON: {token}{where} is no JSON number"
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        pos, key, token = _locate(text, "integer")
+        where = "" if key is None else f" in field {key!r}"
+        what = f"holds an integer of {len(token.lstrip('-'))} digits{where}, past the float64 range,"
+    line, column = line or text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    raise ValueError(f"{document} {what} at line {line} column {column}")
 
 
 def atomic_write_text(path: Path, text: str) -> None:

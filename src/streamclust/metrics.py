@@ -21,7 +21,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Iterable, Iterator, Sequence
 
-from .core import Chunk, ClusteringResult, left_sum
+from .core import BOUND, Chunk, ClusteringResult, centroids_in_domain, left_sum
 from .jsondoc import json_field, parse_json
 
 
@@ -70,9 +70,8 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     Returns the (row, column) pairs, in column order, of the one-to-one
     assignment of every row with the least total cost. Each row enters in
     turn along the shortest augmenting path under the reduced costs:
-    O(n * n * m), and the same costs always give the same pairs. A row that
-    can reach no free column at a finite cost, such as a distance that
-    overflowed to inf, is refused: the search would spin.
+    O(n * n * m), and the same costs always give the same pairs. The costs
+    must be finite, or the search would spin.
     """
     n, m = len(cost), len(cost[0])
     u = [0.0] * (n + 1)  # row potentials; index 0 is unused
@@ -96,9 +95,6 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
                         slack[j], back[j] = reduced, col
                     if slack[j] < delta:
                         delta, nxt = slack[j], j
-            if delta == math.inf:
-                raise ValueError("centroids to match lie too far apart: every way to match "
-                                 "them has a distance past the float64 range")
             for j in range(m + 1):
                 if seen[j]:
                     u[owner[j]] += delta
@@ -120,7 +116,8 @@ def tcv_distance(
 
     One-to-one over min(len(centroids), len(tcvs)) pairs, solved exactly for
     any count. Leftovers on either side are reported as unmatched. Every
-    coordinate must be finite.
+    coordinate must lie within ±2 * BOUND, as a centroid's does (see
+    core.centroids_in_domain), so no distance overflows.
     """
     found = [tuple(float(v) for v in c) for c in centroids]
     refs = [tuple(float(v) for v in t) for t in tcvs]
@@ -128,8 +125,9 @@ def tcv_distance(
         raise ValueError("need at least one centroid to match")
     if not refs:
         raise ValueError("need at least one reference centroid")
-    if not all(map(math.isfinite, (v for c in found + refs for v in c))):
-        raise ValueError("centroids to match must have finite coordinates")
+    if not centroids_in_domain(v for c in found + refs for v in c):
+        raise ValueError(f"centroids to match must have finite coordinates, "
+                         f"within ±{2 * BOUND:g}")
     dist = [[math.dist(c, r) for r in refs] for c in found]
     n, m = len(found), len(refs)
     if n <= m:

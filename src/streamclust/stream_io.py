@@ -9,7 +9,8 @@ regenerating it from the same seed gives byte-identical files. Writes go
 through a temp file and os.replace, so a failed write never leaves a
 half-written file behind. On the way in, each array must have its exact
 dtype, byte order included, and the shape the manifest gives it, and every
-value must be finite; a failed check raises ValueError naming the file.
+value must lie in the domain (see core.BOUND), as in every Chunk; a failed
+check raises ValueError naming the file.
 The manifest's class means must be the per-class means of the records, so
 every reader of a loaded stream may take them from the manifest. load_stream
 reads each array once and marks it read-only, so every chunk holds views of
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import Chunk, class_means, first_nonfinite_row
+from .core import BOUND, Chunk, class_means, first_row_out_of_domain
 from .jsondoc import (
     _MANIFEST_FIELDS,
     MANIFEST_FORMAT,
@@ -47,15 +48,6 @@ def _save_array(path: Path, array: np.ndarray) -> str:
         np.save(f, array, allow_pickle=False)
     os.replace(tmp, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _require_finite(values: np.ndarray, sizes: Sequence[int], where) -> None:
-    """Refuse a NaN or infinite value, naming where, its record and its chunk."""
-    bad = first_nonfinite_row(values)
-    if bad is not None:
-        t = int(np.searchsorted(np.cumsum(sizes), bad, side="right"))
-        raise ValueError(f"{where} record {bad - sum(sizes[:t]) + 1} of chunk {t + 1}: "
-                         "attribute values must be finite")
 
 
 def write_stream(
@@ -88,7 +80,6 @@ def write_stream(
 
     values = np.concatenate([c.values for c in chunks])
     directory = Path(directory)
-    _require_finite(values, sizes, directory)  # what load_stream would refuse
     arrays = {"values.npy": values}
     if labeled:
         arrays["labels.npy"] = np.concatenate([c.labels for c in chunks])
@@ -162,21 +153,22 @@ def load_stream(manifest_path) -> StreamData:
     directory, rows = manifest_path.parent, sum(sizes)
     path = directory / "values.npy"
     values = _read_array(path, np.float64, (rows, dims), "chunk_sizes and dimensions")
-    _require_finite(values, sizes, path)
     labels = ac = None
     if labeled:
         labels = _read_array(directory / "labels.npy", np.int64, (rows,), "chunk_sizes")
     if ac_count:
         ac = _read_array(directory / "ac.npy", np.int64, (rows, ac_count),
                          "chunk_sizes and artificial_class_sets")
+    bounds = np.cumsum(sizes[:-1])
+    parts = [[None] * len(sizes) if a is None else np.split(a, bounds) for a in (values, labels, ac)]
+    try:  # each chunk checks that its values lie in the domain
+        chunks = tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1))
+    except ValueError as exc:
+        raise ValueError(f"{path} {exc}") from None
     stored = zip(manifest["class_labels"], map(tuple, manifest["class_means"]))
     if labeled and class_means(values, labels) != list(stored):
         raise ValueError(f"{manifest_path}: class_means are not the per-class means of the "
                          "stream's records; write the stream again with gen or chunk")
-
-    bounds = np.cumsum(sizes[:-1])
-    parts = [[None] * len(sizes) if a is None else np.split(a, bounds) for a in (values, labels, ac)]
-    chunks = tuple(Chunk(t, *p) for t, p in enumerate(zip(*parts), start=1))
     return StreamData(chunks, manifest)
 
 
@@ -196,7 +188,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     that are all integral numbers within int64 keep their values (5.0 gives
     5) and the mapping is empty; otherwise every distinct label gets an id in
     first-appearance order, each recorded in the mapping.
-    Attribute values must be finite.
+    Attribute values must lie in the domain (see core.BOUND).
     Returns (float64 value matrix, int64 label vector, label mapping).
     """
     import csv  # only chunk reads a dataset; run and eval never load csv
@@ -231,9 +223,10 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
             raise ValueError(f"{path} row {i}: non-numeric attribute ({exc})") from None
         raw_labels.append(row[-1])
     matrix = np.array(values, dtype=np.float64)
-    bad = first_nonfinite_row(matrix)
+    bad = first_row_out_of_domain(matrix)
     if bad is not None:
-        raise ValueError(f"{path} row {start + 1 + bad}: attribute values must be finite")
+        raise ValueError(f"{path} row {start + 1 + bad}: attribute values must be finite, "
+                         f"within ±{BOUND:g}")
     try:
         numbers = [float(raw) for raw in raw_labels]
     except ValueError:

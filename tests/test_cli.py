@@ -411,6 +411,9 @@ _WRONG_TYPES = {
     "null_coordinate": (("main", "centroids", 1, 0), None, "centroids"),
     "string_lifetime_count": (("parallel", "lifetime_counts", 0), "7", "lifetime_counts"),
     "huge_coordinate": (("main", "centroids", 0, 0), 10**400, "snapshot field 'centroids'"),
+    # a float64, but past the domain that keeps every distance finite
+    "coordinate_past_the_domain": (("parallel", "centroids", 1, 0), 1e200,
+                                   "centroid coordinates must be finite, within ±2e+100"),
     "huge_lifetime_count": (("main", "lifetime_counts", 0), 10**400,
                             "snapshot field 'lifetime_counts'"),
     # a key no table names: a misspelt one would leave its field unread
@@ -1095,8 +1098,9 @@ def test_commands_refuse_class_means_of_another_length(tmp_path, capsys, command
 
 
 def test_eval_refuses_a_centroid_too_far_to_match(tmp_path, capsys):
-    # its distance to every class mean overflows to inf; eval once hung on
-    # it, so it runs in a subprocess under a timeout
+    # its distance to every class mean would overflow to inf, and eval once
+    # hung on it, so it runs in a subprocess under a timeout; the centroid
+    # lies past the domain, and is refused before any matching
     manifest, report = _sdwcd_run(tmp_path, capsys)
     lines = report.read_text().splitlines()
     summary = json.loads(lines[-1])
@@ -1104,71 +1108,108 @@ def test_eval_refuses_a_centroid_too_far_to_match(tmp_path, capsys):
     report.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
     proc = run_python("-m", "streamclust.cli", "eval", str(manifest), str(report))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "float64" in proc.stderr
+    assert proc.stderr == "error: centroids to match must have finite coordinates, within ±2e+100\n"
+
+
+def _run_quietly(argv):
+    """main(argv) with numpy's warnings raised as errors, so none is printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
 
 
 def test_chunk_refuses_a_class_whose_sum_overflows(tmp_path, capsys):
-    # 1e308 + 1.5e308 is past float64: the mean would be written as Infinity
+    # 1e308 + 1.5e308 is past float64: the mean would be written as Infinity;
+    # both values lie past the domain, so the file is refused at its first
     path = tmp_path / "huge.csv"
     path.write_text("1e308,1\n0.5,2\n1.5e308,1\n0.25,2\n")
     out = tmp_path / "huge"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning would fail the test
         _fails_with_one_error_line(capsys, ["chunk", str(path), "--chunks", "2", "--no-normalize",
-                                            "--out", str(out)], "class 1", "float64")
+                                            "--out", str(out)], f"{path} row 1:", "±1e+100")
     assert not out.exists()
+
+
+def test_chunk_refuses_a_value_past_the_domain_before_normalizing(tmp_path, capsys):
+    # normalizing finite rows this far apart overflowed their min-max span,
+    # and the error then blamed the output directory for a value the input
+    # never held: the file is refused at its row, with no warning
+    path = tmp_path / "far.csv"
+    path.write_text("1e308,1e308,1\n-8e307,-8e307,2\n")
+    out = tmp_path / "far"
+    capsys.readouterr()
+    assert _run_quietly(["chunk", str(path), "--chunks", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} row 1: attribute values must be finite, "
+                            "within ±1e+100\n")
+    assert not out.exists()
+
+
+def _edge_run(tmp_path, capsys, rows, chunks, *options):
+    """The report of run, with options, on a chunk stream of the CSV rows,
+    not normalized: both commands exit 0 with no warning and no stderr."""
+    path = tmp_path / "edge.csv"
+    path.write_text("\n".join(rows) + "\n")
+    stream, out = tmp_path / "edge", tmp_path / "edge-run"
+    assert _run_quietly(["chunk", str(path), "--chunks", str(chunks), "--no-normalize",
+                         "--out", str(stream)]) == 0
+    assert _run_quietly(["run", str(stream / "manifest.json"), *options, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    return parse_jsonl((out / "metrics.jsonl").read_text())  # which refuses Infinity
 
 
 @pytest.mark.parametrize("rows", [
-    ["1e308,1e308,1", "-8e307,-8e307,2"],  # the two records lie past float64 apart
-    ["1e200,1e200,1", "1e200,1e200,1", "-1e200,-1e200,2", "-1e200,-1e200,2"],  # norms overflow
+    ["1e100,1e100,1", "-1e100,-1e100,2"],  # the largest difference the domain allows
+    ["1e100,-1e100,1", "1e100,-1e100,1", "-1e100,1e100,2", "-1e100,1e100,2"],  # squared norms
 ], ids=["difference", "square"])
 def test_run_bootstraps_records_an_inf_distance_apart_without_warnings(tmp_path, capsys, rows):
-    path = tmp_path / "far.csv"
-    path.write_text("\n".join(rows) + "\n")
-    stream = tmp_path / "far"
-    assert main(["chunk", str(path), "--chunks", "1", "--no-normalize", "--out", str(stream)]) == 0
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's overflow warning would fail the test
-        assert main(["run", str(stream / "manifest.json"), "--out", str(tmp_path / "r")]) == 0
-    assert capsys.readouterr().err == ""
+    # records once lay an inf distance apart; within the domain the farthest
+    # apart lie 2e100 apart per attribute, whose squares the bootstrap sums
+    # with no overflow and no numpy warning
+    _, steps, summary = _edge_run(tmp_path, capsys, rows, 1)
+    assert [step["sse"] for step in steps] == [0.0] and summary["runs"][0]["cluster_counts"] == [2]
 
 
-@pytest.mark.parametrize(("rows", "chunks", "names"), [
-    (["1e308,1e308,1", "-8e307,-8e307,2"], 1, ("t=1", "SSE", "float64")),  # a step's SSE is inf
-    # each 1.44e308, their mean inf
-    (["6e153,6e153,1", "-6e153,-6e153,1"] * 2, 2, ("mean_sse of run 0", "float64", "JSON")),
+@pytest.mark.parametrize(("rows", "edge", "chunks", "sse"), [
+    # a step's SSE would be inf
+    (["1e308,1e308,1", "-8e307,-8e307,2"], ["1e100,1e100,1", "-1e100,-1e100,2"], 1, 4e200),
+    # each step's SSE 1.44e308, their mean inf
+    (["6e153,6e153,1", "-6e153,-6e153,1"] * 2, ["1e100,1e100,1", "-1e100,-1e100,1"] * 2, 2,
+     4e200),
 ], ids=["step", "mean"])
-def test_run_refuses_an_sse_past_float64_and_writes_nothing(tmp_path, capsys, rows, chunks, names):
-    # JSON holds no infinity: metrics.jsonl would say "Infinity", which is not JSON
+def test_run_refuses_an_sse_past_float64_and_writes_nothing(tmp_path, capsys, rows, edge, chunks,
+                                                            sse):
+    # JSON holds no infinity, and metrics.jsonl once said "Infinity". Records
+    # whose SSE would pass float64 lie past the domain: chunk refuses them in
+    # one line and writes nothing. At the domain's edge, run's SSE is finite.
     path = tmp_path / "far.csv"
     path.write_text("\n".join(rows) + "\n")
     stream = tmp_path / "far"
-    assert main(["chunk", str(path), "--chunks", str(chunks), "--no-normalize",
-                 "--out", str(stream)]) == 0
-    out = tmp_path / "r"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _fails_with_one_error_line(capsys, ["run", str(stream / "manifest.json"), "--k", "1",
-                                            "--out", str(out)], *names)
-    assert not out.exists()
+        _fails_with_one_error_line(capsys, ["chunk", str(path), "--chunks", str(chunks),
+                                            "--no-normalize", "--out", str(stream)],
+                                   f"{path} row 1:", "±1e+100")
+    assert not stream.exists()
+    _, steps, summary = _edge_run(tmp_path, capsys, edge, chunks, "--k", "1")
+    assert [step["sse"] for step in steps] == [sse] * chunks
+    assert summary["mean_sse"] == summary["runs"][0]["mean_sse"] == sse
 
 
 def test_run_refuses_a_step_sse_whose_mean_over_runs_is_past_float64(tmp_path, capsys):
-    # each run's step 1 SSE is 1.44e308 and its mean over the run finite;
-    # the step row's mean over two runs is not
+    # each run's step 1 SSE would be 1.44e308 and the step row's mean over
+    # two runs inf; those records lie past the domain and are refused. At
+    # its edge, the step row averages two runs' SSE of 4e200.
     path = tmp_path / "far.csv"
     path.write_text("6e153,6e153,1\n-6e153,-6e153,1\n0.1,0.1,1\n0.2,0.2,1\n")
-    stream = tmp_path / "far"
-    assert main(["chunk", str(path), "--chunks", "2", "--no-normalize", "--out", str(stream)]) == 0
-    manifest = str(stream / "manifest.json")
-    assert main(["run", manifest, "--k", "1", "--out", str(tmp_path / "one")]) == 0
-    out = tmp_path / "two"
-    _fails_with_one_error_line(capsys, ["run", manifest, "--k", "1", "--repeat", "2",
-                                        "--out", str(out)], "sse of the step at t=1", "float64")
-    assert not out.exists()
+    _fails_with_one_error_line(capsys, ["chunk", str(path), "--chunks", "2", "--no-normalize",
+                                        "--out", str(tmp_path / "far")], f"{path} row 1:")
+    rows = ["1e100,1e100,1", "-1e100,-1e100,1", "0.1,0.1,1", "0.2,0.2,1"]
+    _, steps, summary = _edge_run(tmp_path, capsys, rows, 2, "--k", "1", "--repeat", "2")
+    assert steps[0]["sse"] == 4e200 and math.isfinite(steps[1]["sse"])
+    assert len(summary["runs"]) == 2 and math.isfinite(summary["mean_sse"])
 
 
 def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):
@@ -1176,18 +1217,37 @@ def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):
     snap = tmp_path / "snap.json"
     assert main(["run", str(manifest), "--stop-after", "4", "--snapshot", str(snap),
                  "--out", str(tmp_path / "part")]) == 0
-    # one class past float64 after chunk 4, so the snapshot still matches
+    # one class past float64 after chunk 4, so the snapshot still matches;
+    # its values lie past the domain, refused at the first of them
     values, labels = np.load(manifest.parent / "values.npy"), np.load(manifest.parent / "labels.npy")
     label = labels[-1]
-    values[(np.arange(len(values)) >= 4 * 150) & (labels == label), 0] = 1e308
+    rows = (np.arange(len(values)) >= 4 * 150) & (labels == label)
+    values[rows, 0] = 1e308
     np.save(manifest.parent / "values.npy", values)
+    first = int(rows.argmax())
+    where = f"values.npy record {first % 150 + 1} of chunk {first // 150 + 1}:"
     for argv in (["run", str(manifest)], ["resume", str(manifest), "--snapshot", str(snap)]):
         out = tmp_path / f"{argv[0]}-out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _fails_with_one_error_line(capsys, argv + ["--out", str(out)], f"class {label}",
-                                       "float64")
+            _fails_with_one_error_line(capsys, argv + ["--out", str(out)], where, "±1e+100")
         assert not out.exists()
+
+
+def test_gen_refuses_an_integer_too_long_to_read(tmp_path, capsys):
+    # int() refuses more than 4 300 digits with an error that names neither
+    # the document nor the line; such an integer is past the float64 range
+    path = tmp_path / "long.json"
+    path.write_text('{"entries": [\n  {"records_per_cluster": 5, "cluster_count": '
+                    + "1" * 5001 + "}\n]}\n")
+    out = tmp_path / "long"
+    capsys.readouterr()
+    assert main(["gen", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} holds an integer of 5001 digits in field "
+                            "'cluster_count', past the float64 range, at line 2 column 47\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])

@@ -1,13 +1,21 @@
 import math
 import sys
+import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamclust import (
     Chunk, ClusteringResult, DriftCause, DriftConfig, DriftKind, DriftVerdict, EngineState,
-    StreamData, StreamSpec, TimestepSpec, engine, minmax_normalize, tcv_distance,
+    StreamData, StreamSpec, TimestepSpec, dist_clust_trace, engine, minmax_normalize,
+    summarize_trace, tcv_distance,
 )
+from streamclust.core import BOUND, class_means
+from streamclust.engine import StepReport
+from streamclust.metrics import step_metrics
 from conftest import TOY_LABELS, TOY_VALUES, chunk_rows
 
 # Absorb, bootstrap and matching all measure with math.dist; these pin the
@@ -90,7 +98,7 @@ def test_minmax_ragged_dimensions():
         minmax_normalize([1.0, 2.0])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e101])
 def test_minmax_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="record 2"):
         minmax_normalize([[0.1, 1.0], [bad, 2.0], [0.3, 3.0]])
@@ -116,6 +124,65 @@ def test_chunk_validation():
     chunk = Chunk(3, [[0.5, 0.5]])
     assert len(chunk) == 1 and chunk.dimensions == 2
     assert chunk.labels is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, math.nextafter(BOUND, math.inf),
+                                 -1e101, 1e308])
+def test_chunk_refuses_values_outside_the_domain(bad):
+    # a NaN or infinity would reach the absorb kernel silently, and a value
+    # past BOUND could overflow a distance, an SSE or a class sum
+    values = np.full((4, 3), 0.5)
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match=r"^record 3 of chunk 5: attribute values must be "
+                                         r"finite, within ±1e\+100$"):
+        Chunk(5, values)
+    edge = Chunk(5, [[BOUND, -BOUND, 5e-324], [-0.0, 0.0, BOUND / 3]])
+    assert edge.values.tolist() == [[BOUND, -BOUND, 5e-324], [-0.0, 0.0, BOUND / 3]]
+
+
+_EDGE_VALUES = (BOUND, -BOUND, BOUND / 3, -BOUND / 3, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308)
+
+
+@st.composite
+def _edge_chunks(draw):
+    """A chunk to bootstrap with its k and a chunk to absorb: 1-12 labeled
+    records each of 1-4 attributes, every value at an edge of the domain."""
+    d = draw(st.integers(1, 4))
+    chunks = []
+    for t in (1, 2):
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(_EDGE_VALUES)] * d),
+                             min_size=1, max_size=12))
+        chunks.append(Chunk(t, rows, draw(st.lists(st.integers(0, 2), min_size=len(rows),
+                                                   max_size=len(rows)))))
+    return (*chunks, draw(st.integers(1, len(chunks[0]))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_edge_chunks())
+@example((Chunk(1, [[BOUND, -BOUND]] * 10, [0] * 10), Chunk(2, [[BOUND, -BOUND]] * 37, [0] * 37),
+          1))  # means that round an ulp past BOUND
+def test_values_at_the_domain_edge_never_overflow(case):
+    # the evidence that no overflow path is needed past the domain check:
+    # every radius, SSE, centroid, mean and distance a run takes is finite
+    first, second, k = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow and invalid warnings
+        result, trace = summarize_trace(first, k, seed=7)
+        absorbed, absorb_trace = dist_clust_trace(second, result)
+        rows = [step_metrics(chunk, StepReport("none", r.outliers, r.chunk_counts, None, False,
+                                               *t, 0.0))
+                for chunk, r, t in ((first, result, trace), (second, absorbed, absorb_trace))]
+        values = np.concatenate([first.values, second.values])
+        means = [mean for _, mean in class_means(values, np.concatenate([first.labels,
+                                                                         second.labels]))]
+        match = tcv_distance(absorbed.centroids, means)
+        scaled = minmax_normalize(values)
+    numbers = [*result.radii, *chain(*result.centroids, *absorbed.centroids, *means),
+               *(row[key] for row in rows for key in ("sse", "entropy")),
+               *(distance for _, _, distance in match.pairs)]
+    assert all(map(math.isfinite, numbers))
+    assert ((0 <= scaled) & (scaled <= 1)).all()
 
 
 def test_chunk_rows_are_float_tuples_in_record_order():

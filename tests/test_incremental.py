@@ -12,6 +12,7 @@ from streamclust import (
     summarize_trace,
 )
 from streamclust import incremental
+from streamclust.core import BOUND
 
 
 def _result(centroids, radius=0.1, lifetime=5):
@@ -407,7 +408,7 @@ def test_hypot_of_gaps_equals_dist_bit_for_bit(pairs):
 
 # Named cases for the half-gap test: each must give the plain pass's bits.
 
-_BIG = 1e308
+_BIG = BOUND  # the domain's edge
 
 
 @pytest.mark.parametrize("centroids, radii, lifetimes, rows", [
@@ -423,14 +424,15 @@ _BIG = 1e308
                  [(-0.0, 0.9), (0.0, 0.9), (0.0, 1.0), (0.9, -0.0), (0.9, 0.0), (-0.0, -0.0),
                   (0.0, 0.0), (0.0, -0.0)],
                  id="negative_zero"),
-    # the pair distance overflows: taken as inf, half of it would certify the
-    # record at 0, which lies 1e308 from both centroids, for cluster 1
+    # centroids at the domain's edge, as far apart as it allows: the record
+    # at 0 lies _BIG from both, so half the pair distance must not certify it
+    # for cluster 1, and the scan ties it to cluster 0
     pytest.param([(-_BIG,), (_BIG,)], [1.5 * _BIG] * 2, [10**300] * 2,
                  [(_BIG,), (0.0,), (0.0,), (-_BIG,), (0.0,)],
-                 id="overflowing_pair_distance"),
+                 id="pair_distance_at_the_domain_edge"),
     pytest.param([(-_BIG, _BIG), (_BIG, -_BIG), (0.0, 0.0)], [_BIG] * 3, [1, 10**300, 10**300],
                  [(-_BIG, _BIG), (_BIG, 0.0), (0.0, _BIG), (_BIG, -_BIG), (0.0, 0.0)],
-                 id="coordinates_near_1e308"),
+                 id="coordinates_at_the_domain_edge"),
     # cluster 0 absorbs its way towards cluster 1: a record at 0.6 starts
     # 0.4 from cluster 1 but ends nearer the moved cluster 0, so the test
     # must count how far the centroids can move within the chunk
@@ -465,17 +467,11 @@ _BIG = 1e308
     pytest.param([(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], [0.5, math.inf, 0.5], [10**9] * 3,
                  [(1.0, 0.0), (1.5, 0.1), (4.0, 0.0), (0.0, 1.5), (0.0, 4.9), (9.0, 9.0)],
                  id="an_infinite_radius"),
-    # k = 1: safe = [inf], so only a distance that overflows to inf fails the
-    # half-gap test, and inf < inf fails the far one
+    # k = 1: safe = [inf], so every distance, finite within the domain, passes
+    # the half-gap test, the farthest ones included
     pytest.param([(0.0, 0.0)], [0.5], [3],
-                 [(0.1, 0.0), (1.0, 1.0), (1e308, 1e308), (-1e308, 1e308), (0.0, 0.2)],
-                 id="one_cluster_and_distances_past_float64"),
-    # a NaN coordinate makes every distance NaN, an infinite one every
-    # distance inf: each such record scans, ties go to 0, and it is an outlier
-    pytest.param([(0.0, 0.0), (1.0, 1.0)], [0.3, 0.3], [10**9] * 2,
-                 [(0.1, 0.1), (math.nan, 0.1), (0.9, 1.0), (1.0, math.nan), (math.inf, 0.0),
-                  (0.9, 0.9), (-math.inf, math.nan), (0.0, 0.0)],
-                 id="nan_and_infinite_coordinates"),
+                 [(0.1, 0.0), (1.0, 1.0), (_BIG, _BIG), (-_BIG, _BIG), (0.0, 0.2)],
+                 id="one_cluster_at_the_domain_edge"),
     pytest.param([(0.0, 0.0, 0.0), (1.0, 0.5, -0.25), (-0.5, 1.0, 0.75)], [0.8, 0.6, math.inf],
                  [3, 1, 7],
                  [(0.1, 0.0, -0.1), (0.9, 0.5, -0.2), (0.2, 0.1, 0.0), (-0.4, 0.9, 0.8),

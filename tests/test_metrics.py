@@ -25,7 +25,7 @@ from streamclust import (
     true_cluster_values,
     write_stream,
 )
-from streamclust.core import left_sum
+from streamclust.core import BOUND, left_sum
 from streamclust.metrics import average_runs, parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
 from conftest import labels_k, match_distances, merged_class_means, run_all, run_python
@@ -333,8 +333,8 @@ def test_tcv_distance_needs_both_sides():
 
 
 def test_tcv_distance_refuses_distances_past_float64():
-    # finite coordinates whose every distance overflows to inf: no match has
-    # a finite cost, and the assignment once spun forever looking for one
+    # finite coordinates past the domain, whose every distance overflows to
+    # inf: refused before matching, where the assignment once spun forever
     code = ("from streamclust import tcv_distance\n"
             "try:\n"
             "    tcv_distance([(1.5e308, 1.5e308)], [(0.5, 0.5), (0.2, 0.1)])\n"
@@ -342,15 +342,20 @@ def test_tcv_distance_refuses_distances_past_float64():
             "    print(exc)\n")
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert "past the float64 range" in proc.stdout
+    assert proc.stdout == "centroids to match must have finite coordinates, within ±2e+100\n"
 
 
-def test_tcv_distance_matches_around_distances_past_float64():
-    # the cross distances overflow to inf, but each point has its twin at 0
-    points = [(1e308, 1e308), (-8e307, -8e307)]
+def test_tcv_distance_matches_centroids_at_the_domain_edge():
+    # centroids as far apart as the domain allows, 2 * BOUND on each side:
+    # every distance is finite, and each point has its twin at 0
+    edge = 2 * BOUND
+    points = [(edge, edge), (-edge, -edge)]
     match = tcv_distance(points, points)
     assert match_distances(match) == (0.0, 0.0)
     assert [(i, j) for i, j, _ in match.pairs] == [(0, 0), (1, 1)]
+    far = tcv_distance([(edge, -edge)], [(-edge, edge), (0.5, 0.5)])
+    assert far.pairs == ((0, 1, math.dist((edge, -edge), (0.5, 0.5))),)
+    assert math.isfinite(far.pairs[0][2]) and far.unmatched_references == (0,)
 
 
 def test_build_report_and_jsonl_round_trip():
