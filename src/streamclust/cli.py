@@ -27,7 +27,7 @@ from . import __version__
 from .core import Chunk, DriftConfig, minmax_normalize
 from .jsondoc import (
     JSON_NUMBER,
-    atomic_write_text,
+    atomic_write,
     check_digests,
     from_doc,
     json_field,
@@ -150,8 +150,8 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     count). Each StepReport is scored with the stream's chunk at its
     timestamp into one step row of its run, and dropped before the next step
     runs; the runs of a chunk share the scoring of equal cluster indices (see
-    step_metrics). Every output reads average_runs' rows; the report's text
-    is built before anything is written.
+    step_metrics). Every output reads average_runs' rows; the report's and
+    the snapshot's texts are built, and the snapshot written, before --out is.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
@@ -183,14 +183,13 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
             yield step
 
     text = reports_to_jsonl(full_meta, counted(steps), summary)
+    if snapshot:
+        atomic_write(snapshot, engine.state_to_json(finals[0], data.chunks) + "\n")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
+    atomic_write(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
     metrics_path = out / "metrics.jsonl"
-    atomic_write_text(metrics_path, text)
-
-    if snapshot:
-        atomic_write_text(Path(snapshot), engine.state_to_json(finals[0], data.chunks) + "\n")
+    atomic_write(metrics_path, text)
 
     print(
         f"runs={len(runs)} mean_entropy={summary['mean_entropy']:.6f} "

@@ -40,7 +40,7 @@ from .bootstrap import summarize_trace
 from .core import checked_make, Chunk, ClusteringResult, DriftConfig
 from .drift import detect
 from .incremental import dist_clust_trace
-from .jsondoc import JSON_NUMBER, from_doc, json_field, parse_json, to_doc
+from .jsondoc import JSON_NUMBER, from_doc, json_field, parse_json, sha256, to_doc
 
 SNAPSHOT_FORMAT = "streamclust-state"
 # 2: config.k may be null, the k-from-labels policy; 3: chunks_sha256 names the stream;
@@ -276,18 +276,15 @@ def _chunks_sha256(chunks, t: int, stream: str = "the stream") -> str:
     if len(chunks) < t:
         raise ValueError(f"a state at t={t} covers chunks 1..{t}, "
                          f"got {len(chunks)} chunks in {stream}")
-    # imported here: hashlib loads OpenSSL, ≈3.5 MB of resident memory that
-    # a run writing no snapshot does not need
-    import hashlib
-    h = hashlib.sha256()
+    parts = []  # the chunks' own buffers, so no joined copy of the stream is made
     for chunk in chunks[:t]:
         labels = chunk.labels
         rows, columns = chunk.values.shape
-        h.update(f"{chunk.timestamp} {rows} {columns} {labels is not None}\n".encode())
-        h.update(chunk.values.data)
+        parts += [f"{chunk.timestamp} {rows} {columns} {labels is not None}\n".encode(),
+                  chunk.values.data]
         if labels is not None:
-            h.update(labels.data)
-    return h.hexdigest()
+            parts.append(labels.data)
+    return sha256(*parts)
 
 
 def state_to_json(state: EngineState, chunks) -> str:

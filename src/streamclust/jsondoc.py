@@ -1,4 +1,4 @@
-"""JSON documents, read without numpy: the field tables and the stream manifest.
+"""JSON documents, read without numpy: field tables, the manifest, the file writer, digests.
 
 Every JSON object read back (manifest, gen spec, engine snapshot) goes by one
 table of its keys and JSON kinds: from_doc reads it, refusing a key the table
@@ -147,19 +147,33 @@ def parse_json(text: str, document, line: int | None = None):
     raise ValueError(f"{document} {what} at line {line} column {column}")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes to path through a temp file and os.replace."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
+def sha256(*parts) -> str:
+    """The SHA-256 hex digest of the bytes-like parts, taken in turn."""
+    import hashlib  # here: OpenSSL is ≈3.5 MB resident, which run without --snapshot never needs
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
 def read_manifest(manifest_path) -> dict:
-    """The manifest at manifest_path, refused unless it is a stream manifest
-    of MANIFEST_VERSION whose fields agree with each other; its arrays are
-    not read."""
-    manifest_path = Path(manifest_path)
+    """The manifest at manifest_path, checked by check_manifest; its arrays are not read."""
     manifest = parse_json(read_text(manifest_path), manifest_path)
+    check_manifest(manifest, manifest_path)
+    return manifest
+
+
+def check_manifest(manifest, manifest_path) -> None:
+    """Refuse manifest, the JSON value of the file at manifest_path, unless it is a
+    stream manifest of MANIFEST_VERSION whose fields agree with each other."""
     if json_field("manifest", manifest, "format", str) != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
     if json_field("manifest", manifest, "version") != MANIFEST_VERSION:
@@ -192,18 +206,14 @@ def read_manifest(manifest_path) -> dict:
     if list(digests) != names:
         raise ValueError(f"{manifest_path}: sha256 must give the digests of "
                          f"{', '.join(names)}, got {', '.join(digests) or 'none'}")
-    return manifest
 
 
 def check_digests(manifest_path, manifest: dict) -> None:
     """Refuse an array file of the stream whose SHA-256 is not the one its
     manifest, as read_manifest returns it, records."""
-    # imported here: hashlib loads OpenSSL, ≈3.5 MB of resident memory that
-    # a command reading the arrays themselves does not need
-    import hashlib
     directory = Path(manifest_path).parent
     for name, digest in manifest["sha256"].items():
         path = directory / name
-        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+        if sha256(path.read_bytes()) != digest:
             raise ValueError(f"{path} does not match the SHA-256 its manifest records; "
                              "write the stream again with gen or chunk")

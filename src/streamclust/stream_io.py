@@ -6,7 +6,7 @@ streams only) and ac.npy (int64, records x artificial_class_sets). The
 manifest (see jsondoc) splits the rows into chunks by its chunk_sizes. A .npy
 file holds the float64 bits themselves, so a stream reads back exactly and
 regenerating it from the same seed gives byte-identical files. Writes go
-through a temp file and os.replace, so a failed write never leaves a
+through jsondoc.atomic_write, so a failed write never leaves a
 half-written file behind. On the way in, each array must have its exact
 dtype, byte order included, and the shape the manifest gives it, and every
 value must lie in the domain (see core.BOUND), as in every Chunk; a failed
@@ -17,8 +17,8 @@ reads each array once and marks it read-only, so every chunk holds views of
 it, not copies; the stream is in memory once.
 """
 
+import io
 import json
-import os
 from collections import namedtuple
 from pathlib import Path
 from typing import Sequence
@@ -28,26 +28,15 @@ import numpy as np
 from . import __version__
 from .core import BOUND, Chunk, class_means, first_row_out_of_domain
 from .jsondoc import (
-    _MANIFEST_FIELDS,
     MANIFEST_FORMAT,
     MANIFEST_NAME,
     MANIFEST_VERSION,
-    ORIGINS,
-    atomic_write_text,
-    from_doc,
+    atomic_write,
+    check_manifest,
     read_manifest,
     read_text,
+    sha256,
 )
-
-
-def _save_array(path: Path, array: np.ndarray) -> str:
-    """Write array as the .npy file at path; returns the SHA-256 of the file."""
-    import hashlib  # here, not on load_stream's path: reading a stream takes no digest
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:  # a file object, so np.save appends no .npy suffix
-        np.save(f, array, allow_pickle=False)
-    os.replace(tmp, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_stream(
@@ -61,14 +50,12 @@ def write_stream(
     """Write the stream's arrays and its manifest; returns the manifest path.
 
     The chunks must be all labeled or all unlabeled, and carry artificial
-    classes of one width or none; those are stored in ac.npy.
+    classes of one width or none; those are stored in ac.npy. Nothing is
+    written unless the manifest passes load_stream's check_manifest.
     """
-    if origin not in ORIGINS:
-        raise ValueError(f"origin must be 'synthetic' or 'real-world', got {origin!r}")
     chunks = list(chunks)
     if not chunks:
         raise ValueError("cannot write an empty stream")
-    sizes = [len(c) for c in chunks]
     labeled = chunks[0].labels is not None
     if any((c.labels is not None) != labeled for c in chunks):
         raise ValueError("a stream's chunks must be all labeled or all unlabeled")
@@ -86,6 +73,11 @@ def write_stream(
     if widths[0]:
         arrays["ac.npy"] = np.concatenate([c.artificial_classes for c in chunks])
     means = class_means(values, arrays["labels.npy"]) if labeled else []
+    files = {}
+    for name, array in arrays.items():  # the .npy files' bytes, digested before they are written
+        buffer = io.BytesIO()
+        np.save(buffer, array, allow_pickle=False)
+        files[name] = buffer.getvalue()
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -94,18 +86,19 @@ def write_stream(
         "seed": seed,
         "dimensions": values.shape[1],
         "labeled": labeled,
-        "chunk_sizes": sizes,
+        "chunk_sizes": [len(c) for c in chunks],
         "artificial_class_sets": widths[0],
         "source": source or {},
         "class_labels": [label for label, _ in means],
         "class_means": [list(mean) for _, mean in means],
-        "sha256": {},  # each file's, as it is written
+        "sha256": {name: sha256(data) for name, data in files.items()},
     }
-    from_doc("manifest", manifest, _MANIFEST_FIELDS)  # and so is a seed past the float64 range
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest["sha256"] = {name: _save_array(directory / name, a) for name, a in arrays.items()}
     manifest_path = directory / MANIFEST_NAME
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    check_manifest(manifest, manifest_path)  # refuses what load_stream would, a huge seed too
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        atomic_write(directory / name, data)
+    atomic_write(manifest_path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return manifest_path
 
 
@@ -183,8 +176,9 @@ def _looks_numeric(field: str) -> bool:
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Read a delimiter-separated dataset whose last column is the class label.
 
-    The delimiter is sniffed from the first line (a comma when that fails), a
-    header row is skipped when the first row is not fully numeric. Labels
+    A leading byte-order mark is dropped. The delimiter is sniffed from the
+    first line (a comma when that fails), a header row is skipped when the
+    first row is not fully numeric, and an empty label is refused. Labels
     that are all integral numbers within int64 keep their values (5.0 gives
     5) and the mapping is empty; otherwise every distinct label gets an id in
     first-appearance order, each recorded in the mapping.
@@ -193,7 +187,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """
     import csv  # only chunk reads a dataset; run and eval never load csv
     path = Path(path)
-    text = read_text(path)
+    text = read_text(path).removeprefix("\ufeff")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
@@ -201,11 +195,8 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
         delimiter = csv.Sniffer().sniff(lines[0], delimiters=",;\t ").delimiter
     except csv.Error:
         delimiter = ","
-    rows = list(csv.reader(lines, delimiter=delimiter))
-    rows = [[f.strip() for f in row] for row in rows if row]
-    start = 0
-    if not all(_looks_numeric(f) for f in rows[0][:-1]):
-        start = 1
+    rows = [[f.strip() for f in row] for row in csv.reader(lines, delimiter=delimiter) if row]
+    start = 0 if all(_looks_numeric(f) for f in rows[0][:-1]) else 1
     if start >= len(rows):
         raise ValueError(f"{path} has no data rows")
 
@@ -221,6 +212,8 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
             values.append([float(v) for v in row[:-1]])
         except ValueError as exc:
             raise ValueError(f"{path} row {i}: non-numeric attribute ({exc})") from None
+        if not row[-1]:
+            raise ValueError(f"{path} row {i}: empty label")
         raw_labels.append(row[-1])
     matrix = np.array(values, dtype=np.float64)
     bad = first_row_out_of_domain(matrix)

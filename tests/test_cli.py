@@ -130,6 +130,9 @@ _MALFORMED_SPECS = {
     "misspelt_top_level_key": (_spec(sigmaa=2), "spec has unknown key 'sigmaa'"),
     "misspelt_entry_key": (_spec(entry={"offset_step": 1}),
                            "spec entry 1 has unknown key 'offset_step'"),
+    "zero_cluster_count": (_spec(entry={"cluster_count": 0}), "cluster_count must be >= 1"),
+    "zero_cluster_size": (_spec(entry={"records_per_cluster": [5, 0]}),
+                          "every cluster size must be >= 1"),
     "misspelt_drift_kind": (_spec(entry={"drift_kind": "relabell"}),
                             "spec entry 1 field 'drift_kind' must be one of none, relabel, "
                             "relocate, merge, got 'relabell'"),
@@ -226,6 +229,13 @@ def test_chunk_class_smaller_than_chunk_count(tmp_path, capsys):
     csv_path = _toy_csv(tmp_path)
     assert main(["chunk", str(csv_path), "--chunks", "5", "--out", str(tmp_path / "s")]) == 1
     assert "fewer than" in capsys.readouterr().err
+
+
+def test_chunk_count_below_one_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "s"
+    _fails_with_one_error_line(capsys, ["chunk", str(_toy_csv(tmp_path)), "--chunks", "0",
+                                        "--out", str(out)], "chunk_count must be >= 1")
+    assert not out.exists()
 
 
 def test_run_writes_metrics_and_counts(tmp_path, capsys):
@@ -943,6 +953,8 @@ _MALFORMED_MANIFESTS = {
     "number_as_origin": (lambda doc: {**doc, "origin": 5}, "'origin'"),
     "misspelled_origin": (lambda doc: {**doc, "origin": "realworld"}, "'origin'"),
     "version_1": (lambda doc: {**doc, "version": 1}, "gen or chunk"),
+    "negative_artificial_class_sets": (lambda doc: {**doc, "artificial_class_sets": -1},
+                                       "artificial_class_sets must be a count"),
 }
 
 
@@ -1325,6 +1337,14 @@ def _eval_run_out_of_range(tmp_path, manifest):
     return ["eval", manifest, str(tmp_path / "full" / "metrics.jsonl"), "--run", "5"]
 
 
+def _resume_to_snapshot_in_no_directory(tmp_path, manifest):
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    return ["resume", manifest, "--snapshot", str(snap),
+            "--snapshot-out", str(tmp_path / "nodir" / "s.json")]
+
+
 # Each misuse of a command on the 10-chunk sdwcd stream, as (the command,
 # less --out, once the commands before it have run; what its error says)
 _MISUSES = {
@@ -1337,6 +1357,13 @@ _MISUSES = {
                       "--stop-after must be in 1..10"),
     "resume_past_the_end": (_resume_past_the_end, "snapshot already covers t=10"),
     "eval_run_out_of_range": (_eval_run_out_of_range, "report has 1 runs; --run 5"),
+    # the snapshot is written before --out, so one that cannot be leaves no --out
+    "run_snapshot_in_no_directory": (
+        lambda tmp_path, manifest: ["run", manifest,
+                                    "--snapshot", str(tmp_path / "nodir" / "s.json")],
+        str(Path("nodir", "s.json"))),
+    "resume_snapshot_out_in_no_directory": (_resume_to_snapshot_in_no_directory,
+                                            str(Path("nodir", "s.json"))),
 }
 
 

@@ -162,7 +162,9 @@ def test_stream_round_trip_with_artificial_classes(tmp_path):
 
 def test_write_stream_validation(tmp_path):
     chunks = generate_synthetic(sdccl_spec(seed=2))[:1]
-    with pytest.raises(ValueError):
+    # the writer checks its manifest by the reader's own check
+    with pytest.raises(ValueError, match="manifest field 'origin' must be 'synthetic' or "
+                                         "'real-world', got 'weird'"):
         write_stream(tmp_path / "s", chunks, seed=0, origin="weird")
     with pytest.raises(ValueError):
         write_stream(tmp_path / "s", [], seed=0)
@@ -236,6 +238,34 @@ def test_load_dataset_maps_non_integer_labels_one_to_one(tmp_path, column, ids, 
     _, labels, found_map = load_dataset(path)
     assert labels.tolist() == ids
     assert found_map == label_map
+
+
+def test_load_dataset_ignores_a_leading_byte_order_mark(tmp_path):
+    # the mark would make the first field non-numeric, and the first row a header
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.1,0.2,1\n0.3,0.4,2\n0.5,0.6,1\n0.7,0.8,2\n")
+    values, labels, label_map = load_dataset(path)
+    assert values.tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
+    assert labels.tolist() == [1, 2, 1, 2]
+    assert label_map == {}
+
+
+@pytest.mark.parametrize("label", ["", "  "])
+def test_load_dataset_refuses_an_empty_label(tmp_path, label):
+    # it would be a class of its own, and renumber every class
+    path = _write(tmp_path, "d.csv", f"0.1,0.2,1\n0.5,0.6,{label}\n0.3,0.4,2\n")
+    with pytest.raises(ValueError, match=f"^{path} row 2: empty label$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,class\n", "has no data rows"),
+    ("0.1,0.2,1\n0.3,x,2\n", "row 2: non-numeric attribute"),
+], ids=["header_only", "non_numeric_attribute"])
+def test_load_dataset_refuses_a_file_without_good_data_rows(tmp_path, text, message):
+    path = _write(tmp_path, "d.csv", text)
+    with pytest.raises(ValueError, match=f"^{path} {message}"):
+        load_dataset(path)
 
 
 def test_load_dataset_ragged_row(tmp_path):
