@@ -151,7 +151,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     timestamp into one step row of its run, and dropped before the next step
     runs; the runs of a chunk share the scoring of equal cluster indices (see
     step_metrics). Every output reads average_runs' rows; the report's and
-    the snapshot's texts are built, and the snapshot written, before --out is.
+    the snapshot's texts are built, and the snapshot written, before --out is made.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,

@@ -262,7 +262,7 @@ def test_load_dataset_refuses_an_empty_label(tmp_path, label):
     ("a,b,class\n", "has no data rows"),
     ("0.1,0.2,1\n0.3,x,2\n", "row 2: non-numeric attribute"),
 ], ids=["header_only", "non_numeric_attribute"])
-def test_load_dataset_refuses_a_file_without_good_data_rows(tmp_path, text, message):
+def test_load_dataset_refusal_names_the_file(tmp_path, text, message):
     path = _write(tmp_path, "d.csv", text)
     with pytest.raises(ValueError, match=f"^{path} {message}"):
         load_dataset(path)
