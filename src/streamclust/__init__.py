@@ -20,9 +20,9 @@ _EXPORTS = {
         "core": "Chunk ClusteringResult DriftConfig minmax_normalize",
         "bootstrap": "summarize_trace",
         "incremental": "dist_clust_trace",
-        "drift": "DriftCause DriftVerdict detect",
+        "drift": "DriftVerdict detect",
         "engine": "EngineState StepReport init step run state_to_json state_from_json",
-        "streams": "DriftKind TimestepSpec StreamSpec generate_synthetic chunk_dataset "
+        "streams": "TimestepSpec StreamSpec generate_synthetic chunk_dataset "
                    "make_artificial_classes sdwcd_spec sdccl_spec ncd100_spec wcd1000_spec",
         "metrics": "entropy true_cluster_values tcv_distance TcvMatch step_metrics "
                    "build_report",

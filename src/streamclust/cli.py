@@ -29,9 +29,7 @@ from .jsondoc import (
     JSON_NUMBER,
     atomic_write,
     check_digests,
-    from_doc,
     json_field,
-    parse_json,
     read_manifest,
     read_text,
 )
@@ -52,32 +50,6 @@ def _labels_k(chunk: Chunk) -> int:
     return len(set(chunk.labels.tolist()))
 
 
-# A spec's keys and an entry's, with their JSON kinds; those past the first
-# one and two may be left out, for StreamSpec's and TimestepSpec's defaults.
-_SPEC_FIELDS = {"entries": list[dict], "sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER,
-                "seed": int, "anchors": list[list[JSON_NUMBER]],
-                "alt_anchors": list[list[JSON_NUMBER]]}
-_ENTRY_FIELDS = {"cluster_count": int, "records_per_cluster": int | list[int],
-                 "drift_kind": str, "offset_steps": int}
-
-
-def _spec_from_file(path: Path, seed: int):
-    from .streams import DriftKind, StreamSpec, TimestepSpec
-    doc = parse_json(read_text(path), path)
-    fields = from_doc("spec", doc, _SPEC_FIELDS, optional=list(_SPEC_FIELDS)[1:])
-    entries, kinds = [], {kind.value: kind for kind in DriftKind}
-    for i, e in enumerate(fields.pop("entries"), 1):
-        e = from_doc(f"spec entry {i}", e, _ENTRY_FIELDS, optional=list(_ENTRY_FIELDS)[2:])
-        kind = e.setdefault("drift_kind", "none")
-        if kind not in kinds:
-            raise ValueError(f"spec entry {i} field 'drift_kind' must be one of "
-                             f"{', '.join(kinds)}, got {kind!r}")
-        if type(e["records_per_cluster"]) is list:
-            e["records_per_cluster"] = tuple(e["records_per_cluster"])
-        entries.append(TimestepSpec(**{**e, "drift_kind": kinds[kind]}))
-    return StreamSpec(entries, **{"seed": seed, **fields})
-
-
 def cmd_gen(args) -> int:
     from . import streams
     from .stream_io import write_stream
@@ -90,7 +62,7 @@ def cmd_gen(args) -> int:
         if not path.exists():
             raise ValueError(f"unknown stream spec {name!r}; pick one of "
                              f"{list(NAMED_STREAMS)} or give a JSON file")
-        spec = _spec_from_file(path, args.seed)
+        spec = streams.spec_from_file(path, args.seed)
         source = {"kind": "file", "name": path.name}
         name = path.stem
     out = Path(args.out) if args.out else Path(f"{name}_seed{spec.seed}")

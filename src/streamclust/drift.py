@@ -8,24 +8,19 @@ absorbs records but differently).
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 from .core import ClusteringResult, DriftConfig
 
 
-class DriftCause(Enum):
-    NONE = "none"
-    OUTLIER_RATIO = "outlier_ratio"
-    DISTRIBUTION_SHIFT = "distribution_shift"
-
-
 class DriftVerdict(namedtuple("DriftVerdict", "cause detail", defaults=((),))):
-    # detail: per-cluster relative change in chunk counts, up to the first offender
+    """cause is "none", "outlier_ratio" or "distribution_shift": the check that fired;
+    detail is each cluster's relative change in chunk counts, up to the first offender."""
+
     __slots__ = ()
 
     @property
     def is_drift(self) -> bool:
-        return self.cause is not DriftCause.NONE
+        return self.cause != "none"
 
 
 def detect(
@@ -47,9 +42,9 @@ def detect(
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if current.outliers / chunk_size > config.o_thresh:
-        return DriftVerdict(DriftCause.OUTLIER_RATIO)
+        return DriftVerdict("outlier_ratio")
     if len(current.chunk_counts) != len(previous.chunk_counts):
-        return DriftVerdict(DriftCause.DISTRIBUTION_SHIFT)
+        return DriftVerdict("distribution_shift")
     changes: list[float] = []
     for cur, prior in zip(current.chunk_counts, previous.chunk_counts):
         diff = cur - prior
@@ -59,5 +54,5 @@ def detect(
             pct = abs(diff) / prior
         changes.append(pct)
         if pct > config.d_thresh:
-            return DriftVerdict(DriftCause.DISTRIBUTION_SHIFT, tuple(changes))
-    return DriftVerdict(DriftCause.NONE, tuple(changes))
+            return DriftVerdict("distribution_shift", tuple(changes))
+    return DriftVerdict("none", tuple(changes))

@@ -148,11 +148,16 @@ def parse_json(text: str, document, line: int | None = None):
 
 
 def atomic_write(path, data: str | bytes) -> None:
-    """Write text (as UTF-8) or bytes to path through a temp file and os.replace."""
+    """Write text (as UTF-8) or bytes to path through a temp file and os.replace.
+    An error names path, not the temp file, which a failed write removes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def sha256(*parts) -> str:

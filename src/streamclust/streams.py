@@ -21,11 +21,11 @@ All generation is driven by a seed and is byte-for-byte reproducible.
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 import numpy as np
 
 from .core import checked_make, Chunk, left_sum
+from .jsondoc import JSON_NUMBER, from_doc, parse_json, read_text
 
 # Anchor layouts for blob centers. Clusters sit far enough apart that a blob
 # is never absorbed by a foreign cluster and k-means recovers blobs exactly.
@@ -52,25 +52,20 @@ MERGED_LABEL = 0
 
 DEFAULT_SIGMA = 0.02
 DEFAULT_RELOCATE_OFFSET = 0.01
-
-
-class DriftKind(Enum):
-    NONE = "none"
-    RELABEL = "relabel"
-    RELOCATE = "relocate"
-    MERGE = "merge"
+# A TimestepSpec's drift_kind is one of these, as spec files spell them
+DRIFT_KINDS = ("none", "relabel", "relocate", "merge")
 
 
 class TimestepSpec(namedtuple("TimestepSpec",
                               "cluster_count records_per_cluster drift_kind offset_steps",
-                              defaults=(DriftKind.NONE, 0))):
+                              defaults=("none", 0))):
     """One chunk's blueprint, checked on construction and by _replace.
 
     records_per_cluster may be a single size or one size per cluster.
     offset_steps scales the stream's relocate_offset and is applied to every
     anchor of this chunk (merge included), so +1/-1 entries cancel in the
     per-class means of the whole stream. It alone moves the anchors:
-    RELOCATE only marks the chunk, and generate_synthetic never reads it.
+    "relocate" only marks the chunk, and generate_synthetic never reads it.
     """
 
     __slots__ = ()
@@ -86,7 +81,10 @@ class TimestepSpec(namedtuple("TimestepSpec",
             )
         if any(s < 1 for s in sizes):
             raise ValueError("every cluster size must be >= 1")
-        if self.drift_kind is DriftKind.MERGE and self.cluster_count != 1:
+        if self.drift_kind not in DRIFT_KINDS:
+            raise ValueError(f"drift_kind must be one of {', '.join(DRIFT_KINDS)}, "
+                             f"got {self.drift_kind!r}")
+        if self.drift_kind == "merge" and self.cluster_count != 1:
             raise ValueError("a merge chunk has exactly one cluster")
         return self
 
@@ -127,13 +125,42 @@ class StreamSpec(namedtuple("StreamSpec",
         base = self.entries[0].cluster_count
         for entry in self.entries:
             bank = self.anchors if entry.cluster_count == base else self.alt_anchors
-            if entry.drift_kind is not DriftKind.MERGE and entry.cluster_count > len(bank):
+            if entry.drift_kind != "merge" and entry.cluster_count > len(bank):
                 raise ValueError(
                     f"cluster_count {entry.cluster_count} exceeds available anchors"
                 )
         return self
 
     _make = checked_make
+
+
+# A spec file's keys and an entry's, with their JSON kinds; those past the first
+# one and two may be left out, for StreamSpec's and TimestepSpec's defaults.
+_SPEC_FIELDS = {"entries": list[dict], "sigma": JSON_NUMBER, "relocate_offset": JSON_NUMBER,
+                "seed": int, "anchors": list[list[JSON_NUMBER]],
+                "alt_anchors": list[list[JSON_NUMBER]]}
+_ENTRY_FIELDS = {"cluster_count": int, "records_per_cluster": int | list[int],
+                 "drift_kind": str, "offset_steps": int}
+
+
+def spec_from_file(path, seed: int) -> StreamSpec:
+    """The StreamSpec of the JSON spec file at path, with seed unless the file
+    gives its own; a refusal names the file, and an entry's the entry too."""
+    doc = parse_json(read_text(path), path)
+    try:
+        fields = from_doc("spec", doc, _SPEC_FIELDS, optional=list(_SPEC_FIELDS)[1:])
+        entries = []
+        for i, e in enumerate(fields.pop("entries"), 1):
+            e = from_doc(f"spec entry {i}", e, _ENTRY_FIELDS, optional=list(_ENTRY_FIELDS)[2:])
+            if type(e["records_per_cluster"]) is list:
+                e["records_per_cluster"] = tuple(e["records_per_cluster"])
+            try:
+                entries.append(TimestepSpec(**e))
+            except ValueError as exc:
+                raise ValueError(f"spec entry {i}: {exc}") from None
+        return StreamSpec(entries, **{"seed": seed, **fields})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _merge_anchor(anchors) -> tuple[float, float]:
@@ -165,14 +192,14 @@ def generate_synthetic(spec: StreamSpec) -> list[Chunk]:
 
     for t, entry in enumerate(spec.entries, start=1):
         shift = entry.offset_steps * spec.relocate_offset
-        if entry.drift_kind is DriftKind.MERGE:
+        if entry.drift_kind == "merge":
             anchors = [_merge_anchor(spec.anchors)]
             labels = [MERGED_LABEL]
         else:
             bank = spec.anchors if entry.cluster_count == base_count else spec.alt_anchors
             anchors = list(bank[: entry.cluster_count])
             labels = list(range(1, entry.cluster_count + 1))
-            if entry.drift_kind is DriftKind.RELABEL:
+            if entry.drift_kind == "relabel":
                 relabel_at.append(t - 1)
         centers += [(x + shift, y + shift) for x, y in anchors]
         blob_labels += labels
@@ -207,10 +234,10 @@ def sdwcd_spec(seed: int = 0) -> StreamSpec:
     entries = [
         TimestepSpec(5, 30),
         TimestepSpec(5, 30),
-        TimestepSpec(1, 150, DriftKind.MERGE),
+        TimestepSpec(1, 150, "merge"),
         TimestepSpec(5, 30),
         TimestepSpec(5, 30),
-        TimestepSpec(3, 50, DriftKind.RELABEL),
+        TimestepSpec(3, 50, "relabel"),
     ] + [TimestepSpec(3, 50) for _ in range(4)]
     return StreamSpec(tuple(entries), seed=seed)
 
@@ -222,9 +249,9 @@ def sdccl_spec(seed: int = 0) -> StreamSpec:
         TimestepSpec(5, 30),
         TimestepSpec(5, 30),
         TimestepSpec(5, 30),
-        TimestepSpec(1, 150, DriftKind.MERGE, offset_steps=1),
-        TimestepSpec(5, 30, DriftKind.RELOCATE, offset_steps=1),
-        TimestepSpec(5, 30, DriftKind.RELOCATE, offset_steps=-1),
+        TimestepSpec(1, 150, "merge", offset_steps=1),
+        TimestepSpec(5, 30, "relocate", offset_steps=1),
+        TimestepSpec(5, 30, "relocate", offset_steps=-1),
     )
     return StreamSpec(entries, seed=seed)
 
@@ -250,7 +277,7 @@ def wcd1000_spec(seed: int = 0) -> StreamSpec:
     for block, count in enumerate(_WCD_BLOCK_COUNTS):
         sizes = _WCD_BLOCK_SIZES[count]
         for i in range(100):
-            kind = DriftKind.RELABEL if block > 0 and i == 0 else DriftKind.NONE
+            kind = "relabel" if block > 0 and i == 0 else "none"
             entries.append(TimestepSpec(count, sizes, kind))
     return StreamSpec(tuple(entries), seed=seed)
 

@@ -22,9 +22,11 @@ def test_all_lists_each_public_name_once_and_every_name_resolves():
         assert hasattr(streamclust, name), name
     deleted = {"dist_clust", "summarize", "euclidean", "ClusterSummary", "KMeansParams",
                "kmeans", "apply_label_drift", "ParallelState", "BASE_ANCHORS", "DRIFT_ANCHORS",
-               "MERGED_LABEL", "sse", "MetricsReport", "TimestepMetrics", "chunk_indices"}
+               "MERGED_LABEL", "sse", "MetricsReport", "TimestepMetrics", "chunk_indices",
+               "DriftKind", "DriftCause"}
     assert not deleted & set(names)
     assert not any(hasattr(streamclust, name) for name in deleted)
+    assert set(names) <= set(dir(streamclust)) and not deleted & set(dir(streamclust))
 
 
 def test_star_import_binds_every_public_name():

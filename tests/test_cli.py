@@ -134,7 +134,7 @@ _MALFORMED_SPECS = {
     "zero_cluster_size": (_spec(entry={"records_per_cluster": [5, 0]}),
                           "every cluster size must be >= 1"),
     "misspelt_drift_kind": (_spec(entry={"drift_kind": "relabell"}),
-                            "spec entry 1 field 'drift_kind' must be one of none, relabel, "
+                            "spec entry 1: drift_kind must be one of none, relabel, "
                             "relocate, merge, got 'relabell'"),
 }
 
@@ -148,6 +148,7 @@ def test_gen_from_malformed_spec_file_is_an_error(tmp_path, capsys, case):
     assert main(["gen", str(spec_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+    assert "bad.json" in err, err
     assert not out.exists()
 
 
@@ -893,6 +894,7 @@ _MALFORMED_REPORTS = {
         "report", "'final_centroids'"),
     "unknown_line_type": (lambda lines: lines[:1] + ['{"type": "stepp"}'] + lines[1:],
                           "report line 2", "'stepp'"),
+    "no_summary_line": (lambda lines: lines[:-1], "metrics.jsonl: report has no summary line"),
 }
 
 
@@ -1345,6 +1347,11 @@ def _resume_to_snapshot_in_no_directory(tmp_path, manifest):
             "--snapshot-out", str(tmp_path / "nodir" / "s.json")]
 
 
+def _run_metrics_over_a_directory(tmp_path, manifest):
+    (tmp_path / "clash" / "metrics.jsonl").mkdir(parents=True)
+    return ["run", manifest, "--out", str(tmp_path / "clash")]
+
+
 # Each misuse of a command on the 10-chunk sdwcd stream, as (the command,
 # less --out, once the commands before it have run; what its error says)
 _MISUSES = {
@@ -1364,6 +1371,8 @@ _MISUSES = {
         str(Path("nodir", "s.json"))),
     "resume_snapshot_out_in_no_directory": (_resume_to_snapshot_in_no_directory,
                                             str(Path("nodir", "s.json"))),
+    "run_metrics_over_a_directory": (_run_metrics_over_a_directory,
+                                     f"{Path('clash', 'metrics.jsonl')}'"),
 }
 
 
@@ -1372,15 +1381,16 @@ def test_command_misuse_is_one_error_line(tmp_path, capsys, case):
     argv, message = _MISUSES[case]
     argv = argv(tmp_path, str(_sdwcd(tmp_path, capsys) / "manifest.json"))
     out = tmp_path / "out"
-    if argv[0] != "eval":
+    if argv[0] != "eval" and "--out" not in argv:
         argv += ["--out", str(out)]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
-    assert message in captured.err, captured.err
+    assert message in captured.err and ".tmp" not in captured.err, captured.err
     assert not out.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # Each JSON document a command reads, as (the file, the command that reads

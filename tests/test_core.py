@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamclust import (
-    Chunk, ClusteringResult, DriftCause, DriftConfig, DriftKind, DriftVerdict, EngineState,
+    Chunk, ClusteringResult, DriftConfig, DriftVerdict, EngineState,
     StreamData, StreamSpec, TimestepSpec, dist_clust_trace, engine, minmax_normalize,
     summarize_trace, tcv_distance,
 )
@@ -313,7 +313,7 @@ def test_drift_config_bounds():
 def _one_of_each_value_type():
     chunk = Chunk(1, TOY_VALUES, TOY_LABELS)
     state, report = engine.bootstrap(chunk, DriftConfig(k=2), 2)
-    return [chunk, state.main, state.config, state, report, DriftVerdict(DriftCause.NONE),
+    return [chunk, state.main, state.config, state, report, DriftVerdict("none"),
             tcv_distance(state.main.centroids, state.main.centroids), TimestepSpec(1, 5),
             StreamSpec([TimestepSpec(1, 5)]), StreamData((chunk,), {"origin": "synthetic"})]
 
@@ -341,11 +341,13 @@ def test_value_types_refuse_assignment():
      "strike must be 0 without a parallel model"),
     (EngineState(_one_cluster((0.5,), 0.1, 1, 0), None, 0, DriftConfig(k=1), 1),
      {"timestamp": 0}, "state timestamp must be >= 1"),
-    (TimestepSpec(2, 5), {"drift_kind": DriftKind.MERGE}, "exactly one cluster"),
+    (TimestepSpec(2, 5), {"drift_kind": "merge"}, "exactly one cluster"),
+    (TimestepSpec(2, 5), {"drift_kind": "temporary"},
+     "drift_kind must be one of none, relabel, relocate, merge, got 'temporary'"),
     (StreamSpec([TimestepSpec(1, 5)]), {"sigma": -1.0}, "sigma must be finite and > 0"),
     (StreamSpec([TimestepSpec(1, 5)]), {"anchors": [(0.5,)]}, "an \\(x, y\\) pair"),
-], ids=["radii", "centroids", "d_thresh", "k", "strike", "timestamp", "merge", "sigma",
-        "anchors"])
+], ids=["radii", "centroids", "d_thresh", "k", "strike", "timestamp", "merge", "drift_kind",
+        "sigma", "anchors"])
 def test_replace_runs_the_constructors_checks(value, changes, message):
     with pytest.raises(ValueError, match=message):
         value._replace(**changes)

@@ -5,7 +5,6 @@ import pytest
 
 from streamclust import (
     ClusteringResult,
-    DriftCause,
     DriftConfig,
     DriftVerdict,
     detect,
@@ -26,7 +25,7 @@ def test_outlier_ratio_trips():
     previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert verdict.is_drift
-    assert verdict.cause is DriftCause.OUTLIER_RATIO
+    assert verdict.cause == "outlier_ratio"
 
 
 def test_identical_distribution_is_clean():
@@ -34,7 +33,7 @@ def test_identical_distribution_is_clean():
     previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert not verdict.is_drift
-    assert verdict.cause is DriftCause.NONE
+    assert verdict.cause == "none"
     assert verdict.detail == (0.0,) * 5
 
 
@@ -43,7 +42,7 @@ def test_distribution_shift_trips():
     previous = _result([30, 30, 30, 30, 30])
     verdict = detect(current, previous, 150, CFG)
     assert verdict.is_drift
-    assert verdict.cause is DriftCause.DISTRIBUTION_SHIFT
+    assert verdict.cause == "distribution_shift"
     # stops at the first offender: cluster 1 with |50-30|/30
     assert verdict.detail == pytest.approx((0.0, 20 / 30))
 
@@ -73,13 +72,13 @@ def test_cluster_count_mismatch_is_drift():
     previous = _result([45, 45])
     verdict = detect(current, previous, 90, CFG)
     assert verdict.is_drift
-    assert verdict.cause is DriftCause.DISTRIBUTION_SHIFT
+    assert verdict.cause == "distribution_shift"
 
 
 def test_outlier_check_runs_before_distribution():
     current = _result([0, 0], outliers=50)
     previous = _result([25, 25])
-    assert detect(current, previous, 50, CFG).cause is DriftCause.OUTLIER_RATIO
+    assert detect(current, previous, 50, CFG).cause == "outlier_ratio"
 
 
 def test_detect_is_pure():
@@ -96,8 +95,8 @@ def test_chunk_size_validation():
 def test_verdict_is_drift_is_its_cause():
     # one field decides it, so no verdict can say drift with no cause
     assert list(DriftVerdict._fields) == ["cause", "detail"]
-    for cause in DriftCause:
-        assert DriftVerdict(cause).is_drift == (cause is not DriftCause.NONE)
+    for cause in ("none", "outlier_ratio", "distribution_shift"):
+        assert DriftVerdict(cause).is_drift == (cause != "none")
 
 
 def _random_pair(rng):

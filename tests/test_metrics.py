@@ -26,6 +26,7 @@ from streamclust import (
     write_stream,
 )
 from streamclust.core import BOUND, left_sum
+from streamclust.engine import StepReport
 from streamclust.metrics import average_runs, parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
 from conftest import labels_k, match_distances, merged_class_means, run_all, run_python
@@ -384,6 +385,20 @@ def test_build_report_and_jsonl_round_trip():
     assert not any("event" in row for row in steps)  # events live in the summary
     assert summary["runs"][0]["cluster_counts"] == [5, 5, 5, 5, 1, 5, 5]
     assert summary["runs"][0]["tcv_distances"] == report["tcv_distances"]
+    assert parse_jsonl("\n" + text.replace("\n", "\n  \n")) == (meta, steps, summary)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_report([], None, []), "^a report needs at least one step$"),
+    (lambda: average_runs([], []), "^need the step rows and the entry of at least one run$"),
+    (lambda: average_runs([[{}], []], [{}, {}]), "^all runs must cover the same timestamps$"),
+    (lambda: step_metrics(Chunk(1, [[0.5, 0.5]]),
+                          StepReport("none", 0, (1,), None, False, (0,), 0.0, 0.0)),
+     "^entropy needs labeled assignments$"),
+], ids=["report_of_no_steps", "no_runs", "runs_of_unequal_length", "unlabeled_chunk"])
+def test_metrics_refuse_what_they_cannot_score(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_step_whose_active_model_absorbs_no_record_scores_zero():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamclust import (
-    DriftKind,
     StreamSpec,
     TimestepSpec,
     chunk_dataset,
@@ -17,7 +16,7 @@ from streamclust import (
     sdwcd_spec,
     wcd1000_spec,
 )
-from streamclust.streams import MERGED_LABEL
+from streamclust.streams import DRIFT_KINDS, MERGED_LABEL
 from conftest import (
     BINNING_ROWS,
     EXPECTED_BINS,
@@ -116,7 +115,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         TimestepSpec(2, (30,))
     with pytest.raises(ValueError):
-        TimestepSpec(2, 30, DriftKind.MERGE)
+        TimestepSpec(2, 30, "merge")
     with pytest.raises(ValueError):
         StreamSpec((TimestepSpec(9, 10),))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -136,7 +135,7 @@ def _per_blob_values(spec):
     matrices = []
     for entry in spec.entries:
         shift = entry.offset_steps * spec.relocate_offset
-        if entry.drift_kind is DriftKind.MERGE:
+        if entry.drift_kind == "merge":
             xs, ys = zip(*spec.anchors)
             anchors = [(sum(xs) / len(xs), sum(ys) / len(ys))]
         else:
@@ -156,8 +155,8 @@ def _per_blob_values(spec):
 def _stream_specs(draw):
     entries = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(DriftKind))
-        count = 1 if kind is DriftKind.MERGE else draw(st.integers(1, 5))
+        kind = draw(st.sampled_from(DRIFT_KINDS))
+        count = 1 if kind == "merge" else draw(st.integers(1, 5))
         sizes = draw(st.integers(1, 12) | st.tuples(*[st.integers(1, 12)] * count))
         entries.append(TimestepSpec(count, sizes, kind, draw(st.integers(-2, 2))))
     return StreamSpec(
@@ -180,10 +179,10 @@ def test_one_call_draw_equals_per_blob_draws(spec):
 
 
 def _relabel_streams(counts, relabel_at, seed=0, size=3):
-    """One chunk per cluster count, with RELABEL entries at the given
+    """One chunk per cluster count, with "relabel" entries at the given
     timestamps, and the same stream without them."""
     def stream(relabel):
-        kinds = [DriftKind.RELABEL if t in relabel else DriftKind.NONE
+        kinds = ["relabel" if t in relabel else "none"
                  for t in range(1, len(counts) + 1)]
         return generate_synthetic(
             StreamSpec(tuple(map(TimestepSpec, counts, [size] * len(counts), kinds)), seed=seed))
@@ -236,11 +235,16 @@ def test_label_drift_composes_like_relabeling_chunk_by_chunk():
 
 
 def test_label_drift_validation():
-    # label drift is scheduled only by RELABEL entries: a kind outside
-    # DriftKind, such as a one-chunk "temporary" scramble, is refused
-    for name in ("temporary", "sustained", "forever"):
-        with pytest.raises(ValueError):
-            DriftKind(name)
+    # label drift is scheduled only by "relabel" entries: a kind outside
+    # DRIFT_KINDS, such as a one-chunk "temporary" scramble, is refused
+    for name in ("temporary", "sustained", "forever", "bogus", "MERGE", 3, None):
+        with pytest.raises(ValueError, match="one of none, relabel, relocate, merge, got"):
+            TimestepSpec(5, 30, name)
+
+
+def test_merge_entry_is_one_merged_cluster():
+    chunks = generate_synthetic(StreamSpec((TimestepSpec(5, 30), TimestepSpec(1, 150, "merge"))))
+    assert _label_counts(chunks[1]) == {MERGED_LABEL: 150}
 
 
 def test_chunk_dataset_toy_split():
@@ -281,6 +285,8 @@ def test_chunk_dataset_balances_classes():
 def test_chunk_dataset_class_too_small():
     with pytest.raises(ValueError):
         chunk_dataset([(0.1,), (0.2,), (0.9,)], [1, 1, 2], 2)
+    with pytest.raises(ValueError, match="^cannot chunk an empty dataset$"):
+        chunk_dataset(np.empty((0, 2)), [], 2)
 
 
 @pytest.mark.parametrize("records, labels, classes", [(12, 10, None), (8, 10, None), (10, 10, 14)],
