@@ -163,13 +163,13 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
          shared: dict | None = None) -> tuple[EngineState, StepReport]:
     """Advance the engine by one chunk.
 
-    Without active drift: absorb into the main model and check for drift; on
-    drift, bootstrap the parallel model on this chunk (strike 1). With active
-    drift: absorb into the main model first; a clean verdict stabilizes it and
-    discards the parallel model. Otherwise the parallel model absorbs the
-    chunk too (re-bootstrapping if it drifted itself) and the strike counter
-    grows; on the third drifted chunk after activation the parallel result
-    replaces the main model.
+    The main model absorbs the chunk. A clean verdict ends drift handling and
+    drops any parallel model ("stabilized" if there was one, else "none"). A
+    drifted main model makes the parallel model absorb the chunk, if one
+    exists; it is bootstrapped on the chunk if none existed or it drifted too
+    (a retrain). The strike grows, and it alone names the event: 1 is
+    "activated", below _SWAP_AT "none", and at _SWAP_AT "swapped", where the
+    parallel result replaces the main model.
 
     shared, when given, is a dict the caller owns for this chunk only and
     passes to every bootstrap and step on it: an absorb into a previous
@@ -193,20 +193,15 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     if not verdict.is_drift:
         # Main model fine, or recovered: drift handling ends, parallel work is dropped.
         event = "none" if state.parallel is None else "stabilized"
-    elif state.parallel is None:
-        event, strike = "activated", 1
-        parallel, trace = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
-        active = parallel
     else:
-        active, trace = _absorb(chunk, state.parallel, shared)
-        retrained = detect(active, state.parallel, len(chunk), config).is_drift
-        if retrained:
+        if state.parallel is not None:
+            active, trace = _absorb(chunk, state.parallel, shared)
+            retrained = detect(active, state.parallel, len(chunk), config).is_drift
+        if state.parallel is None or retrained:
             active, trace = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
         strike = state.strike + 1
-        if strike < _SWAP_AT:
-            event, parallel = "none", active
-        else:
-            event, main = "swapped", active
+        event = "activated" if strike == 1 else "none" if strike < _SWAP_AT else "swapped"
+        main, parallel = (active, None) if event == "swapped" else (main, active)
     new_state = EngineState(main, parallel, 0 if parallel is None else strike, config, t)
     return new_state, _report(event, active, verdict, retrained, trace, started)
 
