@@ -159,13 +159,17 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
         atomic_write(snapshot, engine.state_to_json(finals[0], data.chunks) + "\n")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
     metrics_path = out / "metrics.jsonl"
     atomic_write(metrics_path, text)
+    try:
+        atomic_write(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
+    except OSError:
+        metrics_path.unlink()  # a failed run leaves no output of its own
+        raise
 
     print(
         f"runs={len(runs)} mean_entropy={summary['mean_entropy']:.6f} "
-        f"mean_sse={summary['mean_sse']:.6f} total_runtime_s={summary['total_runtime_s']:.4f}"
+        f"mean_sse={summary['mean_sse']:.6g} total_runtime_s={summary['total_runtime_s']:.4f}"
     )
     print(metrics_path)
     return 0

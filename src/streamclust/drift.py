@@ -37,7 +37,9 @@ def detect(
     compared against d_thresh, stopping at the first offender. Shrinkage
     counts as much as growth. A cluster that was dead and came back is an
     infinite change, hence drift; dead both times is no change. Results with
-    different cluster counts are incomparable and reported as drift.
+    different cluster counts are incomparable and reported as drift; only
+    direct calls reach that verdict, as engine.step compares a model with its
+    own previous result, which has as many clusters.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")

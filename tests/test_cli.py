@@ -652,7 +652,7 @@ def _outputs_agree(out_dir, printed):
         (step["timestamp"], step["cluster_count"]) for step in steps]
     assert printed.splitlines() == [
         f"runs={len(summary['runs'])} mean_entropy={summary['mean_entropy']:.6f} "
-        f"mean_sse={summary['mean_sse']:.6f} total_runtime_s={summary['total_runtime_s']:.4f}",
+        f"mean_sse={summary['mean_sse']:.6g} total_runtime_s={summary['total_runtime_s']:.4f}",
         str(out_dir / "metrics.jsonl"),
     ]
     return steps
@@ -1226,6 +1226,20 @@ def test_run_refuses_a_step_sse_whose_mean_over_runs_is_past_float64(tmp_path, c
     assert len(summary["runs"]) == 2 and math.isfinite(summary["mean_sse"])
 
 
+def test_summary_line_at_the_domain_edge_stays_short(tmp_path, capsys):
+    # one cluster over four rows at ±1e100: a mean SSE of 8e200, which
+    # mean_sse={:.6f} printed with 201 digits before the point
+    path = tmp_path / "edge.csv"
+    path.write_text("1e100,-1e100,1\n-1e100,1e100,1\n1e100,1e100,2\n-1e100,-1e100,2\n")
+    stream = tmp_path / "edge"
+    assert main(["chunk", str(path), "--chunks", "1", "--no-normalize", "--out", str(stream)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(stream / "manifest.json"), "--k", "1",
+                 "--out", str(tmp_path / "edge-run")]) == 0
+    summary, _ = capsys.readouterr().out.splitlines()
+    assert " mean_sse=8e+200 " in summary and len(summary) < 120, summary
+
+
 def test_run_and_resume_refuse_a_class_whose_sum_overflows(tmp_path, capsys):
     manifest = _sdwcd(tmp_path, capsys) / "manifest.json"
     snap = tmp_path / "snap.json"
@@ -1347,9 +1361,19 @@ def _resume_to_snapshot_in_no_directory(tmp_path, manifest):
             "--snapshot-out", str(tmp_path / "nodir" / "s.json")]
 
 
-def _run_metrics_over_a_directory(tmp_path, manifest):
-    (tmp_path / "clash" / "metrics.jsonl").mkdir(parents=True)
-    return ["run", manifest, "--out", str(tmp_path / "clash")]
+# The runs into clash/ where an output file's name is taken by a directory,
+# with that name: metrics.jsonl is written first, and removed again when
+# cluster_counts.tsv cannot be written
+_CLASHES = {"run_metrics_over_a_directory": "metrics.jsonl",
+            "run_counts_over_a_directory": "cluster_counts.tsv"}
+
+
+def _run_over_a_directory(name):
+    """A run into clash/, where the output file name is a directory."""
+    def argv(tmp_path, manifest):
+        (tmp_path / "clash" / name).mkdir(parents=True)
+        return ["run", manifest, "--out", str(tmp_path / "clash")]
+    return argv
 
 
 # Each misuse of a command on the 10-chunk sdwcd stream, as (the command,
@@ -1371,8 +1395,8 @@ _MISUSES = {
         str(Path("nodir", "s.json"))),
     "resume_snapshot_out_in_no_directory": (_resume_to_snapshot_in_no_directory,
                                             str(Path("nodir", "s.json"))),
-    "run_metrics_over_a_directory": (_run_metrics_over_a_directory,
-                                     f"{Path('clash', 'metrics.jsonl')}'"),
+    **{case: (_run_over_a_directory(name), f"{Path('clash', name)}'")
+       for case, name in _CLASHES.items()},
 }
 
 
@@ -1391,6 +1415,8 @@ def test_command_misuse_is_one_error_line(tmp_path, capsys, case):
     assert message in captured.err and ".tmp" not in captured.err, captured.err
     assert not out.exists()
     assert not list(tmp_path.rglob("*.tmp"))
+    if case in _CLASHES:  # the run leaves nothing in clash/ but the directory in its way
+        assert [p.name for p in (tmp_path / "clash").iterdir()] == [_CLASHES[case]]
 
 
 # Each JSON document a command reads, as (the file, the command that reads
