@@ -166,17 +166,21 @@ class ClusteringResult(namedtuple("ClusteringResult",
     __slots__ = ()
 
     def __new__(cls, centroids, radii, lifetime_counts, chunk_counts, outliers):
-        self = super().__new__(cls, tuple(tuple(map(float, c)) for c in centroids),
-                               tuple(radii), tuple(lifetime_counts), tuple(chunk_counts), outliers)
+        # tuple.__new__ takes the fields as one tuple, as namedtuple's own
+        # __new__ does, without that extra Python call
+        self = tuple.__new__(cls, (tuple([tuple(map(float, c)) for c in centroids]), tuple(radii),
+                                   tuple(lifetime_counts), tuple(chunk_counts), outliers))
         centroids, radii, lifetimes, deltas, _ = self
-        if not centroids:
+        k = len(centroids)
+        if not k:
             raise ValueError("ClusteringResult needs at least one cluster")
-        columns = (centroids, radii, lifetimes, deltas)
-        if len(set(map(len, columns))) > 1:
-            raise ValueError(f"one entry per cluster in every column, got {[*map(len, columns)]}")
-        lengths = set(map(len, centroids))
-        if len(lengths) > 1 or 0 in lengths:
-            raise ValueError(f"centroids need one common, non-zero length, got {sorted(lengths)}")
+        if len(radii) != k or len(lifetimes) != k or len(deltas) != k:
+            raise ValueError(f"one entry per cluster in every column, "
+                             f"got {[k, len(radii), len(lifetimes), len(deltas)]}")
+        d = len(centroids[0])
+        if not d or [*map(len, centroids)].count(d) != k:
+            raise ValueError(f"centroids need one common, non-zero length, "
+                             f"got {sorted(set(map(len, centroids)))}")
         if not centroids_in_domain(chain.from_iterable(centroids)):
             raise ValueError(f"centroid coordinates must be finite, within ±{2 * BOUND:g}, "
                              f"got {centroids}")

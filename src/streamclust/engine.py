@@ -102,16 +102,9 @@ def _bootstrap_seed(config: DriftConfig, timestamp: int) -> int:
 
 
 def _report(event, active, verdict, retrained, trace, started) -> StepReport:
-    return StepReport(
-        event=event,
-        outliers=active.outliers,
-        cluster_deltas=active.chunk_counts,
-        verdict=verdict,
-        parallel_retrained=retrained,
-        clusters=trace[0],
-        sse=trace[1],
-        duration_s=time.perf_counter() - started,
-    )
+    clusters, sse = trace
+    return StepReport(event, active.outliers, active.chunk_counts, verdict, retrained,
+                      clusters, sse, time.perf_counter() - started)
 
 
 def _k(config: DriftConfig, k: int | None) -> int:
@@ -145,14 +138,15 @@ def init(first_chunk: Chunk, config: DriftConfig, k: int | None = None) -> Engin
 
 def _absorb(chunk: Chunk, prev: ClusteringResult, shared: dict | None):
     """dist_clust_trace(chunk, prev), computed once per previous model object
-    in shared; without shared, a fresh dict takes its place.
+    in shared, or on every call without shared.
 
     The entry keeps prev alive beside the result, so its id is not reused
     while shared lives. Runs that shared a step hold one result object, so
     the share finds them; equal models held as distinct objects are each
     absorbed on their own.
     """
-    shared = {} if shared is None else shared
+    if shared is None:
+        return dist_clust_trace(chunk, prev)
     key = "absorb", chunk, id(prev)
     if key not in shared:
         shared[key] = prev, dist_clust_trace(chunk, prev)

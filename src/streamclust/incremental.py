@@ -10,12 +10,16 @@ A cluster that absorbs its n-th record moves its centroid c towards the
 record v by (1 - 1/n) * c + (1/n) * v, coordinate by coordinate, which keeps
 it the exact running mean. The whole pass over a chunk is one generated
 function per (k clusters, d dimensions), built from the two integers on first
-use and cached. It walks the chunk's d columns together, so no record becomes
-a tuple unless it is scanned, and holds the current cluster in scalar locals:
-its d coordinates and its lifetime count, updated with one statement per
-coordinate. Those locals are written back to the centroid and lifetime lists
-before a scan and after the last record; the chunk counts are then each
-lifetime count less prev's. The nearest-centroid scan is unrolled into k
+use and cached. It takes prev's centroids, radii and lifetime counts and the
+chunk's record count, and first computes the bounds below: each cluster's
+move bound, the safe radii and reach. It then walks the chunk's d columns
+together, so no record becomes a tuple unless it is scanned, and holds the
+current cluster in scalar locals: its d coordinates and its lifetime count,
+updated with one statement per coordinate. Those locals are written back to
+the centroid and lifetime lists before a scan and after the last record; the
+chunk counts are then each lifetime count less prev's, and the kernel hands
+centroids, lifetime counts and chunk counts back as the tuples
+ClusteringResult holds. The nearest-centroid scan is unrolled into k
 math.dist calls, so the loop pays no per-cluster or per-coordinate iteration.
 dist_clust_trace is the one absorb function; the engine reports its trace
 and metrics score it.
@@ -75,28 +79,36 @@ from .core import Chunk, ClusteringResult
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _absorb_kernel(clusters: int, dimensions: int):
-    """The absorb pass for k clusters in d dimensions, as generated code.
+    """The whole absorb pass for k clusters in d dimensions, as generated code.
 
-    absorb(columns, centroids, radii, lifetimes, safe, reach) walks the
-    chunk's d column lists together, one record x0..x{d-1} at a time,
-    updates centroids and lifetimes in place and returns the outlier count,
-    each record's cluster (-1 for an outlier) and the SSE. The current
-    cluster i lives in locals: its coordinates c0..c{d-1}, lifetime count n,
-    radius, safe radius and far radius f, which is taken from safe[i] and
-    reach as i is loaded. A record first takes b = hypot(x0 - c0, ...), the
-    same bits as math.dist (both feed one array of |x_j - c_j| to the same
-    norm); the update is n += 1, w = 1/n and one `c_j = keep * c_j + w * x_j`
-    per coordinate. When the half-gap test fails and b < f, the record is an
-    outlier and the next one follows. When both tests fail, the locals are
-    written back to centroids[i] and lifetimes[i], and the scan holds k
-    dist() calls on the record as a tuple, each followed by `if x < b`, so
-    ties keep the lowest index; the chosen cluster's entries are then loaded
-    into the locals, and the last cluster is written back after the loop.
-    The source comes from the two integers alone, checked before any code is
-    built; typed caching keeps 2.0 or True from reusing the kernel cached
-    for 2 or 1. Generated, because on Python 3.11 range(), list indexing,
-    tuple building and a call per absorbed record cost more than the
-    distance work at small k and d.
+    absorb(columns, start, radii, born, records) takes the chunk's d column
+    lists, prev's centroids, radii and lifetime counts, and the chunk's
+    record count. It first takes each cluster's move bound in a loop over
+    the clusters, then the safe radii in a loop over a precomputed tuple of
+    the k(k - 1)/2 cluster pairs, and reach (see the module docstring for
+    the formulas). It then walks the columns together,
+    one record x0..x{d-1} at a time. It returns the result's five fields,
+    ready for ClusteringResult: the centroids, radii, lifetime counts and
+    chunk counts as tuples and the outlier count; and the trace: each
+    record's cluster (-1 for an outlier) as a tuple, and the SSE. The
+    current cluster i lives in locals: its coordinates
+    c0..c{d-1}, lifetime count n, radius, safe radius and far radius f,
+    which is taken from safe[i] and reach as i is loaded. A record first
+    takes b = hypot(x0 - c0, ...), the same bits as math.dist (both feed one
+    array of |x_j - c_j| to the same norm); the update is n += 1, w = 1/n
+    and one `c_j = keep * c_j + w * x_j` per coordinate. When the half-gap
+    test fails and b < f, the record is an outlier and the next one
+    follows. When both tests fail, the locals are written back to
+    centroids[i] and lifetimes[i], and the scan holds k dist() calls on the
+    record as a tuple, each followed by `if x < b`, so ties keep the lowest
+    index; the chosen cluster's entries are then loaded into the locals,
+    and the last cluster is written back after the loop. The source is
+    linear in k and d: only the scan, the mean update and the chunk counts
+    are unrolled, and the set-up's loops are not. It comes from
+    the two integers alone, checked before any code is built; typed caching
+    keeps 2.0 or True from reusing the kernel cached for 2 or 1. Generated,
+    because on Python 3.11 range(), list indexing, tuple building and a call
+    per absorbed record cost more than the distance work at small k and d.
     """
     if type(clusters) is not int or type(dimensions) is not int:
         raise TypeError(f"kernel shape must be two ints, got {clusters!r}, {dimensions!r}")
@@ -109,10 +121,28 @@ def _absorb_kernel(clusters: int, dimensions: int):
     cs = "".join(f"c{j}, " for j in range(dimensions))
     gaps = "".join(f"x{j} - c{j}, " for j in range(dimensions))
     mean = "".join(f"            c{j} = keep * c{j} + w * x{j}\n" for j in range(dimensions))
+    deltas = "".join(f"lifetimes[{j}] - born[{j}], " for j in range(clusters))
     source = (
-        "def absorb(columns, centroids, radii, lifetimes, safe, reach):\n"
+        "def absorb(columns, start, radii, born, records):\n"
         "    dist = math.dist\n"
         "    hypot = math.hypot\n"
+        "    log1p = math.log1p\n"
+        f"    scale = records * {math.sqrt(dimensions)!r}\n"
+        "    moves = []\n"
+        "    move = moves.append\n"
+        "    for c, r, life in zip(start, radii, born):\n"
+        "        drift = r * log1p(records / life)\n"
+        "        move(drift * (1 + 1e-9) + scale * (1e-15 * (max(map(abs, c)) + r + drift) + 1e-300))\n"
+        f"    safe = [math.inf] * {clusters}\n"
+        "    for j, l in pairs:\n"
+        "        half = (dist(start[j], start[l]) * (1 - 1e-9) - moves[j] - moves[l]) * (0.5 - 1e-9)\n"
+        "        if half < safe[j]:\n"
+        "            safe[j] = half\n"
+        "        if half < safe[l]:\n"
+        "            safe[l] = half\n"
+        "    reach = max(radii) * (1 + 1e-9) + 1e-300\n"
+        "    centroids = list(start)\n"
+        "    lifetimes = list(born)\n"
         "    clusters = []\n"
         "    append = clusters.append\n"
         "    outliers = 0\n"
@@ -148,36 +178,12 @@ def _absorb_kernel(clusters: int, dimensions: int):
         "            append(-1)\n"
         f"    centroids[i] = ({cs})\n"
         "    lifetimes[i] = n\n"
-        "    return outliers, clusters, sse\n"
+        f"    return (tuple(centroids), radii, tuple(lifetimes), ({deltas}), outliers), "
+        "(tuple(clusters), sse)\n"
     )
-    namespace = {"math": math}
+    namespace = {"math": math, "pairs": tuple(itertools.combinations(range(clusters), 2))}
     exec(compile(source, f"<absorb kernel k={clusters} d={dimensions}>", "exec"), namespace)
     return namespace["absorb"]
-
-
-def _safe_radii(prev: ClusteringResult, records: int) -> tuple[list[float], float]:
-    """Per cluster, the distance below which a record of a chunk of this many
-    records is certified to be strictly nearest that cluster's centroid,
-    wherever the pass has moved the centroids by then; and reach, just over
-    the largest radius, from which the kernel takes each far radius (see the
-    module docstring for both bounds and why they are exact)."""
-    centroids = prev.centroids
-    k = len(centroids)
-    scale = records * math.sqrt(prev.dimensions)
-    moves = []
-    for c, r, life in zip(centroids, prev.radii, prev.lifetime_counts):
-        drift = r * math.log1p(records / life)
-        moves.append(drift * (1 + 1e-9) + scale * (1e-15 * (max(map(abs, c)) + r + drift) + 1e-300))
-    safe = [math.inf] * k
-    for j, l in itertools.combinations(range(k), 2):
-        gap = math.dist(centroids[j], centroids[l])
-        half = (gap * (1 - 1e-9) - moves[j] - moves[l]) * (0.5 - 1e-9)
-        if half < safe[j]:
-            safe[j] = half
-        if half < safe[l]:
-            safe[l] = half
-    reach = max(prev.radii) * (1 + 1e-9) + 1e-300
-    return safe, reach
 
 
 def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringResult, tuple]:
@@ -192,16 +198,10 @@ def dist_clust_trace(chunk: Chunk, prev: ClusteringResult) -> tuple[ClusteringRe
     absorption requires distance <= that cluster's radius, and everything
     else is counted as an outlier and dropped.
     """
-    if chunk.dimensions != prev.dimensions:
-        raise ValueError(
-            f"chunk has {chunk.dimensions} dimensions, clusters have {prev.dimensions}"
-        )
-    centroids = list(prev.centroids)
-    lifetimes = list(prev.lifetime_counts)
-    absorb = _absorb_kernel(len(centroids), chunk.dimensions)
-    outliers, clusters, sse = absorb(chunk.values.T.tolist(), centroids, prev.radii, lifetimes,
-                                     *_safe_radii(prev, len(chunk)))
-    # per-chunk counts restart each call: what this chunk added to each lifetime
-    deltas = [n - m for n, m in zip(lifetimes, prev.lifetime_counts)]
-    result = ClusteringResult(centroids, prev.radii, lifetimes, deltas, outliers)
-    return result, (tuple(clusters), sse)
+    centroids, radii, lifetimes, _, _ = prev
+    dimensions = chunk.dimensions
+    if dimensions != len(centroids[0]):
+        raise ValueError(f"chunk has {dimensions} dimensions, clusters have {prev.dimensions}")
+    absorb = _absorb_kernel(len(centroids), dimensions)
+    fields, trace = absorb(chunk.values.T.tolist(), centroids, radii, lifetimes, len(chunk))
+    return ClusteringResult(*fields), trace

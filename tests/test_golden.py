@@ -42,9 +42,12 @@ eval table was checked to differ from the previous version's only in the
 order of the final centroids, with their distances, and the snapshot only in
 the order of each result's clusters, except the 4-D run's, whose second
 chunk's fixed-k bootstrap starts from another record and ends at an SSE of
-0.3303 in place of 0.3248. Before hashing a metrics.jsonl, the wall-clock fields
-(duration_s, total_runtime_s) and the meta line's absolute manifest path are
-dropped; everything else is hashed as written.
+0.3303 in place of 0.3248. The wcd1000 run under --k 5 was taken later,
+when the absorb kernel still got its safe radii and reach from a Python
+helper, before the kernel computed them itself. Before hashing a
+metrics.jsonl, the wall-clock fields (duration_s, total_runtime_s) and the
+meta line's absolute manifest path are dropped; everything else is hashed as
+written.
 
 Every digest was pinned under numpy 2.4.6. The streams come from numpy's
 Generator, whose streams NEP 19 does not promise to keep across numpy
@@ -88,6 +91,10 @@ GOLDEN = {
         "tree": "2c6dfcc3e472d53653cb957c33d51a62b995c94e100282708b1046a32f79538f",
         "metrics": "6009104005bf5abe900d9029f58c3e3a26a903a601679a2a3ba470ade8852dbb",
         "counts": "57a8beba7bb73634fe83098946da4fe9d02ca9b52365100607861d8b2363e306",
+    },
+    "wcd1000_k5": {
+        "metrics": "29947c9a701acc87cb356db892835e197d72f63203eef0f9424e54b3f7260faa",
+        "counts": "df40e927a1f6aff2c29d144d2e88be3adc67556fd3875c15aec1ac93751b5ad5",
     },
     # re-pinned for snapshot version 5, which writes each result as one
     # list per field and the strike at the top level; version 4 had dropped
@@ -164,19 +171,31 @@ def test_gen_matches_golden_tree_digest(name, tmp_path, capsys):
     assert _tree_digest(tmp_path / name) == GOLDEN[name]["tree"]
 
 
-def test_run_wcd1000_matches_golden_digests(tmp_path, capsys):
-    # 1 000 chunks of steady blobs: the stream where the absorb pass most
-    # often settles a record's cluster with one distance
+def _run_wcd1000(tmp_path, capsys, *options) -> dict:
     stream = tmp_path / "wcd1000"
     run_out = tmp_path / "run"
     assert main(["gen", "wcd1000", "--seed", "7", "--out", str(stream)]) == 0
-    assert main(["run", str(stream / "manifest.json"), "--seed", "7", "--out", str(run_out)]) == 0
+    assert main(["run", str(stream / "manifest.json"), "--seed", "7", *options,
+                 "--out", str(run_out)]) == 0
     capsys.readouterr()
-    digests = {
+    return {
         "metrics": _report_digest(run_out / "metrics.jsonl"),
         "counts": _sha((run_out / "cluster_counts.tsv").read_bytes()),
     }
+
+
+def test_run_wcd1000_matches_golden_digests(tmp_path, capsys):
+    # 1 000 chunks of steady blobs: the stream where the absorb pass most
+    # often settles a record's cluster with one distance
+    digests = _run_wcd1000(tmp_path, capsys)
     assert digests == {key: GOLDEN["wcd1000"][key] for key in digests}
+
+
+def test_run_wcd1000_k5_matches_golden_digests(tmp_path, capsys):
+    # k = 5 over-splits the chunks of 2 to 4 blobs: 85 of the run's 1 030
+    # absorbs start with a negative safe radius, and the main model drifts
+    # on 72 chunks, with 41 activations, 2 retrains and 9 swaps
+    assert _run_wcd1000(tmp_path, capsys, "--k", "5") == GOLDEN["wcd1000_k5"]
 
 
 def test_repeat_run_matches_golden_digests(tmp_path, capsys):
@@ -285,6 +304,7 @@ def _sum_312(iterable, /, start=0):
         (test_gen_matches_golden_tree_digest, ("sdccl",)),
         (test_gen_matches_golden_tree_digest, ("wcd1000",)),
         (test_run_wcd1000_matches_golden_digests, ()),
+        (test_run_wcd1000_k5_matches_golden_digests, ()),
         (test_repeat_run_matches_golden_digests, ()),
         (test_snapshot_and_resume_match_golden_digests, ()),
         (test_chunked_dataset_matches_golden_digest, ()),

@@ -411,6 +411,19 @@ def test_hypot_of_gaps_equals_dist_bit_for_bit(pairs):
 _BIG = BOUND  # the domain's edge
 
 
+def _walk(radius, records):
+    """records rows, each 0.99 * radius to the right of the running mean of
+    a cluster at the origin that has absorbed one record and then every
+    earlier row: they pull it right as far as one chunk can, to about
+    0.99 * radius * (ln(records) - 0.42)."""
+    c, rows = 0.0, []
+    for n in range(2, records + 2):
+        v = c + 0.99 * radius
+        rows.append((v, 0.0))
+        c += (v - c) / n
+    return rows
+
+
 @pytest.mark.parametrize("centroids, radii, lifetimes, rows", [
     pytest.param([(0.5, 0.5), (0.0, 0.0), (0.0, 0.0)], [0.3] * 3, [10**9] * 3,
                  [(0.1, 0.0), (0.0, 0.0), (0.0, 0.1), (0.0, 0.0), (0.4, 0.4)],
@@ -477,6 +490,19 @@ _BIG = BOUND  # the domain's edge
                  [(0.1, 0.0, -0.1), (0.9, 0.5, -0.2), (0.2, 0.1, 0.0), (-0.4, 0.9, 0.8),
                   (0.0, 0.0, 0.05), (5.0, 5.0, 5.0), (1.1, 0.4, -0.3), (0.05, -0.05, 0.0)],
                  id="three_dimensions"),
+    # the smallest kernel: one move bound, over one coordinate, and no pair
+    pytest.param([(-0.25,)], [0.5], [2],
+                 [(-0.25,), (0.0,), (0.3,), (-0.8,), (-0.75,), (_BIG,), (0.1,)],
+                 id="one_cluster_in_one_dimension"),
+    # cluster 0 has absorbed one record, so under 5 000 records its move
+    # bound is r * log1p(5000 / 1), 2.56 here: the safe radius of cluster 1,
+    # 3 away, is 0.22. 4 998 records pull cluster 0 to about 2.40; a
+    # record at cluster 1 then makes it current, and the last record, 0.55
+    # from it, is 0.05 from cluster 0. A move bound that left out the
+    # chunk's size, r * log1p(1 / 1) = 0.21, would certify cluster 1 for it
+    pytest.param([(0.0, 0.0), (3.0, 0.0)], [0.3, 0.3], [1, 10**9],
+                 _walk(0.3, 4998) + [(3.0, 0.0), (2.45, 0.0)],
+                 id="lifetime_one_under_5000_records"),
 ])
 def test_half_gap_edge_cases_match_reference(centroids, radii, lifetimes, rows):
     k = len(centroids)
@@ -530,6 +556,22 @@ def test_drifted_blobs_cost_one_distance_per_outlier(monkeypatch):
     assert result.outliers == len(rows) and set(clusters) == {-1}
     monkeypatch.undo()
     _assert_matches_reference(Chunk(2, rows), prev)
+
+
+def test_absorb_kernel_source_is_linear_in_k_and_d(monkeypatch):
+    # the set-up takes the safe radii in a loop over the cluster pairs:
+    # unrolling it would give k(k - 1)/2 more lines, 4 950 at k = 100, whose
+    # kernel then takes a third of a second to build
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(incremental, "compile", capture, raising=False)
+    for k, d in ((100, 2), (10, 16)):
+        incremental._absorb_kernel.__wrapped__(k, d)  # past the cache
+        assert sources[-1].count("\n") <= 60 + 5 * (k + d)
 
 
 def test_absorb_kernel_takes_ints_only(monkeypatch):
