@@ -3,12 +3,22 @@
 The first chunk bootstraps the main model; later chunks are absorbed
 incrementally. When drift is detected, a parallel model is bootstrapped on the
 offending chunk and both models advance together. The main model then has
-three consecutive chunks to come back with a clean drift verdict:
+the three chunks after activation to come back with a clean drift verdict:
 
 * it stabilizes -> the parallel model is thrown away,
 * it stays drifted for three chunks after activation -> the parallel model
   (which meanwhile absorbed those chunks, retraining itself whenever it
   drifted too) replaces the main model wholesale.
+
+Each verdict compares the main model with its own result on the chunk
+before. During a collapse it absorbs little or nothing, so on the first
+normal chunk after one its clusters come back, which detect reads as an
+infinite change: the earliest clean verdict is on the chunk after that. A
+collapse of one or two chunks is stabilized there, but a 3-chunk collapse
+uses up the three chunks and is swapped on its first normal chunk, as a
+sustained drift is (the drift scorecard, tests/test_scorecard.py, handles
+0 of 20 in its collapse3 rows). ROADMAP item 3's step B, which compares
+with the main model held from before activation, is the candidate fix.
 
 "Parallel" means a second logical model per step, not a thread. The state
 holds the parallel model only while drift handling is active, so the

@@ -82,6 +82,17 @@ def run_python(*args, cwd=None, timeout=10):
                           cwd=cwd, capture_output=True, text=True, timeout=timeout)
 
 
+def without_wall_clock(doc):
+    """A metrics.jsonl line's JSON value without its wall-clock fields
+    (duration_s, total_runtime_s), at any depth."""
+    if isinstance(doc, dict):
+        return {k: without_wall_clock(v) for k, v in doc.items()
+                if k not in ("duration_s", "total_runtime_s")}
+    if isinstance(doc, list):
+        return [without_wall_clock(v) for v in doc]
+    return doc
+
+
 def same_chunk(a: Chunk, b: Chunk) -> bool:
     """Float-exact equality of timestamp, values, labels and artificial classes."""
     def same(x, y):

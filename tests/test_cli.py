@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import gc
 import hashlib
@@ -6,6 +7,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,7 +22,7 @@ from streamclust import (Chunk, __version__, bootstrap, engine, load_stream, met
                          write_stream)
 from streamclust.cli import main
 from streamclust.metrics import parse_jsonl
-from conftest import TOY_ROWS, chunk_rows, run_python
+from conftest import TOY_ROWS, chunk_rows, run_python, without_wall_clock
 
 
 def _toy_csv(tmp_path):
@@ -1123,6 +1125,58 @@ def test_eval_refuses_a_centroid_too_far_to_match(tmp_path, capsys):
     proc = run_python("-m", "streamclust.cli", "eval", str(manifest), str(report))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: centroids to match must have finite coordinates, within ±2e+100\n"
+
+
+def _recorded_exit_calls(monkeypatch):
+    """The functions main registers with atexit from now on, recorded in
+    place of registering them."""
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda func, *args, **kwargs: registered.append(func))
+    return registered
+
+
+@pytest.mark.parametrize("argv", [["gen", "sdwcd"], ["run", "missing.json"]],
+                         ids=["gen", "run_missing_manifest"])
+def test_main_given_argv_registers_nothing_at_exit(tmp_path, capsys, monkeypatch, argv):
+    registered = _recorded_exit_calls(monkeypatch)
+    main([*argv, "--out", str(tmp_path / "out")])
+    assert registered == []
+
+
+def test_main_as_the_command_freezes_the_collector_at_exit(tmp_path, capsys, monkeypatch):
+    registered = _recorded_exit_calls(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["streamclust", "gen", "sdwcd", "--out", str(tmp_path / "s")])
+    assert main() == 0
+    assert registered == [gc.freeze]
+
+
+def test_the_command_writes_what_main_writes_in_process_and_exits_with_its_code(tmp_path, capsys):
+    # python -m streamclust.cli calls main() as the console script does, so
+    # its exit skips the collector's teardown (see main)
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    assert main(["run", manifest, "--out", str(tmp_path / "inproc")]) == 0
+    capsys.readouterr()
+    proc = run_python("-m", "streamclust.cli", "run", manifest, "--out", str(tmp_path / "command"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    summary_line, path = proc.stdout.splitlines()
+    assert summary_line.startswith("runs=1 mean_entropy=")
+    assert path == str(tmp_path / "command" / "metrics.jsonl")
+    inproc, command = ([without_wall_clock(json.loads(line))
+                        for line in (tmp_path / out / "metrics.jsonl").read_text().splitlines()]
+                       for out in ("inproc", "command"))
+    assert command == inproc
+    assert ((tmp_path / "command" / "cluster_counts.tsv").read_bytes()
+            == (tmp_path / "inproc" / "cluster_counts.tsv").read_bytes())
+
+    proc = run_python("-m", "streamclust.cli", "run", str(tmp_path / "missing.json"),
+                      "--out", str(tmp_path / "missing"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+    proc = run_python("-m", "streamclust.cli", "run", manifest, "--bogus")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 def _run_quietly(argv):

@@ -68,8 +68,7 @@ import pytest
 
 import streamclust
 from streamclust.cli import main
-
-WALL_CLOCK_FIELDS = ("duration_s", "total_runtime_s")
+from conftest import without_wall_clock
 
 GOLDEN = {
     "sdwcd": {
@@ -126,18 +125,10 @@ def _tree_digest(directory) -> str:
     return h.hexdigest()
 
 
-def _strip(doc):
-    if isinstance(doc, dict):
-        return {k: _strip(v) for k, v in doc.items() if k not in WALL_CLOCK_FIELDS}
-    if isinstance(doc, list):
-        return [_strip(v) for v in doc]
-    return doc
-
-
 def _report_digest(path) -> str:
     lines = []
     for line in path.read_text().splitlines():
-        doc = _strip(json.loads(line))
+        doc = without_wall_clock(json.loads(line))
         if doc.get("type") == "meta":
             doc.pop("manifest")
         lines.append(json.dumps(doc))
