@@ -26,7 +26,7 @@ from . import __version__
 # stream_io, streams, engine and metrics are imported in the commands that
 # run them, so this module loads no numpy: eval reads only the manifest and
 # its files' digests, and gen and chunk load neither engine nor metrics.
-from .core import Chunk, DriftConfig, minmax_normalize
+from .core import DriftConfig, label_count, minmax_normalize
 from .jsondoc import (
     JSON_NUMBER,
     atomic_write,
@@ -42,14 +42,7 @@ DEFAULT_SEED = 7
 DEFAULT_O_THRESH = DriftConfig._field_defaults["o_thresh"]
 DEFAULT_D_THRESH_SYNTHETIC = DriftConfig._field_defaults["d_thresh"]
 DEFAULT_D_THRESH_REAL = 0.4
-
-
-def _labels_k(chunk: Chunk) -> int:
-    # The per-chunk "k from unique labels" policy lives here, outside the
-    # engine, which never reads labels itself.
-    if chunk.labels is None:
-        raise ValueError("k-from-labels policy needs a fully labeled stream")
-    return len(set(chunk.labels.tolist()))
+_labels_k = label_count  # run's default k policy under the name bench/run.py calls it by
 
 
 def cmd_gen(args) -> int:
@@ -132,10 +125,9 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
                           true_cluster_values)
     tcvs = [mean for _, mean in true_cluster_values(data.manifest)]
 
-    k_for_chunk = None if meta["k"] is not None else _labels_k
     finals = list(states) or [None] * len(configs)
     rows = [[] for _ in finals]
-    for i, state, report in engine.run(chunks, configs, k_for_chunk, states=states):
+    for i, state, report in engine.run(chunks, configs, states=states):
         if i == 0:  # a new chunk
             scored = {}
         rows[i].append(step_metrics(data.chunks[state.timestamp - 1], report, scored))
@@ -160,13 +152,16 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     if snapshot:
         atomic_write(snapshot, engine.state_to_json(finals[0], data.chunks) + "\n")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.jsonl"
-    atomic_write(metrics_path, text)
+    written = [Path(snapshot)] if snapshot else []  # a failed run leaves no output of its own
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        atomic_write(metrics_path, text)
+        written.append(metrics_path)
         atomic_write(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
     except OSError:
-        metrics_path.unlink()  # a failed run leaves no output of its own
+        for path in written:
+            path.unlink()
         raise
 
     print(

@@ -37,8 +37,9 @@ class Chunk:
     int64 vector with one class label per row; artificial_classes, when
     given, a read-only int64 matrix with one row of artificial class labels
     per record and at least one column (see make_artificial_classes). Both
-    are opaque integers used only by stream construction and evaluation; no
-    clustering code path ever reads them. An array is kept as given only
+    are opaque integers used by stream construction and evaluation, and the
+    labels by label_count, the k of a bootstrap under DriftConfig(k=None);
+    no absorb or drift check reads them. An array is kept as given only
     when nothing can change it: it has the right dtype, is C-contiguous and
     read-only, and so is the array it is a view of; load_stream and
     generate_synthetic give their chunks such views of the stream's arrays.
@@ -95,6 +96,13 @@ class Chunk:
     @property
     def dimensions(self) -> int:
         return self.values.shape[1]
+
+
+def label_count(chunk: Chunk) -> int:
+    """The k of a bootstrap under DriftConfig(k=None): the chunk's number of distinct labels."""
+    if chunk.labels is None:
+        raise ValueError(f"chunk {chunk.timestamp} has no labels for the k=None policy to count")
+    return len(set(chunk.labels.tolist()))
 
 
 def _frozen(array, dtype) -> np.ndarray:
@@ -210,8 +218,8 @@ class DriftConfig(namedtuple("DriftConfig", "k o_thresh d_thresh seed", defaults
     o_thresh is the maximum tolerated outlier ratio per chunk, d_thresh the
     maximum tolerated per-cluster distribution change; seed controls every
     internal k-means bootstrap so runs are reproducible. k is the cluster
-    count of every bootstrap, or None when the caller injects one per chunk
-    (the k-from-labels policy). Checked on construction and by _replace.
+    count of every bootstrap, or None for the k-from-labels policy: each
+    bootstrap's k is its chunk's label_count. Checked on construction and by _replace.
     """
 
     __slots__ = ()

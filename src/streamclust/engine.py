@@ -47,7 +47,7 @@ import time
 from collections import namedtuple
 
 from .bootstrap import summarize_trace
-from .core import checked_make, Chunk, ClusteringResult, DriftConfig
+from .core import checked_make, Chunk, ClusteringResult, DriftConfig, label_count
 from .drift import detect
 from .incremental import dist_clust_trace
 from .jsondoc import JSON_NUMBER, from_doc, json_field, parse_json, sha256, to_doc
@@ -117,24 +117,24 @@ def _report(event, active, verdict, retrained, trace, started) -> StepReport:
                       clusters, sse, time.perf_counter() - started)
 
 
-def _k(config: DriftConfig, k: int | None) -> int:
+def _k(config: DriftConfig, k: int | None, chunk: Chunk) -> int:
+    """The k of a bootstrap on chunk: k, else config.k, else the chunk's label count."""
     k = config.k if k is None else k
-    if k is None:
-        raise ValueError("no k to bootstrap with: the config leaves k to the caller, who gave none")
-    return k
+    return label_count(chunk) if k is None else k
 
 
 def bootstrap(first_chunk: Chunk, config: DriftConfig, k: int | None = None,
               shared: dict | None = None) -> tuple[EngineState, StepReport]:
     """Bootstrap the engine on the first chunk of a stream, with its report.
 
-    k overrides config.k for this bootstrap only (callers that derive k per
-    chunk inject it here; the engine itself never looks at labels). shared
-    is the chunk's dict of shared work, as in step.
+    k overrides config.k for this bootstrap only; without it, under
+    DriftConfig(k=None), k is the chunk's label_count. shared is the chunk's
+    dict of shared work, as in step.
     """
     started = time.perf_counter()
     t = first_chunk.timestamp
-    main, trace = summarize_trace(first_chunk, _k(config, k), _bootstrap_seed(config, t), shared)
+    main, trace = summarize_trace(first_chunk, _k(config, k, first_chunk),
+                                  _bootstrap_seed(config, t), shared)
     state = EngineState(main, None, 0, config, t)
     report = _report("bootstrap", main, None, False, trace, started)
     return state, report
@@ -170,10 +170,10 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     The main model absorbs the chunk. A clean verdict ends drift handling and
     drops any parallel model ("stabilized" if there was one, else "none"). A
     drifted main model makes the parallel model absorb the chunk, if one
-    exists; it is bootstrapped on the chunk if none existed or it drifted too
-    (a retrain). The strike grows, and it alone names the event: 1 is
-    "activated", below _SWAP_AT "none", and at _SWAP_AT "swapped", where the
-    parallel result replaces the main model.
+    exists; it is bootstrapped on the chunk, with k as in bootstrap, if none
+    existed or it drifted too (a retrain). The strike grows, and it alone
+    names the event: 1 is "activated", below _SWAP_AT "none", and at
+    _SWAP_AT "swapped", where the parallel result replaces the main model.
 
     shared, when given, is a dict the caller owns for this chunk only and
     passes to every bootstrap and step on it: an absorb into a previous
@@ -189,7 +189,6 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
         )
     config = state.config
     t = chunk.timestamp
-    k = _k(config, k)
 
     main, trace = _absorb(chunk, state.main, shared)
     verdict = detect(main, state.main, len(chunk), config)
@@ -202,7 +201,8 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
             active, trace = _absorb(chunk, state.parallel, shared)
             retrained = detect(active, state.parallel, len(chunk), config).is_drift
         if state.parallel is None or retrained:
-            active, trace = summarize_trace(chunk, k, _bootstrap_seed(config, t), shared)
+            active, trace = summarize_trace(chunk, _k(config, k, chunk),
+                                            _bootstrap_seed(config, t), shared)
         strike = state.strike + 1
         event = "activated" if strike == 1 else "none" if strike < _SWAP_AT else "swapped"
         main, parallel = (active, None) if event == "swapped" else (main, active)
@@ -210,7 +210,7 @@ def step(state: EngineState, chunk: Chunk, k: int | None = None,
     return new_state, _report(event, active, verdict, retrained, trace, started)
 
 
-def run(stream, configs=(), k_for_chunk=None, *, states=()):
+def run(stream, configs=(), *, states=()):
     """Drive one or more runs over a stream in lockstep, yielding
     (run index, state, report) as each step ends.
 
@@ -218,24 +218,21 @@ def run(stream, configs=(), k_for_chunk=None, *, states=()):
     from its state; give configs or states, not both. Every run steps through
     a chunk before any run sees the next one, in index order, and the runs
     share that chunk's absorbs and bootstraps (see step); the share is
-    dropped when the chunk ends, so nothing is kept across chunks.
-    k_for_chunk, when given, maps each chunk to the k used for any bootstrap
-    on that chunk (the main one, parallel activations and retrains); without
-    it every bootstrap uses its config's k. Nothing of a step outlives its
-    yield here, so a caller that drops each report before asking for the
-    next keeps one step's report alive at a time.
+    dropped when the chunk ends, so nothing is kept across chunks. Every
+    bootstrap takes its config's k, under k=None its chunk's label count.
+    Nothing of a step outlives its yield here, so a caller that drops each
+    report before asking for the next keeps one step's report alive at a time.
     """
     if (not configs) == (not states):
         raise ValueError("run needs either configs to bootstrap under or states to continue from")
     states = list(states) or [None] * len(configs)
     for chunk in stream:
-        k = k_for_chunk(chunk) if k_for_chunk else None
         shared = {}
         for i in range(len(states)):
             if states[i] is None:
-                states[i], report = bootstrap(chunk, configs[i], k, shared)
+                states[i], report = bootstrap(chunk, configs[i], shared=shared)
             else:
-                states[i], report = step(states[i], chunk, k, shared)
+                states[i], report = step(states[i], chunk, shared=shared)
             yield i, states[i], report
             del report
     if states[0] is None:

@@ -51,10 +51,6 @@ def toy_chunk():
     return Chunk(1, TOY_VALUES, TOY_LABELS)
 
 
-def labels_k(chunk: Chunk) -> int:
-    return len(set(chunk.labels.tolist()))
-
-
 def chunk_rows(chunk: Chunk) -> list[tuple[float, ...]]:
     """A chunk's records as tuples of Python floats, in record order."""
     return list(zip(*chunk.values.T.tolist()))
@@ -101,9 +97,9 @@ def same_chunk(a: Chunk, b: Chunk) -> bool:
             and same(a.labels, b.labels) and same(a.artificial_classes, b.artificial_classes))
 
 
-def run_all(chunks, config, k_for_chunk=None):
+def run_all(chunks, config):
     """engine.run to the stream's end: the final state and every report."""
     state, reports = None, []
-    for _, state, report in engine.run(chunks, [config], k_for_chunk):
+    for _, state, report in engine.run(chunks, [config]):
         reports.append(report)
     return state, reports

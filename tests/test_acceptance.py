@@ -35,7 +35,6 @@ from conftest import (
     TOY_ROWS,
     TOY_VALUES,
     chunk_rows,
-    labels_k,
     match_distances,
     merged_class_means,
     run_all,
@@ -83,7 +82,7 @@ def test_criterion_02_conservation_exhaustive():
     checked = 0
     for spec in (sdwcd_spec(seed=7), sdccl_spec(seed=7), ncd100_spec(seed=7)):
         chunks = generate_synthetic(spec)
-        _, reports = run_all(chunks, DriftConfig(k=5, seed=7), labels_k)
+        _, reports = run_all(chunks, DriftConfig(k=None, seed=7))
         for chunk, report in zip(chunks, reports):
             assert report.outliers + sum(report.cluster_deltas) == len(chunk)
             checked += 1
@@ -116,7 +115,7 @@ def test_criterion_03_sdwcd_counts_and_entropy_over_20_runs(tmp_path, capsys):
 def test_criterion_04_sdccl_tcv_and_single_activation():
     started = time.perf_counter()
     chunks = generate_synthetic(sdccl_spec(seed=7))
-    state, reports = run_all(chunks, DriftConfig(k=5, seed=7), labels_k)
+    state, reports = run_all(chunks, DriftConfig(k=None, seed=7))
     elapsed = time.perf_counter() - started
 
     events = [r.event for r in reports]
@@ -137,7 +136,7 @@ def test_criterion_04_sdccl_tcv_and_single_activation():
 def test_criterion_05_drift_timelines_on_sdwcd():
     for seed in range(7, 27):
         chunks = generate_synthetic(sdwcd_spec(seed=seed))
-        _, reports = run_all(chunks, DriftConfig(k=5, seed=seed), labels_k)
+        _, reports = run_all(chunks, DriftConfig(k=None, seed=seed))
         events = {c.timestamp: r.event for c, r in zip(chunks, reports)}
         # temporary drift: activation at t=3, stabilization follows, no swap
         assert events[3] == "activated"
@@ -154,7 +153,7 @@ def test_criterion_05_drift_timelines_on_sdwcd():
 def test_criterion_06_thousand_chunk_scale():
     chunks = generate_synthetic(wcd1000_spec(seed=7))
     started = time.perf_counter()
-    state, reports = run_all(chunks, DriftConfig(k=5, seed=7), labels_k)
+    state, reports = run_all(chunks, DriftConfig(k=None, seed=7))
     elapsed = time.perf_counter() - started
     assert len(reports) == 1000
     assert elapsed < 10.0
@@ -250,15 +249,15 @@ def test_criterion_09_real_world_pipeline(tmp_path, capsys):
 
 def test_criterion_10_snapshot_round_trip():
     chunks = generate_synthetic(sdwcd_spec(seed=7))
-    cfg = DriftConfig(k=5, seed=7)
-    _, full = run_all(chunks, cfg, labels_k)
+    cfg = DriftConfig(k=None, seed=7)
+    _, full = run_all(chunks, cfg)
 
-    state, reports = run_all(chunks[:5], cfg, labels_k)
+    state, reports = run_all(chunks[:5], cfg)
     document = engine.state_to_json(state, chunks)
     restored = engine.state_from_json(document, chunks)
     assert restored == state
     for chunk in chunks[5:]:
-        restored, report = engine.step(restored, chunk, labels_k(chunk))
+        restored, report = engine.step(restored, chunk)
         reports.append(report)
 
     def strip(r):

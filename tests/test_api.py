@@ -3,11 +3,12 @@ benchmark's span tracer wraps by module and attribute name."""
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import streamclust
-from streamclust import Chunk, DriftConfig, EngineState, engine
+from streamclust import Chunk, DriftConfig, EngineState, cli, core, engine
 from streamclust.cli import main
 from conftest import TOY_LABELS, TOY_VALUES, run_python
 
@@ -95,9 +96,14 @@ def test_bench_traced_functions_exist():
     for target in spans.TARGETS:
         module = importlib.import_module(target.module)
         assert callable(getattr(module, target.attr, None)), f"{target.module}.{target.attr}"
-    # the benchmark's engine passes call init for a bare state
+    # the benchmark's engine passes call init for a bare state, with the k
+    # of the CLI's default policy from cli._labels_k, the engine's own label count
     state = engine.init(Chunk(1, TOY_VALUES, TOY_LABELS), DriftConfig(k=2), 2)
     assert isinstance(state, EngineState)
+    assert cli._labels_k is core.label_count
+    assert cli._labels_k(Chunk(1, TOY_VALUES, TOY_LABELS)) == 2
+    # the policy lives in the config: run takes a stream and configs or states
+    assert list(inspect.signature(engine.run).parameters) == ["stream", "configs", "states"]
 
 
 def test_readme_library_example_runs():

@@ -1423,10 +1423,11 @@ _CLASHES = {"run_metrics_over_a_directory": "metrics.jsonl",
 
 
 def _run_over_a_directory(name):
-    """A run into clash/, where the output file name is a directory."""
+    """A run with a snapshot into clash/, where the output file name is a directory."""
     def argv(tmp_path, manifest):
         (tmp_path / "clash" / name).mkdir(parents=True)
-        return ["run", manifest, "--out", str(tmp_path / "clash")]
+        return ["run", manifest, "--snapshot", str(tmp_path / "snap.json"),
+                "--out", str(tmp_path / "clash")]
     return argv
 
 
@@ -1471,6 +1472,7 @@ def test_command_misuse_is_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.tmp"))
     if case in _CLASHES:  # the run leaves nothing in clash/ but the directory in its way
         assert [p.name for p in (tmp_path / "clash").iterdir()] == [_CLASHES[case]]
+        assert not (tmp_path / "snap.json").exists()  # nor the snapshot it wrote first
 
 
 # Each JSON document a command reads, as (the file, the command that reads

@@ -12,7 +12,7 @@ from streamclust import (
 )
 from streamclust import bootstrap as kmeans_bootstrap
 from streamclust.streams import DRIFT_KINDS
-from conftest import labels_k, run_all
+from conftest import run_all
 
 # Hand-built two-cluster world: a wide bootstrap chunk fixes the radii, later
 # "normal" chunks sit comfortably inside them.
@@ -74,7 +74,7 @@ def test_no_drift_benchmark_stream_stays_quiet():
 
     chunks = generate_synthetic(ncd100_spec(seed=7))
     steps = [(state, report) for _, state, report
-             in engine.run(chunks, [DriftConfig(k=5, seed=7)], labels_k)]
+             in engine.run(chunks, [DriftConfig(k=None, seed=7)])]
     assert len(steps) == 100
     assert all(r.event in ("bootstrap", "none") for _, r in steps)
     assert all(s.parallel is None for s, _ in steps)
@@ -165,16 +165,54 @@ def test_parallel_retrains_when_it_drifts_itself():
     assert state.parallel.centroids[0] == pytest.approx((0.2, 0.8), abs=0.02)
 
 
-def test_labels_policy_config_needs_a_k_from_the_caller():
-    # k=None leaves k to the caller; a caller that gives none is refused
+def test_labels_policy_bootstraps_with_the_chunks_label_count():
+    # k=None: each bootstrap takes its chunk's label count, unless the call gives a k
     labels_cfg = CFG._replace(k=None)
-    with pytest.raises(ValueError, match="no k"):
-        engine.init(_boot_chunk(), labels_cfg)
-    state = engine.init(_boot_chunk(), labels_cfg, 2)
-    with pytest.raises(ValueError, match="no k"):
-        engine.step(state, _normal_chunk(2))
-    state, report = engine.step(state, _normal_chunk(2), 2)
+    state = engine.init(_boot_chunk(), labels_cfg)
+    assert len(state.main.centroids) == 2 and state.config.k is None
+    assert len(engine.init(_boot_chunk(), labels_cfg, 1).main.centroids) == 1
+    state, report = engine.step(state, _normal_chunk(2))  # an absorb only
     assert report.event == "none" and state.config.k is None
+    # labels 1, 2 and 9: the activation bootstraps 3 clusters, or the k given
+    state3, report = engine.step(state, _noisy_chunk(3))
+    assert report.event == "activated" and len(report.cluster_deltas) == 3
+    assert len(engine.step(state, _noisy_chunk(3), 2)[1].cluster_deltas) == 2
+    # the parallel model retrains on a chunk of one label
+    state3, report = engine.step(state3, _moved_chunk(4, center=(0.2, 0.8), wide=True))
+    assert report.parallel_retrained and len(state3.parallel.centroids) == 1
+
+
+def test_unlabeled_chunk_under_the_labels_policy_is_refused_at_its_first_bootstrap():
+    labels_cfg = CFG._replace(k=None)
+    bare = [Chunk(c.timestamp, c.values) for c in (_boot_chunk(1), _normal_chunk(2),
+                                                    _noisy_chunk(3))]
+    with pytest.raises(ValueError, match="^chunk 1 has no labels for the k=None policy"):
+        list(engine.run(bare, [labels_cfg]))
+    # chunk 2 is only absorbed and needs no k; chunk 3 activates a bootstrap
+    stream = [_boot_chunk(1)] + bare[1:]
+    steps = []
+    with pytest.raises(ValueError, match="^chunk 3 has no labels for the k=None policy"):
+        for _, state, report in engine.run(stream, [labels_cfg]):
+            steps.append((state.timestamp, report.event))
+    assert steps == [(1, "bootstrap"), (2, "none")]
+    # a fixed k, or one the call gives, reads no labels
+    assert len(engine.step(engine.init(bare[0], CFG), bare[1])[1].cluster_deltas) == 2
+    assert engine.init(bare[0], labels_cfg, 2).timestamp == 1
+
+
+def test_labels_are_counted_only_at_a_bootstrap(monkeypatch):
+    # `run wcd1000`'s default policy: 1 000 chunks, a label count only where a
+    # bootstrap reads it
+    chunks = generate_synthetic(wcd1000_spec(seed=7))
+    counted, bootstrapped = [], []
+    label_count, summarize_trace = engine.label_count, engine.summarize_trace
+    monkeypatch.setattr(engine, "label_count",
+                        lambda chunk: counted.append(chunk.timestamp) or label_count(chunk))
+    monkeypatch.setattr(engine, "summarize_trace", lambda chunk, *args: (
+        bootstrapped.append(chunk.timestamp) or summarize_trace(chunk, *args)))
+    _, reports = run_all(chunks, DriftConfig(k=None, seed=7))
+    assert len(reports) == 1000
+    assert len(counted) == 10 and counted == bootstrapped
 
 
 def test_step_timestamp_continuity():
@@ -223,9 +261,9 @@ def _strip_duration(report):
 
 def test_run_deterministic_for_fixed_seed():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    _, first = run_all(chunks, cfg, labels_k)
-    _, second = run_all(chunks, cfg, labels_k)
+    cfg = DriftConfig(k=None, seed=5)
+    _, first = run_all(chunks, cfg)
+    _, second = run_all(chunks, cfg)
     assert [_strip_duration(r) for r in first] == [_strip_duration(r) for r in second]
 
 
@@ -237,7 +275,7 @@ def test_report_counts_are_the_active_results(spec):
     chunks = generate_synthetic(spec(seed=7))
     configs = [DriftConfig(k=None, seed=seed) for seed in range(7, 17)]
     steps = 0
-    for _, state, report in engine.run(chunks, configs, labels_k):
+    for _, state, report in engine.run(chunks, configs):
         active = state.parallel or state.main
         assert report.outliers == active.outliers
         assert report.cluster_deltas == active.chunk_counts
@@ -250,7 +288,7 @@ def test_verdicts_of_sdwcd_seed_7():
     # every step, which no output reads yet
     chunks = generate_synthetic(sdwcd_spec(seed=7))
     steps = [(state.timestamp, report) for _, state, report
-             in engine.run(chunks, [DriftConfig(k=None, seed=7)], labels_k)]
+             in engine.run(chunks, [DriftConfig(k=None, seed=7)])]
     assert steps[0][1].event == "bootstrap" and steps[0][1].verdict is None
     causes = {t: report.verdict.cause for t, report in steps[1:]}
     none, ratio, shift = "none", "outlier_ratio", "distribution_shift"
@@ -265,10 +303,10 @@ def test_verdicts_of_sdwcd_seed_7():
 
 def test_state_json_round_trip():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
+    cfg = DriftConfig(k=None, seed=5)
+    state = engine.init(chunks[0], cfg)
     for chunk in chunks[1:4]:
-        state, _ = engine.step(state, chunk, labels_k(chunk))
+        state, _ = engine.step(state, chunk)
     assert state.parallel is not None  # mid-episode, the interesting case
     restored = engine.state_from_json(engine.state_to_json(state, chunks), chunks)
     assert restored == state
@@ -276,12 +314,14 @@ def test_state_json_round_trip():
 
 def test_resume_matches_uninterrupted_run():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    _, full = run_all(chunks, cfg, labels_k)
+    cfg = DriftConfig(k=None, seed=5)
+    _, full = run_all(chunks, cfg)
 
-    state, reports = run_all(chunks[:4], cfg, labels_k)
+    state, reports = run_all(chunks[:4], cfg)
     state = engine.state_from_json(engine.state_to_json(state, chunks), chunks)
-    reports += [r for _, _, r in engine.run(chunks[4:], k_for_chunk=labels_k, states=[state])]
+    assert state.config.k is None and state.parallel is not None
+    # no k is given: the engine takes each bootstrap's k from its chunk's labels
+    reports += [r for _, _, r in engine.run(chunks[4:], states=[state])]
     assert [_strip_duration(r) for r in reports] == [_strip_duration(r) for r in full]
 
 
@@ -296,16 +336,16 @@ def _check_step(chunk, state, report, previous_t):
         assert 1 <= state.strike <= 3
 
 
-_POLICIES = {"fixed": (5, None), "labels": (None, labels_k)}
+_POLICIES = {"fixed": 5, "labels": None}
 
 
 @pytest.mark.parametrize("policy", sorted(_POLICIES))
 @pytest.mark.parametrize("spec", [sdwcd_spec, sdccl_spec], ids=["sdwcd", "sdccl"])
 def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
     chunks = generate_synthetic(spec(seed=5))
-    k, k_for_chunk = _POLICIES[policy]
+    k = _POLICIES[policy]
     cfg = DriftConfig(k=k, seed=5)
-    full = [(state, report) for _, state, report in engine.run(chunks, [cfg], k_for_chunk)]
+    full = [(state, report) for _, state, report in engine.run(chunks, [cfg])]
     for i, (state, report) in enumerate(full):
         _check_step(chunks[i], state, report, i)
     expected = [(state, _strip_duration(report)) for state, report in full]
@@ -318,7 +358,7 @@ def test_resume_at_every_cut_point_matches_uninterrupted_run(spec, policy):
         assert state == full[cut - 1][0]
         tail = []
         for i, (_, state, report) in enumerate(
-                engine.run(chunks[cut:], k_for_chunk=k_for_chunk, states=[state]), cut):
+                engine.run(chunks[cut:], states=[state]), cut):
             _check_step(chunks[i], state, report, i)
             tail.append((state, _strip_duration(report)))
         assert tail == expected[cut:]
@@ -486,16 +526,15 @@ def _lockstep_cases(draw):
     first = draw(st.integers(0, 2**20))
     configs = [DriftConfig(k, o_thresh, d_thresh, seed)
                for seed in range(first, first + draw(st.integers(2, 5)))]
-    return chunks, configs, None if k is not None else labels_k
+    return chunks, configs
 
 
-def _alone(chunks, config, k_for_chunk):
+def _alone(chunks, config):
     """One run through bootstrap and step with nothing shared."""
-    k = k_for_chunk or (lambda chunk: None)
-    state, report = engine.bootstrap(chunks[0], config, k(chunks[0]))
+    state, report = engine.bootstrap(chunks[0], config)
     out = [(state, report)]
     for chunk in chunks[1:]:
-        state, report = engine.step(state, chunk, k(chunk))
+        state, report = engine.step(state, chunk)
         out.append((state, report))
     return out
 
@@ -503,15 +542,15 @@ def _alone(chunks, config, k_for_chunk):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_lockstep_cases())
 def test_lockstep_runs_equal_each_seed_run_alone(case):
-    chunks, configs, k_for_chunk = case
+    chunks, configs = case
     together = [[] for _ in configs]
-    for i, state, report in engine.run(chunks, configs, k_for_chunk):
+    for i, state, report in engine.run(chunks, configs):
         t = len(together[i])
         _check_step(chunks[t], state, report, t)  # records conserved, among others
         together[i].append((state, _strip_duration(report)))
     for config, steps in zip(configs, together):
         alone = [(state, _strip_duration(report))
-                 for state, report in _alone(chunks, config, k_for_chunk)]
+                 for state, report in _alone(chunks, config)]
         # repr spells every float's bits, the sign of zero included
         assert repr(steps) == repr(alone)
 
@@ -519,16 +558,16 @@ def test_lockstep_runs_equal_each_seed_run_alone(case):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_lockstep_cases(), st.data())
 def test_resume_at_a_drawn_cut_matches_the_uninterrupted_tail(case, data):
-    chunks, configs, k_for_chunk = case
+    chunks, configs = case
     full = [[] for _ in configs]
-    for i, state, report in engine.run(chunks, configs, k_for_chunk):
+    for i, state, report in engine.run(chunks, configs):
         full[i].append((state, _strip_duration(report)))
     cut = data.draw(st.integers(1, len(chunks)), label="cut")
     restored = [engine.state_from_json(engine.state_to_json(steps[cut - 1][0], chunks), chunks)
                 for steps in full]
     assert repr(restored) == repr([steps[cut - 1][0] for steps in full])
     tail = [[] for _ in configs]
-    for i, state, report in engine.run(chunks[cut:], k_for_chunk=k_for_chunk, states=restored):
+    for i, state, report in engine.run(chunks[cut:], states=restored):
         tail[i].append((state, _strip_duration(report)))
     # repr spells every float's bits, the sign of zero included
     assert repr(tail) == repr([steps[cut:] for steps in full])
@@ -552,14 +591,14 @@ def test_step_without_a_share_always_absorbs(monkeypatch):
 
 def test_run_steps_every_run_through_a_chunk_before_the_next():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    configs = [DriftConfig(k=5, seed=seed) for seed in (5, 6, 7)]
+    configs = [DriftConfig(k=None, seed=seed) for seed in (5, 6, 7)]
     order, together = [], [[] for _ in configs]
-    for i, state, report in engine.run(chunks, configs, labels_k):
+    for i, state, report in engine.run(chunks, configs):
         order.append((state.timestamp, i))
         together[i].append(_strip_duration(report))
     assert order == [(c.timestamp, i) for c in chunks for i in range(3)]
     for cfg, reports in zip(configs, together):
-        _, alone = run_all(chunks, cfg, labels_k)
+        _, alone = run_all(chunks, cfg)
         assert reports == [_strip_duration(r) for r in alone]
 
 
@@ -567,7 +606,7 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
     # the results hold chunks 1-4 and carry no timestamp of their own: a
     # stale top-level one names chunks 1-2, whose digest is not the recorded one
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    state, _ = run_all(chunks[:4], DriftConfig(k=None, seed=5))
     assert state.parallel is not None
     stale = json.loads(engine.state_to_json(state, chunks))
     assert "timestamp" not in stale["main"] and "timestamp" not in stale["parallel"]
@@ -578,7 +617,7 @@ def test_snapshot_rejects_a_timestamp_its_results_do_not_have():
 
 def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    state, _ = run_all(chunks[:4], DriftConfig(k=None, seed=5))
     text = engine.state_to_json(state, chunks)
     # only the chunks it covers count: chunks after t=4 may differ
     assert engine.state_from_json(text, chunks[:4]) == state
@@ -606,7 +645,7 @@ def test_snapshot_resumes_only_on_the_chunks_it_was_taken_on():
 
 def test_snapshot_of_other_dimensionality_than_its_stream_names_the_stream():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    state, _ = run_all(chunks[:4], DriftConfig(k=None, seed=5))
     assert state.parallel is not None
     # 3-D centroids on the 2-D chunks the snapshot records: only the
     # dimensionality check stands between it and a resume
@@ -670,7 +709,7 @@ def test_snapshot_objects_hold_the_type_fields_in_order():
     # the snapshot writes and reads each object by its field names: a renamed
     # or reordered field fails here, not only in the golden digest
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    state, _ = run_all(chunks[:4], DriftConfig(k=5, seed=5), labels_k)
+    state, _ = run_all(chunks[:4], DriftConfig(k=None, seed=5))
     assert state.parallel is not None
     doc = json.loads(engine.state_to_json(state, chunks))
     assert list(doc) == list(engine._SNAPSHOT_FIELDS)
@@ -682,10 +721,10 @@ def test_snapshot_objects_hold_the_type_fields_in_order():
 
 def test_parallel_state_invariants():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
+    cfg = DriftConfig(k=None, seed=5)
+    state = engine.init(chunks[0], cfg)
     for chunk in chunks[1:]:
-        state, report = engine.step(state, chunk, labels_k(chunk))
+        state, report = engine.step(state, chunk)
         if state.parallel is not None:
             assert 1 <= state.strike <= 3
         if report.event == "swapped":
@@ -694,10 +733,10 @@ def test_parallel_state_invariants():
 
 def test_snapshot_rejects_centroids_of_different_lengths():
     chunks = generate_synthetic(sdwcd_spec(seed=5))
-    cfg = DriftConfig(k=5, seed=5)
-    state = engine.init(chunks[0], cfg, labels_k(chunks[0]))
+    cfg = DriftConfig(k=None, seed=5)
+    state = engine.init(chunks[0], cfg)
     for chunk in chunks[1:4]:
-        state, _ = engine.step(state, chunk, labels_k(chunk))
+        state, _ = engine.step(state, chunk)
     assert state.parallel is not None
     text = engine.state_to_json(state, chunks)
     # one cluster of one result, and every cluster of the parallel result

@@ -29,7 +29,7 @@ from streamclust.core import BOUND, left_sum
 from streamclust.engine import StepReport
 from streamclust.metrics import average_runs, parse_jsonl, reports_to_jsonl
 from streamclust.streams import BASE_ANCHORS
-from conftest import labels_k, match_distances, merged_class_means, run_all, run_python
+from conftest import match_distances, merged_class_means, run_all, run_python
 
 
 def test_entropy_pure_clusters():
@@ -361,8 +361,8 @@ def test_tcv_distance_matches_centroids_at_the_domain_edge():
 
 def test_build_report_and_jsonl_round_trip():
     chunks = generate_synthetic(sdccl_spec(seed=7))
-    cfg = DriftConfig(k=5, seed=7)
-    state, reports = run_all(chunks, cfg, labels_k)
+    cfg = DriftConfig(k=None, seed=7)
+    state, reports = run_all(chunks, cfg)
     tcvs = [c for _, c in merged_class_means(chunks)]
     rows = [step_metrics(chunk, rep) for chunk, rep in zip(chunks, reports)]
     report = build_report(rows, state.main, tcvs=tcvs)
@@ -408,7 +408,7 @@ def test_step_whose_active_model_absorbs_no_record_scores_zero():
     # parallel model is dropped at t=5
     chunks = generate_synthetic(sdwcd_spec(seed=7))
     cfg = DriftConfig(k=None, o_thresh=1.0, d_thresh=1.0, seed=7)
-    _, reports = run_all(chunks, cfg, labels_k)
+    _, reports = run_all(chunks, cfg)
     empty = []
     for chunk, report in zip(chunks, reports):
         assert report.outliers + sum(report.cluster_deltas) == len(chunk)
@@ -421,8 +421,8 @@ def test_step_whose_active_model_absorbs_no_record_scores_zero():
 
 def test_step_metrics_averages_artificial_label_sets():
     chunks = generate_synthetic(sdccl_spec(seed=7))[:1]
-    cfg = DriftConfig(k=5, seed=7)
-    state, reports = run_all(chunks, cfg, labels_k)
+    cfg = DriftConfig(k=None, seed=7)
+    state, reports = run_all(chunks, cfg)
     # two artificial label columns: one equal to the true labels (entropy 0),
     # one constant (entropy of a single shared label is also 0 per cluster)
     sets = np.column_stack([chunks[0].labels, np.ones(len(chunks[0]), dtype=int)])

@@ -36,7 +36,6 @@ import pytest
 
 from streamclust import DriftConfig, StreamSpec, TimestepSpec, engine, generate_synthetic
 from streamclust import streams
-from conftest import labels_k
 
 SEEDS = range(7, 27)
 
@@ -52,7 +51,7 @@ def _collapse_spec(length):
 _SPECS = {name: getattr(streams, f"{name}_spec")
           for name in ("sdwcd", "sdccl", "ncd100", "wcd1000")}
 _SPECS.update({f"collapse{length}": _collapse_spec(length) for length in (1, 2, 3)})
-_POLICIES = {"labels": (None, labels_k), "k=5": (5, None)}
+_POLICIES = {"labels": None, "k=5": 5}
 _WINDOWS = {"2": 2, "4": 4, "never": 10**9}
 _ENDS = {"temporary": "stabilized", "sustained": "swapped"}
 
@@ -73,10 +72,10 @@ def _script(spec):
     return drifts
 
 
-def _steps(chunks, configs, k_for_chunk):
+def _steps(chunks, configs):
     """Each run's steps as (t, event, parallel retrained, main drifted)."""
     steps = [[] for _ in configs]
-    for i, state, report in engine.run(chunks, configs, k_for_chunk):
+    for i, state, report in engine.run(chunks, configs):
         drifted = report.verdict is not None and report.verdict.is_drift
         steps[i].append((state.timestamp, report.event, report.parallel_retrained, drifted))
     return steps
@@ -171,14 +170,14 @@ def sweep(detect_spy, seed_7_streams):
         drifts = _script(spec(7))
         for seed in SEEDS:
             chunks = seed_7_streams[name] if seed == 7 else generate_synthetic(spec(seed))
-            for policy, (k, k_for_chunk) in _POLICIES.items():
-                (steps,) = _steps(chunks, [DriftConfig(k=k, seed=7)], k_for_chunk)
+            for policy, k in _POLICIES.items():
+                (steps,) = _steps(chunks, [DriftConfig(k=k, seed=7)])
                 score = _score(drifts, steps)
                 scores.setdefault((name, policy, "stream"), []).append(score)
                 false_at += [(name, policy, seed, t) for t in score[1]]
-        for policy, (k, k_for_chunk) in _POLICIES.items():
+        for policy, k in _POLICIES.items():
             configs = [DriftConfig(k=k, seed=seed) for seed in SEEDS]
-            runs = _steps(seed_7_streams[name], configs, k_for_chunk)
+            runs = _steps(seed_7_streams[name], configs)
             scores[name, policy, "run"] = [_score(drifts, steps) for steps in runs]
     rows = [_row(*key, runs) for key, runs in scores.items()]
     return rows, false_at, [after - b for after, b in zip(detect_spy, before)]
@@ -296,8 +295,8 @@ def test_swap_window_ablation(detect_spy, seed_7_streams, monkeypatch, window):
     monkeypatch.setattr(engine, "_SWAP_AT", _WINDOWS[window])
     mismatched, rows = detect_spy[1], []
     for name, spec in _SPECS.items():
-        for policy, (k, k_for_chunk) in _POLICIES.items():
-            (steps,) = _steps(seed_7_streams[name], [DriftConfig(k=k, seed=7)], k_for_chunk)
+        for policy, k in _POLICIES.items():
+            (steps,) = _steps(seed_7_streams[name], [DriftConfig(k=k, seed=7)])
             rows.append(_row(name, policy, "7", [_score(_script(spec(7)), steps)]))
     assert _table(rows) == _ABLATION[window]
     assert detect_spy[1] == mismatched
