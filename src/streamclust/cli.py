@@ -117,8 +117,7 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
     count). Each StepReport is scored with the stream's chunk at its
     timestamp into one step row of its run, and dropped before the next step
     runs; the runs of a chunk share the scoring of equal cluster indices (see
-    step_metrics). Every output reads average_runs' rows; the report's and
-    the snapshot's texts are built, and the snapshot written, before --out is made.
+    step_metrics). Every output reads average_runs' rows; the snapshot is written last.
     """
     from . import engine
     from .metrics import (average_runs, build_report, reports_to_jsonl, step_metrics,
@@ -149,26 +148,27 @@ def _run_and_write(args, data, chunks, meta: dict, snapshot, configs=(), states=
             yield step
 
     text = reports_to_jsonl(full_meta, counted(steps), summary)
-    if snapshot:
-        atomic_write(snapshot, engine.state_to_json(finals[0], data.chunks) + "\n")
     out = Path(args.out)
-    metrics_path = out / "metrics.jsonl"
-    written = [Path(snapshot)] if snapshot else []  # a failed run leaves no output of its own
+    outputs = [(out / "metrics.jsonl", text), (out / "cluster_counts.tsv", "\n".join(counts) + "\n")]
+    if snapshot:  # last, so a failed run keeps the snapshot it may have resumed from
+        outputs.append((Path(snapshot), engine.state_to_json(finals[0], data.chunks) + "\n"))
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        atomic_write(metrics_path, text)
-        written.append(metrics_path)
-        atomic_write(out / "cluster_counts.tsv", "\n".join(counts) + "\n")
-    except OSError:
-        for path in written:
+        for done, (path, output) in enumerate(outputs):
+            atomic_write(path, output)
+    except OSError:  # a failed run leaves no output of its own, nor a directory it made
+        for path, _ in outputs[:done]:
             path.unlink()
+        for path in made:
+            path.rmdir()
         raise
 
     print(
         f"runs={len(runs)} mean_entropy={summary['mean_entropy']:.6f} "
         f"mean_sse={summary['mean_sse']:.6g} total_runtime_s={summary['total_runtime_s']:.4f}"
     )
-    print(metrics_path)
+    print(out / "metrics.jsonl")
     return 0
 
 

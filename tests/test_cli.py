@@ -1443,7 +1443,7 @@ _MISUSES = {
                       "--stop-after must be in 1..10"),
     "resume_past_the_end": (_resume_past_the_end, "snapshot already covers t=10"),
     "eval_run_out_of_range": (_eval_run_out_of_range, "report has 1 runs; --run 5"),
-    # the snapshot is written before --out, so one that cannot be leaves no --out
+    # the snapshot is written last; one that cannot be takes back the --out made for it
     "run_snapshot_in_no_directory": (
         lambda tmp_path, manifest: ["run", manifest,
                                     "--snapshot", str(tmp_path / "nodir" / "s.json")],
@@ -1472,7 +1472,24 @@ def test_command_misuse_is_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.tmp"))
     if case in _CLASHES:  # the run leaves nothing in clash/ but the directory in its way
         assert [p.name for p in (tmp_path / "clash").iterdir()] == [_CLASHES[case]]
-        assert not (tmp_path / "snap.json").exists()  # nor the snapshot it wrote first
+        assert not (tmp_path / "snap.json").exists()  # nor a snapshot, which goes last
+
+
+@pytest.mark.parametrize("name", sorted(_CLASHES.values()))
+def test_failed_resume_in_place_keeps_the_snapshot_it_resumed_from(tmp_path, capsys, name):
+    manifest = str(_sdwcd(tmp_path, capsys) / "manifest.json")
+    snap = tmp_path / "snap.json"
+    assert main(["run", manifest, "--stop-after", "4", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "part")]) == 0
+    before = snap.read_bytes()
+    (tmp_path / "clash" / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["resume", manifest, "--snapshot", str(snap), "--snapshot-out", str(snap),
+                 "--out", str(tmp_path / "clash")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert snap.read_bytes() == before
+    assert [p.name for p in (tmp_path / "clash").iterdir()] == [name]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # Each JSON document a command reads, as (the file, the command that reads
